@@ -19,13 +19,12 @@ from typing import Iterable, Optional, Sequence
 from .evaluation import EMPTY_GROUND, GroundPermutation, GroundRep, fix_points
 from .extension import (
     domain_extend,
-    extend_with,
     hit_extend,
     hit_search,
     mad_set_point,
     range_extend,
 )
-from .poset import Condition, PosetMode, add_words, leq
+from .poset import Condition, PosetMode, _agreement, _ones, add_words, leq
 from .words import (
     Letter,
     Word,
@@ -136,28 +135,17 @@ def _frozen_snapshot(cond: Condition, w: Word, ground: GroundRep) -> frozenset[i
     return res.points
 
 
-def _pair_agreement(cond: Condition, a: int, b: int) -> frozenset[int]:
-    fa, fb = cond.s.get(a).fwd, cond.s.get(b).fwd
-    return frozenset(n for n, v in fa.items() if fb.get(n) == v)
-
-
-def _pair_ones(cond: Condition, a: int, b: int) -> frozenset[int]:
-    ones_a = {n for n, v in cond.s.get(a).pairs if v == 1}
-    ones_b = {n for n, v in cond.s.get(b).pairs if v == 1}
-    return frozenset(ones_a & ones_b)
-
-
 def _frozen_value(mode: PosetMode, cond: Condition, w: Word, ground: GroundRep) -> frozenset[int]:
     if mode is PosetMode.COFINITARY:
         return _frozen_snapshot(cond, w, ground)
     if mode in (PosetMode.ADP, PosetMode.EDF):
-        return _pair_agreement(cond, w.letters[0].gen, w.letters[1].gen)
+        return _agreement(cond.s, w.letters[0].gen, w.letters[1].gen)
     # MAD: single letter entries freeze nothing alone; record pairwise 1-sets
     g = w.letters[0].gen
     others = sorted(x.letters[0].gen for x in cond.words if x != w)
     agg: set[int] = set()
     for b in others:
-        agg |= _pair_ones(cond, g, b)
+        agg |= _ones(cond.s.get(g).pairs) & _ones(cond.s.get(b).pairs)
     return frozenset(agg)
 
 
@@ -174,8 +162,8 @@ def build(
     """Run the greedy goal schedule from the empty condition.
 
     Words of length L are frozen before point goals beyond 4*L are issued,
-    so freezing happens while it still bites.  Every step is checked to
-    extend the previous condition.
+    so freezing happens while it still bites.  Every step is checked once
+    to extend the previous condition.
     """
     gens = tuple(sorted(generators))
     if not gens:
@@ -203,9 +191,14 @@ def build(
         stage += 1
         prev = cond
         witness: Optional[int] = None
+        # Point and hit steps come back order-checked by their step function
+        # (the chooser's leq, mad_set_point, hit_extend) or leave cond as it
+        # was; only a freeze is checked here.
         if goal.kind == "freeze":
             cond = add_words(prev, prev.words | {goal.word}, ground)
             frozen_fix[goal.word] = (stage, _frozen_value(mode, cond, goal.word, ground))
+            if not leq(cond, prev, ground):
+                raise BuildError(f"chain law broken at stage {stage}", _report())
         elif goal.kind == "domain":
             if goal.point in cond.s.get(goal.gen).domain():
                 witness = cond.s.get(goal.gen).fwd[goal.point]
@@ -220,7 +213,7 @@ def build(
                     raise BuildError(
                         f"goal {goal.describe()} failed: {err}", _report()
                     ) from err
-                cond = extend_with(prev, goal.gen, goal.point, witness, ground)
+                cond = ext.commit(witness)
         elif goal.kind == "range":
             if goal.point in cond.s.get(goal.gen).image():
                 witness = cond.s.get(goal.gen).rev[goal.point]
@@ -232,15 +225,13 @@ def build(
                     raise BuildError(
                         f"goal {goal.describe()} failed: {err}", _report()
                     ) from err
-                cond = extend_with(prev, goal.gen, witness, goal.point, ground)
+                cond = ext.commit(witness)
         else:  # hit
             found = hit_search(prev, goal.gen, goal.sigma, goal.floor, 256, ground)
             if not isinstance(found, int):
                 raise BuildError(f"goal {goal.describe()} found no hit", _report())
             witness = found
             cond = hit_extend(prev, goal.gen, goal.sigma, found, ground)
-        if not leq(cond, prev, ground):
-            raise BuildError(f"chain law broken at stage {stage}", _report())
         goal_log.append((goal.describe(), stage, witness))
 
     def _report() -> BuildReport:
@@ -315,7 +306,7 @@ def verify_variant(report: BuildReport) -> list[str]:
             partners = sorted(b for b, st in stages.items() if st < stage)
             now: set[int] = set()
             for b in partners:
-                now |= _pair_ones(cond, g, b)
+                now |= _ones(cond.s.get(g).pairs) & _ones(cond.s.get(b).pairs)
             if frozenset(now) != recorded:
                 violations.append(
                     f"letter g{g}: ones intersections frozen at stage {stage} as "
@@ -324,7 +315,7 @@ def verify_variant(report: BuildReport) -> list[str]:
         return violations
     for w, (stage, recorded) in sorted(report.frozen_fix.items(), key=lambda kv: kv[0].sort_key()):
         a, b = w.letters[0].gen, w.letters[1].gen
-        now = _pair_agreement(cond, a, b)
+        now = _agreement(cond.s, a, b)
         if now != recorded:
             violations.append(
                 f"pair (g{a}, g{b}): agreement frozen at stage {stage} as "

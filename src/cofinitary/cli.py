@@ -327,6 +327,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(action: argparse.Action, key: str, value):
+    """A config value read as its flag would read it on the command line:
+    through the flag's own type and choices."""
+    if action.nargs == 0:  # an on/off flag
+        if not isinstance(value, bool):
+            raise ConfigError(f"config key {key!r} must be true or false")
+        return value
+    text = value if isinstance(value, str) else json.dumps(value)
+    try:
+        value = action.type(text) if action.type else text
+    except (TypeError, ValueError, argparse.ArgumentTypeError) as err:
+        raise ConfigError(f"bad config value for {key!r}: {err}")
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"bad config value for {key!r}: {text!r} not in {list(action.choices)}")
+    return value
+
+
 def _apply_config(argv: Sequence[str], parser: argparse.ArgumentParser):
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
@@ -334,15 +351,20 @@ def _apply_config(argv: Sequence[str], parser: argparse.ArgumentParser):
             defaults = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as err:
             raise ConfigError(f"bad config file: {err}")
-        given = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
+        if not isinstance(defaults, dict):
+            raise ConfigError("bad config file: expected a JSON object")
+        commands = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        actions = {a.dest: a for a in commands.choices[args.command]._actions}
+        # flags as typed: argparse also takes --flag=value and unique prefixes
+        typed = {a.split("=")[0] for a in argv if a.startswith("--") and len(a) > 2}
         for key, value in defaults.items():
-            attr = key.replace("-", "_")
-            if not hasattr(args, attr):
+            action = actions.get(key.replace("-", "_"))
+            if action is None:
                 raise ConfigError(f"unknown config key {key!r}")
-            if attr not in given:
-                if attr == "mode":
-                    value = PosetMode(value)
-                setattr(args, attr, value)
+            if not any(o.startswith(t) for t in typed for o in action.option_strings):
+                setattr(args, action.dest, _config_value(action, key, value))
     return args
 
 

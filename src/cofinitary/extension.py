@@ -32,7 +32,7 @@ from .evaluation import (
     eval_word,
     unapply_letter,
 )
-from .poset import Condition, PosetMode, leq, strong_restrict, validate
+from .poset import Condition, PosetMode, leq, strong_restrict, validate, validated
 from .words import (
     GoodDecomposition,
     Letter,
@@ -272,10 +272,7 @@ def extend_with(
     p: Condition, gen: int, n: int, m: int, ground: GroundRep = EMPTY_GROUND
 ) -> Condition:
     """p with the pair (gen, n, m) adjoined; validated and order-checked."""
-    out = Condition(p.s.with_pair(gen, n, m), p.words, p.mode)
-    bad = validate(out, ground)
-    if bad:
-        raise ValueError("; ".join(bad))
+    out = validated(p, Condition(p.s.with_pair(gen, n, m), p.words, p.mode), ground)
     if not leq(out, p, ground):
         raise ContractViolation(
             f"adding (g{gen}, {n}, {m}) does not extend the condition"
@@ -304,7 +301,10 @@ class Extension:
                     f"chooser exceeded ceiling {ceiling} for g{self.gen} at {self.point}"
                 )
             if self.certificate.admits(m):
-                if leq(self._apply(m), self.condition, self.ground):
+                out = self._apply(m)
+                if leq(out, self.condition, self.ground):
+                    # commit hands this condition back without a second leq
+                    object.__setattr__(self, "_checked", (m, out))
                     return m
                 raise ContractViolation(
                     f"certificate admitted {m} for g{self.gen} at {self.point} "
@@ -312,15 +312,23 @@ class Extension:
                 )
             m += 1
 
+    def commit(self, value: int) -> Condition:
+        """The condition extended by value, validated and order-checked.
+
+        For the value choose last returned, its order check stands and only
+        the new pair is validated; any other value goes through extend_with.
+        """
+        checked = getattr(self, "_checked", None)
+        if checked is None or checked[0] != value:
+            return extend_with(self.condition, self.gen, *self._pair(value), self.ground)
+        return validated(self.condition, checked[1], self.ground)
+
+    def _pair(self, value: int) -> tuple[int, int]:
+        return (self.point, value) if self.direction == "domain" else (value, self.point)
+
     def _apply(self, value: int) -> Condition:
-        if self.direction == "domain":
-            return Condition(
-                self.condition.s.with_pair(self.gen, self.point, value),
-                self.condition.words,
-                self.condition.mode,
-            )
         return Condition(
-            self.condition.s.with_pair(self.gen, value, self.point),
+            self.condition.s.with_pair(self.gen, *self._pair(value)),
             self.condition.words,
             self.condition.mode,
         )
@@ -410,11 +418,10 @@ def cover_extend(
                     if nxt is None:
                         letter = letters[idx]
                         if letter.sign == 1:
-                            m = domain_extend(cur, letter.gen, v, ground).choose()
-                            cur = extend_with(cur, letter.gen, v, m, ground)
+                            ext = domain_extend(cur, letter.gen, v, ground)
                         else:
-                            n2 = range_extend(cur, letter.gen, v, ground).choose()
-                            cur = extend_with(cur, letter.gen, n2, v, ground)
+                            ext = range_extend(cur, letter.gen, v, ground)
+                        cur = ext.commit(ext.choose())
                         break
                     v = nxt
     added = cur.s.triples() - p.s.triples()
@@ -500,8 +507,8 @@ def strong_reduction(
                 continue
             c, d = ins[0], outs[0]
             for n in sorted(p.s.get(d).domain() - cur.s.get(c).domain()):
-                m = domain_extend(cur, c, n, ground).choose()
-                cur = extend_with(cur, c, n, m, ground)
+                ext = domain_extend(cur, c, n, ground)
+                cur = ext.commit(ext.choose())
         out = Condition(cur.s.restrict(keep), base.words, p.mode)
     else:
         cur = p

@@ -115,6 +115,32 @@ def validate(c: Condition, ground: GroundRep = EMPTY_GROUND) -> list[str]:
     return problems
 
 
+def _known_valid(c: Condition, ground: GroundRep) -> bool:
+    return getattr(c, "_valid_for", None) == ground.generators()
+
+
+def validated(prev: Condition, out: Condition, ground: GroundRep = EMPTY_GROUND) -> Condition:
+    """out, once validate finds nothing wrong with it; raises ValueError with
+    validate's message otherwise.
+
+    validate judges each map and each side word on its own, so when prev is
+    known valid for this ground only what out adds is checked: the maps that
+    are not prev's own objects and the words prev lacks.  The problems, and
+    their order, are then exactly those of validate(out).  Conditions are
+    marked known valid only here, and only after a clean check.
+    """
+    if _known_valid(prev, ground) and out.mode is prev.mode:
+        maps = {g: pm for g, pm in out.s.table.items() if prev.s.table.get(g) is not pm}
+        added = frozenset() if out.words is prev.words else out.words - prev.words
+        bad = validate(Condition(Assignment(maps), added, out.mode), ground)
+    else:
+        bad = validate(out, ground)
+    if bad:
+        raise ValueError("; ".join(bad))
+    object.__setattr__(out, "_valid_for", ground.generators())
+    return out
+
+
 def _ones(pm_pairs: Iterable[tuple[int, int]]) -> frozenset[int]:
     return frozenset(n for n, m in pm_pairs if m == 1)
 
@@ -179,7 +205,7 @@ def leq(p: Condition, q: Condition, ground: GroundRep = EMPTY_GROUND) -> bool:
                     return False
         return True
     if p.mode is PosetMode.EDF:
-        for w in q.sorted_words():
+        for w in q.words:
             a, b = w.letters[0].gen, w.letters[1].gen
             if not (_agreement(p.s, a, b) <= _agreement(q.s, a, b)):
                 return False
@@ -187,23 +213,10 @@ def leq(p: Condition, q: Condition, ground: GroundRep = EMPTY_GROUND) -> bool:
     new_triples = p.s.triples() - q.s.triples()
     if not new_triples:
         return True
-    for w in q.sorted_words():
+    for w in q.words:
         if _word_freezing_ok(w, p.s, q.s, new_triples, ground) is not None:
             return False
     return True
-
-
-def leq_witness(
-    p: Condition, q: Condition, ground: GroundRep = EMPTY_GROUND
-) -> Optional[tuple[Word, int]]:
-    """A (word, point) pair witnessing a freezing violation, when one exists.
-    Only meaningful for word-based modes."""
-    new_triples = p.s.triples() - q.s.triples()
-    for w in q.sorted_words():
-        n = _word_freezing_ok(w, p.s, q.s, new_triples, ground)
-        if n is not None:
-            return w, n
-    return None
 
 
 def restrict(p: Condition, keep: Iterable[int]) -> Condition:
@@ -240,15 +253,12 @@ def add_words(
     p: Condition, words: Iterable[Word], ground: GroundRep = EMPTY_GROUND
 ) -> Condition:
     """Replace the side set by a superset; freezing more words only constrains
-    the future, so the result extends p."""
+    the future, so the result extends p.  Only the new words are validated
+    when p is known valid (see validated)."""
     new = frozenset(words)
     if not (new >= p.words):
         raise ValueError("new side set must contain the old one")
-    out = Condition(p.s, new, p.mode)
-    bad = validate(out, ground)
-    if bad:
-        raise ValueError("; ".join(bad))
-    return out
+    return validated(p, Condition(p.s, new, p.mode), ground)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import random
 from typing import Iterable, Optional, Sequence
 
 from .evaluation import Assignment, EMPTY_GROUND, GroundRep, PartialMap
-from .extension import domain_extend, extend_with, mad_set_point
+from .extension import domain_extend, mad_set_point
 from .poset import Condition, PosetMode, add_words
 from .words import Letter, Word, hat_words, single
 
@@ -52,8 +52,7 @@ def sample_condition(
             cond = mad_set_point(cond, g, n, ground)
         else:
             ext = domain_extend(cond, g, n, ground)
-            m = ext.choose(floor=rng.randrange(value_range))
-            cond = extend_with(cond, g, n, m, ground)
+            cond = ext.commit(ext.choose(floor=rng.randrange(value_range)))
     return cond
 
 
@@ -99,7 +98,7 @@ def sample_extension(
             cond = mad_set_point(cond, g, n, ground)
         else:
             ext = domain_extend(cond, g, n, ground)
-            cond = extend_with(cond, g, n, ext.choose(floor=rng.randrange(24)), ground)
+            cond = ext.commit(ext.choose(floor=rng.randrange(24)))
     return cond
 
 

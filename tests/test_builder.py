@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from cofinitary.builder import (
+    BuildError,
     build,
     build_variant_family,
     hit_goal,
@@ -11,6 +13,7 @@ from cofinitary.builder import (
     verify_variant,
 )
 from cofinitary.evaluation import GroundRep, zshift
+from cofinitary.extension import ContractViolation, ExtensionCertificate
 from cofinitary.poset import Condition, PosetMode, leq
 from cofinitary.words import single
 
@@ -70,8 +73,6 @@ class TestBuild:
         assert mixed, "mixed words should be frozen too"
 
     def test_ceiling_overflow_aborts_with_partial_report(self):
-        from cofinitary.builder import BuildError
-
         with pytest.raises(BuildError) as err:
             build(PosetMode.COFINITARY, [0, 1], point_budget=30, word_budget=2,
                   seed=0, value_ceiling=3)
@@ -93,6 +94,56 @@ class TestBuild:
         assert len(hits) == 1 and hits[0] >= 10
         n = hits[0]
         assert report.final.s.get(0).fwd[n] == sigma.apply(n)
+
+
+    def test_admitted_bad_value_still_aborts(self, monkeypatch):
+        # The chooser's order check is the only one a point step runs.  With
+        # a single generator the identity is laid on 0..3 before g0 is
+        # frozen, so at domain:g0@4 the least admitted value becomes 4: a
+        # new fixed point of the frozen word g0.
+        admits = ExtensionCertificate.admits
+        monkeypatch.setattr(
+            ExtensionCertificate, "admits", lambda self, m: admits(self, m) or m == 4
+        )
+        with pytest.raises(BuildError) as err:
+            build(PosetMode.COFINITARY, [0], point_budget=8, word_budget=1, seed=0)
+        assert isinstance(err.value.__cause__, ContractViolation)
+        assert "domain:g0@4" in str(err.value)
+
+
+def _digest(report) -> str:
+    return hashlib.sha256(report_to_json_bytes(report)).hexdigest()
+
+
+class TestGoldenReports:
+    """Report digests recorded before the build steps were made incremental;
+    any change to what a build produces shows here."""
+
+    def test_cofinitary(self):
+        report = build(PosetMode.COFINITARY, [0, 1, 2], point_budget=12, word_budget=3, seed=7)
+        assert _digest(report) == (
+            "42dbe9342416e33eaee05c765299993fa9f25a2b5a75bbd564b81037fe4e2461"
+        )
+
+    @pytest.mark.parametrize(
+        "mode, digest",
+        [
+            (PosetMode.ADP, "6497583e6ae23515d708c686f5caa243be5b0d92327619a0b83550a6ed897653"),
+            (PosetMode.EDF, "83e6aa9a14b85e611588e5122567ad53d22f73cceb3c23276439ac57cc920294"),
+            (PosetMode.MAD, "6324d313cb0d6614e1ea894294eb33bf79f909f98cf66bb0e934959709976ef8"),
+        ],
+    )
+    def test_variants(self, mode, digest):
+        assert _digest(build_variant_family(mode, [0, 1, 2, 3], 40, seed=7)) == digest
+
+    def test_ambient(self):
+        report = build(
+            PosetMode.COFINITARY, [0], GroundRep({7: zshift()}),
+            point_budget=4, word_budget=2, seed=2,
+        )
+        assert _digest(report) == (
+            "7642c1d8ce96ebb703d2d059e6b918b8264fd1a1f315f20a5749fd527bfcf4d5"
+        )
 
 
 class TestVariantFamilies:

@@ -198,6 +198,38 @@ class TestConfigFile:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "config",
+        [{"max_word_len": "abc"}, {"mode": "bogus"}],
+        ids=["untyped-value", "unknown-choice"],
+    )
+    def test_bad_config_value_is_a_usage_error(self, config, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(
+            ["build-group", "--generators", "2", "--points", "3", "--seed", "1",
+             "--config", str(cfg), "--out", str(tmp_path / "o.json")],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and next(iter(config)) in err
+
+    @pytest.mark.parametrize(
+        "flag", [["--maxN", "2"], ["--maxN=2"], ["--max", "2"]], ids=["dest", "equals", "prefix"]
+    )
+    def test_typed_flag_wins_over_config(self, flag, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_n": 3}))
+        code, _, _ = run(
+            ["hit-density", "--generators", "2", *flag, "--window", "8",
+             "--samples", "2", "--seed", "1", "--config", str(cfg),
+             "--out", str(tmp_path / "h.json")],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads((tmp_path / "h.json").read_text())["max_n"] == 2
+
 
 def test_report_dir_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("COFINITARY_REPORT_DIR", str(tmp_path / "reports"))
