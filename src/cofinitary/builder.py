@@ -17,24 +17,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .evaluation import EMPTY_GROUND, GroundPermutation, GroundRep, fix_points
-from .extension import (
-    domain_extend,
-    hit_extend,
-    hit_search,
-    mad_set_point,
-    range_extend,
-)
-from .poset import Condition, PosetMode, _agreement, _ones, add_words, leq
-from .words import (
-    Letter,
-    Word,
-    conjugate_decompose,
-    format_word,
-    hat_words,
-    occurrences,
-    reduced_words,
-    single,
-)
+from .extension import hit_extend, hit_search, point_step, range_extend
+from .poset import DISCIPLINES, Condition, PosetMode, add_words, frozen_value, leq, side_words
+from .words import Word, conjugate_decompose, format_word, occurrences, reduced_words
 
 
 class BuildError(Exception):
@@ -106,49 +91,6 @@ class BuildReport:
         return buf.getvalue()
 
 
-def _freeze_words_for_mode(
-    mode: PosetMode, gens: Sequence[int], ground: GroundRep, word_budget: int
-) -> dict[int, list[Word]]:
-    """Words to freeze, grouped by length; canonical order inside each group."""
-    by_len: dict[int, list[Word]] = {}
-    if mode is PosetMode.COFINITARY:
-        alphabet = sorted(set(gens) | ground.generators())
-        for w in hat_words(alphabet, word_budget):
-            if not (occurrences(w) & set(gens)):
-                continue  # purely ambient words never move under extension
-            by_len.setdefault(len(w.letters), []).append(w)
-    elif mode in (PosetMode.ADP, PosetMode.EDF):
-        pairs = []
-        for i, a in enumerate(sorted(gens)):
-            for b in sorted(gens)[i + 1 :]:
-                pairs.append(Word((Letter(a, 1), Letter(b, -1))))
-        by_len[2] = pairs
-    else:
-        by_len[1] = [single(g) for g in sorted(gens)]
-    return by_len
-
-
-def _frozen_snapshot(cond: Condition, w: Word, ground: GroundRep) -> frozenset[int]:
-    res = fix_points(w, cond.s, ground)
-    if not res.exact:
-        raise BuildError(f"fix set of {format_word(w)} is horizon-limited; cannot freeze")
-    return res.points
-
-
-def _frozen_value(mode: PosetMode, cond: Condition, w: Word, ground: GroundRep) -> frozenset[int]:
-    if mode is PosetMode.COFINITARY:
-        return _frozen_snapshot(cond, w, ground)
-    if mode in (PosetMode.ADP, PosetMode.EDF):
-        return _agreement(cond.s, w.letters[0].gen, w.letters[1].gen)
-    # MAD: single letter entries freeze nothing alone; record pairwise 1-sets
-    g = w.letters[0].gen
-    others = sorted(x.letters[0].gen for x in cond.words if x != w)
-    agg: set[int] = set()
-    for b in others:
-        agg |= _ones(cond.s.get(g).pairs) & _ones(cond.s.get(b).pairs)
-    return frozenset(agg)
-
-
 def build(
     mode: PosetMode,
     generators: Sequence[int],
@@ -171,12 +113,16 @@ def build(
     if point_budget < 1 or word_budget < 1:
         raise ValueError("budgets must be at least 1")
     extra_goals = tuple(extra_goals)
-    if any(g.kind == "hit" for g in extra_goals) and mode is not PosetMode.COFINITARY:
+    discipline = DISCIPLINES[mode]
+    if any(g.kind == "hit" for g in extra_goals) and discipline.shape != "hat":
         raise ValueError("hit goals require the cofinitary discipline")
     if value_ceiling is None:
         value_ceiling = max(1_000, 200 * point_budget)
     rng = random.Random(seed)
-    by_len = _freeze_words_for_mode(mode, gens, ground, word_budget)
+    alphabet = tuple(sorted(set(gens) | ground.generators()))
+    by_len: dict[int, list[Word]] = {}  # words to freeze, grouped by length
+    for w in side_words(mode, alphabet, ground.generators(), word_budget):
+        by_len.setdefault(len(w.letters), []).append(w)
     for group in by_len.values():
         group.sort(key=Word.sort_key)
         rng.shuffle(group)
@@ -196,42 +142,30 @@ def build(
         # was; only a freeze is checked here.
         if goal.kind == "freeze":
             cond = add_words(prev, prev.words | {goal.word}, ground)
-            frozen_fix[goal.word] = (stage, _frozen_value(mode, cond, goal.word, ground))
+            fix = frozen_value(mode, cond.s, goal.word, prev.words, ground)
+            frozen_fix[goal.word] = (stage, fix)
             if not leq(cond, prev, ground):
                 raise BuildError(f"chain law broken at stage {stage}", _report())
-        elif goal.kind == "domain":
-            if goal.point in cond.s.get(goal.gen).domain():
-                witness = cond.s.get(goal.gen).fwd[goal.point]
-            elif mode is PosetMode.MAD:
-                cond = mad_set_point(prev, goal.gen, goal.point, ground)
-                witness = cond.s.get(goal.gen).fwd[goal.point]
-            else:
-                ext = domain_extend(prev, goal.gen, goal.point, ground)
-                try:
-                    witness = ext.choose(ceiling=value_ceiling)
-                except Exception as err:
-                    raise BuildError(
-                        f"goal {goal.describe()} failed: {err}", _report()
-                    ) from err
-                cond = ext.commit(witness)
-        elif goal.kind == "range":
-            if goal.point in cond.s.get(goal.gen).image():
-                witness = cond.s.get(goal.gen).rev[goal.point]
-            else:
-                ext = range_extend(prev, goal.gen, goal.point, ground)
-                try:
-                    witness = ext.choose(ceiling=value_ceiling)
-                except Exception as err:
-                    raise BuildError(
-                        f"goal {goal.describe()} failed: {err}", _report()
-                    ) from err
-                cond = ext.commit(witness)
-        else:  # hit
+        elif goal.kind == "hit":
             found = hit_search(prev, goal.gen, goal.sigma, goal.floor, 256, ground)
             if not isinstance(found, int):
                 raise BuildError(f"goal {goal.describe()} found no hit", _report())
             witness = found
             cond = hit_extend(prev, goal.gen, goal.sigma, found, ground)
+        else:
+            pm = prev.s.get(goal.gen)
+            try:
+                if goal.kind == "domain":
+                    if goal.point not in pm.domain():
+                        cond = point_step(prev, goal.gen, goal.point, ground, ceiling=value_ceiling)
+                    witness = cond.s.get(goal.gen).fwd[goal.point]
+                else:
+                    if goal.point not in pm.image():
+                        ext = range_extend(prev, goal.gen, goal.point, ground)
+                        cond = ext.commit(ext.choose(ceiling=value_ceiling))
+                    witness = cond.s.get(goal.gen).rev[goal.point]
+            except Exception as err:
+                raise BuildError(f"goal {goal.describe()} failed: {err}", _report()) from err
         goal_log.append((goal.describe(), stage, witness))
 
     def _report() -> BuildReport:
@@ -246,7 +180,7 @@ def build(
         while next_point < limit:
             for g in gens:
                 run_goal(DenseGoal("domain", gen=g, point=next_point))
-                if mode in (PosetMode.COFINITARY, PosetMode.ADP):
+                if discipline.injective:
                     run_goal(DenseGoal("range", gen=g, point=next_point))
             next_point += 1
 
@@ -260,19 +194,31 @@ def build(
     return _report()
 
 
-def verify_cofinitary(report: BuildReport, ground: GroundRep = EMPTY_GROUND) -> list[str]:
-    """Frozen-fix law plus the conjugation-cardinality law over all short
-    words; empty list means ok."""
+def _frozen_law(report: BuildReport, ground: GroundRep) -> list[str]:
+    """Each frozen entry's value under the final condition, taken against
+    the entries frozen before it, equals the value recorded when it was
+    frozen; violations come in freezing order."""
     violations: list[str] = []
-    cond = report.final
-    for w, (stage, recorded) in sorted(report.frozen_fix.items(), key=lambda kv: kv[0].sort_key()):
-        now = _frozen_value(report.mode, cond, w, ground)
+    s = report.final.s
+    earlier: list[Word] = []
+    for w, (stage, recorded) in sorted(report.frozen_fix.items(), key=lambda kv: kv[1][0]):
+        now = frozen_value(report.mode, s, w, earlier, ground)
+        earlier.append(w)
         if now != recorded:
             violations.append(
                 f"{format_word(w)}: frozen at stage {stage} with {sorted(recorded)}, "
                 f"final {sorted(now)}"
             )
-    if report.mode is PosetMode.COFINITARY:
+    return violations
+
+
+def verify_cofinitary(report: BuildReport, ground: GroundRep = EMPTY_GROUND) -> list[str]:
+    """The verifier of every build: the frozen law, plus for cofinitary
+    builds the conjugation-cardinality law over all short words; empty list
+    means ok."""
+    violations = _frozen_law(report, ground)
+    if DISCIPLINES[report.mode].shape == "hat":
+        cond = report.final
         alphabet = sorted(set(report.generators) | ground.generators())
         for w in reduced_words(alphabet, report.word_budget, min_len=1):
             if not (occurrences(w) & set(report.generators)):
@@ -292,36 +238,9 @@ def verify_cofinitary(report: BuildReport, ground: GroundRep = EMPTY_GROUND) -> 
 
 
 def verify_variant(report: BuildReport) -> list[str]:
-    """Pairwise agreement / intersection freezing for ADP, EDF and MAD builds."""
-    violations: list[str] = []
-    cond = report.final
-    if report.mode is PosetMode.MAD:
-        # each letter's record aggregates its 1-set intersections with the
-        # letters frozen before it; recompute over the same partners
-        stages = {w.letters[0].gen: stage for w, (stage, _) in report.frozen_fix.items()}
-        for w, (stage, recorded) in sorted(
-            report.frozen_fix.items(), key=lambda kv: kv[0].sort_key()
-        ):
-            g = w.letters[0].gen
-            partners = sorted(b for b, st in stages.items() if st < stage)
-            now: set[int] = set()
-            for b in partners:
-                now |= _ones(cond.s.get(g).pairs) & _ones(cond.s.get(b).pairs)
-            if frozenset(now) != recorded:
-                violations.append(
-                    f"letter g{g}: ones intersections frozen at stage {stage} as "
-                    f"{sorted(recorded)}, final {sorted(now)}"
-                )
-        return violations
-    for w, (stage, recorded) in sorted(report.frozen_fix.items(), key=lambda kv: kv[0].sort_key()):
-        a, b = w.letters[0].gen, w.letters[1].gen
-        now = _agreement(cond.s, a, b)
-        if now != recorded:
-            violations.append(
-                f"pair (g{a}, g{b}): agreement frozen at stage {stage} as "
-                f"{sorted(recorded)}, final {sorted(now)}"
-            )
-    return violations
+    """The frozen law of an ADP, EDF or MAD build: pairwise agreement sets,
+    or 1-set intersections with the letters frozen earlier, stay as frozen."""
+    return _frozen_law(report, EMPTY_GROUND)
 
 
 def build_variant_family(
@@ -334,17 +253,10 @@ def build_variant_family(
     """ADP: almost disjoint injections; EDF: eventually different functions;
     MAD: almost disjoint {0,1}-coded sets.  All pairwise agreement or
     intersection sets are frozen once the corresponding side entries are in."""
-    if mode not in (PosetMode.ADP, PosetMode.EDF, PosetMode.MAD):
+    word_budget = DISCIPLINES[mode].word_budget
+    if word_budget is None:
         raise ValueError("variant builder covers ADP, EDF and MAD")
-    return build(
-        mode,
-        generators,
-        EMPTY_GROUND,
-        point_budget=point_budget,
-        word_budget=2 if mode is not PosetMode.MAD else 1,
-        seed=seed,
-        value_ceiling=value_ceiling,
-    )
+    return build(mode, generators, EMPTY_GROUND, point_budget, word_budget, seed, value_ceiling)
 
 
 def report_to_json_bytes(report: BuildReport) -> bytes:

@@ -9,16 +9,18 @@ violation, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .builder import BuildError, build, build_variant_family, verify_cofinitary, verify_variant
+from .builder import BuildError, build, verify_cofinitary
 from .evaluation import EMPTY_GROUND, zshift
 from .extension import CertificateError, ContractViolation, hit_search, hit_threshold, NOT_FOUND
-from .poset import PosetMode
+from .poset import DISCIPLINES, PosetMode, side_words
 from .sampling import sample_condition
 from .suslin import ffp_axiom_suite, n_suslin_trial
 from .templates import (
@@ -34,6 +36,8 @@ from .templates import (
 REPORT_DIR_ENV = "COFINITARY_REPORT_DIR"
 
 OK, VIOLATION, USAGE = 0, 1, 2
+
+DEFAULT_WORD_LEN = 3  # --max-word-len of a cofinitary build
 
 
 class ConfigError(Exception):
@@ -70,24 +74,25 @@ def _mode(value: str) -> PosetMode:
 
 def cmd_build_group(args) -> int:
     mode = args.mode
-    gens = list(range(args.generators))
+    word_budget = DISCIPLINES[mode].word_budget
+    if word_budget is None:
+        word_budget = args.max_word_len or DEFAULT_WORD_LEN
+    elif args.max_word_len is not None:
+        raise ConfigError(
+            f"--max-word-len does not apply to --mode {mode.value}: "
+            f"its side entries have fixed length {word_budget}"
+        )
     try:
-        if mode is PosetMode.COFINITARY:
-            report = build(
-                mode,
-                gens,
-                EMPTY_GROUND,
-                point_budget=args.points,
-                word_budget=args.max_word_len,
-                seed=args.seed,
-                value_ceiling=args.ceiling,
-            )
-            violations = verify_cofinitary(report, EMPTY_GROUND)
-        else:
-            report = build_variant_family(
-                mode, gens, args.points, seed=args.seed, value_ceiling=args.ceiling
-            )
-            violations = verify_variant(report)
+        report = build(
+            mode,
+            range(args.generators),
+            EMPTY_GROUND,
+            point_budget=args.points,
+            word_budget=word_budget,
+            seed=args.seed,
+            value_ceiling=args.ceiling,
+        )
+        violations = verify_cofinitary(report, EMPTY_GROUND)
     except BuildError as err:
         print(f"build aborted: {err}", file=sys.stderr)
         return VIOLATION
@@ -280,7 +285,10 @@ def _build_parser() -> argparse.ArgumentParser:
     bg.add_argument("--mode", type=_mode, default=PosetMode.COFINITARY)
     bg.add_argument("--generators", type=_positive, required=True)
     bg.add_argument("--points", type=_positive, required=True)
-    bg.add_argument("--max-word-len", type=_positive, default=3)
+    bg.add_argument(
+        "--max-word-len", type=_positive,
+        help=f"longest frozen hat word (--mode cofinitary only; default {DEFAULT_WORD_LEN})",
+    )
     bg.add_argument("--seed", type=int, required=True)
     bg.add_argument("--ceiling", type=int, default=None)
     bg.add_argument("--out", default=None)
@@ -345,26 +353,43 @@ def _config_value(action: argparse.Action, key: str, value):
 
 
 def _apply_config(argv: Sequence[str], parser: argparse.ArgumentParser):
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        try:
-            defaults = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as err:
-            raise ConfigError(f"bad config file: {err}")
-        if not isinstance(defaults, dict):
-            raise ConfigError("bad config file: expected a JSON object")
-        commands = next(
-            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-        )
-        actions = {a.dest: a for a in commands.choices[args.command]._actions}
-        # flags as typed: argparse also takes --flag=value and unique prefixes
-        typed = {a.split("=")[0] for a in argv if a.startswith("--") and len(a) > 2}
-        for key, value in defaults.items():
-            action = actions.get(key.replace("-", "_"))
-            if action is None:
-                raise ConfigError(f"unknown config key {key!r}")
-            if not any(o.startswith(t) for t in typed for o in action.option_strings):
-                setattr(args, action.dest, _config_value(action, key, value))
+    """The parsed arguments, with the --config file's values for the flags
+    not typed.  A required flag may come from either; when it comes from
+    neither, the error is argparse's own."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    required = [a for sub in commands.choices.values() for a in sub._actions if a.required]
+    for action in required:
+        action.required = False
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            args = parser.parse_args(argv)
+    except SystemExit:  # help or a usage error: the strict parse below reports it
+        args = None
+    finally:
+        for action in required:
+            action.required = True
+    if args is None or not getattr(args, "config", None):
+        return parser.parse_args(argv)
+    try:
+        defaults = json.loads(Path(args.config).read_text())
+    except (OSError, json.JSONDecodeError) as err:
+        raise ConfigError(f"bad config file: {err}")
+    if not isinstance(defaults, dict):
+        raise ConfigError("bad config file: expected a JSON object")
+    sub = commands.choices[args.command]
+    actions = {a.dest: a for a in sub._actions}
+    # flags as typed: argparse also takes --flag=value and unique prefixes
+    typed = {a.split("=")[0] for a in argv if a.startswith("--") and len(a) > 2}
+    for key, value in defaults.items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise ConfigError(f"unknown config key {key!r}")
+        if not any(o.startswith(t) for t in typed for o in action.option_strings):
+            setattr(args, action.dest, _config_value(action, key, value))
+    missing = [a for a in sub._actions if a.required and getattr(args, a.dest) is None]
+    if missing:
+        names = ", ".join("/".join(a.option_strings) for a in missing)
+        sub.error(f"the following arguments are required: {names}")
     return args
 
 
@@ -377,6 +402,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return USAGE
     except SystemExit as err:  # argparse reports usage errors with code 2
         return USAGE if err.code else OK
+    # Each command starts from cold side-word pools, so the work it does (and
+    # what a trace of it counts) does not depend on earlier commands.
+    side_words.cache_clear()
     try:
         return args.func(args)
     except ConfigError as err:

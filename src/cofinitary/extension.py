@@ -17,7 +17,7 @@ extensions built on the sub-alphabet merge back losslessly
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .evaluation import (
     Assignment,
@@ -32,7 +32,7 @@ from .evaluation import (
     eval_word,
     unapply_letter,
 )
-from .poset import Condition, PosetMode, leq, strong_restrict, validate, validated
+from .poset import DISCIPLINES, Condition, PosetMode, leq, strong_restrict, validate, validated
 from .words import (
     GoodDecomposition,
     Letter,
@@ -220,7 +220,7 @@ def _forbidden_word_modes(
 ) -> set[int]:
     s = p.s
     forb = set(s.get(gen).image())  # keep the map injective
-    words = [w for w in p.sorted_words() if gen in occurrences(w)]
+    words = sorted((w for w in p.words if gen in occurrences(w)), key=Word.sort_key)
     if not words:
         return forb
     concrete = set(s.all_values()) | {n}
@@ -247,25 +247,14 @@ def _forbidden_word_modes(
     return forb
 
 
-def _edf_partners(p: Condition, gen: int) -> list[int]:
-    out = set()
-    for w in p.words:
-        a, b = w.letters[0].gen, w.letters[1].gen
-        if a == gen:
-            out.add(b)
-        elif b == gen:
-            out.add(a)
-    return sorted(out)
-
-
 def _forbidden_edf(p: Condition, gen: int, n: int) -> set[int]:
     # only a new agreement with a frozen partner at the new point is dangerous
     forb = set()
-    for b in _edf_partners(p, gen):
-        v = p.s.get(b).fwd.get(n)
-        if v is not None:
-            forb.add(v)
-    return forb
+    for w in p.words:
+        a, b = (letter.gen for letter in w.letters)
+        if gen in (a, b):
+            forb.add(p.s.get(b if a == gen else a).fwd.get(n))
+    return forb - {None}
 
 
 def extend_with(
@@ -341,9 +330,10 @@ def domain_extend(
     the extension below p."""
     if n in p.s.get(gen).domain():
         raise ValueError(f"{n} already in the domain of g{gen}")
-    if p.mode is PosetMode.MAD:
+    d = DISCIPLINES[p.mode]
+    if d.values is not None:
         raise ValueError("use mad_set_point for MAD conditions")
-    if p.mode is PosetMode.EDF:
+    if d.kernel == "agreement":
         forb = _forbidden_edf(p, gen, n)
     else:
         forb = _forbidden_word_modes(p, gen, n, ground)
@@ -351,13 +341,16 @@ def domain_extend(
 
 
 def _mirror(p: Condition, gen: int) -> Condition:
-    """Invert gen's map and flip gen's sign in every side word; evaluations of
-    the substituted words agree with the originals."""
+    """Invert gen's map and flip gen's sign in the side words that contain
+    gen, the only ones the certificate reads; evaluations of the substituted
+    words agree with the originals."""
     table = dict(p.s.table)
     pm = p.s.get(gen)
     if pm.pairs:
         table[gen] = PartialMap(frozenset((m, n) for n, m in pm.pairs))
-    words = frozenset(substitute(w, gen, Letter(gen, -1)) for w in p.words)
+    words = frozenset(
+        substitute(w, gen, Letter(gen, -1)) for w in p.words if gen in occurrences(w)
+    )
     # pair-shape words lose their shape under the flip; the word machinery
     # only needs the hat class, so certify in cofinitary mode
     return Condition(Assignment(table), words, PosetMode.COFINITARY)
@@ -369,7 +362,7 @@ def range_extend(
     """Certificate and chooser for adding (gen, n, m) with m fixed."""
     if m in p.s.get(gen).image():
         raise ValueError(f"{m} already in the range of g{gen}")
-    if p.mode in (PosetMode.MAD, PosetMode.EDF):
+    if not DISCIPLINES[p.mode].injective:
         raise ValueError(f"range extension undefined for {p.mode.value} conditions")
     mirror = _mirror(p, gen)
     ext = domain_extend(mirror, gen, m, ground)
@@ -392,6 +385,23 @@ def mad_set_point(p: Condition, gen: int, n: int, ground: GroundRep = EMPTY_GROU
     if not leq(out, p, ground):
         raise ContractViolation("MAD point decision broke intersection freezing")
     return out
+
+
+def point_step(
+    p: Condition, gen: int, n: int, ground: GroundRep = EMPTY_GROUND,
+    floor: Callable[[], int] = lambda: 0, ceiling: Optional[int] = None,
+) -> Condition:
+    """p with n added to the domain of gen, validated and order-checked.
+
+    A finite value set (MAD) decides the value by mad_set_point's rule;
+    otherwise it is the least admitted value >= floor() up to ceiling.
+    floor is called only when a value is chosen, so a caller may draw it at
+    random without spending a draw on decided points.
+    """
+    if DISCIPLINES[p.mode].values is not None:
+        return mad_set_point(p, gen, n, ground)
+    ext = domain_extend(p, gen, n, ground)
+    return ext.commit(ext.choose(floor=floor(), ceiling=ceiling))
 
 
 def cover_extend(
@@ -481,7 +491,8 @@ def strong_reduction(
     disjoint from the rest of p, merges back losslessly."""
     keep = frozenset(keep)
     base = strong_restrict(p, keep, ground)
-    if p.mode is PosetMode.MAD:
+    kernel = DISCIPLINES[p.mode].kernel
+    if kernel == "ones":
         t0 = dict(p.s.restrict(keep).table)
         frozen = {w.letters[0].gen for w in p.words}
         inside = sorted(frozen & keep)
@@ -497,7 +508,7 @@ def strong_reduction(
             if pairs:
                 t0[a] = PartialMap(frozenset(pairs))
         out = Condition(Assignment(t0), base.words, p.mode)
-    elif p.mode is PosetMode.EDF:
+    elif kernel == "agreement":
         cur = p
         for w in p.sorted_words():
             a, b = w.letters[0].gen, w.letters[1].gen
@@ -507,8 +518,7 @@ def strong_reduction(
                 continue
             c, d = ins[0], outs[0]
             for n in sorted(p.s.get(d).domain() - cur.s.get(c).domain()):
-                ext = domain_extend(cur, c, n, ground)
-                cur = ext.commit(ext.choose())
+                cur = point_step(cur, c, n, ground)
         out = Condition(cur.s.restrict(keep), base.words, p.mode)
     else:
         cur = p

@@ -1,13 +1,11 @@
 """Conditions (s, F) of the group-adding poset and its variants.
 
 A condition pairs a finite generator-indexed assignment with a finite side
-set of words whose fixed-point sets are frozen: an extension may not give a
-frozen word any new fixed point.  Four modes share the representation:
-
-  COFINITARY  injective maps, side words from the hat class
-  ADP         injective maps, side words of the shape a b^-1
-  EDF         functional (not necessarily injective) maps, words a b^-1
-  MAD         {0,1}-valued functional maps, side set of single letters
+set of entries whose frozen values are kept: an extension may not give a
+frozen entry anything new.  Four modes share the representation: a
+cofinitary group (cofinitary), almost disjoint permutations (adp), an
+eventually different family (edf) and Hechler's MAD family (mad).  What each
+mode decides is its row of the discipline table DISCIPLINES.
 
 Everything is a value type; extension never mutates.
 """
@@ -15,6 +13,7 @@ Everything is a value type; extension never mutates.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -24,9 +23,10 @@ from .evaluation import (
     EMPTY_GROUND,
     apply_letter,
     eval_word,
+    fix_points,
     unapply_letter,
 )
-from .words import Word, format_word, is_hat, occurrences, parse_word
+from .words import Letter, Word, format_word, hat_words, is_hat, occurrences, parse_word, single
 
 
 class PosetMode(enum.Enum):
@@ -36,17 +36,80 @@ class PosetMode(enum.Enum):
     MAD = "mad"
 
 
-def _is_pair_word(w: Word) -> bool:
-    return (
-        len(w.letters) == 2
-        and w.letters[0].sign == 1
-        and w.letters[1].sign == -1
-        and w.letters[0].gen != w.letters[1].gen
-    )
+@dataclass(frozen=True)
+class Discipline:
+    """What one poset mode decides; everything else is shared.
+
+    injective  maps must be injections; only then are range steps defined
+    values     the value set of the maps: None for all naturals, where a new
+               value is chosen from a certified cofinite set, or a finite set
+               whose points mad_set_point decides one by one
+    shape      side entries: "hat" words, "pair" words a b^-1 or single
+               "letter"s
+    kernel     the order check on frozen entries: "walk" the words for new
+               fixed points, compare the "agreement" sets of the pairs, or
+               the common "ones" of the letters
+    """
+
+    injective: bool
+    values: Optional[tuple[int, ...]]
+    shape: str
+    kernel: str
+
+    @property
+    def word_budget(self) -> Optional[int]:
+        """The fixed length of the side entries; None when the caller bounds
+        the length of the hat words."""
+        return {"pair": 2, "letter": 1}.get(self.shape)
 
 
-def _is_single_letter(w: Word) -> bool:
-    return len(w.letters) == 1 and w.letters[0].sign == 1
+DISCIPLINES = {
+    PosetMode.COFINITARY: Discipline(injective=True, values=None, shape="hat", kernel="walk"),
+    PosetMode.ADP: Discipline(injective=True, values=None, shape="pair", kernel="walk"),
+    PosetMode.EDF: Discipline(injective=False, values=None, shape="pair", kernel="agreement"),
+    PosetMode.MAD: Discipline(injective=False, values=(0, 1), shape="letter", kernel="ones"),
+}
+
+
+def pair_word(a: int, b: int) -> Word:
+    """The pair entry a b^-1."""
+    return Word((Letter(a, 1), Letter(b, -1)))
+
+
+def _entry_problem(shape: str, w: Word, ground: GroundRep) -> Optional[str]:
+    """Why the nonempty word w is no side entry of the shape; None if it is."""
+    if shape == "hat":
+        return None if is_hat(w) else f"word {format_word(w)} is not in the hat class"
+    if shape == "pair":
+        a, b = w.letters[0], w.letters[-1]
+        if len(w) == 2 and a.gen != b.gen and (a.sign, b.sign) == (1, -1):
+            return None
+        return f"word {format_word(w)} is not of the shape a b^-1"
+    if len(w) != 1 or w.letters[0].sign != 1:
+        return f"MAD side entries are single letters, got {format_word(w)}"
+    if w.letters[0].gen in ground.table:
+        return f"MAD side letter g{w.letters[0].gen} is ambient"
+    return None
+
+
+@functools.lru_cache(maxsize=64)
+def side_words(
+    mode: PosetMode, alphabet: tuple[int, ...], ambient: frozenset[int], length: int
+) -> tuple[Word, ...]:
+    """The mode's canonical side entries over the alphabet, of length at most
+    `length`, each with a letter outside `ambient` (purely ambient words never
+    move under extension): hat words in reduced-word order, pairs a b^-1 with
+    a < b, single letters in ascending order.  Cached; copy before shuffling.
+    """
+    shape = DISCIPLINES[mode].shape
+    if shape == "hat":
+        return tuple(w for w in hat_words(alphabet, length) if occurrences(w) - ambient)
+    finite = [g for g in alphabet if g not in ambient]
+    if shape == "pair":
+        if length < 2:
+            return ()
+        return tuple(pair_word(a, b) for i, a in enumerate(finite) for b in finite[i + 1 :])
+    return tuple(single(g) for g in finite)
 
 
 @dataclass(frozen=True)
@@ -82,36 +145,26 @@ class Condition:
         )
 
 
-EMPTY_COFINITARY = Condition()
-
-
 def validate(c: Condition, ground: GroundRep = EMPTY_GROUND) -> list[str]:
     """All invariant violations for the condition's mode; empty means ok."""
+    d = DISCIPLINES[c.mode]
     problems: list[str] = []
     for g, pm in sorted(c.s.table.items()):
         if not pm.is_functional():
             problems.append(f"map for g{g} is not functional")
-        if c.mode in (PosetMode.COFINITARY, PosetMode.ADP) and not pm.is_injective():
+        if d.injective and not pm.is_injective():
             problems.append(f"map for g{g} is not injective")
-        if c.mode is PosetMode.MAD:
-            bad = {m for _, m in pm.pairs} - {0, 1}
+        if d.values is not None:
+            bad = {m for _, m in pm.pairs} - set(d.values)
             if bad:
-                problems.append(f"map for g{g} takes values outside {{0,1}}: {sorted(bad)}")
+                allowed = ",".join(map(str, d.values))
+                problems.append(f"map for g{g} takes values outside {{{allowed}}}: {sorted(bad)}")
         if g in ground.table:
             problems.append(f"g{g} is an ambient generator but carries finite pairs")
     for w in c.sorted_words():
-        if not w:
-            problems.append("side set contains the empty word")
-            continue
-        if c.mode is PosetMode.COFINITARY and not is_hat(w):
-            problems.append(f"word {format_word(w)} is not in the hat class")
-        elif c.mode in (PosetMode.ADP, PosetMode.EDF) and not _is_pair_word(w):
-            problems.append(f"word {format_word(w)} is not of the shape a b^-1")
-        elif c.mode is PosetMode.MAD:
-            if not _is_single_letter(w):
-                problems.append(f"MAD side entries are single letters, got {format_word(w)}")
-            elif w.letters[0].gen in ground.table:
-                problems.append(f"MAD side letter g{w.letters[0].gen} is ambient")
+        problem = _entry_problem(d.shape, w, ground) if w else "side set contains the empty word"
+        if problem:
+            problems.append(problem)
     return problems
 
 
@@ -148,6 +201,24 @@ def _ones(pm_pairs: Iterable[tuple[int, int]]) -> frozenset[int]:
 def _agreement(s: Assignment, a: int, b: int) -> frozenset[int]:
     fa, fb = s.get(a).fwd, s.get(b).fwd
     return frozenset(n for n, v in fa.items() if fb.get(n) == v)
+
+
+def frozen_value(
+    mode: PosetMode, s: Assignment, w: Word, earlier: Iterable[Word], ground: GroundRep
+) -> frozenset[int]:
+    """What freezing the entry w keeps under s: the fixed points of a hat
+    word, the agreement set of a pair, or a letter's common 1-points with
+    the letters frozen before it (`earlier`; the other shapes ignore it)."""
+    shape = DISCIPLINES[mode].shape
+    if shape == "hat":
+        res = fix_points(w, s, ground)
+        if not res.exact:
+            raise ValueError(f"fix set of {format_word(w)} is horizon-limited; cannot freeze")
+        return res.points
+    if shape == "pair":
+        return _agreement(s, w.letters[0].gen, w.letters[1].gen)
+    ones = _ones(s.get(w.letters[0].gen).pairs)
+    return frozenset().union(*(ones & _ones(s.get(x.letters[0].gen).pairs) for x in earlier))
 
 
 def new_fix_candidates(
@@ -195,7 +266,8 @@ def leq(p: Condition, q: Condition, ground: GroundRep = EMPTY_GROUND) -> bool:
         raise ValueError(f"mode mismatch: {p.mode} vs {q.mode}")
     if not p.s.contains(q.s) or not (p.words >= q.words):
         return False
-    if p.mode is PosetMode.MAD:
+    kernel = DISCIPLINES[p.mode].kernel
+    if kernel == "ones":
         letters = sorted(w.letters[0].gen for w in q.words)
         for i, a in enumerate(letters):
             for b in letters[i + 1 :]:
@@ -204,7 +276,7 @@ def leq(p: Condition, q: Condition, ground: GroundRep = EMPTY_GROUND) -> bool:
                 if not (ones_p <= ones_q):
                     return False
         return True
-    if p.mode is PosetMode.EDF:
+    if kernel == "agreement":
         for w in q.words:
             a, b = w.letters[0].gen, w.letters[1].gen
             if not (_agreement(p.s, a, b) <= _agreement(q.s, a, b)):
@@ -263,6 +335,8 @@ def add_words(
 
 @dataclass(frozen=True)
 class Incompatible:
+    """Why two conditions have no common extension."""
+
     reason: str
 
 

@@ -11,9 +11,28 @@ import random
 from typing import Iterable, Optional, Sequence
 
 from .evaluation import Assignment, EMPTY_GROUND, GroundRep, PartialMap
-from .extension import domain_extend, mad_set_point
-from .poset import Condition, PosetMode, add_words
-from .words import Letter, Word, hat_words, single
+from .extension import point_step
+from .poset import DISCIPLINES, Condition, PosetMode, add_words, pair_word, side_words
+from .words import Word, single
+
+
+def _draw_entries(
+    rng: random.Random, mode: PosetMode, gens: Sequence[int], ground: GroundRep, length: int,
+    count: int,
+) -> set[Word]:
+    """count random side entries of the mode's shape over gens: hat words of
+    length <= length with a finite letter, pairs a b^-1 or single letters;
+    none when gens admit no entry."""
+    shape = DISCIPLINES[mode].shape
+    if shape == "hat":
+        alphabet = tuple(sorted(set(gens) | ground.generators()))
+        pool = side_words(mode, alphabet, ground.generators(), length)
+        draw = (lambda: rng.choice(pool)) if pool else None
+    elif shape == "pair":
+        draw = (lambda: pair_word(*rng.sample(gens, 2))) if len(gens) >= 2 else None
+    else:
+        draw = (lambda: single(rng.choice(gens)))
+    return {draw() for _ in range(count)} if draw else set()
 
 
 def sample_condition(
@@ -29,30 +48,17 @@ def sample_condition(
     """A random valid condition, built pair by pair through the extension
     machinery so freezing always holds along the way."""
     gens = list(gens)
-    words: set[Word] = set()
-    if mode is PosetMode.COFINITARY:
-        pool = hat_words(sorted(set(gens) | ground.generators()), word_len)
-        pool = [w for w in pool if {l.gen for l in w.letters} - ground.generators()]
-        for _ in range(rng.randrange(max_words + 1)):
-            words.add(rng.choice(pool))
-    elif mode in (PosetMode.ADP, PosetMode.EDF):
-        for _ in range(rng.randrange(max_words + 1)):
-            a, b = rng.sample(gens, 2)
-            words.add(Word((Letter(a, 1), Letter(b, -1))))
+    if DISCIPLINES[mode].shape == "letter":  # distinct letters
+        picked = rng.sample(gens, rng.randrange(min(max_words, len(gens)) + 1))
+        words = {single(g) for g in picked}
     else:
-        for g in rng.sample(gens, rng.randrange(min(max_words, len(gens)) + 1)):
-            words.add(single(g))
+        words = _draw_entries(rng, mode, gens, ground, word_len, rng.randrange(max_words + 1))
     cond = add_words(Condition(mode=mode), frozenset(words), ground)
     for _ in range(rng.randrange(max_pairs + 1) * max(1, len(gens) // 2)):
         g = rng.choice(gens)
         n = rng.randrange(value_range)
-        if n in cond.s.get(g).domain():
-            continue
-        if mode is PosetMode.MAD:
-            cond = mad_set_point(cond, g, n, ground)
-        else:
-            ext = domain_extend(cond, g, n, ground)
-            cond = ext.commit(ext.choose(floor=rng.randrange(value_range)))
+        if n not in cond.s.get(g).domain():
+            cond = point_step(cond, g, n, ground, floor=lambda: rng.randrange(value_range))
     return cond
 
 
@@ -73,32 +79,15 @@ def sample_extension(
     cond = p
     if steps is None:
         steps = rng.randrange(4)
-    if p.mode is not PosetMode.MAD and rng.random() < 0.5:
-        pool_gens = sorted(set(candidates))[:4]
-        if p.mode is PosetMode.COFINITARY:
-            pool = [
-                w
-                for w in hat_words(sorted(set(pool_gens) | ground.generators()), 2)
-                if {l.gen for l in w.letters} - ground.generators()
-            ]
-            extra = {rng.choice(pool)} if pool else set()
-        else:
-            extra = set()
-            if len(pool_gens) >= 2:
-                a, b = rng.sample(pool_gens, 2)
-                extra = {Word((Letter(a, 1), Letter(b, -1)))}
+    if DISCIPLINES[p.mode].shape != "letter" and rng.random() < 0.5:
+        extra = _draw_entries(rng, p.mode, sorted(set(candidates))[:4], ground, 2, 1)
         if extra:
             cond = add_words(cond, cond.words | extra, ground)
     for _ in range(steps):
         g = rng.choice(candidates)
         n = rng.randrange(24)
-        if n in cond.s.get(g).domain():
-            continue
-        if p.mode is PosetMode.MAD:
-            cond = mad_set_point(cond, g, n, ground)
-        else:
-            ext = domain_extend(cond, g, n, ground)
-            cond = ext.commit(ext.choose(floor=rng.randrange(24)))
+        if n not in cond.s.get(g).domain():
+            cond = point_step(cond, g, n, ground, floor=lambda: rng.randrange(24))
     return cond
 
 
@@ -106,16 +95,17 @@ def sample_fresh_assignment(
     rng: random.Random, p: Condition, ground: GroundRep = EMPTY_GROUND
 ) -> Assignment:
     """A small assignment on generators not occurring anywhere in p."""
+    d = DISCIPLINES[p.mode]
     base = max(p.occurring(ground) | ground.generators() | {11}) + 1
     table = {}
     for k in range(rng.randrange(1, 3)):
         pairs = set()
         for _ in range(rng.randrange(3)):
             n, m = rng.randrange(16), rng.randrange(16)
-            if p.mode is PosetMode.MAD:
-                m = rng.randrange(2)
+            if d.values is not None:
+                m = rng.choice(d.values)
             if all(n != a for a, _ in pairs) and (
-                p.mode in (PosetMode.EDF, PosetMode.MAD) or all(m != b for _, b in pairs)
+                not d.injective or all(m != b for _, b in pairs)
             ):
                 pairs.add((n, m))
         if pairs:
@@ -128,19 +118,5 @@ def sample_extra_words(
 ) -> frozenset[Word]:
     """A few more frozen entries valid for p's mode."""
     gens = sorted(p.occurring(ground) | {0, 1})
-    out: set[Word] = set()
-    if p.mode is PosetMode.COFINITARY:
-        pool = [
-            w
-            for w in hat_words(sorted(set(gens) | ground.generators()), 2)
-            if {l.gen for l in w.letters} - ground.generators()
-        ]
-        for _ in range(rng.randrange(1, 3)):
-            out.add(rng.choice(pool))
-    elif p.mode in (PosetMode.ADP, PosetMode.EDF):
-        if len(gens) >= 2:
-            a, b = rng.sample(gens, 2)
-            out.add(Word((Letter(a, 1), Letter(b, -1))))
-    else:
-        out.add(single(rng.choice(gens)))
-    return frozenset(out)
+    draws = rng.randrange(1, 3) if DISCIPLINES[p.mode].shape == "hat" else 1
+    return frozenset(_draw_entries(rng, p.mode, gens, ground, 2, draws))

@@ -16,7 +16,9 @@ from typing import Iterable, Optional, Sequence, Union
 from .evaluation import EMPTY_GROUND, GroundRep
 from .extension import canonical_extension, strong_reduction
 from .poset import (
+    DISCIPLINES,
     Condition,
+    Incompatible,
     PosetMode,
     add_words,
     leq,
@@ -242,11 +244,6 @@ def loc_leq(p: LocCondition, q: LocCondition) -> bool:
     if len(p.sigma) < len(q.sigma) or p.sigma[: len(q.sigma)] != q.sigma:
         return False
     return seq_subset(q.phi, p.phi)
-
-
-@dataclass(frozen=True)
-class Incompatible:
-    reason: str
 
 
 def loc_meet(p: LocCondition, q: LocCondition):
@@ -653,24 +650,26 @@ def _freeze_probe(p: Condition, ground: GroundRep) -> Optional[Condition]:
     fixed point / agreement / common 1-point.  None when p freezes nothing
     usable."""
     fresh = max(p.s.all_values() | {9}, default=9) + 1
-    if p.mode is PosetMode.MAD:
-        letters = sorted(w.letters[0].gen for w in p.words)
-        if len(letters) < 2:
+    shape = DISCIPLINES[p.mode].shape
+    words = p.sorted_words()
+    if shape == "letter":
+        if len(words) < 2:
             return None
-        a, b = letters[0], letters[1]
+        a, b = words[0].letters[0].gen, words[1].letters[0].gen
         s = p.s.with_pair(a, fresh, 1).with_pair(b, fresh, 1)
         return Condition(s, p.words, p.mode)
-    for w in p.sorted_words():
-        gens = [l.gen for l in w.letters if l.gen not in ground.generators()]
-        if p.mode in (PosetMode.ADP, PosetMode.EDF):
-            a, b = w.letters[0].gen, w.letters[1].gen
-            s = p.s.with_pair(a, fresh, fresh + 1).with_pair(b, fresh, fresh + 1)
-            return Condition(s, p.words, p.mode)
-        if len(set(gens)) == 1 and len(w.letters) == 1:
-            return Condition(p.s.with_pair(gens[0], fresh, fresh), p.words, p.mode)
-    for w in p.sorted_words():
-        gens = {l.gen for l in w.letters} - ground.generators()
-        if len(w.letters) == 2 and len(gens) == 2 and p.mode is PosetMode.COFINITARY:
+    if shape == "pair":
+        if not words:
+            return None
+        a, b = words[0].letters[0].gen, words[0].letters[1].gen
+        s = p.s.with_pair(a, fresh, fresh + 1).with_pair(b, fresh, fresh + 1)
+        return Condition(s, p.words, p.mode)
+    amb = ground.generators()
+    for w in words:
+        if len(w.letters) == 1 and w.letters[0].gen not in amb:
+            return Condition(p.s.with_pair(w.letters[0].gen, fresh, fresh), p.words, p.mode)
+    for w in words:
+        if len(w.letters) == 2 and len({l.gen for l in w.letters} - amb) == 2:
             lo, hi = w.letters
             if lo.sign == 1 and hi.sign == 1:
                 # w = x y: send fresh -> fresh through both letters

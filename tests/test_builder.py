@@ -179,6 +179,27 @@ class TestVariantFamilies:
             report.final.mode,
         )
         assert verify_variant(report)
+        assert verify_cofinitary(report)
+
+    @pytest.mark.parametrize("mode", [PosetMode.ADP, PosetMode.EDF, PosetMode.MAD])
+    def test_one_verifier_for_every_mode(self, mode):
+        # a MAD letter's record holds its common 1-points with the letters
+        # frozen before it only; checking it against all letters flagged
+        # g2 of this build as broken
+        report = build_variant_family(mode, [0, 1, 2], 30, seed=7)
+        assert verify_cofinitary(report) == [] == verify_variant(report)
+
+    def test_failed_point_step_keeps_its_cause(self, monkeypatch):
+        import cofinitary.extension as extension
+
+        def broken(*args):
+            raise ContractViolation("broken point decision")
+
+        monkeypatch.setattr(extension, "mad_set_point", broken)
+        with pytest.raises(BuildError) as err:
+            build_variant_family(PosetMode.MAD, [0, 1], 4, seed=0)
+        assert isinstance(err.value.__cause__, ContractViolation)
+        assert "domain:g0@0" in str(err.value) and err.value.partial is not None
 
     def test_cofinitary_not_a_variant(self):
         with pytest.raises(ValueError):

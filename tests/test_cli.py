@@ -75,6 +75,52 @@ class TestBuildGroup:
         assert code == 0
 
 
+    @pytest.mark.parametrize("mode", ["adp", "edf", "mad"])
+    def test_word_length_is_fixed_for_variants(self, mode, tmp_path, capsys):
+        code, out, err = run(
+            [
+                "build-group", "--mode", mode, "--generators", "3", "--points", "4",
+                "--max-word-len", "4", "--seed", "2", "--out", str(tmp_path / "v.json"),
+            ],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "--max-word-len" in err
+        assert not (tmp_path / "v.json").exists()
+
+    def test_word_length_from_config_is_fixed_for_variants(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "mad", "max_word_len": 2}))
+        code, _, err = run(
+            ["build-group", "--generators", "2", "--points", "3", "--seed", "1",
+             "--config", str(cfg), "--out", str(tmp_path / "o.json")],
+            capsys,
+        )
+        assert code == 2 and len(err.strip().splitlines()) == 1
+
+    def test_required_flags_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"points": 5, "seed": 3}))
+        flags = ["build-group", "--generators", "2", "--max-word-len", "2"]
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run([*flags, "--config", str(cfg), "--out", str(a)], capsys)[0] == 0
+        assert run([*flags, "--points", "5", "--seed", "3", "--out", str(b)], capsys)[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("config", [None, {"seed": 3}], ids=["no-config", "config"])
+    def test_required_flag_missing_from_both(self, config, tmp_path, capsys):
+        argv = ["build-group", "--generators", "2", "--seed", "3"]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert err.splitlines()[-1] == (
+            "cofinitary build-group: error: the following arguments are required: --points"
+        )
+
+
 class TestTemplateCmd:
     def test_surrogate_happy(self, tmp_path, capsys):
         out_file = tmp_path / "t.json"
