@@ -16,7 +16,14 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .evaluation import EMPTY_GROUND, GroundPermutation, GroundRep, fix_points
+from .evaluation import (
+    EMPTY_GROUND,
+    Assignment,
+    FixResult,
+    GroundPermutation,
+    GroundRep,
+    fix_points,
+)
 from .extension import hit_extend, hit_search, point_step, range_extend
 from .poset import DISCIPLINES, Condition, PosetMode, add_words, frozen_value, leq, side_words
 from .words import Word, conjugate_decompose, format_word, occurrences, reduced_words
@@ -194,7 +201,7 @@ def build(
     return _report()
 
 
-def _frozen_law(report: BuildReport, ground: GroundRep) -> list[str]:
+def _frozen_law(report: BuildReport, ground: GroundRep, fix=None) -> list[str]:
     """Each frozen entry's value under the final condition, taken against
     the entries frozen before it, equals the value recorded when it was
     frozen; violations come in freezing order."""
@@ -202,7 +209,7 @@ def _frozen_law(report: BuildReport, ground: GroundRep) -> list[str]:
     s = report.final.s
     earlier: list[Word] = []
     for w, (stage, recorded) in sorted(report.frozen_fix.items(), key=lambda kv: kv[1][0]):
-        now = frozen_value(report.mode, s, w, earlier, ground)
+        now = frozen_value(report.mode, s, w, earlier, ground, fix)
         earlier.append(w)
         if now != recorded:
             violations.append(
@@ -215,20 +222,30 @@ def _frozen_law(report: BuildReport, ground: GroundRep) -> list[str]:
 def verify_cofinitary(report: BuildReport, ground: GroundRep = EMPTY_GROUND) -> list[str]:
     """The verifier of every build: the frozen law, plus for cofinitary
     builds the conjugation-cardinality law over all short words; empty list
-    means ok."""
-    violations = _frozen_law(report, ground)
+    means ok.  Both laws read one fix set per word: frozen hat words and
+    cores are reduced words too, so most of them are asked for twice."""
+    memo: dict[Word, FixResult] = {}
+
+    def fix(w: Word, s: Assignment, ground: GroundRep) -> FixResult:
+        # s and ground are the final assignment and the ground throughout
+        res = memo.get(w)
+        if res is None:
+            res = memo[w] = fix_points(w, s, ground)
+        return res
+
+    violations = _frozen_law(report, ground, fix)
     if DISCIPLINES[report.mode].shape == "hat":
-        cond = report.final
+        s = report.final.s
         alphabet = sorted(set(report.generators) | ground.generators())
         for w in reduced_words(alphabet, report.word_budget, min_len=1):
             if not (occurrences(w) & set(report.generators)):
                 continue
-            res = fix_points(w, cond.s, ground)
+            res = fix(w, s, ground)
             if not res.exact:
                 violations.append(f"{format_word(w)}: fix set not exactly computable")
                 continue
             _, core = conjugate_decompose(w)
-            core_res = fix_points(core, cond.s, ground)
+            core_res = fix(core, s, ground)
             if len(res.points) != len(core_res.points):
                 violations.append(
                     f"{format_word(w)}: |fix| = {len(res.points)} but its core "

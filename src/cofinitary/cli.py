@@ -3,7 +3,7 @@
 Every command is a pure function of its configuration: reruns write
 byte-identical reports.  stdout carries nothing but the report path; human
 diagnostics go to stderr.  Exit codes: 0 all contracts hold, 1 contract
-violation, 2 usage or configuration error.
+violation or internal error, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -128,9 +128,9 @@ def cmd_template(args) -> int:
     if args.template_file:
         try:
             t = _load_template_file(args.template_file)
+            violations = check_axioms(t)  # refuses families beyond its budget
         except (KeyError, ValueError, json.JSONDecodeError) as err:
             raise ConfigError(f"bad template file: {err}")
-        violations = check_axioms(t)
         payload = {
             "schema": "1",
             "source": "file",
@@ -148,11 +148,14 @@ def cmd_template(args) -> int:
                 print(f"clause {v.clause}: {v.detail}", file=sys.stderr)
             return VIOLATION
         return OK
-    sizes = tuple(int(x) for x in args.lambdas.split(","))
-    params = SurrogateParams(
-        sizes, args.omega1, element_cap=args.cap, last_negative_full=not args.bounded_last
-    )
-    surrogate = build_surrogate_template(params)
+    try:
+        sizes = tuple(int(x) for x in args.lambdas.split(","))
+        params = SurrogateParams(
+            sizes, args.omega1, element_cap=args.cap, last_negative_full=not args.bounded_last
+        )
+        surrogate = build_surrogate_template(params)  # refuses parameters beyond its caps
+    except ValueError as err:
+        raise ConfigError(f"bad template parameters: {err}")
     t = surrogate.order
     violations = check_axioms(t)
     nesting = _check_interval_nesting(surrogate)
@@ -413,9 +416,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CertificateError, ContractViolation) as err:
         print(err, file=sys.stderr)
         return VIOLATION
-    except (ValueError, OSError) as err:
+    except OSError as err:
         print(err, file=sys.stderr)
         return USAGE
+    except ValueError as err:  # user input is judged before this point: a bug
+        print(f"internal error: {err!r}", file=sys.stderr)
+        return VIOLATION
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -59,6 +59,9 @@ class PartialMap:
         return len(self.pairs)
 
 
+_NO_PAIRS = PartialMap()  # what Assignment.get returns for an absent generator
+
+
 @dataclass(frozen=True)
 class Assignment:
     """Generator-indexed table of partial maps; finite support."""
@@ -70,7 +73,7 @@ class Assignment:
         object.__setattr__(self, "table", clean)
 
     def get(self, gen: int) -> PartialMap:
-        return self.table.get(gen, PartialMap())
+        return self.table.get(gen, _NO_PAIRS)
 
     def generators(self) -> tuple[int, ...]:
         return tuple(sorted(self.table))
@@ -385,6 +388,44 @@ def eval_range(
     return eval_domain(invert(w), s, ground, probe)
 
 
+def _lookups(w: Word, s: Assignment, ground: GroundRep) -> list[Callable[[int], Optional[int]]]:
+    """One lookup per letter of w, in application order (rightmost first):
+    a finite map's dict .get, or a ground permutation's apply/unapply."""
+    steps = []
+    for letter in reversed(w.letters):
+        perm = ground.table.get(letter.gen)
+        if perm is not None:
+            steps.append(perm.apply if letter.sign == 1 else perm.unapply)
+        else:
+            pm = s.get(letter.gen)
+            steps.append((pm.fwd if letter.sign == 1 else pm.rev).get)
+    return steps
+
+
+def _walk(steps: list[Callable[[int], Optional[int]]], n: int) -> Optional[int]:
+    """n after every step; None once a finite-map lookup fails."""
+    for step in steps:
+        n = step(n)
+        if n is None:
+            return None
+    return n
+
+
+def _walked_fix_points(w: Word, s: Assignment, ground: GroundRep, pos: int) -> frozenset[int]:
+    """Fix(e_w) when the letter applied pos-th (0-based) is the first backed
+    by a finite map: the start candidates are that map's domain (or image)
+    pulled back through the ambient letters applied before it, and each is
+    walked once.  Same set as exact_domain followed by a second walk."""
+    anchor = w.letters[len(w.letters) - 1 - pos]
+    pm = s.get(anchor.gen)
+    starts = pm.fwd if anchor.sign == 1 else pm.rev
+    if pos:
+        backs = _lookups(invert(Word(w.letters[len(w.letters) - pos :])), s, ground)
+        starts = [_walk(backs, v) for v in starts]
+    steps = _lookups(w, s, ground)
+    return frozenset(n for n in starts if _walk(steps, n) == n)
+
+
 @dataclass(frozen=True)
 class FixResult:
     """Fixed points of a word evaluation.
@@ -408,9 +449,7 @@ def fix_points(w: Word, s: Assignment, ground: GroundRep) -> FixResult:
         raise ValueError("fix of the empty word is everything; not represented")
     pos = _rightmost_finite_pos(w, ground)
     if pos is not None:
-        dom = exact_domain(w, s, ground)
-        pts = frozenset(n for n in dom if eval_word(w, s, ground, n) == n)
-        return FixResult(pts, exact=True)
+        return FixResult(_walked_fix_points(w, s, ground, pos), exact=True)
     form = ground.run_shift_form(reversed(w.letters))
     if form is not None:
         k, exc = form

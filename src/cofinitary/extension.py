@@ -340,20 +340,26 @@ def domain_extend(
     return Extension(p, gen, n, ExtensionCertificate.of(forb), "domain", ground)
 
 
-def _mirror(p: Condition, gen: int) -> Condition:
-    """Invert gen's map and flip gen's sign in the side words that contain
-    gen, the only ones the certificate reads; evaluations of the substituted
-    words agree with the originals."""
+def _mirror(p: Condition, gen: int, ground: GroundRep) -> Condition:
+    """Invert gen's map and flip gen's sign in the side words that hold gen
+    and an ambient letter: the only words whose letters the certificate
+    walks.  Evaluations of the flipped words agree with the originals.  Of
+    the words over finite generators that hold gen, the certificate reads a
+    single fact, that one exists; flipping a sign does not change it, so
+    they are kept as they are."""
     table = dict(p.s.table)
     pm = p.s.get(gen)
     if pm.pairs:
         table[gen] = PartialMap(frozenset((m, n) for n, m in pm.pairs))
-    words = frozenset(
-        substitute(w, gen, Letter(gen, -1)) for w in p.words if gen in occurrences(w)
-    )
+    amb = ground.generators()
+    words = set()
+    for w in p.words:
+        occ = occurrences(w)
+        if gen in occ:
+            words.add(substitute(w, gen, Letter(gen, -1)) if occ & amb else w)
     # pair-shape words lose their shape under the flip; the word machinery
     # only needs the hat class, so certify in cofinitary mode
-    return Condition(Assignment(table), words, PosetMode.COFINITARY)
+    return Condition(Assignment(table), frozenset(words), PosetMode.COFINITARY)
 
 
 def range_extend(
@@ -364,7 +370,7 @@ def range_extend(
         raise ValueError(f"{m} already in the range of g{gen}")
     if not DISCIPLINES[p.mode].injective:
         raise ValueError(f"range extension undefined for {p.mode.value} conditions")
-    mirror = _mirror(p, gen)
+    mirror = _mirror(p, gen, ground)
     ext = domain_extend(mirror, gen, m, ground)
     return Extension(p, gen, m, ext.certificate, "range", ground)
 

@@ -15,12 +15,13 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .evaluation import (
     Assignment,
     GroundRep,
     EMPTY_GROUND,
+    FixResult,
     apply_letter,
     eval_word,
     fix_points,
@@ -204,14 +205,20 @@ def _agreement(s: Assignment, a: int, b: int) -> frozenset[int]:
 
 
 def frozen_value(
-    mode: PosetMode, s: Assignment, w: Word, earlier: Iterable[Word], ground: GroundRep
+    mode: PosetMode,
+    s: Assignment,
+    w: Word,
+    earlier: Iterable[Word],
+    ground: GroundRep,
+    fix: Optional[Callable[[Word, Assignment, GroundRep], FixResult]] = None,
 ) -> frozenset[int]:
     """What freezing the entry w keeps under s: the fixed points of a hat
-    word, the agreement set of a pair, or a letter's common 1-points with
-    the letters frozen before it (`earlier`; the other shapes ignore it)."""
+    word (from `fix`, a memo of fix_points, when given), the agreement set
+    of a pair, or a letter's common 1-points with the letters frozen before
+    it (`earlier`; the other shapes ignore it)."""
     shape = DISCIPLINES[mode].shape
     if shape == "hat":
-        res = fix_points(w, s, ground)
+        res = (fix or fix_points)(w, s, ground)
         if not res.exact:
             raise ValueError(f"fix set of {format_word(w)} is horizon-limited; cannot freeze")
         return res.points

@@ -40,6 +40,19 @@ class TestBuildGroup:
         code, _, _ = run(["build-group", "--generators", "2", "--points", "4"], capsys)
         assert code == 2
 
+    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch, capsys):
+        import cofinitary.cli as cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("broken build\nsecond line")
+
+        monkeypatch.setattr(cli, "build", broken)
+        code, out, err = run(
+            ["build-group", "--generators", "2", "--points", "4", "--seed", "1"], capsys
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "broken build" in err and "Traceback" not in err
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         args = [
             "build-group", "--mode", "adp", "--generators", "3",
@@ -136,6 +149,15 @@ class TestTemplateCmd:
     def test_malformed_lambdas(self, capsys):
         code, _, err = run(["template", "--lambdas", "3,2", "--seed", "0"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("lambdas", ["3,2", "2,x", "0,2"])
+    def test_bad_lambdas_give_one_line(self, lambdas, capsys):
+        code, _, err = run(["template", "--lambdas", lambdas, "--seed", "0"], capsys)
+        assert code == 2 and len(err.strip().splitlines()) == 1
+
+    def test_parameters_beyond_the_cap(self, capsys):
+        code, _, err = run(["template", "--lambdas", "2,3", "--cap", "3"], capsys)
+        assert code == 2 and "cap 3" in err
 
     def test_broken_template_file(self, tmp_path, capsys):
         blob = {

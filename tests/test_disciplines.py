@@ -12,7 +12,14 @@ import random
 import pytest
 
 from cofinitary import poset
-from cofinitary.evaluation import Assignment, EMPTY_GROUND, GroundRep, PartialMap, zshift
+from cofinitary.evaluation import (
+    Assignment,
+    EMPTY_GROUND,
+    GroundRep,
+    PartialMap,
+    table_over_zshift,
+    zshift,
+)
 from cofinitary.extension import domain_extend, range_extend
 from cofinitary.poset import DISCIPLINES, Condition, PosetMode, add_words, side_words
 from cofinitary.sampling import (
@@ -22,7 +29,7 @@ from cofinitary.sampling import (
     sample_fresh_assignment,
 )
 from cofinitary.suslin import _freeze_probe
-from cofinitary.words import Letter, format_word, hat_words, parse_word, substitute
+from cofinitary.words import Letter, format_word, hat_words, occurrences, parse_word, substitute
 
 GROUNDS = {"plain": EMPTY_GROUND, "zshift": GroundRep({7: zshift()})}
 DRAWS = 40
@@ -177,3 +184,24 @@ def test_range_certificate_reads_only_words_with_the_generator(mode, ground):
         assert range_extend(p, gen, m, ground).certificate == reference
         checked += bool(p.words)
     assert checked >= DRAWS // 2
+
+
+def test_range_certificate_flips_the_mixed_words():
+    # Under a patched shift the walks of a mixed word depend on gen's sign,
+    # so a mirror that left them unflipped would certify other values.
+    ground = GroundRep({7: table_over_zshift({0: 0, 1: 2})})
+    rng = random.Random("mirror-mixed")
+    mixed = sign_matters = 0
+    for _ in range(DRAWS):
+        p = sample_condition(
+            rng, PosetMode.COFINITARY, [0, 1], max_pairs=6, max_words=4, ground=ground
+        )
+        gen, m = rng.randrange(2), rng.randrange(24)
+        if m in p.s.get(gen).image():
+            continue
+        reference = domain_extend(_mirror_of_every_word(p, gen), gen, m, ground).certificate
+        assert range_extend(p, gen, m, ground).certificate == reference
+        mixed += any({gen, 7} <= occurrences(w) for w in p.words)
+        unflipped = Condition(_mirror_of_every_word(p, gen).s, p.words, PosetMode.COFINITARY)
+        sign_matters += domain_extend(unflipped, gen, m, ground).certificate != reference
+    assert mixed >= DRAWS // 4 and sign_matters
