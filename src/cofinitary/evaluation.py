@@ -47,10 +47,10 @@ class PartialMap:
         return len(self.rev) == len(self.pairs)
 
     def domain(self) -> frozenset[int]:
-        return frozenset(n for n, _ in self.pairs)
+        return frozenset(self.fwd)
 
     def image(self) -> frozenset[int]:
-        return frozenset(m for _, m in self.pairs)
+        return frozenset(self.rev)
 
     def with_pair(self, n: int, m: int) -> "PartialMap":
         return PartialMap(self.pairs | {(n, m)})
@@ -104,9 +104,8 @@ class Assignment:
     def all_values(self) -> frozenset[int]:
         vals: set[int] = set()
         for pm in self.table.values():
-            for n, m in pm.pairs:
-                vals.add(n)
-                vals.add(m)
+            vals.update(pm.fwd)
+            vals.update(pm.rev)
         return frozenset(vals)
 
     def to_json(self) -> dict:
@@ -388,18 +387,19 @@ def eval_range(
     return eval_domain(invert(w), s, ground, probe)
 
 
+def letter_step(letter: Letter, s: Assignment, ground: GroundRep) -> Callable[[int], Optional[int]]:
+    """The lookup that applies one letter: a finite map's dict .get, or a
+    ground permutation's apply/unapply."""
+    perm = ground.table.get(letter.gen)
+    if perm is not None:
+        return perm.apply if letter.sign == 1 else perm.unapply
+    pm = s.get(letter.gen)
+    return (pm.fwd if letter.sign == 1 else pm.rev).get
+
+
 def _lookups(w: Word, s: Assignment, ground: GroundRep) -> list[Callable[[int], Optional[int]]]:
-    """One lookup per letter of w, in application order (rightmost first):
-    a finite map's dict .get, or a ground permutation's apply/unapply."""
-    steps = []
-    for letter in reversed(w.letters):
-        perm = ground.table.get(letter.gen)
-        if perm is not None:
-            steps.append(perm.apply if letter.sign == 1 else perm.unapply)
-        else:
-            pm = s.get(letter.gen)
-            steps.append((pm.fwd if letter.sign == 1 else pm.rev).get)
-    return steps
+    """One lookup per letter of w, in application order (rightmost first)."""
+    return [letter_step(letter, s, ground) for letter in reversed(w.letters)]
 
 
 def _walk(steps: list[Callable[[int], Optional[int]]], n: int) -> Optional[int]:

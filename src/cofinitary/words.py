@@ -48,6 +48,16 @@ class Word:
     def sort_key(self) -> tuple:
         return (len(self.letters), self.letters)
 
+    @property
+    def class_key(self) -> tuple[Letter, ...]:
+        """cyclic_class(self), computed once per word."""
+        try:
+            return self._class_key  # type: ignore[attr-defined]
+        except AttributeError:
+            key = cyclic_class(self)
+            object.__setattr__(self, "_class_key", key)
+            return key
+
 
 EMPTY_WORD = Word()
 
@@ -77,6 +87,21 @@ def concat(*words: Word) -> Word:
 def invert(w: Word) -> Word:
     # The inverse of a reduced word is already reduced.
     return Word(tuple(l.inverse() for l in reversed(w.letters)))
+
+
+def cyclic_class(w: Word) -> tuple[Letter, ...]:
+    """The least letter tuple among the rotations of w and of w^-1.
+
+    Words with one key have fixed-point sets in bijection under any
+    assignment of partial injections: for w = uv, n -> e_v(n) maps Fix(uv)
+    onto Fix(vu), and Fix(w^-1) = Fix(w).  A rotation need not be reduced,
+    so the key is a letter tuple, not a Word.
+    """
+    letters = w.letters
+    inverse = tuple(l.inverse() for l in reversed(letters))
+    return min(
+        (t[i:] + t[:i] for t in (letters, inverse) for i in range(len(t))), default=()
+    )
 
 
 def power(gen: int, k: int) -> Word:

@@ -1,0 +1,278 @@
+"""The order check walks one frozen word per rotation/inversion class.
+
+poset.leq walks one word per words.cyclic_class key when every map is a
+partial injection, and every word otherwise.  The reference below is the
+order check as it was before that reduction, copied verbatim: it walks every
+frozen word, with the new pairs taken from the whole triples() sets.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Iterable, Optional
+
+from cofinitary import poset
+from cofinitary.evaluation import (
+    EMPTY_GROUND,
+    Assignment,
+    GroundRep,
+    PartialMap,
+    eval_word,
+    fix_points,
+    table_over_zshift,
+    unapply_letter,
+    zshift,
+)
+from cofinitary.extension import domain_extend
+from cofinitary.poset import DISCIPLINES, Condition, PosetMode, _agreement, _ones
+from cofinitary.sampling import sample_condition
+from cofinitary.words import Word, cyclic_class, hat_words, invert, parse_word
+
+
+# -- the reference: the order check before the class reduction, verbatim -----
+
+
+def new_fix_candidates(
+    w: Word, s_new: Assignment, new_triples: Iterable[tuple[int, int, int]], ground: GroundRep
+) -> list[int]:
+    """Start points whose evaluation path along w can use a new pair.
+
+    For each letter position and each new pair on that letter's generator the
+    value just before the step is pinned; walking backward through the earlier
+    letters yields at most one candidate start per (position, pair).
+    """
+    by_gen: dict[int, list[tuple[int, int]]] = {}
+    for g, n, m in new_triples:
+        by_gen.setdefault(g, []).append((n, m))
+    candidates: set[int] = set()
+    letters = w.letters
+    for i in range(len(letters)):  # i-th letter from the right is applied i-th
+        letter = letters[len(letters) - 1 - i]
+        for n, m in by_gen.get(letter.gen, ()):
+            value: Optional[int] = n if letter.sign == 1 else m
+            for j in range(i - 1, -1, -1):
+                value = unapply_letter(letters[len(letters) - 1 - j], value, s_new, ground)
+                if value is None:
+                    break
+            if value is not None:
+                candidates.add(value)
+    return sorted(candidates)
+
+
+def _word_freezing_ok(
+    w: Word, s_new: Assignment, s_old: Assignment, new_triples, ground: GroundRep
+) -> Optional[int]:
+    """None if w gains no fixed point going from s_old to s_new; otherwise a
+    witness point."""
+    for n in new_fix_candidates(w, s_new, new_triples, ground):
+        if eval_word(w, s_new, ground, n) == n and eval_word(w, s_old, ground, n) != n:
+            return n
+    return None
+
+
+def leq(p: Condition, q: Condition, ground: GroundRep = EMPTY_GROUND) -> bool:
+    """p extends q: larger assignment and side set, no frozen word gains a
+    fixed point (MAD: no frozen pair gains a common 1-point)."""
+    if p.mode is not q.mode:
+        raise ValueError(f"mode mismatch: {p.mode} vs {q.mode}")
+    if not p.s.contains(q.s) or not (p.words >= q.words):
+        return False
+    kernel = DISCIPLINES[p.mode].kernel
+    if kernel == "ones":
+        letters = sorted(w.letters[0].gen for w in q.words)
+        for i, a in enumerate(letters):
+            for b in letters[i + 1 :]:
+                ones_p = _ones(p.s.get(a).pairs) & _ones(p.s.get(b).pairs)
+                ones_q = _ones(q.s.get(a).pairs) & _ones(q.s.get(b).pairs)
+                if not (ones_p <= ones_q):
+                    return False
+        return True
+    if kernel == "agreement":
+        for w in q.words:
+            a, b = w.letters[0].gen, w.letters[1].gen
+            if not (_agreement(p.s, a, b) <= _agreement(q.s, a, b)):
+                return False
+        return True
+    new_triples = p.s.triples() - q.s.triples()
+    if not new_triples:
+        return True
+    for w in q.words:
+        if _word_freezing_ok(w, p.s, q.s, new_triples, ground) is not None:
+            return False
+    return True
+
+
+reference_leq = leq
+
+
+# -- helpers -----------------------------------------------------------------
+
+FINITE = (0, 1, 2)
+AMBIENT = 3
+GROUNDS = {
+    "empty": EMPTY_GROUND,
+    "zshift": GroundRep({AMBIENT: zshift()}),
+    "table": GroundRep({AMBIENT: table_over_zshift({0: 0, 1: 2})}),
+}
+
+
+def pmap(*pairs):
+    return PartialMap(frozenset(pairs))
+
+
+def _side_pool(ground: GroundRep) -> list[Word]:
+    """Every hat word of length <= 3 over 3 generators, one of them ambient
+    under a nonempty ground; purely ambient words never move."""
+    gens = FINITE[:2] + (AMBIENT,) if ground.table else FINITE
+    return [w for w in hat_words(gens, 3) if any(l.gen not in ground.table for l in w.letters)]
+
+
+def _random_injection(rng: random.Random, size: int, values: int) -> frozenset:
+    dom = rng.sample(range(values), size)
+    img = rng.sample(range(values), size)
+    return frozenset(zip(dom, img))
+
+
+def _random_pair(rng, q: Condition, ground: GroundRep, values: int, injective: bool):
+    """An assignment over q's with one to three extra pairs: partial
+    injections, or with one pair that breaks injectivity or functionality."""
+    finite = [g for g in FINITE if g not in ground.table]
+    s = q.s
+    for _ in range(rng.randrange(1, 4)):
+        g = rng.choice(finite)
+        pm = s.get(g)
+        n, m = rng.randrange(values), rng.randrange(values)
+        if injective and (n in pm.fwd or m in pm.rev):
+            continue
+        s = Assignment({**s.table, g: PartialMap(pm.pairs | {(n, m)})})
+    if not injective:
+        g = rng.choice(finite)
+        pm = s.get(g)
+        if pm.pairs:
+            n, m = rng.choice(sorted(pm.pairs))
+            clash = (rng.randrange(values), m) if rng.random() < 0.5 else (n, rng.randrange(values))
+            s = Assignment({**s.table, g: PartialMap(pm.pairs | {clash})})
+    return s
+
+
+# -- the differential test -----------------------------------------------------
+
+
+def _draws(name: str, count: int):
+    """count (p, q) pairs over the named ground: q freezes a random half of
+    the side pool; p adds pairs to q's maps (every third p breaks injectivity
+    or functionality), sometimes grows the side set and sometimes drops a
+    pair or a map of q."""
+    ground = GROUNDS[name]
+    rng = random.Random(f"class-walk-{name}")
+    pool = _side_pool(ground)
+    finite = [g for g in FINITE if g not in ground.table]
+    for trial in range(count):
+        q_words = frozenset(rng.sample(pool, len(pool) // 2))
+        table = {g: PartialMap(_random_injection(rng, rng.randrange(5), 7)) for g in finite}
+        q = Condition(Assignment(table), q_words)
+        s = _random_pair(rng, q, ground, 7, injective=trial % 3 != 0)
+        words = q.words
+        if rng.random() < 0.2:
+            words = words | frozenset(rng.sample(pool, 3))
+        g = rng.choice(finite)
+        if rng.random() < 0.1 and s.get(g).pairs:  # drop one pair, or the whole map
+            keep = sorted(s.get(g).pairs)[1:] if rng.random() < 0.5 else []
+            s = Assignment({**s.table, g: PartialMap(frozenset(keep))})
+        yield Condition(s, words), q
+
+
+def test_matches_reference_on_dense_side_sets():
+    false_answers = non_injective = 0
+    for name, ground in GROUNDS.items():
+        for p, q in _draws(name, 700):
+            want = reference_leq(p, q, ground)
+            assert poset.leq(p, q, ground) == want, (name, p.to_json(), q.to_json())
+            false_answers += not want
+            non_injective += not all(
+                len(pm.fwd) == len(pm.rev) == len(pm.pairs) for pm in p.s.table.values()
+            )
+    assert false_answers >= 1000, false_answers
+    assert non_injective >= 300, non_injective
+
+
+# -- the lemma behind the reduction ------------------------------------------
+
+
+def _rotations(w: Word) -> list[Word]:
+    # rotations of a hat word stay reduced: its end letters use distinct
+    # generators, or it is a power
+    t = w.letters
+    return [Word(t[i:] + t[:i]) for i in range(len(t))]
+
+
+def test_rotation_and_inversion_lemma():
+    """|Fix(uv)| = |Fix(vu)| and Fix(w^-1) = Fix(w) under partial injections."""
+    rng = random.Random(5)
+    words = hat_words(FINITE, 4)
+    for _ in range(8):
+        q = sample_condition(rng, PosetMode.COFINITARY, FINITE, max_pairs=6,
+                             max_words=0, value_range=6)
+        for w in words:
+            size = len(fix_points(w, q.s, EMPTY_GROUND).points)
+            for r in _rotations(w):
+                fix = fix_points(r, q.s, EMPTY_GROUND).points
+                assert len(fix) == size, (w, r, q.to_json())
+                assert fix_points(invert(r), q.s, EMPTY_GROUND).points == fix
+                assert cyclic_class(r) == cyclic_class(w)
+
+
+# -- what gets walked --------------------------------------------------------
+
+
+def test_word_off_its_class_key_is_still_checked():
+    w = parse_word("g1 g0")
+    assert cyclic_class(w) != w.letters  # its key is g0^-1 g1^-1, not frozen
+    q = Condition(Assignment({0: pmap((0, 1))}), frozenset({parse_word("g2"), w}))
+    p = Condition(q.s.with_pair(1, 1, 0), q.words)  # g1 g0 now fixes 0
+    assert reference_leq(p, q) is False
+    assert poset.leq(p, q) is False
+
+
+def _count_walks(monkeypatch) -> list[Word]:
+    walked: list[Word] = []
+    original = poset.new_fix_candidates
+
+    def counting(w, *args):
+        walked.append(w)
+        return original(w, *args)
+
+    monkeypatch.setattr(poset, "new_fix_candidates", counting)
+    return walked
+
+
+def _freeze_everything() -> tuple[Condition, Condition]:
+    """A condition freezing all 2,432 hat words of length <= 4 over 4
+    generators, and a certified one-pair extension of it."""
+    q = Condition()
+    for g in range(4):
+        for n in range(3):
+            q = domain_extend(q, g, n).commit(n + 1 + g % 2)
+    q = poset.add_words(q, hat_words(range(4), 4))
+    ext = domain_extend(q, 0, 5)
+    p = ext.commit(ext.choose())
+    return p, q
+
+
+def test_one_walk_per_class(monkeypatch):
+    p, q = _freeze_everything()
+    assert len(q.words) == 2432
+    walked = _count_walks(monkeypatch)
+    assert poset.leq(p, q)  # so every class is walked, each once
+    assert len(walked) == 390
+    assert len({w.class_key for w in walked}) == 390
+
+
+def test_non_injective_maps_walk_every_word(monkeypatch):
+    p, q = _freeze_everything()
+    n, m = sorted(p.s.get(1).pairs)[0]
+    bad = Condition(p.s.with_pair(1, n + 50, m), p.words)  # g1 no longer injective
+    assert reference_leq(bad, q)
+    walked = _count_walks(monkeypatch)
+    assert poset.leq(bad, q)
+    assert len(walked) == len(q.words)

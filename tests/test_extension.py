@@ -12,8 +12,10 @@ from cofinitary.evaluation import (
     identity_perm,
     zshift,
 )
+from cofinitary import extension
 from cofinitary.extension import (
     CertificateError,
+    ContractViolation,
     NOT_FOUND,
     Rejected,
     canonical_extension,
@@ -189,6 +191,16 @@ class TestStrongReduction:
         p = cond({0: [(0, 1)]}, ["g0"])
         red = strong_reduction(p, {0})
         assert red == p
+
+    def test_order_check_raises(self, monkeypatch):
+        # the reduction's own order check is its only leq call here; it is a
+        # raise, not an assert, so it holds under -O too
+        calls = []
+        monkeypatch.setattr(extension, "leq", lambda *args: calls.append(args) and False)
+        p = cond({0: [(0, 1)]}, ["g0"])
+        with pytest.raises(ContractViolation, match="strong restriction"):
+            strong_reduction(p, {0})
+        assert len(calls) == 1
 
     def test_absorbs_outside_range(self):
         p = cond({0: [(0, 1)], 2: [(1, 2)]}, ["g0 g2"])

@@ -11,6 +11,7 @@ from cofinitary.evaluation import (
     exact_domain,
     zshift,
 )
+from cofinitary import poset
 from cofinitary.poset import (
     Condition,
     Incompatible,
@@ -225,6 +226,13 @@ class TestMergeAndGrow:
         p = cond({0: [(0, 1)]}, ["g0 g1"])
         with pytest.raises(ValueError):
             merge_disjoint(p, Assignment({1: pmap((5, 6))}))
+
+    def test_merge_order_check_raises(self, monkeypatch):
+        # the order check is a raise, not an assert, so it holds under -O too
+        monkeypatch.setattr(poset, "leq", lambda *args: False)
+        p = cond({0: [(0, 1)]}, ["g0"])
+        with pytest.raises(ValueError, match="does not extend"):
+            merge_disjoint(p, Assignment({2: pmap((5, 6))}))
 
     def test_add_words(self):
         p = cond({0: [(0, 1)]}, ["g0"])
