@@ -119,7 +119,7 @@ def _load_template_file(path: str) -> TemplateOrder:
     part1 = [names[x] for x in obj["L1"]]
     t = template_from_parts(elements, less, ideals, part0, part1)
     return TemplateOrder(
-        t.elements, t.order_key, t.ideals, t.part0, t.part1,
+        t.elements, t.order_key, t.family, t.part0, t.part1,
         {i: name for name, i in names.items()},
     )
 
@@ -166,7 +166,7 @@ def cmd_template(args) -> int:
         "omega1": args.omega1,
         "seed": args.seed,
         "elements": len(t.elements),
-        "family_size": len(t.ideals),
+        "family_size": len(t.family),
         "family_atoms": sorted(surrogate.atom_provenance),
         "relevant": len(surrogate.relevant_ids),
         "axioms": [{"clause": v.clause, "detail": v.detail} for v in violations],

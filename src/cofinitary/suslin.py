@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .evaluation import EMPTY_GROUND, GroundRep
-from .extension import canonical_extension, strong_reduction
+from .extension import ContractViolation, canonical_extension, strong_reduction
 from .poset import (
     DISCIPLINES,
     Condition,
@@ -75,7 +75,8 @@ class FinSeq:
     """A total sequence: finitely many exceptions over a named default rule.
 
     Exceptions the rule already produces are dropped, so equal sequences have
-    equal representations.
+    equal representations.  The exceptions are also kept as a private dict,
+    with the settle index, for lookups; both are derived, not fields.
     """
 
     rule: Rule
@@ -86,19 +87,19 @@ class FinSeq:
             i: v for i, v in sorted(dict(self.exceptions).items()) if self.rule.at(i) != v
         }
         object.__setattr__(self, "exceptions", tuple(slim.items()))
+        object.__setattr__(self, "_table", slim)
+        object.__setattr__(self, "_settle", max(slim, default=-1) + 1)
 
     def at(self, i: int) -> Value:
-        for j, v in self.exceptions:
-            if j == i:
-                return v
-        return self.rule.at(i)
+        v = self._table.get(i)
+        return self.rule.at(i) if v is None else v
 
     def settle_index(self) -> int:
         """Past this index only the rule speaks."""
-        return max((j + 1 for j, _ in self.exceptions), default=0)
+        return self._settle
 
     def with_exceptions(self, extra: Iterable[tuple[int, Value]]) -> "FinSeq":
-        merged = dict(self.exceptions)
+        merged = dict(self._table)
         merged.update(extra)
         return FinSeq(self.rule, tuple(merged.items()))
 
@@ -123,8 +124,8 @@ def constant_seq(value: Value) -> FinSeq:
 def _probe_indices(*seqs: FinSeq, floor: int = 0) -> list[int]:
     idx = {floor}
     for s in seqs:
-        idx |= {j for j, _ in s.exceptions}
-        idx.add(s.settle_index())
+        idx.update(s._table)
+        idx.add(s._settle)
     return sorted(i for i in idx if i >= 0)
 
 
@@ -174,10 +175,7 @@ def seq_max(f: FinSeq, g: FinSeq) -> FinSeq:
         exc[i] = max(f.at(i), g.at(i))
     for i in range(cross + 1):
         exc[i] = max(f.at(i), g.at(i))
-    out = FinSeq(dominant.rule, tuple(exc.items()))
-    # drop exceptions the rule already produces
-    slim = tuple((j, v) for j, v in out.exceptions if v != out.rule.at(j))
-    return FinSeq(dominant.rule, slim)
+    return FinSeq(dominant.rule, tuple(exc.items()))  # drops what the rule produces
 
 
 def seq_union(f: FinSeq, g: FinSeq) -> FinSeq:
@@ -347,7 +345,8 @@ def build_localizing_slalom(reals: Sequence[FinSeq], width_budget: int) -> LocCo
     out = loc_condition(sigma, phi)
     for f in reals:
         m = localizes(out.phi, f)
-        assert m is not None and m <= width, "built slalom fails to localize an input"
+        if m is None or m > width:
+            raise ContractViolation("built slalom fails to localize an input")
     return out
 
 
@@ -423,7 +422,8 @@ def _extend_dom(rng: random.Random, q: DomCondition) -> DomCondition:
     bumps = {i: q.f.at(i) + rng.randrange(3) for i in range(len(s), len(s) + rng.randrange(4))}
     f = q.f.with_exceptions(list(enumerate(s)) + list(bumps.items()))
     p = DomCondition(tuple(s), f)
-    assert dom_leq(p, q)
+    if not dom_leq(p, q):
+        raise ContractViolation("random dominating-pair extension fails the order check")
     return p
 
 
@@ -463,7 +463,8 @@ def _extend_loc(rng: random.Random, q: LocCondition) -> LocCondition:
     extra = {i: v for i, v in extra.items() if len(v) <= width}
     phi = q.phi.with_exceptions(list(enumerate(sigma)) + list(extra.items()))
     p = LocCondition(tuple(sigma), phi)
-    assert loc_leq(p, q)
+    if not loc_leq(p, q):
+        raise ContractViolation("random localization extension fails the order check")
     return p
 
 

@@ -4,29 +4,32 @@ classical template instantiated over small surrogate cardinals.
 
 The ideal family of a surrogate instance is generated from a finite atom list
 (initial cuts, closed intervals, singleton closures, lower part-0 cones) by
-taking all finite unions; it is materialized explicitly.  Axiom checks run on
-integer bitmasks so that families with tens of thousands of members stay
-checkable exactly: union closure over all pairs follows from completeness of
-the union generation, and intersection closure over all pairs reduces by
-distributivity to intersections of generating atoms, which are checked
-exhaustively.
+taking all finite unions.  Every family is stored as integer bitmasks, bit i
+standing for the i-th element of the order, and the axiom checks, depth and
+rank run on those masks, so that families with tens of thousands of members
+stay checkable exactly: union closure over all pairs follows from
+completeness of the union generation, and intersection closure over all
+pairs reduces by distributivity to intersections of generating atoms, which
+are checked exhaustively.  ``TemplateOrder.ideals`` decodes the masks to
+element sets on demand.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 
 @dataclass(frozen=True)
 class TemplateOrder:
     """elements are opaque ids; order_key realizes the strict total order;
-    ideals is the family; part0/part1 the two-sided split."""
+    family holds the members as bitmasks, bit i standing for the i-th
+    element in order_key order; part0/part1 the two-sided split."""
 
     elements: frozenset[int]
     order_key: Mapping[int, tuple]
-    ideals: frozenset[frozenset[int]]
+    family: frozenset[int]
     part0: frozenset[int]
     part1: frozenset[int]
     labels: Mapping[int, str] = field(default_factory=dict)
@@ -38,6 +41,14 @@ class TemplateOrder:
         keys = {self.order_key[x] for x in self.elements}
         if len(keys) != len(self.elements):
             raise ValueError("order keys must be distinct (strict total order)")
+        if self.family and (min(self.family) < 0 or max(self.family) >> len(self.elements)):
+            raise ValueError("family masks must name elements only")
+
+    @property
+    def ideals(self) -> frozenset[frozenset[int]]:
+        """The family decoded to element sets."""
+        mk = _masks(self)
+        return frozenset(mk.unmask(m) for m in self.family)
 
     def less(self, x: int, y: int) -> bool:
         return self.order_key[x] < self.order_key[y]
@@ -71,6 +82,17 @@ class TemplateOrder:
         return out
 
 
+def _encode(subset: Iterable[int], index: Mapping[int, int]) -> int:
+    """The mask of subset, where index gives each element's bit."""
+    m = 0
+    for x in subset:
+        i = index.get(x)
+        if i is None:
+            raise ValueError(f"{x!r} is not an element of the template")
+        m |= 1 << i
+    return m
+
+
 def template_from_parts(
     elements: Sequence[int],
     less_pairs: Iterable[tuple[int, int]],
@@ -84,36 +106,33 @@ def template_from_parts(
     for x, y in itertools.combinations(els, 2):
         if ((x, y) in pairs) == ((y, x) in pairs):
             raise ValueError(f"order must compare {x} and {y} exactly one way")
-    key: dict[int, tuple] = {}
+    index: dict[int, int] = {}
     remaining = set(els)
-    pos = 0
     while remaining:
         minimal = [x for x in sorted(remaining) if not any((y, x) in pairs for y in remaining)]
         if len(minimal) != 1:
             raise ValueError(f"order relation is not strict total: minimal set {minimal}")
-        key[minimal[0]] = (pos,)
+        index[minimal[0]] = len(index)
         remaining.remove(minimal[0])
-        pos += 1
     return TemplateOrder(
         frozenset(els),
-        key,
-        frozenset(frozenset(a) for a in ideals),
+        {x: (i,) for x, i in index.items()},
+        frozenset(_encode(a, index) for a in ideals),
         frozenset(part0),
         frozenset(part1),
     )
 
 
 def closure(t: TemplateOrder, subset: Iterable[int]) -> frozenset[int]:
-    """Least superset closed under adding every part0 element below a member;
-    computed by iteration to a fixpoint."""
+    """Least superset closed under adding every part0 element below a member.
+
+    One step reaches it: every element added lies below the top member, so
+    the top, and with it the added part0 cone, stays the same."""
     cur = frozenset(subset)
-    while True:
-        grown = set(cur)
-        for x in cur:
-            grown |= t.below(x) & t.part0
-        if len(grown) == len(cur):
-            return cur
-        cur = frozenset(grown)
+    if not cur:
+        return cur
+    top = max(cur, key=t.order_key.__getitem__)
+    return cur | (t.below(top) & t.part0)
 
 
 @dataclass(frozen=True)
@@ -130,33 +149,38 @@ class _Masks:
         self.index = {x: i for i, x in enumerate(els)}
         self.elements = els
         self.full = (1 << len(els)) - 1
-        self.part0 = self._mask(t.part0)
-        self.part1 = self._mask(t.part1)
+        self.part0 = self.mask(t.part0)
+        self.part1 = self.mask(t.part1)
         self.below = [(1 << i) - 1 for i in range(len(els))]  # below sorted elt i
         self.below0 = [b & self.part0 for b in self.below]
-        self.ideal_masks = sorted(self._mask(a) for a in t.ideals)
-        self.ideal_set = set(self.ideal_masks)
+        self.members = sorted(t.family)
+        self.depths: Optional[dict[int, int]] = None  # trace -> depth, on first use
 
-    def _mask(self, subset: Iterable[int]) -> int:
-        m = 0
-        for x in subset:
-            m |= 1 << self.index[x]
-        return m
+    def mask(self, subset: Iterable[int]) -> int:
+        return _encode(subset, self.index)
 
     def unmask(self, m: int) -> frozenset[int]:
-        return frozenset(x for x, i in self.index.items() if m >> i & 1)
+        out = []
+        while m:
+            low = m & -m
+            out.append(self.elements[low.bit_length() - 1])
+            m ^= low
+        return frozenset(out)
 
-    def closure_mask(self, m: int) -> int:
-        while True:
-            grown = m
-            probe = m
-            while probe:
-                low = probe & -probe
-                grown |= self.below0[low.bit_length() - 1]
-                probe ^= low
-            if grown == m:
-                return m
-            m = grown
+    def close(self, m: int) -> int:
+        """The closure of m in one step.  Closing adds below0[i] for each
+        member i; these prefix cones nest, so one step adds below0[top(m)],
+        whose bits lie below top(m) and so never raise it."""
+        return m | self.below0[m.bit_length() - 1] if m else 0
+
+
+def _masks(t: TemplateOrder) -> _Masks:
+    """t's mask view, built on first use and kept on t."""
+    mk = getattr(t, "_mask_view", None)
+    if mk is None:
+        mk = _Masks(t)
+        object.__setattr__(t, "_mask_view", mk)
+    return mk
 
 
 def check_axioms(
@@ -172,9 +196,9 @@ def check_axioms(
     either route are rejected loudly rather than checked approximately.
     """
     out: list[AxiomViolation] = []
-    mk = _Masks(t)
-    ideals = mk.ideal_masks
-    family = mk.ideal_set
+    mk = _masks(t)
+    ideals = mk.members
+    family = t.family
     if 0 not in family:
         out.append(AxiomViolation(1, "empty set missing from the family"))
     if mk.full not in family:
@@ -206,7 +230,7 @@ def check_axioms(
             if stop:
                 break
     elif t.generators:
-        atom_masks = [mk._mask(a) for a in t.generators]
+        atom_masks = [mk.mask(a) for a in t.generators]
         regenerated = {0}
         for atom in atom_masks:
             regenerated |= {m | atom for m in regenerated}
@@ -229,17 +253,19 @@ def check_axioms(
             f"family of {len(ideals)} sets is beyond the pairwise budget and carries "
             "no generating atoms; refusing to check clause 1 approximately"
         )
-    # clause 2: every x < y with y in part1 lies in a member inside the cut of y
+    # clause 2: every x < y with y in part1 lies in a member inside the cut of y.
+    # A member lies inside the cut of the i-th element iff it is below 1 << i,
+    # so the members inside the cuts grow as a prefix of the sorted members.
     sorted_els = mk.elements
+    covered = 0
+    inside = 0
     for yi, y in enumerate(sorted_els):
+        while inside < len(ideals) and ideals[inside] >> yi == 0:
+            covered |= ideals[inside]
+            inside += 1
         if not (mk.part1 >> yi & 1):
             continue
-        cut = mk.below[yi]
-        covered = 0
-        for a in ideals:
-            if a | cut == cut:
-                covered |= a
-        missing = cut & ~covered
+        missing = mk.below[yi] & ~covered
         if missing:
             x = mk.unmask(missing & -missing)
             out.append(
@@ -250,12 +276,13 @@ def check_axioms(
                 )
             )
             break
-    # clause 3: cuts of members at part1 non-members stay in the family
+    # clause 3: cuts of members at part1 non-members stay in the family (a cut
+    # above a member's top element is the member itself, so it is skipped)
     done3 = False
     for a in ideals:
         if done3:
             break
-        probe = mk.part1 & ~a
+        probe = mk.part1 & ~a & mk.below[a.bit_length() - 1] if a else 0
         while probe:
             low = probe & -probe
             xi = low.bit_length() - 1
@@ -278,67 +305,99 @@ def check_axioms(
             break
     # clause 5: members are closed
     for a in ideals:
-        if mk.closure_mask(a) != a:
+        if mk.close(a) != a:
             out.append(AxiomViolation(5, f"{sorted(mk.unmask(a))} is not closed"))
             break
     return out
 
 
 def _trace_depths(mk: _Masks) -> dict[int, int]:
-    traces = sorted({a & mk.part1 for a in mk.ideal_masks}, key=lambda m: (m.bit_count(), m))
-    trace_set = set(traces)
-    union_all = 0
-    for tr in traces:
-        union_all |= tr
-    # fast path: the traces form the full powerset of their union
-    if len(traces) == 1 << union_all.bit_count():
-        return {tr: tr.bit_count() for tr in traces}
-    depths: dict[int, int] = {}
-    for tr in traces:
-        best = 0
-        for other in traces:
-            if other == tr or other.bit_count() >= tr.bit_count():
-                continue
-            if other & ~tr:
-                continue
-            best = max(best, depths[other] + 1)
-        depths[tr] = best
-    return depths
+    """The depth of each part1 trace, computed once per mask view."""
+    if mk.depths is None:
+        traces = sorted({a & mk.part1 for a in mk.members}, key=lambda m: (m.bit_count(), m))
+        union_all = 0
+        for tr in traces:
+            union_all |= tr
+        # fast path: the traces form the full powerset of their union
+        if len(traces) == 1 << union_all.bit_count():
+            mk.depths = {tr: tr.bit_count() for tr in traces}
+        else:
+            depths: dict[int, int] = {}
+            for tr in traces:
+                best = 0
+                for other in traces:
+                    if other == tr or other.bit_count() >= tr.bit_count():
+                        continue
+                    if other & ~tr:
+                        continue
+                    best = max(best, depths[other] + 1)
+                depths[tr] = best
+            mk.depths = depths
+    return mk.depths
 
 
 def depth(t: TemplateOrder, subset: Iterable[int]) -> int:
     """Well-founded rank of a family member by strict inclusion of part1
     traces; members inside part0 have depth 0."""
-    subset = frozenset(subset)
-    if subset not in t.ideals:
+    mk = _masks(t)
+    m = mk.mask(subset)
+    if m not in t.family:
         raise ValueError("depth is defined only on family members")
-    mk = _Masks(t)
-    return _trace_depths(mk)[mk._mask(subset) & mk.part1]
+    return _trace_depths(mk)[m & mk.part1]
 
 
 def rank(t: TemplateOrder) -> int:
     return depth(t, t.elements)
 
 
+def _bit_runs(keep: int) -> list[tuple[int, int, int]]:
+    """The maximal runs of set bits of keep, low to high, as (shift, width
+    mask, destination): the runs packed together from bit 0 up."""
+    runs = []
+    dest = 0
+    while keep:
+        shift = (keep & -keep).bit_length() - 1
+        r = keep >> shift
+        width = ((r + 1) & ~r) - 1  # the run's trailing ones
+        runs.append((shift, width, dest))
+        keep ^= width << shift
+        dest += width.bit_length()
+    return runs
+
+
+def _compress(m: int, runs: Sequence[tuple[int, int, int]]) -> int:
+    """The bits of m inside the runs, packed as the runs are."""
+    out = 0
+    for shift, width, dest in runs:
+        out |= (m >> shift & width) << dest
+    return out
+
+
 def restrict_template(t: TemplateOrder, subset: Iterable[int]) -> TemplateOrder:
     """The induced template on a subset: induced order, trace family, induced
-    split.  When the subset is itself a family member, its rank equals its
-    depth in the original (asserted)."""
+    split.  When the subset is itself a family member and t meets the
+    clauses, the restriction's rank equals the member's depth in t.  This is
+    checked, and a mismatch raises ValueError; families that break the
+    clauses can show one."""
     keep = frozenset(subset)
     if not keep <= t.elements:
         raise ValueError("restriction set must consist of elements")
-    ideals = frozenset(frozenset(a & keep) for a in t.ideals)
+    mk = _masks(t)
+    keep_mask = mk.mask(keep)
+    runs = _bit_runs(keep_mask)
     out = TemplateOrder(
         keep,
         {x: t.order_key[x] for x in keep},
-        ideals,
+        frozenset(_compress(m, runs) for m in {a & keep_mask for a in t.family}),
         t.part0 & keep,
         t.part1 & keep,
         {x: t.label(x) for x in keep},
         tuple(frozenset(a & keep) for a in t.generators),
     )
-    if keep in t.ideals:
-        assert rank(out) == depth(t, keep)
+    if keep_mask in t.family:
+        got, want = rank(out), depth(t, keep)
+        if got != want:
+            raise ValueError(f"restriction rank {got} differs from the member's depth {want}")
     return out
 
 
@@ -549,9 +608,7 @@ def build_surrogate_template(params: SurrogateParams) -> SurrogateTemplate:
     labels = {i: str(positions[i]) for i in ids}
 
     # temporary order object for closure computations
-    proto = TemplateOrder(
-        frozenset(ids), key, frozenset([frozenset()]), part0, part1, labels
-    )
+    proto = TemplateOrder(frozenset(ids), key, frozenset({0}), part0, part1, labels)
 
     relevant = frozenset(i for i in ids if is_relevant(positions[i], params))
     atoms: dict[str, frozenset[int]] = {}
@@ -581,13 +638,10 @@ def build_surrogate_template(params: SurrogateParams) -> SurrogateTemplate:
                 f"ideal family exceeds the cap {params.family_cap}; "
                 "shrink the parameters or raise family_cap"
             )
-    ideals = frozenset(
-        frozenset(x for x in ids if m >> x & 1) for m in family
-    )
     order = TemplateOrder(
         frozenset(ids),
         key,
-        ideals,
+        frozenset(family),  # the ids are the sorted positions, so bit i is id i
         part0,
         part1,
         labels,

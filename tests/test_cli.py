@@ -176,6 +176,24 @@ class TestTemplateCmd:
         assert code == 1
         assert "clause 2" in err and "q" in err
 
+    @pytest.mark.parametrize("member", [["p", "r"], ["p", 3]])
+    def test_template_file_member_naming_a_non_element(self, member, tmp_path, capsys):
+        blob = {
+            "elements": ["p", "q"],
+            "less": [["p", "q"]],
+            "I": [[], ["p"], member, ["p", "q"]],
+            "L0": ["p"],
+            "L1": ["q"],
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(blob))
+        code, _, err = run(
+            ["template", "--template-file", str(path), "--out", str(tmp_path / "o.json")],
+            capsys,
+        )
+        assert code == 2 and len(err.strip().splitlines()) == 1
+        assert err.startswith("bad template file")
+
     def test_good_template_file(self, tmp_path, capsys):
         blob = {
             "elements": ["p", "q"],

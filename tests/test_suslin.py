@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from cofinitary import suslin
+from cofinitary.extension import ContractViolation
 from cofinitary.poset import PosetMode
 from cofinitary.suslin import (
     DomCondition,
@@ -54,6 +56,20 @@ class TestFinSeq:
     def test_unknown_rule_rejected(self):
         with pytest.raises(Undecidable):
             Rule("weird", 0)
+
+    def test_lookup_table_matches_the_exceptions(self):
+        # at/settle_index read a private dict; they must agree with a scan of
+        # the canonical exceptions tuple, which alone decides equality
+        rng = random.Random(2)
+        for _ in range(500):
+            f = suslin._random_number_seq(rng, rng.randrange(4))
+            for i in range(-2, 14):
+                scanned = next((v for j, v in f.exceptions if j == i), f.rule.at(i))
+                assert f.at(i) == scanned
+            assert f.settle_index() == max((j + 1 for j, _ in f.exceptions), default=0)
+            twin = FinSeq(f.rule, tuple(reversed(f.exceptions)) + ((99, f.rule.at(99)),))
+            assert twin == f and hash(twin) == hash(f)
+            assert FinSeq.from_json(f.to_json()) == f
 
     def test_seq_le_decides_affine(self):
         assert seq_le(fs("constant", 3), fs("affine", 3, slope=1))
@@ -109,6 +125,11 @@ class TestLocPoset:
             assert loc_leq(p, p) and loc_leq(q, q)
             assert loc_leq(p, q) and loc_leq(r, p)
             assert loc_leq(r, q)  # transitivity along the chain
+
+    def test_extension_order_check_raises(self, monkeypatch):
+        monkeypatch.setattr(suslin, "loc_leq", lambda p, q: False)
+        with pytest.raises(ContractViolation):
+            _extend_loc(random.Random(1), loc_condition([set()], constant_seq(frozenset())))
 
     def test_leq_matches_horizon_scan(self):
         rng = random.Random(5)
@@ -169,6 +190,12 @@ class TestDomPoset:
             assert dom_leq(p, p) and dom_leq(p, q)
             assert dom_leq(r, p) and dom_leq(r, q)
 
+    def test_extension_order_check_raises(self, monkeypatch):
+        # the check survives python -O: a broken order raises, not asserts
+        monkeypatch.setattr(suslin, "dom_leq", lambda p, q: False)
+        with pytest.raises(ContractViolation):
+            _extend_dom(random.Random(1), dom_condition([1], constant_seq(0)))
+
 
 class TestTrials:
     def test_hechler_one_compatible(self):
@@ -221,6 +248,11 @@ class TestLocalizes:
     def test_singleton_tails(self):
         slalom = build_localizing_slalom([constant_seq(3)], 2)
         assert slalom.phi.rule.value == frozenset({3})
+
+    def test_localization_check_raises(self, monkeypatch):
+        monkeypatch.setattr(suslin, "localizes", lambda phi, f: None)
+        with pytest.raises(ContractViolation):
+            build_localizing_slalom([constant_seq(3)], 2)
 
 
 class TestFfpSuite:

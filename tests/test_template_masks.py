@@ -1,0 +1,574 @@
+"""Differential tests: the mask-family templates against the frozenset route
+they replaced.
+
+The reference below is the earlier frozenset implementation, copied verbatim:
+its ``TemplateOrder`` stores the family as frozensets of element ids, and
+``_Masks``, ``check_axioms``, ``_trace_depths``, ``depth`` and
+``restrict_template`` rebuild masks from those sets on every call.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping
+
+import pytest
+
+from cofinitary import cli
+from cofinitary import templates as new
+from cofinitary.templates import AxiomViolation, SurrogateParams, build_surrogate_template
+
+# ---------------------------------------------------------------------------
+# reference: the frozenset route, verbatim
+
+
+@dataclass(frozen=True)
+class TemplateOrder:
+    """elements are opaque ids; order_key realizes the strict total order;
+    ideals is the family; part0/part1 the two-sided split."""
+
+    elements: frozenset[int]
+    order_key: Mapping[int, tuple]
+    ideals: frozenset[frozenset[int]]
+    part0: frozenset[int]
+    part1: frozenset[int]
+    labels: Mapping[int, str] = field(default_factory=dict)
+    generators: tuple[frozenset[int], ...] = ()  # union-generating atoms, if known
+
+    def __post_init__(self) -> None:
+        if self.part0 | self.part1 != self.elements or self.part0 & self.part1:
+            raise ValueError("part0/part1 must partition the elements")
+        keys = {self.order_key[x] for x in self.elements}
+        if len(keys) != len(self.elements):
+            raise ValueError("order keys must be distinct (strict total order)")
+
+    def less(self, x: int, y: int) -> bool:
+        return self.order_key[x] < self.order_key[y]
+
+    def below(self, x: int) -> frozenset[int]:
+        kx = self.order_key[x]
+        return frozenset(y for y in self.elements if self.order_key[y] < kx)
+
+    def sorted_elements(self) -> list[int]:
+        return sorted(self.elements, key=lambda x: self.order_key[x])
+
+    def label(self, x: int) -> str:
+        return self.labels.get(x, str(x))
+
+    def to_json(self, max_family: int = 2000) -> dict:
+        els = self.sorted_elements()
+        family = sorted(
+            [sorted(self.label(x) for x in a) for a in self.ideals],
+            key=lambda xs: (len(xs), xs),
+        )
+        out = {
+            "elements": [self.label(x) for x in els],
+            "less": "by-rank",
+            "L0": sorted(self.label(x) for x in self.part0),
+            "L1": sorted(self.label(x) for x in self.part1),
+        }
+        if len(family) <= max_family:
+            out["I"] = family
+        else:
+            out["I"] = {"count": len(family), "omitted": True}
+        return out
+
+
+
+class _Masks:
+    """Bitmask view of a template: element i of the sorted order is bit i."""
+
+    def __init__(self, t: TemplateOrder) -> None:
+        els = t.sorted_elements()
+        self.index = {x: i for i, x in enumerate(els)}
+        self.elements = els
+        self.full = (1 << len(els)) - 1
+        self.part0 = self._mask(t.part0)
+        self.part1 = self._mask(t.part1)
+        self.below = [(1 << i) - 1 for i in range(len(els))]  # below sorted elt i
+        self.below0 = [b & self.part0 for b in self.below]
+        self.ideal_masks = sorted(self._mask(a) for a in t.ideals)
+        self.ideal_set = set(self.ideal_masks)
+
+    def _mask(self, subset: Iterable[int]) -> int:
+        m = 0
+        for x in subset:
+            m |= 1 << self.index[x]
+        return m
+
+    def unmask(self, m: int) -> frozenset[int]:
+        return frozenset(x for x, i in self.index.items() if m >> i & 1)
+
+    def closure_mask(self, m: int) -> int:
+        while True:
+            grown = m
+            probe = m
+            while probe:
+                low = probe & -probe
+                grown |= self.below0[low.bit_length() - 1]
+                probe ^= low
+            if grown == m:
+                return m
+            m = grown
+
+
+def check_axioms(
+    t: TemplateOrder, pair_budget: int = 4_000_000
+) -> list[AxiomViolation]:
+    """Exhaustive check of the five template clauses; first witnesses per
+    violated clause.
+
+    Clause 1 is checked pairwise when the family is small enough; for larger
+    families generated by union atoms, union closure is certified by
+    regenerating all atom unions and intersection closure by checking all
+    atom pairs (distributivity covers the rest).  Families too large for
+    either route are rejected loudly rather than checked approximately.
+    """
+    out: list[AxiomViolation] = []
+    mk = _Masks(t)
+    ideals = mk.ideal_masks
+    family = mk.ideal_set
+    if 0 not in family:
+        out.append(AxiomViolation(1, "empty set missing from the family"))
+    if mk.full not in family:
+        out.append(AxiomViolation(1, "full set missing from the family"))
+    if len(ideals) * len(ideals) <= pair_budget:
+        for i, a in enumerate(ideals):
+            stop = False
+            for b in ideals[i + 1 :]:
+                if a | b not in family:
+                    out.append(
+                        AxiomViolation(
+                            1,
+                            f"union of {sorted(mk.unmask(a))} and "
+                            f"{sorted(mk.unmask(b))} missing",
+                        )
+                    )
+                    stop = True
+                    break
+                if a & b not in family:
+                    out.append(
+                        AxiomViolation(
+                            1,
+                            f"intersection of {sorted(mk.unmask(a))} and "
+                            f"{sorted(mk.unmask(b))} missing",
+                        )
+                    )
+                    stop = True
+                    break
+            if stop:
+                break
+    elif t.generators:
+        atom_masks = [mk._mask(a) for a in t.generators]
+        regenerated = {0}
+        for atom in atom_masks:
+            regenerated |= {m | atom for m in regenerated}
+        if not (family <= regenerated):
+            out.append(AxiomViolation(1, "family exceeds the unions of its atoms"))
+        if not (regenerated <= family):
+            out.append(AxiomViolation(1, "family misses some union of its atoms"))
+        # distributivity: (U atoms) n (U atoms) = U pairwise atom intersections
+        for a, b in itertools.combinations_with_replacement(atom_masks, 2):
+            if a & b not in family:
+                out.append(
+                    AxiomViolation(
+                        1,
+                        f"atom intersection {sorted(mk.unmask(a & b))} missing",
+                    )
+                )
+                break
+    else:
+        raise ValueError(
+            f"family of {len(ideals)} sets is beyond the pairwise budget and carries "
+            "no generating atoms; refusing to check clause 1 approximately"
+        )
+    # clause 2: every x < y with y in part1 lies in a member inside the cut of y
+    sorted_els = mk.elements
+    for yi, y in enumerate(sorted_els):
+        if not (mk.part1 >> yi & 1):
+            continue
+        cut = mk.below[yi]
+        covered = 0
+        for a in ideals:
+            if a | cut == cut:
+                covered |= a
+        missing = cut & ~covered
+        if missing:
+            x = mk.unmask(missing & -missing)
+            out.append(
+                AxiomViolation(
+                    2,
+                    f"no family member inside the cut of {t.label(y)} contains "
+                    f"{t.label(next(iter(x)))}",
+                )
+            )
+            break
+    # clause 3: cuts of members at part1 non-members stay in the family
+    done3 = False
+    for a in ideals:
+        if done3:
+            break
+        probe = mk.part1 & ~a
+        while probe:
+            low = probe & -probe
+            xi = low.bit_length() - 1
+            if a & mk.below[xi] not in family:
+                out.append(
+                    AxiomViolation(
+                        3,
+                        f"{sorted(mk.unmask(a))} cut at {t.label(sorted_els[xi])} "
+                        "leaves the family",
+                    )
+                )
+                done3 = True
+                break
+            probe ^= low
+    # clause 4: finite families are well-founded; scan for trace-set bugs
+    traces = {a & mk.part1 for a in ideals}
+    for tr in traces:
+        if tr & ~mk.part1:
+            out.append(AxiomViolation(4, "trace leaks part0 elements"))
+            break
+    # clause 5: members are closed
+    for a in ideals:
+        if mk.closure_mask(a) != a:
+            out.append(AxiomViolation(5, f"{sorted(mk.unmask(a))} is not closed"))
+            break
+    return out
+
+
+def _trace_depths(mk: _Masks) -> dict[int, int]:
+    traces = sorted({a & mk.part1 for a in mk.ideal_masks}, key=lambda m: (m.bit_count(), m))
+    trace_set = set(traces)
+    union_all = 0
+    for tr in traces:
+        union_all |= tr
+    # fast path: the traces form the full powerset of their union
+    if len(traces) == 1 << union_all.bit_count():
+        return {tr: tr.bit_count() for tr in traces}
+    depths: dict[int, int] = {}
+    for tr in traces:
+        best = 0
+        for other in traces:
+            if other == tr or other.bit_count() >= tr.bit_count():
+                continue
+            if other & ~tr:
+                continue
+            best = max(best, depths[other] + 1)
+        depths[tr] = best
+    return depths
+
+
+def depth(t: TemplateOrder, subset: Iterable[int]) -> int:
+    """Well-founded rank of a family member by strict inclusion of part1
+    traces; members inside part0 have depth 0."""
+    subset = frozenset(subset)
+    if subset not in t.ideals:
+        raise ValueError("depth is defined only on family members")
+    mk = _Masks(t)
+    return _trace_depths(mk)[mk._mask(subset) & mk.part1]
+
+
+def rank(t: TemplateOrder) -> int:
+    return depth(t, t.elements)
+
+
+def restrict_template(t: TemplateOrder, subset: Iterable[int]) -> TemplateOrder:
+    """The induced template on a subset: induced order, trace family, induced
+    split.  When the subset is itself a family member, its rank equals its
+    depth in the original (asserted)."""
+    keep = frozenset(subset)
+    if not keep <= t.elements:
+        raise ValueError("restriction set must consist of elements")
+    ideals = frozenset(frozenset(a & keep) for a in t.ideals)
+    out = TemplateOrder(
+        keep,
+        {x: t.order_key[x] for x in keep},
+        ideals,
+        t.part0 & keep,
+        t.part1 & keep,
+        {x: t.label(x) for x in keep},
+        tuple(frozenset(a & keep) for a in t.generators),
+    )
+    if keep in t.ideals:
+        assert rank(out) == depth(t, keep)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# instances
+
+
+def to_ref(t: new.TemplateOrder) -> TemplateOrder:
+    return TemplateOrder(
+        t.elements, t.order_key, t.ideals, t.part0, t.part1, t.labels, t.generators
+    )
+
+
+SURROGATES = {
+    "2,3": SurrogateParams((2, 3), 2),
+    "2,3 bounded-last": SurrogateParams((2, 3), 2, last_negative_full=False),
+    "1,2/1": SurrogateParams((1, 2), 1),
+    "2,3/3": SurrogateParams((2, 3), 3),
+}
+
+
+@pytest.fixture(scope="module")
+def surrogates():
+    out = {}
+    for name, params in SURROGATES.items():
+        t = build_surrogate_template(params).order
+        out[name] = (t, to_ref(t))
+    return out
+
+
+def _random_parts(rng: random.Random, n: int):
+    """n shuffled ids with a random order and split."""
+    els = rng.sample(range(10 * n), n)
+    order = rng.sample(els, n)
+    pairs = [(x, y) for i, x in enumerate(order) for y in order[i + 1 :]]
+    part0 = [x for x in els if rng.random() < 0.5]
+    part1 = [x for x in els if x not in part0]
+    return els, pairs, part0, part1
+
+
+def _closed_union_family(rng, els, pairs, part0, part1):
+    """A family that satisfies every clause: the prefixes of the order and
+    the closures of up to three single elements, closed under unions and
+    intersections (prefixes and closures are closed, and so are their unions
+    and intersections)."""
+    t = new.template_from_parts(els, pairs, [], part0, part1)
+    sorted_els = t.sorted_elements()
+    fam = {frozenset()}
+    for i in range(len(sorted_els) + 1):
+        fam.add(frozenset(sorted_els[:i]))
+    for _ in range(rng.randrange(4)):
+        x = rng.choice(sorted_els)
+        fam.add(new.closure(t, {x}))
+    while True:
+        grown = set(fam)
+        for a, b in itertools.combinations(fam, 2):
+            grown.add(a | b)
+            grown.add(a & b)
+        if grown == fam:
+            return fam
+        fam = grown
+
+
+def random_families(count: int, seed: int):
+    """Templates over up to 6 elements: random families, families meeting
+    every clause, and such families with one member added or removed."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        n = rng.randrange(1, 7)
+        els, pairs, part0, part1 = _random_parts(rng, n)
+        kind = k % 3
+        if kind == 0:
+            fam = {frozenset(x for x in els if rng.random() < 0.5) for _ in range(rng.randrange(8))}
+            if rng.random() < 0.5:
+                fam |= {frozenset(), frozenset(els)}
+        else:
+            fam = _closed_union_family(rng, els, pairs, part0, part1)
+            if kind == 2:
+                extra = frozenset(x for x in els if rng.random() < 0.5)
+                if extra in fam and len(fam) > 2:
+                    fam.discard(extra)
+                else:
+                    fam.add(extra)
+        fam_lists = [sorted(a) for a in fam]
+        rng.shuffle(fam_lists)
+        out.append(new.template_from_parts(els, pairs, fam_lists, part0, part1))
+    return out
+
+
+RANDOM = random_families(600, seed=5)
+
+
+# ---------------------------------------------------------------------------
+# check_axioms
+
+
+@pytest.mark.parametrize("name", list(SURROGATES))
+def test_violations_equal_on_surrogates(surrogates, name):
+    t, ref = surrogates[name]
+    assert new.check_axioms(t) == check_axioms(ref) == []
+
+
+@pytest.mark.parametrize("name", ["1,2/1", "2,3 bounded-last"])
+def test_violations_equal_on_broken_surrogates(surrogates, name):
+    # drop members from a surrogate family: the atom route (pair_budget=1)
+    # and, on the small instance, the pairwise route must name the same faults
+    t, _ = surrogates[name]
+    rng = random.Random(11)
+    members = sorted(t.family)
+    for _ in range(2 if len(members) > 1000 else 6):
+        gone = set(rng.sample(members, 3))
+        broken = new.TemplateOrder(
+            t.elements, t.order_key, t.family - gone, t.part0, t.part1, t.labels, t.generators
+        )
+        ref = to_ref(broken)
+        got = new.check_axioms(broken, pair_budget=1)
+        assert got == check_axioms(ref, pair_budget=1)
+        assert any(v.clause == 1 for v in got)
+        if len(t.family) < 100:
+            assert new.check_axioms(broken) == check_axioms(ref)
+
+
+def test_violations_equal_on_random_families():
+    broken = set()
+    valid = 0
+    for t in RANDOM:
+        got = new.check_axioms(t)
+        assert got == check_axioms(to_ref(t))
+        broken |= {v.clause for v in got}
+        valid += not got
+    # the draws break every clause that a finite family can break, and pass
+    assert broken == {1, 2, 3, 5}
+    assert valid >= 150
+
+
+def test_each_clause_alone_is_caught():
+    # hand-built families that break exactly one clause each
+    chain = [0, 1, 2]
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    cases = {
+        1: ([[], [0], [1], [0, 1, 2]], [0, 1], [2]),
+        2: ([[], [0, 1]], [0], [1]),
+        3: ([[], [0, 2], [0, 1], [0, 1, 2]], [], chain),
+        5: ([[], [0], [1], [0, 1]], [0], [1]),
+    }
+    for clause, (fam, part0, part1) in cases.items():
+        els = sorted(set(part0) | set(part1))
+        t = new.template_from_parts(els, [p for p in pairs if set(p) <= set(els)], fam, part0, part1)
+        got = new.check_axioms(t)
+        assert got == check_axioms(to_ref(t))
+        assert clause in {v.clause for v in got}
+
+
+# ---------------------------------------------------------------------------
+# depth and rank
+
+
+@pytest.mark.parametrize("name", list(SURROGATES))
+def test_depths_equal_on_surrogates(surrogates, name):
+    t, ref = surrogates[name]
+    mk = _Masks(ref)
+    ref_depths = _trace_depths(mk)
+    for a in ref.ideals:
+        assert new.depth(t, a) == ref_depths[mk._mask(a) & mk.part1]
+    for a in sorted(ref.ideals, key=sorted)[:: max(1, len(ref.ideals) // 2)]:
+        assert new.depth(t, a) == depth(ref, a)  # the reference's own entry point
+    assert new.rank(t) == rank(ref)
+
+
+def test_depths_equal_on_random_families():
+    compared = 0
+    for t in RANDOM:
+        ref = to_ref(t)
+        for a in ref.ideals:
+            assert new.depth(t, a) == depth(ref, a)
+            compared += 1
+        if t.elements in ref.ideals:
+            assert new.rank(t) == rank(ref)
+    assert compared > 1000
+
+
+def test_depth_rejects_non_members_like_the_reference():
+    for t in RANDOM[:200]:
+        ref = to_ref(t)
+        for r in range(len(t.elements) + 1):
+            for s in itertools.combinations(sorted(t.elements), r):
+                if frozenset(s) not in ref.ideals:
+                    with pytest.raises(ValueError):
+                        new.depth(t, s)
+                    with pytest.raises(ValueError):
+                        depth(ref, s)
+
+
+# ---------------------------------------------------------------------------
+# restriction
+
+
+def _restrictions_equal(t: new.TemplateOrder, keep) -> None:
+    ref = to_ref(t)
+    try:
+        got = new.restrict_template(t, keep)
+    except ValueError:
+        got = None
+    try:
+        want = restrict_template(ref, keep)
+    except AssertionError:  # the reference's rank check, absent under python -O
+        want = None
+    if got is None:
+        # the rank check fired; the reference's restriction breaks it too
+        assert want is None or rank(want) != depth(ref, keep)
+        return
+    assert want is not None
+    assert got.ideals == want.ideals
+    assert got.elements == want.elements
+    assert (got.part0, got.part1) == (want.part0, want.part1)
+    assert new.check_axioms(got) == check_axioms(want)
+
+
+@pytest.mark.parametrize("name", ["2,3", "1,2/1"])
+def test_restrictions_equal_on_surrogates(surrogates, name):
+    t, ref = surrogates[name]
+    rng = random.Random(3)
+    members = sorted(ref.ideals, key=lambda a: (len(a), sorted(a)))
+    samples = 2 if len(members) > 1000 else 20
+    for a in rng.sample(members, samples):
+        _restrictions_equal(t, a)
+    els = sorted(t.elements)
+    for _ in range(samples):
+        _restrictions_equal(t, rng.sample(els, rng.randrange(len(els) + 1)))
+
+
+def test_restrictions_equal_on_random_families():
+    rng = random.Random(8)
+    for t in RANDOM:
+        els = sorted(t.elements)
+        for a in to_ref(t).ideals:
+            _restrictions_equal(t, a)
+        _restrictions_equal(t, rng.sample(els, rng.randrange(len(els) + 1)))
+
+
+# ---------------------------------------------------------------------------
+# the one-step closure
+
+
+def test_one_step_closure_equals_the_iterated_closure(surrogates):
+    t, ref = surrogates["2,3"]
+    mk, ref_mk = new._masks(t), _Masks(ref)
+    for m in t.family:
+        assert mk.close(m) == ref_mk.closure_mask(m)
+    rng = random.Random(4)
+    for _ in range(10_000):
+        m = rng.getrandbits(len(t.elements))
+        assert mk.close(m) == ref_mk.closure_mask(m)
+    for t in RANDOM:
+        mk, ref_mk = new._masks(t), _Masks(to_ref(t))
+        for m in range(mk.full + 1):
+            assert mk.close(m) == ref_mk.closure_mask(m)
+            assert new.closure(t, mk.unmask(m)) == mk.unmask(mk.close(m))
+
+
+# ---------------------------------------------------------------------------
+# the CLI path stores no frozenset members
+
+
+def test_cli_template_never_decodes_the_family(monkeypatch, tmp_path):
+    def refuse(self):
+        raise AssertionError("the family was decoded to frozensets")
+
+    monkeypatch.setattr(new.TemplateOrder, "ideals", property(refuse))
+    for extra in ([], ["--bounded-last"]):
+        code = cli.main(
+            ["template", "--lambdas", "2,3", "--omega1", "2", "--seed", "3",
+             "--out", str(tmp_path / "t.json"), *extra]
+        )
+        assert code == 0
+    with pytest.raises(AssertionError):
+        build_surrogate_template(SurrogateParams((2,), 1)).order.ideals

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from cofinitary import templates
 from cofinitary.templates import (
     SignedValue,
     SurrogateParams,
@@ -67,6 +68,10 @@ class TestCheckAxioms:
         with pytest.raises(ValueError):
             check_axioms(t, pair_budget=1)
 
+    def test_member_naming_a_non_element_rejected(self):
+        with pytest.raises(ValueError, match="not an element"):
+            template_from_parts([0, 1], [(0, 1)], [[], [0], [0, 5]], [0], [1])
+
 
 class TestClosure:
     def test_empty(self):
@@ -110,6 +115,10 @@ class TestDepthRank:
     def test_non_member_rejected(self):
         with pytest.raises(ValueError):
             depth(two_point_template(), frozenset({1}))
+
+    def test_non_element_rejected(self):
+        with pytest.raises(ValueError, match="not an element"):
+            depth(two_point_template(), frozenset({0, 7}))
 
     def test_chain_family(self):
         els = [0, 1, 2, 3]
@@ -162,6 +171,13 @@ class TestRestrictTemplate:
         members = sorted(t.ideals, key=lambda a: (len(a), sorted(a)))
         for a in members[:: max(1, len(members) // 40)]:
             restrict_template(t, a)  # the rank equality is asserted inside
+
+    def test_rank_check_raises(self, monkeypatch):
+        # the check survives python -O: a mismatch raises, not asserts
+        t = two_point_template()
+        monkeypatch.setattr(templates, "rank", lambda t: -1)
+        with pytest.raises(ValueError, match="differs from the member's depth"):
+            restrict_template(t, {0})
 
     def test_arbitrary_restriction_axioms_finding(self):
         t = two_point_template()
