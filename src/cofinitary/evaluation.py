@@ -16,9 +16,22 @@ from .words import Letter, Word, invert
 DEFAULT_HORIZON = 10_000
 
 
+def _with_key(cache: dict[int, int], k: int, v: int) -> dict[int, int]:
+    """A copy of a fwd/rev cache with the pair k -> v added by the tie rule."""
+    out = dict(cache)
+    if out.get(k, v) <= v:
+        out[k] = v
+    return out
+
+
 @dataclass(frozen=True)
 class PartialMap:
-    """A finite partial map on naturals, stored as a pair set."""
+    """A finite partial map on naturals, stored as a pair set.
+
+    fwd and rev are lookup caches built on first use.  Where the pair set
+    is not functional (not injective), fwd (rev) keeps the largest value
+    for a repeated key: it is dict(sorted(pairs)) up to key order.
+    """
 
     pairs: frozenset[tuple[int, int]] = frozenset()
 
@@ -53,7 +66,26 @@ class PartialMap:
         return frozenset(self.rev)
 
     def with_pair(self, n: int, m: int) -> "PartialMap":
-        return PartialMap(self.pairs | {(n, m)})
+        """The map with (n, m) added.  Each cache self has already built is
+        copied with one key set, so no cache is rebuilt from the pairs."""
+        out = PartialMap(self.pairs | {(n, m)})
+        cache = self.__dict__
+        if "_fwd" in cache:
+            object.__setattr__(out, "_fwd", _with_key(cache["_fwd"], n, m))
+        if "_rev" in cache:
+            object.__setattr__(out, "_rev", _with_key(cache["_rev"], m, n))
+        return out
+
+    def inverse(self) -> "PartialMap":
+        """The map with every pair flipped.  An injective, functional map
+        hands its caches over swapped: its rev is the inverse's fwd."""
+        fwd, rev = self.fwd, self.rev
+        if not len(fwd) == len(rev) == len(self.pairs):
+            return PartialMap(frozenset((m, n) for n, m in self.pairs))
+        out = PartialMap(frozenset(rev.items()))
+        object.__setattr__(out, "_fwd", rev)
+        object.__setattr__(out, "_rev", fwd)
+        return out
 
     def __len__(self) -> int:
         return len(self.pairs)

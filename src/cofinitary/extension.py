@@ -17,6 +17,7 @@ extensions built on the sub-alphabet merge back losslessly
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, filterfalse
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .evaluation import (
@@ -73,7 +74,8 @@ class ExtensionCertificate:
     """Finite forbidden set; every natural outside it is admitted.
 
     bound is the least value above the whole forbidden set, witnessing that
-    the admitted set is cofinite.
+    the admitted set is cofinite.  least_admitted finds the least admitted
+    value at or above a floor without probing values one at a time.
     """
 
     forbidden: frozenset[int]
@@ -81,6 +83,13 @@ class ExtensionCertificate:
 
     def admits(self, m: int) -> bool:
         return m >= 0 and m not in self.forbidden
+
+    def least_admitted(self, floor: int = 0) -> int:
+        """The least admitted value >= floor, by one scan in C that stops at
+        the first value outside F.  Of the |F| + 1 naturals from
+        max(floor, 0) on, at most |F| are forbidden, so the scan ends within
+        them."""
+        return next(filterfalse(self.forbidden.__contains__, count(max(floor, 0))))
 
     @staticmethod
     def of(values: Iterable[int]) -> "ExtensionCertificate":
@@ -101,7 +110,8 @@ def _good_form(w: Word, gen: int) -> Optional[GoodDecomposition]:
         return None
     rotated = Word(d.v.letters + power(gen, d.k).letters + d.u.letters)
     d2 = good_decompose(rotated, gen)
-    assert isinstance(d2, GoodDecomposition), f"rotation of {format_word(w)} not good"
+    if not isinstance(d2, GoodDecomposition):
+        raise ContractViolation(f"rotation of {format_word(w)} not good")
     return d2
 
 
@@ -295,25 +305,24 @@ class Extension:
     ground: GroundRep
 
     def choose(self, floor: int = 0, ceiling: Optional[int] = None) -> int:
-        """Least admitted value >= floor; the resulting extension is re-checked
-        against the extension order before being trusted."""
-        m = max(floor, 0)
-        while True:
-            if ceiling is not None and m > ceiling:
-                raise CertificateError(
-                    f"chooser exceeded ceiling {ceiling} for g{self.gen} at {self.point}"
-                )
-            if self.certificate.admits(m):
-                out = self._apply(m)
-                if leq(out, self.condition, self.ground):
-                    # commit hands this condition back without a second leq
-                    object.__setattr__(self, "_checked", (m, out))
-                    return m
-                raise ContractViolation(
-                    f"certificate admitted {m} for g{self.gen} at {self.point} "
-                    "but the extension fails the order check"
-                )
-            m += 1
+        """Least admitted value >= floor, found in one step by
+        ExtensionCertificate.least_admitted; CertificateError when it lies
+        above ceiling.  The resulting extension is re-checked against the
+        extension order before being trusted."""
+        m = self.certificate.least_admitted(floor)
+        if ceiling is not None and m > ceiling:
+            raise CertificateError(
+                f"chooser exceeded ceiling {ceiling} for g{self.gen} at {self.point}"
+            )
+        out = self._apply(m)
+        if not leq(out, self.condition, self.ground):
+            raise ContractViolation(
+                f"certificate admitted {m} for g{self.gen} at {self.point} "
+                "but the extension fails the order check"
+            )
+        # commit hands this condition back without a second leq
+        object.__setattr__(self, "_checked", (m, out))
+        return m
 
     def commit(self, value: int) -> Condition:
         """The condition extended by value, validated and order-checked.
@@ -364,7 +373,7 @@ def _mirror(p: Condition, gen: int, ground: GroundRep) -> Condition:
     table = dict(p.s.table)
     pm = p.s.get(gen)
     if pm.pairs:
-        table[gen] = PartialMap(frozenset((m, n) for n, m in pm.pairs))
+        table[gen] = pm.inverse()
     finite, mixed = _holding(p, gen, ground)
     words = frozenset(finite).union(substitute(w, gen, Letter(gen, -1)) for w in mixed)
     # pair-shape words lose their shape under the flip; the word machinery
@@ -436,7 +445,8 @@ def cover_extend(
             guard = 0
             while eval_word(target_word, cur.s, ground, c) is None:
                 guard += 1
-                assert guard <= len(target_word.letters) + 1, "cover walk stuck"
+                if guard > len(target_word.letters) + 1:
+                    raise ContractViolation("cover walk stuck")
                 v: Optional[int] = c
                 letters = target_word.letters
                 for idx in range(len(letters) - 1, -1, -1):
@@ -452,7 +462,8 @@ def cover_extend(
                     v = nxt
     added = cur.s.triples() - p.s.triples()
     extra_gens = {g for g, _, _ in added} - occurrences(w)
-    assert not extra_gens, f"cover touched foreign generators {sorted(extra_gens)}"
+    if extra_gens:
+        raise ContractViolation(f"cover touched foreign generators {sorted(extra_gens)}")
     table: dict[int, set[tuple[int, int]]] = {}
     for g, a, b in added:
         table.setdefault(g, set()).add((a, b))

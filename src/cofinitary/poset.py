@@ -212,6 +212,17 @@ def _agreement(s: Assignment, a: int, b: int) -> frozenset[int]:
     return frozenset(n for n, v in fa.items() if fb.get(n) == v)
 
 
+def _meets(new: Iterable[tuple[int, int]], pairs: frozenset[tuple[int, int]]) -> bool:
+    """Whether some new pair (n, 1) is also one of pairs."""
+    return any(m == 1 and (n, 1) in pairs for n, m in new)
+
+
+def _agrees(fa: Mapping[int, int], fb: Mapping[int, int], n: int) -> bool:
+    """Whether n is in the agreement set of the maps with lookups fa, fb."""
+    v = fa.get(n)
+    return v is not None and fb.get(n) == v
+
+
 def frozen_value(
     mode: PosetMode,
     s: Assignment,
@@ -318,20 +329,28 @@ def leq(p: Condition, q: Condition, ground: GroundRep = EMPTY_GROUND) -> bool:
     if added is None or not (p.words is q.words or p.words >= q.words):
         return False
     kernel = DISCIPLINES[p.mode].kernel
+    # The pair kernels look only at the points where p adds a pair on a or
+    # b: elsewhere both maps hold the same pairs in p as in q, so a point
+    # agrees (is a common 1-point) in p exactly when it does in q.  A pair
+    # (n, 1) that p adds is not q's, so a common 1-point of p that uses it
+    # is new.
     if kernel == "ones":
         letters = sorted(w.letters[0].gen for w in q.words)
         for i, a in enumerate(letters):
             for b in letters[i + 1 :]:
-                ones_p = _ones(p.s.get(a).pairs) & _ones(p.s.get(b).pairs)
-                ones_q = _ones(q.s.get(a).pairs) & _ones(q.s.get(b).pairs)
-                if not (ones_p <= ones_q):
+                pa, pb = p.s.get(a).pairs, p.s.get(b).pairs
+                if _meets(added.get(a, ()), pb) or _meets(added.get(b, ()), pa):
                     return False
         return True
     if kernel == "agreement":
         for w in q.words:
             a, b = w.letters[0].gen, w.letters[1].gen
-            if not (_agreement(p.s, a, b) <= _agreement(q.s, a, b)):
-                return False
+            new = {n for g in (a, b) for n, _ in added.get(g, ())}
+            pa, pb = p.s.get(a).fwd, p.s.get(b).fwd
+            qa, qb = q.s.get(a).fwd, q.s.get(b).fwd
+            for n in new:
+                if _agrees(pa, pb, n) and not _agrees(qa, qb, n):
+                    return False
         return True
     if not added:
         return True

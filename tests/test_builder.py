@@ -101,10 +101,13 @@ class TestBuild:
         # a single generator the identity is laid on 0..3 before g0 is
         # frozen, so at domain:g0@4 the least admitted value becomes 4: a
         # new fixed point of the frozen word g0.
-        admits = ExtensionCertificate.admits
-        monkeypatch.setattr(
-            ExtensionCertificate, "admits", lambda self, m: admits(self, m) or m == 4
-        )
+        least = ExtensionCertificate.least_admitted
+
+        def least_or_4(self, floor=0):
+            m = least(self, floor)
+            return 4 if max(floor, 0) <= 4 < m else m
+
+        monkeypatch.setattr(ExtensionCertificate, "least_admitted", least_or_4)
         with pytest.raises(BuildError) as err:
             build(PosetMode.COFINITARY, [0], point_budget=8, word_budget=1, seed=0)
         assert isinstance(err.value.__cause__, ContractViolation)

@@ -30,7 +30,7 @@ from cofinitary.extension import (
 )
 from cofinitary.poset import Condition, PosetMode, leq, strong_restrict, validate
 from cofinitary.sampling import sample_condition, sample_extension
-from cofinitary.words import parse_word, single
+from cofinitary.words import NotGood, Word, parse_word, single
 
 
 def pmap(*pairs):
@@ -184,6 +184,32 @@ class TestCoverExtend:
         t = cover_extend(p, parse_word("g0 g1"), {3, 4}, {6}, EMPTY_GROUND)
         merged = Condition(p.s.union(t), p.words, p.mode)
         assert leq(merged, p)
+
+    def test_stuck_walk_is_a_contract_violation(self, monkeypatch):
+        # a step that adds nothing leaves the walk undefined forever
+        monkeypatch.setattr(extension.Extension, "commit", lambda self, value: self.condition)
+        with pytest.raises(ContractViolation, match="cover walk stuck"):
+            cover_extend(cond({}, []), single(0), {0}, set())
+
+    def test_foreign_generator_is_a_contract_violation(self, monkeypatch):
+        commit = extension.Extension.commit
+
+        def leaky(self, value):
+            out = commit(self, value)
+            return Condition(out.s.with_pair(9, 0, 0), out.words, out.mode)
+
+        monkeypatch.setattr(extension.Extension, "commit", leaky)
+        with pytest.raises(ContractViolation, match=r"foreign generators \[9\]"):
+            cover_extend(cond({}, []), single(0), {0}, set())
+
+
+def test_rotation_that_stays_bad_is_a_contract_violation(monkeypatch):
+    # every decomposition comes back "not good", the rotated word's too
+    monkeypatch.setattr(
+        extension, "good_decompose", lambda w, gen: NotGood(gen, Word(), w, 0)
+    )
+    with pytest.raises(ContractViolation, match="rotation of g0 g1 not good"):
+        extension._good_form(parse_word("g0 g1"), 0)
 
 
 class TestStrongReduction:

@@ -1,0 +1,310 @@
+"""Differential tests for the step-local build paths.
+
+Each fast path is checked against the code it replaced, copied verbatim
+below: the pair kernels of poset.leq (with _added_pairs, _ones and
+_agreement), which rebuilt every agreement set and 1-set on each call;
+Extension.choose, which probed one value at a time from the floor; and the
+PartialMap caches, which were rebuilt from the sorted pairs for every new
+map.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Optional
+
+import pytest
+
+from cofinitary.evaluation import EMPTY_GROUND, Assignment, GroundRep, PartialMap
+from cofinitary.extension import (
+    CertificateError,
+    ContractViolation,
+    Extension,
+    ExtensionCertificate,
+    domain_extend,
+)
+from cofinitary.poset import DISCIPLINES, Condition, PosetMode, leq, pair_word
+from cofinitary.sampling import sample_condition, sample_extension
+from cofinitary.words import single
+
+
+# -- the references: the replaced code, verbatim -------------------------------
+
+
+def _ones(pm_pairs):
+    return frozenset(n for n, m in pm_pairs if m == 1)
+
+
+def _agreement(s: Assignment, a: int, b: int) -> frozenset[int]:
+    fa, fb = s.get(a).fwd, s.get(b).fwd
+    return frozenset(n for n, v in fa.items() if fb.get(n) == v)
+
+
+def _added_pairs(p: Assignment, q: Assignment):
+    if not q.table.keys() <= p.table.keys():
+        return None
+    added = {}
+    for g, pm in p.table.items():
+        old = q.get(g)
+        if old is pm:
+            continue
+        extra = pm.pairs - old.pairs
+        if len(pm.pairs) - len(extra) != len(old.pairs):
+            return None
+        if extra:
+            added[g] = extra
+    return added
+
+
+def reference_leq(p: Condition, q: Condition, ground: GroundRep = EMPTY_GROUND) -> bool:
+    """The pair kernels ("ones", "agreement") of leq before the step-local check."""
+    if p.mode is not q.mode:
+        raise ValueError(f"mode mismatch: {p.mode} vs {q.mode}")
+    added = _added_pairs(p.s, q.s)
+    if added is None or not (p.words is q.words or p.words >= q.words):
+        return False
+    kernel = DISCIPLINES[p.mode].kernel
+    if kernel == "ones":
+        letters = sorted(w.letters[0].gen for w in q.words)
+        for i, a in enumerate(letters):
+            for b in letters[i + 1 :]:
+                ones_p = _ones(p.s.get(a).pairs) & _ones(p.s.get(b).pairs)
+                ones_q = _ones(q.s.get(a).pairs) & _ones(q.s.get(b).pairs)
+                if not (ones_p <= ones_q):
+                    return False
+        return True
+    if kernel == "agreement":
+        for w in q.words:
+            a, b = w.letters[0].gen, w.letters[1].gen
+            if not (_agreement(p.s, a, b) <= _agreement(q.s, a, b)):
+                return False
+        return True
+    raise AssertionError("the reference covers the pair kernels only")
+
+
+def reference_choose(self: Extension, floor: int = 0, ceiling: Optional[int] = None) -> int:
+    """Extension.choose before the one-step chooser."""
+    m = max(floor, 0)
+    while True:
+        if ceiling is not None and m > ceiling:
+            raise CertificateError(
+                f"chooser exceeded ceiling {ceiling} for g{self.gen} at {self.point}"
+            )
+        if self.certificate.admits(m):
+            out = self._apply(m)
+            if leq(out, self.condition, self.ground):
+                # commit hands this condition back without a second leq
+                object.__setattr__(self, "_checked", (m, out))
+                return m
+            raise ContractViolation(
+                f"certificate admitted {m} for g{self.gen} at {self.point} "
+                "but the extension fails the order check"
+            )
+        m += 1
+
+
+def reference_fwd(pm: PartialMap) -> dict[int, int]:
+    return dict(sorted(pm.pairs))
+
+
+def reference_rev(pm: PartialMap) -> dict[int, int]:
+    return {m: n for n, m in sorted(pm.pairs)}
+
+
+# -- the order kernels ---------------------------------------------------------
+
+GENS = [0, 1, 2, 3]
+PAIR_MODES = [PosetMode.EDF, PosetMode.MAD]
+
+
+def _values(mode: PosetMode) -> tuple[int, ...]:
+    return DISCIPLINES[mode].values or tuple(range(4))
+
+
+def _entries(rng: random.Random, mode: PosetMode) -> frozenset:
+    if mode is PosetMode.MAD:
+        return frozenset(single(g) for g in rng.sample(GENS, rng.randrange(len(GENS) + 1)))
+    return frozenset(pair_word(*rng.sample(GENS, 2)) for _ in range(rng.randrange(5)))
+
+
+def _raw_condition(rng: random.Random, mode: PosetMode) -> Condition:
+    """Unvalidated material: small domains and value sets, so repeated
+    points (non-functional maps), agreements and common 1-points are
+    frequent."""
+    table = {}
+    for g in GENS:
+        pairs = {(rng.randrange(6), rng.choice(_values(mode))) for _ in range(rng.randrange(6))}
+        table[g] = PartialMap(frozenset(pairs))
+    return Condition(Assignment(table), _entries(rng, mode), mode)
+
+
+def _touch_caches(rng: random.Random, c: Condition) -> None:
+    """Build the fwd/rev caches of some maps, so with_pair copies some."""
+    for pm in c.s.table.values():
+        if rng.random() < 0.5:
+            pm.fwd
+        if rng.random() < 0.5:
+            pm.rev
+
+
+def _grown(rng: random.Random, q: Condition, fresh: bool) -> Condition:
+    """q with one to four pairs added, on one map or several, and sometimes
+    more side words; fresh builds the maps without inherited caches."""
+    s = q.s
+    for _ in range(rng.randint(1, 4)):
+        s = s.with_pair(rng.choice(GENS), rng.randrange(8), rng.choice(_values(q.mode)))
+    if fresh:
+        s = Assignment({g: PartialMap(pm.pairs) for g, pm in s.table.items()})
+    words = q.words | _entries(rng, q.mode) if rng.random() < 0.3 else q.words
+    return Condition(s, words, q.mode)
+
+
+def _dropped(rng: random.Random, c: Condition) -> Condition:
+    """c without one of its pairs, or without one whole map."""
+    g = rng.choice(list(c.s.table))
+    if rng.random() < 0.5:
+        return Condition(c.s.restrict(set(c.s.table) - {g}), c.words, c.mode)
+    pm = c.s.get(g)
+    table = dict(c.s.table)
+    table[g] = PartialMap(pm.pairs - {rng.choice(sorted(pm.pairs))})
+    return Condition(Assignment(table), c.words, c.mode)
+
+
+@pytest.mark.parametrize("mode", PAIR_MODES, ids=lambda m: m.value)
+def test_pair_kernels_match_reference_on_raw_material(mode):
+    rng = random.Random(f"raw-{mode.value}")
+    verdicts = {True: 0, False: 0}
+    for _ in range(600):
+        q = _raw_condition(rng, mode)
+        _touch_caches(rng, q)
+        p = _grown(rng, q, fresh=rng.random() < 0.3)
+        pairs = [
+            (p, q),
+            (q, p),
+            (_dropped(rng, p), q),  # p lost a pair or a whole map of q's
+            (p, _grown(rng, q, fresh=False)),  # q holds pairs p lacks
+        ]
+        for a, b in pairs:
+            expected = reference_leq(a, b)
+            assert leq(a, b) == expected
+            verdicts[expected] += 1
+    # both verdicts are common, so a kernel that always answers one way fails
+    assert min(verdicts.values()) > 300
+
+
+@pytest.mark.parametrize("mode", PAIR_MODES, ids=lambda m: m.value)
+def test_pair_kernels_match_reference_on_sampled_conditions(mode):
+    rng = random.Random(f"sampled-{mode.value}")
+    verdicts = {True: 0, False: 0}
+    for _ in range(200):
+        base = sample_condition(rng, mode, GENS, max_pairs=6, max_words=4, value_range=10)
+        ext = sample_extension(rng, base)
+        other = sample_extension(rng, base)
+        for a, b in [(ext, base), (base, ext), (ext, other), (other, ext)]:
+            expected = reference_leq(a, b)
+            assert leq(a, b) == expected
+            verdicts[expected] += 1
+        # one pair that may break the frozen law, on a frozen map when there is one
+        frozen = sorted({w.letters[0].gen for w in ext.words} | {0})
+        g = rng.choice(frozen)
+        n = rng.randrange(12)
+        if n not in ext.s.get(g).fwd:
+            bad = Condition(ext.s.with_pair(g, n, rng.choice(_values(mode))), ext.words, mode)
+            expected = reference_leq(bad, ext)
+            assert leq(bad, ext) == expected
+            verdicts[expected] += 1
+    assert min(verdicts.values()) > 100
+
+
+# -- the chooser ---------------------------------------------------------------
+
+
+def _linear_least(cert: ExtensionCertificate, floor: int) -> int:
+    m = max(floor, 0)
+    while not cert.admits(m):
+        m += 1
+    return m
+
+
+def test_least_admitted_matches_a_linear_scan():
+    rng = random.Random("least")
+    for _ in range(2000):
+        top = rng.randrange(1, 60)
+        density = rng.random()
+        forbidden = {v for v in range(top) if rng.random() < density}
+        if rng.random() < 0.3:  # a long forbidden run
+            start = rng.randrange(top)
+            forbidden |= set(range(start, start + rng.randrange(40)))
+        cert = ExtensionCertificate.of(forbidden)
+        floors = [-3, -1, 0, rng.randrange(-5, top + 5), cert.bound - 1, cert.bound, cert.bound + 2]
+        for floor in floors:
+            assert cert.least_admitted(floor) == _linear_least(cert, floor)
+
+
+def _outcome(fn):
+    try:
+        return ("value", fn())
+    except (CertificateError, ContractViolation) as err:
+        return (type(err).__name__, str(err))
+
+
+@pytest.mark.parametrize("mode", [PosetMode.COFINITARY, PosetMode.ADP, PosetMode.EDF])
+def test_choose_matches_the_probing_chooser(mode):
+    rng = random.Random(f"choose-{mode.value}")
+    seen = set()
+    for _ in range(150):
+        p = sample_condition(rng, mode, [0, 1, 2], max_pairs=6, max_words=3, value_range=12)
+        g = rng.choice([0, 1, 2])
+        n = next(v for v in range(40) if v not in p.s.get(g).fwd)
+        ext = domain_extend(p, g, n)
+        floor = rng.randrange(-4, 20)
+        least = _linear_least(ext.certificate, floor)
+        # at the ceiling, one past it, and unbounded
+        for ceiling in (None, least, least - 1):
+            got = _outcome(lambda: ext.choose(floor, ceiling))
+            want = _outcome(lambda: reference_choose(ext, floor, ceiling))
+            assert got == want
+            seen.add(got[0])
+    assert seen == {"value", "CertificateError"}
+
+
+def test_choose_keeps_the_authoritative_order_check():
+    # a certificate that admits a bad value: the identity on g0 with g0 frozen
+    p = Condition(Assignment({0: PartialMap(frozenset({(0, 0)}))}), frozenset({single(0)}))
+    ext = Extension(p, 0, 1, ExtensionCertificate.of({0}), "domain", EMPTY_GROUND)
+    got = _outcome(lambda: ext.choose())
+    assert got == _outcome(lambda: reference_choose(ext))
+    assert got[0] == "ContractViolation"
+
+
+# -- the map caches ------------------------------------------------------------
+
+
+def _check_caches(pm: PartialMap) -> None:
+    assert pm.fwd == reference_fwd(pm)
+    assert pm.rev == reference_rev(pm)
+
+
+@pytest.mark.parametrize("span", [4, 40], ids=["dense", "sparse"])
+def test_with_pair_and_inverse_chains_keep_the_caches(span):
+    """Small spans repeat keys and values (non-functional, non-injective
+    maps); large spans keep most maps injective, so inverse swaps caches."""
+    rng = random.Random(f"chain-{span}")
+    swapped = 0
+    for _ in range(300):
+        pairs = {(rng.randrange(span), rng.randrange(span)) for _ in range(rng.randrange(4))}
+        pm = PartialMap(frozenset(pairs))
+        for _ in range(rng.randrange(1, 12)):
+            if rng.random() < 0.25:
+                before = pm
+                pm = pm.inverse()
+                assert pm.pairs == frozenset((m, n) for n, m in before.pairs)
+                swapped += pm.fwd is before.rev
+            else:
+                pm = pm.with_pair(rng.randrange(span), rng.randrange(span))
+            if rng.random() < 0.4:  # build some caches mid-chain, leave others lazy
+                rng.choice([lambda: pm.fwd, lambda: pm.rev])()
+            if rng.random() < 0.2:
+                _check_caches(pm)
+        _check_caches(pm)
+    assert swapped > 50
