@@ -163,11 +163,11 @@ def build(
             pm = prev.s.get(goal.gen)
             try:
                 if goal.kind == "domain":
-                    if goal.point not in pm.domain():
+                    if goal.point not in pm.fwd:
                         cond = point_step(prev, goal.gen, goal.point, ground, ceiling=value_ceiling)
                     witness = cond.s.get(goal.gen).fwd[goal.point]
                 else:
-                    if goal.point not in pm.image():
+                    if goal.point not in pm.rev:
                         ext = range_extend(prev, goal.gen, goal.point, ground)
                         cond = ext.commit(ext.choose(ceiling=value_ceiling))
                     witness = cond.s.get(goal.gen).rev[goal.point]
@@ -256,7 +256,10 @@ def verify_cofinitary(report: BuildReport, ground: GroundRep = EMPTY_GROUND) -> 
 
 def verify_variant(report: BuildReport) -> list[str]:
     """The frozen law of an ADP, EDF or MAD build: pairwise agreement sets,
-    or 1-set intersections with the letters frozen earlier, stay as frozen."""
+    or 1-set intersections with the letters frozen earlier, stay as frozen.
+
+    verify_cofinitary checks every mode; this thin entry is kept on purpose,
+    because perfbench/tracing.py wraps it by name and reports its calls."""
     return _frozen_law(report, EMPTY_GROUND)
 
 

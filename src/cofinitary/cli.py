@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from .builder import BuildError, build, verify_cofinitary
 from .evaluation import EMPTY_GROUND, zshift
 from .extension import CertificateError, ContractViolation, hit_search, hit_threshold, NOT_FOUND
-from .poset import DISCIPLINES, PosetMode, side_words
+from .poset import DISCIPLINES, PosetMode, side_index, side_words
 from .sampling import sample_condition
 from .suslin import ffp_axiom_suite, n_suslin_trial
 from .templates import (
@@ -405,9 +405,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return USAGE
     except SystemExit as err:  # argparse reports usage errors with code 2
         return USAGE if err.code else OK
-    # Each command starts from cold side-word pools, so the work it does (and
-    # what a trace of it counts) does not depend on earlier commands.
+    # Each command starts from cold side-word pools and side-set indexes, so
+    # the work it does (and what a trace of it counts) does not depend on
+    # earlier commands.
     side_words.cache_clear()
+    side_index.cache_clear()
     try:
         return args.func(args)
     except ConfigError as err:

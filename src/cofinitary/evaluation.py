@@ -520,10 +520,13 @@ def relational_eval(w: Word, s: Assignment) -> frozenset[tuple[int, int]]:
     """
     if not w:
         raise ValueError("the empty word is the identity relation on omega")
-    rel: Optional[frozenset[tuple[int, int]]] = None
-    for letter in reversed(w.letters):
-        pm = s.get(letter.gen)
-        step = pm.pairs if letter.sign == 1 else frozenset((m, n) for n, m in pm.pairs)
-        rel = step if rel is None else relation_compose(step, rel)
-    assert rel is not None
+
+    def relation(letter: Letter) -> frozenset[tuple[int, int]]:
+        pairs = s.get(letter.gen).pairs
+        return pairs if letter.sign == 1 else frozenset((m, n) for n, m in pairs)
+
+    applied = w.letters[::-1]
+    rel = relation(applied[0])
+    for letter in applied[1:]:
+        rel = relation_compose(relation(letter), rel)
     return rel

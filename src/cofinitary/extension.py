@@ -33,7 +33,16 @@ from .evaluation import (
     eval_word,
     unapply_letter,
 )
-from .poset import DISCIPLINES, Condition, PosetMode, leq, strong_restrict, validate, validated
+from .poset import (
+    DISCIPLINES,
+    Condition,
+    PosetMode,
+    leq,
+    side_index,
+    strong_restrict,
+    validate,
+    validated,
+)
 from .words import (
     GoodDecomposition,
     Letter,
@@ -152,7 +161,7 @@ def _block_forbidden(
         k, u = blocks[-1]  # leftmost remaining block
         if k > 0:
             forb |= c_set
-            forb |= pm.domain()
+            forb.update(pm.fwd)
         else:
             for i in range(-1, k - 1, -1):
                 word_i = Word(power(gen, i).letters + u.letters)
@@ -225,18 +234,22 @@ def _run_guards(
     return forb
 
 
-def _holding(p: Condition, gen: int, ground: GroundRep) -> tuple[list[Word], list[Word]]:
-    """The side words holding gen, in one pass: those over finite generators
-    only, and the mixed ones, which also hold an ambient letter."""
-    pos, neg = Letter(gen, 1), Letter(gen, -1)
+def _holding(
+    p: Condition, gen: int, ground: GroundRep
+) -> tuple[Sequence[Word], Sequence[Word]]:
+    """The side words holding gen, read from the side-set index: those over
+    finite generators only, and the mixed ones, which also hold an ambient
+    letter.  A mirror made by _mirror carries its split for gen."""
     amb = ground.generators()
+    split = p._split
+    if split is not None and split[:2] == (gen, amb):
+        return split[2], split[3]
+    words = side_index(p.words).holding.get(gen, ())
+    if not amb:
+        return words, ()
     finite, mixed = [], []
-    for w in p.words:
-        if pos in w.letters or neg in w.letters:
-            if amb and any(l.gen in amb for l in w.letters):
-                mixed.append(w)
-            else:
-                finite.append(w)
+    for w in words:
+        (mixed if any(l.gen in amb for l in w.letters) else finite).append(w)
     return finite, mixed
 
 
@@ -244,7 +257,8 @@ def _forbidden_word_modes(
     p: Condition, gen: int, n: int, ground: GroundRep
 ) -> set[int]:
     s = p.s
-    forb = set(s.get(gen).image())  # keep the map injective
+    pm = s.get(gen)
+    forb = set(pm.rev)  # keep the map injective
     finite, mixed = _holding(p, gen, ground)
     if not finite and not mixed:
         return forb
@@ -252,7 +266,7 @@ def _forbidden_word_modes(
     forb |= concrete
     if not mixed:
         return forb  # all walks from concrete values stay inside it
-    mixed.sort(key=Word.sort_key)
+    mixed = sorted(mixed, key=Word.sort_key)
     rotated: list[Word] = []
     for w in mixed:
         good = _good_form(w, gen)
@@ -265,7 +279,7 @@ def _forbidden_word_modes(
         if good is None:
             continue  # pure power: global guards suffice
         k_top = good.blocks[-1][0]
-        top_target = (s.get(gen).domain() | {n}) if k_top < 0 else set(s.get(gen).image())
+        top_target = (pm.fwd.keys() | {n}) if k_top < 0 else set(pm.rev)
         forb |= _block_forbidden(good, s, ground, set(top_target))
         forb |= _run_guards(good.recompose().letters, gen, ground, walk)
     return forb
@@ -274,10 +288,9 @@ def _forbidden_word_modes(
 def _forbidden_edf(p: Condition, gen: int, n: int) -> set[int]:
     # only a new agreement with a frozen partner at the new point is dangerous
     forb = set()
-    for w in p.words:
+    for w in side_index(p.words).holding.get(gen, ()):
         a, b = (letter.gen for letter in w.letters)
-        if gen in (a, b):
-            forb.add(p.s.get(b if a == gen else a).fwd.get(n))
+        forb.add(p.s.get(b if a == gen else a).fwd.get(n))
     return forb - {None}
 
 
@@ -351,7 +364,7 @@ def domain_extend(
 ) -> Extension:
     """Certificate and chooser for adding (gen, n, m): cofinitely many m keep
     the extension below p."""
-    if n in p.s.get(gen).domain():
+    if n in p.s.get(gen).fwd:
         raise ValueError(f"{n} already in the domain of g{gen}")
     d = DISCIPLINES[p.mode]
     if d.values is not None:
@@ -369,23 +382,28 @@ def _mirror(p: Condition, gen: int, ground: GroundRep) -> Condition:
     walks.  Evaluations of the flipped words agree with the originals.  Of
     the words over finite generators that hold gen, the certificate reads a
     single fact, that one exists; flipping a sign does not change it, so
-    they are kept as they are."""
+    they are kept as they are, and so are the words without gen.  The
+    mirror carries its split of the words holding gen, so the certificate
+    builds no side-set index for its side set."""
     table = dict(p.s.table)
     pm = p.s.get(gen)
     if pm.pairs:
         table[gen] = pm.inverse()
     finite, mixed = _holding(p, gen, ground)
-    words = frozenset(finite).union(substitute(w, gen, Letter(gen, -1)) for w in mixed)
+    flipped = tuple(substitute(w, gen, Letter(gen, -1)) for w in mixed)
+    words = (p.words - frozenset(mixed)) | frozenset(flipped) if mixed else p.words
     # pair-shape words lose their shape under the flip; the word machinery
     # only needs the hat class, so certify in cofinitary mode
-    return Condition(Assignment(table), words, PosetMode.COFINITARY)
+    out = Condition(Assignment(table), words, PosetMode.COFINITARY)
+    object.__setattr__(out, "_split", (gen, ground.generators(), finite, flipped))
+    return out
 
 
 def range_extend(
     p: Condition, gen: int, m: int, ground: GroundRep = EMPTY_GROUND
 ) -> Extension:
     """Certificate and chooser for adding (gen, n, m) with m fixed."""
-    if m in p.s.get(gen).image():
+    if m in p.s.get(gen).rev:
         raise ValueError(f"{m} already in the range of g{gen}")
     if not DISCIPLINES[p.mode].injective:
         raise ValueError(f"range extension undefined for {p.mode.value} conditions")
@@ -397,7 +415,7 @@ def range_extend(
 def mad_set_point(p: Condition, gen: int, n: int, ground: GroundRep = EMPTY_GROUND) -> Condition:
     """Decide the point n for gen: 1 when no frozen partner already holds 1
     there, else 0."""
-    if n in p.s.get(gen).domain():
+    if n in p.s.get(gen).fwd:
         raise ValueError(f"{n} already decided for g{gen}")
     frozen = {w.letters[0].gen for w in p.words}
     value = 1
@@ -602,10 +620,10 @@ def hit_extend(
         for w in p.words:
             if sigma_gen in occurrences(w):
                 raise ValueError(f"side words mention the target generator g{sigma_gen}")
-    if n in p.s.get(gen).domain():
+    if n in p.s.get(gen).fwd:
         raise ValueError(f"{n} already in the domain of g{gen}")
     m = sigma.apply(n)
-    if m in p.s.get(gen).image():
+    if m in p.s.get(gen).rev:
         raise ValueError(f"sigma({n}) = {m} already in the range of g{gen}")
     out = Condition(p.s.with_pair(gen, n, m), p.words, p.mode)
     if leq(out, p, ground):
@@ -658,9 +676,9 @@ def hit_search(
 ) -> Union[int, NotFound]:
     """First n in [start, start + window) whose hit extension is accepted."""
     for n in range(start, start + window):
-        if n in p.s.get(gen).domain():
+        if n in p.s.get(gen).fwd:
             continue
-        if sigma.apply(n) in p.s.get(gen).image():
+        if sigma.apply(n) in p.s.get(gen).rev:
             continue
         if isinstance(hit_extend(p, gen, sigma, n, ground, sigma_gen), Condition):
             return n

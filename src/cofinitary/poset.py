@@ -115,10 +115,56 @@ def side_words(
 
 
 @dataclass(frozen=True)
+class SideIndex:
+    """Where each generator occurs in a side set.
+
+    holding  generator -> the side words that hold it
+    classes  generator -> one word per rotation/inversion class
+             (words.cyclic_class) that holds it
+
+    The words of a class hold the same generators, so a class holds a
+    generator exactly when its representative does.  Words are listed in
+    Word.sort_key order and a class is represented by its least word, so
+    equal side sets have equal indexes.
+    """
+
+    holding: Mapping[int, tuple[Word, ...]]
+    classes: Mapping[int, tuple[Word, ...]]
+
+
+@functools.lru_cache(maxsize=8)
+def side_index(words: frozenset[Word]) -> SideIndex:
+    """The index of a side set, built once per distinct side set: every
+    condition that keeps the set, such as the steps made by with_pair,
+    shares it."""
+    holding: dict[int, list[Word]] = {}
+    classes: dict[int, list[Word]] = {}
+    seen = set()
+    for w in sorted(words, key=Word.sort_key):
+        key = w.class_key
+        first = key not in seen
+        seen.add(key)
+        for g in occurrences(w):
+            holding.setdefault(g, []).append(w)
+            if first:
+                classes.setdefault(g, []).append(w)
+    return SideIndex(
+        {g: tuple(ws) for g, ws in sorted(holding.items())},
+        {g: tuple(ws) for g, ws in sorted(classes.items())},
+    )
+
+
+@dataclass(frozen=True)
 class Condition:
     s: Assignment = field(default_factory=Assignment)
     words: frozenset[Word] = frozenset()
     mode: PosetMode = PosetMode.COFINITARY
+
+    # Derived facts, set with object.__setattr__ where they are proved.  The
+    # class-level defaults make reading an unset one a plain lookup.
+    _valid_for = None  # the ambient generators validated() passed it for
+    _grown_from = None  # the side set add_words grew this side set from
+    _split = None  # (gen, ambient, finite, mixed): see extension._mirror
 
     def sorted_words(self) -> list[Word]:
         return sorted(self.words, key=Word.sort_key)
@@ -171,7 +217,7 @@ def validate(c: Condition, ground: GroundRep = EMPTY_GROUND) -> list[str]:
 
 
 def _known_valid(c: Condition, ground: GroundRep) -> bool:
-    return getattr(c, "_valid_for", None) == ground.generators()
+    return c._valid_for == ground.generators()
 
 
 def validated(
@@ -320,13 +366,27 @@ def _added_pairs(p: Assignment, q: Assignment) -> Optional[dict[int, frozenset[t
     return added
 
 
+def _reaching(pool: Mapping[int, tuple[Word, ...]], changed: Iterable[int]) -> list[Word]:
+    """The words of the pool that hold a changed generator, each once: a
+    word is taken from the list of the first changed generator it holds."""
+    out: list[Word] = []
+    earlier: set[int] = set()
+    for g in changed:
+        out.extend(w for w in pool.get(g, ()) if earlier.isdisjoint(l.gen for l in w.letters))
+        earlier.add(g)
+    return out
+
+
 def leq(p: Condition, q: Condition, ground: GroundRep = EMPTY_GROUND) -> bool:
     """p extends q: larger assignment and side set, no frozen word gains a
     fixed point (MAD: no frozen pair gains a common 1-point)."""
     if p.mode is not q.mode:
         raise ValueError(f"mode mismatch: {p.mode} vs {q.mode}")
     added = _added_pairs(p.s, q.s)
-    if added is None or not (p.words is q.words or p.words >= q.words):
+    if added is None:
+        return False
+    # add_words proved the superset when it grew p's side set from q's
+    if not (p.words is q.words or p._grown_from is q.words or p.words >= q.words):
         return False
     kernel = DISCIPLINES[p.mode].kernel
     # The pair kernels look only at the points where p adds a pair on a or
@@ -354,17 +414,22 @@ def leq(p: Condition, q: Condition, ground: GroundRep = EMPTY_GROUND) -> bool:
         return True
     if not added:
         return True
-    # A word gains a fixed point exactly when every word of its class
-    # (words.cyclic_class) does, so one walk per class suffices.  That needs
-    # partial injections; q's maps are subsets of p's, so checking p's does.
+    # Only a word that holds a generator with new pairs can gain a fixed
+    # point: new_fix_candidates pins its starts at the letters of those
+    # generators and yields none for any other word.  A word gains one
+    # exactly when every word of its class (words.cyclic_class) does, so one
+    # walk per class suffices.  That needs partial injections; q's maps are
+    # subsets of p's, so checking p's does.
     by_class = all(len(pm.fwd) == len(pm.rev) == len(pm.pairs) for pm in p.s.table.values())
+    index = side_index(q.words)
+    pool = index.classes if by_class else index.holding
+    if len(added) == 1:
+        (g,) = added
+        reaching = pool.get(g, ())
+    else:
+        reaching = _reaching(pool, added)
     back, ahead_p, ahead_q = _Steps(p.s, ground, -1), _Steps(p.s, ground, 1), _Steps(q.s, ground, 1)
-    walked = set()
-    for w in q.words:
-        key = w.class_key if by_class else w
-        if key in walked:
-            continue
-        walked.add(key)
+    for w in reaching:
         applied = w.letters[::-1]
         for n in new_fix_candidates(w, added, back):
             if _returns(ahead_p, applied, n) and not _returns(ahead_q, applied, n):
@@ -408,12 +473,16 @@ def add_words(
 ) -> Condition:
     """Replace the side set by a superset; freezing more words only constrains
     the future, so the result extends p.  Only the new words are validated
-    when p is known valid (see validated)."""
+    when p is known valid (see validated).  The result remembers p's side
+    set, so leq against a condition with that side set skips the superset
+    test."""
     new = frozenset(words)
     added = new - p.words
     if len(new) - len(added) != len(p.words):
         raise ValueError("new side set must contain the old one")
-    return validated(p, Condition(p.s, new, p.mode), ground, added)
+    out = validated(p, Condition(p.s, new, p.mode), ground, added)
+    object.__setattr__(out, "_grown_from", p.words)
+    return out
 
 
 @dataclass(frozen=True)

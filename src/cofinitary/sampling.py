@@ -57,7 +57,7 @@ def sample_condition(
     for _ in range(rng.randrange(max_pairs + 1) * max(1, len(gens) // 2)):
         g = rng.choice(gens)
         n = rng.randrange(value_range)
-        if n not in cond.s.get(g).domain():
+        if n not in cond.s.get(g).fwd:
             cond = point_step(cond, g, n, ground, floor=lambda: rng.randrange(value_range))
     return cond
 
@@ -86,7 +86,7 @@ def sample_extension(
     for _ in range(steps):
         g = rng.choice(candidates)
         n = rng.randrange(24)
-        if n not in cond.s.get(g).domain():
+        if n not in cond.s.get(g).fwd:
             cond = point_step(cond, g, n, ground, floor=lambda: rng.randrange(24))
     return cond
 

@@ -150,7 +150,8 @@ def conjugate_decompose(w: Word) -> tuple[Word, Word]:
         peeled.append(letters[0])
         letters = letters[1:-1]
     # every reduced nonempty word has a nonempty cyclic reduction
-    assert letters, "reduced word peeled to nothing"
+    if not letters:
+        raise ValueError("reduced word peeled to nothing")
     u = invert(Word(tuple(peeled)))  # w = u^-1 * core * u so far
     core = Word(tuple(letters))
     if not is_hat(core):
@@ -170,7 +171,8 @@ def conjugate_decompose(w: Word) -> tuple[Word, Word]:
             rotated = Word(tuple(letters[k:] + letters[:k]))
             u = concat(invert(Word(tuple(letters[:k]))), u)
         core = rotated
-    assert is_hat(core)
+    if not is_hat(core):
+        raise ValueError(f"core {format_word(core)} of {format_word(w)} is not a hat word")
     return u, core
 
 
@@ -258,7 +260,8 @@ def good_decompose(w: Word, gen: int) -> Union[GoodDecomposition, NotGood]:
     v_letters = [l for seg in segs[i:] for l in seg[1]]
     u_letters = [l for seg in segs[:i] for l in seg[1]]
     u = Word(tuple(u_letters))
-    assert gen not in occurrences(u)
+    if gen in occurrences(u):
+        raise ValueError(f"prefix {format_word(u)} of {format_word(w)} holds g{gen}")
     return NotGood(gen, u, Word(tuple(v_letters)), k)
 
 

@@ -1,7 +1,8 @@
 """The order check walks one frozen word per rotation/inversion class.
 
 poset.leq walks one word per words.cyclic_class key when every map is a
-partial injection, and every word otherwise.  The reference below is the
+partial injection, and every word otherwise, in both cases only among the
+words that hold a generator with new pairs.  The reference below is the
 order check as it was before that reduction, copied verbatim: it walks every
 frozen word, with the new pairs taken from the whole triples() sets.
 """
@@ -26,7 +27,7 @@ from cofinitary.evaluation import (
 from cofinitary.extension import domain_extend
 from cofinitary.poset import DISCIPLINES, Condition, PosetMode, _agreement, _ones
 from cofinitary.sampling import sample_condition
-from cofinitary.words import Word, cyclic_class, hat_words, invert, parse_word
+from cofinitary.words import Word, cyclic_class, hat_words, invert, occurrences, parse_word
 
 
 # -- the reference: the order check before the class reduction, verbatim -----
@@ -260,19 +261,27 @@ def _freeze_everything() -> tuple[Condition, Condition]:
 
 
 def test_one_walk_per_class(monkeypatch):
+    """p adds one pair on g0: every class holding g0 is walked once, and no
+    class without g0 is walked."""
     p, q = _freeze_everything()
     assert len(q.words) == 2432
+    assert len({w.class_key for w in q.words}) == 390
     walked = _count_walks(monkeypatch)
-    assert poset.leq(p, q)  # so every class is walked, each once
-    assert len(walked) == 390
-    assert len({w.class_key for w in walked}) == 390
+    assert poset.leq(p, q)  # so no walk stops early
+    assert len(walked) == 271
+    assert len({w.class_key for w in walked}) == 271
+    assert {w.class_key for w in walked} == {w.class_key for w in q.words if 0 in occurrences(w)}
 
 
 def test_non_injective_maps_walk_every_word(monkeypatch):
+    """With a map that is not injective, every word holding a generator with
+    new pairs (g0 and g1 here) is walked once, class or not."""
     p, q = _freeze_everything()
     n, m = sorted(p.s.get(1).pairs)[0]
     bad = Condition(p.s.with_pair(1, n + 50, m), p.words)  # g1 no longer injective
     assert reference_leq(bad, q)
     walked = _count_walks(monkeypatch)
     assert poset.leq(bad, q)
-    assert len(walked) == len(q.words)
+    reaching = [w for w in q.words if occurrences(w) & {0, 1}]
+    assert len(walked) == len(reaching) == len(set(walked)) == 2336
+    assert set(walked) == set(reaching)

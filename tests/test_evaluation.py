@@ -66,6 +66,14 @@ class TestEval:
     def test_empty_word_is_identity(self):
         assert eval_word(Word(), Assignment(), EMPTY_GROUND, 17) == 17
 
+    def test_relational_oracle_of_one_letter(self):
+        s = assignment(g0=[(0, 1), (2, 3)])
+        assert relational_eval(single(0), s) == {(0, 1), (2, 3)}
+        assert relational_eval(power(0, -1), s) == {(1, 0), (3, 2)}
+        assert relational_eval(parse_word("g0 g1"), s) == frozenset()
+        with pytest.raises(ValueError):
+            relational_eval(Word(), s)
+
     def test_matches_relational_oracle(self):
         rng = random.Random(11)
         words = [w for w in reduced_words([0, 1], 5, min_len=1)]

@@ -4,11 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cofinitary import words
 from cofinitary.words import (
     EMPTY_WORD,
     GoodDecomposition,
     Letter,
     NotGood,
+    Word,
     concat,
     conjugate_decompose,
     format_word,
@@ -149,6 +151,18 @@ class TestConjugateDecompose:
             assert is_hat(core)
             assert concat(invert(u), core, u) == w
 
+    def test_word_peeled_to_nothing_raises(self):
+        # Word() rejects g0 g0^-1, so build the unreduced word around it
+        w = object.__new__(Word)
+        object.__setattr__(w, "letters", (Letter(0, 1), Letter(0, -1)))
+        with pytest.raises(ValueError, match="peeled to nothing"):
+            conjugate_decompose(w)
+
+    def test_core_that_is_no_hat_raises(self, monkeypatch):
+        monkeypatch.setattr(words, "is_hat", lambda w: False)
+        with pytest.raises(ValueError, match="is not a hat word"):
+            conjugate_decompose(parse_word("g0 g1"))
+
     def test_minimality_small(self):
         # no strictly shorter conjugator exists, for words up to length 5
         for w in reduced_words([0, 1], 5, min_len=1):
@@ -175,6 +189,13 @@ class TestGoodDecompose:
     def test_missing_generator_rejected(self):
         with pytest.raises(ValueError):
             good_decompose(parse_word("g1 g2"), 0)
+
+    def test_prefix_holding_the_generator_raises(self, monkeypatch):
+        # the prefix u is free of g0 by construction; make occurrences see g0
+        real = words.occurrences
+        monkeypatch.setattr(words, "occurrences", lambda w, restrict_to=None: real(w) | {0})
+        with pytest.raises(ValueError, match="holds g0"):
+            good_decompose(parse_word("g1 g0"), 0)
 
     def test_pure_power(self):
         d = good_decompose(power(0, -3), 0)
