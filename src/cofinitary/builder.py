@@ -146,7 +146,9 @@ def build(
         witness: Optional[int] = None
         # Point and hit steps come back order-checked by their step function
         # (the chooser's leq, mad_set_point, hit_extend) or leave cond as it
-        # was; only a freeze is checked here.
+        # was; only a freeze is checked here.  A freeze keeps s, and leq
+        # skips the superset test for a side set add_words grew from prev's,
+        # so this check rests on add_words' own size test of the superset.
         if goal.kind == "freeze":
             cond = add_words(prev, prev.words | {goal.word}, ground)
             fix = frozen_value(mode, cond.s, goal.word, prev.words, ground)

@@ -239,11 +239,8 @@ def _holding(
 ) -> tuple[Sequence[Word], Sequence[Word]]:
     """The side words holding gen, read from the side-set index: those over
     finite generators only, and the mixed ones, which also hold an ambient
-    letter.  A mirror made by _mirror carries its split for gen."""
+    letter."""
     amb = ground.generators()
-    split = p._split
-    if split is not None and split[:2] == (gen, amb):
-        return split[2], split[3]
     words = side_index(p.words).holding.get(gen, ())
     if not amb:
         return words, ()
@@ -382,21 +379,21 @@ def _mirror(p: Condition, gen: int, ground: GroundRep) -> Condition:
     walks.  Evaluations of the flipped words agree with the originals.  Of
     the words over finite generators that hold gen, the certificate reads a
     single fact, that one exists; flipping a sign does not change it, so
-    they are kept as they are, and so are the words without gen.  The
-    mirror carries its split of the words holding gen, so the certificate
-    builds no side-set index for its side set."""
+    they are kept as they are, and so are the words without gen.  With no
+    mixed word the mirror keeps p's side set, and with it p's cached
+    side-set index."""
     table = dict(p.s.table)
     pm = p.s.get(gen)
     if pm.pairs:
         table[gen] = pm.inverse()
-    finite, mixed = _holding(p, gen, ground)
-    flipped = tuple(substitute(w, gen, Letter(gen, -1)) for w in mixed)
-    words = (p.words - frozenset(mixed)) | frozenset(flipped) if mixed else p.words
+    _, mixed = _holding(p, gen, ground)
+    words = p.words
+    if mixed:
+        flipped = frozenset(substitute(w, gen, Letter(gen, -1)) for w in mixed)
+        words = (words - frozenset(mixed)) | flipped
     # pair-shape words lose their shape under the flip; the word machinery
     # only needs the hat class, so certify in cofinitary mode
-    out = Condition(Assignment(table), words, PosetMode.COFINITARY)
-    object.__setattr__(out, "_split", (gen, ground.generators(), finite, flipped))
-    return out
+    return Condition(Assignment(table), words, PosetMode.COFINITARY)
 
 
 def range_extend(

@@ -164,7 +164,6 @@ class Condition:
     # class-level defaults make reading an unset one a plain lookup.
     _valid_for = None  # the ambient generators validated() passed it for
     _grown_from = None  # the side set add_words grew this side set from
-    _split = None  # (gen, ambient, finite, mixed): see extension._mirror
 
     def sorted_words(self) -> list[Word]:
         return sorted(self.words, key=Word.sort_key)
@@ -372,7 +371,10 @@ def _reaching(pool: Mapping[int, tuple[Word, ...]], changed: Iterable[int]) -> l
     out: list[Word] = []
     earlier: set[int] = set()
     for g in changed:
-        out.extend(w for w in pool.get(g, ()) if earlier.isdisjoint(l.gen for l in w.letters))
+        ws = pool.get(g, ())
+        if earlier:
+            ws = [w for w in ws if earlier.isdisjoint(l.gen for l in w.letters)]
+        out.extend(ws)
         earlier.add(g)
     return out
 
@@ -423,11 +425,7 @@ def leq(p: Condition, q: Condition, ground: GroundRep = EMPTY_GROUND) -> bool:
     by_class = all(len(pm.fwd) == len(pm.rev) == len(pm.pairs) for pm in p.s.table.values())
     index = side_index(q.words)
     pool = index.classes if by_class else index.holding
-    if len(added) == 1:
-        (g,) = added
-        reaching = pool.get(g, ())
-    else:
-        reaching = _reaching(pool, added)
+    reaching = _reaching(pool, added)
     back, ahead_p, ahead_q = _Steps(p.s, ground, -1), _Steps(p.s, ground, 1), _Steps(q.s, ground, 1)
     for w in reaching:
         applied = w.letters[::-1]

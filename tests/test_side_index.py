@@ -5,7 +5,7 @@ word per rotation/inversion class that holds it.  leq walks only the classes
 (or, with a map that is not injective, the words) that hold a generator with
 new pairs, and skips the superset test against the side set add_words grew
 p's from; extension._holding reads the index instead of scanning the side
-set, and _mirror hands its split to the mirrored condition.
+set, also for the conditions _mirror makes.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def _holding_by_scan(p: Condition, gen: int, ground: GroundRep) -> tuple[list[Wo
     return finite, mixed
 
 
-def test_holding_reads_the_index_and_the_mirror_passes_its_split():
+def test_holding_reads_the_index_for_conditions_and_mirrors():
     mirrors_with_mixed = 0
     for name, ground in GROUNDS.items():
         rng = random.Random(f"holding-{name}")
@@ -138,7 +138,6 @@ def test_holding_reads_the_index_and_the_mirror_passes_its_split():
                 assert _ordered(finite) == _ordered(want_finite)
                 assert _ordered(mixed) == _ordered(want_mixed)
                 mirror = _mirror(c, gen, ground)
-                assert mirror._split is not None
                 passed = _holding(mirror, gen, ground)
                 fresh = _holding_by_scan(mirror, gen, ground)
                 assert _ordered(passed[0]) == _ordered(fresh[0])
