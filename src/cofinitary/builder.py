@@ -18,15 +18,23 @@ from typing import Iterable, Optional, Sequence
 
 from .evaluation import (
     EMPTY_GROUND,
-    Assignment,
     FixResult,
     GroundPermutation,
     GroundRep,
     fix_points,
+    fix_table,
 )
 from .extension import hit_extend, hit_search, point_step, range_extend
-from .poset import DISCIPLINES, Condition, PosetMode, add_words, frozen_value, leq, side_words
-from .words import Word, conjugate_decompose, format_word, occurrences, reduced_words
+from .poset import (
+    DISCIPLINES,
+    Condition,
+    PosetMode,
+    _grow_side_set,
+    frozen_value,
+    leq,
+    side_words,
+)
+from .words import Letter, Word, conjugate_core, format_word, reduced_letters
 
 
 class BuildError(Exception):
@@ -146,11 +154,11 @@ def build(
         witness: Optional[int] = None
         # Point and hit steps come back order-checked by their step function
         # (the chooser's leq, mad_set_point, hit_extend) or leave cond as it
-        # was; only a freeze is checked here.  A freeze keeps s, and leq
-        # skips the superset test for a side set add_words grew from prev's,
-        # so this check rests on add_words' own size test of the superset.
+        # was; only a freeze is checked here.  A freeze keeps s and grows
+        # the side set by construction, and leq skips the superset test for
+        # a side set grown from prev's, so this check cannot fail.
         if goal.kind == "freeze":
-            cond = add_words(prev, prev.words | {goal.word}, ground)
+            cond = _grow_side_set(prev, frozenset((goal.word,)), ground)
             fix = frozen_value(mode, cond.s, goal.word, prev.words, ground)
             frozen_fix[goal.word] = (stage, fix)
             if not leq(cond, prev, ground):
@@ -223,36 +231,51 @@ def _frozen_law(report: BuildReport, ground: GroundRep, fix=None) -> list[str]:
 
 def verify_cofinitary(report: BuildReport, ground: GroundRep = EMPTY_GROUND) -> list[str]:
     """The verifier of every build: the frozen law, plus for cofinitary
-    builds the conjugation-cardinality law over all short words; empty list
-    means ok.  Both laws read one fix set per word: frozen hat words and
-    cores are reduced words too, so most of them are asked for twice."""
-    memo: dict[Word, FixResult] = {}
+    builds the conjugation-cardinality law |Fix(w)| = |Fix(core)| over all
+    short words (words.conjugate_core); empty list means ok.
 
-    def fix(w: Word, s: Assignment, ground: GroundRep) -> FixResult:
-        # s and ground are the final assignment and the ground throughout
-        res = memo.get(w)
+    Both laws read the fix sets of the words over the finite generators
+    from one evaluation.fix_table of the final assignment, which equals
+    fix_points on them; a word that holds an ambient letter goes through
+    fix_points, once.  Violations come in freezing order, then in
+    reduced_words order."""
+    if DISCIPLINES[report.mode].shape != "hat":
+        return _frozen_law(report, ground)
+    s = report.final.s
+    amb = ground.generators()
+    table = fix_table((g for g in report.generators if g not in amb), report.word_budget, s)
+    memo: dict[tuple[Letter, ...], FixResult] = {}
+
+    def fix(letters: tuple[Letter, ...]) -> FixResult:
+        pts = table.get(letters)
+        if pts is not None:
+            return FixResult(pts, exact=True)
+        res = memo.get(letters)
         if res is None:
-            res = memo[w] = fix_points(w, s, ground)
+            res = memo[letters] = fix_points(Word(letters), s, ground)
         return res
 
-    violations = _frozen_law(report, ground, fix)
-    if DISCIPLINES[report.mode].shape == "hat":
-        s = report.final.s
-        alphabet = sorted(set(report.generators) | ground.generators())
-        for w in reduced_words(alphabet, report.word_budget, min_len=1):
-            if not (occurrences(w) & set(report.generators)):
-                continue
-            res = fix(w, s, ground)
+    violations = _frozen_law(report, ground, lambda w, s, ground: fix(w.letters))
+    gens = set(report.generators)
+    for letters in reduced_letters(sorted(gens | amb), report.word_budget, min_len=1):
+        if gens.isdisjoint(l.gen for l in letters):
+            continue
+        points = table.get(letters)
+        if points is None:
+            res = fix(letters)
             if not res.exact:
-                violations.append(f"{format_word(w)}: fix set not exactly computable")
+                violations.append(f"{format_word(Word(letters))}: fix set not exactly computable")
                 continue
-            _, core = conjugate_decompose(w)
-            core_res = fix(core, s, ground)
-            if len(res.points) != len(core_res.points):
-                violations.append(
-                    f"{format_word(w)}: |fix| = {len(res.points)} but its core "
-                    f"{format_word(core)} has {len(core_res.points)}"
-                )
+            points = res.points
+        core = conjugate_core(letters)[1]
+        core_points = table.get(core)
+        if core_points is None:
+            core_points = fix(core).points
+        if len(points) != len(core_points):
+            violations.append(
+                f"{format_word(Word(letters))}: |fix| = {len(points)} but its core "
+                f"{format_word(Word(core))} has {len(core_points)}"
+            )
     return violations
 
 

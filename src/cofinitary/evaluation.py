@@ -500,6 +500,57 @@ def fix_points(w: Word, s: Assignment, ground: GroundRep) -> FixResult:
     return FixResult(pts, exact=False, horizon=horizon)
 
 
+def fix_table(
+    gens: Iterable[int], max_len: int, s: Assignment
+) -> dict[tuple[Letter, ...], frozenset[int]]:
+    """Fix(e_w) under s for every reduced word w of length 1..max_len over
+    the finite generators `gens`, keyed by w's letter tuple.
+
+    One depth-first walk of the word trie in application order: a node
+    holds the map start -> value of its word, and a child applies one more
+    letter (prepends it to the word), keeping the starts whose value the
+    letter's lookup defines.  A word's fix set is the starts its map sends
+    home.  The starts of a one-letter word are the keys of its lookup, and
+    each start follows the lookups fix_points walks, so the sets are
+    fix_points(w, s, ground).points for any ground without these
+    generators.  Only the maps on the current path are live, so the walk
+    holds O(max_len * |points|) values besides the table.
+    """
+    lookups: dict[Letter, Mapping[int, int]] = {}
+    for g in sorted(gens):
+        lookups[Letter(g, 1)] = s.get(g).fwd
+        lookups[Letter(g, -1)] = s.get(g).rev
+    table: dict[tuple[Letter, ...], frozenset[int]] = {}
+    if max_len >= 1:
+        for letter, m in lookups.items():
+            _fix_walk(table, lookups, max_len, (letter,), m)
+    return table
+
+
+def _fix_walk(
+    table: dict[tuple[Letter, ...], frozenset[int]],
+    lookups: Mapping[Letter, Mapping[int, int]],
+    max_len: int,
+    word: tuple[Letter, ...],
+    cur: Mapping[int, int],
+) -> None:
+    """Record word's fix set from its map cur, then visit its children; a
+    child at the last depth needs only its fix set, so its map is not built.
+    A module-level function, so no closure keeps the table alive in a cycle."""
+    table[word] = frozenset(x for x, v in cur.items() if x == v)
+    if len(word) == max_len:
+        return
+    last = word[0].inverse()  # the letter that would cancel
+    for letter, m in lookups.items():
+        if letter == last:
+            continue
+        child = (letter,) + word
+        if len(child) == max_len:
+            table[child] = frozenset(x for x, v in cur.items() if m.get(v) == x)
+        else:
+            _fix_walk(table, lookups, max_len, child, {x: m[v] for x, v in cur.items() if v in m})
+
+
 def relation_compose(
     outer: frozenset[tuple[int, int]], inner: frozenset[tuple[int, int]]
 ) -> frozenset[tuple[int, int]]:

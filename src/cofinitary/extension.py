@@ -255,14 +255,16 @@ def _forbidden_word_modes(
 ) -> set[int]:
     s = p.s
     pm = s.get(gen)
-    forb = set(pm.rev)  # keep the map injective
     finite, mixed = _holding(p, gen, ground)
     if not finite and not mixed:
-        return forb
-    concrete = set(s.all_values()) | {n}
-    forb |= concrete
+        return set(pm.rev)  # keep the map injective
+    # n and every value of s, the image of gen's map among them
+    concrete = {n}
+    for other in s.table.values():
+        concrete.update(other.fwd)
+        concrete.update(other.rev)
     if not mixed:
-        return forb  # all walks from concrete values stay inside it
+        return concrete  # all walks from concrete values stay inside it
     mixed = sorted(mixed, key=Word.sort_key)
     rotated: list[Word] = []
     for w in mixed:
@@ -270,7 +272,7 @@ def _forbidden_word_modes(
         if good is not None:
             rotated.append(good.recompose())
     walk = _walk_values(list(mixed) + rotated, concrete, s, ground)
-    forb |= walk
+    forb = set(walk)  # walk holds concrete; _run_guards reads walk below
     for w in mixed:
         good = _good_form(w, gen)
         if good is None:

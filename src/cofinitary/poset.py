@@ -478,7 +478,13 @@ def add_words(
     added = new - p.words
     if len(new) - len(added) != len(p.words):
         raise ValueError("new side set must contain the old one")
-    out = validated(p, Condition(p.s, new, p.mode), ground, added)
+    return _grow_side_set(p, added, ground)
+
+
+def _grow_side_set(p: Condition, added: frozenset[Word], ground: GroundRep) -> Condition:
+    """add_words(p, p.words | added) for a caller whose side set is a
+    superset by construction, so no difference over p.words is taken."""
+    out = validated(p, Condition(p.s, p.words | added, p.mode), ground, added)
     object.__setattr__(out, "_grown_from", p.words)
     return out
 

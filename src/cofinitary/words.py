@@ -135,45 +135,53 @@ def occurrences(w: Word, restrict_to: Optional[Iterable[int]] = None) -> frozens
     return occ
 
 
-def conjugate_decompose(w: Word) -> tuple[Word, Word]:
-    """Write w = u^-1 * core * u with core a hat word and u minimal.
+def conjugate_core(letters: tuple[Letter, ...]) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:
+    """(u, core) as letter tuples, with w = u^-1 * core * u for the reduced
+    word w with these letters, core a hat word and u minimal.
 
     First peels matching first/last inverse pairs (cyclic reduction), then, if
     the cyclically reduced core still starts and ends with the same generator,
-    rotates its leading power block to the back.
+    rotates the shorter of its end power blocks across.  The innermost
+    peeled letter uses another generator than those blocks (else w would not
+    be reduced), so u needs no reduction.
     """
-    if not w:
-        raise ValueError("cannot decompose the empty word")
-    letters = list(w.letters)
-    peeled: list[Letter] = []
-    while len(letters) >= 2 and letters[0] == letters[-1].inverse():
-        peeled.append(letters[0])
-        letters = letters[1:-1]
-    # every reduced nonempty word has a nonempty cyclic reduction
     if not letters:
+        raise ValueError("cannot decompose the empty word")
+    i, j = 0, len(letters)
+    while j - i >= 2 and letters[i] == letters[j - 1].inverse():
+        i += 1
+        j -= 1
+    # every reduced nonempty word has a nonempty cyclic reduction
+    if i == j:
         raise ValueError("reduced word peeled to nothing")
-    u = invert(Word(tuple(peeled)))  # w = u^-1 * core * u so far
-    core = Word(tuple(letters))
-    if not is_hat(core):
-        # core = a^k v a^l with the same generator (same sign) at both ends;
-        # rotate the shorter end block across
-        gen = letters[0].gen
+    core = letters[i:j]
+    u = tuple(l.inverse() for l in reversed(letters[:i]))  # w = u^-1 * core * u so far
+    gen = core[0].gen
+    if core[-1].gen == gen and any(l.gen != gen for l in core):
+        # core = a^k v a^l with the same generator (same sign) at both ends
         k = 0
-        while k < len(letters) and letters[k].gen == gen:
+        while core[k].gen == gen:
             k += 1
         l = 0
-        while l < len(letters) and letters[-1 - l].gen == gen:
+        while core[-1 - l].gen == gen:
             l += 1
         if l <= k:
-            rotated = Word(tuple(letters[-l:] + letters[:-l]))
-            u = concat(Word(tuple(letters[-l:])), u)
+            u = core[-l:] + u
+            core = core[-l:] + core[:-l]
         else:
-            rotated = Word(tuple(letters[k:] + letters[:k]))
-            u = concat(invert(Word(tuple(letters[:k]))), u)
-        core = rotated
-    if not is_hat(core):
-        raise ValueError(f"core {format_word(core)} of {format_word(w)} is not a hat word")
+            u = tuple(x.inverse() for x in reversed(core[:k])) + u
+            core = core[k:] + core[:k]
     return u, core
+
+
+def conjugate_decompose(w: Word) -> tuple[Word, Word]:
+    """Write w = u^-1 * core * u with core a hat word and u minimal (see
+    conjugate_core)."""
+    u, core = conjugate_core(w.letters)
+    core_word = Word(core)
+    if not is_hat(core_word):
+        raise ValueError(f"core {format_word(core_word)} of {format_word(w)} is not a hat word")
+    return Word(u), core_word
 
 
 @dataclass(frozen=True)
@@ -316,15 +324,17 @@ def parse_word(text: str) -> Word:
     return reduce_letters(letters)
 
 
-def reduced_words(gens: Sequence[int], max_len: int, min_len: int = 0) -> list[Word]:
-    """All reduced words over `gens` with min_len <= length <= max_len,
-    in canonical order."""
+def reduced_letters(
+    gens: Sequence[int], max_len: int, min_len: int = 0
+) -> list[tuple[Letter, ...]]:
+    """The letter tuples of reduced_words(gens, max_len, min_len), in the
+    same order, without building a Word for each."""
     alphabet = [Letter(g, s) for g in sorted(gens) for s in (1, -1)]
-    out: list[Word] = []
+    out: list[tuple[Letter, ...]] = []
     frontier: list[tuple[Letter, ...]] = [()]
     for length in range(max_len + 1):
         if length >= min_len:
-            out.extend(Word(t) for t in frontier)
+            out.extend(frontier)
         if length == max_len:
             break
         nxt = []
@@ -335,6 +345,12 @@ def reduced_words(gens: Sequence[int], max_len: int, min_len: int = 0) -> list[W
                 nxt.append(t + (letter,))
         frontier = nxt
     return out
+
+
+def reduced_words(gens: Sequence[int], max_len: int, min_len: int = 0) -> list[Word]:
+    """All reduced words over `gens` with min_len <= length <= max_len,
+    in canonical order."""
+    return [Word(t) for t in reduced_letters(gens, max_len, min_len)]
 
 
 def hat_words(gens: Sequence[int], max_len: int) -> list[Word]:

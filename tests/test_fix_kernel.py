@@ -2,8 +2,9 @@
 
 `fix_points` walks each start candidate once; the reference computes the
 exact domain by walking every candidate and then walks the domain a second
-time.  `verify_cofinitary` reads every fix set from one memo per call; its
-violation lists on corrupted builds were recorded before the memo existed.
+time.  `verify_cofinitary` reads every fix set from one fix table per call
+(and a memo for words with an ambient letter); its violation lists on
+corrupted builds were recorded before the memo existed.
 """
 
 import hashlib
@@ -211,15 +212,20 @@ class TestVerifierGuard:
         assert verify_cofinitary(build_variant_family(mode, [0, 1, 2, 3], 40, seed=7)) == []
 
     def test_one_fix_set_per_word(self, monkeypatch):
-        report = _seed7()
+        # the words over finite generators come from the fix table; only a
+        # word with an ambient letter is asked of fix_points, and only once
         asked = Counter()
 
         def counting(w, s, ground):
             asked[w] += 1
             return fix_points(w, s, ground)
 
+        report = _seed7()
+        ground = GroundRep({AMBIENT: zshift()})
+        ambient = build(PosetMode.COFINITARY, [0], ground, point_budget=4, word_budget=2, seed=2)
         monkeypatch.setattr(builder, "fix_points", counting)
         monkeypatch.setattr(poset, "fix_points", counting)
-        assert verify_cofinitary(report) == []
-        assert set(report.frozen_fix) <= set(asked) and max(asked.values()) == 1
-        assert len(asked) == len(reduced_words([0, 1, 2], 3, min_len=1))
+        assert verify_cofinitary(report) == [] and not asked
+        assert verify_cofinitary(ambient, ground) == []
+        mixed = [w for w in reduced_words([0, AMBIENT], 2, min_len=1) if occurrences(w) == {0, AMBIENT}]
+        assert set(asked) == set(mixed) and max(asked.values()) == 1
