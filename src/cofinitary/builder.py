@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -45,6 +46,7 @@ class BuildError(Exception):
 
 @dataclass(frozen=True)
 class DenseGoal:
+    # A freeze goal is frozen as a group of one (see build's freeze).
     kind: str  # "domain" | "range" | "freeze" | "hit"
     gen: Optional[int] = None
     point: Optional[int] = None
@@ -58,8 +60,12 @@ class DenseGoal:
         if self.kind == "range":
             return f"range:g{self.gen}@{self.point}"
         if self.kind == "freeze":
-            return f"freeze:{format_word(self.word)}"
+            return _freeze_text(self.word)
         return f"hit:g{self.gen}>={self.floor}"
+
+
+def _freeze_text(w: Word) -> str:
+    return f"freeze:{format_word(w)}"
 
 
 def hit_goal(gen: int, sigma: GroundPermutation, floor: int) -> DenseGoal:
@@ -120,7 +126,8 @@ def build(
 
     Words of length L are frozen before point goals beyond 4*L are issued,
     so freezing happens while it still bites.  Every step is checked once
-    to extend the previous condition.
+    to extend the previous condition; the words of one length group are
+    frozen in one step, with one check.
     """
     gens = tuple(sorted(generators))
     if not gens:
@@ -147,23 +154,30 @@ def build(
     goal_log: list[tuple[str, int, Optional[int]]] = []
     frozen_fix: dict[Word, tuple[int, frozenset[int]]] = {}
 
+    def freeze(group: Sequence[Word]) -> None:
+        # No point step comes between the words, so s stays prev's: the side
+        # set grows and is validated once.  The order check cannot fail (leq
+        # skips the superset test for a side set grown from prev's); it is
+        # kept as the step's contract.
+        nonlocal cond, stage
+        prev = cond
+        cond = _grow_side_set(prev, frozenset(group), ground)
+        for i, w in enumerate(group):
+            stage += 1
+            earlier = itertools.chain(prev.words, itertools.islice(group, i))
+            frozen_fix[w] = (stage, frozen_value(mode, cond.s, w, earlier, ground))
+            goal_log.append((_freeze_text(w), stage, None))
+        if not leq(cond, prev, ground):
+            raise BuildError(f"chain law broken at stage {stage}", _report())
+
     def run_goal(goal: DenseGoal) -> None:
         nonlocal cond, stage
         stage += 1
         prev = cond
         witness: Optional[int] = None
         # Point and hit steps come back order-checked by their step function
-        # (the chooser's leq, mad_set_point, hit_extend) or leave cond as it
-        # was; only a freeze is checked here.  A freeze keeps s and grows
-        # the side set by construction, and leq skips the superset test for
-        # a side set grown from prev's, so this check cannot fail.
-        if goal.kind == "freeze":
-            cond = _grow_side_set(prev, frozenset((goal.word,)), ground)
-            fix = frozen_value(mode, cond.s, goal.word, prev.words, ground)
-            frozen_fix[goal.word] = (stage, fix)
-            if not leq(cond, prev, ground):
-                raise BuildError(f"chain law broken at stage {stage}", _report())
-        elif goal.kind == "hit":
+        # (the chooser's leq, mad_set_point, hit_extend) or leave cond as it was.
+        if goal.kind == "hit":
             found = hit_search(prev, goal.gen, goal.sigma, goal.floor, 256, ground)
             if not isinstance(found, int):
                 raise BuildError(f"goal {goal.describe()} found no hit", _report())
@@ -203,11 +217,13 @@ def build(
 
     for length in sorted(by_len):
         issue_points(min(point_budget, 4 * length))
-        for w in by_len[length]:
-            run_goal(DenseGoal("freeze", word=w))
+        freeze(by_len[length])
     issue_points(point_budget)
     for goal in extra_goals:
-        run_goal(goal)
+        if goal.kind == "freeze":
+            freeze((goal.word,))
+        else:
+            run_goal(goal)
     return _report()
 
 

@@ -148,6 +148,22 @@ class TestGoldenReports:
             "7642c1d8ce96ebb703d2d059e6b918b8264fd1a1f315f20a5749fd527bfcf4d5"
         )
 
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (3, "194058de08bec9467ff7b144a482907486cae342360c61af8dbf2af09887651b"),
+            (1009, "8d8efd2de75127e7c51c1c17195875cdcac087f8a965661ee0b6cdd65c9ae47d"),
+        ],
+    )
+    def test_wide(self, seed, digest):
+        """The build of `build-group --generators 4 --max-word-len 4
+        --points 20`: 2,432 hat words in four length groups, recorded
+        before a length group was frozen in one step."""
+        report = build(
+            PosetMode.COFINITARY, range(4), point_budget=20, word_budget=4, seed=seed
+        )
+        assert _digest(report) == digest
+
 
 class TestVariantFamilies:
     def test_adp(self):

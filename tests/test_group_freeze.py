@@ -1,0 +1,252 @@
+"""Each length group of a build is frozen in one step.
+
+builder.build grows the side set once per length group, with one
+validation and one order check, where it used to freeze the words one at a
+time.  reference_build below is the word-at-a-time builder, kept verbatim
+but for its name; both must give the same report, goal log included, on
+every mode, word budget, ambient ground and kind of extra goal.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Iterable, Optional, Sequence
+
+import pytest
+
+from cofinitary import builder
+from cofinitary.builder import (
+    BuildError,
+    BuildReport,
+    DenseGoal,
+    build,
+    hit_goal,
+    report_to_json_bytes,
+)
+from cofinitary.evaluation import EMPTY_GROUND, GroundRep, zshift
+from cofinitary.extension import hit_extend, hit_search, point_step, range_extend
+from cofinitary.poset import (
+    DISCIPLINES,
+    Condition,
+    PosetMode,
+    _grow_side_set,
+    frozen_value,
+    leq,
+    side_words,
+)
+from cofinitary.words import Letter, Word, format_word, single
+
+
+def reference_build(
+    mode: PosetMode,
+    generators: Sequence[int],
+    ground: GroundRep = EMPTY_GROUND,
+    point_budget: int = 32,
+    word_budget: int = 3,
+    seed: int = 0,
+    value_ceiling: Optional[int] = None,
+    extra_goals: Iterable[DenseGoal] = (),
+) -> BuildReport:
+    """Run the greedy goal schedule from the empty condition.
+
+    Words of length L are frozen before point goals beyond 4*L are issued,
+    so freezing happens while it still bites.  Every step is checked once
+    to extend the previous condition.
+    """
+    gens = tuple(sorted(generators))
+    if not gens:
+        raise ValueError("need at least one generator")
+    if point_budget < 1 or word_budget < 1:
+        raise ValueError("budgets must be at least 1")
+    extra_goals = tuple(extra_goals)
+    discipline = DISCIPLINES[mode]
+    if any(g.kind == "hit" for g in extra_goals) and discipline.shape != "hat":
+        raise ValueError("hit goals require the cofinitary discipline")
+    if value_ceiling is None:
+        value_ceiling = max(1_000, 200 * point_budget)
+    rng = random.Random(seed)
+    alphabet = tuple(sorted(set(gens) | ground.generators()))
+    by_len: dict[int, list[Word]] = {}  # words to freeze, grouped by length
+    for w in side_words(mode, alphabet, ground.generators(), word_budget):
+        by_len.setdefault(len(w.letters), []).append(w)
+    for group in by_len.values():
+        group.sort(key=Word.sort_key)
+        rng.shuffle(group)
+
+    cond = Condition(mode=mode)
+    stage = 0
+    goal_log: list[tuple[str, int, Optional[int]]] = []
+    frozen_fix: dict[Word, tuple[int, frozenset[int]]] = {}
+
+    def run_goal(goal: DenseGoal) -> None:
+        nonlocal cond, stage
+        stage += 1
+        prev = cond
+        witness: Optional[int] = None
+        # Point and hit steps come back order-checked by their step function
+        # (the chooser's leq, mad_set_point, hit_extend) or leave cond as it
+        # was; only a freeze is checked here.  A freeze keeps s and grows
+        # the side set by construction, and leq skips the superset test for
+        # a side set grown from prev's, so this check cannot fail.
+        if goal.kind == "freeze":
+            cond = _grow_side_set(prev, frozenset((goal.word,)), ground)
+            fix = frozen_value(mode, cond.s, goal.word, prev.words, ground)
+            frozen_fix[goal.word] = (stage, fix)
+            if not leq(cond, prev, ground):
+                raise BuildError(f"chain law broken at stage {stage}", _report())
+        elif goal.kind == "hit":
+            found = hit_search(prev, goal.gen, goal.sigma, goal.floor, 256, ground)
+            if not isinstance(found, int):
+                raise BuildError(f"goal {goal.describe()} found no hit", _report())
+            witness = found
+            cond = hit_extend(prev, goal.gen, goal.sigma, found, ground)
+        else:
+            pm = prev.s.get(goal.gen)
+            try:
+                if goal.kind == "domain":
+                    if goal.point not in pm.fwd:
+                        cond = point_step(prev, goal.gen, goal.point, ground, ceiling=value_ceiling)
+                    witness = cond.s.get(goal.gen).fwd[goal.point]
+                else:
+                    if goal.point not in pm.rev:
+                        ext = range_extend(prev, goal.gen, goal.point, ground)
+                        cond = ext.commit(ext.choose(ceiling=value_ceiling))
+                    witness = cond.s.get(goal.gen).rev[goal.point]
+            except Exception as err:
+                raise BuildError(f"goal {goal.describe()} failed: {err}", _report()) from err
+        goal_log.append((goal.describe(), stage, witness))
+
+    def _report() -> BuildReport:
+        return BuildReport(
+            cond, goal_log, frozen_fix, mode, gens, point_budget, word_budget, seed
+        )
+
+    next_point = 0
+
+    def issue_points(limit: int) -> None:
+        nonlocal next_point
+        while next_point < limit:
+            for g in gens:
+                run_goal(DenseGoal("domain", gen=g, point=next_point))
+                if discipline.injective:
+                    run_goal(DenseGoal("range", gen=g, point=next_point))
+            next_point += 1
+
+    for length in sorted(by_len):
+        issue_points(min(point_budget, 4 * length))
+        for w in by_len[length]:
+            run_goal(DenseGoal("freeze", word=w))
+    issue_points(point_budget)
+    for goal in extra_goals:
+        run_goal(goal)
+    return _report()
+
+
+def _same(kwargs: dict) -> BuildReport:
+    new, old = build(**kwargs), reference_build(**kwargs)
+    assert new.goal_log == old.goal_log
+    assert new.to_json() == old.to_json()
+    assert report_to_json_bytes(new) == report_to_json_bytes(old)
+    return new
+
+
+MODES = [
+    (PosetMode.COFINITARY, [0, 1, 2], 12, 3),
+    (PosetMode.ADP, [0, 1, 2, 3], 20, 2),
+    (PosetMode.EDF, [0, 1, 2, 3], 20, 2),
+    (PosetMode.MAD, [0, 1, 2, 3], 20, 1),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+@pytest.mark.parametrize("mode, gens, points, word_budget", MODES)
+def test_modes(mode, gens, points, word_budget, seed):
+    _same(dict(mode=mode, generators=gens, point_budget=points,
+               word_budget=word_budget, seed=seed))
+
+
+@pytest.mark.parametrize("word_budget", [1, 2, 3, 4])
+def test_word_budgets(word_budget):
+    for seed in (1, 2):
+        _same(dict(mode=PosetMode.COFINITARY, generators=[0, 1], point_budget=10,
+                   word_budget=word_budget, seed=seed))
+
+
+@pytest.mark.parametrize("seed", [0, 2, 4])
+def test_ambient(seed):
+    _same(dict(mode=PosetMode.COFINITARY, generators=[0], ground=GroundRep({7: zshift()}),
+               point_budget=4, word_budget=2, seed=seed))
+
+
+def _freeze(w: Word) -> DenseGoal:
+    return DenseGoal("freeze", word=w)
+
+
+def test_extra_goals_cofinitary():
+    new_word = Word((Letter(0, 1), Letter(1, 1), Letter(1, 1)))  # hat, longer than the budget
+    goals = [_freeze(new_word), _freeze(single(1)), hit_goal(0, zshift(), 10), _freeze(single(0))]
+    report = _same(dict(mode=PosetMode.COFINITARY, generators=[0, 1], point_budget=6,
+                        word_budget=2, seed=3, extra_goals=goals))
+    logged = [g for g, _, _ in report.goal_log[-4:]]
+    assert logged == [g.describe() for g in goals]
+
+
+def test_extra_goals_mad():
+    # A MAD letter's frozen value reads the letters frozen before it, so a
+    # re-frozen letter and a new one test what a group of one passes on.
+    goals = [_freeze(single(2)), _freeze(single(5))]
+    _same(dict(mode=PosetMode.MAD, generators=[0, 1, 2, 3], point_budget=20,
+               word_budget=1, seed=4, extra_goals=goals))
+
+
+def test_one_growth_and_one_check_per_group(monkeypatch):
+    calls = {"grow": [], "leq": 0}
+    grow, check = builder._grow_side_set, builder.leq
+
+    def counting_grow(p, added, ground):
+        calls["grow"].append(added)
+        return grow(p, added, ground)
+
+    def counting_leq(p, q, ground=EMPTY_GROUND):
+        calls["leq"] += 1
+        return check(p, q, ground)
+
+    monkeypatch.setattr(builder, "_grow_side_set", counting_grow)
+    monkeypatch.setattr(builder, "leq", counting_leq)
+    report = build(PosetMode.COFINITARY, [0, 1, 2], point_budget=12, word_budget=3, seed=7)
+    groups = {len(w) for w in report.frozen_fix}
+    assert groups == {1, 2, 3}
+    assert [len({len(w) for w in added}) for added in calls["grow"]] == [1, 1, 1]
+    assert sum(map(len, calls["grow"])) == len(report.frozen_fix)
+    assert calls["leq"] == len(groups)
+
+
+@pytest.mark.parametrize("mode, gens, points, word_budget", MODES)
+def test_freeze_stages_match_frozen_fix(mode, gens, points, word_budget):
+    report = build(mode, gens, point_budget=points, word_budget=word_budget, seed=9)
+    logged = {g[len("freeze:"):]: st for g, st, _ in report.goal_log if g.startswith("freeze:")}
+    assert logged == {format_word(w): st for w, (st, _) in report.frozen_fix.items()}
+
+
+def test_non_hat_word_in_a_group_is_rejected(monkeypatch):
+    a, b = Letter(0, 1), Letter(1, 1)
+    bad = [Word((a, b, a)), Word((b, a, b))]  # first and last letters share a generator
+
+    def with_bad_words(mode, alphabet, ambient, length):
+        return side_words(mode, alphabet, ambient, length) + tuple(bad)
+
+    frozen = []
+    value = builder.frozen_value
+
+    def recording_value(mode, s, w, earlier, ground, fix=None):
+        frozen.append(w)
+        return value(mode, s, w, earlier, ground, fix)
+
+    monkeypatch.setattr(builder, "side_words", with_bad_words)
+    monkeypatch.setattr(builder, "frozen_value", recording_value)
+    with pytest.raises(ValueError) as err:
+        build(PosetMode.COFINITARY, [0, 1], point_budget=12, word_budget=3, seed=1)
+    names = sorted(bad, key=Word.sort_key)
+    message = str(err.value)
+    assert message == "; ".join(f"word {format_word(w)} is not in the hat class" for w in names)
+    assert frozen and all(len(w) < 3 for w in frozen)  # nothing of the group was frozen
