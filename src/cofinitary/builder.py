@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -318,7 +317,3 @@ def build_variant_family(
     if word_budget is None:
         raise ValueError("variant builder covers ADP, EDF and MAD")
     return build(mode, generators, EMPTY_GROUND, point_budget, word_budget, seed, value_ceiling)
-
-
-def report_to_json_bytes(report: BuildReport) -> bytes:
-    return json.dumps(report.to_json(), sort_keys=True, indent=1).encode() + b"\n"

@@ -51,10 +51,14 @@ def _report_path(args, default_name: str) -> Path:
     return base / default_name
 
 
+def encode_report(payload: dict) -> bytes:
+    """The bytes of a report file: sorted keys, indent 1, a final newline."""
+    return json.dumps(payload, sort_keys=True, indent=1).encode() + b"\n"
+
+
 def _write_report(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    blob = json.dumps(payload, sort_keys=True, indent=1).encode() + b"\n"
-    path.write_bytes(blob)
+    path.write_bytes(encode_report(payload))
     print(path)
 
 

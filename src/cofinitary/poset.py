@@ -118,18 +118,19 @@ def side_words(
 class SideIndex:
     """Where each generator occurs in a side set.
 
-    holding  generator -> the side words that hold it
-    classes  generator -> one word per rotation/inversion class
-             (words.cyclic_class) that holds it
+    holding  generator -> the side words that hold it, in Word.sort_key order
+    tries    letter -> the trie of the rotations of each class representative
+             (w.class_key) in application order, each read from just after
+             an occurrence of the letter; END marks where a rotation ends
 
-    The words of a class hold the same generators, so a class holds a
-    generator exactly when its representative does.  Words are listed in
-    Word.sort_key order and a class is represented by its least word, so
-    equal side sets have equal indexes.
+    Both depend only on the side set, so equal side sets have equal indexes.
     """
 
     holding: Mapping[int, tuple[Word, ...]]
-    classes: Mapping[int, tuple[Word, ...]]
+    tries: Mapping[Letter, dict]
+
+
+END = None  # the trie key that closes a rotation
 
 
 @functools.lru_cache(maxsize=8)
@@ -138,20 +139,22 @@ def side_index(words: frozenset[Word]) -> SideIndex:
     condition that keeps the set, such as the steps made by with_pair,
     shares it."""
     holding: dict[int, list[Word]] = {}
-    classes: dict[int, list[Word]] = {}
+    tries: dict[Letter, dict] = {}
     seen = set()
     for w in sorted(words, key=Word.sort_key):
-        key = w.class_key
-        first = key not in seen
-        seen.add(key)
         for g in occurrences(w):
             holding.setdefault(g, []).append(w)
-            if first:
-                classes.setdefault(g, []).append(w)
-    return SideIndex(
-        {g: tuple(ws) for g, ws in sorted(holding.items())},
-        {g: tuple(ws) for g, ws in sorted(classes.items())},
-    )
+        key = w.class_key
+        if key in seen:
+            continue
+        seen.add(key)
+        applied = key[::-1]
+        for i, letter in enumerate(applied):
+            node = tries.setdefault(letter, {})
+            for x in applied[i + 1 :] + applied[:i]:
+                node = node.setdefault(x, {})
+            node[END] = END
+    return SideIndex({g: tuple(ws) for g, ws in sorted(holding.items())}, tries)
 
 
 @dataclass(frozen=True)
@@ -301,8 +304,8 @@ def new_fix_candidates(
     lookup that undoes it under the new assignment.  For each letter
     position and each new pair on that letter's generator the value just
     before the step is pinned; walking backward through the earlier letters
-    yields at most one candidate start per (position, pair).
-    """
+    yields at most one candidate start per (position, pair).  leq does not
+    call it; it is kept because perfbench/tracing.py wraps it by name."""
     candidates: set[int] = set()
     applied = w.letters[::-1]  # the i-th letter from the right is applied i-th
     for i, letter in enumerate(applied):
@@ -323,27 +326,34 @@ def new_fix_candidates(
 
 
 class _Steps(dict):
-    """Letter -> the lookup applying it (sign 1) or undoing it (sign -1)
-    under s, resolved on first use and kept for one order check."""
+    """Letter -> the lookup applying it under s, resolved on first use and
+    kept for one order check."""
 
-    def __init__(self, s: Assignment, ground: GroundRep, sign: int) -> None:
+    def __init__(self, s: Assignment, ground: GroundRep) -> None:
         super().__init__()
-        self.s, self.ground, self.sign = s, ground, sign
+        self.s, self.ground = s, ground
 
     def __missing__(self, letter: Letter) -> Step:
-        step = letter_step(Letter(letter.gen, self.sign * letter.sign), self.s, self.ground)
+        step = letter_step(letter, self.s, self.ground)
         self[letter] = step
         return step
 
 
-def _returns(steps: _Steps, applied: tuple[Letter, ...], n: int) -> bool:
-    """Whether n walks back to itself along the letters, in application order."""
-    value: Optional[int] = n
-    for letter in applied:
-        value = steps[letter](value)
-        if value is None:
-            return False
-    return value == n
+def _closes(trie: dict, steps: _Steps, start: int, target: int) -> bool:
+    """Whether some rotation in the trie walks start to target under steps.
+    A lookup that fails prunes the subtree below it."""
+    stack = [(trie, start)]
+    while stack:
+        node, value = stack.pop()
+        for letter, child in node.items():
+            if letter is END:
+                if value == target:
+                    return True
+                continue
+            nxt = steps[letter](value)
+            if nxt is not None:
+                stack.append((child, nxt))
+    return False
 
 
 def _added_pairs(p: Assignment, q: Assignment) -> Optional[dict[int, frozenset[tuple[int, int]]]]:
@@ -365,32 +375,22 @@ def _added_pairs(p: Assignment, q: Assignment) -> Optional[dict[int, frozenset[t
     return added
 
 
-def _reaching(pool: Mapping[int, tuple[Word, ...]], changed: Iterable[int]) -> list[Word]:
-    """The words of the pool that hold a changed generator, each once: a
-    word is taken from the list of the first changed generator it holds."""
-    out: list[Word] = []
-    earlier: set[int] = set()
-    for g in changed:
-        ws = pool.get(g, ())
-        if earlier:
-            ws = [w for w in ws if earlier.isdisjoint(l.gen for l in w.letters)]
-        out.extend(ws)
-        earlier.add(g)
-    return out
-
-
 def leq(p: Condition, q: Condition, ground: GroundRep = EMPTY_GROUND) -> bool:
     """p extends q: larger assignment and side set, no frozen word gains a
-    fixed point (MAD: no frozen pair gains a common 1-point)."""
+    fixed point (MAD: no frozen pair gains a common 1-point).  The walk
+    disciplines raise ValueError on a map of p that is no partial injection."""
     if p.mode is not q.mode:
         raise ValueError(f"mode mismatch: {p.mode} vs {q.mode}")
+    kernel = DISCIPLINES[p.mode].kernel
+    maps = p.s.table.values()
+    if kernel == "walk" and not all(pm.is_functional() and pm.is_injective() for pm in maps):
+        raise ValueError(f"the {p.mode.value} order is defined on partial injections only")
     added = _added_pairs(p.s, q.s)
     if added is None:
         return False
     # add_words proved the superset when it grew p's side set from q's
     if not (p.words is q.words or p._grown_from is q.words or p.words >= q.words):
         return False
-    kernel = DISCIPLINES[p.mode].kernel
     # The pair kernels look only at the points where p adds a pair on a or
     # b: elsewhere both maps hold the same pairs in p as in q, so a point
     # agrees (is a common 1-point) in p exactly when it does in q.  A pair
@@ -416,21 +416,18 @@ def leq(p: Condition, q: Condition, ground: GroundRep = EMPTY_GROUND) -> bool:
         return True
     if not added:
         return True
-    # Only a word that holds a generator with new pairs can gain a fixed
-    # point: new_fix_candidates pins its starts at the letters of those
-    # generators and yields none for any other word.  A word gains one
-    # exactly when every word of its class (words.cyclic_class) does, so one
-    # walk per class suffices.  That needs partial injections; q's maps are
-    # subsets of p's, so checking p's does.
-    by_class = all(len(pm.fwd) == len(pm.rev) == len(pm.pairs) for pm in p.s.table.values())
-    index = side_index(q.words)
-    pool = index.classes if by_class else index.holding
-    reaching = _reaching(pool, added)
-    back, ahead_p, ahead_q = _Steps(p.s, ground, -1), _Steps(p.s, ground, 1), _Steps(q.s, ground, 1)
-    for w in reaching:
-        applied = w.letters[::-1]
-        for n in new_fix_candidates(w, added, back):
-            if _returns(ahead_p, applied, n) and not _returns(ahead_q, applied, n):
+    # A frozen word gains a fixed point exactly when its p-cycle uses a new
+    # pair (a, b) on g: q's pairs are a subset of p's, and p has no other
+    # pair at a or onto b, so q's walk follows p's and dies there.  Read from just after that
+    # step, the cycle walks b to a along a rotation that follows a (g, +1),
+    # or a to b along one that follows a (g, -1).  Every word of a class
+    # gains one when its representative does (words.cyclic_class).
+    tries = side_index(q.words).tries
+    steps = _Steps(p.s, ground)
+    for g, pairs in added.items():
+        ahead, back = tries.get(Letter(g, 1)), tries.get(Letter(g, -1))
+        for a, b in pairs:
+            if ahead and _closes(ahead, steps, b, a) or back and _closes(back, steps, a, b):
                 return False
     return True
 

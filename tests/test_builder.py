@@ -8,10 +8,10 @@ from cofinitary.builder import (
     build,
     build_variant_family,
     hit_goal,
-    report_to_json_bytes,
     verify_cofinitary,
     verify_variant,
 )
+from cofinitary.cli import encode_report
 from cofinitary.evaluation import GroundRep, zshift
 from cofinitary.extension import ContractViolation, ExtensionCertificate
 from cofinitary.poset import Condition, PosetMode, leq
@@ -41,7 +41,7 @@ class TestBuild:
     def test_deterministic(self):
         a = build(PosetMode.COFINITARY, [0, 1], point_budget=8, word_budget=2, seed=9)
         b = build(PosetMode.COFINITARY, [0, 1], point_budget=8, word_budget=2, seed=9)
-        assert report_to_json_bytes(a) == report_to_json_bytes(b)
+        assert encode_report(a.to_json()) == encode_report(b.to_json())
 
     def test_seed_changes_schedule(self):
         a = build(PosetMode.COFINITARY, [0, 1], point_budget=8, word_budget=3, seed=1)
@@ -115,7 +115,7 @@ class TestBuild:
 
 
 def _digest(report) -> str:
-    return hashlib.sha256(report_to_json_bytes(report)).hexdigest()
+    return hashlib.sha256(encode_report(report.to_json())).hexdigest()
 
 
 class TestGoldenReports:
@@ -228,7 +228,7 @@ class TestVariantFamilies:
 class TestReportFormats:
     def test_json_shape(self):
         report = build(PosetMode.COFINITARY, [0], point_budget=3, word_budget=1, seed=0)
-        payload = json.loads(report_to_json_bytes(report))
+        payload = json.loads(encode_report(report.to_json()))
         assert payload["schema"] == "1"
         assert "final" in payload and "frozen_fix" in payload and "goal_log" in payload
         for entry in payload["frozen_fix"].values():

@@ -1,16 +1,20 @@
-"""The order check walks one frozen word per rotation/inversion class.
+"""The order check walks rotation tries built from one word per class.
 
-poset.leq walks one word per words.cyclic_class key when every map is a
-partial injection, and every word otherwise, in both cases only among the
-words that hold a generator with new pairs.  The reference below is the
-order check as it was before that reduction, copied verbatim: it walks every
-frozen word, with the new pairs taken from the whole triples() sets.
+poset.leq checks each new pair (a, b) on g by two forward walks under p:
+from b through the trie of the rotations that follow a (g, +1), and from a
+through the trie of those that follow a (g, -1), each rotation taken from
+the one representative of its words.cyclic_class.  It orders partial
+injections only and raises on any other map.  The reference below is the
+order check as it was before the class reduction, copied verbatim: it walks
+every frozen word, with the new pairs taken from the whole triples() sets.
 """
 
 from __future__ import annotations
 
 import random
 from typing import Iterable, Optional
+
+import pytest
 
 from cofinitary import poset
 from cofinitary.evaluation import (
@@ -25,9 +29,9 @@ from cofinitary.evaluation import (
     zshift,
 )
 from cofinitary.extension import domain_extend
-from cofinitary.poset import DISCIPLINES, Condition, PosetMode, _agreement, _ones
+from cofinitary.poset import DISCIPLINES, END, Condition, PosetMode, _agreement, _ones, validate
 from cofinitary.sampling import sample_condition
-from cofinitary.words import Word, cyclic_class, hat_words, invert, occurrences, parse_word
+from cofinitary.words import Letter, Word, cyclic_class, hat_words, invert, parse_word
 
 
 # -- the reference: the order check before the class reduction, verbatim -----
@@ -183,16 +187,22 @@ def _draws(name: str, count: int):
         yield Condition(s, words), q
 
 
+def _injective(c: Condition) -> bool:
+    return all(pm.is_functional() and pm.is_injective() for pm in c.s.table.values())
+
+
 def test_matches_reference_on_dense_side_sets():
     false_answers = non_injective = 0
     for name, ground in GROUNDS.items():
-        for p, q in _draws(name, 700):
+        for p, q in _draws(name, 1200):
+            if not _injective(p):
+                with pytest.raises(ValueError, match="partial injections"):
+                    poset.leq(p, q, ground)
+                non_injective += 1
+                continue
             want = reference_leq(p, q, ground)
             assert poset.leq(p, q, ground) == want, (name, p.to_json(), q.to_json())
             false_answers += not want
-            non_injective += not all(
-                len(pm.fwd) == len(pm.rev) == len(pm.pairs) for pm in p.s.table.values()
-            )
     assert false_answers >= 1000, false_answers
     assert non_injective >= 300, non_injective
 
@@ -235,16 +245,20 @@ def test_word_off_its_class_key_is_still_checked():
     assert poset.leq(p, q) is False
 
 
-def _count_walks(monkeypatch) -> list[Word]:
-    walked: list[Word] = []
-    original = poset.new_fix_candidates
+def _rotations_after(key: tuple[Letter, ...], letter: Letter) -> set[tuple[Letter, ...]]:
+    """The rotations of a class key in application order, each read from
+    just after an occurrence of the letter, without that occurrence."""
+    applied = key[::-1]
+    return {applied[i + 1 :] + applied[:i] for i, x in enumerate(applied) if x == letter}
 
-    def counting(w, *args):
-        walked.append(w)
-        return original(w, *args)
 
-    monkeypatch.setattr(poset, "new_fix_candidates", counting)
-    return walked
+def _paths(node: dict, prefix: tuple[Letter, ...] = ()):
+    """The root-to-end paths of a rotation trie."""
+    for letter, child in node.items():
+        if letter is END:
+            yield prefix
+        else:
+            yield from _paths(child, prefix + (letter,))
 
 
 def _freeze_everything() -> tuple[Condition, Condition]:
@@ -260,28 +274,38 @@ def _freeze_everything() -> tuple[Condition, Condition]:
     return p, q
 
 
-def test_one_walk_per_class(monkeypatch):
-    """p adds one pair on g0: every class holding g0 is walked once, and no
-    class without g0 is walked."""
+def test_one_walk_per_class():
+    """p adds one pair on g0, so leq walks the tries of (g0, +1) and
+    (g0, -1): their paths are exactly the rotations of the 271 class
+    representatives that hold g0, read from after each occurrence, and no
+    class without g0 appears."""
     p, q = _freeze_everything()
     assert len(q.words) == 2432
-    assert len({w.class_key for w in q.words}) == 390
-    walked = _count_walks(monkeypatch)
-    assert poset.leq(p, q)  # so no walk stops early
-    assert len(walked) == 271
-    assert len({w.class_key for w in walked}) == 271
-    assert {w.class_key for w in walked} == {w.class_key for w in q.words if 0 in occurrences(w)}
+    keys = {w.class_key for w in q.words}
+    assert len(keys) == 390
+    holding = {k for k in keys if any(x.gen == 0 for x in k)}
+    assert len(holding) == 271
+    tries = poset.side_index(q.words).tries
+    reached = set()
+    for letter in (Letter(0, 1), Letter(0, -1)):
+        paths = set(_paths(tries[letter]))
+        assert paths == set().union(*(_rotations_after(k, letter) for k in holding))
+        reached |= {cyclic_class(Word(((letter,) + path)[::-1])) for path in paths}
+    assert reached == holding
+    assert poset.leq(p, q) and reference_leq(p, q)
 
 
-def test_non_injective_maps_walk_every_word(monkeypatch):
-    """With a map that is not injective, every word holding a generator with
-    new pairs (g0 and g1 here) is walked once, class or not."""
+def test_non_injective_maps_raise():
+    """The walk disciplines order partial injections only: leq raises on a
+    map that is not one, where validate reports it too."""
     p, q = _freeze_everything()
     n, m = sorted(p.s.get(1).pairs)[0]
-    bad = Condition(p.s.with_pair(1, n + 50, m), p.words)  # g1 no longer injective
-    assert reference_leq(bad, q)
-    walked = _count_walks(monkeypatch)
-    assert poset.leq(bad, q)
-    reaching = [w for w in q.words if occurrences(w) & {0, 1}]
-    assert len(walked) == len(reaching) == len(set(walked)) == 2336
-    assert set(walked) == set(reaching)
+    for bad_pair in ((n + 50, m), (n, m + 50)):  # g1 no longer injective, or functional
+        bad = Condition(p.s.with_pair(1, *bad_pair), p.words)
+        assert validate(bad)
+        with pytest.raises(ValueError, match="partial injections"):
+            poset.leq(bad, q)
+    clash = Assignment({0: pmap((0, 1), (2, 1))})
+    with pytest.raises(ValueError, match="partial injections"):
+        poset.leq(Condition(clash, mode=PosetMode.ADP), Condition(mode=PosetMode.ADP))
+    assert poset.leq(Condition(clash, mode=PosetMode.EDF), Condition(mode=PosetMode.EDF))

@@ -15,14 +15,8 @@ from typing import Iterable, Optional, Sequence
 import pytest
 
 from cofinitary import builder
-from cofinitary.builder import (
-    BuildError,
-    BuildReport,
-    DenseGoal,
-    build,
-    hit_goal,
-    report_to_json_bytes,
-)
+from cofinitary.builder import BuildError, BuildReport, DenseGoal, build, hit_goal
+from cofinitary.cli import encode_report
 from cofinitary.evaluation import EMPTY_GROUND, GroundRep, zshift
 from cofinitary.extension import hit_extend, hit_search, point_step, range_extend
 from cofinitary.poset import (
@@ -146,7 +140,7 @@ def _same(kwargs: dict) -> BuildReport:
     new, old = build(**kwargs), reference_build(**kwargs)
     assert new.goal_log == old.goal_log
     assert new.to_json() == old.to_json()
-    assert report_to_json_bytes(new) == report_to_json_bytes(old)
+    assert encode_report(new.to_json()) == encode_report(old.to_json())
     return new
 
 
