@@ -14,10 +14,11 @@ import io
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .evaluation import (
     EMPTY_GROUND,
+    Assignment,
     FixResult,
     GroundPermutation,
     GroundRep,
@@ -83,6 +84,8 @@ class BuildReport:
     seed: int
 
     def to_json(self) -> dict:
+        frozen = sorted(self.frozen_fix.items(), key=lambda kv: kv[0].sort_key())
+        names = {w: format_word(w) for w, _ in frozen}  # F is these words in a build
         return {
             "schema": "1",
             "mode": self.mode.value,
@@ -90,12 +93,9 @@ class BuildReport:
             "point_budget": self.point_budget,
             "word_budget": self.word_budget,
             "seed": self.seed,
-            "final": self.final.to_json(),
+            "final": self.final.to_json(names),
             "frozen_fix": {
-                format_word(w): {"stage": stage, "fix": sorted(fix)}
-                for w, (stage, fix) in sorted(
-                    self.frozen_fix.items(), key=lambda kv: kv[0].sort_key()
-                )
+                names[w]: {"stage": stage, "fix": sorted(fix)} for w, (stage, fix) in frozen
             },
             "goal_log": [
                 {"goal": g, "stage": st, "witness": wit} for g, st, wit in self.goal_log
@@ -141,6 +141,7 @@ def build(
         value_ceiling = max(1_000, 200 * point_budget)
     rng = random.Random(seed)
     alphabet = tuple(sorted(set(gens) | ground.generators()))
+    finite = tuple(g for g in gens if g not in ground.generators())
     by_len: dict[int, list[Word]] = {}  # words to freeze, grouped by length
     for w in side_words(mode, alphabet, ground.generators(), word_budget):
         by_len.setdefault(len(w.letters), []).append(w)
@@ -161,10 +162,14 @@ def build(
         nonlocal cond, stage
         prev = cond
         cond = _grow_side_set(prev, frozenset(group), ground)
+        fix = None
+        if discipline.shape == "hat":
+            read = _fix_reader(fix_table(finite, max(map(len, group)), cond.s), cond.s, ground)
+            fix = lambda w, s, ground: read(w.letters)
         for i, w in enumerate(group):
             stage += 1
             earlier = itertools.chain(prev.words, itertools.islice(group, i))
-            frozen_fix[w] = (stage, frozen_value(mode, cond.s, w, earlier, ground))
+            frozen_fix[w] = (stage, frozen_value(mode, cond.s, w, earlier, ground, fix))
             goal_log.append((_freeze_text(w), stage, None))
         if not leq(cond, prev, ground):
             raise BuildError(f"chain law broken at stage {stage}", _report())
@@ -226,6 +231,27 @@ def build(
     return _report()
 
 
+def _fix_reader(
+    table: Mapping[tuple[Letter, ...], frozenset[int]], s: Assignment, ground: GroundRep
+) -> Callable[[tuple[Letter, ...]], FixResult]:
+    """fix(letters) = fix_points(Word(letters), s, ground), read from
+    `table`, an evaluation.fix_table of s, when it holds the word, else from
+    fix_points, once per word.  The closure holds the table and no reference
+    to itself, so the table goes when the reader does."""
+    memo: dict[tuple[Letter, ...], FixResult] = {}
+
+    def fix(letters: tuple[Letter, ...]) -> FixResult:
+        pts = table.get(letters)
+        if pts is not None:
+            return FixResult(pts, exact=True)
+        res = memo.get(letters)
+        if res is None:
+            res = memo[letters] = fix_points(Word(letters), s, ground)
+        return res
+
+    return fix
+
+
 def _frozen_law(report: BuildReport, ground: GroundRep, fix=None) -> list[str]:
     """Each frozen entry's value under the final condition, taken against
     the entries frozen before it, equals the value recorded when it was
@@ -250,26 +276,17 @@ def verify_cofinitary(report: BuildReport, ground: GroundRep = EMPTY_GROUND) -> 
     short words (words.conjugate_core); empty list means ok.
 
     Both laws read the fix sets of the words over the finite generators
-    from one evaluation.fix_table of the final assignment, which equals
-    fix_points on them; a word that holds an ambient letter goes through
-    fix_points, once.  Violations come in freezing order, then in
-    reduced_words order."""
+    from one evaluation.fix_table of the final assignment, built here and
+    not shared with the build, so the check stays independent of the fix
+    sets the build recorded; a word that holds an ambient letter goes
+    through fix_points, once (_fix_reader).  Violations come in freezing
+    order, then in reduced_words order."""
     if DISCIPLINES[report.mode].shape != "hat":
         return _frozen_law(report, ground)
     s = report.final.s
     amb = ground.generators()
     table = fix_table((g for g in report.generators if g not in amb), report.word_budget, s)
-    memo: dict[tuple[Letter, ...], FixResult] = {}
-
-    def fix(letters: tuple[Letter, ...]) -> FixResult:
-        pts = table.get(letters)
-        if pts is not None:
-            return FixResult(pts, exact=True)
-        res = memo.get(letters)
-        if res is None:
-            res = memo[letters] = fix_points(Word(letters), s, ground)
-        return res
-
+    fix = _fix_reader(table, s, ground)
     violations = _frozen_law(report, ground, lambda w, s, ground: fix(w.letters))
     gens = set(report.generators)
     for letters in reduced_letters(sorted(gens | amb), report.word_budget, min_len=1):

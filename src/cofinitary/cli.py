@@ -12,8 +12,10 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -52,8 +54,101 @@ def _report_path(args, default_name: str) -> Path:
 
 
 def encode_report(payload: dict) -> bytes:
-    """The bytes of a report file: sorted keys, indent 1, a final newline."""
-    return json.dumps(payload, sort_keys=True, indent=1).encode() + b"\n"
+    """The bytes of a report file: json.dumps(payload, sort_keys=True,
+    indent=1) and a final newline, byte for byte.
+
+    Written directly, because CPython's json runs its pure-Python encoder
+    whenever indent is set: a list of plain ints or of plain strings is
+    joined in one step, and strings are escaped by json's own
+    encode_basestring_ascii.  A value of a type json.dumps rejects raises
+    TypeError."""
+    out: list[str] = []
+    _encode(payload, "\n", out)
+    out.append("\n")
+    return "".join(out).encode()
+
+
+_INTS, _STRS = {int}, {str}
+
+
+def _encode(o, nl: str, out: list[str]) -> None:
+    """Append the JSON text of o to out; nl is a newline and o's indent."""
+    if isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + " "
+        sep, comma = "{" + inner, "," + inner
+        for k, v in sorted(o.items()):
+            key = f"{sep}{encode_basestring_ascii(k if type(k) is str else _key_text(k))}: "
+            kind = type(v)
+            if kind is int:  # the common leaves are written without a call
+                out.append(key + int.__repr__(v))
+            elif kind is str:
+                out.append(key + encode_basestring_ascii(v))
+            elif v is None:
+                out.append(key + "null")
+            elif isinstance(v, (dict, list, tuple)):
+                out.append(key)
+                _encode(v, inner, out)
+            else:
+                out.append(key + _scalar_text(v))
+            sep = comma
+        out.append(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + " "
+        kinds = set(map(type, o))
+        if kinds == _INTS:
+            out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, o))}{nl}]")
+        elif kinds == _STRS:
+            out.append(f"[{inner}{(',' + inner).join(map(encode_basestring_ascii, o))}{nl}]")
+        else:
+            sep, comma = "[" + inner, "," + inner
+            for x in o:
+                out.append(sep)
+                _encode(x, inner, out)
+                sep = comma
+            out.append(nl + "]")
+    else:
+        out.append(_scalar_text(o))
+
+
+def _scalar_text(o) -> str:
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _key_text(k) -> str:
+    """The text of a key before it is quoted, as json.dumps reads it."""
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return _scalar_text(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
 
 
 def _write_report(path: Path, payload: dict) -> None:

@@ -179,11 +179,14 @@ class Condition:
             occ |= occurrences(w)
         return frozenset(occ) - ground.generators()
 
-    def to_json(self) -> dict:
+    def to_json(self, names: Optional[Mapping[Word, str]] = None) -> dict:
+        """The JSON form; `names` may give the format_word text of some
+        side words, so a caller that has formatted them does not again."""
+        names = names or {}
         return {
             "mode": self.mode.value,
             "s": self.s.to_json(),
-            "F": [format_word(w) for w in self.sorted_words()],
+            "F": [names.get(w) or format_word(w) for w in self.sorted_words()],
         }
 
     @staticmethod

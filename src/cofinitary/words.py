@@ -121,11 +121,14 @@ def is_hat(w: Word) -> bool:
     letters use distinct generators."""
     if not w:
         raise ValueError("is_hat requires a nonempty word")
-    gens = {l.gen for l in w.letters}
-    if len(gens) == 1:
-        # reduced single-generator words are powers
-        return True
-    return w.letters[0].gen != w.letters[-1].gen
+    return _hat_letters(w.letters)
+
+
+def _hat_letters(letters: tuple[Letter, ...]) -> bool:
+    """is_hat on the letters of a nonempty reduced word; a reduced word over
+    one generator is a power of it."""
+    first = letters[0].gen
+    return first != letters[-1].gen or all(l.gen == first for l in letters)
 
 
 def occurrences(w: Word, restrict_to: Optional[Iterable[int]] = None) -> frozenset[int]:
@@ -286,20 +289,20 @@ def substitute(w: Word, gen: int, replacement: Letter) -> Word:
 
 
 def format_word(w: Word) -> str:
-    """Canonical text form: `g3^-2 g1 g2^4`; the empty word prints as `e`."""
-    if not w:
+    """Canonical text form: `g3^-2 g1 g2^4`; the empty word prints as `e`.
+    One pass: each run of equal letters sums its signs into its exponent."""
+    letters = w.letters
+    if not letters:
         return "e"
     parts: list[str] = []
-    i = 0
-    letters = w.letters
-    while i < len(letters):
-        j = i
-        while j < len(letters) and letters[j] == letters[i]:
-            j += 1
-        exp = (j - i) * letters[i].sign
-        token = f"g{letters[i].gen}"
-        parts.append(token if exp == 1 else f"{token}^{exp}")
-        i = j
+    run, exp = letters[0], 0
+    for letter in letters:
+        if letter == run:
+            exp += letter.sign
+        else:
+            parts.append(f"g{run.gen}" if exp == 1 else f"g{run.gen}^{exp}")
+            run, exp = letter, letter.sign
+    parts.append(f"g{run.gen}" if exp == 1 else f"g{run.gen}^{exp}")
     return " ".join(parts)
 
 
@@ -354,4 +357,6 @@ def reduced_words(gens: Sequence[int], max_len: int, min_len: int = 0) -> list[W
 
 
 def hat_words(gens: Sequence[int], max_len: int) -> list[Word]:
-    return [w for w in reduced_words(gens, max_len, min_len=1) if is_hat(w)]
+    """The hat words among reduced_words(gens, max_len, min_len=1), in the
+    same order; a Word is built only for a hat word."""
+    return [Word(t) for t in reduced_letters(gens, max_len, min_len=1) if _hat_letters(t)]

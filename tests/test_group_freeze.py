@@ -5,11 +5,17 @@ validation and one order check, where it used to freeze the words one at a
 time.  reference_build below is the word-at-a-time builder, kept verbatim
 but for its name; both must give the same report, goal log included, on
 every mode, word budget, ambient ground and kind of extra goal.
+
+A group's frozen values are read from one evaluation.fix_table of the
+group's s; the last tests check each group's reader against fix_points at
+that s, and that the table is freed when its group is done.
 """
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from typing import Iterable, Optional, Sequence
 
 import pytest
@@ -17,7 +23,7 @@ import pytest
 from cofinitary import builder
 from cofinitary.builder import BuildError, BuildReport, DenseGoal, build, hit_goal
 from cofinitary.cli import encode_report
-from cofinitary.evaluation import EMPTY_GROUND, GroundRep, zshift
+from cofinitary.evaluation import EMPTY_GROUND, GroundRep, fix_points, fix_table, zshift
 from cofinitary.extension import hit_extend, hit_search, point_step, range_extend
 from cofinitary.poset import (
     DISCIPLINES,
@@ -28,7 +34,7 @@ from cofinitary.poset import (
     leq,
     side_words,
 )
-from cofinitary.words import Letter, Word, format_word, single
+from cofinitary.words import Letter, Word, format_word, occurrences, reduced_words, single
 
 
 def reference_build(
@@ -244,3 +250,80 @@ def test_non_hat_word_in_a_group_is_rejected(monkeypatch):
     message = str(err.value)
     assert message == "; ".join(f"word {format_word(w)} is not in the hat class" for w in names)
     assert frozen and all(len(w) < 3 for w in frozen)  # nothing of the group was frozen
+
+
+# -- frozen values from one fix table per group ------------------------------
+
+GROUNDS = [  # point goals go on after the last group, so the final s is not a group's
+    (EMPTY_GROUND, [0, 1, 2], 16, 3),
+    (GroundRep({7: zshift()}), [0, 1], 10, 2),  # side words mixed with the ambient g7
+]
+
+
+@pytest.mark.parametrize("ground, gens, points, word_budget", GROUNDS, ids=["empty", "zshift"])
+def test_group_values_come_from_a_table_at_the_group_s(
+    ground, gens, points, word_budget, monkeypatch
+):
+    # Each group has its own reader, each word is frozen through its group's
+    # reader at its group's s, and the reader equals fix_points at that s on
+    # every word of the group's length; only a word with an ambient letter
+    # reaches fix_points.  A table one length short fails the last check.
+    # A table of the final s agrees on the frozen words, which keep their
+    # fix sets, so the reader-per-group and group-s checks catch it.
+    groups, calls, asked = [], [], []
+    grow, value, points_of = builder._grow_side_set, builder.frozen_value, builder.fix_points
+
+    def recording_grow(p, added, ground):
+        groups.append(grow(p, added, ground))
+        return groups[-1]
+
+    def recording_value(mode, s, w, earlier, ground, fix=None):
+        calls.append((w, s, fix))
+        return value(mode, s, w, earlier, ground, fix)
+
+    def recording_points(w, s, ground):
+        asked.append(w)
+        return points_of(w, s, ground)
+
+    monkeypatch.setattr(builder, "_grow_side_set", recording_grow)
+    monkeypatch.setattr(builder, "frozen_value", recording_value)
+    monkeypatch.setattr(builder, "fix_points", recording_points)
+    report = build(PosetMode.COFINITARY, gens, ground, point_budget=points,
+                   word_budget=word_budget, seed=5)
+    amb = ground.generators()
+    assert all(occurrences(w) & amb for w in asked)
+    assert any(occurrences(w) & amb for w in report.frozen_fix) == bool(amb)
+    assert report.final.s != groups[-1].s
+    assert len(calls) == len(report.frozen_fix)
+    checked = set()
+    for w, s, fix in calls:
+        group = next(c for c in groups if w in c.words)
+        assert fix is not None and s is group.s
+        assert report.frozen_fix[w][1] == fix_points(w, s, ground).points
+        if (id(fix), id(group)) not in checked:
+            checked.add((id(fix), id(group)))
+            for u in reduced_words(sorted(set(gens) | amb), len(w), min_len=len(w)):
+                assert fix(u, s, ground) == fix_points(u, s, ground), format_word(u)
+    assert len({id(fix) for _, _, fix in calls}) == len(groups)  # a reader per group
+
+
+def test_each_group_table_is_dropped_with_its_group(monkeypatch):
+    # the reader's closure holds its table in no cycle, so reference
+    # counting frees it when the freeze returns, with the collector off
+    class Table(dict):
+        pass
+
+    refs = []
+
+    def tracked(gens, max_len, s):
+        table = Table(fix_table(gens, max_len, s))
+        refs.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(builder, "fix_table", tracked)
+    gc.disable()
+    try:
+        build(PosetMode.COFINITARY, [0, 1, 2], point_budget=12, word_budget=3, seed=2)
+        assert len(refs) == 3 and all(r() is None for r in refs)
+    finally:
+        gc.enable()

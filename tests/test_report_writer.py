@@ -1,0 +1,185 @@
+"""cli.encode_report writes JSON directly, byte for byte as
+
+    json.dumps(payload, sort_keys=True, indent=1).encode() + b"\\n"
+
+would, since every golden digest and every rerun comparison reads its
+bytes.  The reference below is that expression; the writer is compared with
+it on the payload of every command, in every mode, and on drawn payloads
+that reach each branch of json's encoder: empty and nested containers,
+tuples, escapes, big ints, bools, None, special floats and non-string keys.
+"""
+
+from __future__ import annotations
+
+import enum
+import json
+import math
+from collections import OrderedDict
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cofinitary import cli
+from cofinitary.cli import encode_report
+
+
+def reference(payload) -> bytes:
+    return json.dumps(payload, sort_keys=True, indent=1).encode() + b"\n"
+
+
+def _outcome(encode, payload):
+    """The bytes, or the type of the error json rejects the payload with."""
+    try:
+        return encode(payload)
+    except (TypeError, ValueError) as err:
+        return type(err)
+
+
+# -- every command's payload -----------------------------------------------
+
+_TEMPLATE_FILES = {
+    "good": {"elements": ["p", "q"], "less": [["p", "q"]], "I": [[], ["p"], ["p", "q"]],
+             "L0": ["p"], "L1": ["q"]},
+    "broken": {"elements": ["p", "q"], "less": [["p", "q"]], "I": [["q"]],
+               "L0": ["p"], "L1": ["q"]},
+}
+
+COMMANDS = {
+    **{
+        f"build-{mode}": ["build-group", "--mode", mode, "--generators", "3",
+                          "--points", "8", "--seed", "4"]
+        for mode in ("adp", "edf", "mad")
+    },
+    "build-cofinitary": ["build-group", "--mode", "cofinitary", "--generators", "3",
+                         "--max-word-len", "3", "--points", "8", "--seed", "4"],
+    **{
+        f"ffp-{mode}": ["ffp-suite", "--mode", mode, "--samples", "12", "--seed", "2"]
+        for mode in ("cofinitary", "adp", "edf", "mad")
+    },
+    "hit-density": ["hit-density", "--generators", "3", "--words", "4", "--maxN", "10",
+                    "--window", "64", "--samples", "8", "--seed", "5"],
+    "suslin-hechler": ["suslin", "--poset", "hechler", "--n", "1", "--samples", "60",
+                       "--seed", "3"],
+    "suslin-loc-1": ["suslin", "--poset", "loc", "--n", "1", "--samples", "60", "--seed", "3"],
+    "template": ["template", "--lambdas", "2,3", "--omega1", "2"],
+    "template-file-good": ["template", "--template-file", "{good}"],
+    "template-file-broken": ["template", "--template-file", "{broken}"],
+}
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_every_command_payload(name, tmp_path, monkeypatch, capsys):
+    files = {}
+    for key, blob in _TEMPLATE_FILES.items():
+        files[key] = tmp_path / f"{key}.json"
+        files[key].write_text(json.dumps(blob))
+    payloads = []
+    write = cli._write_report
+
+    def recording(path, payload):
+        payloads.append(payload)
+        write(path, payload)
+
+    monkeypatch.setattr(cli, "_write_report", recording)
+    argv = [a.format(**files) for a in COMMANDS[name]]
+    out = tmp_path / "report.json"
+    assert cli.main([*argv, "--out", str(out)]) in (0, 1)
+    capsys.readouterr()
+    (payload,) = payloads
+    assert out.read_bytes() == encode_report(payload) == reference(payload)
+
+
+def test_the_writer_does_not_call_json_dumps(monkeypatch):
+    payload = {"b": [1, 2], "a": {"x": None, "y": [[0, 1]], "z": "w"}}
+    want = reference(payload)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    assert encode_report(payload) == want
+
+
+# -- fixed and drawn payloads -----------------------------------------------
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+
+
+class Name(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {},
+        [],
+        (),
+        {"a": {}, "b": [], "c": [[]], "d": [{}], "e": ()},
+        [1, [2, [3, []]], {"k": (4, 5)}],
+        {"s": "quote \" backslash \\ nl \n tab \t nul \x00 é   \U0001f600 \udc80"},
+        [10**40, -(10**40), -1, 0, True, False, None],
+        [1, True, 2],
+        {"t": True, "f": False, "n": None},
+        [0.0, -0.0, 1.5, 1e300, -1e-300, math.nan, math.inf, -math.inf],
+        {"x": math.nan, "y": -0.0},
+        {2: "two", 10: "ten", -1: "minus"},
+        {1.5: "a", -0.0: "b", math.inf: "c"},
+        {True: 1, False: 0},
+        {None: [1]},
+        [Colour.RED, {"c": Colour.RED}],
+        {Name("k"): Name("v"), "j": [Name("a"), "b"]},
+        OrderedDict([("z", 1), ("a", 2)]),
+        "top-level string",
+        7,
+        None,
+        2.5,
+    ],
+)
+def test_fixed_payloads(payload):
+    assert encode_report(payload) == reference(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{1, 2}, {"a": {1}}, [frozenset()], {"a": b"bytes"}, {(1, 2): 3}, {"a": 1, 2: "b"}],
+    ids=["set", "nested-set", "frozenset", "bytes", "tuple-key", "mixed-keys"],
+)
+def test_rejected_payloads_raise_type_error(payload):
+    with pytest.raises(TypeError):
+        reference(payload)
+    with pytest.raises(TypeError):
+        encode_report(payload)
+
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(),
+    st.text(alphabet='"\\\n\t\x00\x1f\x7fé \U0001f600 ab', max_size=8),
+)
+_keys = st.one_of(st.text(max_size=6), st.integers(-5, 5), st.floats(), st.booleans(), st.none())
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.lists(st.integers(), max_size=6),
+        st.lists(st.text(max_size=4), max_size=6),
+        st.dictionaries(st.text(max_size=6), children, max_size=6),
+        st.dictionaries(st.integers(-5, 5), children, max_size=4),
+        st.dictionaries(st.floats(), children, max_size=4),
+        st.dictionaries(_keys, children, max_size=4),  # mixed keys: both reject most
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.recursive(_scalars, _containers, max_leaves=40))
+def test_drawn_payloads(payload):
+    assert _outcome(encode_report, payload) == _outcome(reference, payload)

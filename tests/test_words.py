@@ -128,6 +128,14 @@ class TestHat:
         with pytest.raises(ValueError):
             is_hat(EMPTY_WORD)
 
+    @pytest.mark.parametrize("n_gens", [1, 2, 3, 4])
+    def test_hat_words_are_the_hat_reduced_words(self, n_gens):
+        # hat_words tests hatness on letter tuples; the reference filters Words
+        gens = [3 * g + 1 for g in range(n_gens)]
+        for max_len in range(6):
+            want = [w for w in reduced_words(gens, max_len, min_len=1) if is_hat(w)]
+            assert hat_words(gens, max_len) == want
+
 
 class TestConjugateDecompose:
     def test_direct_expansion(self):
@@ -255,6 +263,31 @@ class TestTextForm:
     def test_zero_exponent_rejected(self):
         with pytest.raises(ValueError):
             parse_word("g0^0")
+
+    def test_one_pass_format_equals_the_run_scan(self):
+        def reference_format_word(w):
+            # the two-index run scan that the one-pass format_word replaced
+            if not w:
+                return "e"
+            parts = []
+            i = 0
+            letters = w.letters
+            while i < len(letters):
+                j = i
+                while j < len(letters) and letters[j] == letters[i]:
+                    j += 1
+                exp = (j - i) * letters[i].sign
+                token = f"g{letters[i].gen}"
+                parts.append(token if exp == 1 else f"{token}^{exp}")
+                i = j
+            return " ".join(parts)
+
+        rng = random.Random(4)
+        longer = [reduce_letters(Letter(rng.choice([0, 1, 12]), rng.choice([1, -1]))
+                                 for _ in range(rng.randrange(30))) for _ in range(300)]
+        for w in reduced_words([0, 1, 12], 5) + longer:
+            assert format_word(w) == reference_format_word(w)
+            assert parse_word(format_word(w)) == w
 
 
 def test_hat_words_enumeration():
