@@ -30,7 +30,7 @@ from .poset import (
     DISCIPLINES,
     Condition,
     PosetMode,
-    _grow_side_set,
+    add_words,
     frozen_value,
     leq,
     side_words,
@@ -156,12 +156,12 @@ def build(
 
     def freeze(group: Sequence[Word]) -> None:
         # No point step comes between the words, so s stays prev's: the side
-        # set grows and is validated once.  The order check cannot fail (leq
-        # skips the superset test for a side set grown from prev's); it is
-        # kept as the step's contract.
+        # set grows and is validated once.  The order check cannot fail (s is
+        # prev's and the side set a superset of prev's); it is kept as the
+        # step's contract.
         nonlocal cond, stage
         prev = cond
-        cond = _grow_side_set(prev, frozenset(group), ground)
+        cond = add_words(prev, prev.words | frozenset(group), ground)
         fix = None
         if discipline.shape == "hat":
             read = _fix_reader(fix_table(finite, max(map(len, group)), cond.s), cond.s, ground)

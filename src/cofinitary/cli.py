@@ -164,6 +164,13 @@ def _positive(value: str) -> int:
     return n
 
 
+def _non_negative(value: str) -> int:
+    n = int(value)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return n
+
+
 def _mode(value: str) -> PosetMode:
     try:
         return PosetMode(value)
@@ -392,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"longest frozen hat word (--mode cofinitary only; default {DEFAULT_WORD_LEN})",
     )
     bg.add_argument("--seed", type=int, required=True)
-    bg.add_argument("--ceiling", type=int, default=None)
+    bg.add_argument("--ceiling", type=_non_negative, default=None)
     bg.add_argument("--out", default=None)
     bg.add_argument("--csv", default=None)
     bg.set_defaults(func=cmd_build_group)
@@ -425,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     hd = sub.add_parser("hit-density", help="check hitting-extension density")
     hd.add_argument("--generators", type=_positive, required=True)
     hd.add_argument("--words", type=_positive, default=4)
-    hd.add_argument("--maxN", dest="max_n", type=int, required=True)
+    hd.add_argument("--maxN", dest="max_n", type=_non_negative, required=True)
     hd.add_argument("--window", type=_positive, required=True)
     hd.add_argument("--samples", type=_positive, default=100)
     hd.add_argument("--seed", type=int, required=True)

@@ -2,10 +2,13 @@
 
 domain_extend / range_extend compute a finite forbidden set of values such
 that every value outside it yields an extension of the condition (no frozen
-word gains a fixed point), together with a deterministic chooser.  The
-forbidden set is built constructively, block by block over the good
-decomposition of each frozen word, and may over-approximate; the extension
-order check is re-run on every chosen value and is authoritative.
+word gains a fixed point), together with a deterministic chooser.  When the
+frozen words that hold the generator are all over finite generators, the
+forbidden set is {n} together with the values of s: every walk from those
+values stays among them.  Only the mixed words, which also hold an ambient
+letter, need the constructive forbidden set, built block by block over each
+word's good decomposition.  The forbidden set may over-approximate; the
+extension order check is re-run on every chosen value and is authoritative.
 
 cover_extend forces a word's evaluation to cover given finite sets;
 strong_reduction restricts a condition to a sub-alphabet padded so that
@@ -234,20 +237,14 @@ def _run_guards(
     return forb
 
 
-def _holding(
-    p: Condition, gen: int, ground: GroundRep
-) -> tuple[Sequence[Word], Sequence[Word]]:
-    """The side words holding gen, read from the side-set index: those over
-    finite generators only, and the mixed ones, which also hold an ambient
-    letter."""
+def _mixed(p: Condition, gen: int, ground: GroundRep) -> list[Word]:
+    """The side words that hold gen and an ambient letter, in Word.sort_key
+    order; none without a ground."""
     amb = ground.generators()
-    words = side_index(p.words).holding.get(gen, ())
     if not amb:
-        return words, ()
-    finite, mixed = [], []
-    for w in words:
-        (mixed if any(l.gen in amb for l in w.letters) else finite).append(w)
-    return finite, mixed
+        return []
+    mixed = (w for w in p.words if gen in occurrences(w) and occurrences(w) & amb)
+    return sorted(mixed, key=Word.sort_key)
 
 
 def _forbidden_word_modes(
@@ -255,17 +252,17 @@ def _forbidden_word_modes(
 ) -> set[int]:
     s = p.s
     pm = s.get(gen)
-    finite, mixed = _holding(p, gen, ground)
-    if not finite and not mixed:
-        return set(pm.rev)  # keep the map injective
+    tries = side_index(p.words)
+    if Letter(gen, 1) not in tries and Letter(gen, -1) not in tries:
+        return set(pm.rev)  # no side word holds gen: keep the map injective
     # n and every value of s, the image of gen's map among them
     concrete = {n}
     for other in s.table.values():
         concrete.update(other.fwd)
         concrete.update(other.rev)
+    mixed = _mixed(p, gen, ground)
     if not mixed:
         return concrete  # all walks from concrete values stay inside it
-    mixed = sorted(mixed, key=Word.sort_key)
     rotated: list[Word] = []
     for w in mixed:
         good = _good_form(w, gen)
@@ -287,9 +284,10 @@ def _forbidden_word_modes(
 def _forbidden_edf(p: Condition, gen: int, n: int) -> set[int]:
     # only a new agreement with a frozen partner at the new point is dangerous
     forb = set()
-    for w in side_index(p.words).holding.get(gen, ()):
+    for w in p.words:
         a, b = (letter.gen for letter in w.letters)
-        forb.add(p.s.get(b if a == gen else a).fwd.get(n))
+        if gen in (a, b):
+            forb.add(p.s.get(b if a == gen else a).fwd.get(n))
     return forb - {None}
 
 
@@ -376,19 +374,18 @@ def domain_extend(
 
 
 def _mirror(p: Condition, gen: int, ground: GroundRep) -> Condition:
-    """Invert gen's map and flip gen's sign in the side words that hold gen
-    and an ambient letter: the only words whose letters the certificate
-    walks.  Evaluations of the flipped words agree with the originals.  Of
-    the words over finite generators that hold gen, the certificate reads a
-    single fact, that one exists; flipping a sign does not change it, so
-    they are kept as they are, and so are the words without gen.  With no
-    mixed word the mirror keeps p's side set, and with it p's cached
-    side-set index."""
+    """Invert gen's map and flip gen's sign in the mixed side words (_mixed):
+    the only words whose letters the certificate walks.  Evaluations of the
+    flipped words agree with the originals.  Of the words over finite
+    generators, the certificate reads a single fact, whether one holds gen;
+    flipping a sign does not change it, so they are kept as they are.  With
+    no mixed word, as always without a ground, the mirror keeps p's side
+    set, and with it p's cached side-set index."""
     table = dict(p.s.table)
     pm = p.s.get(gen)
     if pm.pairs:
         table[gen] = pm.inverse()
-    _, mixed = _holding(p, gen, ground)
+    mixed = _mixed(p, gen, ground)
     words = p.words
     if mixed:
         flipped = frozenset(substitute(w, gen, Letter(gen, -1)) for w in mixed)

@@ -114,47 +114,29 @@ def side_words(
     return tuple(single(g) for g in finite)
 
 
-@dataclass(frozen=True)
-class SideIndex:
-    """Where each generator occurs in a side set.
-
-    holding  generator -> the side words that hold it, in Word.sort_key order
-    tries    letter -> the trie of the rotations of each class representative
-             (w.class_key) in application order, each read from just after
-             an occurrence of the letter; END marks where a rotation ends
-
-    Both depend only on the side set, so equal side sets have equal indexes.
-    """
-
-    holding: Mapping[int, tuple[Word, ...]]
-    tries: Mapping[Letter, dict]
-
-
 END = None  # the trie key that closes a rotation
 
 
 @functools.lru_cache(maxsize=8)
-def side_index(words: frozenset[Word]) -> SideIndex:
-    """The index of a side set, built once per distinct side set: every
-    condition that keeps the set, such as the steps made by with_pair,
-    shares it."""
-    holding: dict[int, list[Word]] = {}
+def side_index(words: frozenset[Word]) -> dict[Letter, dict]:
+    """The side-set index: letter -> the trie of the rotations of each class
+    representative (w.class_key) in application order, each read from just
+    after an occurrence of the letter; END marks where a rotation ends.
+
+    A representative holds the generators of its words, so a side word holds
+    g exactly when Letter(g, 1) or Letter(g, -1) keys a trie.  The tries
+    depend only on the side set, not on the order classes are inserted, so
+    they are built once per distinct side set: every condition that keeps
+    the set, such as the steps made by with_pair, shares them."""
     tries: dict[Letter, dict] = {}
-    seen = set()
-    for w in sorted(words, key=Word.sort_key):
-        for g in occurrences(w):
-            holding.setdefault(g, []).append(w)
-        key = w.class_key
-        if key in seen:
-            continue
-        seen.add(key)
+    for key in {w.class_key for w in words}:
         applied = key[::-1]
         for i, letter in enumerate(applied):
             node = tries.setdefault(letter, {})
             for x in applied[i + 1 :] + applied[:i]:
                 node = node.setdefault(x, {})
             node[END] = END
-    return SideIndex({g: tuple(ws) for g, ws in sorted(holding.items())}, tries)
+    return tries
 
 
 @dataclass(frozen=True)
@@ -166,7 +148,6 @@ class Condition:
     # Derived facts, set with object.__setattr__ where they are proved.  The
     # class-level defaults make reading an unset one a plain lookup.
     _valid_for = None  # the ambient generators validated() passed it for
-    _grown_from = None  # the side set add_words grew this side set from
 
     def sorted_words(self) -> list[Word]:
         return sorted(self.words, key=Word.sort_key)
@@ -391,8 +372,7 @@ def leq(p: Condition, q: Condition, ground: GroundRep = EMPTY_GROUND) -> bool:
     added = _added_pairs(p.s, q.s)
     if added is None:
         return False
-    # add_words proved the superset when it grew p's side set from q's
-    if not (p.words is q.words or p._grown_from is q.words or p.words >= q.words):
+    if not (p.words is q.words or p.words >= q.words):
         return False
     # The pair kernels look only at the points where p adds a pair on a or
     # b: elsewhere both maps hold the same pairs in p as in q, so a point
@@ -425,7 +405,7 @@ def leq(p: Condition, q: Condition, ground: GroundRep = EMPTY_GROUND) -> bool:
     # step, the cycle walks b to a along a rotation that follows a (g, +1),
     # or a to b along one that follows a (g, -1).  Every word of a class
     # gains one when its representative does (words.cyclic_class).
-    tries = side_index(q.words).tries
+    tries = side_index(q.words)
     steps = _Steps(p.s, ground)
     for g, pairs in added.items():
         ahead, back = tries.get(Letter(g, 1)), tries.get(Letter(g, -1))
@@ -471,22 +451,12 @@ def add_words(
 ) -> Condition:
     """Replace the side set by a superset; freezing more words only constrains
     the future, so the result extends p.  Only the new words are validated
-    when p is known valid (see validated).  The result remembers p's side
-    set, so leq against a condition with that side set skips the superset
-    test."""
+    when p is known valid (see validated)."""
     new = frozenset(words)
     added = new - p.words
     if len(new) - len(added) != len(p.words):
         raise ValueError("new side set must contain the old one")
-    return _grow_side_set(p, added, ground)
-
-
-def _grow_side_set(p: Condition, added: frozenset[Word], ground: GroundRep) -> Condition:
-    """add_words(p, p.words | added) for a caller whose side set is a
-    superset by construction, so no difference over p.words is taken."""
-    out = validated(p, Condition(p.s, p.words | added, p.mode), ground, added)
-    object.__setattr__(out, "_grown_from", p.words)
-    return out
+    return validated(p, Condition(p.s, new, p.mode), ground, added)
 
 
 @dataclass(frozen=True)

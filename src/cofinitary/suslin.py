@@ -617,8 +617,8 @@ def ffp_axiom_suite(
             from .sampling import sample_extra_words
 
             grown = add_words(p, p.words | sample_extra_words(rng, p, ground), ground)
-            # order skips the superset test for a side set add_words grew
-            # from p's, so the clause tests it independently
+            # the superset is tested on its own as well as inside order, so
+            # the clause does not rest on the check it tests
             if res_grow.passed and not (grown.words >= p.words and order(grown, p, ground)):
                 res_grow.passed = False
                 res_grow.witness = f"p={p.to_json()}, E={[format_word(w) for w in grown.words]}"

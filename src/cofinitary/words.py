@@ -31,10 +31,16 @@ class Word:
     letters: tuple[Letter, ...] = ()
 
     def __post_init__(self) -> None:
-        for i, letter in enumerate(self.letters):
-            _check_letter(letter)
-            if i > 0 and letter == self.letters[i - 1].inverse():
+        # One pass: each letter's sign, then whether it cancels the letter
+        # before it (same generator, other sign); the first bad position
+        # raises.
+        prev_gen = prev_sign = None
+        for i, (gen, sign) in enumerate(self.letters):
+            if sign != 1 and sign != -1:
+                raise ValueError(f"letter sign must be +1 or -1, got {sign}")
+            if gen == prev_gen and sign != prev_sign:
                 raise ValueError(f"word not reduced at position {i}: {self.letters}")
+            prev_gen, prev_sign = gen, sign
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -285,7 +285,7 @@ def test_one_walk_per_class():
     assert len(keys) == 390
     holding = {k for k in keys if any(x.gen == 0 for x in k)}
     assert len(holding) == 271
-    tries = poset.side_index(q.words).tries
+    tries = poset.side_index(q.words)
     reached = set()
     for letter in (Letter(0, 1), Letter(0, -1)):
         paths = set(_paths(tries[letter]))

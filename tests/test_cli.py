@@ -317,6 +317,35 @@ class TestConfigFile:
         assert json.loads((tmp_path / "h.json").read_text())["max_n"] == 2
 
 
+# flag -> (its config key, a command that takes it)
+NEGATIVE_FLAGS = {
+    "--ceiling": (
+        "ceiling", ["build-group", "--generators", "2", "--points", "3", "--seed", "1"]
+    ),
+    "--maxN": (
+        "max_n",
+        ["hit-density", "--generators", "2", "--window", "8", "--samples", "2", "--seed", "1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(NEGATIVE_FLAGS))
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_count_is_a_usage_error(flag, source, tmp_path, capsys):
+    key, argv = NEGATIVE_FLAGS[flag]
+    argv = [*argv, "--out", str(tmp_path / "o.json")]
+    if source == "flag":
+        argv += [flag, "-1"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: -1}))
+        argv += ["--config", str(cfg)]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert "-1 is negative" in err and "Traceback" not in err
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_report_dir_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("COFINITARY_REPORT_DIR", str(tmp_path / "reports"))
     code, out, _ = run(

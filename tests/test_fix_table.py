@@ -1,12 +1,12 @@
 """The fix table, the shared core routine, the verifier that reads them,
-and the freeze's growth step.
+and the order check after the freeze's growth step.
 
 evaluation.fix_table computes the fix sets of every short reduced word over
 the finite generators in one walk of the word trie; builder.verify_cofinitary
 reads both of its laws from that table and from words.conjugate_core.  The
 reference verifier below is the one that asked fix_points for each word; the
-new one must give the same violations, in the same order.  poset's growth
-step is add_words without the difference over the old side set.
+new one must give the same violations, in the same order.  A freeze grows
+the side set with add_words, and leq must still test the superset.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import random
 
 import pytest
 
-from cofinitary import poset
 from cofinitary.builder import (
     BuildReport,
     _frozen_law,
@@ -42,7 +41,6 @@ from cofinitary.words import (
     conjugate_core,
     conjugate_decompose,
     format_word,
-    hat_words,
     invert,
     is_hat,
     occurrences,
@@ -262,47 +260,12 @@ def test_a_broken_conjugation_law_alone_is_reported_alike():
 # -- the freeze's growth step -----------------------------------------------
 
 
-def _conditions(rng: random.Random):
-    """Valid conditions grown one word at a time, as a build freezes them."""
-    pool = hat_words([0, 1, 2], 3)
-    s = build(PosetMode.COFINITARY, [0, 1, 2], point_budget=6, word_budget=1, seed=1).final.s
-    c = add_words(Condition(s), [])
-    for w in rng.sample(pool, 30):
-        yield c, w
-        c = poset._grow_side_set(c, frozenset((w,)), EMPTY_GROUND)
-
-
-def test_growth_step_equals_add_words():
-    ground = GroundRep({7: zshift()})
-    for c, w in _conditions(random.Random(4)):
-        for g in (EMPTY_GROUND, ground):
-            grown = poset._grow_side_set(c, frozenset((w,)), g)
-            added = add_words(c, c.words | {w}, g)
-            assert grown.words == added.words == c.words | {w}
-            assert grown.s is added.s is c.s and grown.mode is added.mode
-            assert grown._valid_for == added._valid_for == g.generators()
-            assert grown._grown_from is added._grown_from is c.words
-            assert leq(grown, c, g)
-
-
-def test_growth_step_rejects_an_invalid_entry_with_add_words_text():
-    bad = parse_word("g0 g1 g0^-1")
-    for c, _ in list(_conditions(random.Random(2)))[::10]:
-        for start in (c, Condition(c.s, c.words)):  # known valid, and not
-            with pytest.raises(ValueError) as via_add:
-                add_words(start, start.words | {bad})
-            with pytest.raises(ValueError) as via_grow:
-                poset._grow_side_set(start, frozenset((bad,)), EMPTY_GROUND)
-            assert str(via_grow.value) == str(via_add.value)
-            assert "not in the hat class" in str(via_grow.value)
-
-
 def test_leq_rejects_a_side_set_that_does_not_grow_after_a_growth_step():
     a, b, c = parse_word("g0 g1"), parse_word("g1"), parse_word("g0^2")
     q = add_words(Condition(Assignment({0: PartialMap(frozenset({(0, 1)}))})), [a, b])
     # grown from a side set that lacks a word of q's
-    other = poset._grow_side_set(Condition(q.s, frozenset({b})), frozenset({c}), EMPTY_GROUND)
-    assert other._grown_from is not q.words and not leq(other, q)
+    other = add_words(Condition(q.s, frozenset({b})), [b, c])
+    assert not leq(other, q)
     assert not leq(Condition(q.s, q.words - {a}), q)
-    grown = poset._grow_side_set(q, frozenset({c}), EMPTY_GROUND)
+    grown = add_words(q, q.words | {c})
     assert leq(grown, q) and not leq(q, grown)

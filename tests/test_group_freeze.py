@@ -3,8 +3,9 @@
 builder.build grows the side set once per length group, with one
 validation and one order check, where it used to freeze the words one at a
 time.  reference_build below is the word-at-a-time builder, kept verbatim
-but for its name; both must give the same report, goal log included, on
-every mode, word budget, ambient ground and kind of extra goal.
+but for its name and its add_words call; both must give the same report,
+goal log included, on every mode, word budget, ambient ground and kind of
+extra goal.
 
 A group's frozen values are read from one evaluation.fix_table of the
 group's s; the last tests check each group's reader against fix_points at
@@ -29,7 +30,7 @@ from cofinitary.poset import (
     DISCIPLINES,
     Condition,
     PosetMode,
-    _grow_side_set,
+    add_words,
     frozen_value,
     leq,
     side_words,
@@ -86,10 +87,9 @@ def reference_build(
         # Point and hit steps come back order-checked by their step function
         # (the chooser's leq, mad_set_point, hit_extend) or leave cond as it
         # was; only a freeze is checked here.  A freeze keeps s and grows
-        # the side set by construction, and leq skips the superset test for
-        # a side set grown from prev's, so this check cannot fail.
+        # the side set by construction, so this check cannot fail.
         if goal.kind == "freeze":
-            cond = _grow_side_set(prev, frozenset((goal.word,)), ground)
+            cond = add_words(prev, prev.words | {goal.word}, ground)
             fix = frozen_value(mode, cond.s, goal.word, prev.words, ground)
             frozen_fix[goal.word] = (stage, fix)
             if not leq(cond, prev, ground):
@@ -201,17 +201,17 @@ def test_extra_goals_mad():
 
 def test_one_growth_and_one_check_per_group(monkeypatch):
     calls = {"grow": [], "leq": 0}
-    grow, check = builder._grow_side_set, builder.leq
+    grow, check = builder.add_words, builder.leq
 
-    def counting_grow(p, added, ground):
-        calls["grow"].append(added)
-        return grow(p, added, ground)
+    def counting_grow(p, words, ground):
+        calls["grow"].append(words - p.words)
+        return grow(p, words, ground)
 
     def counting_leq(p, q, ground=EMPTY_GROUND):
         calls["leq"] += 1
         return check(p, q, ground)
 
-    monkeypatch.setattr(builder, "_grow_side_set", counting_grow)
+    monkeypatch.setattr(builder, "add_words", counting_grow)
     monkeypatch.setattr(builder, "leq", counting_leq)
     report = build(PosetMode.COFINITARY, [0, 1, 2], point_budget=12, word_budget=3, seed=7)
     groups = {len(w) for w in report.frozen_fix}
@@ -271,10 +271,10 @@ def test_group_values_come_from_a_table_at_the_group_s(
     # A table of the final s agrees on the frozen words, which keep their
     # fix sets, so the reader-per-group and group-s checks catch it.
     groups, calls, asked = [], [], []
-    grow, value, points_of = builder._grow_side_set, builder.frozen_value, builder.fix_points
+    grow, value, points_of = builder.add_words, builder.frozen_value, builder.fix_points
 
-    def recording_grow(p, added, ground):
-        groups.append(grow(p, added, ground))
+    def recording_grow(p, words, ground):
+        groups.append(grow(p, words, ground))
         return groups[-1]
 
     def recording_value(mode, s, w, earlier, ground, fix=None):
@@ -285,7 +285,7 @@ def test_group_values_come_from_a_table_at_the_group_s(
         asked.append(w)
         return points_of(w, s, ground)
 
-    monkeypatch.setattr(builder, "_grow_side_set", recording_grow)
+    monkeypatch.setattr(builder, "add_words", recording_grow)
     monkeypatch.setattr(builder, "frozen_value", recording_value)
     monkeypatch.setattr(builder, "fix_points", recording_points)
     report = build(PosetMode.COFINITARY, gens, ground, point_budget=points,

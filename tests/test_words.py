@@ -86,6 +86,48 @@ class TestReduce:
             reduce_letters([Letter(0, 2)])
 
 
+def _check_by_letter(letters: tuple) -> None:
+    """Word's check before its one-pass form: an inverse Letter and a sign
+    check per position."""
+    for i, letter in enumerate(letters):
+        if letter.sign not in (-1, 1):
+            raise ValueError(f"letter sign must be +1 or -1, got {letter.sign}")
+        if i > 0 and letter == letters[i - 1].inverse():
+            raise ValueError(f"word not reduced at position {i}: {letters}")
+
+
+@pytest.mark.parametrize(
+    "letters, message",
+    [
+        ((Letter(0, 1), Letter(1, 2), Letter(2, 1)), "letter sign must be +1 or -1, got 2"),
+        ((Letter(0, 1), Letter(1, -1), Letter(1, 1)), "word not reduced at position 2"),
+        # both faults: the first position raises, whichever fault it holds
+        ((Letter(0, 1), Letter(0, -1), Letter(1, 0)), "word not reduced at position 1"),
+        ((Letter(1, 0), Letter(0, 1), Letter(0, -1)), "letter sign must be +1 or -1, got 0"),
+    ],
+    ids=["sign", "cancel", "cancel-then-sign", "sign-then-cancel"],
+)
+def test_word_check_messages(letters, message):
+    with pytest.raises(ValueError) as new:
+        Word(letters)
+    with pytest.raises(ValueError) as old:
+        _check_by_letter(letters)
+    assert str(new.value) == str(old.value) and str(new.value).startswith(message)
+
+
+@given(st.lists(st.builds(Letter, st.integers(0, 2), st.sampled_from([1, -1, 0, 2])), max_size=6))
+def test_word_check_equals_the_letter_by_letter_check(letters):
+    letters = tuple(letters)
+    try:
+        _check_by_letter(letters)
+    except ValueError as err:
+        with pytest.raises(ValueError) as new:
+            Word(letters)
+        assert str(new.value) == str(err)
+    else:
+        assert Word(letters).letters == letters
+
+
 class TestGroupOps:
     def test_inverse_law(self):
         w = parse_word("g0 g1^-1 g0")
