@@ -9,6 +9,7 @@ Undefined is a value (None), not an error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count, filterfalse
 from typing import Callable, Iterable, Mapping, Optional
 
 from .words import Letter, Word, invert
@@ -116,9 +117,30 @@ class Assignment:
         )
 
     def with_pair(self, gen: int, n: int, m: int) -> "Assignment":
+        """The assignment with (gen, n, m) added.  A value summary self has
+        already built is handed on grown by n and m, so none is rebuilt."""
         new = dict(self.table)
         new[gen] = self.get(gen).with_pair(n, m)
-        return Assignment(new)
+        out = Assignment(new)
+        summary = self.__dict__.get("_summary")
+        if summary is not None:
+            values, gap, top = summary
+            values = values | {n, m}
+            while gap in values:
+                gap += 1
+            object.__setattr__(out, "_summary", (values, gap, max(top, n, m)))
+        return out
+
+    def with_inverse(self, gen: int) -> "Assignment":
+        """The assignment with gen's map inverted.  Inverting a map keeps its
+        values, so the value summary is handed over, built here if need be."""
+        new = dict(self.table)
+        pm = self.get(gen)
+        if pm.pairs:
+            new[gen] = pm.inverse()
+        out = Assignment(new)
+        object.__setattr__(out, "_summary", self.summary())
+        return out
 
     def union(self, other: "Assignment") -> "Assignment":
         new = dict(self.table)
@@ -133,12 +155,30 @@ class Assignment:
     def contains(self, other: "Assignment") -> bool:
         return all(pm.pairs <= self.get(g).pairs for g, pm in other.table.items())
 
+    def summary(self) -> tuple[frozenset[int], int, int]:
+        """(V, gap, top): V is every domain and image value of the maps, gap
+        the least natural not in V and top the max of V (-1 when V is
+        empty).  Built on first use and cached, like PartialMap's caches;
+        with_pair hands it on, so a chain of steps builds it once."""
+        try:
+            return self._summary  # type: ignore[attr-defined]
+        except AttributeError:
+            vals: set[int] = set()
+            for pm in self.table.values():
+                vals.update(pm.fwd)
+                vals.update(pm.rev)
+            values = frozenset(vals)
+            gap = next(filterfalse(values.__contains__, count()))
+            summary = (values, gap, max(values, default=-1))
+            object.__setattr__(self, "_summary", summary)
+            return summary
+
     def all_values(self) -> frozenset[int]:
-        vals: set[int] = set()
-        for pm in self.table.values():
-            vals.update(pm.fwd)
-            vals.update(pm.rev)
-        return frozenset(vals)
+        return self.summary()[0]
+
+    @property
+    def top(self) -> int:
+        return self.summary()[2]
 
     def to_json(self) -> dict:
         return {

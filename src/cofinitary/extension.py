@@ -5,10 +5,13 @@ that every value outside it yields an extension of the condition (no frozen
 word gains a fixed point), together with a deterministic chooser.  When the
 frozen words that hold the generator are all over finite generators, the
 forbidden set is {n} together with the values of s: every walk from those
-values stays among them.  Only the mixed words, which also hold an ambient
-letter, need the constructive forbidden set, built block by block over each
-word's good decomposition.  The forbidden set may over-approximate; the
-extension order check is re-run on every chosen value and is authoritative.
+values stays among them.  That set, its bound and where the chooser's scan
+starts are read off the value summary each assignment carries from step to
+step (Assignment.summary), so such a step scans no value set.  Only the
+mixed words, which also hold an ambient letter, need the constructive
+forbidden set, built block by block over each word's good decomposition.
+The forbidden set may over-approximate; the extension order check is re-run
+on every chosen value and is authoritative.
 
 cover_extend forces a word's evaluation to cover given finite sets;
 strong_reduction restricts a condition to a sub-alphabet padded so that
@@ -86,22 +89,26 @@ class ExtensionCertificate:
     """Finite forbidden set; every natural outside it is admitted.
 
     bound is the least value above the whole forbidden set, witnessing that
-    the admitted set is cofinite.  least_admitted finds the least admitted
-    value at or above a floor without probing values one at a time.
+    the admitted set is cofinite.  gap is a natural with [0, gap) inside the
+    forbidden set (0 claims nothing).  least_admitted finds the least
+    admitted value at or above a floor without probing values one at a time.
     """
 
     forbidden: frozenset[int]
     bound: int
+    gap: int = 0
 
     def admits(self, m: int) -> bool:
         return m >= 0 and m not in self.forbidden
 
     def least_admitted(self, floor: int = 0) -> int:
         """The least admitted value >= floor, by one scan in C that stops at
-        the first value outside F.  Of the |F| + 1 naturals from
-        max(floor, 0) on, at most |F| are forbidden, so the scan ends within
-        them."""
-        return next(filterfalse(self.forbidden.__contains__, count(max(floor, 0))))
+        the first value outside F.  Every value below gap is forbidden, so
+        the scan starts at max(floor, gap); of the |F| + 1 naturals from
+        there on, at most |F| are forbidden, so it ends within them.  When
+        gap is F's least admitted value and floor <= gap, the first probe
+        ends it."""
+        return next(filterfalse(self.forbidden.__contains__, count(max(floor, self.gap))))
 
     @staticmethod
     def of(values: Iterable[int]) -> "ExtensionCertificate":
@@ -247,22 +254,25 @@ def _mixed(p: Condition, gen: int, ground: GroundRep) -> list[Word]:
     return sorted(mixed, key=Word.sort_key)
 
 
-def _forbidden_word_modes(
+def _word_modes_certificate(
     p: Condition, gen: int, n: int, ground: GroundRep
-) -> set[int]:
+) -> ExtensionCertificate:
+    """The certificate for (gen, n, ?) in the walk disciplines.  Without a
+    mixed word it is F = {n} | V(s), read off the assignment's carried value
+    summary: bound is max(top, n) + 1, and [0, gap) lies in V, so the
+    chooser's scan starts at gap.  No step of this branch scans V."""
     s = p.s
     pm = s.get(gen)
     tries = side_index(p.words)
     if Letter(gen, 1) not in tries and Letter(gen, -1) not in tries:
-        return set(pm.rev)  # no side word holds gen: keep the map injective
-    # n and every value of s, the image of gen's map among them
-    concrete = {n}
-    for other in s.table.values():
-        concrete.update(other.fwd)
-        concrete.update(other.rev)
+        return ExtensionCertificate.of(pm.rev)  # no side word holds gen: keep the map injective
     mixed = _mixed(p, gen, ground)
+    # n and every value of s, the image of gen's map among them
+    values, gap, top = s.summary()
+    concrete = values if n in values else values | {n}
     if not mixed:
-        return concrete  # all walks from concrete values stay inside it
+        # all walks from concrete values stay inside it
+        return ExtensionCertificate(concrete, max(top, n) + 1, gap)
     rotated: list[Word] = []
     for w in mixed:
         good = _good_form(w, gen)
@@ -278,7 +288,7 @@ def _forbidden_word_modes(
         top_target = (pm.fwd.keys() | {n}) if k_top < 0 else set(pm.rev)
         forb |= _block_forbidden(good, s, ground, set(top_target))
         forb |= _run_guards(good.recompose().letters, gen, ground, walk)
-    return forb
+    return ExtensionCertificate.of(forb)
 
 
 def _forbidden_edf(p: Condition, gen: int, n: int) -> set[int]:
@@ -367,10 +377,10 @@ def domain_extend(
     if d.values is not None:
         raise ValueError("use mad_set_point for MAD conditions")
     if d.kernel == "agreement":
-        forb = _forbidden_edf(p, gen, n)
+        cert = ExtensionCertificate.of(_forbidden_edf(p, gen, n))
     else:
-        forb = _forbidden_word_modes(p, gen, n, ground)
-    return Extension(p, gen, n, ExtensionCertificate.of(forb), "domain", ground)
+        cert = _word_modes_certificate(p, gen, n, ground)
+    return Extension(p, gen, n, cert, "domain", ground)
 
 
 def _mirror(p: Condition, gen: int, ground: GroundRep) -> Condition:
@@ -380,11 +390,8 @@ def _mirror(p: Condition, gen: int, ground: GroundRep) -> Condition:
     generators, the certificate reads a single fact, whether one holds gen;
     flipping a sign does not change it, so they are kept as they are.  With
     no mixed word, as always without a ground, the mirror keeps p's side
-    set, and with it p's cached side-set index."""
-    table = dict(p.s.table)
-    pm = p.s.get(gen)
-    if pm.pairs:
-        table[gen] = pm.inverse()
+    set, and with it p's cached side-set index.  Inverting keeps the values
+    of s, so the mirror shares its value summary (Assignment.with_inverse)."""
     mixed = _mixed(p, gen, ground)
     words = p.words
     if mixed:
@@ -392,7 +399,7 @@ def _mirror(p: Condition, gen: int, ground: GroundRep) -> Condition:
         words = (words - frozenset(mixed)) | flipped
     # pair-shape words lose their shape under the flip; the word machinery
     # only needs the hat class, so certify in cofinitary mode
-    return Condition(Assignment(table), words, PosetMode.COFINITARY)
+    return Condition(p.s.with_inverse(gen), words, PosetMode.COFINITARY)
 
 
 def range_extend(

@@ -122,6 +122,9 @@ def constant_seq(value: Value) -> FinSeq:
 
 
 def _probe_indices(*seqs: FinSeq, floor: int = 0) -> list[int]:
+    """floor, every exception index of seqs and each settle index, the
+    nonnegative ones in order.  Every other index is rule-only: each seq
+    reads its rule there."""
     idx = {floor}
     for s in seqs:
         idx.update(s._table)
@@ -130,7 +133,10 @@ def _probe_indices(*seqs: FinSeq, floor: int = 0) -> list[int]:
 
 
 def _eventually_le(f: FinSeq, g: FinSeq) -> bool:
-    """f(i) <= g(i) for all i past every exception; exact for the algebra."""
+    """f's rule is at most g's from some index on: a smaller slope, or equal
+    slopes and a value no larger.  The rule difference f - g is affine in i,
+    so this decides it exactly; with equal slopes the difference is constant
+    and the rules compare the same way at every index."""
     rf, rg = f.rule, g.rule
     sf = rf.slope if rf.kind == "affine" else 0
     sg = rg.slope if rg.kind == "affine" else 0
@@ -140,17 +146,30 @@ def _eventually_le(f: FinSeq, g: FinSeq) -> bool:
 
 
 def seq_le(f: FinSeq, g: FinSeq) -> bool:
-    """Pointwise f(i) <= g(i) for all i, decided on exceptions plus the rules."""
+    """Pointwise f(i) <= g(i) for all i, exactly.
+
+    The probes are every exception index of f or g and the least index that
+    is neither.  Off the exceptions both sequences follow their rules, where
+    f - g is one affine function of i.  If it grows, f passes g eventually,
+    which _eventually_le reports.  If not, its largest value over those
+    rule-only indices is at the least of them, so a probe sees it.
+    """
     if isinstance(f.rule.value, frozenset) or isinstance(g.rule.value, frozenset):
         raise Undecidable("pointwise order is for number sequences")
-    for i in _probe_indices(f, g):
-        if f.at(i) > g.at(i):
+    ft, gt = f._table, g._table
+    free = 0
+    while free in ft or free in gt:
+        free += 1
+    for i in (free, *ft, *gt):
+        if i >= 0 and f.at(i) > g.at(i):
             return False
     return _eventually_le(f, g)
 
 
 def seq_subset(f: FinSeq, g: FinSeq) -> bool:
-    """Pointwise f(i) subseteq g(i) for set sequences."""
+    """Pointwise f(i) subseteq g(i) for set sequences, exactly: set rules
+    are constant, so at every rule-only index the test is the rules' own,
+    and the probes cover the rest."""
     for i in _probe_indices(f, g):
         if not f.at(i) <= g.at(i):
             return False
@@ -161,7 +180,10 @@ def seq_subset(f: FinSeq, g: FinSeq) -> bool:
 
 def seq_max(f: FinSeq, g: FinSeq) -> FinSeq:
     """Pointwise maximum, representable inside the algebra: the eventually
-    dominant rule wins, with exceptions at the finitely many crossings."""
+    dominant rule wins, with exceptions at the finitely many crossings.
+    Exact: the probes set every exception index, and at a rule-only index
+    the dominant rule is the larger from cross on (with equal slopes it is
+    never smaller), while indices up to cross are set explicitly."""
     dominant, other = (f, g) if _eventually_le(g, f) else (g, f)
     cross = 0
     df, dg = dominant.rule, other.rule
@@ -179,7 +201,8 @@ def seq_max(f: FinSeq, g: FinSeq) -> FinSeq:
 
 
 def seq_union(f: FinSeq, g: FinSeq) -> FinSeq:
-    """Pointwise union for set sequences with constant tails."""
+    """Pointwise union for set sequences with constant tails, exactly: at a
+    rule-only index the union is the union of the rules."""
     if f.rule.kind != "constant" or g.rule.kind != "constant":
         raise Undecidable("set sequences need constant tails")
     exc: dict[int, Value] = {}
@@ -218,6 +241,8 @@ class LocCondition:
                 raise ValueError(f"tail does not pin the prefix at {i}")
             if not self.pinned and not s <= self.phi.at(i):
                 raise ValueError(f"tail does not contain the prefix at {i}")
+        # the width check is exact: off the probes phi reads its rule, whose
+        # width is checked below
         width = len(self.sigma)
         for i in _probe_indices(self.phi):
             if len(self.phi.at(i)) > width:
@@ -652,7 +677,7 @@ def _freeze_probe(p: Condition, ground: GroundRep) -> Optional[Condition]:
     """A deliberately violating extension: gives some frozen entry a new
     fixed point / agreement / common 1-point.  None when p freezes nothing
     usable."""
-    fresh = max(p.s.all_values() | {9}, default=9) + 1
+    fresh = max(p.s.top, 9) + 1
     shape = DISCIPLINES[p.mode].shape
     words = p.sorted_words()
     if shape == "letter":

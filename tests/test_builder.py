@@ -139,6 +139,31 @@ class TestGoldenReports:
     def test_variants(self, mode, digest):
         assert _digest(build_variant_family(mode, [0, 1, 2, 3], 40, seed=7)) == digest
 
+    @pytest.mark.parametrize(
+        "seed, mode, digest",
+        [
+            (3, "cofinitary", "5db18e16b2c8b670bc0eaca0d4568dc269ae458ee3418b45fd176d44a6f698b1"),
+            (3, "adp", "0ffafcc1a91ff9b9a3a52b4ab5a3a34418da34e557c952ae913261d3d2633357"),
+            (3, "edf", "5572b99a9fe17f34f87a26afb6c08cd48e567581faecdf6d87be2df3b5d8a0ed"),
+            (3, "mad", "9a7437a78a4c52b582b381f2f9a3cfc07e08ae5345951dc68872e07ee3b2d146"),
+            (1009, "cofinitary", "595711136b98bd087124ab2a179b17fac5f7d18e201340771743026de0f10b56"),
+            (1009, "adp", "9fd47f8acde2bc8caa196302ffe94cd5cb49235af201fc963f5a93e31f18e3db"),
+            (1009, "edf", "320a68e9796472d61590d2c2c303eaebf752200e423a7af2c305fb92206cb1b8"),
+            (1009, "mad", "9b513b9921b037fb9f481058bc65341981e84595da68a5e968affacc0b5220d0"),
+        ],
+    )
+    def test_long(self, seed, mode, digest):
+        """The four builds of `build-group`: cofinitary over 2 generators
+        with 300 points and words up to length 2, and adp, edf and mad over
+        4 generators with 200 points.  Recorded before each assignment
+        carried its value summary; at this size the values fill a long run
+        from 0 and most points are held by side words."""
+        if mode == "cofinitary":
+            report = build(PosetMode.COFINITARY, [0, 1], point_budget=300, word_budget=2, seed=seed)
+        else:
+            report = build_variant_family(PosetMode(mode), [0, 1, 2, 3], 200, seed=seed)
+        assert _digest(report) == digest
+
     def test_ambient(self):
         report = build(
             PosetMode.COFINITARY, [0], GroundRep({7: zshift()}),

@@ -29,7 +29,7 @@ from test_class_walk import (
 from cofinitary import poset
 from cofinitary.cli import main
 from cofinitary.evaluation import EMPTY_GROUND, Assignment, GroundRep, PartialMap
-from cofinitary.extension import _forbidden_edf, _forbidden_word_modes, _mirror, _mixed
+from cofinitary.extension import _forbidden_edf, _mirror, _mixed, _word_modes_certificate
 from cofinitary.poset import Condition, PosetMode, add_words, pair_word, side_index
 from cofinitary.words import Letter, Word, hat_words, parse_word
 
@@ -138,9 +138,9 @@ def _holding_by_scan(p: Condition, gen: int, ground: GroundRep) -> tuple[list[Wo
 
 
 def _concrete_by_scan(p: Condition, gen: int, n: int, ground: GroundRep):
-    """What _forbidden_word_modes returned before the trie test when no
-    mixed word holds gen, on the split of _holding_by_scan; None when one
-    does."""
+    """The forbidden set of _word_modes_certificate before the trie test
+    when no mixed word holds gen, on the split of _holding_by_scan; None
+    when one does."""
     finite, mixed = _holding_by_scan(p, gen, ground)
     if not finite and not mixed:
         return set(p.s.get(gen).rev)
@@ -164,7 +164,7 @@ def test_trie_test_and_mixed_scan_match_the_holding_scan():
                     n = rng.randrange(12)
                     want = _concrete_by_scan(x, gen, n, ground)
                     if want is not None:
-                        assert _forbidden_word_modes(x, gen, n, ground) == want
+                        assert _word_modes_certificate(x, gen, n, ground).forbidden == want
                     held += keyed
                     unheld += not keyed
                     minus_only += keyed and Letter(gen, 1) not in tries

@@ -34,6 +34,12 @@ from cofinitary.suslin import (
 )
 
 
+# The brute-force window.  The random sequences hold exceptions below 12,
+# rule values below 8 and slopes below 3, so past 12 only the rules speak and
+# two rules that cross have crossed; a window of 64 sees every difference.
+WINDOW = 64
+
+
 def fs(rule_kind, value, slope=0, **exceptions):
     exc = tuple((int(k[1:]), v) for k, v in exceptions.items())
     return FinSeq(Rule(rule_kind, value, slope), exc)
@@ -75,6 +81,63 @@ class TestFinSeq:
         assert seq_le(fs("constant", 3), fs("affine", 3, slope=1))
         assert not seq_le(fs("affine", 3, slope=1), fs("constant", 3))
         assert not seq_le(fs("affine", 0, slope=2), fs("affine", 50, slope=1))
+
+    def test_seq_le_sees_a_rule_gap_between_exceptions(self):
+        # 0 and 10 are exceptions of g; at 1 its rule gives 1 < 5
+        f, g = fs("constant", 5), fs("affine", 0, slope=1, i0=100, i10=100)
+        assert f.at(1) > g.at(1)
+        assert not seq_le(f, g)
+        assert seq_le(f, fs("affine", 5, slope=1, i0=100, i10=100))
+
+    def test_seq_le_matches_a_window(self):
+        rng = random.Random("seq-le")
+        verdicts = {True: 0, False: 0}
+        for _ in range(20_000):
+            f = suslin._random_number_seq(rng, rng.randrange(6))
+            g = suslin._random_number_seq(rng, rng.randrange(6))
+            want = all(f.at(i) <= g.at(i) for i in range(WINDOW))
+            assert seq_le(f, g) == want, (f, g)
+            verdicts[want] += 1
+        assert min(verdicts.values()) > 2000, verdicts
+
+    def test_set_algebra_matches_a_window(self):
+        rng = random.Random("set-seqs")
+        verdicts = {True: 0, False: 0}
+        for _ in range(5_000):
+            width = rng.randrange(5)
+            f, g = suslin._random_set_seq(rng, width), suslin._random_set_seq(rng, width)
+            want = all(f.at(i) <= g.at(i) for i in range(WINDOW))
+            assert seq_subset(f, g) == want, (f, g)
+            verdicts[want] += 1
+            u = seq_union(f, g)
+            assert all(u.at(i) == f.at(i) | g.at(i) for i in range(WINDOW)), (f, g)
+        assert min(verdicts.values()) > 500, verdicts
+
+    def test_seq_max_matches_a_window(self):
+        rng = random.Random("seq-max")
+        for _ in range(5_000):
+            f = suslin._random_number_seq(rng, rng.randrange(6))
+            g = suslin._random_number_seq(rng, rng.randrange(6))
+            m = seq_max(f, g)
+            assert all(m.at(i) == max(f.at(i), g.at(i)) for i in range(WINDOW)), (f, g)
+
+    def test_loc_width_check_matches_a_window(self):
+        rng = random.Random("loc-width")
+        verdicts = {True: 0, False: 0}
+        for _ in range(5_000):
+            width = rng.randrange(4)
+            sigma = [frozenset(rng.sample(range(12), i)) for i in range(width)]
+            phi = suslin._random_set_seq(rng, width + 1)
+            pinned = phi.with_exceptions(enumerate(sigma))
+            want = all(len(pinned.at(i)) <= width for i in range(WINDOW))
+            try:
+                LocCondition(tuple(sigma), pinned)
+                got = True
+            except ValueError:
+                got = False
+            assert got == want, (sigma, phi)
+            verdicts[want] += 1
+        assert min(verdicts.values()) > 500, verdicts
 
     def test_seq_max_representable(self):
         f, g = fs("affine", 0, slope=2), fs("affine", 50, slope=1)

@@ -1,0 +1,215 @@
+"""Differential tests for the carried value summary.
+
+Assignment.summary() is (V, gap, top): every domain and image value of the
+maps, the least natural outside V and the max of V.  with_pair hands it on
+grown by the new pair, and with_inverse (the range-step mirror) hands it
+over unchanged, so a build scans V once.  The finite-word certificate
+{n} | V is read off it: bound max(top, n) + 1, and the chooser's scan
+starts at gap.  Each is checked here against a fresh scan: the summary after
+every way an assignment is made, and every certificate of long builds and
+sampled conditions against ExtensionCertificate.of of the set it replaced.
+
+The checks catch these broken copies of the code: with_pair not advancing
+gap past n or past m, with_pair not raising top to n or m, and a mirror
+that rebuilds the summary instead of sharing it.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from test_class_walk import GROUNDS
+from test_step_local import _linear_least
+
+from cofinitary import extension
+from cofinitary.builder import build, build_variant_family
+from cofinitary.evaluation import EMPTY_GROUND, Assignment, GroundRep, PartialMap, zshift
+from cofinitary.extension import (
+    ExtensionCertificate,
+    _forbidden_edf,
+    _mirror,
+    _mixed,
+    domain_extend,
+)
+from cofinitary.poset import DISCIPLINES, Condition, PosetMode, add_words, side_index
+from cofinitary.sampling import sample_condition
+from cofinitary.words import Letter, single
+
+
+def _fresh(s: Assignment) -> tuple[frozenset[int], int, int]:
+    """(V, gap, top) by a scan of the pairs."""
+    values = frozenset(v for pm in s.table.values() for pair in pm.pairs for v in pair)
+    gap = 0
+    while gap in values:
+        gap += 1
+    return values, gap, max(values, default=-1)
+
+
+def _check(s: Assignment) -> None:
+    assert s.summary() == _fresh(s)
+    assert (s.all_values(), s.top) == s.summary()[::2]
+
+
+def _random_assignment(rng: random.Random, span: int) -> Assignment:
+    return Assignment({
+        g: PartialMap(frozenset(
+            (rng.randrange(span), rng.randrange(span)) for _ in range(rng.randrange(5))
+        ))
+        for g in range(3)
+    })
+
+
+@pytest.mark.parametrize("span", [4, 40], ids=["dense", "sparse"])
+def test_summary_matches_a_fresh_scan_along_chains(span):
+    """Small spans repeat keys and values and fill [0, span), so gap moves
+    past runs; large spans leave holes.  Summaries are built mid-chain or
+    left lazy, so both the carried and the lazily built form are checked."""
+    rng = random.Random(f"summary-{span}")
+    carried = 0
+    for _ in range(300):
+        s = _random_assignment(rng, span)
+        if rng.random() < 0.5:
+            s.summary()
+        for _ in range(rng.randrange(1, 14)):
+            op = rng.random()
+            if op < 0.6:
+                before = "_summary" in s.__dict__
+                s = s.with_pair(rng.randrange(3), rng.randrange(span), rng.randrange(span))
+                assert ("_summary" in s.__dict__) == before
+                carried += before
+            elif op < 0.7:
+                parent = s
+                s = s.with_inverse(rng.randrange(3))
+                assert s.summary() is parent.summary()
+            elif op < 0.8:
+                s = s.restrict(rng.sample(range(3), rng.randrange(4)))
+            elif op < 0.9:
+                s = s.union(_random_assignment(rng, span))
+            else:
+                s = Assignment.from_json(s.to_json())
+            if rng.random() < 0.3:
+                _check(s)
+        _check(s)
+    assert carried > 500
+
+
+def test_summary_of_edge_assignments():
+    assert Assignment().summary() == (frozenset(), 0, -1)
+    s = Assignment().with_pair(0, 0, 0)
+    assert _fresh(s) == (frozenset({0}), 1, 0)
+    s = Assignment()
+    s.summary()
+    for n, m in [(1, 3), (0, 2), (5, 4)]:  # gap stays, then jumps past a run
+        s = s.with_pair(0, n, m)
+        _check(s)
+    assert s.summary()[1:] == (6, 5)
+
+
+def test_a_point_at_the_gap_is_stepped_over():
+    # V = {0, 1, 3}, so gap = 2; n = 2 is forbidden too, and the least
+    # admitted value is 4, one scan step past gap
+    s = Assignment({0: PartialMap(frozenset({(0, 1), (1, 3)}))})
+    p = add_words(Condition(s), [single(0)])
+    cert = domain_extend(p, 0, 2).certificate
+    assert (cert.gap, cert.bound) == (2, 4)
+    _check_certificate(cert, frozenset({0, 1, 2, 3}))
+    assert cert.least_admitted(0) == 4 and cert.least_admitted(3) == 4
+
+
+def test_the_mirror_shares_the_summary():
+    for name, ground in GROUNDS.items():
+        rng = random.Random(f"mirror-{name}")
+        finite = [g for g in range(3) if g not in ground.table]
+        for _ in range(40):
+            p = sample_condition(rng, PosetMode.COFINITARY, finite, max_words=3, ground=ground)
+            for gen in finite:
+                mirror = _mirror(p, gen, ground)
+                assert "_summary" in mirror.s.__dict__
+                assert mirror.s.summary() is p.s.summary()
+                _check(mirror.s)
+
+
+# -- every certificate of a run ------------------------------------------------
+
+
+def _reference_forbidden(
+    p: Condition, gen: int, n: int, ground: GroundRep, cert: ExtensionCertificate
+) -> frozenset[int]:
+    """The set the certificate stood for before the summary: _forbidden_edf,
+    the image of gen when no side word holds it, {n} and a scan of every
+    value of s when no mixed word does; the mixed-word set is built as
+    before, by ExtensionCertificate.of, so it is its own reference."""
+    if DISCIPLINES[p.mode].kernel == "agreement":
+        return frozenset(_forbidden_edf(p, gen, n))
+    tries = side_index(p.words)
+    if Letter(gen, 1) not in tries and Letter(gen, -1) not in tries:
+        return frozenset(p.s.get(gen).rev)
+    if _mixed(p, gen, ground):
+        return cert.forbidden
+    return _fresh(p.s)[0] | {n}
+
+
+def _check_certificate(cert: ExtensionCertificate, want: frozenset[int]) -> None:
+    ref = ExtensionCertificate.of(want)
+    assert cert.forbidden == ref.forbidden and cert.bound == ref.bound
+    assert all(v in cert.forbidden for v in range(cert.gap))
+    rng = random.Random(cert.bound)
+    floors = {-3, -1, 0, cert.gap - 1, cert.gap, cert.gap + 1, cert.bound - 1, cert.bound,
+              cert.bound + 2, rng.randrange(-2, cert.bound + 3)}
+    for floor in floors:
+        assert cert.least_admitted(floor) == _linear_least(ref, floor)
+
+
+@pytest.fixture
+def certificates(monkeypatch):
+    """Every certificate domain_extend makes, range steps' mirrors included,
+    with the arguments it was made from."""
+    made = []
+    real = extension.domain_extend
+
+    def recording(p, gen, n, ground=EMPTY_GROUND):
+        ext = real(p, gen, n, ground)
+        made.append((p, gen, n, ground, ext.certificate))
+        return ext
+
+    monkeypatch.setattr(extension, "domain_extend", recording)
+    return made
+
+
+def _check_all(made) -> int:
+    """Checks every certificate; returns how many have a gap to start from."""
+    for p, gen, n, ground, cert in made:
+        _check_certificate(cert, _reference_forbidden(p, gen, n, ground, cert))
+    return sum(cert.gap > 0 for *_, cert in made)
+
+
+def test_certificates_of_long_builds(certificates):
+    runs = [
+        lambda: build(PosetMode.COFINITARY, [0, 1], point_budget=200, word_budget=2, seed=3),
+        lambda: build_variant_family(PosetMode.ADP, [0, 1, 2], 100, seed=3),
+        lambda: build_variant_family(PosetMode.EDF, [0, 1, 2], 40, seed=3),
+        lambda: build(PosetMode.COFINITARY, [0], GroundRep({7: zshift()}),
+                      point_budget=12, word_budget=2, seed=2),
+    ]
+    for run in runs:
+        run()
+    assert {p.mode for p, *_ in certificates} == {
+        PosetMode.COFINITARY, PosetMode.ADP, PosetMode.EDF
+    }
+    assert len(certificates) > 1000, len(certificates)
+    assert _check_all(certificates) > 500
+
+
+@pytest.mark.parametrize("ground_name", sorted(GROUNDS))
+def test_certificates_of_sampled_conditions(certificates, ground_name):
+    """Sampled conditions choose from random floors, below and above gap."""
+    ground = GROUNDS[ground_name]
+    rng = random.Random(f"certificates-{ground_name}")
+    finite = [g for g in range(3) if g not in ground.table]
+    for _ in range(150):
+        for mode in (PosetMode.COFINITARY, PosetMode.ADP):
+            sample_condition(rng, mode, finite, max_pairs=8, max_words=3, ground=ground)
+    assert len(certificates) > 800, len(certificates)
+    assert _check_all(certificates) > 50
