@@ -41,13 +41,15 @@ Value = Union[int, frozenset[int]]
 class Rule:
     kind: str  # "constant" | "affine"
     value: Value = 0
-    slope: int = 0
+    slope: int = 0  # the slope of every rule: constants have slope 0
 
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "affine"):
             raise Undecidable(f"unknown rule kind {self.kind!r}")
         if self.kind == "affine" and isinstance(self.value, frozenset):
             raise ValueError("affine rules are for number sequences only")
+        if self.kind == "constant" and self.slope != 0:
+            raise ValueError("constant rules have slope 0")
 
     def at(self, i: int) -> Value:
         if self.kind == "constant":
@@ -121,15 +123,27 @@ def constant_seq(value: Value) -> FinSeq:
     return FinSeq(Rule("constant", value))
 
 
-def _probe_indices(*seqs: FinSeq, floor: int = 0) -> list[int]:
-    """floor, every exception index of seqs and each settle index, the
-    nonnegative ones in order.  Every other index is rule-only: each seq
-    reads its rule there."""
-    idx = {floor}
+def _probe_indices(*seqs: FinSeq) -> list[int]:
+    """The indices that decide a statement about seqs: every nonnegative
+    exception index of seqs, in order, then the least index that is none of
+    them.
+
+    At every other index each seq reads its rule.  Two rules differ there
+    by an affine function of i, which is constant for set rules, so over
+    those rule-only indices the difference is largest at the least of them
+    unless it grows, and _eventually_le decides that.
+    """
+    idx: set[int] = set()
     for s in seqs:
         idx.update(s._table)
-        idx.add(s._settle)
-    return sorted(i for i in idx if i >= 0)
+    free = 0
+    while free in idx:
+        free += 1
+    out = sorted(idx)
+    if out and out[0] < 0:
+        out = [i for i in out if i >= 0]
+    out.append(free)
+    return out
 
 
 def _eventually_le(f: FinSeq, g: FinSeq) -> bool:
@@ -138,44 +152,30 @@ def _eventually_le(f: FinSeq, g: FinSeq) -> bool:
     so this decides it exactly; with equal slopes the difference is constant
     and the rules compare the same way at every index."""
     rf, rg = f.rule, g.rule
-    sf = rf.slope if rf.kind == "affine" else 0
-    sg = rg.slope if rg.kind == "affine" else 0
-    if sf != sg:
-        return sf < sg
+    if rf.slope != rg.slope:
+        return rf.slope < rg.slope
     return rf.value <= rg.value
 
 
 def seq_le(f: FinSeq, g: FinSeq) -> bool:
-    """Pointwise f(i) <= g(i) for all i, exactly.
-
-    The probes are every exception index of f or g and the least index that
-    is neither.  Off the exceptions both sequences follow their rules, where
-    f - g is one affine function of i.  If it grows, f passes g eventually,
-    which _eventually_le reports.  If not, its largest value over those
-    rule-only indices is at the least of them, so a probe sees it.
-    """
+    """Pointwise f(i) <= g(i) for all i, exactly: the probes see every
+    exception and the largest rule-only difference unless it grows, which
+    _eventually_le reports."""
     if isinstance(f.rule.value, frozenset) or isinstance(g.rule.value, frozenset):
         raise Undecidable("pointwise order is for number sequences")
-    ft, gt = f._table, g._table
-    free = 0
-    while free in ft or free in gt:
-        free += 1
-    for i in (free, *ft, *gt):
-        if i >= 0 and f.at(i) > g.at(i):
+    for i in _probe_indices(f, g):
+        if f.at(i) > g.at(i):
             return False
     return _eventually_le(f, g)
 
 
 def seq_subset(f: FinSeq, g: FinSeq) -> bool:
     """Pointwise f(i) subseteq g(i) for set sequences, exactly: set rules
-    are constant, so at every rule-only index the test is the rules' own,
-    and the probes cover the rest."""
-    for i in _probe_indices(f, g):
-        if not f.at(i) <= g.at(i):
-            return False
+    are constant, so the probe past the exceptions makes the rules' own
+    test."""
     if f.rule.kind != "constant" or g.rule.kind != "constant":
         raise Undecidable("set sequences need constant tails")
-    return f.rule.value <= g.rule.value
+    return all(f.at(i) <= g.at(i) for i in _probe_indices(f, g))
 
 
 def seq_max(f: FinSeq, g: FinSeq) -> FinSeq:
@@ -187,13 +187,11 @@ def seq_max(f: FinSeq, g: FinSeq) -> FinSeq:
     dominant, other = (f, g) if _eventually_le(g, f) else (g, f)
     cross = 0
     df, dg = dominant.rule, other.rule
-    sd = df.slope if df.kind == "affine" else 0
-    so = dg.slope if dg.kind == "affine" else 0
-    if sd > so:
+    if df.slope > dg.slope:
         # crossing index: beyond it the dominant rule is at least the other
-        cross = max(0, (dg.value - df.value) // (sd - so) + 1)
+        cross = max(0, (dg.value - df.value) // (df.slope - dg.slope) + 1)
     exc: dict[int, Value] = {}
-    for i in _probe_indices(f, g, floor=0):
+    for i in _probe_indices(f, g):
         exc[i] = max(f.at(i), g.at(i))
     for i in range(cross + 1):
         exc[i] = max(f.at(i), g.at(i))
@@ -205,12 +203,9 @@ def seq_union(f: FinSeq, g: FinSeq) -> FinSeq:
     rule-only index the union is the union of the rules."""
     if f.rule.kind != "constant" or g.rule.kind != "constant":
         raise Undecidable("set sequences need constant tails")
-    exc: dict[int, Value] = {}
-    for i in _probe_indices(f, g):
-        exc[i] = f.at(i) | g.at(i)
     tail = f.rule.value | g.rule.value
-    slim = tuple((j, v) for j, v in exc.items() if v != tail)
-    return FinSeq(Rule("constant", tail), slim)
+    exc = tuple((i, v) for i in _probe_indices(f, g) if (v := f.at(i) | g.at(i)) != tail)
+    return FinSeq(Rule("constant", tail), exc)
 
 
 # ---------------------------------------------------------------------------
@@ -220,37 +215,30 @@ def seq_union(f: FinSeq, g: FinSeq) -> FinSeq:
 @dataclass(frozen=True)
 class LocCondition:
     """(sigma, phi): a committed slalom prefix with |sigma(i)| = i, and a total
-    slalom tail of width at most |sigma|.
-
-    pinned selects the reading of "the prefix sits inside the tail": the tail
-    equals the prefix on committed slots (default), or merely contains it
-    slotwise.  The two readings coincide under the extension dynamics, which
-    only ever grow the tail.
+    slalom tail of width at most |sigma| that equals the prefix on the
+    committed slots.  (Reading "the prefix sits inside the tail" as slotwise
+    containment instead gives the same conditions under the extension
+    dynamics, which only ever grow the tail.)
     """
 
     sigma: tuple[frozenset[int], ...]
     phi: FinSeq
-    pinned: bool = True
 
     def __post_init__(self) -> None:
+        # exact: past the exceptions phi reads its rule, which the last probe
+        # reads (a set rule is constant), so every slot is checked
+        width = len(self.sigma)
+        for i in _probe_indices(self.phi):
+            v = self.phi.at(i)
+            if not isinstance(v, frozenset):
+                raise ValueError(f"slalom tails must be finite sets; slot {i} holds {v!r}")
+            if len(v) > width:
+                raise ValueError(f"tail width at {i} exceeds {width}")
         for i, s in enumerate(self.sigma):
             if len(s) != i:
                 raise ValueError(f"slalom prefix slot {i} has size {len(s)}, wants {i}")
-        for i, s in enumerate(self.sigma):
-            if self.pinned and self.phi.at(i) != s:
+            if self.phi.at(i) != s:
                 raise ValueError(f"tail does not pin the prefix at {i}")
-            if not self.pinned and not s <= self.phi.at(i):
-                raise ValueError(f"tail does not contain the prefix at {i}")
-        # the width check is exact: off the probes phi reads its rule, whose
-        # width is checked below
-        width = len(self.sigma)
-        for i in _probe_indices(self.phi):
-            if len(self.phi.at(i)) > width:
-                raise ValueError(f"tail width at {i} exceeds {width}")
-        if self.phi.rule.kind != "constant" or not isinstance(self.phi.rule.value, frozenset):
-            raise ValueError("slalom tails must be constant finite sets")
-        if len(self.phi.rule.value) > width:
-            raise ValueError("tail rule width exceeds the prefix length")
 
     def to_json(self) -> dict:
         return {"sigma": [sorted(s) for s in self.sigma], "phi": self.phi.to_json()}
@@ -278,44 +266,16 @@ def loc_meet(p: LocCondition, q: LocCondition):
     if p.sigma[: len(q.sigma)] != q.sigma:
         return Incompatible("committed prefixes disagree")
     union = seq_union(p.phi, q.phi)
-    width = len(p.sigma)
     # try without extending the commitment first (covers p = q)
-    ok = True
-    for i in _probe_indices(union):
-        if len(union.at(i)) > width:
-            ok = False
-            break
-    if ok and len(union.rule.value) <= width and all(
-        p.sigma[i] <= union.at(i) for i in range(width)
-    ):
-        try:
-            return LocCondition(p.sigma, union, p.pinned and q.pinned)
-        except ValueError:
-            pass
-    target = 2 * len(p.sigma)
-    sigma2 = list(p.sigma)
-    pinned: dict[int, Value] = {}
-    for i in range(len(p.sigma), target):
-        need = union.at(i)
-        if len(need) > i:
-            return Incompatible(f"slot {i} needs {len(need)} values, holds {i}")
-        pad = set(need)
-        fresh = 0
-        while len(pad) < i:
-            if fresh not in pad:
-                pad.add(fresh)
-            fresh += 1
-        sigma2.append(frozenset(pad))
-        pinned[i] = frozenset(pad)
-    for i in _probe_indices(union):
-        if i >= target and len(union.at(i)) > target:
-            return Incompatible(f"slot {i} is wider than the new commitment")
-    if len(union.rule.value) > target:
-        return Incompatible("tail rule is wider than the new commitment")
     try:
-        out = LocCondition(
-            tuple(sigma2), union.with_exceptions(pinned.items()), p.pinned and q.pinned
-        )
+        return LocCondition(p.sigma, union)
+    except ValueError:
+        pass
+    # commit to twice the length; the constructor rejects a slot that needs
+    # more values than it holds and a tail wider than the new commitment
+    new = {i: _pad(union.at(i), i) for i in range(len(p.sigma), 2 * len(p.sigma))}
+    try:
+        out = LocCondition(p.sigma + tuple(new.values()), union.with_exceptions(new.items()))
     except ValueError as err:
         return Incompatible(str(err))
     if not (loc_leq(out, p) and loc_leq(out, q)):
@@ -323,23 +283,32 @@ def loc_meet(p: LocCondition, q: LocCondition):
     return out
 
 
-def localizes(phi: FinSeq, f: FinSeq, horizon: int = 2000) -> Optional[int]:
-    """Least threshold past which f lands in phi for the whole scanned window,
-    with a rule-level check that the containment persists; None when it
-    cannot."""
+def localizes(phi: FinSeq, f: FinSeq) -> Optional[int]:
+    """Least m with f(n) in phi(n) for every n >= m; None when there is none.
+
+    Exact: at a rule-only index f reads its rule value, which the rule test
+    has put inside phi's rule, so only the probes can miss."""
     if phi.rule.kind != "constant" or not isinstance(phi.rule.value, frozenset):
         raise Undecidable("slalom tails must be constant finite sets")
-    fr = f.rule
-    if fr.kind == "affine" and fr.slope != 0:
+    if f.rule.slope != 0:
         return None  # unbounded values escape any finite tail
-    if fr.value not in phi.rule.value:
+    if f.rule.value not in phi.rule.value:
         return None
-    horizon = max(horizon, f.settle_index(), phi.settle_index())
     last_bad = -1
-    for n in range(horizon):
+    for n in _probe_indices(phi, f):
         if f.at(n) not in phi.at(n):
             last_bad = n
     return last_bad + 1
+
+
+def _pad(need: Iterable[int], size: int) -> frozenset[int]:
+    """need, filled up to size values with the least naturals not in it."""
+    pad = set(need)
+    fresh = 0
+    while len(pad) < size:
+        pad.add(fresh)
+        fresh += 1
+    return frozenset(pad)
 
 
 def build_localizing_slalom(reals: Sequence[FinSeq], width_budget: int) -> LocCondition:
@@ -347,21 +316,11 @@ def build_localizing_slalom(reals: Sequence[FinSeq], width_budget: int) -> LocCo
     commitment point on; inputs must be eventually constant."""
     if len(reals) > width_budget:
         raise ValueError(f"{len(reals)} sequences exceed the width budget {width_budget}")
-    for f in reals:
-        if f.rule.kind == "affine" and f.rule.slope != 0:
-            raise ValueError("only eventually constant sequences are representable")
+    if any(f.rule.slope != 0 for f in reals):
+        raise ValueError("only eventually constant sequences are representable")
     settle = max([f.settle_index() for f in reals], default=0)
     width = max(width_budget, len(reals), 1)
-    sigma: list[frozenset[int]] = []
-    for i in range(width):
-        vals = sorted({f.at(i) for f in reals})[:i]
-        pad = set(vals)
-        fresh = 0
-        while len(pad) < i:
-            if fresh not in pad:
-                pad.add(fresh)
-            fresh += 1
-        sigma.append(frozenset(pad))
+    sigma = [_pad(sorted({f.at(i) for f in reals})[:i], i) for i in range(width)]
     exc: dict[int, Value] = {}
     for i in range(width, max(settle, width)):
         exc[i] = frozenset(f.at(i) for f in reals)
@@ -473,13 +432,7 @@ def _extend_loc(rng: random.Random, q: LocCondition) -> LocCondition:
     tau_len = len(q.sigma)
     sigma = list(q.sigma)
     for i in range(tau_len, tau_len + rng.randrange(3)):
-        base = set(q.phi.at(i))
-        fresh = 0
-        while len(base) < i:
-            if fresh not in base:
-                base.add(fresh)
-            fresh += 1
-        sigma.append(frozenset(base))
+        sigma.append(_pad(q.phi.at(i), i))
     width = len(sigma)
     extra = {
         i: frozenset(set(q.phi.at(i)) | set(rng.sample(range(12), rng.randrange(2))))
@@ -589,7 +542,12 @@ def ffp_axiom_suite(
     extensions), the reduction/extension contract, and a freeze guard, on
     sampled conditions of the given mode.  leq_override swaps in a different
     order decision (used by mutation tests)."""
-    from .sampling import sample_condition, sample_extension, sample_fresh_assignment
+    from .sampling import (
+        sample_condition,
+        sample_extension,
+        sample_extra_words,
+        sample_fresh_assignment,
+    )
 
     order = leq_override if leq_override is not None else leq
     rng = random.Random(seed)
@@ -639,8 +597,6 @@ def ffp_axiom_suite(
             res_merge.witness = str(err)
         res_grow.checks += 1
         try:
-            from .sampling import sample_extra_words
-
             grown = add_words(p, p.words | sample_extra_words(rng, p, ground), ground)
             # the superset is tested on its own as well as inside order, so
             # the clause does not rest on the check it tests

@@ -236,6 +236,27 @@ class TestSuslinCmd:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "poset, n, code", [("hechler", 2, 1), ("hechler", 3, 1), ("loc", 1, 0), ("loc", 2, 1)]
+    )
+    def test_failures_count_where_the_law_holds(self, poset, n, code, monkeypatch, tmp_path,
+                                                capsys):
+        # the law holds for hechler from n = 1 and for loc from n = 2
+        import cofinitary.cli as cli
+        from cofinitary.suslin import TrialReport
+
+        def one_failure(poset, n, samples, seed):
+            return TrialReport(poset, n, samples, seed, 1, [0])
+
+        monkeypatch.setattr(cli, "n_suslin_trial", one_failure)
+        got, _, err = run(
+            ["suslin", "--poset", poset, "--n", str(n), "--samples", "10",
+             "--seed", "3", "--out", str(tmp_path / "s.json")],
+            capsys,
+        )
+        assert got == code
+        assert ("1 failures" in err) == (code == 1)
+
 
 class TestFfpCmd:
     def test_all_modes(self, tmp_path, capsys):

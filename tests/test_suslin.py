@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 from cofinitary import suslin
+from cofinitary.cli import encode_report
 from cofinitary.extension import ContractViolation
 from cofinitary.poset import PosetMode
 from cofinitary.suslin import (
@@ -63,6 +65,12 @@ class TestFinSeq:
         with pytest.raises(Undecidable):
             Rule("weird", 0)
 
+    def test_constant_rule_with_slope_rejected(self):
+        # so rule.slope is the slope of every rule
+        with pytest.raises(ValueError):
+            Rule("constant", 5, 3)
+        assert Rule("constant", 5).slope == 0
+
     def test_lookup_table_matches_the_exceptions(self):
         # at/settle_index read a private dict; they must agree with a scan of
         # the canonical exceptions tuple, which alone decides equality
@@ -88,6 +96,13 @@ class TestFinSeq:
         assert f.at(1) > g.at(1)
         assert not seq_le(f, g)
         assert seq_le(f, fs("affine", 5, slope=1, i0=100, i10=100))
+
+    def test_negative_exceptions_are_not_probed(self):
+        # the sequences are indexed by the naturals; an exception at -1 is
+        # outside every comparison
+        f = FinSeq(Rule("constant", 0), ((-1, 100),))
+        assert seq_le(f, constant_seq(0))
+        assert suslin._probe_indices(f, fs("constant", 0, i0=1, i2=1)) == [0, 2, 1]
 
     def test_seq_le_matches_a_window(self):
         rng = random.Random("seq-le")
@@ -173,12 +188,26 @@ class TestLocPoset:
             LocCondition((frozenset({1, 2}),), constant_seq(frozenset()))
 
     def test_pinning_toggle(self):
-        # the pointwise reading accepts a tail strictly containing the prefix
+        # the tail must equal the prefix on the committed slots: a tail that
+        # strictly contains the prefix is rejected
         sigma = (frozenset(), frozenset({4}))
         tail = FinSeq(Rule("constant", frozenset({4, 5})))
-        assert LocCondition(sigma, tail, pinned=False).sigma == sigma
         with pytest.raises(ValueError):
             LocCondition(sigma, tail)
+        assert LocCondition(sigma, tail.with_exceptions(enumerate(sigma))).sigma == sigma
+
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            FinSeq(Rule("constant", 3)),
+            FinSeq(Rule("affine", 0, 1)),
+            FinSeq(Rule("constant", frozenset()), ((2, 5),)),
+        ],
+        ids=["number", "affine", "number-exception"],
+    )
+    def test_number_tail_rejected(self, phi):
+        with pytest.raises(ValueError, match="finite sets"):
+            LocCondition((), phi)
 
     def test_preorder_sampled(self):
         rng = random.Random(3)
@@ -312,6 +341,22 @@ class TestLocalizes:
         slalom = build_localizing_slalom([constant_seq(3)], 2)
         assert slalom.phi.rule.value == frozenset({3})
 
+    def test_localizes_matches_a_window(self):
+        rng = random.Random("localizes")
+        verdicts = {"none": 0, "zero": 0, "later": 0}
+        for _ in range(5_000):
+            f = suslin._random_number_seq(rng, rng.randrange(6))
+            phi = suslin._random_set_seq(rng, rng.randrange(5))
+            if rng.random() < 0.5 and f.rule.slope == 0:
+                tail = phi.rule.value | {f.rule.value}
+                phi = FinSeq(Rule("constant", tail), phi.exceptions)
+            bad = [n for n in range(WINDOW) if f.at(n) not in phi.at(n)]
+            # a miss at the window's end is a rule miss, which never stops
+            want = None if bad and bad[-1] == WINDOW - 1 else (bad[-1] + 1 if bad else 0)
+            assert localizes(phi, f) == want, (phi, f)
+            verdicts["none" if want is None else "zero" if want == 0 else "later"] += 1
+        assert min(verdicts.values()) > 500, verdicts
+
     def test_localization_check_raises(self, monkeypatch):
         monkeypatch.setattr(suslin, "localizes", lambda phi, f: None)
         with pytest.raises(ContractViolation):
@@ -347,3 +392,52 @@ class TestFfpSuite:
         results = ffp_axiom_suite(PosetMode.COFINITARY, 15, 7, ground=ground)
         for clause in results:
             assert clause.passed, (clause.name, clause.witness)
+
+
+def _digest(report) -> str:
+    payload = report if isinstance(report, dict) else report.to_json()
+    return hashlib.sha256(encode_report(payload)).hexdigest()
+
+
+class TestGoldenReports:
+    """Digests of the trial and ffp-suite reports, recorded before the
+    sequence algebra read one probe set; they pin every byte, the loc n = 1
+    failure seeds included."""
+
+    @pytest.mark.parametrize(
+        "poset, n, seed, digest",
+        [
+            ("hechler", 1, 3, "bc8ed8da57fcf0e49c4e025edfb3eefca12354f88cb975a1a5b2da0a552f572c"),
+            ("hechler", 1, 1009, "84dd6a22d5d2dcdc7360c4367faee253b25a784c8cbce6c6080775fb50925463"),
+            ("hechler", 2, 3, "bd7cb84b9ed183c6583f5e19d24540d921220a9f33f71be112330611d381f976"),
+            ("hechler", 2, 1009, "6f298b5ec69bd9d61c697d12d43c0885f6077f26a99772da56d9dbce4e0d68e2"),
+            ("loc", 1, 3, "9ccf8c7d4b462224cfce8f775dbd618f3e822478492a4280ccf8c55960cdc344"),
+            ("loc", 1, 1009, "01171ec375ba2f595e4891a27e24b0660d6fdb253056ec7ecf4bbac26888c3c2"),
+            ("loc", 2, 3, "e93a77c5d55031f379499e4e44da5ea29b58ce3653da21973609ea34dc1f2657"),
+            ("loc", 2, 1009, "9cfdce73a2c6da5be48d94e48c438c87c6f921284afb8cc8f0910dfa7e218b31"),
+        ],
+    )
+    def test_trial(self, poset, n, seed, digest):
+        report = n_suslin_trial(poset, n, 2000, seed)
+        assert report.failures > 0 if (poset, n) == ("loc", 1) else report.failures == 0
+        assert _digest(report) == digest
+
+    @pytest.mark.parametrize(
+        "mode, digest",
+        [
+            ("cofinitary", "a84db5a05659380ac4879ddeac37729f0a23b32fcac90cc78617fe991738dbf0"),
+            ("adp", "26fada032aa7dee6bcce8f1b855becafbdf44b614a41e8316209f72832e3e793"),
+            ("edf", "a0a1b8dfecab67dbabdeb314605c924178c83a3aa6d4e5f36435bc9a7f263332"),
+            ("mad", "d4726122e445e0acd4795d28c0535c5e2f0d93cb05fbaa3b79acb5e86d62184b"),
+        ],
+    )
+    def test_ffp_suite(self, mode, digest):
+        results = ffp_axiom_suite(PosetMode(mode), 100, 3)
+        payload = {
+            "schema": "1",
+            "mode": mode,
+            "samples": 100,
+            "seed": 3,
+            "clauses": [r.to_json() for r in results],
+        }
+        assert _digest(payload) == digest
