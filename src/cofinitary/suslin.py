@@ -5,12 +5,17 @@ finite-function-poset axiom suite.
 Infinite tails are represented by a closed rule algebra (constant value,
 constant finite set, affine) plus finitely many exceptions, which keeps the
 extension relations and the localization predicate decidable.
+
+The algebra runs on plain data (the kernel below).  ``FinSeq``, ``Rule``,
+``LocCondition`` and ``DomCondition`` are the public, validated surface: the
+public functions convert at that edge and call the kernel op.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Sequence, Union
 
 from .evaluation import EMPTY_GROUND, GroundRep
@@ -119,97 +124,318 @@ class FinSeq:
         return FinSeq(Rule.from_json(obj["default"]), tuple(exc))
 
 
-def constant_seq(value: Value) -> FinSeq:
-    return FinSeq(Rule("constant", value))
+# ---------------------------------------------------------------------------
+# the kernel
+#
+# A sequence is (slope, value, exc): the rule slope*i + value (slope 0 for a
+# constant and for every set rule) and an unordered dict index -> value of
+# the entries the rule does not produce, all at nonnegative indices.  A
+# condition is (stem, seq) or (sigma, seq).  Kernel ops never mutate their
+# inputs.
+#
+# Every statement is decided by its probes: the exception indices of its
+# sequences and the least index that is none of them.  At every other index
+# each sequence reads its rule, two rules differ there by one affine function
+# of i (constant for set rules), so over those indices the difference is
+# largest at the least of them unless it grows, which the slopes decide.
+# The statements below do not depend on the order of the probes, so they
+# read the exception dicts as they are.  A message names the first bad probe
+# (the exceptions in index order, then the least rule-only index) and is
+# computed on the failure path only.
+
+Seq = tuple  # (slope, value, exc)
 
 
-def _probe_indices(*seqs: FinSeq) -> list[int]:
-    """The indices that decide a statement about seqs: every nonnegative
-    exception index of seqs, in order, then the least index that is none of
-    them.
+def _kseq(s: FinSeq) -> Seq:
+    """s as kernel data; negative indices are outside every statement."""
+    t = s._table
+    if t and min(t) < 0:
+        t = {i: v for i, v in t.items() if i >= 0}
+    return s.rule.slope, s.rule.value, t
 
-    At every other index each seq reads its rule.  Two rules differ there
-    by an affine function of i, which is constant for set rules, so over
-    those rule-only indices the difference is largest at the least of them
-    unless it grows, and _eventually_le decides that.
-    """
-    idx: set[int] = set()
-    for s in seqs:
-        idx.update(s._table)
+
+def _finseq(k: Seq, *rules: Rule) -> FinSeq:
+    """k at the edge, under the first of rules with k's slope and value: the
+    kernel does not keep a rule's kind."""
+    rule = next(r for r in rules if r.slope == k[0] and r.value == k[1])
+    return FinSeq(rule, tuple(k[2].items()))
+
+
+def _with(k: Seq, items: Iterable[tuple[int, Value]]) -> Seq:
+    """k with items written in order; an entry the rule produces is dropped."""
+    a, b, e = k
+    exc = dict(e)
+    for i, v in items:
+        if v == (a * i + b if a else b):
+            exc.pop(i, None)
+        else:
+            exc[i] = v
+    return a, b, exc
+
+
+def _le(f: Seq, g: Seq) -> bool:
+    """Pointwise f(i) <= g(i) for all i: every exception, the least
+    rule-only index, and the slopes for a difference that grows."""
+    fa, fb, fe = f
+    ga, gb, ge = g
+    if isinstance(fb, frozenset) or isinstance(gb, frozenset):
+        raise Undecidable("pointwise order is for number sequences")
+    for i, v in fe.items():
+        w = ge.get(i)
+        if v > (ga * i + gb if w is None else w):
+            return False
+    for i, w in ge.items():
+        if i not in fe and fa * i + fb > w:
+            return False
+    i = 0
+    while i in fe or i in ge:
+        i += 1
+    if fa * i + fb > ga * i + gb:
+        return False
+    return fa < ga if fa != ga else fb <= gb
+
+
+def _max(f: Seq, g: Seq) -> Seq:
+    """Pointwise maximum: the eventually dominant rule wins (f's on a tie),
+    with every exception index and every index up to the crossing set
+    explicitly; past the crossing the dominant rule is the larger (with
+    equal slopes it is never smaller)."""
+    fa, fb, fe = f
+    ga, gb, ge = g
+    if isinstance(fb, frozenset) or isinstance(gb, frozenset):
+        raise Undecidable("pointwise maximum is for number sequences")
+    if (ga < fa) if ga != fa else (gb <= fb):  # g is eventually at most f
+        da, db, oa, ob = fa, fb, ga, gb
+    else:
+        da, db, oa, ob = ga, gb, fa, fb
+    cross = max(0, (ob - db) // (da - oa) + 1) if da > oa else 0
+    exc = {}
+    for i in chain(fe, ge, range(cross + 1)):
+        v = fe.get(i)
+        if v is None:
+            v = fa * i + fb
+        w = ge.get(i)
+        if w is None:
+            w = ga * i + gb
+        if w > v:
+            v = w
+        if v != da * i + db:
+            exc[i] = v
+    return da, db, exc
+
+
+def _subset(f: Seq, g: Seq) -> bool:
+    """Pointwise f(i) subseteq g(i) for set sequences: set rules are
+    constant, so the rules' own test covers every rule-only index."""
+    fb, fe = f[1], f[2]
+    gb, ge = g[1], g[2]
+    if not fb <= gb:
+        return False
+    for i, v in fe.items():
+        if not v <= ge.get(i, gb):
+            return False
+    for i, w in ge.items():
+        if i not in fe and not fb <= w:
+            return False
+    return True
+
+
+def _union(f: Seq, g: Seq) -> Seq:
+    """Pointwise union of set sequences: the union of the rules at every
+    rule-only index."""
+    fb, fe = f[1], f[2]
+    gb, ge = g[1], g[2]
+    tail = fb | gb
+    exc = {}
+    for i, v in fe.items():
+        u = v | ge.get(i, gb)
+        if u != tail:
+            exc[i] = u
+    for i, w in ge.items():
+        if i not in fe:
+            u = fb | w
+            if u != tail:
+                exc[i] = u
+    return 0, tail, exc
+
+
+def _localizes(phi: Seq, f: Seq) -> Optional[int]:
+    """Least m with f(n) in phi(n) for every n >= m, or None: past the
+    exceptions f reads a rule value the rule test put inside phi's rule."""
+    pb, pe = phi[1], phi[2]
+    fa, fb, fe = f
+    if not isinstance(pb, frozenset):
+        raise Undecidable("slalom tails must be constant finite sets")
+    if fa != 0:
+        return None  # unbounded values escape any finite tail
+    if fb not in pb:
+        return None
+    last_bad = -1
+    for n, v in pe.items():
+        if n > last_bad and fe.get(n, fb) not in v:
+            last_bad = n
+    for n, x in fe.items():
+        if n > last_bad and n not in pe and x not in pb:
+            last_bad = n
+    return last_bad + 1
+
+
+def _pad(need: Iterable[int], size: int) -> frozenset[int]:
+    """need, filled up to size values with the least naturals not in it."""
+    pad = set(need)
+    fresh = 0
+    while len(pad) < size:
+        pad.add(fresh)
+        fresh += 1
+    return frozenset(pad)
+
+
+# -- slalom conditions (sigma, phi) -----------------------------------------
+
+
+def _loc_fault(sigma: tuple, phi: Seq) -> Optional[str]:
+    """Why (sigma, phi) is no slalom condition, at its first bad probe; None
+    when it is one.  Every slot of phi must be a set of at most |sigma|
+    values (past the exceptions phi reads its rule, a constant set),
+    sigma(i) must have i values, and phi must equal sigma on it."""
+    width = len(sigma)
+    b, e = phi[1], phi[2]
+    if not isinstance(b, frozenset) or len(b) > width:
+        return _tail_fault(phi, width)
+    for v in e.values():
+        if not isinstance(v, frozenset) or len(v) > width:
+            return _tail_fault(phi, width)
+    for i, s in enumerate(sigma):
+        if len(s) != i:
+            return f"slalom prefix slot {i} has size {len(s)}, wants {i}"
+        if e.get(i, b) != s:
+            return f"tail does not pin the prefix at {i}"
+    return None
+
+
+def _tail_fault(phi: Seq, width: int) -> Optional[str]:
+    a, b, e = phi
     free = 0
-    while free in idx:
+    while free in e:
         free += 1
-    out = sorted(idx)
-    if out and out[0] < 0:
-        out = [i for i in out if i >= 0]
-    out.append(free)
+    for i in sorted(e) + [free]:
+        v = e[i] if i in e else a * i + b if a else b
+        if not isinstance(v, frozenset):
+            return f"slalom tails must be finite sets; slot {i} holds {v!r}"
+        if len(v) > width:
+            return f"tail width at {i} exceeds {width}"
+    return None
+
+
+def _loc(sigma: tuple, phi: Seq) -> tuple:
+    fault = _loc_fault(sigma, phi)
+    if fault is not None:
+        raise ValueError(fault)
+    return sigma, phi
+
+
+def _loc_le(p: tuple, q: tuple) -> bool:
+    """p extends q: longer committed prefix, pointwise larger slalom."""
+    sigma, tau = p[0], q[0]
+    return len(sigma) >= len(tau) and sigma[: len(tau)] == tau and _subset(q[1], p[1])
+
+
+def _loc_meet(p: tuple, q: tuple):
+    """Common extension of p and q when the prefixes are comparable and the
+    pointwise union respects the width bound, first as it is (covers
+    p = q), then after committing to twice the longer prefix; Incompatible
+    otherwise."""
+    if len(q[0]) > len(p[0]):
+        p, q = q, p
+    sigma = p[0]
+    if sigma[: len(q[0])] != q[0]:
+        return Incompatible("committed prefixes disagree")
+    union = _union(p[1], q[1])
+    if _loc_fault(sigma, union) is None:
+        return sigma, union
+    # commit to twice the length; the fault check rejects a slot that needs
+    # more values than it holds and a tail wider than the new commitment
+    b, e = union[1], union[2]
+    n = len(sigma)
+    new = tuple(_pad(e.get(i, b), i) for i in range(n, 2 * n))
+    out = sigma + new, _with(union, enumerate(new, n))
+    fault = _loc_fault(*out)
+    if fault is not None:
+        return Incompatible(fault)
+    if not (_loc_le(out, p) and _loc_le(out, q)):
+        return Incompatible("constructed meet fails the order check")
     return out
 
 
-def _eventually_le(f: FinSeq, g: FinSeq) -> bool:
-    """f's rule is at most g's from some index on: a smaller slope, or equal
-    slopes and a value no larger.  The rule difference f - g is affine in i,
-    so this decides it exactly; with equal slopes the difference is constant
-    and the rules compare the same way at every index."""
-    rf, rg = f.rule, g.rule
-    if rf.slope != rg.slope:
-        return rf.slope < rg.slope
-    return rf.value <= rg.value
+# -- dominating pairs (stem, f) ---------------------------------------------
 
 
-def seq_le(f: FinSeq, g: FinSeq) -> bool:
-    """Pointwise f(i) <= g(i) for all i, exactly: the probes see every
-    exception and the largest rule-only difference unless it grows, which
-    _eventually_le reports."""
-    if isinstance(f.rule.value, frozenset) or isinstance(g.rule.value, frozenset):
-        raise Undecidable("pointwise order is for number sequences")
-    for i in _probe_indices(f, g):
-        if f.at(i) > g.at(i):
-            return False
-    return _eventually_le(f, g)
+def _dom(stem: tuple, f: Seq) -> tuple:
+    a, b, e = f
+    for i, v in enumerate(stem):
+        w = e.get(i)
+        if (a * i + b if w is None else w) != v:
+            raise ValueError(f"tail does not pin the stem at {i}")
+    return stem, f
 
 
-def seq_subset(f: FinSeq, g: FinSeq) -> bool:
-    """Pointwise f(i) subseteq g(i) for set sequences, exactly: set rules
-    are constant, so the probe past the exceptions makes the rules' own
-    test."""
-    if f.rule.kind != "constant" or g.rule.kind != "constant":
-        raise Undecidable("set sequences need constant tails")
-    return all(f.at(i) <= g.at(i) for i in _probe_indices(f, g))
+def _dom_le(p: tuple, q: tuple) -> bool:
+    """p extends q: longer stem, everywhere pointwise at least q's tail."""
+    s, t = p[0], q[0]
+    return len(s) >= len(t) and s[: len(t)] == t and _le(q[1], p[1])
 
 
-def seq_max(f: FinSeq, g: FinSeq) -> FinSeq:
-    """Pointwise maximum, representable inside the algebra: the eventually
-    dominant rule wins, with exceptions at the finitely many crossings.
-    Exact: the probes set every exception index, and at a rule-only index
-    the dominant rule is the larger from cross on (with equal slopes it is
-    never smaller), while indices up to cross are set explicitly."""
-    dominant, other = (f, g) if _eventually_le(g, f) else (g, f)
-    cross = 0
-    df, dg = dominant.rule, other.rule
-    if df.slope > dg.slope:
-        # crossing index: beyond it the dominant rule is at least the other
-        cross = max(0, (dg.value - df.value) // (df.slope - dg.slope) + 1)
-    exc: dict[int, Value] = {}
-    for i in _probe_indices(f, g):
-        exc[i] = max(f.at(i), g.at(i))
-    for i in range(cross + 1):
-        exc[i] = max(f.at(i), g.at(i))
-    return FinSeq(dominant.rule, tuple(exc.items()))  # drops what the rule produces
-
-
-def seq_union(f: FinSeq, g: FinSeq) -> FinSeq:
-    """Pointwise union for set sequences with constant tails, exactly: at a
-    rule-only index the union is the union of the rules."""
-    if f.rule.kind != "constant" or g.rule.kind != "constant":
-        raise Undecidable("set sequences need constant tails")
-    tail = f.rule.value | g.rule.value
-    exc = tuple((i, v) for i in _probe_indices(f, g) if (v := f.at(i) | g.at(i)) != tail)
-    return FinSeq(Rule("constant", tail), exc)
+def _dom_meet(p: tuple, q: tuple):
+    """Common extension: the longer stem with the pointwise maximum of the
+    tails, when the stems are comparable and dominate the other tail."""
+    if len(q[0]) > len(p[0]):
+        p, q = q, p
+    stem = p[0]
+    if stem[: len(q[0])] != q[0]:
+        return Incompatible("stems disagree")
+    a, b, e = q[1]
+    for i, v in enumerate(stem):
+        w = e.get(i)
+        if (a * i + b if w is None else w) > v:
+            return Incompatible(f"other tail exceeds the stem at {i}")
+    out = _dom(stem, _max(p[1], q[1]))
+    if not (_dom_le(out, p) and _dom_le(out, q)):
+        return Incompatible("constructed meet fails the order check")
+    return out
 
 
 # ---------------------------------------------------------------------------
-# localization
+# the public surface
+
+
+def seq_le(f: FinSeq, g: FinSeq) -> bool:
+    """Pointwise f(i) <= g(i) for all i, exactly."""
+    return _le(_kseq(f), _kseq(g))
+
+
+def _constant_rules(f: FinSeq, g: FinSeq) -> None:
+    if f.rule.kind != "constant" or g.rule.kind != "constant":
+        raise Undecidable("set sequences need constant tails")
+
+
+def seq_subset(f: FinSeq, g: FinSeq) -> bool:
+    """Pointwise f(i) subseteq g(i) for set sequences, exactly."""
+    _constant_rules(f, g)
+    return _subset(_kseq(f), _kseq(g))
+
+
+def seq_max(f: FinSeq, g: FinSeq) -> FinSeq:
+    """Pointwise maximum of number sequences, representable inside the
+    algebra: the eventually dominant rule with exceptions at the finitely
+    many crossings."""
+    return _finseq(_max(_kseq(f), _kseq(g)), f.rule, g.rule)
+
+
+def seq_union(f: FinSeq, g: FinSeq) -> FinSeq:
+    """Pointwise union for set sequences with constant tails, exactly."""
+    _constant_rules(f, g)
+    u = _union(_kseq(f), _kseq(g))
+    return _finseq(u, Rule("constant", u[1]))
 
 
 @dataclass(frozen=True)
@@ -225,20 +451,7 @@ class LocCondition:
     phi: FinSeq
 
     def __post_init__(self) -> None:
-        # exact: past the exceptions phi reads its rule, which the last probe
-        # reads (a set rule is constant), so every slot is checked
-        width = len(self.sigma)
-        for i in _probe_indices(self.phi):
-            v = self.phi.at(i)
-            if not isinstance(v, frozenset):
-                raise ValueError(f"slalom tails must be finite sets; slot {i} holds {v!r}")
-            if len(v) > width:
-                raise ValueError(f"tail width at {i} exceeds {width}")
-        for i, s in enumerate(self.sigma):
-            if len(s) != i:
-                raise ValueError(f"slalom prefix slot {i} has size {len(s)}, wants {i}")
-            if self.phi.at(i) != s:
-                raise ValueError(f"tail does not pin the prefix at {i}")
+        _loc(self.sigma, _kseq(self.phi))
 
     def to_json(self) -> dict:
         return {"sigma": [sorted(s) for s in self.sigma], "phi": self.phi.to_json()}
@@ -252,90 +465,25 @@ def loc_condition(sigma: Sequence[Iterable[int]], phi: FinSeq) -> LocCondition:
 
 def loc_leq(p: LocCondition, q: LocCondition) -> bool:
     """p extends q: longer committed prefix, pointwise larger slalom."""
-    if len(p.sigma) < len(q.sigma) or p.sigma[: len(q.sigma)] != q.sigma:
-        return False
-    return seq_subset(q.phi, p.phi)
+    return _loc_le((p.sigma, _kseq(p.phi)), (q.sigma, _kseq(q.phi)))
 
 
 def loc_meet(p: LocCondition, q: LocCondition):
     """Common extension of p and q when the prefixes are comparable and the
     pointwise union respects the width bound after committing to twice the
     longer prefix; Incompatible otherwise."""
-    if len(q.sigma) > len(p.sigma):
-        p, q = q, p
-    if p.sigma[: len(q.sigma)] != q.sigma:
-        return Incompatible("committed prefixes disagree")
-    union = seq_union(p.phi, q.phi)
-    # try without extending the commitment first (covers p = q)
-    try:
-        return LocCondition(p.sigma, union)
-    except ValueError:
-        pass
-    # commit to twice the length; the constructor rejects a slot that needs
-    # more values than it holds and a tail wider than the new commitment
-    new = {i: _pad(union.at(i), i) for i in range(len(p.sigma), 2 * len(p.sigma))}
-    try:
-        out = LocCondition(p.sigma + tuple(new.values()), union.with_exceptions(new.items()))
-    except ValueError as err:
-        return Incompatible(str(err))
-    if not (loc_leq(out, p) and loc_leq(out, q)):
-        return Incompatible("constructed meet fails the order check")
-    return out
+    met = _loc_meet((p.sigma, _kseq(p.phi)), (q.sigma, _kseq(q.phi)))
+    if isinstance(met, Incompatible):
+        return met
+    sigma, phi = met
+    return LocCondition(sigma, _finseq(phi, Rule("constant", phi[1])))
 
 
 def localizes(phi: FinSeq, f: FinSeq) -> Optional[int]:
-    """Least m with f(n) in phi(n) for every n >= m; None when there is none.
-
-    Exact: at a rule-only index f reads its rule value, which the rule test
-    has put inside phi's rule, so only the probes can miss."""
-    if phi.rule.kind != "constant" or not isinstance(phi.rule.value, frozenset):
+    """Least m with f(n) in phi(n) for every n >= m; None when there is none."""
+    if phi.rule.kind != "constant":
         raise Undecidable("slalom tails must be constant finite sets")
-    if f.rule.slope != 0:
-        return None  # unbounded values escape any finite tail
-    if f.rule.value not in phi.rule.value:
-        return None
-    last_bad = -1
-    for n in _probe_indices(phi, f):
-        if f.at(n) not in phi.at(n):
-            last_bad = n
-    return last_bad + 1
-
-
-def _pad(need: Iterable[int], size: int) -> frozenset[int]:
-    """need, filled up to size values with the least naturals not in it."""
-    pad = set(need)
-    fresh = 0
-    while len(pad) < size:
-        pad.add(fresh)
-        fresh += 1
-    return frozenset(pad)
-
-
-def build_localizing_slalom(reals: Sequence[FinSeq], width_budget: int) -> LocCondition:
-    """A condition whose slalom swallows every input sequence from its
-    commitment point on; inputs must be eventually constant."""
-    if len(reals) > width_budget:
-        raise ValueError(f"{len(reals)} sequences exceed the width budget {width_budget}")
-    if any(f.rule.slope != 0 for f in reals):
-        raise ValueError("only eventually constant sequences are representable")
-    settle = max([f.settle_index() for f in reals], default=0)
-    width = max(width_budget, len(reals), 1)
-    sigma = [_pad(sorted({f.at(i) for f in reals})[:i], i) for i in range(width)]
-    exc: dict[int, Value] = {}
-    for i in range(width, max(settle, width)):
-        exc[i] = frozenset(f.at(i) for f in reals)
-    tail = frozenset(f.rule.value for f in reals)
-    phi = FinSeq(Rule("constant", tail), tuple(exc.items()))
-    out = loc_condition(sigma, phi)
-    for f in reals:
-        m = localizes(out.phi, f)
-        if m is None or m > width:
-            raise ContractViolation("built slalom fails to localize an input")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# dominating pairs
+    return _localizes(_kseq(phi), _kseq(f))
 
 
 @dataclass(frozen=True)
@@ -346,9 +494,7 @@ class DomCondition:
     f: FinSeq
 
     def __post_init__(self) -> None:
-        for i, v in enumerate(self.stem):
-            if self.f.at(i) != v:
-                raise ValueError(f"tail does not pin the stem at {i}")
+        _dom(self.stem, _kseq(self.f))
 
     def to_json(self) -> dict:
         return {"stem": list(self.stem), "f": self.f.to_json()}
@@ -361,96 +507,106 @@ def dom_condition(stem: Sequence[int], f: FinSeq) -> DomCondition:
 
 def dom_leq(p: DomCondition, q: DomCondition) -> bool:
     """p extends q: longer stem, everywhere pointwise at least q's tail."""
-    if len(p.stem) < len(q.stem) or p.stem[: len(q.stem)] != q.stem:
-        return False
-    return seq_le(q.f, p.f)
+    return _dom_le((p.stem, _kseq(p.f)), (q.stem, _kseq(q.f)))
 
 
 def dom_meet(p: DomCondition, q: DomCondition):
     """Common extension: the longer stem with the pointwise maximum of the
     tails, when the stems are comparable and dominate the other tail."""
     if len(q.stem) > len(p.stem):
-        p, q = q, p
-    if p.stem[: len(q.stem)] != q.stem:
-        return Incompatible("stems disagree")
-    for i in range(len(p.stem)):
-        if q.f.at(i) > p.stem[i]:
-            return Incompatible(f"other tail exceeds the stem at {i}")
-    out = DomCondition(p.stem, seq_max(p.f, q.f))
-    if not (dom_leq(out, p) and dom_leq(out, q)):
-        return Incompatible("constructed meet fails the order check")
-    return out
+        p, q = q, p  # the kernel's order, which keeps p's rule on a tie
+    met = _dom_meet((p.stem, _kseq(p.f)), (q.stem, _kseq(q.f)))
+    if isinstance(met, Incompatible):
+        return met
+    stem, f = met
+    return DomCondition(stem, _finseq(f, p.f.rule, q.f.rule))
 
 
 # ---------------------------------------------------------------------------
-# n-compatibility trials
+# n-compatibility trials, on kernel data
 
 
-def _random_number_seq(rng: random.Random, lo_len: int = 0) -> FinSeq:
-    kind = rng.choice(["constant", "constant", "affine"])
-    if kind == "constant":
-        rule = Rule("constant", rng.randrange(8))
+def _random_number_seq(rng: random.Random, lo_len: int = 0) -> Seq:
+    if rng.choice(("constant", "constant", "affine")) == "constant":
+        rule = 0, rng.randrange(8)
     else:
-        rule = Rule("affine", rng.randrange(4), rng.randrange(3))
-    exc = tuple(
-        (rng.randrange(lo_len, lo_len + 6), rng.randrange(8)) for _ in range(rng.randrange(3))
-    )
-    return FinSeq(rule, exc)
+        b, a = rng.randrange(4), rng.randrange(3)
+        rule = a, b
+    exc = [(rng.randrange(lo_len, lo_len + 6), rng.randrange(8)) for _ in range(rng.randrange(3))]
+    return _with((*rule, {}), exc)
 
 
-def _extend_dom(rng: random.Random, q: DomCondition) -> DomCondition:
+def _extend_dom(rng: random.Random, q: tuple) -> tuple:
     """A random extension of q: longer stem, pointwise bumped tail."""
-    t = list(q.stem)
-    ext = [q.f.at(i) + rng.randrange(3) for i in range(len(t), len(t) + rng.randrange(4))]
-    s = t + ext
-    bumps = {i: q.f.at(i) + rng.randrange(3) for i in range(len(s), len(s) + rng.randrange(4))}
-    f = q.f.with_exceptions(list(enumerate(s)) + list(bumps.items()))
-    p = DomCondition(tuple(s), f)
-    if not dom_leq(p, q):
+    stem, f = q
+    a, b, e = f
+    n = len(stem)
+    s = stem + tuple(e.get(i, a * i + b) + rng.randrange(3) for i in range(n, n + rng.randrange(4)))
+    m = len(s)
+    bumps = [(i, e.get(i, a * i + b) + rng.randrange(3)) for i in range(m, m + rng.randrange(4))]
+    p = _dom(s, _with(f, chain(enumerate(s), bumps)))
+    if not _dom_le(p, q):
         raise ContractViolation("random dominating-pair extension fails the order check")
     return p
 
 
-def _random_dom_pair(rng: random.Random) -> tuple[DomCondition, DomCondition]:
+def _random_dom_pair(rng: random.Random) -> tuple[tuple, tuple]:
     """(p, q) with p <= q, randomly built."""
-    t = [rng.randrange(6) for _ in range(rng.randrange(4))]
-    q = dom_condition(t, _random_number_seq(rng))
+    t = tuple(rng.randrange(6) for _ in range(rng.randrange(4)))
+    q = _dom(t, _with(_random_number_seq(rng), enumerate(t)))
     return _extend_dom(rng, q), q
 
 
-def _random_set_seq(rng: random.Random, width: int) -> FinSeq:
+def _random_set_seq(rng: random.Random, width: int) -> Seq:
     tail = frozenset(rng.sample(range(10), rng.randrange(min(width, 4) + 1)))
-    exc = tuple(
+    exc = [
         (rng.randrange(8), frozenset(rng.sample(range(10), rng.randrange(width + 1))))
         for _ in range(rng.randrange(2))
-    )
-    return FinSeq(Rule("constant", tail), exc)
+    ]
+    return _with((0, tail, {}), exc)
 
 
-def _extend_loc(rng: random.Random, q: LocCondition) -> LocCondition:
+def _extend_loc(rng: random.Random, q: tuple) -> tuple:
     """A random extension of q: more committed slots, pointwise grown tail."""
-    tau_len = len(q.sigma)
-    sigma = list(q.sigma)
-    for i in range(tau_len, tau_len + rng.randrange(3)):
-        sigma.append(_pad(q.phi.at(i), i))
+    tau, phi = q
+    b, e = phi[1], phi[2]
+    n = len(tau)
+    sigma = tau + tuple(_pad(e.get(i, b), i) for i in range(n, n + rng.randrange(3)))
     width = len(sigma)
-    extra = {
-        i: frozenset(set(q.phi.at(i)) | set(rng.sample(range(12), rng.randrange(2))))
-        for i in range(width, width + rng.randrange(3))
-    }
-    extra = {i: v for i, v in extra.items() if len(v) <= width}
-    phi = q.phi.with_exceptions(list(enumerate(sigma)) + list(extra.items()))
-    p = LocCondition(tuple(sigma), phi)
-    if not loc_leq(p, q):
+    extra = []
+    for i in range(width, width + rng.randrange(3)):
+        v = e.get(i, b).union(rng.sample(range(12), rng.randrange(2)))
+        if len(v) <= width:
+            extra.append((i, v))
+    p = _loc(sigma, _with(phi, chain(enumerate(sigma), extra)))
+    if not _loc_le(p, q):
         raise ContractViolation("random localization extension fails the order check")
     return p
 
 
-def _random_loc_pair(rng: random.Random) -> tuple[LocCondition, LocCondition]:
+def _random_loc_pair(rng: random.Random) -> tuple[tuple, tuple]:
     tau_len = rng.randrange(4)
-    tau = [frozenset(rng.sample(range(12), i)) for i in range(tau_len)]
-    q = loc_condition(tau, _random_set_seq(rng, tau_len))
+    tau = tuple(frozenset(rng.sample(range(12), i)) for i in range(tau_len))
+    q = _loc(tau, _with(_random_set_seq(rng, tau_len), enumerate(tau)))
     return _extend_loc(rng, q), q
+
+
+def _dom_draw(rng: random.Random, n: int) -> tuple[tuple, tuple, tuple]:
+    """One hechler trial's conditions: p <= q, and a sibling of q whose tail
+    agrees with q's on n times p's stem length."""
+    p, q = _random_dom_pair(rng)
+    stem, (a, b, e) = q
+    agree = ((i, e.get(i, a * i + b)) for i in range(n * len(p[0])))
+    return p, q, _dom(stem, _with(_random_number_seq(rng), chain(agree, enumerate(stem))))
+
+
+def _loc_draw(rng: random.Random, n: int) -> tuple[tuple, tuple, tuple]:
+    """One loc trial's conditions: p <= q, and a sibling of q whose slalom
+    agrees with q's on n times p's committed length."""
+    p, q = _random_loc_pair(rng)
+    tau, (_, b, e) = q
+    agree = ((i, e.get(i, b)) for i in range(n * len(p[0])))
+    return p, q, _loc(tau, _with(_random_set_seq(rng, len(tau)), chain(agree, enumerate(tau))))
 
 
 @dataclass
@@ -475,40 +631,28 @@ class TrialReport:
 
 
 def n_suslin_trial(poset: str, n: int, samples: int, seed: int) -> TrialReport:
-    """Randomized law check: p <= q and a sibling of q agreeing with p's tail
+    """Randomized law check: p <= q and a sibling of q agreeing with q's tail
     on n times the committed length must admit a common extension via the
     meet constructor.  Returns the failure count (0 is the contract for the
-    dominating pair with n = 1 and localization with n = 2)."""
+    dominating pair with n = 1 and localization with n = 2).
+
+    Each trial draws from seed * 1_000_003 + trial; reseeding one generator
+    sets the state a new Random(x) starts from."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    failures = 0
+    trials = {"hechler": (_dom_draw, _dom_meet, _dom_le), "loc": (_loc_draw, _loc_meet, _loc_le)}
+    if poset not in trials:
+        raise ValueError(f"unknown poset {poset!r}")
+    draw, meet, le = trials[poset]
+    rng = random.Random()
     failure_seeds: list[int] = []
-    for trial in range(samples):
-        rng = random.Random(seed * 1_000_003 + trial)
-        if poset == "hechler":
-            p, q = _random_dom_pair(rng)
-            agree = n * len(p.stem)
-            h = _random_number_seq(rng).with_exceptions(
-                (i, q.f.at(i)) for i in range(agree)
-            )
-            sib = DomCondition(q.stem, h.with_exceptions(enumerate(q.stem)))
-            met = dom_meet(p, sib)
-            good = isinstance(met, DomCondition) and dom_leq(met, p) and dom_leq(met, sib)
-        elif poset == "loc":
-            p, q = _random_loc_pair(rng)
-            agree = n * len(p.sigma)
-            h = _random_set_seq(rng, len(q.sigma)).with_exceptions(
-                (i, q.phi.at(i)) for i in range(agree)
-            )
-            sib = LocCondition(q.sigma, h.with_exceptions(enumerate(q.sigma)))
-            met = loc_meet(p, sib)
-            good = isinstance(met, LocCondition) and loc_leq(met, p) and loc_leq(met, sib)
-        else:
-            raise ValueError(f"unknown poset {poset!r}")
-        if not good:
-            failures += 1
-            failure_seeds.append(trial)
-    return TrialReport(poset, n, samples, seed, failures, failure_seeds)
+    for t in range(samples):
+        rng.seed(seed * 1_000_003 + t)
+        p, _, sib = draw(rng, n)
+        met = meet(p, sib)
+        if isinstance(met, Incompatible) or not (le(met, p) and le(met, sib)):
+            failure_seeds.append(t)
+    return TrialReport(poset, n, samples, seed, len(failure_seeds), failure_seeds)
 
 
 # ---------------------------------------------------------------------------

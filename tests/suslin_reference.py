@@ -1,0 +1,275 @@
+"""The sequence algebra of ``cofinitary.suslin`` over ``FinSeq`` objects, as
+it ran before the plain-data kernel: the oracle the kernel is checked
+against.
+
+Every statement reads one probe list, ``probe_indices``, in index order;
+conditions are named tuples validated by ``loc``/``dom``, which raise the
+same ``ValueError`` texts as the public classes.  The trial samplers and
+``n_suslin_trial`` are kept too, drawing a fresh ``random.Random`` per trial.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Iterable, NamedTuple, Optional
+
+from cofinitary.extension import ContractViolation
+from cofinitary.poset import Incompatible
+from cofinitary.suslin import FinSeq, Rule, Undecidable, Value
+
+
+def finseq(k) -> FinSeq:
+    """A kernel sequence (slope, value, exc) as a FinSeq; a rule of slope 0
+    reads as a constant."""
+    a, b, exc = k
+    return FinSeq(Rule("affine" if a else "constant", b, a), tuple(exc.items()))
+
+
+def probe_indices(*seqs: FinSeq) -> list[int]:
+    """Every nonnegative exception index of seqs, in order, then the least
+    index that is none of them."""
+    idx: set[int] = set()
+    for s in seqs:
+        idx.update(s._table)
+    free = 0
+    while free in idx:
+        free += 1
+    out = sorted(idx)
+    if out and out[0] < 0:
+        out = [i for i in out if i >= 0]
+    out.append(free)
+    return out
+
+
+def eventually_le(f: FinSeq, g: FinSeq) -> bool:
+    rf, rg = f.rule, g.rule
+    if rf.slope != rg.slope:
+        return rf.slope < rg.slope
+    return rf.value <= rg.value
+
+
+def seq_le(f: FinSeq, g: FinSeq) -> bool:
+    if isinstance(f.rule.value, frozenset) or isinstance(g.rule.value, frozenset):
+        raise Undecidable("pointwise order is for number sequences")
+    for i in probe_indices(f, g):
+        if f.at(i) > g.at(i):
+            return False
+    return eventually_le(f, g)
+
+
+def seq_subset(f: FinSeq, g: FinSeq) -> bool:
+    if f.rule.kind != "constant" or g.rule.kind != "constant":
+        raise Undecidable("set sequences need constant tails")
+    return all(f.at(i) <= g.at(i) for i in probe_indices(f, g))
+
+
+def seq_max(f: FinSeq, g: FinSeq) -> FinSeq:
+    dominant, other = (f, g) if eventually_le(g, f) else (g, f)
+    cross = 0
+    df, dg = dominant.rule, other.rule
+    if df.slope > dg.slope:
+        cross = max(0, (dg.value - df.value) // (df.slope - dg.slope) + 1)
+    exc: dict[int, Value] = {}
+    for i in probe_indices(f, g):
+        exc[i] = max(f.at(i), g.at(i))
+    for i in range(cross + 1):
+        exc[i] = max(f.at(i), g.at(i))
+    return FinSeq(dominant.rule, tuple(exc.items()))
+
+
+def seq_union(f: FinSeq, g: FinSeq) -> FinSeq:
+    if f.rule.kind != "constant" or g.rule.kind != "constant":
+        raise Undecidable("set sequences need constant tails")
+    tail = f.rule.value | g.rule.value
+    exc = tuple((i, v) for i in probe_indices(f, g) if (v := f.at(i) | g.at(i)) != tail)
+    return FinSeq(Rule("constant", tail), exc)
+
+
+def localizes(phi: FinSeq, f: FinSeq) -> Optional[int]:
+    if phi.rule.kind != "constant" or not isinstance(phi.rule.value, frozenset):
+        raise Undecidable("slalom tails must be constant finite sets")
+    if f.rule.slope != 0:
+        return None
+    if f.rule.value not in phi.rule.value:
+        return None
+    last_bad = -1
+    for n in probe_indices(phi, f):
+        if f.at(n) not in phi.at(n):
+            last_bad = n
+    return last_bad + 1
+
+
+def pad(need: Iterable[int], size: int) -> frozenset[int]:
+    out = set(need)
+    fresh = 0
+    while len(out) < size:
+        out.add(fresh)
+        fresh += 1
+    return frozenset(out)
+
+
+# -- slalom conditions ------------------------------------------------------
+
+
+class Loc(NamedTuple):
+    sigma: tuple[frozenset[int], ...]
+    phi: FinSeq
+
+
+def loc(sigma, phi: FinSeq) -> Loc:
+    """Loc(sigma, phi) after the checks LocCondition made."""
+    width = len(sigma)
+    for i in probe_indices(phi):
+        v = phi.at(i)
+        if not isinstance(v, frozenset):
+            raise ValueError(f"slalom tails must be finite sets; slot {i} holds {v!r}")
+        if len(v) > width:
+            raise ValueError(f"tail width at {i} exceeds {width}")
+    for i, s in enumerate(sigma):
+        if len(s) != i:
+            raise ValueError(f"slalom prefix slot {i} has size {len(s)}, wants {i}")
+        if phi.at(i) != s:
+            raise ValueError(f"tail does not pin the prefix at {i}")
+    return Loc(tuple(sigma), phi)
+
+
+def loc_leq(p: Loc, q: Loc) -> bool:
+    if len(p.sigma) < len(q.sigma) or p.sigma[: len(q.sigma)] != q.sigma:
+        return False
+    return seq_subset(q.phi, p.phi)
+
+
+def loc_meet(p: Loc, q: Loc):
+    if len(q.sigma) > len(p.sigma):
+        p, q = q, p
+    if p.sigma[: len(q.sigma)] != q.sigma:
+        return Incompatible("committed prefixes disagree")
+    union = seq_union(p.phi, q.phi)
+    try:
+        return loc(p.sigma, union)
+    except ValueError:
+        pass
+    new = {i: pad(union.at(i), i) for i in range(len(p.sigma), 2 * len(p.sigma))}
+    try:
+        out = loc(p.sigma + tuple(new.values()), union.with_exceptions(new.items()))
+    except ValueError as err:
+        return Incompatible(str(err))
+    if not (loc_leq(out, p) and loc_leq(out, q)):
+        return Incompatible("constructed meet fails the order check")
+    return out
+
+
+# -- dominating pairs -------------------------------------------------------
+
+
+class Dom(NamedTuple):
+    stem: tuple[int, ...]
+    f: FinSeq
+
+
+def dom(stem, f: FinSeq) -> Dom:
+    """Dom(stem, f) after the check DomCondition made."""
+    for i, v in enumerate(stem):
+        if f.at(i) != v:
+            raise ValueError(f"tail does not pin the stem at {i}")
+    return Dom(tuple(stem), f)
+
+
+def dom_leq(p: Dom, q: Dom) -> bool:
+    if len(p.stem) < len(q.stem) or p.stem[: len(q.stem)] != q.stem:
+        return False
+    return seq_le(q.f, p.f)
+
+
+def dom_meet(p: Dom, q: Dom):
+    if len(q.stem) > len(p.stem):
+        p, q = q, p
+    if p.stem[: len(q.stem)] != q.stem:
+        return Incompatible("stems disagree")
+    for i in range(len(p.stem)):
+        if q.f.at(i) > p.stem[i]:
+            return Incompatible(f"other tail exceeds the stem at {i}")
+    out = dom(p.stem, seq_max(p.f, q.f))
+    if not (dom_leq(out, p) and dom_leq(out, q)):
+        return Incompatible("constructed meet fails the order check")
+    return out
+
+
+# -- the trials -------------------------------------------------------------
+
+
+def random_number_seq(rng: random.Random, lo_len: int = 0) -> FinSeq:
+    kind = rng.choice(["constant", "constant", "affine"])
+    if kind == "constant":
+        rule = Rule("constant", rng.randrange(8))
+    else:
+        rule = Rule("affine", rng.randrange(4), rng.randrange(3))
+    exc = tuple(
+        (rng.randrange(lo_len, lo_len + 6), rng.randrange(8)) for _ in range(rng.randrange(3))
+    )
+    return FinSeq(rule, exc)
+
+
+def random_set_seq(rng: random.Random, width: int) -> FinSeq:
+    tail = frozenset(rng.sample(range(10), rng.randrange(min(width, 4) + 1)))
+    exc = tuple(
+        (rng.randrange(8), frozenset(rng.sample(range(10), rng.randrange(width + 1))))
+        for _ in range(rng.randrange(2))
+    )
+    return FinSeq(Rule("constant", tail), exc)
+
+
+def random_dom_pair(rng: random.Random) -> tuple[Dom, Dom]:
+    t = [rng.randrange(6) for _ in range(rng.randrange(4))]
+    q = dom(t, random_number_seq(rng).with_exceptions(enumerate(t)))
+    s = list(q.stem)
+    s += [q.f.at(i) + rng.randrange(3) for i in range(len(s), len(s) + rng.randrange(4))]
+    bumps = {i: q.f.at(i) + rng.randrange(3) for i in range(len(s), len(s) + rng.randrange(4))}
+    p = dom(s, q.f.with_exceptions(list(enumerate(s)) + list(bumps.items())))
+    if not dom_leq(p, q):
+        raise ContractViolation("random dominating-pair extension fails the order check")
+    return p, q
+
+
+def random_loc_pair(rng: random.Random) -> tuple[Loc, Loc]:
+    tau_len = rng.randrange(4)
+    tau = [frozenset(rng.sample(range(12), i)) for i in range(tau_len)]
+    q = loc(tau, random_set_seq(rng, tau_len).with_exceptions(enumerate(tau)))
+    sigma = list(q.sigma)
+    for i in range(tau_len, tau_len + rng.randrange(3)):
+        sigma.append(pad(q.phi.at(i), i))
+    width = len(sigma)
+    extra = {
+        i: frozenset(set(q.phi.at(i)) | set(rng.sample(range(12), rng.randrange(2))))
+        for i in range(width, width + rng.randrange(3))
+    }
+    extra = {i: v for i, v in extra.items() if len(v) <= width}
+    p = loc(sigma, q.phi.with_exceptions(list(enumerate(sigma)) + list(extra.items())))
+    if not loc_leq(p, q):
+        raise ContractViolation("random localization extension fails the order check")
+    return p, q
+
+
+def draw(poset: str, rng: random.Random, n: int):
+    """One trial's (p, q, sibling), as the trial drew them."""
+    if poset == "hechler":
+        p, q = random_dom_pair(rng)
+        agree = n * len(p.stem)
+        h = random_number_seq(rng).with_exceptions((i, q.f.at(i)) for i in range(agree))
+        return p, q, dom(q.stem, h.with_exceptions(enumerate(q.stem)))
+    p, q = random_loc_pair(rng)
+    agree = n * len(p.sigma)
+    h = random_set_seq(rng, len(q.sigma)).with_exceptions((i, q.phi.at(i)) for i in range(agree))
+    return p, q, loc(q.sigma, h.with_exceptions(enumerate(q.sigma)))
+
+
+def n_suslin_trial(poset: str, n: int, samples: int, seed: int) -> list[int]:
+    """The failing trial numbers."""
+    meet, le = (dom_meet, dom_leq) if poset == "hechler" else (loc_meet, loc_leq)
+    failed = []
+    for trial in range(samples):
+        p, _, sib = draw(poset, random.Random(seed * 1_000_003 + trial), n)
+        met = meet(p, sib)
+        if isinstance(met, Incompatible) or not (le(met, p) and le(met, sib)):
+            failed.append(trial)
+    return failed

@@ -14,8 +14,6 @@ from cofinitary.suslin import (
     LocCondition,
     Rule,
     Undecidable,
-    build_localizing_slalom,
-    constant_seq,
     dom_condition,
     dom_leq,
     dom_meet,
@@ -34,6 +32,7 @@ from cofinitary.suslin import (
     _random_dom_pair,
     _random_loc_pair,
 )
+from suslin_reference import finseq
 
 
 # The brute-force window.  The random sequences hold exceptions below 12,
@@ -45,6 +44,42 @@ WINDOW = 64
 def fs(rule_kind, value, slope=0, **exceptions):
     exc = tuple((int(k[1:]), v) for k, v in exceptions.items())
     return FinSeq(Rule(rule_kind, value, slope), exc)
+
+
+def constant_seq(value) -> FinSeq:
+    return FinSeq(Rule("constant", value))
+
+
+def number_seq(rng, lo_len=0) -> FinSeq:
+    return finseq(suslin._random_number_seq(rng, lo_len))
+
+
+def set_seq(rng, width) -> FinSeq:
+    return finseq(suslin._random_set_seq(rng, width))
+
+
+def loc_pair(rng):
+    return [LocCondition(sigma, finseq(phi)) for sigma, phi in _random_loc_pair(rng)]
+
+
+def build_localizing_slalom(reals, width_budget: int) -> LocCondition:
+    """A condition whose slalom swallows every input sequence from its
+    commitment point on; inputs must be eventually constant."""
+    if len(reals) > width_budget:
+        raise ValueError(f"{len(reals)} sequences exceed the width budget {width_budget}")
+    if any(f.rule.slope != 0 for f in reals):
+        raise ValueError("only eventually constant sequences are representable")
+    settle = max([f.settle_index() for f in reals], default=0)
+    width = max(width_budget, len(reals), 1)
+    sigma = [suslin._pad(sorted({f.at(i) for f in reals})[:i], i) for i in range(width)]
+    exc = {i: frozenset(f.at(i) for f in reals) for i in range(width, max(settle, width))}
+    phi = FinSeq(Rule("constant", frozenset(f.rule.value for f in reals)), tuple(exc.items()))
+    out = loc_condition(sigma, phi)
+    for f in reals:
+        m = suslin.localizes(out.phi, f)
+        if m is None or m > width:
+            raise ContractViolation("built slalom fails to localize an input")
+    return out
 
 
 class TestFinSeq:
@@ -76,7 +111,7 @@ class TestFinSeq:
         # the canonical exceptions tuple, which alone decides equality
         rng = random.Random(2)
         for _ in range(500):
-            f = suslin._random_number_seq(rng, rng.randrange(4))
+            f = number_seq(rng, rng.randrange(4))
             for i in range(-2, 14):
                 scanned = next((v for j, v in f.exceptions if j == i), f.rule.at(i))
                 assert f.at(i) == scanned
@@ -102,14 +137,14 @@ class TestFinSeq:
         # outside every comparison
         f = FinSeq(Rule("constant", 0), ((-1, 100),))
         assert seq_le(f, constant_seq(0))
-        assert suslin._probe_indices(f, fs("constant", 0, i0=1, i2=1)) == [0, 2, 1]
+        assert suslin._kseq(FinSeq(Rule("constant", 0), ((-1, 100), (2, 1))))[2] == {2: 1}
 
     def test_seq_le_matches_a_window(self):
         rng = random.Random("seq-le")
         verdicts = {True: 0, False: 0}
         for _ in range(20_000):
-            f = suslin._random_number_seq(rng, rng.randrange(6))
-            g = suslin._random_number_seq(rng, rng.randrange(6))
+            f = number_seq(rng, rng.randrange(6))
+            g = number_seq(rng, rng.randrange(6))
             want = all(f.at(i) <= g.at(i) for i in range(WINDOW))
             assert seq_le(f, g) == want, (f, g)
             verdicts[want] += 1
@@ -120,7 +155,7 @@ class TestFinSeq:
         verdicts = {True: 0, False: 0}
         for _ in range(5_000):
             width = rng.randrange(5)
-            f, g = suslin._random_set_seq(rng, width), suslin._random_set_seq(rng, width)
+            f, g = set_seq(rng, width), set_seq(rng, width)
             want = all(f.at(i) <= g.at(i) for i in range(WINDOW))
             assert seq_subset(f, g) == want, (f, g)
             verdicts[want] += 1
@@ -131,8 +166,8 @@ class TestFinSeq:
     def test_seq_max_matches_a_window(self):
         rng = random.Random("seq-max")
         for _ in range(5_000):
-            f = suslin._random_number_seq(rng, rng.randrange(6))
-            g = suslin._random_number_seq(rng, rng.randrange(6))
+            f = number_seq(rng, rng.randrange(6))
+            g = number_seq(rng, rng.randrange(6))
             m = seq_max(f, g)
             assert all(m.at(i) == max(f.at(i), g.at(i)) for i in range(WINDOW)), (f, g)
 
@@ -142,7 +177,7 @@ class TestFinSeq:
         for _ in range(5_000):
             width = rng.randrange(4)
             sigma = [frozenset(rng.sample(range(12), i)) for i in range(width)]
-            phi = suslin._random_set_seq(rng, width + 1)
+            phi = set_seq(rng, width + 1)
             pinned = phi.with_exceptions(enumerate(sigma))
             want = all(len(pinned.at(i)) <= width for i in range(WINDOW))
             try:
@@ -166,6 +201,11 @@ class TestFinSeq:
         u = seq_union(f, g)
         assert u.at(2) == {5, 2} and u.at(10) == {1, 2}
         assert seq_subset(f, u) and seq_subset(g, u)
+
+    def test_seq_max_rejects_set_sequences(self):
+        # a pointwise maximum of sets is no union: {1} and {2} have none
+        with pytest.raises(Undecidable):
+            seq_max(constant_seq(frozenset({1})), constant_seq(frozenset({2})))
 
 
 class TestLocPoset:
@@ -213,20 +253,20 @@ class TestLocPoset:
         rng = random.Random(3)
         for _ in range(1000):
             p, q = _random_loc_pair(rng)
-            r = _extend_loc(rng, p)
+            p, q, r = (LocCondition(c[0], finseq(c[1])) for c in (p, q, _extend_loc(rng, p)))
             assert loc_leq(p, p) and loc_leq(q, q)
             assert loc_leq(p, q) and loc_leq(r, p)
             assert loc_leq(r, q)  # transitivity along the chain
 
     def test_extension_order_check_raises(self, monkeypatch):
-        monkeypatch.setattr(suslin, "loc_leq", lambda p, q: False)
+        monkeypatch.setattr(suslin, "_loc_le", lambda p, q: False)
         with pytest.raises(ContractViolation):
-            _extend_loc(random.Random(1), loc_condition([set()], constant_seq(frozenset())))
+            _extend_loc(random.Random(1), ((frozenset(),), (0, frozenset(), {})))
 
     def test_leq_matches_horizon_scan(self):
         rng = random.Random(5)
         for _ in range(300):
-            p, q = _random_loc_pair(rng)
+            p, q = loc_pair(rng)
             want = len(p.sigma) >= len(q.sigma) and p.sigma[: len(q.sigma)] == q.sigma
             want = want and all(q.phi.at(i) <= p.phi.at(i) for i in range(2000))
             assert loc_leq(p, q) == want
@@ -236,15 +276,18 @@ class TestLocPoset:
         assert loc_meet(p, p) == p
 
     def test_meet_width_violation(self):
-        p = loc_condition([set()], constant_seq(frozenset()),)
-        q = loc_condition([set()], FinSeq(Rule("constant", frozenset()), ((5, frozenset({1})),)))
-        r = loc_meet(
-            loc_condition([set(), {2}], constant_seq(frozenset({2}))), q
-        )
-        # widths can force either an extended commitment or incompatibility;
-        # whatever comes back must be sound
-        if isinstance(r, LocCondition):
-            assert loc_leq(r, q)
+        # doubling the commitment does not help when a new slot needs more
+        # values than it holds: slot 1 of the union is {1, 2}
+        p = loc_condition([set()], constant_seq(frozenset({1})))
+        q = loc_condition([set()], constant_seq(frozenset({2})))
+        assert loc_meet(p, q) == Incompatible("slalom prefix slot 1 has size 2, wants 1")
+        # a union of width 4 over 3 committed slots fits after committing to 6
+        sigma = [set(), {6}, {0, 4}]
+        p = loc_condition(sigma, FinSeq(Rule("constant", frozenset({4, 6, 7})), ((3, frozenset({4})),)))
+        q = loc_condition(sigma, constant_seq(frozenset({4, 5})))
+        met = loc_meet(p, q)
+        assert isinstance(met, LocCondition) and len(met.sigma) == 6
+        assert loc_leq(met, p) and loc_leq(met, q)
 
 
 class TestDomPoset:
@@ -278,15 +321,15 @@ class TestDomPoset:
         rng = random.Random(7)
         for _ in range(1000):
             p, q = _random_dom_pair(rng)
-            r = _extend_dom(rng, p)
+            p, q, r = (DomCondition(c[0], finseq(c[1])) for c in (p, q, _extend_dom(rng, p)))
             assert dom_leq(p, p) and dom_leq(p, q)
             assert dom_leq(r, p) and dom_leq(r, q)
 
     def test_extension_order_check_raises(self, monkeypatch):
         # the check survives python -O: a broken order raises, not asserts
-        monkeypatch.setattr(suslin, "dom_leq", lambda p, q: False)
+        monkeypatch.setattr(suslin, "_dom_le", lambda p, q: False)
         with pytest.raises(ContractViolation):
-            _extend_dom(random.Random(1), dom_condition([1], constant_seq(0)))
+            _extend_dom(random.Random(1), ((1,), (0, 0, {0: 1})))
 
 
 class TestTrials:
@@ -345,8 +388,8 @@ class TestLocalizes:
         rng = random.Random("localizes")
         verdicts = {"none": 0, "zero": 0, "later": 0}
         for _ in range(5_000):
-            f = suslin._random_number_seq(rng, rng.randrange(6))
-            phi = suslin._random_set_seq(rng, rng.randrange(5))
+            f = number_seq(rng, rng.randrange(6))
+            phi = set_seq(rng, rng.randrange(5))
             if rng.random() < 0.5 and f.rule.slope == 0:
                 tail = phi.rule.value | {f.rule.value}
                 phi = FinSeq(Rule("constant", tail), phi.exceptions)
