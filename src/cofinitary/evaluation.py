@@ -31,7 +31,8 @@ class PartialMap:
 
     fwd and rev are lookup caches built on first use.  Where the pair set
     is not functional (not injective), fwd (rev) keeps the largest value
-    for a repeated key: it is dict(sorted(pairs)) up to key order.
+    for a repeated key: it is dict(sorted(pairs)) up to key order.  The
+    fact `injection` is read from their sizes and cached the same way.
     """
 
     pairs: frozenset[tuple[int, int]] = frozenset()
@@ -53,6 +54,16 @@ class PartialMap:
             rev = {m: n for n, m in sorted(self.pairs)}
             object.__setattr__(self, "_rev", rev)
             return rev
+
+    @property
+    def injection(self) -> bool:
+        """Whether the map is a partial injection: functional and injective."""
+        try:
+            return self._inj  # type: ignore[attr-defined]
+        except AttributeError:
+            inj = len(self.fwd) == len(self.rev) == len(self.pairs)
+            object.__setattr__(self, "_inj", inj)
+            return inj
 
     def is_functional(self) -> bool:
         return len(self.fwd) == len(self.pairs)
@@ -80,12 +91,12 @@ class PartialMap:
     def inverse(self) -> "PartialMap":
         """The map with every pair flipped.  An injective, functional map
         hands its caches over swapped: its rev is the inverse's fwd."""
-        fwd, rev = self.fwd, self.rev
-        if not len(fwd) == len(rev) == len(self.pairs):
+        if not self.injection:
             return PartialMap(frozenset((m, n) for n, m in self.pairs))
-        out = PartialMap(frozenset(rev.items()))
-        object.__setattr__(out, "_fwd", rev)
-        object.__setattr__(out, "_rev", fwd)
+        out = PartialMap(frozenset(self.rev.items()))
+        object.__setattr__(out, "_fwd", self.rev)
+        object.__setattr__(out, "_rev", self.fwd)
+        object.__setattr__(out, "_inj", True)
         return out
 
     def __len__(self) -> int:
@@ -97,13 +108,22 @@ _NO_PAIRS = PartialMap()  # what Assignment.get returns for an absent generator
 
 @dataclass(frozen=True)
 class Assignment:
-    """Generator-indexed table of partial maps; finite support."""
+    """Generator-indexed table of partial maps; finite support.  The table
+    is clean: sorted by generator, with no empty map."""
 
     table: Mapping[int, PartialMap] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         clean = {g: pm for g, pm in sorted(self.table.items()) if pm.pairs}
         object.__setattr__(self, "table", clean)
+
+    @classmethod
+    def _of_clean(cls, table: dict[int, PartialMap]) -> "Assignment":
+        """The assignment over a table the caller built clean, taken as it
+        is: the steps below change a clean table, so none is sorted again."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "table", table)
+        return out
 
     def get(self, gen: int) -> PartialMap:
         return self.table.get(gen, _NO_PAIRS)
@@ -119,9 +139,13 @@ class Assignment:
     def with_pair(self, gen: int, n: int, m: int) -> "Assignment":
         """The assignment with (gen, n, m) added.  A value summary self has
         already built is handed on grown by n and m, so none is rebuilt."""
-        new = dict(self.table)
-        new[gen] = self.get(gen).with_pair(n, m)
-        out = Assignment(new)
+        pm = self.get(gen).with_pair(n, m)
+        if gen in self.table:
+            new = dict(self.table)
+            new[gen] = pm
+        else:  # a new generator: the one step that sorts
+            new = dict(sorted([*self.table.items(), (gen, pm)]))
+        out = Assignment._of_clean(new)
         summary = self.__dict__.get("_summary")
         if summary is not None:
             values, gap, top = summary
@@ -135,10 +159,9 @@ class Assignment:
         """The assignment with gen's map inverted.  Inverting a map keeps its
         values, so the value summary is handed over, built here if need be."""
         new = dict(self.table)
-        pm = self.get(gen)
-        if pm.pairs:
-            new[gen] = pm.inverse()
-        out = Assignment(new)
+        if gen in new:
+            new[gen] = new[gen].inverse()
+        out = Assignment._of_clean(new)
         object.__setattr__(out, "_summary", self.summary())
         return out
 
@@ -150,7 +173,7 @@ class Assignment:
 
     def restrict(self, keep: Iterable[int]) -> "Assignment":
         keep = set(keep)
-        return Assignment({g: pm for g, pm in self.table.items() if g in keep})
+        return Assignment._of_clean({g: pm for g, pm in self.table.items() if g in keep})
 
     def contains(self, other: "Assignment") -> bool:
         return all(pm.pairs <= self.get(g).pairs for g, pm in other.table.items())
@@ -365,7 +388,13 @@ class GroundRep:
     cofinitary_promise: bool = True
 
     def generators(self) -> frozenset[int]:
-        return frozenset(self.table)
+        """The ambient generators; built on first use and cached, since no
+        code changes a ground rep once it is made."""
+        try:
+            return self._generators
+        except AttributeError:
+            self._generators = frozenset(self.table)
+            return self._generators
 
     def run_shift_form(self, letters: Iterable[Letter]) -> Optional[tuple[int, dict[int, int]]]:
         """Canonical form of a composition of ambient letters (applied left to

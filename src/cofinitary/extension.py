@@ -264,7 +264,7 @@ def _word_modes_certificate(
     s = p.s
     pm = s.get(gen)
     tries = side_index(p.words)
-    if Letter(gen, 1) not in tries and Letter(gen, -1) not in tries:
+    if (gen, 1) not in tries and (gen, -1) not in tries:
         return ExtensionCertificate.of(pm.rev)  # no side word holds gen: keep the map injective
     mixed = _mixed(p, gen, ground)
     # n and every value of s, the image of gen's map among them
@@ -536,8 +536,15 @@ def strong_reduction(
 ) -> Condition:
     """The condition (t0, F restricted to the kept alphabet) with t0 padded so
     that any extension built over the kept alphabet, with new occurrences
-    disjoint from the rest of p, merges back losslessly."""
+    disjoint from the rest of p, merges back losslessly.
+
+    The result is kept on p with its keep and ground, and handed back for
+    the same keep and the same ground object: canonical_extension reduces
+    the p its caller has just reduced."""
     keep = frozenset(keep)
+    memo = p._reduction
+    if memo is not None and memo[1] is ground and memo[0] == keep:
+        return memo[2]
     base = strong_restrict(p, keep, ground)
     kernel = DISCIPLINES[p.mode].kernel
     if kernel == "ones":
@@ -583,6 +590,7 @@ def strong_reduction(
         out = Condition(cur.s.restrict(keep), base.words, p.mode)
     if not leq(out, base, ground):
         raise ContractViolation("reduction must extend the strong restriction")
+    object.__setattr__(p, "_reduction", (keep, ground, out))
     return out
 
 

@@ -22,6 +22,7 @@ from .evaluation import (
     GroundRep,
     EMPTY_GROUND,
     FixResult,
+    PartialMap,
     apply_letter,  # noqa: F401  (perfbench's tracer counts letter steps through this name)
     fix_points,
     letter_step,
@@ -148,17 +149,21 @@ class Condition:
     # Derived facts, set with object.__setattr__ where they are proved.  The
     # class-level defaults make reading an unset one a plain lookup.
     _valid_for = None  # the ambient generators validated() passed it for
+    _reduction = None  # (keep, ground, strong_reduction(self, keep, ground))
+    _occurring = None  # the generators of s and of the side words
 
     def sorted_words(self) -> list[Word]:
         return sorted(self.words, key=Word.sort_key)
 
     def occurring(self, ground: GroundRep = EMPTY_GROUND) -> frozenset[int]:
         """Generators occurring in the assignment or the side words,
-        ambient generators excluded."""
-        occ = set(self.s.generators())
-        for w in self.words:
-            occ |= occurrences(w)
-        return frozenset(occ) - ground.generators()
+        ambient generators excluded.  The set before the exclusion depends
+        on the condition alone; it is built on first use and cached."""
+        occ = self._occurring
+        if occ is None:
+            occ = frozenset(self.s.table).union(*map(occurrences, self.words))
+            object.__setattr__(self, "_occurring", occ)
+        return occ - ground.generators()
 
     def to_json(self, names: Optional[Mapping[Word, str]] = None) -> dict:
         """The JSON form; `names` may give the format_word text of some
@@ -181,13 +186,25 @@ class Condition:
 
 def validate(c: Condition, ground: GroundRep = EMPTY_GROUND) -> list[str]:
     """All invariant violations for the condition's mode; empty means ok."""
-    d = DISCIPLINES[c.mode]
+    return _problems(DISCIPLINES[c.mode], c.s.table.items(), c.sorted_words(), ground)
+
+
+def _problems(
+    d: Discipline,
+    maps: Iterable[tuple[int, PartialMap]],
+    words: Iterable[Word],
+    ground: GroundRep,
+) -> list[str]:
+    """validate's findings on the maps, in generator order, and the side
+    words, in Word.sort_key order: each is judged on its own."""
     problems: list[str] = []
-    for g, pm in sorted(c.s.table.items()):
-        if not pm.is_functional():
-            problems.append(f"map for g{g} is not functional")
-        if d.injective and not pm.is_injective():
-            problems.append(f"map for g{g} is not injective")
+    for g, pm in maps:
+        # a map that passes, as nearly all do, is judged by one cached fact
+        if not (pm.injection if d.injective else pm.is_functional()):
+            if not pm.is_functional():
+                problems.append(f"map for g{g} is not functional")
+            if d.injective and not pm.is_injective():
+                problems.append(f"map for g{g} is not injective")
         if d.values is not None:
             bad = {m for _, m in pm.pairs} - set(d.values)
             if bad:
@@ -195,7 +212,7 @@ def validate(c: Condition, ground: GroundRep = EMPTY_GROUND) -> list[str]:
                 problems.append(f"map for g{g} takes values outside {{{allowed}}}: {sorted(bad)}")
         if g in ground.table:
             problems.append(f"g{g} is an ambient generator but carries finite pairs")
-    for w in c.sorted_words():
+    for w in words:
         problem = _entry_problem(d.shape, w, ground) if w else "side set contains the empty word"
         if problem:
             problems.append(problem)
@@ -223,10 +240,12 @@ def validated(
     known valid only here, and only after a clean check.
     """
     if _known_valid(prev, ground) and out.mode is prev.mode:
-        maps = {g: pm for g, pm in out.s.table.items() if prev.s.table.get(g) is not pm}
+        old = prev.s.table
+        maps = [(g, pm) for g, pm in out.s.table.items() if old.get(g) is not pm]
         if added is None:
             added = frozenset() if out.words is prev.words else out.words - prev.words
-        bad = validate(Condition(Assignment(maps), added, out.mode), ground)
+        words = sorted(added, key=Word.sort_key)
+        bad = _problems(DISCIPLINES[out.mode], maps, words, ground)
     else:
         bad = validate(out, ground)
     if bad:
@@ -344,12 +363,16 @@ def _added_pairs(p: Assignment, q: Assignment) -> Optional[dict[int, frozenset[t
     """The pairs p adds to q, per generator with new pairs, or None when p
     lacks a pair of q.  Only the maps that are not q's own objects are
     compared: q's pairs are all in p's when |p| - |p - q| = |q|."""
-    if not q.table.keys() <= p.table.keys():
+    old_maps = q.table
+    if not old_maps.keys() <= p.table.keys():
         return None
     added = {}
     for g, pm in p.table.items():
-        old = q.get(g)
+        old = old_maps.get(g)
         if old is pm:
+            continue
+        if old is None:  # a new map: all its pairs are new, and there are some
+            added[g] = pm.pairs
             continue
         extra = pm.pairs - old.pairs
         if len(pm.pairs) - len(extra) != len(old.pairs):
@@ -366,9 +389,10 @@ def leq(p: Condition, q: Condition, ground: GroundRep = EMPTY_GROUND) -> bool:
     if p.mode is not q.mode:
         raise ValueError(f"mode mismatch: {p.mode} vs {q.mode}")
     kernel = DISCIPLINES[p.mode].kernel
-    maps = p.s.table.values()
-    if kernel == "walk" and not all(pm.is_functional() and pm.is_injective() for pm in maps):
-        raise ValueError(f"the {p.mode.value} order is defined on partial injections only")
+    if kernel == "walk":
+        for pm in p.s.table.values():
+            if not pm.injection:
+                raise ValueError(f"the {p.mode.value} order is defined on partial injections only")
     added = _added_pairs(p.s, q.s)
     if added is None:
         return False
@@ -391,6 +415,8 @@ def leq(p: Condition, q: Condition, ground: GroundRep = EMPTY_GROUND) -> bool:
         for w in q.words:
             a, b = w.letters[0].gen, w.letters[1].gen
             new = {n for g in (a, b) for n, _ in added.get(g, ())}
+            if not new:
+                continue
             pa, pb = p.s.get(a).fwd, p.s.get(b).fwd
             qa, qb = q.s.get(a).fwd, q.s.get(b).fwd
             for n in new:
@@ -404,11 +430,12 @@ def leq(p: Condition, q: Condition, ground: GroundRep = EMPTY_GROUND) -> bool:
     # pair at a or onto b, so q's walk follows p's and dies there.  Read from just after that
     # step, the cycle walks b to a along a rotation that follows a (g, +1),
     # or a to b along one that follows a (g, -1).  Every word of a class
-    # gains one when its representative does (words.cyclic_class).
+    # gains one when its representative does (words.cyclic_class).  A
+    # Letter is a named tuple, so the plain (g, sign) tuple keys its trie.
     tries = side_index(q.words)
     steps = _Steps(p.s, ground)
     for g, pairs in added.items():
-        ahead, back = tries.get(Letter(g, 1)), tries.get(Letter(g, -1))
+        ahead, back = tries.get((g, 1)), tries.get((g, -1))
         for a, b in pairs:
             if ahead and _closes(ahead, steps, b, a) or back and _closes(back, steps, a, b):
                 return False
@@ -434,13 +461,15 @@ def strong_restrict(
 def merge_disjoint(
     p: Condition, t: Assignment, ground: GroundRep = EMPTY_GROUND
 ) -> Condition:
-    """Adjoin pairs for generators not occurring anywhere in p."""
+    """Adjoin pairs for generators not occurring anywhere in p.  The result
+    is validated (see validated), so a map of t that the mode does not
+    allow raises ValueError with validate's message in every mode."""
     overlap = frozenset(t.generators()) & p.occurring(ground)
     if overlap:
         raise ValueError(f"occurrence overlap on generators {sorted(overlap)}")
     if frozenset(t.generators()) & ground.generators():
         raise ValueError("merge assignment touches ambient generators")
-    out = Condition(p.s.union(t), p.words, p.mode)
+    out = validated(p, Condition(p.s.union(t), p.words, p.mode), ground)
     if not leq(out, p, ground):
         raise ValueError("the merged condition does not extend the base condition")
     return out

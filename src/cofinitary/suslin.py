@@ -724,9 +724,7 @@ def ffp_axiom_suite(
             res_restrict.witness = f"p={p.to_json()}, keep={sorted(keep)}"
         q = sample_extension(rng, p, ground)
         res_mono.checks += 1
-        if res_mono.passed and not order(
-            strong_restrict(q, keep, ground), strong_restrict(p, keep, ground), ground
-        ):
+        if res_mono.passed and not order(strong_restrict(q, keep, ground), strong, ground):
             res_mono.passed = False
             res_mono.witness = f"p={p.to_json()}, q={q.to_json()}, keep={sorted(keep)}"
         t = sample_fresh_assignment(rng, p, ground)
@@ -753,7 +751,7 @@ def ffp_axiom_suite(
         res_embed.checks += 1
         try:
             red = strong_reduction(p, keep, ground)
-            if not order(red, strong_restrict(p, keep, ground), ground):
+            if not order(red, strong, ground):
                 raise ValueError("reduction does not extend the strong restriction")
             ext = sample_extension(rng, red, ground, avoid=p.occurring(ground) - keep)
             both = canonical_extension(p, ext, keep, ground)

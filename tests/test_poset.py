@@ -234,6 +234,27 @@ class TestMergeAndGrow:
         with pytest.raises(ValueError, match="does not extend"):
             merge_disjoint(p, Assignment({2: pmap((5, 6))}))
 
+    @pytest.mark.parametrize(
+        "mode, words, bad",
+        [
+            (PosetMode.COFINITARY, ["g0"], [(5, 6), (7, 6)]),  # not injective
+            (PosetMode.ADP, ["g0 g1^-1"], [(5, 6), (7, 6)]),
+            (PosetMode.EDF, ["g0 g1^-1"], [(5, 6), (5, 7)]),  # not functional
+            (PosetMode.MAD, ["g0"], [(5, 2)]),  # a value outside {0, 1}
+        ],
+        ids=["cofinitary", "adp", "edf", "mad"],
+    )
+    def test_merge_rejects_an_invalid_map(self, mode, words, bad):
+        # every mode raises validate's message, also where the order kernel
+        # would not notice the bad map
+        p = cond({0: [(0, 1)]}, words, mode)
+        t = Assignment({2: pmap(*bad)})
+        want = "; ".join(validate(Condition(p.s.union(t), p.words, mode)))
+        assert want
+        with pytest.raises(ValueError) as err:
+            merge_disjoint(p, t)
+        assert str(err.value) == want
+
     def test_add_words(self):
         p = cond({0: [(0, 1)]}, ["g0"])
         grown = add_words(p, p.words | {parse_word("g0 g1^-1")})

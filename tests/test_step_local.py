@@ -5,23 +5,29 @@ below: the pair kernels of poset.leq (with _added_pairs, _ones and
 _agreement), which rebuilt every agreement set and 1-set on each call;
 Extension.choose, which probed one value at a time from the floor; and the
 PartialMap caches, which were rebuilt from the sorted pairs for every new
-map.
+map.  The derived facts kept on value types are checked against a fresh
+computation: the assignment tables built without a re-sort, the cached
+partial-injection fact and the strong reduction kept on a condition.
 """
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from typing import Optional
 
 import pytest
 
-from cofinitary.evaluation import EMPTY_GROUND, Assignment, GroundRep, PartialMap
+from cofinitary.evaluation import EMPTY_GROUND, Assignment, GroundRep, PartialMap, zshift
 from cofinitary.extension import (
     CertificateError,
     ContractViolation,
     Extension,
     ExtensionCertificate,
     domain_extend,
+    point_step,
+    strong_reduction,
 )
 from cofinitary.poset import DISCIPLINES, Condition, PosetMode, leq, pair_word
 from cofinitary.sampling import sample_condition, sample_extension
@@ -308,3 +314,132 @@ def test_with_pair_and_inverse_chains_keep_the_caches(span):
                 _check_caches(pm)
         _check_caches(pm)
     assert swapped > 50
+
+
+# -- tables built without a re-sort ---------------------------------------------
+
+
+def _check_table(a: Assignment) -> None:
+    """a's table is what the sorting constructor makes of it, key order
+    included."""
+    assert list(a.table.items()) == list(Assignment(dict(a.table)).table.items())
+
+
+def test_assignment_steps_keep_the_table_clean():
+    rng = random.Random("tables")
+    inserted = 0
+    for _ in range(300):
+        gens = rng.sample(range(8), rng.randrange(4))
+        a = Assignment({g: PartialMap(frozenset({(rng.randrange(9), g)})) for g in gens})
+        for _ in range(rng.randrange(1, 12)):
+            roll = rng.random()
+            g = rng.randrange(8)
+            if roll < 0.6:
+                inserted += g not in a.table
+                a = a.with_pair(g, rng.randrange(12), rng.randrange(12))
+            elif roll < 0.8:
+                a = a.with_inverse(g)  # also on generators without a map
+            else:
+                a = a.restrict(rng.sample(range(8), rng.randrange(9)))
+            _check_table(a)
+    assert inserted > 300  # new generators land before, between and after old ones
+
+
+# -- the partial-injection fact -------------------------------------------------
+
+
+def _check_injection(pm: PartialMap) -> None:
+    assert pm.injection == (pm.is_functional() and pm.is_injective())
+
+
+def test_injection_fact_on_hand_built_maps():
+    cases = {
+        frozenset(): True,
+        frozenset({(0, 1), (1, 2)}): True,
+        frozenset({(0, 1), (0, 2)}): False,  # not functional
+        frozenset({(0, 1), (2, 1)}): False,  # not injective
+        frozenset({(0, 1), (0, 2), (3, 2)}): False,  # neither
+    }
+    for pairs, want in cases.items():
+        pm = PartialMap(pairs)
+        assert pm.injection is want
+        _check_injection(pm)
+        _check_injection(pm.inverse())
+
+
+@pytest.mark.parametrize("span", [4, 40], ids=["dense", "sparse"])
+def test_injection_fact_along_drawn_chains(span):
+    rng = random.Random(f"inj-{span}")
+    verdicts = {True: 0, False: 0}
+    for _ in range(300):
+        pm = PartialMap(frozenset({(rng.randrange(span), rng.randrange(span)) for _ in range(3)}))
+        for _ in range(rng.randrange(1, 10)):
+            if rng.random() < 0.3:
+                pm = pm.inverse()
+            else:
+                pm = pm.with_pair(rng.randrange(span), rng.randrange(span))
+            if rng.random() < 0.5:  # read the fact mid-chain, or leave it lazy
+                _check_injection(pm)
+        _check_injection(pm)
+        verdicts[pm.injection] += 1
+    assert min(verdicts.values()) > 10, verdicts
+
+
+# -- the strong reduction kept on a condition ------------------------------------
+
+AMBIENT = GroundRep({7: zshift()})
+GROUNDS = {"ambient": AMBIENT, "none": EMPTY_GROUND}
+
+
+def _reduced(p: Condition, keep, ground: str):
+    try:
+        return strong_reduction(p, keep, GROUNDS[ground]).to_json()
+    except (ValueError, CertificateError, ContractViolation) as err:
+        return (type(err).__name__, str(err))
+
+
+@pytest.mark.parametrize("mode", list(PosetMode), ids=lambda m: m.value)
+def test_reduction_memo_matches_a_fresh_reduction(mode):
+    """Each query on p must equal a reduction of a fresh copy of p, whatever
+    p was asked before: a memo that ignores keep or the ground fails."""
+    rng = random.Random(f"memo-{mode.value}")
+    gens = [0, 1, 2, 3]
+    differ = {"keep": 0, "ground": 0}
+    for _ in range(120):
+        p = sample_condition(rng, mode, gens, max_pairs=5, ground=AMBIENT)
+        a = frozenset(rng.sample(gens, rng.randrange(len(gens) + 1)))
+        b = frozenset(rng.sample(gens, rng.randrange(len(gens) + 1)))
+        fresh = {
+            (keep, ground): _reduced(Condition.from_json(p.to_json()), keep, ground)
+            for keep in (a, b)
+            for ground in GROUNDS
+        }
+        differ["keep"] += fresh[a, "ambient"] != fresh[b, "ambient"]
+        differ["ground"] += fresh[a, "ambient"] != fresh[a, "none"]
+        for query in [(a, "ambient"), (a, "ambient"), (b, "ambient"), (a, "none"), (a, "ambient")]:
+            assert _reduced(p, *query) == fresh[query]
+        if not isinstance(fresh[b, "none"], tuple):
+            first = strong_reduction(p, set(b))  # any iterable keep
+            assert strong_reduction(p, b, EMPTY_GROUND) is first
+    assert differ["keep"] > 40
+    if mode is PosetMode.COFINITARY:  # only hat words hold the ambient letter
+        assert differ["ground"] > 10
+
+
+def test_memos_keep_no_parent_alive():
+    rng = random.Random("alive")
+    for mode in PosetMode:
+        p = sample_condition(rng, mode, [0, 1, 2], ground=AMBIENT)
+        chain = [p]
+        for n in range(30, 36):
+            if n not in p.s.get(0).fwd:
+                p = point_step(p, 0, n, AMBIENT)
+                strong_reduction(p, {0, 1}, AMBIENT)
+                p.occurring(AMBIENT)
+                p.s.summary()
+                chain.append(p)
+        refs = [weakref.ref(c) for c in chain[:-1]]
+        del chain
+        gc.collect()
+        assert all(r() is None for r in refs), mode
+

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from cofinitary import suslin
 from cofinitary.cli import encode_report
 from cofinitary.extension import ContractViolation
-from cofinitary.poset import PosetMode
+from cofinitary.poset import PosetMode, leq
 from cofinitary.suslin import (
     DomCondition,
     FinSeq,
@@ -484,3 +485,32 @@ class TestGoldenReports:
             "clauses": [r.to_json() for r in results],
         }
         assert _digest(payload) == digest
+
+    @pytest.mark.parametrize(
+        "mode, seed, digest",
+        [
+            ("cofinitary", 3, "24cfbd0d37ee98c9554d424fd27d9c7a2f24c142f48130dee34276f980a08b2f"),
+            ("adp", 3, "e5a5f0363265cc4db603cc1cf84d417ce35221162ffcf947159979217620da9e"),
+            ("edf", 3, "1f5990c73b5dc2f96d26b8fcc7c0c1c1441aca4ada0ecdc49f6abf126088bb21"),
+            ("mad", 3, "2e1149d2065de2da0b1bcea2d3dc5d01d633ec34e4ddfc78b087ee5fa3fc9fa5"),
+            ("cofinitary", 1009, "9610a09208a86de4ed9c8a11a338b4d1e4c9fa5d8e4ca1a8cc9f95186d5b4f94"),
+            ("adp", 1009, "fa3cef944700cf78e779f14531cd27fef4eef8cf1de33cecf09813b05c0ec872"),
+            ("edf", 1009, "ed829e7db53e482cfc1cbffb1a0e6698f9a9adf0296e14d6d68dbd73b6242939"),
+            ("mad", 1009, "424369fe2e753c5bdc6327ab2d32e1888f7e44ca03e45267140e47332b2212fa"),
+        ],
+    )
+    def test_ffp_suite_comparisons(self, mode, seed, digest):
+        """A report records only pass/checks per clause, so its digest cannot
+        show that the sampled conditions changed.  This pins every order
+        comparison the suite makes: both conditions and the verdict."""
+        calls = []
+
+        def recording_leq(p, q, ground):
+            verdict = leq(p, q, ground)
+            calls.append((p.to_json(), q.to_json(), verdict))
+            return verdict
+
+        results = ffp_axiom_suite(PosetMode(mode), 100, seed, leq_override=recording_leq)
+        assert all(r.passed for r in results)
+        blob = json.dumps(calls, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
