@@ -84,8 +84,13 @@ class BuildReport:
     seed: int
 
     def to_json(self) -> dict:
+        """The JSON form.  The frozen words are sorted and formatted once; in
+        a build they are the final side set, so F reuses their texts when
+        every one of them is in it."""
         frozen = sorted(self.frozen_fix.items(), key=lambda kv: kv[0].sort_key())
-        names = {w: format_word(w) for w, _ in frozen}  # F is these words in a build
+        names = [format_word(w) for w, _ in frozen]
+        words = self.final.words
+        same = len(words) == len(frozen) and all(w in words for w, _ in frozen)
         return {
             "schema": "1",
             "mode": self.mode.value,
@@ -93,9 +98,10 @@ class BuildReport:
             "point_budget": self.point_budget,
             "word_budget": self.word_budget,
             "seed": self.seed,
-            "final": self.final.to_json(names),
+            "final": self.final.to_json(names if same else None),
             "frozen_fix": {
-                names[w]: {"stage": stage, "fix": sorted(fix)} for w, (stage, fix) in frozen
+                name: {"stage": stage, "fix": sorted(fix)}
+                for name, (_, (stage, fix)) in zip(names, frozen)
             },
             "goal_log": [
                 {"goal": g, "stage": st, "witness": wit} for g, st, wit in self.goal_log
@@ -149,7 +155,7 @@ def build(
         group.sort(key=Word.sort_key)
         rng.shuffle(group)
 
-    cond = Condition(mode=mode)
+    cond = Condition(mode=mode, ground=ground)
     stage = 0
     goal_log: list[tuple[str, int, Optional[int]]] = []
     frozen_fix: dict[Word, tuple[int, frozenset[int]]] = {}
@@ -161,7 +167,7 @@ def build(
         # step's contract.
         nonlocal cond, stage
         prev = cond
-        cond = add_words(prev, prev.words | frozenset(group), ground)
+        cond = add_words(prev, prev.words | frozenset(group))
         fix = None
         if discipline.shape == "hat":
             read = _fix_reader(fix_table(finite, max(map(len, group)), cond.s), cond.s, ground)
@@ -171,7 +177,7 @@ def build(
             earlier = itertools.chain(prev.words, itertools.islice(group, i))
             frozen_fix[w] = (stage, frozen_value(mode, cond.s, w, earlier, ground, fix))
             goal_log.append((_freeze_text(w), stage, None))
-        if not leq(cond, prev, ground):
+        if not leq(cond, prev):
             raise BuildError(f"chain law broken at stage {stage}", _report())
 
     def run_goal(goal: DenseGoal) -> None:
@@ -182,21 +188,21 @@ def build(
         # Point and hit steps come back order-checked by their step function
         # (the chooser's leq, mad_set_point, hit_extend) or leave cond as it was.
         if goal.kind == "hit":
-            found = hit_search(prev, goal.gen, goal.sigma, goal.floor, 256, ground)
+            found = hit_search(prev, goal.gen, goal.sigma, goal.floor, 256)
             if not isinstance(found, int):
                 raise BuildError(f"goal {goal.describe()} found no hit", _report())
             witness = found
-            cond = hit_extend(prev, goal.gen, goal.sigma, found, ground)
+            cond = hit_extend(prev, goal.gen, goal.sigma, found)
         else:
             pm = prev.s.get(goal.gen)
             try:
                 if goal.kind == "domain":
                     if goal.point not in pm.fwd:
-                        cond = point_step(prev, goal.gen, goal.point, ground, ceiling=value_ceiling)
+                        cond = point_step(prev, goal.gen, goal.point, ceiling=value_ceiling)
                     witness = cond.s.get(goal.gen).fwd[goal.point]
                 else:
                     if goal.point not in pm.rev:
-                        ext = range_extend(prev, goal.gen, goal.point, ground)
+                        ext = range_extend(prev, goal.gen, goal.point)
                         cond = ext.commit(ext.choose(ceiling=value_ceiling))
                     witness = cond.s.get(goal.gen).rev[goal.point]
             except Exception as err:
@@ -252,12 +258,12 @@ def _fix_reader(
     return fix
 
 
-def _frozen_law(report: BuildReport, ground: GroundRep, fix=None) -> list[str]:
+def _frozen_law(report: BuildReport, fix=None) -> list[str]:
     """Each frozen entry's value under the final condition, taken against
     the entries frozen before it, equals the value recorded when it was
     frozen; violations come in freezing order."""
     violations: list[str] = []
-    s = report.final.s
+    s, ground = report.final.s, report.final.ground
     earlier: list[Word] = []
     for w, (stage, recorded) in sorted(report.frozen_fix.items(), key=lambda kv: kv[1][0]):
         now = frozen_value(report.mode, s, w, earlier, ground, fix)
@@ -270,7 +276,7 @@ def _frozen_law(report: BuildReport, ground: GroundRep, fix=None) -> list[str]:
     return violations
 
 
-def verify_cofinitary(report: BuildReport, ground: GroundRep = EMPTY_GROUND) -> list[str]:
+def verify_cofinitary(report: BuildReport) -> list[str]:
     """The verifier of every build: the frozen law, plus for cofinitary
     builds the conjugation-cardinality law |Fix(w)| = |Fix(core)| over all
     short words (words.conjugate_core); empty list means ok.
@@ -282,12 +288,12 @@ def verify_cofinitary(report: BuildReport, ground: GroundRep = EMPTY_GROUND) -> 
     through fix_points, once (_fix_reader).  Violations come in freezing
     order, then in reduced_words order."""
     if DISCIPLINES[report.mode].shape != "hat":
-        return _frozen_law(report, ground)
-    s = report.final.s
+        return _frozen_law(report)
+    s, ground = report.final.s, report.final.ground
     amb = ground.generators()
     table = fix_table((g for g in report.generators if g not in amb), report.word_budget, s)
     fix = _fix_reader(table, s, ground)
-    violations = _frozen_law(report, ground, lambda w, s, ground: fix(w.letters))
+    violations = _frozen_law(report, lambda w, s, ground: fix(w.letters))
     gens = set(report.generators)
     for letters in reduced_letters(sorted(gens | amb), report.word_budget, min_len=1):
         if gens.isdisjoint(l.gen for l in letters):
@@ -317,7 +323,7 @@ def verify_variant(report: BuildReport) -> list[str]:
 
     verify_cofinitary checks every mode; this thin entry is kept on purpose,
     because perfbench/tracing.py wraps it by name and reports its calls."""
-    return _frozen_law(report, EMPTY_GROUND)
+    return _frozen_law(report)
 
 
 def build_variant_family(
@@ -333,4 +339,7 @@ def build_variant_family(
     word_budget = DISCIPLINES[mode].word_budget
     if word_budget is None:
         raise ValueError("variant builder covers ADP, EDF and MAD")
-    return build(mode, generators, EMPTY_GROUND, point_budget, word_budget, seed, value_ceiling)
+    return build(
+        mode, generators, point_budget=point_budget, word_budget=word_budget, seed=seed,
+        value_ceiling=value_ceiling,
+    )

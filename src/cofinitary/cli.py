@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .builder import BuildError, build, verify_cofinitary
-from .evaluation import EMPTY_GROUND, zshift
+from .evaluation import zshift
 from .extension import CertificateError, ContractViolation, hit_search, hit_threshold, NOT_FOUND
 from .poset import DISCIPLINES, PosetMode, side_index, side_words
 from .sampling import sample_condition
@@ -192,13 +192,12 @@ def cmd_build_group(args) -> int:
         report = build(
             mode,
             range(args.generators),
-            EMPTY_GROUND,
             point_budget=args.points,
             word_budget=word_budget,
             seed=args.seed,
             value_ceiling=args.ceiling,
         )
-        violations = verify_cofinitary(report, EMPTY_GROUND)
+        violations = verify_cofinitary(report)
     except BuildError as err:
         print(f"build aborted: {err}", file=sys.stderr)
         return VIOLATION

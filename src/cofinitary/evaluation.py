@@ -374,9 +374,13 @@ def unapply_letter(
     return apply_letter(letter.inverse(), value, s, ground)
 
 
-@dataclass
+@dataclass(eq=False)
 class GroundRep:
     """Total-permutation table for the ambient generators.
+
+    A ground rep compares and hashes by identity: a condition holds its
+    ground, and two conditions are over the same ground only when they hold
+    the same object.
 
     cofinitary_promise records the constructor-level expectation that every
     nonidentity reduced word over the ambient generators evaluates to a

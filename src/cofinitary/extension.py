@@ -30,14 +30,13 @@ from .evaluation import (
     Assignment,
     GroundPermutation,
     GroundRep,
-    EMPTY_GROUND,
     PartialMap,
     apply_letter,
     compose_shift_forms,
     eval_domain,
     eval_range,
     eval_word,
-    unapply_letter,
+    letter_step,
 )
 from .poset import (
     DISCIPLINES,
@@ -189,11 +188,11 @@ def _block_forbidden(
 
 
 def _ambient_runs(
-    letters: Sequence[Letter], ground: GroundRep
+    letters: Sequence[Letter], amb: frozenset[int]
 ) -> list[tuple[list[Letter], Optional[Letter]]]:
-    """Maximal ambient-letter runs in application order, with the letter
-    applied right after the run (None when the run is leftmost)."""
-    amb = ground.generators()
+    """Maximal runs of letters over the ambient generators amb, in
+    application order, with the letter applied right after the run (None
+    when the run is leftmost)."""
     runs = []
     i = 0
     while i < len(letters):
@@ -218,13 +217,16 @@ def _run_guards(
 ) -> set[int]:
     """Values that could thread an ambient run into the finite part: pullbacks
     of every concrete target through each run, plus the run's own fixed points
-    when an inverse step of the extended generator follows it."""
+    when an inverse step of the extended generator follows it.  A pullback
+    goes through the ground's permutations alone: a run holds no finite
+    letter, so the empty assignment stands in for s."""
     forb: set[int] = set()
-    for run, nxt in _ambient_runs(letters, ground):
-        for t in sorted(targets):
-            back = t
-            for letter in reversed(run):
-                back = unapply_letter(letter, back, Assignment(), ground)
+    no_maps = Assignment()
+    for run, nxt in _ambient_runs(letters, ground.generators()):
+        undo = [letter_step(letter.inverse(), no_maps, ground) for letter in reversed(run)]
+        for back in targets:
+            for step in undo:
+                back = step(back)
             forb.add(back)
         needs_fix = nxt is None or (nxt.gen == gen and nxt.sign == -1)
         if needs_fix:
@@ -244,19 +246,17 @@ def _run_guards(
     return forb
 
 
-def _mixed(p: Condition, gen: int, ground: GroundRep) -> list[Word]:
+def _mixed(p: Condition, gen: int) -> list[Word]:
     """The side words that hold gen and an ambient letter, in Word.sort_key
     order; none without a ground."""
-    amb = ground.generators()
+    amb = p.ground.generators()
     if not amb:
         return []
     mixed = (w for w in p.words if gen in occurrences(w) and occurrences(w) & amb)
     return sorted(mixed, key=Word.sort_key)
 
 
-def _word_modes_certificate(
-    p: Condition, gen: int, n: int, ground: GroundRep
-) -> ExtensionCertificate:
+def _word_modes_certificate(p: Condition, gen: int, n: int) -> ExtensionCertificate:
     """The certificate for (gen, n, ?) in the walk disciplines.  Without a
     mixed word it is F = {n} | V(s), read off the assignment's carried value
     summary: bound is max(top, n) + 1, and [0, gap) lies in V, so the
@@ -266,7 +266,7 @@ def _word_modes_certificate(
     tries = side_index(p.words)
     if (gen, 1) not in tries and (gen, -1) not in tries:
         return ExtensionCertificate.of(pm.rev)  # no side word holds gen: keep the map injective
-    mixed = _mixed(p, gen, ground)
+    mixed = _mixed(p, gen)
     # n and every value of s, the image of gen's map among them
     values, gap, top = s.summary()
     concrete = values if n in values else values | {n}
@@ -278,6 +278,7 @@ def _word_modes_certificate(
         good = _good_form(w, gen)
         if good is not None:
             rotated.append(good.recompose())
+    ground = p.ground
     walk = _walk_values(list(mixed) + rotated, concrete, s, ground)
     forb = set(walk)  # walk holds concrete; _run_guards reads walk below
     for w in mixed:
@@ -301,12 +302,10 @@ def _forbidden_edf(p: Condition, gen: int, n: int) -> set[int]:
     return forb - {None}
 
 
-def extend_with(
-    p: Condition, gen: int, n: int, m: int, ground: GroundRep = EMPTY_GROUND
-) -> Condition:
+def extend_with(p: Condition, gen: int, n: int, m: int) -> Condition:
     """p with the pair (gen, n, m) adjoined; validated and order-checked."""
-    out = validated(p, Condition(p.s.with_pair(gen, n, m), p.words, p.mode), ground)
-    if not leq(out, p, ground):
+    out = validated(p, p.with_s(p.s.with_pair(gen, n, m)))
+    if not leq(out, p):
         raise ContractViolation(
             f"adding (g{gen}, {n}, {m}) does not extend the condition"
         )
@@ -322,7 +321,6 @@ class Extension:
     point: int  # the fixed coordinate: n for domain, m for range
     certificate: ExtensionCertificate
     direction: str  # "domain" | "range"
-    ground: GroundRep
 
     def choose(self, floor: int = 0, ceiling: Optional[int] = None) -> int:
         """Least admitted value >= floor, found in one step by
@@ -335,7 +333,7 @@ class Extension:
                 f"chooser exceeded ceiling {ceiling} for g{self.gen} at {self.point}"
             )
         out = self._apply(m)
-        if not leq(out, self.condition, self.ground):
+        if not leq(out, self.condition):
             raise ContractViolation(
                 f"certificate admitted {m} for g{self.gen} at {self.point} "
                 "but the extension fails the order check"
@@ -352,23 +350,18 @@ class Extension:
         """
         checked = getattr(self, "_checked", None)
         if checked is None or checked[0] != value:
-            return extend_with(self.condition, self.gen, *self._pair(value), self.ground)
-        return validated(self.condition, checked[1], self.ground)
+            return extend_with(self.condition, self.gen, *self._pair(value))
+        return validated(self.condition, checked[1])
 
     def _pair(self, value: int) -> tuple[int, int]:
         return (self.point, value) if self.direction == "domain" else (value, self.point)
 
     def _apply(self, value: int) -> Condition:
-        return Condition(
-            self.condition.s.with_pair(self.gen, *self._pair(value)),
-            self.condition.words,
-            self.condition.mode,
-        )
+        p = self.condition
+        return p.with_s(p.s.with_pair(self.gen, *self._pair(value)))
 
 
-def domain_extend(
-    p: Condition, gen: int, n: int, ground: GroundRep = EMPTY_GROUND
-) -> Extension:
+def domain_extend(p: Condition, gen: int, n: int) -> Extension:
     """Certificate and chooser for adding (gen, n, m): cofinitely many m keep
     the extension below p."""
     if n in p.s.get(gen).fwd:
@@ -379,11 +372,11 @@ def domain_extend(
     if d.kernel == "agreement":
         cert = ExtensionCertificate.of(_forbidden_edf(p, gen, n))
     else:
-        cert = _word_modes_certificate(p, gen, n, ground)
-    return Extension(p, gen, n, cert, "domain", ground)
+        cert = _word_modes_certificate(p, gen, n)
+    return Extension(p, gen, n, cert, "domain")
 
 
-def _mirror(p: Condition, gen: int, ground: GroundRep) -> Condition:
+def _mirror(p: Condition, gen: int) -> Condition:
     """Invert gen's map and flip gen's sign in the mixed side words (_mixed):
     the only words whose letters the certificate walks.  Evaluations of the
     flipped words agree with the originals.  Of the words over finite
@@ -392,30 +385,27 @@ def _mirror(p: Condition, gen: int, ground: GroundRep) -> Condition:
     no mixed word, as always without a ground, the mirror keeps p's side
     set, and with it p's cached side-set index.  Inverting keeps the values
     of s, so the mirror shares its value summary (Assignment.with_inverse)."""
-    mixed = _mixed(p, gen, ground)
+    mixed = _mixed(p, gen)
     words = p.words
     if mixed:
         flipped = frozenset(substitute(w, gen, Letter(gen, -1)) for w in mixed)
         words = (words - frozenset(mixed)) | flipped
     # pair-shape words lose their shape under the flip; the word machinery
     # only needs the hat class, so certify in cofinitary mode
-    return Condition(p.s.with_inverse(gen), words, PosetMode.COFINITARY)
+    return Condition(p.s.with_inverse(gen), words, PosetMode.COFINITARY, p.ground)
 
 
-def range_extend(
-    p: Condition, gen: int, m: int, ground: GroundRep = EMPTY_GROUND
-) -> Extension:
+def range_extend(p: Condition, gen: int, m: int) -> Extension:
     """Certificate and chooser for adding (gen, n, m) with m fixed."""
     if m in p.s.get(gen).rev:
         raise ValueError(f"{m} already in the range of g{gen}")
     if not DISCIPLINES[p.mode].injective:
         raise ValueError(f"range extension undefined for {p.mode.value} conditions")
-    mirror = _mirror(p, gen, ground)
-    ext = domain_extend(mirror, gen, m, ground)
-    return Extension(p, gen, m, ext.certificate, "range", ground)
+    ext = domain_extend(_mirror(p, gen), gen, m)
+    return Extension(p, gen, m, ext.certificate, "range")
 
 
-def mad_set_point(p: Condition, gen: int, n: int, ground: GroundRep = EMPTY_GROUND) -> Condition:
+def mad_set_point(p: Condition, gen: int, n: int) -> Condition:
     """Decide the point n for gen: 1 when no frozen partner already holds 1
     there, else 0."""
     if n in p.s.get(gen).fwd:
@@ -427,14 +417,14 @@ def mad_set_point(p: Condition, gen: int, n: int, ground: GroundRep = EMPTY_GROU
             if p.s.get(b).fwd.get(n) == 1:
                 value = 0
                 break
-    out = Condition(p.s.with_pair(gen, n, value), p.words, p.mode)
-    if not leq(out, p, ground):
+    out = p.with_s(p.s.with_pair(gen, n, value))
+    if not leq(out, p):
         raise ContractViolation("MAD point decision broke intersection freezing")
     return out
 
 
 def point_step(
-    p: Condition, gen: int, n: int, ground: GroundRep = EMPTY_GROUND,
+    p: Condition, gen: int, n: int,
     floor: Callable[[], int] = lambda: 0, ceiling: Optional[int] = None,
 ) -> Condition:
     """p with n added to the domain of gen, validated and order-checked.
@@ -445,8 +435,8 @@ def point_step(
     random without spending a draw on decided points.
     """
     if DISCIPLINES[p.mode].values is not None:
-        return mad_set_point(p, gen, n, ground)
-    ext = domain_extend(p, gen, n, ground)
+        return mad_set_point(p, gen, n)
+    ext = domain_extend(p, gen, n)
     return ext.commit(ext.choose(floor=floor(), ceiling=ceiling))
 
 
@@ -455,12 +445,11 @@ def cover_extend(
     w: Word,
     cover_domain: Iterable[int],
     cover_range: Iterable[int],
-    ground: GroundRep = EMPTY_GROUND,
 ) -> Assignment:
     """An assignment t over the finite generators of w with (s u t, F) <= p,
     the evaluation of w defined on all of cover_domain and onto all of
     cover_range."""
-    cur = p
+    cur, ground = p, p.ground
     for target_word, targets in ((w, cover_domain), (invert(w), cover_range)):
         for c in sorted(set(targets)):
             guard = 0
@@ -475,9 +464,9 @@ def cover_extend(
                     if nxt is None:
                         letter = letters[idx]
                         if letter.sign == 1:
-                            ext = domain_extend(cur, letter.gen, v, ground)
+                            ext = domain_extend(cur, letter.gen, v)
                         else:
-                            ext = range_extend(cur, letter.gen, v, ground)
+                            ext = range_extend(cur, letter.gen, v)
                         cur = ext.commit(ext.choose())
                         break
                     v = nxt
@@ -492,12 +481,12 @@ def cover_extend(
 
 
 def _pair_blocks(
-    w: Word, keep: frozenset[int], ground: GroundRep
+    w: Word, keep: frozenset[int], amb: frozenset[int]
 ) -> list[tuple[Word, Word, Word]]:
     """(u_block, v_right, v_left) triples for the alternating split of w into
-    kept-alphabet blocks u and dropped-alphabet blocks v; ambient letters ride
-    inside either.  v_right / v_left are empty at the word ends."""
-    amb = ground.generators()
+    kept-alphabet blocks u and dropped-alphabet blocks v; letters over the
+    ambient generators amb ride inside either.  v_right / v_left are empty
+    at the word ends."""
     letters = w.letters
     outside = [i for i, l in enumerate(letters) if l.gen not in keep and l.gen not in amb]
     if not outside:
@@ -531,21 +520,18 @@ def _pair_blocks(
     return blocks
 
 
-def strong_reduction(
-    p: Condition, keep: Iterable[int], ground: GroundRep = EMPTY_GROUND
-) -> Condition:
+def strong_reduction(p: Condition, keep: Iterable[int]) -> Condition:
     """The condition (t0, F restricted to the kept alphabet) with t0 padded so
     that any extension built over the kept alphabet, with new occurrences
     disjoint from the rest of p, merges back losslessly.
 
-    The result is kept on p with its keep and ground, and handed back for
-    the same keep and the same ground object: canonical_extension reduces
-    the p its caller has just reduced."""
+    The result is kept on p with its keep, and handed back for the same
+    keep: canonical_extension reduces the p its caller has just reduced."""
     keep = frozenset(keep)
     memo = p._reduction
-    if memo is not None and memo[1] is ground and memo[0] == keep:
-        return memo[2]
-    base = strong_restrict(p, keep, ground)
+    if memo is not None and memo[0] == keep:
+        return memo[1]
+    base = strong_restrict(p, keep)
     kernel = DISCIPLINES[p.mode].kernel
     if kernel == "ones":
         t0 = dict(p.s.restrict(keep).table)
@@ -562,7 +548,7 @@ def strong_reduction(
                 pairs.add((n, 0))
             if pairs:
                 t0[a] = PartialMap(frozenset(pairs))
-        out = Condition(Assignment(t0), base.words, p.mode)
+        out = base.with_s(Assignment(t0))
     elif kernel == "agreement":
         cur = p
         for w in p.sorted_words():
@@ -573,46 +559,46 @@ def strong_reduction(
                 continue
             c, d = ins[0], outs[0]
             for n in sorted(p.s.get(d).domain() - cur.s.get(c).domain()):
-                cur = point_step(cur, c, n, ground)
-        out = Condition(cur.s.restrict(keep), base.words, p.mode)
+                cur = point_step(cur, c, n)
+        out = base.with_s(cur.s.restrict(keep))
     else:
-        cur = p
+        cur, ground = p, p.ground
+        amb = ground.generators()
         for w in p.sorted_words():
-            if occurrences(w) <= keep | ground.generators():
+            if occurrences(w) <= keep | amb:
                 continue
-            for u_block, v_right, v_left in _pair_blocks(w, keep, ground):
+            for u_block, v_right, v_left in _pair_blocks(w, keep, amb):
                 need_dom = eval_range(v_right, p.s, ground) if v_right else frozenset()
                 need_ran = eval_domain(v_left, p.s, ground) if v_left else frozenset()
                 if not u_block:
                     continue
-                t = cover_extend(cur, u_block, need_dom, need_ran, ground)
-                cur = Condition(cur.s.union(t), cur.words, cur.mode)
-        out = Condition(cur.s.restrict(keep), base.words, p.mode)
-    if not leq(out, base, ground):
+                t = cover_extend(cur, u_block, need_dom, need_ran)
+                cur = cur.with_s(cur.s.union(t))
+        out = base.with_s(cur.s.restrict(keep))
+    if not leq(out, base):
         raise ContractViolation("reduction must extend the strong restriction")
-    object.__setattr__(p, "_reduction", (keep, ground, out))
+    object.__setattr__(p, "_reduction", (keep, out))
     return out
 
 
-def canonical_extension(
-    p: Condition, t: Condition, keep: Iterable[int], ground: GroundRep = EMPTY_GROUND
-) -> Condition:
+def canonical_extension(p: Condition, t: Condition, keep: Iterable[int]) -> Condition:
     """The union of p and an extension t of p's strong reduction on `keep`,
-    checked to extend both."""
+    checked to extend both; a t of another mode or ground raises ValueError
+    (leq)."""
     keep = frozenset(keep)
-    red = strong_reduction(p, keep, ground)
-    if not leq(t, red, ground):
+    red = strong_reduction(p, keep)
+    if not leq(t, red):
         raise ValueError("t does not extend the strong reduction")
-    clash = t.occurring(ground) & (p.occurring(ground) - keep)
+    clash = t.occurring() & (p.occurring() - keep)
     if clash:
         raise ValueError(f"occurrence disjointness violated on {sorted(clash)}")
-    out = Condition(p.s.union(t.s), p.words | t.words, p.mode)
-    bad = validate(out, ground)
+    out = Condition(p.s.union(t.s), p.words | t.words, p.mode, p.ground)
+    bad = validate(out)
     if bad:
         raise ContractViolation("; ".join(bad))
-    if not leq(out, p, ground):
+    if not leq(out, p):
         raise ContractViolation("canonical extension does not extend the base condition")
-    if not leq(out, t, ground):
+    if not leq(out, t):
         raise ContractViolation("canonical extension does not extend the side condition")
     return out
 
@@ -622,7 +608,6 @@ def hit_extend(
     gen: int,
     sigma: GroundPermutation,
     n: int,
-    ground: GroundRep = EMPTY_GROUND,
     sigma_gen: Optional[int] = None,
 ) -> Union[Condition, Rejected]:
     """Adjoin the single pair (gen, n, sigma(n)); accepted exactly when the
@@ -636,15 +621,13 @@ def hit_extend(
     m = sigma.apply(n)
     if m in p.s.get(gen).rev:
         raise ValueError(f"sigma({n}) = {m} already in the range of g{gen}")
-    out = Condition(p.s.with_pair(gen, n, m), p.words, p.mode)
-    if leq(out, p, ground):
+    out = p.with_s(p.s.with_pair(gen, n, m))
+    if leq(out, p):
         return out
     return Rejected(f"pair (g{gen}, {n}, {m}) adds a fixed point to a frozen word")
 
 
-def hit_threshold(
-    p: Condition, gen: int, sigma: GroundPermutation, ground: GroundRep = EMPTY_GROUND
-) -> Optional[int]:
+def hit_threshold(p: Condition, gen: int, sigma: GroundPermutation) -> Optional[int]:
     """Exact acceptance threshold: every n >= threshold is accepted by
     hit_extend.  Computable when every side word containing gen is a pure
     power and sigma carries shift structure with nonzero net shift."""
@@ -682,7 +665,6 @@ def hit_search(
     sigma: GroundPermutation,
     start: int,
     window: int,
-    ground: GroundRep = EMPTY_GROUND,
     sigma_gen: Optional[int] = None,
 ) -> Union[int, NotFound]:
     """First n in [start, start + window) whose hit extension is accepted."""
@@ -691,6 +673,6 @@ def hit_search(
             continue
         if sigma.apply(n) in p.s.get(gen).rev:
             continue
-        if isinstance(hit_extend(p, gen, sigma, n, ground, sigma_gen), Condition):
+        if isinstance(hit_extend(p, gen, sigma, n, sigma_gen), Condition):
             return n
     return NOT_FOUND

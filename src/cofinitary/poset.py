@@ -38,6 +38,10 @@ class PosetMode(enum.Enum):
     EDF = "edf"
     MAD = "mad"
 
+    # Members compare by identity, so the identity hash serves; Enum's own
+    # hashes the name in Python code on every DISCIPLINES lookup.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class Discipline:
@@ -79,7 +83,7 @@ def pair_word(a: int, b: int) -> Word:
     return Word((Letter(a, 1), Letter(b, -1)))
 
 
-def _entry_problem(shape: str, w: Word, ground: GroundRep) -> Optional[str]:
+def _entry_problem(shape: str, w: Word, amb: frozenset[int]) -> Optional[str]:
     """Why the nonempty word w is no side entry of the shape; None if it is."""
     if shape == "hat":
         return None if is_hat(w) else f"word {format_word(w)} is not in the hat class"
@@ -90,7 +94,7 @@ def _entry_problem(shape: str, w: Word, ground: GroundRep) -> Optional[str]:
         return f"word {format_word(w)} is not of the shape a b^-1"
     if len(w) != 1 or w.letters[0].sign != 1:
         return f"MAD side entries are single letters, got {format_word(w)}"
-    if w.letters[0].gen in ground.table:
+    if w.letters[0].gen in amb:
         return f"MAD side letter g{w.letters[0].gen} is ambient"
     return None
 
@@ -142,38 +146,46 @@ def side_index(words: frozenset[Word]) -> dict[Letter, dict]:
 
 @dataclass(frozen=True)
 class Condition:
+    """A condition of the poset over `ground`, the ambient generators that
+    stay fixed while the iteration adds the others.  Like the mode, the
+    ground belongs to the condition: every condition made from it keeps it,
+    and comparing or merging conditions of two grounds raises ValueError."""
+
     s: Assignment = field(default_factory=Assignment)
     words: frozenset[Word] = frozenset()
     mode: PosetMode = PosetMode.COFINITARY
+    ground: GroundRep = EMPTY_GROUND
 
     # Derived facts, set with object.__setattr__ where they are proved.  The
     # class-level defaults make reading an unset one a plain lookup.
-    _valid_for = None  # the ambient generators validated() passed it for
-    _reduction = None  # (keep, ground, strong_reduction(self, keep, ground))
-    _occurring = None  # the generators of s and of the side words
+    _valid = False  # validated() found nothing wrong with it
+    _reduction = None  # (keep, strong_reduction(self, keep))
+    _occurring = None  # occurring()
+
+    def with_s(self, s: Assignment) -> "Condition":
+        """The condition over s with this one's side set, mode and ground."""
+        return Condition(s, self.words, self.mode, self.ground)
 
     def sorted_words(self) -> list[Word]:
         return sorted(self.words, key=Word.sort_key)
 
-    def occurring(self, ground: GroundRep = EMPTY_GROUND) -> frozenset[int]:
+    def occurring(self) -> frozenset[int]:
         """Generators occurring in the assignment or the side words,
-        ambient generators excluded.  The set before the exclusion depends
-        on the condition alone; it is built on first use and cached."""
+        ambient generators excluded; built on first use and cached."""
         occ = self._occurring
         if occ is None:
             occ = frozenset(self.s.table).union(*map(occurrences, self.words))
+            occ -= self.ground.generators()
             object.__setattr__(self, "_occurring", occ)
-        return occ - ground.generators()
+        return occ
 
-    def to_json(self, names: Optional[Mapping[Word, str]] = None) -> dict:
-        """The JSON form; `names` may give the format_word text of some
-        side words, so a caller that has formatted them does not again."""
-        names = names or {}
-        return {
-            "mode": self.mode.value,
-            "s": self.s.to_json(),
-            "F": [names.get(w) or format_word(w) for w in self.sorted_words()],
-        }
+    def to_json(self, texts: Optional[Iterable[str]] = None) -> dict:
+        """The JSON form, without the ground; `texts` may give the
+        format_word texts of sorted_words(), so a caller that has formatted
+        them does not again."""
+        if texts is None:
+            texts = map(format_word, self.sorted_words())
+        return {"mode": self.mode.value, "s": self.s.to_json(), "F": list(texts)}
 
     @staticmethod
     def from_json(obj: dict) -> "Condition":
@@ -184,9 +196,17 @@ class Condition:
         )
 
 
-def validate(c: Condition, ground: GroundRep = EMPTY_GROUND) -> list[str]:
+def _same_poset(p: Condition, q: Condition) -> None:
+    """Raise ValueError unless p and q share a mode and a ground."""
+    if p.mode is not q.mode:
+        raise ValueError(f"mode mismatch: {p.mode} vs {q.mode}")
+    if p.ground is not q.ground:
+        raise ValueError("ground mismatch: the conditions are over different grounds")
+
+
+def validate(c: Condition) -> list[str]:
     """All invariant violations for the condition's mode; empty means ok."""
-    return _problems(DISCIPLINES[c.mode], c.s.table.items(), c.sorted_words(), ground)
+    return _problems(DISCIPLINES[c.mode], c.s.table.items(), c.sorted_words(), c.ground)
 
 
 def _problems(
@@ -212,45 +232,40 @@ def _problems(
                 problems.append(f"map for g{g} takes values outside {{{allowed}}}: {sorted(bad)}")
         if g in ground.table:
             problems.append(f"g{g} is an ambient generator but carries finite pairs")
+    amb = ground.generators()
     for w in words:
-        problem = _entry_problem(d.shape, w, ground) if w else "side set contains the empty word"
+        problem = _entry_problem(d.shape, w, amb) if w else "side set contains the empty word"
         if problem:
             problems.append(problem)
     return problems
 
 
-def _known_valid(c: Condition, ground: GroundRep) -> bool:
-    return c._valid_for == ground.generators()
-
-
 def validated(
-    prev: Condition,
-    out: Condition,
-    ground: GroundRep = EMPTY_GROUND,
-    added: Optional[frozenset[Word]] = None,
+    prev: Condition, out: Condition, added: Optional[frozenset[Word]] = None
 ) -> Condition:
     """out, once validate finds nothing wrong with it; raises ValueError with
     validate's message otherwise.
 
     validate judges each map and each side word on its own, so when prev is
-    known valid for this ground only what out adds is checked: the maps that
-    are not prev's own objects and the words prev lacks (`added`, when the
-    caller already has out.words - prev.words).  The problems, and their
-    order, are then exactly those of validate(out).  Conditions are marked
-    known valid only here, and only after a clean check.
+    known valid, in out's mode and over out's ground, only what out adds is
+    checked: the maps that are not prev's own objects and the words prev
+    lacks (`added`, when the caller already has out.words - prev.words).
+    The problems, and their order, are then exactly those of validate(out).
+    Conditions are marked known valid only here, and only after a clean
+    check.
     """
-    if _known_valid(prev, ground) and out.mode is prev.mode:
+    if prev._valid and out.mode is prev.mode and out.ground is prev.ground:
         old = prev.s.table
         maps = [(g, pm) for g, pm in out.s.table.items() if old.get(g) is not pm]
         if added is None:
             added = frozenset() if out.words is prev.words else out.words - prev.words
         words = sorted(added, key=Word.sort_key)
-        bad = _problems(DISCIPLINES[out.mode], maps, words, ground)
+        bad = _problems(DISCIPLINES[out.mode], maps, words, out.ground)
     else:
-        bad = validate(out, ground)
+        bad = validate(out)
     if bad:
         raise ValueError("; ".join(bad))
-    object.__setattr__(out, "_valid_for", ground.generators())
+    object.__setattr__(out, "_valid", True)
     return out
 
 
@@ -382,12 +397,12 @@ def _added_pairs(p: Assignment, q: Assignment) -> Optional[dict[int, frozenset[t
     return added
 
 
-def leq(p: Condition, q: Condition, ground: GroundRep = EMPTY_GROUND) -> bool:
+def leq(p: Condition, q: Condition) -> bool:
     """p extends q: larger assignment and side set, no frozen word gains a
-    fixed point (MAD: no frozen pair gains a common 1-point).  The walk
-    disciplines raise ValueError on a map of p that is no partial injection."""
-    if p.mode is not q.mode:
-        raise ValueError(f"mode mismatch: {p.mode} vs {q.mode}")
+    fixed point (MAD: no frozen pair gains a common 1-point).  Raises
+    ValueError when p and q differ in mode or ground; the walk disciplines
+    also raise it on a map of p that is no partial injection."""
+    _same_poset(p, q)
     kernel = DISCIPLINES[p.mode].kernel
     if kernel == "walk":
         for pm in p.s.table.values():
@@ -433,7 +448,7 @@ def leq(p: Condition, q: Condition, ground: GroundRep = EMPTY_GROUND) -> bool:
     # gains one when its representative does (words.cyclic_class).  A
     # Letter is a named tuple, so the plain (g, sign) tuple keys its trie.
     tries = side_index(q.words)
-    steps = _Steps(p.s, ground)
+    steps = _Steps(p.s, p.ground)
     for g, pairs in added.items():
         ahead, back = tries.get((g, 1)), tries.get((g, -1))
         for a, b in pairs:
@@ -445,39 +460,33 @@ def leq(p: Condition, q: Condition, ground: GroundRep = EMPTY_GROUND) -> bool:
 def restrict(p: Condition, keep: Iterable[int]) -> Condition:
     """p restricted to the kept generators; the side set stays whole, so the
     result lives in the larger poset."""
-    return Condition(p.s.restrict(keep), p.words, p.mode)
+    return p.with_s(p.s.restrict(keep))
 
 
-def strong_restrict(
-    p: Condition, keep: Iterable[int], ground: GroundRep = EMPTY_GROUND
-) -> Condition:
+def strong_restrict(p: Condition, keep: Iterable[int]) -> Condition:
     """Restriction that also drops side words mentioning dropped generators
     (ambient generators never count as dropped)."""
-    keep = frozenset(keep) | ground.generators()
+    keep = frozenset(keep) | p.ground.generators()
     words = frozenset(w for w in p.words if occurrences(w) <= keep)
-    return Condition(p.s.restrict(keep), words, p.mode)
+    return Condition(p.s.restrict(keep), words, p.mode, p.ground)
 
 
-def merge_disjoint(
-    p: Condition, t: Assignment, ground: GroundRep = EMPTY_GROUND
-) -> Condition:
+def merge_disjoint(p: Condition, t: Assignment) -> Condition:
     """Adjoin pairs for generators not occurring anywhere in p.  The result
     is validated (see validated), so a map of t that the mode does not
     allow raises ValueError with validate's message in every mode."""
-    overlap = frozenset(t.generators()) & p.occurring(ground)
+    overlap = frozenset(t.generators()) & p.occurring()
     if overlap:
         raise ValueError(f"occurrence overlap on generators {sorted(overlap)}")
-    if frozenset(t.generators()) & ground.generators():
+    if frozenset(t.generators()) & p.ground.generators():
         raise ValueError("merge assignment touches ambient generators")
-    out = validated(p, Condition(p.s.union(t), p.words, p.mode), ground)
-    if not leq(out, p, ground):
+    out = validated(p, p.with_s(p.s.union(t)))
+    if not leq(out, p):
         raise ValueError("the merged condition does not extend the base condition")
     return out
 
 
-def add_words(
-    p: Condition, words: Iterable[Word], ground: GroundRep = EMPTY_GROUND
-) -> Condition:
+def add_words(p: Condition, words: Iterable[Word]) -> Condition:
     """Replace the side set by a superset; freezing more words only constrains
     the future, so the result extends p.  Only the new words are validated
     when p is known valid (see validated)."""
@@ -485,7 +494,7 @@ def add_words(
     added = new - p.words
     if len(new) - len(added) != len(p.words):
         raise ValueError("new side set must contain the old one")
-    return validated(p, Condition(p.s, new, p.mode), ground, added)
+    return validated(p, Condition(p.s, new, p.mode, p.ground), added)
 
 
 @dataclass(frozen=True)
@@ -495,20 +504,18 @@ class Incompatible:
     reason: str
 
 
-def delta_compatible_merge(
-    p: Condition, q: Condition, ground: GroundRep = EMPTY_GROUND
-):
+def delta_compatible_merge(p: Condition, q: Condition):
     """The union condition when it is valid and extends both inputs, else
     Incompatible.  This is the finite merge behind root-only-overlap
-    compatibility arguments."""
-    if p.mode is not q.mode:
-        raise ValueError("mode mismatch")
-    union = Condition(p.s.union(q.s), p.words | q.words, p.mode)
-    problems = validate(union, ground)
+    compatibility arguments; conditions of two modes or grounds raise
+    ValueError."""
+    _same_poset(p, q)
+    union = Condition(p.s.union(q.s), p.words | q.words, p.mode, p.ground)
+    problems = validate(union)
     if problems:
         return Incompatible("; ".join(problems))
-    if not leq(union, p, ground):
+    if not leq(union, p):
         return Incompatible("union does not extend the first condition")
-    if not leq(union, q, ground):
+    if not leq(union, q):
         return Incompatible("union does not extend the second condition")
     return union

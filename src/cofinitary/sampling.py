@@ -53,50 +53,44 @@ def sample_condition(
         words = {single(g) for g in picked}
     else:
         words = _draw_entries(rng, mode, gens, ground, word_len, rng.randrange(max_words + 1))
-    cond = add_words(Condition(mode=mode), frozenset(words), ground)
+    cond = add_words(Condition(mode=mode, ground=ground), frozenset(words))
     for _ in range(rng.randrange(max_pairs + 1) * max(1, len(gens) // 2)):
         g = rng.choice(gens)
         n = rng.randrange(value_range)
         if n not in cond.s.get(g).fwd:
-            cond = point_step(cond, g, n, ground, floor=lambda: rng.randrange(value_range))
+            cond = point_step(cond, g, n, floor=lambda: rng.randrange(value_range))
     return cond
 
 
 def sample_extension(
-    rng: random.Random,
-    p: Condition,
-    ground: GroundRep = EMPTY_GROUND,
-    avoid: Iterable[int] = (),
-    steps: Optional[int] = None,
+    rng: random.Random, p: Condition, avoid: Iterable[int] = (), steps: Optional[int] = None
 ) -> Condition:
     """A random extension of p: new pairs on p's own or fresh generators and
     extra frozen words, never touching `avoid`."""
-    avoid = frozenset(avoid) | ground.generators()
-    taken = p.occurring(ground) | avoid
+    avoid = frozenset(avoid) | p.ground.generators()
+    taken = p.occurring() | avoid
     fresh_base = max(taken | {7}) + 1
-    usable = sorted(p.occurring(ground) - avoid)
+    usable = sorted(p.occurring() - avoid)
     candidates = usable + [fresh_base, fresh_base + 1]
     cond = p
     if steps is None:
         steps = rng.randrange(4)
     if DISCIPLINES[p.mode].shape != "letter" and rng.random() < 0.5:
-        extra = _draw_entries(rng, p.mode, sorted(set(candidates))[:4], ground, 2, 1)
+        extra = _draw_entries(rng, p.mode, sorted(set(candidates))[:4], p.ground, 2, 1)
         if extra:
-            cond = add_words(cond, cond.words | extra, ground)
+            cond = add_words(cond, cond.words | extra)
     for _ in range(steps):
         g = rng.choice(candidates)
         n = rng.randrange(24)
         if n not in cond.s.get(g).fwd:
-            cond = point_step(cond, g, n, ground, floor=lambda: rng.randrange(24))
+            cond = point_step(cond, g, n, floor=lambda: rng.randrange(24))
     return cond
 
 
-def sample_fresh_assignment(
-    rng: random.Random, p: Condition, ground: GroundRep = EMPTY_GROUND
-) -> Assignment:
+def sample_fresh_assignment(rng: random.Random, p: Condition) -> Assignment:
     """A small assignment on generators not occurring anywhere in p."""
     d = DISCIPLINES[p.mode]
-    base = max(p.occurring(ground) | ground.generators() | {11}) + 1
+    base = max(p.occurring() | p.ground.generators() | {11}) + 1
     table = {}
     for k in range(rng.randrange(1, 3)):
         pairs = set()
@@ -113,10 +107,8 @@ def sample_fresh_assignment(
     return Assignment(table)
 
 
-def sample_extra_words(
-    rng: random.Random, p: Condition, ground: GroundRep = EMPTY_GROUND
-) -> frozenset[Word]:
+def sample_extra_words(rng: random.Random, p: Condition) -> frozenset[Word]:
     """A few more frozen entries valid for p's mode."""
-    gens = sorted(p.occurring(ground) | {0, 1})
+    gens = sorted(p.occurring() | {0, 1})
     draws = rng.randrange(1, 3) if DISCIPLINES[p.mode].shape == "hat" else 1
-    return frozenset(_draw_entries(rng, p.mode, gens, ground, 2, draws))
+    return frozenset(_draw_entries(rng, p.mode, gens, p.ground, 2, draws))

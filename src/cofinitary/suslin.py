@@ -684,7 +684,7 @@ def ffp_axiom_suite(
 ) -> list[ClauseResult]:
     """Property-check the finite-function-poset clauses (restrictions and
     extensions), the reduction/extension contract, and a freeze guard, on
-    sampled conditions of the given mode.  leq_override swaps in a different
+    sampled conditions of the given mode.  leq_override(p, q) swaps in a different
     order decision (used by mutation tests)."""
     from .sampling import (
         sample_condition,
@@ -713,25 +713,23 @@ def ffp_axiom_suite(
         p = sample_condition(rng, mode, gens, ground=ground)
         keep = frozenset(rng.sample(gens, rng.randrange(len(gens) + 1)))
         weak = restrict(p, keep)
-        strong = strong_restrict(p, keep, ground)
+        strong = strong_restrict(p, keep)
         res_restrict.checks += 1
         if res_restrict.passed and not (
-            not validate(weak, ground)
-            and not validate(strong, ground)
-            and order(weak, strong, ground)
+            not validate(weak) and not validate(strong) and order(weak, strong)
         ):
             res_restrict.passed = False
             res_restrict.witness = f"p={p.to_json()}, keep={sorted(keep)}"
-        q = sample_extension(rng, p, ground)
+        q = sample_extension(rng, p)
         res_mono.checks += 1
-        if res_mono.passed and not order(strong_restrict(q, keep, ground), strong, ground):
+        if res_mono.passed and not order(strong_restrict(q, keep), strong):
             res_mono.passed = False
             res_mono.witness = f"p={p.to_json()}, q={q.to_json()}, keep={sorted(keep)}"
-        t = sample_fresh_assignment(rng, p, ground)
+        t = sample_fresh_assignment(rng, p)
         res_merge.checks += 1
         try:
-            merged = merge_disjoint(p, t, ground)
-            if res_merge.passed and not order(merged, p, ground):
+            merged = merge_disjoint(p, t)
+            if res_merge.passed and not order(merged, p):
                 res_merge.passed = False
                 res_merge.witness = f"p={p.to_json()}, t={t.to_json()}"
         except Exception as err:  # pragma: no cover
@@ -739,10 +737,10 @@ def ffp_axiom_suite(
             res_merge.witness = str(err)
         res_grow.checks += 1
         try:
-            grown = add_words(p, p.words | sample_extra_words(rng, p, ground), ground)
+            grown = add_words(p, p.words | sample_extra_words(rng, p))
             # the superset is tested on its own as well as inside order, so
             # the clause does not rest on the check it tests
-            if res_grow.passed and not (grown.words >= p.words and order(grown, p, ground)):
+            if res_grow.passed and not (grown.words >= p.words and order(grown, p)):
                 res_grow.passed = False
                 res_grow.witness = f"p={p.to_json()}, E={[format_word(w) for w in grown.words]}"
         except Exception as err:  # pragma: no cover
@@ -750,12 +748,12 @@ def ffp_axiom_suite(
             res_grow.witness = str(err)
         res_embed.checks += 1
         try:
-            red = strong_reduction(p, keep, ground)
-            if not order(red, strong, ground):
+            red = strong_reduction(p, keep)
+            if not order(red, strong):
                 raise ValueError("reduction does not extend the strong restriction")
-            ext = sample_extension(rng, red, ground, avoid=p.occurring(ground) - keep)
-            both = canonical_extension(p, ext, keep, ground)
-            if res_embed.passed and not (order(both, p, ground) and order(both, ext, ground)):
+            ext = sample_extension(rng, red, avoid=p.occurring() - keep)
+            both = canonical_extension(p, ext, keep)
+            if res_embed.passed and not (order(both, p) and order(both, ext)):
                 res_embed.passed = False
                 res_embed.witness = f"p={p.to_json()}, keep={sorted(keep)}"
         except Exception as err:
@@ -763,15 +761,15 @@ def ffp_axiom_suite(
                 res_embed.passed = False
                 res_embed.witness = f"{err} (p={p.to_json()}, keep={sorted(keep)})"
         res_guard.checks += 1
-        probe = _freeze_probe(p, ground)
+        probe = _freeze_probe(p)
         if probe is not None and res_guard.passed:
-            if order(probe, p, ground):
+            if order(probe, p):
                 res_guard.passed = False
                 res_guard.witness = f"p={p.to_json()}, probe={probe.to_json()}"
     return results
 
 
-def _freeze_probe(p: Condition, ground: GroundRep) -> Optional[Condition]:
+def _freeze_probe(p: Condition) -> Optional[Condition]:
     """A deliberately violating extension: gives some frozen entry a new
     fixed point / agreement / common 1-point.  None when p freezes nothing
     usable."""
@@ -783,22 +781,22 @@ def _freeze_probe(p: Condition, ground: GroundRep) -> Optional[Condition]:
             return None
         a, b = words[0].letters[0].gen, words[1].letters[0].gen
         s = p.s.with_pair(a, fresh, 1).with_pair(b, fresh, 1)
-        return Condition(s, p.words, p.mode)
+        return p.with_s(s)
     if shape == "pair":
         if not words:
             return None
         a, b = words[0].letters[0].gen, words[0].letters[1].gen
         s = p.s.with_pair(a, fresh, fresh + 1).with_pair(b, fresh, fresh + 1)
-        return Condition(s, p.words, p.mode)
-    amb = ground.generators()
+        return p.with_s(s)
+    amb = p.ground.generators()
     for w in words:
         if len(w.letters) == 1 and w.letters[0].gen not in amb:
-            return Condition(p.s.with_pair(w.letters[0].gen, fresh, fresh), p.words, p.mode)
+            return p.with_s(p.s.with_pair(w.letters[0].gen, fresh, fresh))
     for w in words:
         if len(w.letters) == 2 and len({l.gen for l in w.letters} - amb) == 2:
             lo, hi = w.letters
             if lo.sign == 1 and hi.sign == 1:
                 # w = x y: send fresh -> fresh through both letters
                 s = p.s.with_pair(hi.gen, fresh, fresh + 1).with_pair(lo.gen, fresh + 1, fresh)
-                return Condition(s, p.words, p.mode)
+                return p.with_s(s)
     return None

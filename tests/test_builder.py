@@ -15,7 +15,7 @@ from cofinitary.cli import encode_report
 from cofinitary.evaluation import GroundRep, zshift
 from cofinitary.extension import ContractViolation, ExtensionCertificate
 from cofinitary.poset import Condition, PosetMode, leq
-from cofinitary.words import single
+from cofinitary.words import format_word, parse_word, single
 
 
 class TestBuild:
@@ -68,7 +68,7 @@ class TestBuild:
         report = build(
             PosetMode.COFINITARY, [0], ground, point_budget=4, word_budget=2, seed=2
         )
-        assert verify_cofinitary(report, ground) == []
+        assert verify_cofinitary(report) == []
         mixed = [w for w in report.frozen_fix if 7 in {l.gen for l in w.letters}]
         assert mixed, "mixed words should be frozen too"
 
@@ -173,6 +173,18 @@ class TestGoldenReports:
             "7642c1d8ce96ebb703d2d059e6b918b8264fd1a1f315f20a5749fd527bfcf4d5"
         )
 
+    def test_ambient_two_generators(self):
+        """Mixed side words up to length 3 over the ambient z-shift g7: the
+        constructive certificates, their run guards and the verifier's
+        ambient branch all run."""
+        report = build(
+            PosetMode.COFINITARY, [0, 1], GroundRep({7: zshift()}),
+            point_budget=12, word_budget=3, seed=3,
+        )
+        assert _digest(report) == (
+            "847659a32d1c2ff472b2467d655a5b192cb913584dfa14184291835012d6ad7c"
+        )
+
     @pytest.mark.parametrize(
         "seed, digest",
         [
@@ -258,6 +270,18 @@ class TestReportFormats:
         assert "final" in payload and "frozen_fix" in payload and "goal_log" in payload
         for entry in payload["frozen_fix"].values():
             assert set(entry) == {"stage", "fix"}
+
+    def test_final_side_set_is_written_as_it_is(self):
+        # F is read off the final condition, also when it is not the set of
+        # frozen words (here one frozen word is swapped for another word)
+        report = build(PosetMode.COFINITARY, [0, 1], point_budget=4, word_budget=2, seed=1)
+        dropped = report.final.sorted_words()[0]
+        words = report.final.words - {dropped} | {parse_word("g0^3")}
+        report.final = Condition(report.final.s, words, report.final.mode)
+        assert len(words) == len(report.frozen_fix)
+        payload = report.to_json()
+        assert payload["final"]["F"] == [format_word(w) for w in report.final.sorted_words()]
+        assert format_word(dropped) in payload["frozen_fix"]
 
     def test_csv_summary(self):
         report = build(PosetMode.COFINITARY, [0], point_budget=3, word_budget=1, seed=0)

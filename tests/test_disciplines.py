@@ -46,15 +46,15 @@ def _samples(mode: PosetMode, ground: GroundRep) -> dict[str, str]:
     rng = random.Random(20)
     draws = [sample_condition(rng, mode, range(5), ground=ground) for _ in range(DRAWS)]
     ext_rng, words_rng, fresh_rng = random.Random(21), random.Random(22), random.Random(23)
-    exts = [sample_extension(ext_rng, p, ground) for p in draws]
-    extra = [sample_extra_words(words_rng, p, ground) for p in draws]
-    grown = [add_words(p, p.words | e, ground) for p, e in zip(draws, extra)]
-    probes = [_freeze_probe(p, ground) for p in draws + exts + grown]
+    exts = [sample_extension(ext_rng, p) for p in draws]
+    extra = [sample_extra_words(words_rng, p) for p in draws]
+    grown = [add_words(p, p.words | e) for p, e in zip(draws, extra)]
+    probes = [_freeze_probe(p) for p in draws + exts + grown]
     return {
         "conditions": _sha([p.to_json() for p in draws]),
         "extensions": _sha([q.to_json() for q in exts]),
         "extra_words": _sha([sorted(map(format_word, e)) for e in extra]),
-        "fresh": _sha([sample_fresh_assignment(fresh_rng, p, ground).to_json() for p in draws]),
+        "fresh": _sha([sample_fresh_assignment(fresh_rng, p).to_json() for p in draws]),
         "probes": _sha([None if q is None else q.to_json() for q in probes]),
     }
 
@@ -166,7 +166,7 @@ def _mirror_of_every_word(p: Condition, gen: int) -> Condition:
     if p.s.get(gen).pairs:
         table[gen] = PartialMap(frozenset((m, n) for n, m in p.s.get(gen).pairs))
     words = frozenset(substitute(w, gen, Letter(gen, -1)) for w in p.words)
-    return Condition(Assignment(table), words, PosetMode.COFINITARY)
+    return Condition(Assignment(table), words, PosetMode.COFINITARY, p.ground)
 
 
 @pytest.mark.parametrize("ground", sorted(GROUNDS))
@@ -180,8 +180,8 @@ def test_range_certificate_reads_only_words_with_the_generator(mode, ground):
         gen, m = rng.randrange(3), rng.randrange(24)
         if m in p.s.get(gen).image():
             continue
-        reference = domain_extend(_mirror_of_every_word(p, gen), gen, m, ground).certificate
-        assert range_extend(p, gen, m, ground).certificate == reference
+        reference = domain_extend(_mirror_of_every_word(p, gen), gen, m).certificate
+        assert range_extend(p, gen, m).certificate == reference
         checked += bool(p.words)
     assert checked >= DRAWS // 2
 
@@ -199,9 +199,11 @@ def test_range_certificate_flips_the_mixed_words():
         gen, m = rng.randrange(2), rng.randrange(24)
         if m in p.s.get(gen).image():
             continue
-        reference = domain_extend(_mirror_of_every_word(p, gen), gen, m, ground).certificate
-        assert range_extend(p, gen, m, ground).certificate == reference
+        reference = domain_extend(_mirror_of_every_word(p, gen), gen, m).certificate
+        assert range_extend(p, gen, m).certificate == reference
         mixed += any({gen, 7} <= occurrences(w) for w in p.words)
-        unflipped = Condition(_mirror_of_every_word(p, gen).s, p.words, PosetMode.COFINITARY)
-        sign_matters += domain_extend(unflipped, gen, m, ground).certificate != reference
+        unflipped = Condition(
+            _mirror_of_every_word(p, gen).s, p.words, PosetMode.COFINITARY, ground
+        )
+        sign_matters += domain_extend(unflipped, gen, m).certificate != reference
     assert mixed >= DRAWS // 4 and sign_matters

@@ -37,21 +37,22 @@ def pmap(*pairs):
     return PartialMap(frozenset(pairs))
 
 
-def cond(pairs_by_gen, words, mode=PosetMode.COFINITARY):
+def cond(pairs_by_gen, words, mode=PosetMode.COFINITARY, ground=EMPTY_GROUND):
     return Condition(
         Assignment({g: pmap(*ps) for g, ps in pairs_by_gen.items()}),
         frozenset(parse_word(t) for t in words),
         mode,
+        ground,
     )
 
 
-def scan_soundness(p, gen, n, limit, ground=EMPTY_GROUND):
+def scan_soundness(p, gen, n, limit):
     """Every admitted m below the limit must yield a valid extension."""
-    ext = domain_extend(p, gen, n, ground)
+    ext = domain_extend(p, gen, n)
     admitted = failing = 0
     for m in range(limit):
-        candidate = Condition(p.s.with_pair(gen, n, m), p.words, p.mode)
-        good = not validate(candidate, ground) and leq(candidate, p, ground)
+        candidate = Condition(p.s.with_pair(gen, n, m), p.words, p.mode, p.ground)
+        good = not validate(candidate) and leq(candidate, p)
         if ext.certificate.admits(m):
             admitted += 1
             assert good, f"admitted m={m} fails"
@@ -74,13 +75,13 @@ class TestDomainExtend:
 
     def test_mixed_word_cofinite_scan(self):
         ground = GroundRep({7: zshift()})
-        p = cond({0: [(2, 9)]}, ["g0 g7"])
-        ext = domain_extend(p, 0, 0, ground)
+        p = cond({0: [(2, 9)]}, ["g0 g7"], ground=ground)
+        ext = domain_extend(p, 0, 0)
         assert len(ext.certificate.forbidden) < 50
         for m in range(100):
             if ext.certificate.admits(m):
-                c = Condition(p.s.with_pair(0, 0, m), p.words, p.mode)
-                assert leq(c, p, ground), m
+                c = Condition(p.s.with_pair(0, 0, m), p.words, p.mode, ground)
+                assert leq(c, p), m
 
     def test_already_defined_rejected(self):
         p = cond({0: [(5, 7)]}, [])
@@ -109,11 +110,11 @@ class TestDomainExtend:
             n = rng.randrange(30)
             if n in p.s.get(gen).domain():
                 continue
-            ext = domain_extend(p, gen, n, ground)
+            ext = domain_extend(p, gen, n)
             for m in range(200):
                 if ext.certificate.admits(m):
-                    c = Condition(p.s.with_pair(gen, n, m), p.words, p.mode)
-                    assert not validate(c, ground) and leq(c, p, ground), m
+                    c = Condition(p.s.with_pair(gen, n, m), p.words, p.mode, ground)
+                    assert not validate(c) and leq(c, p), m
 
     def test_chooser_floor(self):
         p = cond({0: [(5, 7)]}, ["g0"])
@@ -171,9 +172,9 @@ class TestCoverExtend:
 
     def test_mixed_word_cover(self):
         ground = GroundRep({7: zshift()})
-        p = cond({}, [])
+        p = cond({}, [], ground=ground)
         w = parse_word("g0 g7")
-        t = cover_extend(p, w, {0, 1, 2}, {4, 5}, ground)
+        t = cover_extend(p, w, {0, 1, 2}, {4, 5})
         s2 = p.s.union(t)
         assert eval_domain(w, s2, ground, range(10)) >= {0, 1, 2}
         assert eval_range(w, s2, ground, range(10)) >= {4, 5}
@@ -181,7 +182,7 @@ class TestCoverExtend:
 
     def test_cover_keeps_order(self):
         p = cond({0: [(0, 9)]}, ["g0^2 g1"])
-        t = cover_extend(p, parse_word("g0 g1"), {3, 4}, {6}, EMPTY_GROUND)
+        t = cover_extend(p, parse_word("g0 g1"), {3, 4}, {6})
         merged = Condition(p.s.union(t), p.words, p.mode)
         assert leq(merged, p)
 
@@ -256,11 +257,11 @@ class TestStrongReduction:
                                  max_pairs=3, max_words=2, value_range=10,
                                  word_len=3, ground=ground)
             keep = frozenset(rng.sample([0, 1, 2], rng.randrange(4)))
-            red = strong_reduction(p, keep, ground)
-            assert leq(red, strong_restrict(p, keep, ground), ground)
-            t = sample_extension(rng, red, ground, avoid=p.occurring(ground) - keep)
-            both = canonical_extension(p, t, keep, ground)
-            assert leq(both, p, ground) and leq(both, t, ground)
+            red = strong_reduction(p, keep)
+            assert leq(red, strong_restrict(p, keep))
+            t = sample_extension(rng, red, avoid=p.occurring() - keep)
+            both = canonical_extension(p, t, keep)
+            assert leq(both, p) and leq(both, t)
 
     @pytest.mark.parametrize("mode", [PosetMode.ADP, PosetMode.EDF, PosetMode.MAD])
     def test_variant_contract(self, mode):
@@ -320,9 +321,9 @@ class TestHit:
 
     def test_forbidden_generator_in_side_words(self):
         sigma = zshift()
-        p = cond({}, ["g0 g7"])
+        p = cond({}, ["g0 g7"], ground=GroundRep({7: sigma}))
         with pytest.raises(ValueError):
-            hit_extend(p, 0, sigma, 0, GroundRep({7: sigma}), sigma_gen=7)
+            hit_extend(p, 0, sigma, 0, sigma_gen=7)
 
     def test_search_within_window(self):
         rng = random.Random(53)
@@ -379,7 +380,7 @@ class TestMadSetPoint:
 class TestDegenerateAmbient:
     def test_near_identity_run_cannot_be_certified(self):
         ground = GroundRep({7: identity_perm()})
-        p = cond({}, ["g0^-1 g7 g0 g7"])  # hat word with an inverse step after a run
+        p = cond({}, ["g0^-1 g7 g0 g7"], ground=ground)  # an inverse step after a run
         with pytest.raises(CertificateError):
-            ext = domain_extend(p, 0, 0, ground)
+            ext = domain_extend(p, 0, 0)
             ext.choose()

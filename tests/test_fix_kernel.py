@@ -123,7 +123,7 @@ def _seed7():
 
 
 def _with_map(report, s: Assignment):
-    report.final = Condition(s, report.final.words, report.final.mode)
+    report.final = Condition(s, report.final.words, report.final.mode, report.final.ground)
     return report
 
 
@@ -132,7 +132,7 @@ def _fresh_fixed_point():
     do the conjugates of g0 that cannot reach the new point."""
     report = _seed7()
     k = max(report.final.s.all_values()) + 1
-    return _with_map(report, report.final.s.with_pair(0, k, k)), EMPTY_GROUND
+    return _with_map(report, report.final.s.with_pair(0, k, k))
 
 
 def _point_onto_a_fixed_point():
@@ -140,7 +140,7 @@ def _point_onto_a_fixed_point():
     report = _seed7()
     s = report.final.s
     x = min(fix_points(parse_word("g0"), s, EMPTY_GROUND).points)
-    return _with_map(report, s.with_pair(1, max(s.all_values()) + 1, x)), EMPTY_GROUND
+    return _with_map(report, s.with_pair(1, max(s.all_values()) + 1, x))
 
 
 def _dropped_pair():
@@ -150,7 +150,7 @@ def _dropped_pair():
     x = min(fix_points(parse_word("g0"), s, EMPTY_GROUND).points)
     table = dict(s.table)
     table[1] = PartialMap(frozenset(p for p in s.get(1).pairs if p[1] != x))
-    return _with_map(report, Assignment(table)), EMPTY_GROUND
+    return _with_map(report, Assignment(table))
 
 
 def _wrong_record():
@@ -159,14 +159,14 @@ def _wrong_record():
     w = parse_word("g1 g2")
     stage, fix = report.frozen_fix[w]
     report.frozen_fix[w] = (stage, fix | {999})
-    return report, EMPTY_GROUND
+    return report
 
 
 def _ambient_fixed_point():
     ground = GroundRep({AMBIENT: zshift()})
     report = build(PosetMode.COFINITARY, [0], ground, point_budget=4, word_budget=2, seed=2)
     k = max(report.final.s.all_values()) + 1
-    return _with_map(report, report.final.s.with_pair(0, k, k)), ground
+    return _with_map(report, report.final.s.with_pair(0, k, k))
 
 
 # (violations, from the frozen law, from the conjugation law, SHA-256 of the
@@ -193,8 +193,7 @@ RECORDED = {
 class TestVerifierGuard:
     @pytest.mark.parametrize("corrupt", list(RECORDED), ids=lambda f: f.__name__.strip("_"))
     def test_violations_as_recorded(self, corrupt):
-        report, ground = corrupt()
-        violations = verify_cofinitary(report, ground)
+        violations = verify_cofinitary(corrupt())
         frozen = sum("frozen at stage" in v for v in violations)
         core = sum("but its core" in v for v in violations)
         digest = hashlib.sha256(json.dumps(violations).encode()).hexdigest()
@@ -204,8 +203,10 @@ class TestVerifierGuard:
         report = _seed7()
         flip = GroundPermutation(lambda n: n ^ 1, lambda n: n ^ 1, scan_horizon=10)
         report.frozen_fix[parse_word("g3")] = (0, frozenset())
+        final = report.final
+        report.final = Condition(final.s, final.words, final.mode, GroundRep({3: flip}))
         with pytest.raises(ValueError, match="fix set of g3 is horizon-limited"):
-            verify_cofinitary(report, GroundRep({3: flip}))
+            verify_cofinitary(report)
 
     @pytest.mark.parametrize("mode", [PosetMode.ADP, PosetMode.EDF, PosetMode.MAD])
     def test_variants_verify_clean(self, mode):
@@ -226,6 +227,6 @@ class TestVerifierGuard:
         monkeypatch.setattr(builder, "fix_points", counting)
         monkeypatch.setattr(poset, "fix_points", counting)
         assert verify_cofinitary(report) == [] and not asked
-        assert verify_cofinitary(ambient, ground) == []
+        assert verify_cofinitary(ambient) == []
         mixed = [w for w in reduced_words([0, AMBIENT], 2, min_len=1) if occurrences(w) == {0, AMBIENT}]
         assert set(asked) == set(mixed) and max(asked.values()) == 1

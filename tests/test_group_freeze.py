@@ -74,7 +74,7 @@ def reference_build(
         group.sort(key=Word.sort_key)
         rng.shuffle(group)
 
-    cond = Condition(mode=mode)
+    cond = Condition(mode=mode, ground=ground)
     stage = 0
     goal_log: list[tuple[str, int, Optional[int]]] = []
     frozen_fix: dict[Word, tuple[int, frozenset[int]]] = {}
@@ -89,27 +89,27 @@ def reference_build(
         # was; only a freeze is checked here.  A freeze keeps s and grows
         # the side set by construction, so this check cannot fail.
         if goal.kind == "freeze":
-            cond = add_words(prev, prev.words | {goal.word}, ground)
+            cond = add_words(prev, prev.words | {goal.word})
             fix = frozen_value(mode, cond.s, goal.word, prev.words, ground)
             frozen_fix[goal.word] = (stage, fix)
-            if not leq(cond, prev, ground):
+            if not leq(cond, prev):
                 raise BuildError(f"chain law broken at stage {stage}", _report())
         elif goal.kind == "hit":
-            found = hit_search(prev, goal.gen, goal.sigma, goal.floor, 256, ground)
+            found = hit_search(prev, goal.gen, goal.sigma, goal.floor, 256)
             if not isinstance(found, int):
                 raise BuildError(f"goal {goal.describe()} found no hit", _report())
             witness = found
-            cond = hit_extend(prev, goal.gen, goal.sigma, found, ground)
+            cond = hit_extend(prev, goal.gen, goal.sigma, found)
         else:
             pm = prev.s.get(goal.gen)
             try:
                 if goal.kind == "domain":
                     if goal.point not in pm.fwd:
-                        cond = point_step(prev, goal.gen, goal.point, ground, ceiling=value_ceiling)
+                        cond = point_step(prev, goal.gen, goal.point, ceiling=value_ceiling)
                     witness = cond.s.get(goal.gen).fwd[goal.point]
                 else:
                     if goal.point not in pm.rev:
-                        ext = range_extend(prev, goal.gen, goal.point, ground)
+                        ext = range_extend(prev, goal.gen, goal.point)
                         cond = ext.commit(ext.choose(ceiling=value_ceiling))
                     witness = cond.s.get(goal.gen).rev[goal.point]
             except Exception as err:
@@ -203,13 +203,13 @@ def test_one_growth_and_one_check_per_group(monkeypatch):
     calls = {"grow": [], "leq": 0}
     grow, check = builder.add_words, builder.leq
 
-    def counting_grow(p, words, ground):
+    def counting_grow(p, words):
         calls["grow"].append(words - p.words)
-        return grow(p, words, ground)
+        return grow(p, words)
 
-    def counting_leq(p, q, ground=EMPTY_GROUND):
+    def counting_leq(p, q):
         calls["leq"] += 1
-        return check(p, q, ground)
+        return check(p, q)
 
     monkeypatch.setattr(builder, "add_words", counting_grow)
     monkeypatch.setattr(builder, "leq", counting_leq)
@@ -273,8 +273,8 @@ def test_group_values_come_from_a_table_at_the_group_s(
     groups, calls, asked = [], [], []
     grow, value, points_of = builder.add_words, builder.frozen_value, builder.fix_points
 
-    def recording_grow(p, words, ground):
-        groups.append(grow(p, words, ground))
+    def recording_grow(p, words):
+        groups.append(grow(p, words))
         return groups[-1]
 
     def recording_value(mode, s, w, earlier, ground, fix=None):

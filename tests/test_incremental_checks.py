@@ -21,9 +21,9 @@ GROUNDS = {"no-ground": EMPTY_GROUND, "zshift": GroundRep({7: zshift()})}
 GENS = [0, 1, 2]
 
 
-def full_message(c, ground):
+def full_message(c):
     """validate's verdict on a fresh, unmarked copy of c."""
-    bad = validate(Condition(c.s, c.words, c.mode), ground)
+    bad = validate(Condition(c.s, c.words, c.mode, c.ground))
     return "; ".join(bad) if bad else None
 
 
@@ -52,12 +52,12 @@ class TestAgainstFullValidate:
         for _ in range(60):
             p = sample_condition(rng, mode, GENS, ground=ground)
             if rng.random() < 0.5:
-                extra = sample_extra_words(rng, p, ground)  # valid for the mode
+                extra = sample_extra_words(rng, p)  # valid for the mode
             else:
                 extra = rng.sample(pool, rng.randrange(1, 4))
             new = p.words | set(extra)
-            expected = full_message(Condition(p.s, new, mode), ground)
-            assert raised(lambda: add_words(p, new, ground)) == expected
+            expected = full_message(Condition(p.s, new, mode, ground))
+            assert raised(lambda: add_words(p, new)) == expected
             raises += expected is not None
         assert 0 < raises < 60  # both outcomes were exercised
 
@@ -69,11 +69,11 @@ class TestAgainstFullValidate:
         for _ in range(120):
             p = sample_condition(rng, mode, GENS, ground=ground)
             g, n, m = rng.choice(gens), rng.randrange(8), rng.randrange(8)
-            out = Condition(p.s.with_pair(g, n, m), p.words, mode)
-            expected = full_message(out, ground)
-            assert raised(lambda: validated(p, out, ground)) == expected
+            out = Condition(p.s.with_pair(g, n, m), p.words, mode, ground)
+            expected = full_message(out)
+            assert raised(lambda: validated(p, out)) == expected
             try:
-                got = raised(lambda: extend_with(p, g, n, m, ground))
+                got = raised(lambda: extend_with(p, g, n, m))
             except ContractViolation:
                 got = None  # valid, but the pair breaks the order
             assert got == expected
@@ -92,15 +92,15 @@ def test_commit_matches_extend_with(mode, ground_name):
         g, n = rng.choice(GENS), rng.randrange(30)
         if n in p.s.get(g).domain():
             continue
-        ext = domain_extend(p, g, n, ground)
+        ext = domain_extend(p, g, n)
         m = ext.choose(floor=rng.randrange(24))
         out = ext.commit(m)
-        assert out == extend_with(p, g, n, m, ground)
-        assert validate(out, ground) == []
+        assert out == extend_with(p, g, n, m)
+        assert validate(out) == []
         # a value the chooser did not return takes the full extend_with path
         other = rng.randrange(8)
         try:
-            expected = extend_with(p, g, n, other, ground)
+            expected = extend_with(p, g, n, other)
         except (ValueError, ContractViolation) as err:
             with pytest.raises(type(err), match="^" + re.escape(str(err)) + "$"):
                 ext.commit(other)
@@ -114,38 +114,32 @@ def pmap(*pairs):
 
 UNMARKED_INVALID = {
     # built directly, so never marked known valid
-    "non-hat word": (
-        Condition(Assignment(), frozenset({parse_word("g0 g1 g0^-1")})),
-        EMPTY_GROUND,
+    "non-hat word": Condition(Assignment(), frozenset({parse_word("g0 g1 g0^-1")})),
+    "non-injective map": Condition(
+        Assignment({0: pmap((0, 1), (2, 1))}), frozenset({single(0)})
     ),
-    "non-injective map": (
-        Condition(Assignment({0: pmap((0, 1), (2, 1))}), frozenset({single(0)})),
-        EMPTY_GROUND,
-    ),
-    "ambient MAD letter": (
-        Condition(Assignment(), frozenset({single(7)}), PosetMode.MAD),
-        GROUNDS["zshift"],
+    "ambient MAD letter": Condition(
+        Assignment(), frozenset({single(7)}), PosetMode.MAD, GROUNDS["zshift"]
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(UNMARKED_INVALID))
 def test_unmarked_invalid_conditions_get_the_full_check(case):
-    p, ground = UNMARKED_INVALID[case]
-    expected = full_message(p, ground)
+    p = UNMARKED_INVALID[case]
+    expected = full_message(p)
     assert expected is not None
-    assert raised(lambda: add_words(p, p.words | {single(1)}, ground)) == expected
+    assert raised(lambda: add_words(p, p.words | {single(1)})) == expected
     value = 1 if p.mode is PosetMode.MAD else 5
-    out = Condition(p.s.with_pair(1, 3, value), p.words, p.mode)
-    assert raised(lambda: validated(p, out, ground)) == expected
-    assert raised(lambda: extend_with(p, 1, 3, value, ground)) == expected
+    out = Condition(p.s.with_pair(1, 3, value), p.words, p.mode, p.ground)
+    assert raised(lambda: validated(p, out)) == expected
+    assert raised(lambda: extend_with(p, 1, 3, value)) == expected
 
 
 def test_known_valid_holds_only_for_its_ground():
-    p = add_words(
-        Condition(Assignment({0: pmap((0, 1))})), frozenset({single(1)}), EMPTY_GROUND
-    )
+    p = add_words(Condition(Assignment({0: pmap((0, 1))})), frozenset({single(1)}))
     ground = GroundRep({0: zshift()})
-    expected = full_message(p, ground)
+    out = Condition(p.s, p.words | {single(2)}, p.mode, ground)
+    expected = full_message(out)
     assert expected == "g0 is an ambient generator but carries finite pairs"
-    assert raised(lambda: add_words(p, p.words | {single(2)}, ground)) == expected
+    assert raised(lambda: validated(p, out)) == expected

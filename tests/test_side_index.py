@@ -46,32 +46,32 @@ def _chain(rng: random.Random, ground: GroundRep, steps: int) -> list[Condition]
     pool = _side_pool(ground)
     finite = _finite(ground)
     table = {g: PartialMap(_random_injection(rng, rng.randrange(4), 8)) for g in finite}
-    c = add_words(Condition(Assignment(table)), rng.sample(pool, 4), ground)
+    c = add_words(Condition(Assignment(table), ground=ground), rng.sample(pool, 4))
     chain = [c]
     while len(chain) <= steps:
         if rng.random() < 0.4:
-            c = add_words(c, c.words | {rng.choice(pool)}, ground)
+            c = add_words(c, c.words | {rng.choice(pool)})
         else:
             g = rng.choice(finite)
             pm = c.s.get(g)
             n, m = rng.randrange(10), rng.randrange(10)
             if n in pm.fwd or m in pm.rev:
                 continue
-            c = Condition(c.s.with_pair(g, n, m), c.words)
+            c = Condition(c.s.with_pair(g, n, m), c.words, ground=ground)
         chain.append(c)
     return chain
 
 
 def _in_one_go(c: Condition) -> Condition:
     """c with an equal side set built from scratch: a new object."""
-    return Condition(c.s, frozenset(list(c.words)), c.mode)
+    return Condition(c.s, frozenset(list(c.words)), c.mode, c.ground)
 
 
 def _clash(rng: random.Random, c: Condition, ground: GroundRep) -> Condition:
     """c with one more pair that makes a map of it not injective."""
     g = rng.choice([g for g in _finite(ground) if c.s.get(g).pairs])
     n, m = rng.choice(sorted(c.s.get(g).pairs))
-    return Condition(c.s.with_pair(g, n + 20, m), c.words)
+    return Condition(c.s.with_pair(g, n + 20, m), c.words, ground=ground)
 
 
 def _changed(p: Condition, q: Condition) -> int:
@@ -88,8 +88,8 @@ def test_leq_matches_reference_on_grown_and_one_go_side_sets():
                 for i in range(j):
                     p, q = chain[j], chain[i]
                     want = reference_leq(p, q, ground)
-                    assert poset.leq(p, q, ground) == want, (name, p.to_json(), q.to_json())
-                    assert poset.leq(_in_one_go(p), _in_one_go(q), ground) == want
+                    assert poset.leq(p, q) == want, (name, p.to_json(), q.to_json())
+                    assert poset.leq(_in_one_go(p), _in_one_go(q)) == want
                     changed = _changed(p, q)
                     one_gen += changed == 1
                     multi_gen += changed > 1
@@ -99,7 +99,7 @@ def test_leq_matches_reference_on_grown_and_one_go_side_sets():
                     bad = _clash(rng, chain[j], ground)
                     for args in ((bad, q), (_in_one_go(bad), _in_one_go(q))):
                         with pytest.raises(ValueError, match="partial injections"):
-                            poset.leq(*args, ground)
+                            poset.leq(*args)
                     non_injective += 1
     assert one_gen >= 1500 and multi_gen >= 2500, (one_gen, multi_gen)
     assert non_injective >= 800, non_injective
@@ -155,16 +155,16 @@ def test_trie_test_and_mixed_scan_match_the_holding_scan():
         rng = random.Random(f"holding-{name}")
         for c in _chain(rng, ground, 30)[::3]:
             for gen in _finite(ground):
-                for x in (c, _mirror(c, gen, ground)):
+                for x in (c, _mirror(c, gen)):
                     finite, mixed = _holding_by_scan(x, gen, ground)
                     tries = side_index(x.words)
                     keyed = Letter(gen, 1) in tries or Letter(gen, -1) in tries
                     assert keyed == bool(finite or mixed), (name, gen, x.to_json())
-                    assert _mixed(x, gen, ground) == _ordered(mixed)
+                    assert _mixed(x, gen) == _ordered(mixed)
                     n = rng.randrange(12)
                     want = _concrete_by_scan(x, gen, n, ground)
                     if want is not None:
-                        assert _word_modes_certificate(x, gen, n, ground).forbidden == want
+                        assert _word_modes_certificate(x, gen, n).forbidden == want
                     held += keyed
                     unheld += not keyed
                     minus_only += keyed and Letter(gen, 1) not in tries

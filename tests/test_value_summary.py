@@ -25,7 +25,7 @@ from test_step_local import _linear_least
 
 from cofinitary import extension
 from cofinitary.builder import build, build_variant_family
-from cofinitary.evaluation import EMPTY_GROUND, Assignment, GroundRep, PartialMap, zshift
+from cofinitary.evaluation import Assignment, GroundRep, PartialMap, zshift
 from cofinitary.extension import (
     ExtensionCertificate,
     _forbidden_edf,
@@ -125,7 +125,7 @@ def test_the_mirror_shares_the_summary():
         for _ in range(40):
             p = sample_condition(rng, PosetMode.COFINITARY, finite, max_words=3, ground=ground)
             for gen in finite:
-                mirror = _mirror(p, gen, ground)
+                mirror = _mirror(p, gen)
                 assert "_summary" in mirror.s.__dict__
                 assert mirror.s.summary() is p.s.summary()
                 _check(mirror.s)
@@ -135,7 +135,7 @@ def test_the_mirror_shares_the_summary():
 
 
 def _reference_forbidden(
-    p: Condition, gen: int, n: int, ground: GroundRep, cert: ExtensionCertificate
+    p: Condition, gen: int, n: int, cert: ExtensionCertificate
 ) -> frozenset[int]:
     """The set the certificate stood for before the summary: _forbidden_edf,
     the image of gen when no side word holds it, {n} and a scan of every
@@ -146,7 +146,7 @@ def _reference_forbidden(
     tries = side_index(p.words)
     if Letter(gen, 1) not in tries and Letter(gen, -1) not in tries:
         return frozenset(p.s.get(gen).rev)
-    if _mixed(p, gen, ground):
+    if _mixed(p, gen):
         return cert.forbidden
     return _fresh(p.s)[0] | {n}
 
@@ -169,9 +169,9 @@ def certificates(monkeypatch):
     made = []
     real = extension.domain_extend
 
-    def recording(p, gen, n, ground=EMPTY_GROUND):
-        ext = real(p, gen, n, ground)
-        made.append((p, gen, n, ground, ext.certificate))
+    def recording(p, gen, n):
+        ext = real(p, gen, n)
+        made.append((p, gen, n, ext.certificate))
         return ext
 
     monkeypatch.setattr(extension, "domain_extend", recording)
@@ -180,8 +180,8 @@ def certificates(monkeypatch):
 
 def _check_all(made) -> int:
     """Checks every certificate; returns how many have a gap to start from."""
-    for p, gen, n, ground, cert in made:
-        _check_certificate(cert, _reference_forbidden(p, gen, n, ground, cert))
+    for p, gen, n, cert in made:
+        _check_certificate(cert, _reference_forbidden(p, gen, n, cert))
     return sum(cert.gap > 0 for *_, cert in made)
 
 
