@@ -23,7 +23,7 @@ from .builder import BuildError, build, verify_cofinitary
 from .evaluation import zshift
 from .extension import CertificateError, ContractViolation, hit_search, hit_threshold, NOT_FOUND
 from .poset import DISCIPLINES, PosetMode, side_index, side_words
-from .sampling import sample_condition
+from .sampling import Draws, sample_condition
 from .suslin import ffp_axiom_suite, n_suslin_trial
 from .templates import (
     SurrogateParams,
@@ -341,10 +341,8 @@ def cmd_ffp_suite(args) -> int:
 
 
 def cmd_hit_density(args) -> int:
-    import random
-
     sigma = zshift()
-    rng = random.Random(args.seed)
+    rng = Draws(args.seed)
     misses = []
     records = []
     for k in range(args.samples):

@@ -8,11 +8,12 @@ Undefined is a value (None), not an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import FrozenInstanceError, dataclass, field
 from itertools import count, filterfalse
 from typing import Callable, Iterable, Mapping, Optional
 
-from .words import Letter, Word, invert
+from .words import INVERSE, Letter, Word, invert
 
 DEFAULT_HORIZON = 10_000
 
@@ -25,51 +26,77 @@ def _with_key(cache: dict[int, int], k: int, v: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
 class PartialMap:
-    """A finite partial map on naturals, stored as a pair set.
+    """A finite partial map on naturals: a pair set with lookup caches.
 
-    fwd and rev are lookup caches built on first use.  Where the pair set
-    is not functional (not injective), fwd (rev) keeps the largest value
-    for a repeated key: it is dict(sorted(pairs)) up to key order.  The
-    fact `injection` is read from their sizes and cached the same way.
+    fwd and rev are lookups from the pairs.  Where the pair set is not
+    functional (not injective), fwd (rev) keeps the largest value for a
+    repeated key: it is dict(sorted(pairs)) up to key order.  The fact
+    `injection` is read from their sizes.
+
+    A step (with_pair, inverse) whose result is functional makes a map that
+    holds only its lookups: its pair set is fwd.items(), built when something
+    reads it.  Every derived attribute, the pair set of such a map included,
+    is a plain instance attribute once built; __getattr__ builds a missing
+    one, so reading a built one costs a plain lookup.  Maps compare, hash
+    and count by their pair sets, and no code changes one once it is made.
     """
 
-    pairs: frozenset[tuple[int, int]] = frozenset()
+    def __init__(self, pairs: frozenset[tuple[int, int]] = frozenset()) -> None:
+        self.__dict__["pairs"] = pairs
 
-    @property
-    def fwd(self) -> dict[int, int]:
-        try:
-            return self._fwd  # type: ignore[attr-defined]
-        except AttributeError:
-            fwd = dict(sorted(self.pairs))
-            object.__setattr__(self, "_fwd", fwd)
-            return fwd
+    def __getattr__(self, name: str):
+        d = self.__dict__
+        if name == "fwd":
+            value = dict(sorted(self.pairs))
+        elif name == "rev":
+            pairs = d.get("pairs")
+            value = {m: n for n, m in sorted(self.fwd.items() if pairs is None else pairs)}
+        elif name == "injection":  # a partial injection: functional and injective
+            pairs = d.get("pairs")
+            size = len(self.fwd)
+            value = size == len(self.rev) and (pairs is None or len(pairs) == size)
+        elif name == "pairs" and "fwd" in d:  # a map made by a step is functional
+            value = frozenset(d["fwd"].items())
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        d[name] = value
+        return value
 
-    @property
-    def rev(self) -> dict[int, int]:
-        try:
-            return self._rev  # type: ignore[attr-defined]
-        except AttributeError:
-            rev = {m: n for n, m in sorted(self.pairs)}
-            object.__setattr__(self, "_rev", rev)
-            return rev
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    @property
-    def injection(self) -> bool:
-        """Whether the map is a partial injection: functional and injective."""
-        try:
-            return self._inj  # type: ignore[attr-defined]
-        except AttributeError:
-            inj = len(self.fwd) == len(self.rev) == len(self.pairs)
-            object.__setattr__(self, "_inj", inj)
-            return inj
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.pairs == other.pairs
+
+    def __hash__(self) -> int:
+        return hash((self.pairs,))
+
+    def __repr__(self) -> str:
+        return f"PartialMap(pairs={self.pairs!r})"
+
+    def __len__(self) -> int:
+        pairs = self.__dict__.get("pairs")
+        return len(self.fwd) if pairs is None else len(pairs)
+
+    def __contains__(self, pair: tuple[int, int]) -> bool:
+        pairs = self.__dict__.get("pairs")
+        if pairs is None:
+            n, m = pair
+            return self.fwd.get(n) == m
+        return pair in pairs
 
     def is_functional(self) -> bool:
-        return len(self.fwd) == len(self.pairs)
+        pairs = self.__dict__.get("pairs")
+        return pairs is None or len(self.fwd) == len(pairs)
 
     def is_injective(self) -> bool:
-        return len(self.rev) == len(self.pairs)
+        return len(self.rev) == len(self)
 
     def domain(self) -> frozenset[int]:
         return frozenset(self.fwd)
@@ -78,29 +105,32 @@ class PartialMap:
         return frozenset(self.rev)
 
     def with_pair(self, n: int, m: int) -> "PartialMap":
-        """The map with (n, m) added.  Each cache self has already built is
-        copied with one key set, so no cache is rebuilt from the pairs."""
-        out = PartialMap(self.pairs | {(n, m)})
-        cache = self.__dict__
-        if "_fwd" in cache:
-            object.__setattr__(out, "_fwd", _with_key(cache["_fwd"], n, m))
-        if "_rev" in cache:
-            object.__setattr__(out, "_rev", _with_key(cache["_rev"], m, n))
+        """The map with (n, m) added.  It gets a copy of fwd, and of rev if
+        self has built it, with one key set by the largest-value rule, so no
+        lookup is rebuilt from the pairs.  When it is functional it gets no
+        pair set; otherwise it gets self's pair set grown by (n, m)."""
+        d = self.__dict__
+        fwd = self.fwd
+        pairs = d.get("pairs")
+        if fwd.get(n, m) == m and (pairs is None or len(pairs) == len(fwd)):
+            out = object.__new__(PartialMap)  # functional: no pair set
+            out.__dict__["fwd"] = {**fwd, n: m}
+        else:
+            out = PartialMap(self.pairs | {(n, m)})
+            out.__dict__["fwd"] = _with_key(fwd, n, m)
+        rev = d.get("rev")
+        if rev is not None:
+            out.__dict__["rev"] = _with_key(rev, m, n)
         return out
 
     def inverse(self) -> "PartialMap":
         """The map with every pair flipped.  An injective, functional map
-        hands its caches over swapped: its rev is the inverse's fwd."""
+        hands its lookups over swapped: its rev is the inverse's fwd."""
         if not self.injection:
             return PartialMap(frozenset((m, n) for n, m in self.pairs))
-        out = PartialMap(frozenset(self.rev.items()))
-        object.__setattr__(out, "_fwd", self.rev)
-        object.__setattr__(out, "_rev", self.fwd)
-        object.__setattr__(out, "_inj", True)
+        out = object.__new__(PartialMap)  # functional: no pair set
+        out.__dict__.update(fwd=self.rev, rev=self.fwd, injection=True)
         return out
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
 
 _NO_PAIRS = PartialMap()  # what Assignment.get returns for an absent generator
@@ -112,6 +142,10 @@ class Assignment:
     is clean: sorted by generator, with no empty map."""
 
     table: Mapping[int, PartialMap] = field(default_factory=dict)
+
+    # (a weak reference to the parent, gen, n, m) on an assignment made by
+    # with_pair, for the order check (poset._added_pairs); None on the rest.
+    _step = None
 
     def __post_init__(self) -> None:
         clean = {g: pm for g, pm in sorted(self.table.items()) if pm.pairs}
@@ -137,8 +171,10 @@ class Assignment:
         )
 
     def with_pair(self, gen: int, n: int, m: int) -> "Assignment":
-        """The assignment with (gen, n, m) added.  A value summary self has
-        already built is handed on grown by n and m, so none is rebuilt."""
+        """The assignment with (gen, n, m) added.  It records the step, with
+        a weak reference to self, so the step neither keeps self alive nor
+        pins a chain of steps.  A value summary self has already built is
+        handed on grown by n and m, so none is rebuilt."""
         pm = self.get(gen).with_pair(n, m)
         if gen in self.table:
             new = dict(self.table)
@@ -146,6 +182,7 @@ class Assignment:
         else:  # a new generator: the one step that sorts
             new = dict(sorted([*self.table.items(), (gen, pm)]))
         out = Assignment._of_clean(new)
+        object.__setattr__(out, "_step", (weakref.ref(self), gen, n, m))
         summary = self.__dict__.get("_summary")
         if summary is not None:
             values, gap, top = summary
@@ -371,7 +408,7 @@ def apply_letter(
 def unapply_letter(
     letter: Letter, value: int, s: Assignment, ground: "GroundRep"
 ) -> Optional[int]:
-    return apply_letter(letter.inverse(), value, s, ground)
+    return apply_letter(INVERSE[letter], value, s, ground)
 
 
 @dataclass(eq=False)
@@ -613,7 +650,7 @@ def _fix_walk(
     table[word] = frozenset(x for x, v in cur.items() if x == v)
     if len(word) == max_len:
         return
-    last = word[0].inverse()  # the letter that would cancel
+    last = INVERSE[word[0]]  # the letter that would cancel
     for letter, m in lookups.items():
         if letter == last:
             continue

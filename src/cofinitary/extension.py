@@ -49,6 +49,7 @@ from .poset import (
     validated,
 )
 from .words import (
+    INVERSE,
     GoodDecomposition,
     Letter,
     Word,
@@ -223,7 +224,7 @@ def _run_guards(
     forb: set[int] = set()
     no_maps = Assignment()
     for run, nxt in _ambient_runs(letters, ground.generators()):
-        undo = [letter_step(letter.inverse(), no_maps, ground) for letter in reversed(run)]
+        undo = [letter_step(INVERSE[letter], no_maps, ground) for letter in reversed(run)]
         for back in targets:
             for step in undo:
                 back = step(back)

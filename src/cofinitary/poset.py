@@ -226,7 +226,7 @@ def _problems(
             if d.injective and not pm.is_injective():
                 problems.append(f"map for g{g} is not injective")
         if d.values is not None:
-            bad = {m for _, m in pm.pairs} - set(d.values)
+            bad = pm.rev.keys() - set(d.values)  # rev's keys are the map's values
             if bad:
                 allowed = ",".join(map(str, d.values))
                 problems.append(f"map for g{g} takes values outside {{{allowed}}}: {sorted(bad)}")
@@ -278,9 +278,9 @@ def _agreement(s: Assignment, a: int, b: int) -> frozenset[int]:
     return frozenset(n for n, v in fa.items() if fb.get(n) == v)
 
 
-def _meets(new: Iterable[tuple[int, int]], pairs: frozenset[tuple[int, int]]) -> bool:
-    """Whether some new pair (n, 1) is also one of pairs."""
-    return any(m == 1 and (n, 1) in pairs for n, m in new)
+def _meets(new: Iterable[tuple[int, int]], pm: PartialMap) -> bool:
+    """Whether some new pair (n, 1) is also a pair of pm."""
+    return any(m == 1 and (n, 1) in pm for n, m in new)
 
 
 def _agrees(fa: Mapping[int, int], fb: Mapping[int, int], n: int) -> bool:
@@ -376,8 +376,15 @@ def _closes(trie: dict, steps: _Steps, start: int, target: int) -> bool:
 
 def _added_pairs(p: Assignment, q: Assignment) -> Optional[dict[int, frozenset[tuple[int, int]]]]:
     """The pairs p adds to q, per generator with new pairs, or None when p
-    lacks a pair of q.  Only the maps that are not q's own objects are
-    compared: q's pairs are all in p's when |p| - |p - q| = |q|."""
+    lacks a pair of q.  When q.with_pair made p, p's step record names the
+    one pair it may add, and no map is compared.  Otherwise only the maps
+    that are not q's own objects are compared: q's pairs are all in p's
+    when |p| - |p - q| = |q|."""
+    step = p._step
+    if step is not None and step[0]() is q:
+        _, g, n, m = step
+        old = q.table.get(g)
+        return {} if old is not None and (n, m) in old else {g: frozenset({(n, m)})}
     old_maps = q.table
     if not old_maps.keys() <= p.table.keys():
         return None
@@ -422,7 +429,7 @@ def leq(p: Condition, q: Condition) -> bool:
         letters = sorted(w.letters[0].gen for w in q.words)
         for i, a in enumerate(letters):
             for b in letters[i + 1 :]:
-                pa, pb = p.s.get(a).pairs, p.s.get(b).pairs
+                pa, pb = p.s.get(a), p.s.get(b)
                 if _meets(added.get(a, ()), pb) or _meets(added.get(b, ()), pa):
                     return False
         return True

@@ -15,6 +15,63 @@ from .extension import point_step
 from .poset import DISCIPLINES, Condition, PosetMode, add_words, pair_word, side_words
 from .words import Word, single
 
+_ONE = 1  # randrange's default step, compared by identity as random.Random does
+
+
+class Draws(random.Random):
+    """random.Random whose randrange, choice and sample read getrandbits
+    directly, in the order and amounts the base methods do, so a seed gives
+    the same values; each draw saves the base methods' _randbelow call.
+    sample takes the pool path for populations of at most 21, where the
+    base method takes it for every sample size.  Any other call goes to
+    the base method."""
+
+    def randrange(self, start, stop=None, step=_ONE):
+        if step is _ONE and start.__class__ is int:
+            if stop is None:
+                base, n = 0, start
+            elif stop.__class__ is int:
+                base, n = start, stop - start
+            else:
+                n = 0
+            if n > 0:
+                k = n.bit_length()
+                r = self.getrandbits(k)
+                while r >= n:
+                    r = self.getrandbits(k)
+                return base + r
+        return super().randrange(start, stop, step)
+
+    def choice(self, seq):
+        n = len(seq)
+        if not n:
+            return super().choice(seq)
+        k = n.bit_length()
+        r = self.getrandbits(k)
+        while r >= n:
+            r = self.getrandbits(k)
+        return seq[r]
+
+    def sample(self, population, k, *, counts=None):
+        cls = population.__class__
+        if counts is not None or not (cls is list or cls is tuple or cls is range):
+            return super().sample(population, k, counts=counts)
+        n = len(population)
+        if n > 21 or not 0 <= k <= n:
+            return super().sample(population, k)
+        getrandbits = self.getrandbits
+        pool = list(population)
+        result = [None] * k
+        for i in range(k):
+            left = n - i
+            bits = left.bit_length()
+            j = getrandbits(bits)
+            while j >= left:
+                j = getrandbits(bits)
+            result[i] = pool[j]
+            pool[j] = pool[left - 1]  # move a non-selected item into the vacancy
+        return result
+
 
 def _draw_entries(
     rng: random.Random, mode: PosetMode, gens: Sequence[int], ground: GroundRep, length: int,

@@ -32,6 +32,13 @@ from .poset import (
     strong_restrict,
     validate,
 )
+from .sampling import (
+    Draws,
+    sample_condition,
+    sample_extension,
+    sample_extra_words,
+    sample_fresh_assignment,
+)
 from .words import format_word
 
 
@@ -644,7 +651,7 @@ def n_suslin_trial(poset: str, n: int, samples: int, seed: int) -> TrialReport:
     if poset not in trials:
         raise ValueError(f"unknown poset {poset!r}")
     draw, meet, le = trials[poset]
-    rng = random.Random()
+    rng = Draws()
     failure_seeds: list[int] = []
     for t in range(samples):
         rng.seed(seed * 1_000_003 + t)
@@ -686,15 +693,8 @@ def ffp_axiom_suite(
     extensions), the reduction/extension contract, and a freeze guard, on
     sampled conditions of the given mode.  leq_override(p, q) swaps in a different
     order decision (used by mutation tests)."""
-    from .sampling import (
-        sample_condition,
-        sample_extension,
-        sample_extra_words,
-        sample_fresh_assignment,
-    )
-
     order = leq_override if leq_override is not None else leq
-    rng = random.Random(seed)
+    rng = Draws(seed)
     results: list[ClauseResult] = []
 
     def clause(name: str):

@@ -19,6 +19,19 @@ class Letter(NamedTuple):
         return Letter(self.gen, -self.sign)
 
 
+class _Inverses(dict):
+    """Letter -> its inverse, filled on first use, so a loop reads an
+    inverse with one dict lookup and builds no Letter."""
+
+    def __missing__(self, letter: Letter) -> Letter:
+        gen, sign = letter
+        inverse = self[letter] = Letter(gen, -sign)
+        return inverse
+
+
+INVERSE = _Inverses()
+
+
 def _check_letter(letter: Letter) -> None:
     if letter.sign not in (-1, 1):
         raise ValueError(f"letter sign must be +1 or -1, got {letter.sign}")
@@ -76,7 +89,7 @@ def reduce_letters(seq: Iterable[Letter]) -> Word:
     stack: list[Letter] = []
     for letter in seq:
         _check_letter(letter)
-        if stack and stack[-1] == letter.inverse():
+        if stack and stack[-1] == INVERSE[letter]:
             stack.pop()
         else:
             stack.append(letter)
@@ -92,7 +105,7 @@ def concat(*words: Word) -> Word:
 
 def invert(w: Word) -> Word:
     # The inverse of a reduced word is already reduced.
-    return Word(tuple(l.inverse() for l in reversed(w.letters)))
+    return Word(tuple(map(INVERSE.__getitem__, reversed(w.letters))))
 
 
 def cyclic_class(w: Word) -> tuple[Letter, ...]:
@@ -104,7 +117,7 @@ def cyclic_class(w: Word) -> tuple[Letter, ...]:
     so the key is a letter tuple, not a Word.
     """
     letters = w.letters
-    inverse = tuple(l.inverse() for l in reversed(letters))
+    inverse = tuple(map(INVERSE.__getitem__, reversed(letters)))
     return min(
         (t[i:] + t[:i] for t in (letters, inverse) for i in range(len(t))), default=()
     )
@@ -157,14 +170,14 @@ def conjugate_core(letters: tuple[Letter, ...]) -> tuple[tuple[Letter, ...], tup
     if not letters:
         raise ValueError("cannot decompose the empty word")
     i, j = 0, len(letters)
-    while j - i >= 2 and letters[i] == letters[j - 1].inverse():
+    while j - i >= 2 and letters[i] == INVERSE[letters[j - 1]]:
         i += 1
         j -= 1
     # every reduced nonempty word has a nonempty cyclic reduction
     if i == j:
         raise ValueError("reduced word peeled to nothing")
     core = letters[i:j]
-    u = tuple(l.inverse() for l in reversed(letters[:i]))  # w = u^-1 * core * u so far
+    u = tuple(map(INVERSE.__getitem__, reversed(letters[:i])))  # w = u^-1 * core * u so far
     gen = core[0].gen
     if core[-1].gen == gen and any(l.gen != gen for l in core):
         # core = a^k v a^l with the same generator (same sign) at both ends
@@ -178,7 +191,7 @@ def conjugate_core(letters: tuple[Letter, ...]) -> tuple[tuple[Letter, ...], tup
             u = core[-l:] + u
             core = core[-l:] + core[:-l]
         else:
-            u = tuple(x.inverse() for x in reversed(core[:k])) + u
+            u = tuple(map(INVERSE.__getitem__, reversed(core[:k]))) + u
             core = core[k:] + core[:k]
     return u, core
 
@@ -339,6 +352,8 @@ def reduced_letters(
     """The letter tuples of reduced_words(gens, max_len, min_len), in the
     same order, without building a Word for each."""
     alphabet = [Letter(g, s) for g in sorted(gens) for s in (1, -1)]
+    # the letters that may follow each letter: all but its inverse
+    follow = {x: [y for y in alphabet if y != INVERSE[x]] for x in alphabet}
     out: list[tuple[Letter, ...]] = []
     frontier: list[tuple[Letter, ...]] = [()]
     for length in range(max_len + 1):
@@ -348,9 +363,7 @@ def reduced_letters(
             break
         nxt = []
         for t in frontier:
-            for letter in alphabet:
-                if t and letter == t[-1].inverse():
-                    continue
+            for letter in follow[t[-1]] if t else alphabet:
                 nxt.append(t + (letter,))
         frontier = nxt
     return out

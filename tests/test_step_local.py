@@ -7,7 +7,9 @@ Extension.choose, which probed one value at a time from the floor; and the
 PartialMap caches, which were rebuilt from the sorted pairs for every new
 map.  The derived facts kept on value types are checked against a fresh
 computation: the assignment tables built without a re-sort, the cached
-partial-injection fact and the strong reduction kept on a condition.
+partial-injection fact, the strong reduction kept on a condition, the pair
+set a step's map builds only when read, and the step record that answers
+the order check's added pairs, whose parent must stay weakly held.
 """
 
 from __future__ import annotations
@@ -447,3 +449,175 @@ def test_memos_keep_no_parent_alive():
         gc.collect()
         assert all(r() is None for r in refs), mode
 
+
+
+# -- the lazy pair set -----------------------------------------------------------
+
+
+def _eager(pm: PartialMap) -> PartialMap:
+    """pm rebuilt from its pair set, with every fact built from the pairs."""
+    return PartialMap(frozenset(pm.pairs))
+
+
+def _check_against_eager(pm: PartialMap, pairs: frozenset, rng: random.Random) -> None:
+    """pm holds exactly `pairs`, tracked apart from the map, and every fact
+    of it agrees with a map built from them; the facts are read in a drawn
+    order, so each is sometimes built before the pair set and sometimes
+    after."""
+    ref = PartialMap(pairs)
+    reads = [
+        lambda: pm.fwd == reference_fwd(ref),
+        lambda: pm.rev == reference_rev(ref),
+        lambda: pm.injection == ref.injection,
+        lambda: pm.is_functional() == ref.is_functional(),
+        lambda: pm.is_injective() == ref.is_injective(),
+        lambda: len(pm) == len(pairs),
+        lambda: all((pair in pm) == (pair in pairs) for pair in _probes(pairs)),
+        lambda: pm == ref and ref == pm and hash(pm) == hash(ref),
+        lambda: pm.inverse().inverse() == ref,
+        lambda: pm.pairs == pairs,
+    ]
+    rng.shuffle(reads)
+    for read in reads:
+        assert read()
+
+
+def _probes(pairs: frozenset) -> list[tuple[int, int]]:
+    """The pairs themselves and near misses: each key with another value."""
+    return [*pairs, *((n, m + 1) for n, m in pairs), (99, 99)]
+
+
+def _steps(rng: random.Random, mode: PosetMode, p: Condition):
+    """A drawn chain of conditions from p in the mode: point steps and, in
+    the injective modes, the range steps' mirrored maps (with_inverse)."""
+    for _ in range(rng.randrange(1, 10)):
+        yield p
+        if DISCIPLINES[mode].injective and rng.random() < 0.25:
+            yield p.with_s(p.s.with_inverse(rng.choice(GENS)))
+        p = sample_extension(rng, p, steps=rng.randint(1, 3))
+    yield p
+
+
+@pytest.mark.parametrize("mode", list(PosetMode), ids=lambda m: m.value)
+def test_lazy_maps_match_eager_maps_on_drawn_chains(mode):
+    rng = random.Random(f"lazy-{mode.value}")
+    lazy = 0
+    for _ in range(60):
+        start = sample_condition(rng, mode, GENS, max_pairs=4, value_range=12)
+        for c in _steps(rng, mode, start):
+            for pm in c.s.table.values():
+                lazy += "pairs" not in pm.__dict__
+                _check_against_eager(pm, _eager(pm).pairs, rng)
+    assert lazy > 100  # most maps made by steps hold no pair set until read
+
+
+@pytest.mark.parametrize("span", [3, 6, 40], ids=["dense", "mixed", "sparse"])
+def test_lazy_maps_match_a_tracked_pair_set(span):
+    """Raw with_pair/inverse chains, pairs tracked beside the map: small
+    spans repeat keys (a step that makes the map non-functional must keep
+    the pair set) and values (non-injective maps invert by their pairs)."""
+    rng = random.Random(f"tracked-{span}")
+    kinds = {"functional": 0, "not functional": 0}
+    for _ in range(400):
+        pairs = frozenset()
+        pm = PartialMap()
+        for _ in range(rng.randrange(1, 14)):
+            if rng.random() < 0.2:
+                pm, pairs = pm.inverse(), frozenset((m, n) for n, m in pairs)
+            else:
+                n, m = rng.randrange(span), rng.randrange(span)
+                pm, pairs = pm.with_pair(n, m), pairs | {(n, m)}
+            if rng.random() < 0.3:  # build some facts mid-chain, leave others lazy
+                rng.choice([lambda: pm.fwd, lambda: pm.rev, lambda: pm.injection])()
+            if rng.random() < 0.3:
+                _check_against_eager(pm, pairs, rng)
+        _check_against_eager(pm, pairs, rng)
+        kinds["functional" if pm.is_functional() else "not functional"] += 1
+    assert min(kinds.values()) > 40, kinds
+
+
+# -- the step record -------------------------------------------------------------
+
+
+def _check_added(p: Assignment, q: Assignment) -> bool:
+    """poset._added_pairs(p, q) against the set difference; whether p's
+    step record answered it."""
+    from cofinitary.poset import _added_pairs as added_pairs
+
+    got = added_pairs(p, q)
+    assert got == _added_pairs(p, q)
+    return p._step is not None and p._step[0]() is q
+
+
+def test_step_record_matches_the_set_difference():
+    rng = random.Random("record")
+    used = 0
+    seen = {"repeat": 0, "non-injective": 0, "siblings": 0, "freed": 0}
+    for _ in range(400):
+        q = Assignment({
+            g: PartialMap(frozenset({(rng.randrange(6), rng.randrange(6)) for _ in range(3)}))
+            for g in rng.sample(GENS, rng.randrange(1, 4))
+        })
+        for _ in range(rng.randrange(4)):  # some parents are steps themselves
+            q = q.with_pair(rng.choice(GENS), rng.randrange(8), rng.randrange(8))
+        g = rng.choice(GENS)
+        if q.get(g) and rng.random() < 0.3:  # a pair q already holds
+            n, m = rng.choice(sorted(q.get(g).pairs))
+            seen["repeat"] += 1
+        else:
+            n, m = rng.randrange(8), rng.randrange(8)
+            seen["non-injective"] += m in q.get(g).rev or n in q.get(g).fwd
+        p = q.with_pair(g, n, m)
+        sibling = q.with_pair(rng.choice(GENS), rng.randrange(8), rng.randrange(8))
+        seen["siblings"] += 1
+        used += _check_added(p, q)
+        used += _check_added(sibling, q)
+        for a, b in [(p, sibling), (sibling, p), (q, p), (p, p)]:
+            assert not _check_added(a, b)
+        # a freed parent: an equal copy of it is answered by the set difference
+        copy = Assignment(dict(q.table))
+        del q, sibling
+        if p._step[0]() is not None:  # no cycle holds an assignment: collect only to be sure
+            gc.collect()
+        assert p._step[0]() is None
+        assert not _check_added(p, copy)
+        seen["freed"] += 1
+    assert used == 800
+    assert min(seen.values()) > 80, seen
+
+
+def test_order_checks_read_the_step_record():
+    """leq through the step record gives the set-difference verdict in every
+    mode, also for a step that repeats a pair of its parent."""
+    rng = random.Random("record-leq")
+    for mode in PosetMode:
+        for _ in range(100):
+            q = sample_condition(rng, mode, GENS, max_pairs=5, value_range=10)
+            g = rng.choice(GENS)
+            pm = q.s.get(g)
+            if pm and rng.random() < 0.5:
+                n, m = rng.choice(sorted(pm.pairs))
+            else:
+                n = next(v for v in range(30) if v not in pm.fwd)
+                m = rng.choice(_values(mode))
+            p = q.with_s(q.s.with_pair(g, n, m))
+            # the same p with no step record: a copy of its table
+            fresh = q.with_s(Assignment(dict(p.s.table)))
+            try:
+                want = leq(fresh, q)
+            except ValueError as err:  # a walk discipline on a non-injective map
+                with pytest.raises(ValueError, match=str(err)):
+                    leq(p, q)
+                continue
+            assert leq(p, q) == want
+
+
+def test_a_long_chain_keeps_no_earlier_assignment_alive():
+    a = Assignment()
+    refs = []
+    for i in range(2000):
+        refs.append(weakref.ref(a))
+        a = a.with_pair(i % 3, i, i + 1)
+    gc.collect()
+    assert sum(r() is not None for r in refs) == 0
+    assert a._step[0]() is None  # the last parent is gone too

@@ -153,6 +153,31 @@ class TestGroupOps:
         assert concat(w, EMPTY_WORD) == w
         assert concat(EMPTY_WORD, w) == w
 
+    def test_inverse_table_builds_the_inverse_letter(self):
+        for gen in (0, 1, 7, 12):
+            for sign in (1, -1):
+                letter = Letter(gen, sign)
+                assert words.INVERSE[letter] == letter.inverse() == Letter(gen, -sign)
+                assert words.INVERSE[(gen, sign)] == Letter(gen, -sign)  # a plain tuple key
+
+    @pytest.mark.parametrize("gens,max_len", [([0], 4), ([0, 1], 4), ([2, 0, 5], 3)])
+    def test_reduced_words_enumerate_every_reduced_tuple_in_order(self, gens, max_len):
+        alphabet = [Letter(g, s) for g in sorted(gens) for s in (1, -1)]
+        want = [
+            t
+            for length in range(max_len + 1)
+            for t in itertools.product(alphabet, repeat=length)
+            if all(a.gen != b.gen or a.sign == b.sign for a, b in zip(t, t[1:]))
+        ]
+        assert [w.letters for w in reduced_words(gens, max_len)] == want
+
+    def test_cyclic_class_and_invert_against_flipped_letters(self):
+        for w in reduced_words([0, 1, 2], 4, min_len=1):
+            flipped = tuple(Letter(l.gen, -l.sign) for l in reversed(w.letters))
+            assert invert(w).letters == flipped
+            rotations = [t[i:] + t[:i] for t in (w.letters, flipped) for i in range(len(t))]
+            assert words.cyclic_class(w) == min(rotations)
+
 
 class TestHat:
     def test_powers_are_hats(self):
