@@ -24,7 +24,7 @@ from .evaluation import zshift
 from .extension import CertificateError, ContractViolation, hit_search, hit_threshold, NOT_FOUND
 from .poset import DISCIPLINES, PosetMode, side_index, side_words
 from .sampling import Draws, sample_condition
-from .suslin import ffp_axiom_suite, n_suslin_trial
+from .suslin import TrialWorkerLost, ffp_axiom_suite, n_suslin_trial
 from .templates import (
     SurrogateParams,
     TemplateOrder,
@@ -526,7 +526,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as err:
         print(err, file=sys.stderr)
         return USAGE
-    except ValueError as err:  # user input is judged before this point: a bug
+    except (ValueError, TrialWorkerLost) as err:  # input is judged before this point: a bug
         print(f"internal error: {err!r}", file=sys.stderr)
         return VIOLATION
 

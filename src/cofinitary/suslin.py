@@ -13,7 +13,9 @@ public functions convert at that edge and call the kernel op.
 
 from __future__ import annotations
 
+import os
 import random
+import threading
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Optional, Sequence, Union
@@ -644,22 +646,156 @@ def n_suslin_trial(poset: str, n: int, samples: int, seed: int) -> TrialReport:
     dominating pair with n = 1 and localization with n = 2).
 
     Each trial draws from seed * 1_000_003 + trial; reseeding one generator
-    sets the state a new Random(x) starts from."""
+    sets the state a new Random(x) starts from.  So the trials are
+    independent: they run in contiguous chunks, one per usable CPU and at
+    most one per CHUNK_FLOOR trials, chunk 0 in this process and each other
+    chunk in a forked child.  The chunks' failures joined in chunk order are
+    the serial run's, and an error is the one the serial run raises first."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    trials = {"hechler": (_dom_draw, _dom_meet, _dom_le), "loc": (_loc_draw, _loc_meet, _loc_le)}
-    if poset not in trials:
+    _trial_kernels(poset)  # an unknown poset is rejected before any fork
+    failure_seeds = _split_failures(poset, n, seed, samples, _workers(samples))
+    return TrialReport(poset, n, samples, seed, len(failure_seeds), failure_seeds)
+
+
+def _trial_kernels(poset: str) -> tuple:
+    """(draw, meet, le) of a poset, looked up when called, so that a kernel
+    op patched in this process is the one a forked chunk runs too."""
+    kernels = {"hechler": (_dom_draw, _dom_meet, _dom_le), "loc": (_loc_draw, _loc_meet, _loc_le)}
+    if poset not in kernels:
         raise ValueError(f"unknown poset {poset!r}")
-    draw, meet, le = trials[poset]
+    return kernels[poset]
+
+
+def _trial_failures(poset: str, n: int, seed: int, start: int, stop: int) -> list[int]:
+    """The failing trials among start, ..., stop - 1, in order."""
+    draw, meet, le = _trial_kernels(poset)
     rng = Draws()
     failure_seeds: list[int] = []
-    for t in range(samples):
+    for t in range(start, stop):
         rng.seed(seed * 1_000_003 + t)
         p, _, sib = draw(rng, n)
         met = meet(p, sib)
         if isinstance(met, Incompatible) or not (le(met, p) and le(met, sib)):
             failure_seeds.append(t)
-    return TrialReport(poset, n, samples, seed, len(failure_seeds), failure_seeds)
+    return failure_seeds
+
+
+# Fewest trials worth a forked chunk.  1,000 trials take about 45 ms;
+# starting a child, collecting its result and reaping it about 2 ms.  A 2-way
+# split was no faster below about 250 trials a chunk.
+CHUNK_FLOOR = 1000
+
+
+class TrialWorkerLost(RuntimeError):
+    """A forked chunk of trials ended without sending its result."""
+
+
+def _workers(samples: int) -> int:
+    """Processes to share the trials: one per CPU this process may run on,
+    at most one per CHUNK_FLOOR trials.  1 where os.fork or the CPU set is
+    unavailable, and while another thread runs, since a fork copies only
+    the calling thread and may copy a lock another one holds."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), samples // CHUNK_FLOOR))
+
+
+def _split_failures(poset: str, n: int, seed: int, samples: int, workers: int) -> list[int]:
+    """_trial_failures over range(samples), as workers contiguous chunks:
+    this process runs chunk 0, a forked child each other chunk.  A chunk
+    whose child cannot be started (no pids or descriptors left) runs here
+    too.  Every child is reaped before the first chunk's error is raised."""
+    bounds = [samples * k // workers for k in range(workers + 1)]
+    chunks = list(zip(bounds, bounds[1:]))
+    children: dict[int, tuple[int, int]] = {}
+    outcomes: dict[int, object] = {}
+    try:
+        for k in range(1, workers):
+            try:
+                children[k] = _fork_chunk(poset, n, seed, *chunks[k])
+            except OSError:
+                break
+        for k, chunk in enumerate(chunks):
+            if k not in children:
+                try:
+                    outcomes[k] = _trial_failures(poset, n, seed, *chunk)
+                except Exception as err:
+                    outcomes[k] = err
+                    break  # a later chunk cannot fail first
+    finally:
+        for k, (pid, fd) in children.items():
+            outcomes[k] = _collect(pid, fd, chunks[k])
+    failure_seeds: list[int] = []
+    for k in range(workers):
+        got = outcomes[k]
+        if isinstance(got, BaseException):
+            raise got
+        failure_seeds += got
+    return failure_seeds
+
+
+def _fork_chunk(poset: str, n: int, seed: int, start: int, stop: int) -> tuple[int, int]:
+    """Fork a child that runs one chunk and writes its outcome to a pipe:
+    "F" and the failing trials as decimal text, or "E" and the pickled
+    exception; returns (pid, read end).  pickle is imported on the error
+    path only: loading it costs the calling process about 0.5 MiB.  The
+    child leaves only through os._exit, so it runs no exit handler and
+    flushes no buffer it shares with this process."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            try:
+                failures = _trial_failures(poset, n, seed, start, stop)
+                data = memoryview(b"F" + " ".join(map(str, failures)).encode())
+            except BaseException as err:  # sent on: the parent raises it
+                import pickle
+
+                data = memoryview(b"E" + pickle.dumps(err))
+            while data:
+                data = data[os.write(w, data):]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def _collect(pid: int, fd: int, chunk: tuple[int, int]) -> Union[list[int], BaseException]:
+    """A child's outcome: read its pipe to the end, then reap it.  A child
+    that exits nonzero, dies by a signal or sends nothing readable gives a
+    TrialWorkerLost."""
+    parts = []
+    try:
+        while part := os.read(fd, 1 << 16):
+            parts.append(part)
+    finally:
+        os.close(fd)
+        status = os.waitpid(pid, 0)[1]
+    code = os.waitstatus_to_exitcode(status)
+    data = b"".join(parts)
+    lost = f"trials {chunk[0]}..{chunk[1] - 1}: worker {pid} "
+    if code != 0:
+        how = f"died by signal {-code}" if code < 0 else f"exited with status {code}"
+        return TrialWorkerLost(lost + how + " without a result")
+    if data[:1] == b"F":
+        return [int(t) for t in data[1:].split()]
+    try:
+        import pickle
+
+        return pickle.loads(data[1:])
+    except Exception as err:
+        return TrialWorkerLost(lost + f"sent an unreadable result ({err!r})")
 
 
 # ---------------------------------------------------------------------------
