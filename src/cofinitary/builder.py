@@ -16,15 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .evaluation import (
-    EMPTY_GROUND,
-    Assignment,
-    FixResult,
-    GroundPermutation,
-    GroundRep,
-    fix_points,
-    fix_table,
-)
+from .evaluation import Assignment, GroundPermutation, fix_points, fix_table
 from .extension import hit_extend, hit_search, point_step, range_extend
 from .poset import (
     DISCIPLINES,
@@ -120,7 +112,7 @@ class BuildReport:
 def build(
     mode: PosetMode,
     generators: Sequence[int],
-    ground: GroundRep = EMPTY_GROUND,
+    *,
     point_budget: int = 32,
     word_budget: int = 3,
     seed: int = 0,
@@ -146,16 +138,14 @@ def build(
     if value_ceiling is None:
         value_ceiling = max(1_000, 200 * point_budget)
     rng = random.Random(seed)
-    alphabet = tuple(sorted(set(gens) | ground.generators()))
-    finite = tuple(g for g in gens if g not in ground.generators())
     by_len: dict[int, list[Word]] = {}  # words to freeze, grouped by length
-    for w in side_words(mode, alphabet, ground.generators(), word_budget):
+    for w in side_words(mode, gens, word_budget):
         by_len.setdefault(len(w.letters), []).append(w)
     for group in by_len.values():
         group.sort(key=Word.sort_key)
         rng.shuffle(group)
 
-    cond = Condition(mode=mode, ground=ground)
+    cond = Condition(mode=mode)
     stage = 0
     goal_log: list[tuple[str, int, Optional[int]]] = []
     frozen_fix: dict[Word, tuple[int, frozenset[int]]] = {}
@@ -170,12 +160,11 @@ def build(
         cond = add_words(prev, prev.words | frozenset(group))
         fix = None
         if discipline.shape == "hat":
-            read = _fix_reader(fix_table(finite, max(map(len, group)), cond.s), cond.s, ground)
-            fix = lambda w, s, ground: read(w.letters)
+            fix = _fix_reader(fix_table(gens, max(map(len, group)), cond.s), cond.s)
         for i, w in enumerate(group):
             stage += 1
             earlier = itertools.chain(prev.words, itertools.islice(group, i))
-            frozen_fix[w] = (stage, frozen_value(mode, cond.s, w, earlier, ground, fix))
+            frozen_fix[w] = (stage, frozen_value(mode, cond.s, w, earlier, fix))
             goal_log.append((_freeze_text(w), stage, None))
         if not leq(cond, prev):
             raise BuildError(f"chain law broken at stage {stage}", _report())
@@ -238,22 +227,17 @@ def build(
 
 
 def _fix_reader(
-    table: Mapping[tuple[Letter, ...], frozenset[int]], s: Assignment, ground: GroundRep
-) -> Callable[[tuple[Letter, ...]], FixResult]:
-    """fix(letters) = fix_points(Word(letters), s, ground), read from
-    `table`, an evaluation.fix_table of s, when it holds the word, else from
-    fix_points, once per word.  The closure holds the table and no reference
-    to itself, so the table goes when the reader does."""
-    memo: dict[tuple[Letter, ...], FixResult] = {}
+    table: Mapping[tuple[Letter, ...], frozenset[int]], s: Assignment
+) -> Callable[[Word], frozenset[int]]:
+    """fix(w) = fix_points(w, s).points, read from `table`, an
+    evaluation.fix_table of s, when it holds the word (every word over the
+    table's generators up to its depth), else from fix_points.  Each caller
+    asks a word once.  The closure holds the table and no reference to
+    itself, so the table goes when the reader does."""
 
-    def fix(letters: tuple[Letter, ...]) -> FixResult:
-        pts = table.get(letters)
-        if pts is not None:
-            return FixResult(pts, exact=True)
-        res = memo.get(letters)
-        if res is None:
-            res = memo[letters] = fix_points(Word(letters), s, ground)
-        return res
+    def fix(w: Word) -> frozenset[int]:
+        pts = table.get(w.letters)
+        return fix_points(w, s).points if pts is None else pts
 
     return fix
 
@@ -263,10 +247,10 @@ def _frozen_law(report: BuildReport, fix=None) -> list[str]:
     the entries frozen before it, equals the value recorded when it was
     frozen; violations come in freezing order."""
     violations: list[str] = []
-    s, ground = report.final.s, report.final.ground
+    s = report.final.s
     earlier: list[Word] = []
     for w, (stage, recorded) in sorted(report.frozen_fix.items(), key=lambda kv: kv[1][0]):
-        now = frozen_value(report.mode, s, w, earlier, ground, fix)
+        now = frozen_value(report.mode, s, w, earlier, fix)
         earlier.append(w)
         if now != recorded:
             violations.append(
@@ -281,34 +265,22 @@ def verify_cofinitary(report: BuildReport) -> list[str]:
     builds the conjugation-cardinality law |Fix(w)| = |Fix(core)| over all
     short words (words.conjugate_core); empty list means ok.
 
-    Both laws read the fix sets of the words over the finite generators
-    from one evaluation.fix_table of the final assignment, built here and
-    not shared with the build, so the check stays independent of the fix
-    sets the build recorded; a word that holds an ambient letter goes
-    through fix_points, once (_fix_reader).  Violations come in freezing
-    order, then in reduced_words order."""
+    Both laws read the fix sets from one evaluation.fix_table of the final
+    assignment, built here and not shared with the build, so the check
+    stays independent of the fix sets the build recorded; the table holds
+    every short word and its core, and a frozen word it lacks goes through
+    fix_points, once (_fix_reader).  Violations come in freezing order, then
+    in reduced_words order."""
     if DISCIPLINES[report.mode].shape != "hat":
         return _frozen_law(report)
-    s, ground = report.final.s, report.final.ground
-    amb = ground.generators()
-    table = fix_table((g for g in report.generators if g not in amb), report.word_budget, s)
-    fix = _fix_reader(table, s, ground)
-    violations = _frozen_law(report, lambda w, s, ground: fix(w.letters))
-    gens = set(report.generators)
-    for letters in reduced_letters(sorted(gens | amb), report.word_budget, min_len=1):
-        if gens.isdisjoint(l.gen for l in letters):
-            continue
-        points = table.get(letters)
-        if points is None:
-            res = fix(letters)
-            if not res.exact:
-                violations.append(f"{format_word(Word(letters))}: fix set not exactly computable")
-                continue
-            points = res.points
+    s = report.final.s
+    gens = sorted(set(report.generators))
+    table = fix_table(gens, report.word_budget, s)
+    violations = _frozen_law(report, _fix_reader(table, s))
+    for letters in reduced_letters(gens, report.word_budget, min_len=1):
+        points = table[letters]
         core = conjugate_core(letters)[1]
-        core_points = table.get(core)
-        if core_points is None:
-            core_points = fix(core).points
+        core_points = table[core]
         if len(points) != len(core_points):
             violations.append(
                 f"{format_word(Word(letters))}: |fix| = {len(points)} but its core "

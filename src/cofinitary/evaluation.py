@@ -1,9 +1,10 @@
-"""Word evaluation over finite partial injections and total ground permutations.
+"""Word evaluation over finite partial maps.
 
-An assignment gives each "finite" generator a finite partial map on the
-naturals; a ground rep gives each "ambient" generator a total permutation.
+An assignment gives each generator a finite partial map on the naturals.
 Evaluating a word composes those letter by letter, rightmost letter first.
-Undefined is a value (None), not an error.
+Undefined is a value (None), not an error.  Total ground permutations of the
+shift family (GroundPermutation) serve as targets that hitting goals agree
+with; no word evaluates through them.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from itertools import count, filterfalse
 from typing import Callable, Iterable, Mapping, Optional
 
 from .words import INVERSE, Letter, Word, invert
-
-DEFAULT_HORIZON = 10_000
 
 
 def _with_key(cache: dict[int, int], k: int, v: int) -> dict[int, int]:
@@ -259,30 +258,22 @@ class Assignment:
 class GroundPermutation:
     """A total permutation of the naturals with an unapply inverse.
 
-    The shift family (identity, z-shift, finite table over the z-shift) keeps
-    a canonical form (shift_power, exceptions) that makes fixed-point sets of
-    compositions exactly computable.  Custom callables fall back to horizon
-    scans.
+    A member of the shift family keeps a canonical form (shift_power,
+    exceptions) that makes fixed-point sets of compositions exactly
+    computable (compose_shift_forms); a custom callable has none.
     """
 
     def __init__(
         self,
         apply: Callable[[int], int],
         unapply: Callable[[int], int],
-        scan_horizon: int = DEFAULT_HORIZON,
         shift_form: Optional[tuple[int, dict[int, int]]] = None,
         name: str = "custom",
     ) -> None:
         self.apply = apply
         self.unapply = unapply
-        self.scan_horizon = scan_horizon
         self.shift_form = shift_form  # (k, exceptions): equals zshift^k off dom(exceptions)
         self.name = name
-
-    def spot_check(self, upto: int = 200) -> None:
-        for n in range(upto):
-            if self.unapply(self.apply(n)) != n:
-                raise ValueError(f"unapply(apply({n})) != {n} for {self.name}")
 
     def __repr__(self) -> str:
         return f"GroundPermutation({self.name})"
@@ -304,56 +295,10 @@ def _zshift_pow(k: int) -> Callable[[int], int]:
     return f
 
 
-def identity_perm(scan_horizon: int = DEFAULT_HORIZON) -> GroundPermutation:
-    return GroundPermutation(
-        lambda n: n, lambda n: n, scan_horizon, shift_form=(0, {}), name="identity"
-    )
-
-
-def zshift(scan_horizon: int = DEFAULT_HORIZON) -> GroundPermutation:
+def zshift() -> GroundPermutation:
     """The integer shift z -> z + 1 pulled back along the standard pairing;
     fixed-point free of infinite order."""
-    return GroundPermutation(
-        _zshift_pow(1), _zshift_pow(-1), scan_horizon, shift_form=(1, {}), name="zshift"
-    )
-
-
-def table_over_zshift(
-    table: Mapping[int, int], scan_horizon: int = DEFAULT_HORIZON
-) -> GroundPermutation:
-    """The z-shift patched by a finite exception table.
-
-    Bijectivity requires the table values to be a permutation of the shift
-    images of its keys.
-    """
-    shift = _zshift_pow(1)
-    unshift = _zshift_pow(-1)
-    table = dict(table)
-    if set(table.values()) != {shift(n) for n in table}:
-        raise ValueError("table must permute the shift images of its keys")
-    rev = {m: n for n, m in table.items()}
-
-    def apply(n: int) -> int:
-        return table[n] if n in table else shift(n)
-
-    def unapply(m: int) -> int:
-        return rev[m] if m in rev else unshift(m)
-
-    exceptions = {n: m for n, m in table.items() if m != shift(n)}
-    return GroundPermutation(
-        apply, unapply, scan_horizon, shift_form=(1, exceptions), name="table-over-zshift"
-    )
-
-
-def ground_from_json(obj: Mapping) -> GroundPermutation:
-    kind = obj.get("kind")
-    if kind == "zshift":
-        return zshift()
-    if kind == "identity":
-        return identity_perm()
-    if kind == "table-over-zshift":
-        return table_over_zshift({n: m for n, m in obj["table"]})
-    raise ValueError(f"unknown ground permutation kind {kind!r}")
+    return GroundPermutation(_zshift_pow(1), _zshift_pow(-1), shift_form=(1, {}), name="zshift")
 
 
 def compose_shift_forms(
@@ -394,158 +339,54 @@ def compose_shift_forms(
     return total, exc
 
 
-def apply_letter(
-    letter: Letter, value: int, s: Assignment, ground: "GroundRep"
-) -> Optional[int]:
-    if letter.gen in ground.table:
-        perm = ground.table[letter.gen]
-        return perm.apply(value) if letter.sign == 1 else perm.unapply(value)
+def _lookup(letter: Letter, s: Assignment) -> Mapping[int, int]:
+    """The dict that applies one letter: its map's fwd, or rev for an inverse."""
     pm = s.get(letter.gen)
-    lookup = pm.fwd if letter.sign == 1 else pm.rev
-    return lookup.get(value)
+    return pm.fwd if letter.sign == 1 else pm.rev
 
 
-def unapply_letter(
-    letter: Letter, value: int, s: Assignment, ground: "GroundRep"
-) -> Optional[int]:
-    return apply_letter(INVERSE[letter], value, s, ground)
+def apply_letter(letter: Letter, value: int, s: Assignment) -> Optional[int]:
+    return _lookup(letter, s).get(value)
 
 
-@dataclass(eq=False)
-class GroundRep:
-    """Total-permutation table for the ambient generators.
-
-    A ground rep compares and hashes by identity: a condition holds its
-    ground, and two conditions are over the same ground only when they hold
-    the same object.
-
-    cofinitary_promise records the constructor-level expectation that every
-    nonidentity reduced word over the ambient generators evaluates to a
-    permutation with finitely many fixed points; it is checkable only below
-    the scan horizon (see check_promise).
-    """
-
-    table: Mapping[int, GroundPermutation] = field(default_factory=dict)
-    cofinitary_promise: bool = True
-
-    def generators(self) -> frozenset[int]:
-        """The ambient generators; built on first use and cached, since no
-        code changes a ground rep once it is made."""
-        try:
-            return self._generators
-        except AttributeError:
-            self._generators = frozenset(self.table)
-            return self._generators
-
-    def run_shift_form(self, letters: Iterable[Letter]) -> Optional[tuple[int, dict[int, int]]]:
-        """Canonical form of a composition of ambient letters (applied left to
-        right in the given order), or None if any letter lacks structure."""
-        forms = []
-        for letter in letters:
-            perm = self.table[letter.gen]
-            if perm.shift_form is None:
-                return None
-            k, e = perm.shift_form
-            forms.append((k, e, letter.sign))
-        return compose_shift_forms(forms)
-
-    def check_promise(self, max_len: int = 3, horizon: int = 500) -> list[tuple[Word, int]]:
-        """Heuristic scan: returns (word, fixed point count below horizon) for
-        ambient words whose scan-level fix set looks infinite (> horizon/2)."""
-        from .words import reduced_words
-
-        findings = []
-        for w in reduced_words(sorted(self.table), max_len, min_len=1):
-            count = 0
-            for n in range(horizon):
-                v: Optional[int] = n
-                for letter in reversed(w.letters):
-                    v = apply_letter(letter, v, Assignment(), self)
-                if v == n:
-                    count += 1
-            if count > horizon // 2:
-                findings.append((w, count))
-        return findings
-
-
-EMPTY_GROUND = GroundRep({})
-
-
-def eval_word(w: Word, s: Assignment, ground: GroundRep, n: int) -> Optional[int]:
-    """e_w at n: rightmost letter applied first; None when some finite-map
-    lookup fails along the path."""
+def eval_word(w: Word, s: Assignment, n: int) -> Optional[int]:
+    """e_w at n: rightmost letter applied first; None when some lookup fails
+    along the path."""
     value: Optional[int] = n
     for letter in reversed(w.letters):
-        value = apply_letter(letter, value, s, ground)
+        value = apply_letter(letter, value, s)
         if value is None:
             return None
     return value
 
 
-def _rightmost_finite_pos(w: Word, ground: GroundRep) -> Optional[int]:
-    """Index (from the right, 0-based) of the first letter backed by a finite
-    map, or None for purely-ambient words."""
-    amb = ground.generators()
-    for i, letter in enumerate(reversed(w.letters)):
-        if letter.gen not in amb:
-            return i
-    return None
-
-
-def exact_domain(w: Word, s: Assignment, ground: GroundRep) -> frozenset[int]:
-    """The full (finite) domain of e_w; requires at least one finite-map letter."""
-    pos = _rightmost_finite_pos(w, ground)
-    if pos is None:
-        raise ValueError("purely ambient word has total (infinite) domain")
-    letters = w.letters
-    anchor = letters[len(letters) - 1 - pos]
-    pm = s.get(anchor.gen)
-    anchor_dom = pm.domain() if anchor.sign == 1 else pm.image()
-    starts: set[int] = set()
-    for v in anchor_dom:
-        # pull back through the ambient prefix to the start
-        back = v
-        for letter in letters[len(letters) - pos :]:
-            back = unapply_letter(letter, back, s, ground)
-        starts.add(back)
-    return frozenset(n for n in starts if eval_word(w, s, ground, n) is not None)
-
-
-def eval_domain(
-    w: Word, s: Assignment, ground: GroundRep, probe: Optional[Iterable[int]] = None
-) -> frozenset[int]:
-    """Subset of probe where e_w is defined; without a probe, the exact full
-    domain (requires a finite-map letter)."""
+def eval_domain(w: Word, s: Assignment, probe: Optional[Iterable[int]] = None) -> frozenset[int]:
+    """Subset of probe where e_w is defined; without a probe, the whole
+    (finite) domain: the points of the rightmost letter's domain whose walk
+    does not fail."""
     if probe is None:
         if not w:
             raise ValueError("empty word is total; supply a probe")
-        return exact_domain(w, s, ground)
-    return frozenset(n for n in probe if eval_word(w, s, ground, n) is not None)
+        probe = _lookup(w.letters[-1], s)
+    return frozenset(n for n in probe if eval_word(w, s, n) is not None)
 
 
-def eval_range(
-    w: Word, s: Assignment, ground: GroundRep, probe: Optional[Iterable[int]] = None
-) -> frozenset[int]:
-    return eval_domain(invert(w), s, ground, probe)
+def eval_range(w: Word, s: Assignment, probe: Optional[Iterable[int]] = None) -> frozenset[int]:
+    return eval_domain(invert(w), s, probe)
 
 
-def letter_step(letter: Letter, s: Assignment, ground: GroundRep) -> Callable[[int], Optional[int]]:
-    """The lookup that applies one letter: a finite map's dict .get, or a
-    ground permutation's apply/unapply."""
-    perm = ground.table.get(letter.gen)
-    if perm is not None:
-        return perm.apply if letter.sign == 1 else perm.unapply
-    pm = s.get(letter.gen)
-    return (pm.fwd if letter.sign == 1 else pm.rev).get
+def letter_step(letter: Letter, s: Assignment) -> Callable[[int], Optional[int]]:
+    """The lookup that applies one letter, as a callable."""
+    return _lookup(letter, s).get
 
 
-def _lookups(w: Word, s: Assignment, ground: GroundRep) -> list[Callable[[int], Optional[int]]]:
+def _lookups(w: Word, s: Assignment) -> list[Callable[[int], Optional[int]]]:
     """One lookup per letter of w, in application order (rightmost first)."""
-    return [letter_step(letter, s, ground) for letter in reversed(w.letters)]
+    return [letter_step(letter, s) for letter in reversed(w.letters)]
 
 
 def _walk(steps: list[Callable[[int], Optional[int]]], n: int) -> Optional[int]:
-    """n after every step; None once a finite-map lookup fails."""
+    """n after every step; None once a lookup fails."""
     for step in steps:
         n = step(n)
         if n is None:
@@ -553,68 +394,39 @@ def _walk(steps: list[Callable[[int], Optional[int]]], n: int) -> Optional[int]:
     return n
 
 
-def _walked_fix_points(w: Word, s: Assignment, ground: GroundRep, pos: int) -> frozenset[int]:
-    """Fix(e_w) when the letter applied pos-th (0-based) is the first backed
-    by a finite map: the start candidates are that map's domain (or image)
-    pulled back through the ambient letters applied before it, and each is
-    walked once.  Same set as exact_domain followed by a second walk."""
-    anchor = w.letters[len(w.letters) - 1 - pos]
-    pm = s.get(anchor.gen)
-    starts = pm.fwd if anchor.sign == 1 else pm.rev
-    if pos:
-        backs = _lookups(invert(Word(w.letters[len(w.letters) - pos :])), s, ground)
-        starts = [_walk(backs, v) for v in starts]
-    steps = _lookups(w, s, ground)
-    return frozenset(n for n in starts if _walk(steps, n) == n)
-
-
 @dataclass(frozen=True)
 class FixResult:
-    """Fixed points of a word evaluation.
-
-    exact: the set is the whole fix set.
-    horizon: only points below `horizon` were scanned.
-    cofinite: the evaluation is the identity off finitely many points; `points`
-    then lists the fixed points below the reported horizon anyway.
-    """
+    """The fixed points of a word evaluation: always the whole fix set."""
 
     points: frozenset[int]
-    exact: bool
-    horizon: Optional[int] = None
-    cofinite: bool = False
+
+    # The build recheck in perfbench/workloads.py reads .exact.
+    exact = True
 
 
-def fix_points(w: Word, s: Assignment, ground: GroundRep) -> FixResult:
-    """Fixed points of e_w.  Exact whenever w has a finite-map letter or the
-    ambient letters carry shift structure; otherwise a horizon scan."""
+# The build recheck in perfbench/workloads.py passes this as fix_points' third
+# argument; it is the only value that argument takes.
+EMPTY_GROUND = object()
+
+
+def fix_points(w: Word, s: Assignment, ground: object = EMPTY_GROUND) -> FixResult:
+    """Fixed points of e_w: the start candidates are the keys of the
+    rightmost letter's lookup, and each is walked once.  `ground` is kept
+    for the build recheck's call shape only (EMPTY_GROUND); any other value
+    raises ValueError."""
+    if ground is not EMPTY_GROUND:
+        raise ValueError("fix_points takes no ground: conditions are over finite maps only")
     if not w:
         raise ValueError("fix of the empty word is everything; not represented")
-    pos = _rightmost_finite_pos(w, ground)
-    if pos is not None:
-        return FixResult(_walked_fix_points(w, s, ground, pos), exact=True)
-    form = ground.run_shift_form(reversed(w.letters))
-    if form is not None:
-        k, exc = form
-        if k != 0:
-            pts = frozenset(n for n in exc if exc[n] == n)
-            return FixResult(pts, exact=True)
-        # net shift zero: identity off the exception set
-        moved = {n for n, m in exc.items() if m != n}
-        horizon = max(ground.table[l.gen].scan_horizon for l in w.letters)
-        pts = frozenset(n for n in range(horizon) if n not in moved)
-        return FixResult(pts, exact=True, horizon=horizon, cofinite=True)
-    horizon = max(ground.table[l.gen].scan_horizon for l in w.letters)
-    pts = frozenset(
-        n for n in range(horizon) if eval_word(w, s, ground, n) == n
-    )
-    return FixResult(pts, exact=False, horizon=horizon)
+    steps = _lookups(w, s)
+    return FixResult(frozenset(n for n in _lookup(w.letters[-1], s) if _walk(steps, n) == n))
 
 
 def fix_table(
     gens: Iterable[int], max_len: int, s: Assignment
 ) -> dict[tuple[Letter, ...], frozenset[int]]:
     """Fix(e_w) under s for every reduced word w of length 1..max_len over
-    the finite generators `gens`, keyed by w's letter tuple.
+    the generators `gens`, keyed by w's letter tuple.
 
     One depth-first walk of the word trie in application order: a node
     holds the map start -> value of its word, and a child applies one more
@@ -622,9 +434,8 @@ def fix_table(
     letter's lookup defines.  A word's fix set is the starts its map sends
     home.  The starts of a one-letter word are the keys of its lookup, and
     each start follows the lookups fix_points walks, so the sets are
-    fix_points(w, s, ground).points for any ground without these
-    generators.  Only the maps on the current path are live, so the walk
-    holds O(max_len * |points|) values besides the table.
+    fix_points(w, s).points.  Only the maps on the current path are live,
+    so the walk holds O(max_len * |points|) values besides the table.
     """
     lookups: dict[Letter, Mapping[int, int]] = {}
     for g in sorted(gens):
@@ -675,10 +486,8 @@ def relation_compose(
 
 
 def relational_eval(w: Word, s: Assignment) -> frozenset[tuple[int, int]]:
-    """Materialize e_w as a pair set by naive relational composition.
-
-    Only meaningful with no ambient generators; used as an oracle.
-    """
+    """Materialize e_w as a pair set by naive relational composition; the
+    tests' oracle for eval_word, fix_points and fix_table."""
     if not w:
         raise ValueError("the empty word is the identity relation on omega")
 

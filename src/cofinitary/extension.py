@@ -2,16 +2,13 @@
 
 domain_extend / range_extend compute a finite forbidden set of values such
 that every value outside it yields an extension of the condition (no frozen
-word gains a fixed point), together with a deterministic chooser.  When the
-frozen words that hold the generator are all over finite generators, the
-forbidden set is {n} together with the values of s: every walk from those
-values stays among them.  That set, its bound and where the chooser's scan
-starts are read off the value summary each assignment carries from step to
-step (Assignment.summary), so such a step scans no value set.  Only the
-mixed words, which also hold an ambient letter, need the constructive
-forbidden set, built block by block over each word's good decomposition.
-The forbidden set may over-approximate; the extension order check is re-run
-on every chosen value and is authoritative.
+word gains a fixed point), together with a deterministic chooser.  When a
+frozen word holds the generator, the forbidden set is {n} together with the
+values of s: every walk from those values stays among them.  That set, its
+bound and where the chooser's scan starts are read off the value summary
+each assignment carries from step to step (Assignment.summary), so a step
+scans no value set.  The forbidden set may over-approximate; the extension
+order check is re-run on every chosen value and is authoritative.
 
 cover_extend forces a word's evaluation to cover given finite sets;
 strong_reduction restricts a condition to a sub-alphabet padded so that
@@ -24,46 +21,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count, filterfalse
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .evaluation import (
     Assignment,
     GroundPermutation,
-    GroundRep,
     PartialMap,
     apply_letter,
     compose_shift_forms,
     eval_domain,
     eval_range,
     eval_word,
-    letter_step,
 )
 from .poset import (
     DISCIPLINES,
     Condition,
-    PosetMode,
     leq,
     side_index,
     strong_restrict,
     validate,
     validated,
 )
-from .words import (
-    INVERSE,
-    GoodDecomposition,
-    Letter,
-    Word,
-    format_word,
-    good_decompose,
-    invert,
-    occurrences,
-    power,
-    substitute,
-)
+from .words import Word, invert, occurrences
 
 
 class CertificateError(Exception):
-    """No finite forbidden set can be certified for this instance."""
+    """The chooser's least admitted value lies above its ceiling."""
 
 
 class ContractViolation(Exception):
@@ -116,181 +99,18 @@ class ExtensionCertificate:
         return ExtensionCertificate(forb, max(forb, default=-1) + 1)
 
 
-def _good_form(w: Word, gen: int) -> Optional[GoodDecomposition]:
-    """The good decomposition of w for gen, rotating if necessary.
-
-    Returns None for pure powers of gen.  Requires a hat word: the rotation
-    of a non-pure hat word never cancels.
-    """
-    d = good_decompose(w, gen)
-    if isinstance(d, GoodDecomposition):
-        return d
-    if not d.u and not d.v:
-        return None
-    rotated = Word(d.v.letters + power(gen, d.k).letters + d.u.letters)
-    d2 = good_decompose(rotated, gen)
-    if not isinstance(d2, GoodDecomposition):
-        raise ContractViolation(f"rotation of {format_word(w)} not good")
-    return d2
-
-
-def _walk_values(
-    words: Sequence[Word], starts: Iterable[int], s: Assignment, ground: GroundRep
-) -> set[int]:
-    """Values visited by evaluation walks along each word's letter sequence,
-    from every start value at every entry position."""
-    seen = set(starts)
-    base = sorted(seen)
-    for w in words:
-        letters = w.letters
-        length = len(letters)
-        for t0 in range(length):
-            for v0 in base:
-                v: Optional[int] = v0
-                for t in range(t0, length):
-                    v = apply_letter(letters[length - 1 - t], v, s, ground)
-                    if v is None:
-                        break
-                    seen.add(v)
-    return seen
-
-
-def _block_forbidden(
-    good: GoodDecomposition, s: Assignment, ground: GroundRep, target: set[int]
-) -> set[int]:
-    """Inductive per-block forbidden set: positive head blocks exclude the
-    running target set and the domain of the extended generator; negative head
-    blocks exclude the ranges of their partial compositions; the target set is
-    pulled back through each head before recursing."""
-    gen = good.gen
-    pm = s.get(gen)
-    forb: set[int] = set()
-    blocks = list(good.blocks)  # rightmost first
-    c_set = set(target)
-    while blocks:
-        k, u = blocks[-1]  # leftmost remaining block
-        if k > 0:
-            forb |= c_set
-            forb.update(pm.fwd)
-        else:
-            for i in range(-1, k - 1, -1):
-                word_i = Word(power(gen, i).letters + u.letters)
-                forb |= eval_range(word_i, s, ground)
-        blocks.pop()
-        if blocks:
-            head = Word(power(gen, k).letters + u.letters)
-            pulled = set()
-            for c in sorted(c_set):
-                v = eval_word(invert(head), s, ground, c)
-                if v is not None:
-                    pulled.add(v)
-            c_set = pulled
-    return forb
-
-
-def _ambient_runs(
-    letters: Sequence[Letter], amb: frozenset[int]
-) -> list[tuple[list[Letter], Optional[Letter]]]:
-    """Maximal runs of letters over the ambient generators amb, in
-    application order, with the letter applied right after the run (None
-    when the run is leftmost)."""
-    runs = []
-    i = 0
-    while i < len(letters):
-        if letters[i].gen in amb:
-            j = i
-            while j < len(letters) and letters[j].gen in amb:
-                j += 1
-            run = list(reversed(letters[i:j]))  # application order
-            nxt = letters[i - 1] if i > 0 else None
-            runs.append((run, nxt))
-            i = j
-        else:
-            i += 1
-    return runs
-
-
-def _run_guards(
-    letters: Sequence[Letter],
-    gen: int,
-    ground: GroundRep,
-    targets: set[int],
-) -> set[int]:
-    """Values that could thread an ambient run into the finite part: pullbacks
-    of every concrete target through each run, plus the run's own fixed points
-    when an inverse step of the extended generator follows it.  A pullback
-    goes through the ground's permutations alone: a run holds no finite
-    letter, so the empty assignment stands in for s."""
-    forb: set[int] = set()
-    no_maps = Assignment()
-    for run, nxt in _ambient_runs(letters, ground.generators()):
-        undo = [letter_step(INVERSE[letter], no_maps, ground) for letter in reversed(run)]
-        for back in targets:
-            for step in undo:
-                back = step(back)
-            forb.add(back)
-        needs_fix = nxt is None or (nxt.gen == gen and nxt.sign == -1)
-        if needs_fix:
-            form = ground.run_shift_form(run)
-            if form is None:
-                raise CertificateError(
-                    "ambient run without shift structure before an inverse step; "
-                    "cannot certify a finite forbidden set"
-                )
-            k, exc = form
-            if k == 0:
-                raise CertificateError(
-                    "ambient run reduces to a near-identity permutation; its fixed "
-                    "point set is cofinite and no finite forbidden set exists"
-                )
-            forb |= {x for x, y in exc.items() if y == x}
-    return forb
-
-
-def _mixed(p: Condition, gen: int) -> list[Word]:
-    """The side words that hold gen and an ambient letter, in Word.sort_key
-    order; none without a ground."""
-    amb = p.ground.generators()
-    if not amb:
-        return []
-    mixed = (w for w in p.words if gen in occurrences(w) and occurrences(w) & amb)
-    return sorted(mixed, key=Word.sort_key)
-
-
 def _word_modes_certificate(p: Condition, gen: int, n: int) -> ExtensionCertificate:
-    """The certificate for (gen, n, ?) in the walk disciplines.  Without a
-    mixed word it is F = {n} | V(s), read off the assignment's carried value
-    summary: bound is max(top, n) + 1, and [0, gap) lies in V, so the
-    chooser's scan starts at gap.  No step of this branch scans V."""
-    s = p.s
-    pm = s.get(gen)
+    """The certificate for (gen, n, ?) in the walk disciplines: F = {n} |
+    V(s), read off the assignment's carried value summary, since every walk
+    from those values stays among them.  bound is max(top, n) + 1, and
+    [0, gap) lies in V, so the chooser's scan starts at gap.  No step scans
+    V."""
     tries = side_index(p.words)
     if (gen, 1) not in tries and (gen, -1) not in tries:
-        return ExtensionCertificate.of(pm.rev)  # no side word holds gen: keep the map injective
-    mixed = _mixed(p, gen)
-    # n and every value of s, the image of gen's map among them
-    values, gap, top = s.summary()
-    concrete = values if n in values else values | {n}
-    if not mixed:
-        # all walks from concrete values stay inside it
-        return ExtensionCertificate(concrete, max(top, n) + 1, gap)
-    rotated: list[Word] = []
-    for w in mixed:
-        good = _good_form(w, gen)
-        if good is not None:
-            rotated.append(good.recompose())
-    ground = p.ground
-    walk = _walk_values(list(mixed) + rotated, concrete, s, ground)
-    forb = set(walk)  # walk holds concrete; _run_guards reads walk below
-    for w in mixed:
-        good = _good_form(w, gen)
-        if good is None:
-            continue  # pure power: global guards suffice
-        k_top = good.blocks[-1][0]
-        top_target = (pm.fwd.keys() | {n}) if k_top < 0 else set(pm.rev)
-        forb |= _block_forbidden(good, s, ground, set(top_target))
-        forb |= _run_guards(good.recompose().letters, gen, ground, walk)
-    return ExtensionCertificate.of(forb)
+        # no side word holds gen: keep the map injective
+        return ExtensionCertificate.of(p.s.get(gen).rev)
+    values, gap, top = p.s.summary()
+    return ExtensionCertificate(values if n in values else values | {n}, max(top, n) + 1, gap)
 
 
 def _forbidden_edf(p: Condition, gen: int, n: int) -> set[int]:
@@ -378,22 +198,12 @@ def domain_extend(p: Condition, gen: int, n: int) -> Extension:
 
 
 def _mirror(p: Condition, gen: int) -> Condition:
-    """Invert gen's map and flip gen's sign in the mixed side words (_mixed):
-    the only words whose letters the certificate walks.  Evaluations of the
-    flipped words agree with the originals.  Of the words over finite
-    generators, the certificate reads a single fact, whether one holds gen;
-    flipping a sign does not change it, so they are kept as they are.  With
-    no mixed word, as always without a ground, the mirror keeps p's side
-    set, and with it p's cached side-set index.  Inverting keeps the values
-    of s, so the mirror shares its value summary (Assignment.with_inverse)."""
-    mixed = _mixed(p, gen)
-    words = p.words
-    if mixed:
-        flipped = frozenset(substitute(w, gen, Letter(gen, -1)) for w in mixed)
-        words = (words - frozenset(mixed)) | flipped
-    # pair-shape words lose their shape under the flip; the word machinery
-    # only needs the hat class, so certify in cofinitary mode
-    return Condition(p.s.with_inverse(gen), words, PosetMode.COFINITARY, p.ground)
+    """Invert gen's map.  Of the side words, the certificate reads a single
+    fact, whether one holds gen; flipping gen's sign in them would not
+    change it, so the mirror keeps p's side set, and with it p's cached
+    side-set index.  Inverting keeps the values of s, so the mirror shares
+    its value summary (Assignment.with_inverse)."""
+    return p.with_s(p.s.with_inverse(gen))
 
 
 def range_extend(p: Condition, gen: int, m: int) -> Extension:
@@ -447,21 +257,21 @@ def cover_extend(
     cover_domain: Iterable[int],
     cover_range: Iterable[int],
 ) -> Assignment:
-    """An assignment t over the finite generators of w with (s u t, F) <= p,
+    """An assignment t over the generators of w with (s u t, F) <= p,
     the evaluation of w defined on all of cover_domain and onto all of
     cover_range."""
-    cur, ground = p, p.ground
+    cur = p
     for target_word, targets in ((w, cover_domain), (invert(w), cover_range)):
         for c in sorted(set(targets)):
             guard = 0
-            while eval_word(target_word, cur.s, ground, c) is None:
+            while eval_word(target_word, cur.s, c) is None:
                 guard += 1
                 if guard > len(target_word.letters) + 1:
                     raise ContractViolation("cover walk stuck")
                 v: Optional[int] = c
                 letters = target_word.letters
                 for idx in range(len(letters) - 1, -1, -1):
-                    nxt = apply_letter(letters[idx], v, cur.s, ground)
+                    nxt = apply_letter(letters[idx], v, cur.s)
                     if nxt is None:
                         letter = letters[idx]
                         if letter.sign == 1:
@@ -481,22 +291,19 @@ def cover_extend(
     return Assignment({g: PartialMap(frozenset(ps)) for g, ps in table.items()})
 
 
-def _pair_blocks(
-    w: Word, keep: frozenset[int], amb: frozenset[int]
-) -> list[tuple[Word, Word, Word]]:
+def _pair_blocks(w: Word, keep: frozenset[int]) -> list[tuple[Word, Word, Word]]:
     """(u_block, v_right, v_left) triples for the alternating split of w into
-    kept-alphabet blocks u and dropped-alphabet blocks v; letters over the
-    ambient generators amb ride inside either.  v_right / v_left are empty
-    at the word ends."""
+    kept-alphabet blocks u and dropped-alphabet blocks v.  v_right / v_left
+    are empty at the word ends."""
     letters = w.letters
-    outside = [i for i, l in enumerate(letters) if l.gen not in keep and l.gen not in amb]
+    outside = [i for i, l in enumerate(letters) if l.gen not in keep]
     if not outside:
         return []
-    # group outside positions separated only by ambient letters
+    # group runs of adjacent outside positions
     groups: list[tuple[int, int]] = []
     start = prev = outside[0]
     for i in outside[1:]:
-        if all(letters[j].gen in amb for j in range(prev + 1, i)):
+        if i == prev + 1:
             prev = i
         else:
             groups.append((start, prev))
@@ -563,14 +370,13 @@ def strong_reduction(p: Condition, keep: Iterable[int]) -> Condition:
                 cur = point_step(cur, c, n)
         out = base.with_s(cur.s.restrict(keep))
     else:
-        cur, ground = p, p.ground
-        amb = ground.generators()
+        cur = p
         for w in p.sorted_words():
-            if occurrences(w) <= keep | amb:
+            if occurrences(w) <= keep:
                 continue
-            for u_block, v_right, v_left in _pair_blocks(w, keep, amb):
-                need_dom = eval_range(v_right, p.s, ground) if v_right else frozenset()
-                need_ran = eval_domain(v_left, p.s, ground) if v_left else frozenset()
+            for u_block, v_right, v_left in _pair_blocks(w, keep):
+                need_dom = eval_range(v_right, p.s) if v_right else frozenset()
+                need_ran = eval_domain(v_left, p.s) if v_left else frozenset()
                 if not u_block:
                     continue
                 t = cover_extend(cur, u_block, need_dom, need_ran)
@@ -584,8 +390,7 @@ def strong_reduction(p: Condition, keep: Iterable[int]) -> Condition:
 
 def canonical_extension(p: Condition, t: Condition, keep: Iterable[int]) -> Condition:
     """The union of p and an extension t of p's strong reduction on `keep`,
-    checked to extend both; a t of another mode or ground raises ValueError
-    (leq)."""
+    checked to extend both; a t of another mode raises ValueError (leq)."""
     keep = frozenset(keep)
     red = strong_reduction(p, keep)
     if not leq(t, red):
@@ -593,7 +398,7 @@ def canonical_extension(p: Condition, t: Condition, keep: Iterable[int]) -> Cond
     clash = t.occurring() & (p.occurring() - keep)
     if clash:
         raise ValueError(f"occurrence disjointness violated on {sorted(clash)}")
-    out = Condition(p.s.union(t.s), p.words | t.words, p.mode, p.ground)
+    out = Condition(p.s.union(t.s), p.words | t.words, p.mode)
     bad = validate(out)
     if bad:
         raise ContractViolation("; ".join(bad))

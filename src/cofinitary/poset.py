@@ -19,9 +19,6 @@ from typing import Callable, Iterable, Mapping, Optional
 
 from .evaluation import (
     Assignment,
-    GroundRep,
-    EMPTY_GROUND,
-    FixResult,
     PartialMap,
     apply_letter,  # noqa: F401  (perfbench's tracer counts letter steps through this name)
     fix_points,
@@ -83,7 +80,7 @@ def pair_word(a: int, b: int) -> Word:
     return Word((Letter(a, 1), Letter(b, -1)))
 
 
-def _entry_problem(shape: str, w: Word, amb: frozenset[int]) -> Optional[str]:
+def _entry_problem(shape: str, w: Word) -> Optional[str]:
     """Why the nonempty word w is no side entry of the shape; None if it is."""
     if shape == "hat":
         return None if is_hat(w) else f"word {format_word(w)} is not in the hat class"
@@ -94,29 +91,23 @@ def _entry_problem(shape: str, w: Word, amb: frozenset[int]) -> Optional[str]:
         return f"word {format_word(w)} is not of the shape a b^-1"
     if len(w) != 1 or w.letters[0].sign != 1:
         return f"MAD side entries are single letters, got {format_word(w)}"
-    if w.letters[0].gen in amb:
-        return f"MAD side letter g{w.letters[0].gen} is ambient"
     return None
 
 
 @functools.lru_cache(maxsize=64)
-def side_words(
-    mode: PosetMode, alphabet: tuple[int, ...], ambient: frozenset[int], length: int
-) -> tuple[Word, ...]:
+def side_words(mode: PosetMode, alphabet: tuple[int, ...], length: int) -> tuple[Word, ...]:
     """The mode's canonical side entries over the alphabet, of length at most
-    `length`, each with a letter outside `ambient` (purely ambient words never
-    move under extension): hat words in reduced-word order, pairs a b^-1 with
-    a < b, single letters in ascending order.  Cached; copy before shuffling.
+    `length`: hat words in reduced-word order, pairs a b^-1 with a < b,
+    single letters in ascending order.  Cached; copy before shuffling.
     """
     shape = DISCIPLINES[mode].shape
     if shape == "hat":
-        return tuple(w for w in hat_words(alphabet, length) if occurrences(w) - ambient)
-    finite = [g for g in alphabet if g not in ambient]
+        return tuple(hat_words(alphabet, length))
     if shape == "pair":
         if length < 2:
             return ()
-        return tuple(pair_word(a, b) for i, a in enumerate(finite) for b in finite[i + 1 :])
-    return tuple(single(g) for g in finite)
+        return tuple(pair_word(a, b) for i, a in enumerate(alphabet) for b in alphabet[i + 1 :])
+    return tuple(single(g) for g in alphabet)
 
 
 END = None  # the trie key that closes a rotation
@@ -146,15 +137,13 @@ def side_index(words: frozenset[Word]) -> dict[Letter, dict]:
 
 @dataclass(frozen=True)
 class Condition:
-    """A condition of the poset over `ground`, the ambient generators that
-    stay fixed while the iteration adds the others.  Like the mode, the
-    ground belongs to the condition: every condition made from it keeps it,
-    and comparing or merging conditions of two grounds raises ValueError."""
+    """A condition of the poset: finite partial maps and a finite side set.
+    The mode belongs to the condition: every condition made from it keeps
+    it, and comparing or merging conditions of two modes raises ValueError."""
 
     s: Assignment = field(default_factory=Assignment)
     words: frozenset[Word] = frozenset()
     mode: PosetMode = PosetMode.COFINITARY
-    ground: GroundRep = EMPTY_GROUND
 
     # Derived facts, set with object.__setattr__ where they are proved.  The
     # class-level defaults make reading an unset one a plain lookup.
@@ -163,26 +152,24 @@ class Condition:
     _occurring = None  # occurring()
 
     def with_s(self, s: Assignment) -> "Condition":
-        """The condition over s with this one's side set, mode and ground."""
-        return Condition(s, self.words, self.mode, self.ground)
+        """The condition over s with this one's side set and mode."""
+        return Condition(s, self.words, self.mode)
 
     def sorted_words(self) -> list[Word]:
         return sorted(self.words, key=Word.sort_key)
 
     def occurring(self) -> frozenset[int]:
-        """Generators occurring in the assignment or the side words,
-        ambient generators excluded; built on first use and cached."""
+        """Generators occurring in the assignment or the side words; built on
+        first use and cached."""
         occ = self._occurring
         if occ is None:
             occ = frozenset(self.s.table).union(*map(occurrences, self.words))
-            occ -= self.ground.generators()
             object.__setattr__(self, "_occurring", occ)
         return occ
 
     def to_json(self, texts: Optional[Iterable[str]] = None) -> dict:
-        """The JSON form, without the ground; `texts` may give the
-        format_word texts of sorted_words(), so a caller that has formatted
-        them does not again."""
+        """The JSON form; `texts` may give the format_word texts of
+        sorted_words(), so a caller that has formatted them does not again."""
         if texts is None:
             texts = map(format_word, self.sorted_words())
         return {"mode": self.mode.value, "s": self.s.to_json(), "F": list(texts)}
@@ -197,23 +184,18 @@ class Condition:
 
 
 def _same_poset(p: Condition, q: Condition) -> None:
-    """Raise ValueError unless p and q share a mode and a ground."""
+    """Raise ValueError unless p and q share a mode."""
     if p.mode is not q.mode:
         raise ValueError(f"mode mismatch: {p.mode} vs {q.mode}")
-    if p.ground is not q.ground:
-        raise ValueError("ground mismatch: the conditions are over different grounds")
 
 
 def validate(c: Condition) -> list[str]:
     """All invariant violations for the condition's mode; empty means ok."""
-    return _problems(DISCIPLINES[c.mode], c.s.table.items(), c.sorted_words(), c.ground)
+    return _problems(DISCIPLINES[c.mode], c.s.table.items(), c.sorted_words())
 
 
 def _problems(
-    d: Discipline,
-    maps: Iterable[tuple[int, PartialMap]],
-    words: Iterable[Word],
-    ground: GroundRep,
+    d: Discipline, maps: Iterable[tuple[int, PartialMap]], words: Iterable[Word]
 ) -> list[str]:
     """validate's findings on the maps, in generator order, and the side
     words, in Word.sort_key order: each is judged on its own."""
@@ -230,11 +212,8 @@ def _problems(
             if bad:
                 allowed = ",".join(map(str, d.values))
                 problems.append(f"map for g{g} takes values outside {{{allowed}}}: {sorted(bad)}")
-        if g in ground.table:
-            problems.append(f"g{g} is an ambient generator but carries finite pairs")
-    amb = ground.generators()
     for w in words:
-        problem = _entry_problem(d.shape, w, amb) if w else "side set contains the empty word"
+        problem = _entry_problem(d.shape, w) if w else "side set contains the empty word"
         if problem:
             problems.append(problem)
     return problems
@@ -247,20 +226,20 @@ def validated(
     validate's message otherwise.
 
     validate judges each map and each side word on its own, so when prev is
-    known valid, in out's mode and over out's ground, only what out adds is
-    checked: the maps that are not prev's own objects and the words prev
-    lacks (`added`, when the caller already has out.words - prev.words).
+    known valid and in out's mode, only what out adds is checked: the maps
+    that are not prev's own objects and the words prev lacks (`added`, when
+    the caller already has out.words - prev.words).
     The problems, and their order, are then exactly those of validate(out).
     Conditions are marked known valid only here, and only after a clean
     check.
     """
-    if prev._valid and out.mode is prev.mode and out.ground is prev.ground:
+    if prev._valid and out.mode is prev.mode:
         old = prev.s.table
         maps = [(g, pm) for g, pm in out.s.table.items() if old.get(g) is not pm]
         if added is None:
             added = frozenset() if out.words is prev.words else out.words - prev.words
         words = sorted(added, key=Word.sort_key)
-        bad = _problems(DISCIPLINES[out.mode], maps, words, out.ground)
+        bad = _problems(DISCIPLINES[out.mode], maps, words)
     else:
         bad = validate(out)
     if bad:
@@ -294,19 +273,15 @@ def frozen_value(
     s: Assignment,
     w: Word,
     earlier: Iterable[Word],
-    ground: GroundRep,
-    fix: Optional[Callable[[Word, Assignment, GroundRep], FixResult]] = None,
+    fix: Optional[Callable[[Word], frozenset[int]]] = None,
 ) -> frozenset[int]:
     """What freezing the entry w keeps under s: the fixed points of a hat
-    word (from `fix`, a memo of fix_points, when given), the agreement set
-    of a pair, or a letter's common 1-points with the letters frozen before
-    it (`earlier`; the other shapes ignore it)."""
+    word (from `fix`, a reader of the fix sets under s, when given), the
+    agreement set of a pair, or a letter's common 1-points with the letters
+    frozen before it (`earlier`; the other shapes ignore it)."""
     shape = DISCIPLINES[mode].shape
     if shape == "hat":
-        res = (fix or fix_points)(w, s, ground)
-        if not res.exact:
-            raise ValueError(f"fix set of {format_word(w)} is horizon-limited; cannot freeze")
-        return res.points
+        return fix(w) if fix is not None else fix_points(w, s).points
     if shape == "pair":
         return _agreement(s, w.letters[0].gen, w.letters[1].gen)
     ones = _ones(s.get(w.letters[0].gen).pairs)
@@ -347,12 +322,12 @@ class _Steps(dict):
     """Letter -> the lookup applying it under s, resolved on first use and
     kept for one order check."""
 
-    def __init__(self, s: Assignment, ground: GroundRep) -> None:
+    def __init__(self, s: Assignment) -> None:
         super().__init__()
-        self.s, self.ground = s, ground
+        self.s = s
 
     def __missing__(self, letter: Letter) -> Step:
-        step = letter_step(letter, self.s, self.ground)
+        step = letter_step(letter, self.s)
         self[letter] = step
         return step
 
@@ -407,7 +382,7 @@ def _added_pairs(p: Assignment, q: Assignment) -> Optional[dict[int, frozenset[t
 def leq(p: Condition, q: Condition) -> bool:
     """p extends q: larger assignment and side set, no frozen word gains a
     fixed point (MAD: no frozen pair gains a common 1-point).  Raises
-    ValueError when p and q differ in mode or ground; the walk disciplines
+    ValueError when p and q differ in mode; the walk disciplines
     also raise it on a map of p that is no partial injection."""
     _same_poset(p, q)
     kernel = DISCIPLINES[p.mode].kernel
@@ -455,7 +430,7 @@ def leq(p: Condition, q: Condition) -> bool:
     # gains one when its representative does (words.cyclic_class).  A
     # Letter is a named tuple, so the plain (g, sign) tuple keys its trie.
     tries = side_index(q.words)
-    steps = _Steps(p.s, p.ground)
+    steps = _Steps(p.s)
     for g, pairs in added.items():
         ahead, back = tries.get((g, 1)), tries.get((g, -1))
         for a, b in pairs:
@@ -471,11 +446,10 @@ def restrict(p: Condition, keep: Iterable[int]) -> Condition:
 
 
 def strong_restrict(p: Condition, keep: Iterable[int]) -> Condition:
-    """Restriction that also drops side words mentioning dropped generators
-    (ambient generators never count as dropped)."""
-    keep = frozenset(keep) | p.ground.generators()
+    """Restriction that also drops side words mentioning dropped generators."""
+    keep = frozenset(keep)
     words = frozenset(w for w in p.words if occurrences(w) <= keep)
-    return Condition(p.s.restrict(keep), words, p.mode, p.ground)
+    return Condition(p.s.restrict(keep), words, p.mode)
 
 
 def merge_disjoint(p: Condition, t: Assignment) -> Condition:
@@ -485,8 +459,6 @@ def merge_disjoint(p: Condition, t: Assignment) -> Condition:
     overlap = frozenset(t.generators()) & p.occurring()
     if overlap:
         raise ValueError(f"occurrence overlap on generators {sorted(overlap)}")
-    if frozenset(t.generators()) & p.ground.generators():
-        raise ValueError("merge assignment touches ambient generators")
     out = validated(p, p.with_s(p.s.union(t)))
     if not leq(out, p):
         raise ValueError("the merged condition does not extend the base condition")
@@ -501,7 +473,7 @@ def add_words(p: Condition, words: Iterable[Word]) -> Condition:
     added = new - p.words
     if len(new) - len(added) != len(p.words):
         raise ValueError("new side set must contain the old one")
-    return validated(p, Condition(p.s, new, p.mode, p.ground), added)
+    return validated(p, Condition(p.s, new, p.mode), added)
 
 
 @dataclass(frozen=True)
@@ -514,10 +486,9 @@ class Incompatible:
 def delta_compatible_merge(p: Condition, q: Condition):
     """The union condition when it is valid and extends both inputs, else
     Incompatible.  This is the finite merge behind root-only-overlap
-    compatibility arguments; conditions of two modes or grounds raise
-    ValueError."""
+    compatibility arguments; conditions of two modes raise ValueError."""
     _same_poset(p, q)
-    union = Condition(p.s.union(q.s), p.words | q.words, p.mode, p.ground)
+    union = Condition(p.s.union(q.s), p.words | q.words, p.mode)
     problems = validate(union)
     if problems:
         return Incompatible("; ".join(problems))

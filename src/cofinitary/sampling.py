@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Optional, Sequence
 
-from .evaluation import Assignment, EMPTY_GROUND, GroundRep, PartialMap
+from .evaluation import Assignment, PartialMap
 from .extension import point_step
 from .poset import DISCIPLINES, Condition, PosetMode, add_words, pair_word, side_words
 from .words import Word, single
@@ -74,16 +74,14 @@ class Draws(random.Random):
 
 
 def _draw_entries(
-    rng: random.Random, mode: PosetMode, gens: Sequence[int], ground: GroundRep, length: int,
-    count: int,
+    rng: random.Random, mode: PosetMode, gens: Sequence[int], length: int, count: int
 ) -> set[Word]:
     """count random side entries of the mode's shape over gens: hat words of
-    length <= length with a finite letter, pairs a b^-1 or single letters;
-    none when gens admit no entry."""
+    length <= length, pairs a b^-1 or single letters; none when gens admit
+    no entry."""
     shape = DISCIPLINES[mode].shape
     if shape == "hat":
-        alphabet = tuple(sorted(set(gens) | ground.generators()))
-        pool = side_words(mode, alphabet, ground.generators(), length)
+        pool = side_words(mode, tuple(sorted(set(gens))), length)
         draw = (lambda: rng.choice(pool)) if pool else None
     elif shape == "pair":
         draw = (lambda: pair_word(*rng.sample(gens, 2))) if len(gens) >= 2 else None
@@ -100,7 +98,6 @@ def sample_condition(
     max_words: int = 3,
     value_range: int = 24,
     word_len: int = 3,
-    ground: GroundRep = EMPTY_GROUND,
 ) -> Condition:
     """A random valid condition, built pair by pair through the extension
     machinery so freezing always holds along the way."""
@@ -109,8 +106,8 @@ def sample_condition(
         picked = rng.sample(gens, rng.randrange(min(max_words, len(gens)) + 1))
         words = {single(g) for g in picked}
     else:
-        words = _draw_entries(rng, mode, gens, ground, word_len, rng.randrange(max_words + 1))
-    cond = add_words(Condition(mode=mode, ground=ground), frozenset(words))
+        words = _draw_entries(rng, mode, gens, word_len, rng.randrange(max_words + 1))
+    cond = add_words(Condition(mode=mode), frozenset(words))
     for _ in range(rng.randrange(max_pairs + 1) * max(1, len(gens) // 2)):
         g = rng.choice(gens)
         n = rng.randrange(value_range)
@@ -124,7 +121,7 @@ def sample_extension(
 ) -> Condition:
     """A random extension of p: new pairs on p's own or fresh generators and
     extra frozen words, never touching `avoid`."""
-    avoid = frozenset(avoid) | p.ground.generators()
+    avoid = frozenset(avoid)
     taken = p.occurring() | avoid
     fresh_base = max(taken | {7}) + 1
     usable = sorted(p.occurring() - avoid)
@@ -133,7 +130,7 @@ def sample_extension(
     if steps is None:
         steps = rng.randrange(4)
     if DISCIPLINES[p.mode].shape != "letter" and rng.random() < 0.5:
-        extra = _draw_entries(rng, p.mode, sorted(set(candidates))[:4], p.ground, 2, 1)
+        extra = _draw_entries(rng, p.mode, sorted(set(candidates))[:4], 2, 1)
         if extra:
             cond = add_words(cond, cond.words | extra)
     for _ in range(steps):
@@ -147,7 +144,7 @@ def sample_extension(
 def sample_fresh_assignment(rng: random.Random, p: Condition) -> Assignment:
     """A small assignment on generators not occurring anywhere in p."""
     d = DISCIPLINES[p.mode]
-    base = max(p.occurring() | p.ground.generators() | {11}) + 1
+    base = max(p.occurring() | {11}) + 1
     table = {}
     for k in range(rng.randrange(1, 3)):
         pairs = set()
@@ -168,4 +165,4 @@ def sample_extra_words(rng: random.Random, p: Condition) -> frozenset[Word]:
     """A few more frozen entries valid for p's mode."""
     gens = sorted(p.occurring() | {0, 1})
     draws = rng.randrange(1, 3) if DISCIPLINES[p.mode].shape == "hat" else 1
-    return frozenset(_draw_entries(rng, p.mode, gens, p.ground, 2, draws))
+    return frozenset(_draw_entries(rng, p.mode, gens, 2, draws))

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Optional, Sequence, Union
 
-from .evaluation import EMPTY_GROUND, GroundRep
 from .extension import ContractViolation, canonical_extension, strong_reduction
 from .poset import (
     DISCIPLINES,
@@ -822,7 +821,7 @@ def ffp_axiom_suite(
     mode: PosetMode,
     samples: int,
     seed: int,
-    ground: GroundRep = EMPTY_GROUND,
+    *,
     leq_override=None,
 ) -> list[ClauseResult]:
     """Property-check the finite-function-poset clauses (restrictions and
@@ -846,7 +845,7 @@ def ffp_axiom_suite(
     res_embed = clause("strong-embedding")
     res_guard = clause("freeze-guard")
     for _ in range(samples):
-        p = sample_condition(rng, mode, gens, ground=ground)
+        p = sample_condition(rng, mode, gens)
         keep = frozenset(rng.sample(gens, rng.randrange(len(gens) + 1)))
         weak = restrict(p, keep)
         strong = strong_restrict(p, keep)
@@ -924,12 +923,11 @@ def _freeze_probe(p: Condition) -> Optional[Condition]:
         a, b = words[0].letters[0].gen, words[0].letters[1].gen
         s = p.s.with_pair(a, fresh, fresh + 1).with_pair(b, fresh, fresh + 1)
         return p.with_s(s)
-    amb = p.ground.generators()
     for w in words:
-        if len(w.letters) == 1 and w.letters[0].gen not in amb:
+        if len(w.letters) == 1:
             return p.with_s(p.s.with_pair(w.letters[0].gen, fresh, fresh))
     for w in words:
-        if len(w.letters) == 2 and len({l.gen for l in w.letters} - amb) == 2:
+        if len(w.letters) == 2 and len({l.gen for l in w.letters}) == 2:
             lo, hi = w.letters
             if lo.sign == 1 and hi.sign == 1:
                 # w = x y: send fresh -> fresh through both letters

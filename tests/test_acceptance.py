@@ -23,7 +23,6 @@ from cofinitary.builder import build, build_variant_family, verify_cofinitary, v
 from cofinitary.cli import main
 from cofinitary.evaluation import (
     Assignment,
-    EMPTY_GROUND,
     PartialMap,
     eval_word,
     fix_points,
@@ -107,7 +106,7 @@ def random_stated_assignment(rng):
 def oracle_agrees(w, s):
     rel = dict(relational_eval(w, s))
     for n in range(8):
-        assert eval_word(w, s, EMPTY_GROUND, n) == rel.get(n), (w, s, n)
+        assert eval_word(w, s, n) == rel.get(n), (w, s, n)
 
 
 WORDS_LE_5 = reduced_words([0, 1], 5, min_len=1)
@@ -142,15 +141,15 @@ def test_criterion_2_word_laws():
         for cut in range(1, len(w.letters)):
             u, v = Word(w.letters[:cut]), Word(w.letters[cut:])
             for n in range(8):
-                via_v = eval_word(v, s, EMPTY_GROUND, n)
-                chained = None if via_v is None else eval_word(u, s, EMPTY_GROUND, via_v)
-                assert eval_word(w, s, EMPTY_GROUND, n) == chained
+                via_v = eval_word(v, s, n)
+                chained = None if via_v is None else eval_word(u, s, via_v)
+                assert eval_word(w, s, n) == chained
             if is_hat(w):
                 rotated = concat(v, u)
                 if len(rotated.letters) != len(w.letters):
                     continue
-                a = fix_points(w, s, EMPTY_GROUND).points
-                b = fix_points(rotated, s, EMPTY_GROUND).points
+                a = fix_points(w, s).points
+                b = fix_points(rotated, s).points
                 assert len(a) == len(b), (w, cut, s)
 
     tiny_maps = injective_maps(3, 1)
@@ -222,7 +221,7 @@ def test_criterion_5_frozen_fix_at_scale():
     )
     assert verify_cofinitary(report) == []
     for w, (stage, recorded) in report.frozen_fix.items():
-        now = fix_points(w, report.final.s, EMPTY_GROUND)
+        now = fix_points(w, report.final.s)
         assert now.exact and now.points == recorded
     for g in (0, 1, 2, 3):
         pm = report.final.s.get(g)

@@ -7,6 +7,7 @@ the one representative of its words.cyclic_class.  It orders partial
 injections only and raises on any other map.  The reference below is the
 order check as it was before the class reduction, copied verbatim: it walks
 every frozen word, with the new pairs taken from the whole triples() sets.
+Only its ambient ground is gone: conditions are over finite maps only.
 """
 
 from __future__ import annotations
@@ -17,28 +18,18 @@ from typing import Iterable, Optional
 import pytest
 
 from cofinitary import poset
-from cofinitary.evaluation import (
-    EMPTY_GROUND,
-    Assignment,
-    GroundRep,
-    PartialMap,
-    eval_word,
-    fix_points,
-    table_over_zshift,
-    unapply_letter,
-    zshift,
-)
+from cofinitary.evaluation import Assignment, PartialMap, apply_letter, eval_word, fix_points
 from cofinitary.extension import domain_extend
 from cofinitary.poset import DISCIPLINES, END, Condition, PosetMode, _agreement, _ones, validate
 from cofinitary.sampling import sample_condition
-from cofinitary.words import Letter, Word, cyclic_class, hat_words, invert, parse_word
+from cofinitary.words import INVERSE, Letter, Word, cyclic_class, hat_words, invert, parse_word
 
 
 # -- the reference: the order check before the class reduction, verbatim -----
 
 
 def new_fix_candidates(
-    w: Word, s_new: Assignment, new_triples: Iterable[tuple[int, int, int]], ground: GroundRep
+    w: Word, s_new: Assignment, new_triples: Iterable[tuple[int, int, int]]
 ) -> list[int]:
     """Start points whose evaluation path along w can use a new pair.
 
@@ -56,7 +47,7 @@ def new_fix_candidates(
         for n, m in by_gen.get(letter.gen, ()):
             value: Optional[int] = n if letter.sign == 1 else m
             for j in range(i - 1, -1, -1):
-                value = unapply_letter(letters[len(letters) - 1 - j], value, s_new, ground)
+                value = apply_letter(INVERSE[letters[len(letters) - 1 - j]], value, s_new)
                 if value is None:
                     break
             if value is not None:
@@ -65,17 +56,17 @@ def new_fix_candidates(
 
 
 def _word_freezing_ok(
-    w: Word, s_new: Assignment, s_old: Assignment, new_triples, ground: GroundRep
+    w: Word, s_new: Assignment, s_old: Assignment, new_triples
 ) -> Optional[int]:
     """None if w gains no fixed point going from s_old to s_new; otherwise a
     witness point."""
-    for n in new_fix_candidates(w, s_new, new_triples, ground):
-        if eval_word(w, s_new, ground, n) == n and eval_word(w, s_old, ground, n) != n:
+    for n in new_fix_candidates(w, s_new, new_triples):
+        if eval_word(w, s_new, n) == n and eval_word(w, s_old, n) != n:
             return n
     return None
 
 
-def leq(p: Condition, q: Condition, ground: GroundRep = EMPTY_GROUND) -> bool:
+def leq(p: Condition, q: Condition) -> bool:
     """p extends q: larger assignment and side set, no frozen word gains a
     fixed point (MAD: no frozen pair gains a common 1-point)."""
     if p.mode is not q.mode:
@@ -102,7 +93,7 @@ def leq(p: Condition, q: Condition, ground: GroundRep = EMPTY_GROUND) -> bool:
     if not new_triples:
         return True
     for w in q.words:
-        if _word_freezing_ok(w, p.s, q.s, new_triples, ground) is not None:
+        if _word_freezing_ok(w, p.s, q.s, new_triples) is not None:
             return False
     return True
 
@@ -113,23 +104,10 @@ reference_leq = leq
 # -- helpers -----------------------------------------------------------------
 
 FINITE = (0, 1, 2)
-AMBIENT = 3
-GROUNDS = {
-    "empty": EMPTY_GROUND,
-    "zshift": GroundRep({AMBIENT: zshift()}),
-    "table": GroundRep({AMBIENT: table_over_zshift({0: 0, 1: 2})}),
-}
 
 
 def pmap(*pairs):
     return PartialMap(frozenset(pairs))
-
-
-def _side_pool(ground: GroundRep) -> list[Word]:
-    """Every hat word of length <= 3 over 3 generators, one of them ambient
-    under a nonempty ground; purely ambient words never move."""
-    gens = FINITE[:2] + (AMBIENT,) if ground.table else FINITE
-    return [w for w in hat_words(gens, 3) if any(l.gen not in ground.table for l in w.letters)]
 
 
 def _random_injection(rng: random.Random, size: int, values: int) -> frozenset:
@@ -138,20 +116,19 @@ def _random_injection(rng: random.Random, size: int, values: int) -> frozenset:
     return frozenset(zip(dom, img))
 
 
-def _random_pair(rng, q: Condition, ground: GroundRep, values: int, injective: bool):
+def _random_pair(rng, q: Condition, values: int, injective: bool):
     """An assignment over q's with one to three extra pairs: partial
     injections, or with one pair that breaks injectivity or functionality."""
-    finite = [g for g in FINITE if g not in ground.table]
     s = q.s
     for _ in range(rng.randrange(1, 4)):
-        g = rng.choice(finite)
+        g = rng.choice(FINITE)
         pm = s.get(g)
         n, m = rng.randrange(values), rng.randrange(values)
         if injective and (n in pm.fwd or m in pm.rev):
             continue
         s = Assignment({**s.table, g: PartialMap(pm.pairs | {(n, m)})})
     if not injective:
-        g = rng.choice(finite)
+        g = rng.choice(FINITE)
         pm = s.get(g)
         if pm.pairs:
             n, m = rng.choice(sorted(pm.pairs))
@@ -163,28 +140,26 @@ def _random_pair(rng, q: Condition, ground: GroundRep, values: int, injective: b
 # -- the differential test -----------------------------------------------------
 
 
-def _draws(name: str, count: int):
-    """count (p, q) pairs over the named ground: q freezes a random half of
-    the side pool; p adds pairs to q's maps (every third p breaks injectivity
-    or functionality), sometimes grows the side set and sometimes drops a
-    pair or a map of q."""
-    ground = GROUNDS[name]
-    rng = random.Random(f"class-walk-{name}")
-    pool = _side_pool(ground)
-    finite = [g for g in FINITE if g not in ground.table]
+def _draws(count: int):
+    """count (p, q) pairs: q freezes a random half of the hat words of length
+    <= 3 over 3 generators; p adds pairs to q's maps (every third p breaks
+    injectivity or functionality), sometimes grows the side set and
+    sometimes drops a pair or a map of q."""
+    rng = random.Random("class-walk-empty")
+    pool = hat_words(FINITE, 3)
     for trial in range(count):
         q_words = frozenset(rng.sample(pool, len(pool) // 2))
-        table = {g: PartialMap(_random_injection(rng, rng.randrange(5), 7)) for g in finite}
-        q = Condition(Assignment(table), q_words, ground=ground)
-        s = _random_pair(rng, q, ground, 7, injective=trial % 3 != 0)
+        table = {g: PartialMap(_random_injection(rng, rng.randrange(5), 7)) for g in FINITE}
+        q = Condition(Assignment(table), q_words)
+        s = _random_pair(rng, q, 7, injective=trial % 3 != 0)
         words = q.words
         if rng.random() < 0.2:
             words = words | frozenset(rng.sample(pool, 3))
-        g = rng.choice(finite)
+        g = rng.choice(FINITE)
         if rng.random() < 0.1 and s.get(g).pairs:  # drop one pair, or the whole map
             keep = sorted(s.get(g).pairs)[1:] if rng.random() < 0.5 else []
             s = Assignment({**s.table, g: PartialMap(frozenset(keep))})
-        yield Condition(s, words, ground=ground), q
+        yield Condition(s, words), q
 
 
 def _injective(c: Condition) -> bool:
@@ -193,16 +168,15 @@ def _injective(c: Condition) -> bool:
 
 def test_matches_reference_on_dense_side_sets():
     false_answers = non_injective = 0
-    for name, ground in GROUNDS.items():
-        for p, q in _draws(name, 1200):
-            if not _injective(p):
-                with pytest.raises(ValueError, match="partial injections"):
-                    poset.leq(p, q)
-                non_injective += 1
-                continue
-            want = reference_leq(p, q, ground)
-            assert poset.leq(p, q) == want, (name, p.to_json(), q.to_json())
-            false_answers += not want
+    for p, q in _draws(3600):
+        if not _injective(p):
+            with pytest.raises(ValueError, match="partial injections"):
+                poset.leq(p, q)
+            non_injective += 1
+            continue
+        want = reference_leq(p, q)
+        assert poset.leq(p, q) == want, (p.to_json(), q.to_json())
+        false_answers += not want
     assert false_answers >= 1000, false_answers
     assert non_injective >= 300, non_injective
 
@@ -225,11 +199,11 @@ def test_rotation_and_inversion_lemma():
         q = sample_condition(rng, PosetMode.COFINITARY, FINITE, max_pairs=6,
                              max_words=0, value_range=6)
         for w in words:
-            size = len(fix_points(w, q.s, EMPTY_GROUND).points)
+            size = len(fix_points(w, q.s).points)
             for r in _rotations(w):
-                fix = fix_points(r, q.s, EMPTY_GROUND).points
+                fix = fix_points(r, q.s).points
                 assert len(fix) == size, (w, r, q.to_json())
-                assert fix_points(invert(r), q.s, EMPTY_GROUND).points == fix
+                assert fix_points(invert(r), q.s).points == fix
                 assert cyclic_class(r) == cyclic_class(w)
 
 

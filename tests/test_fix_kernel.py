@@ -3,7 +3,7 @@
 `fix_points` walks each start candidate once; the reference computes the
 exact domain by walking every candidate and then walks the domain a second
 time.  `verify_cofinitary` reads every fix set from one fix table per call
-(and a memo for words with an ambient letter); its violation lists on
+(and a memo for a frozen word the table lacks); its violation lists on
 corrupted builds were recorded before the memo existed.
 """
 
@@ -15,36 +15,23 @@ from collections import Counter
 import pytest
 
 from cofinitary import builder, poset
-from cofinitary.builder import build, build_variant_family, verify_cofinitary
+from cofinitary.builder import DenseGoal, build, build_variant_family, verify_cofinitary
 from cofinitary.evaluation import (
     Assignment,
-    EMPTY_GROUND,
-    GroundPermutation,
-    GroundRep,
     PartialMap,
+    eval_domain,
     eval_word,
-    exact_domain,
     fix_points,
     relational_eval,
-    table_over_zshift,
-    zshift,
 )
 from cofinitary.poset import Condition, PosetMode
 from cofinitary.sampling import sample_condition
-from cofinitary.words import hat_words, occurrences, parse_word, reduced_words
-
-AMBIENT = 7
-GROUNDS = {
-    "plain": EMPTY_GROUND,
-    "zshift": GroundRep({AMBIENT: zshift()}),
-    # 0 is a fixed point of the patched shift; 1 goes where the shift sends 0
-    "table": GroundRep({AMBIENT: table_over_zshift({0: 0, 1: 2})}),
-}
+from cofinitary.words import hat_words, parse_word, reduced_words
 
 
-def _two_walks(w, s, ground) -> frozenset[int]:
+def _two_walks(w, s) -> frozenset[int]:
     """The kernel as it was: the exact domain, then a second walk of it."""
-    return frozenset(n for n in exact_domain(w, s, ground) if eval_word(w, s, ground, n) == n)
+    return frozenset(n for n in eval_domain(w, s) if eval_word(w, s, n) == n)
 
 
 def _relational(w, s) -> frozenset[int]:
@@ -60,10 +47,6 @@ def _random_injections(rng: random.Random, gens, pairs: int, values: int) -> Ass
     return Assignment(table)
 
 
-def _finite_letter(w, ground) -> bool:
-    return bool(occurrences(w) - ground.generators())
-
-
 class TestKernel:
     def test_reduced_words_on_random_injections(self):
         # dense small maps, so that many walks close up into fixed points
@@ -73,9 +56,9 @@ class TestKernel:
         for _ in range(25):
             s = _random_injections(rng, [0, 1, 2], 6, 7)
             for w in words:
-                fast = fix_points(w, s, EMPTY_GROUND)
-                assert fast.exact and fast.horizon is None and not fast.cofinite
-                assert fast.points == _two_walks(w, s, EMPTY_GROUND) == _relational(w, s)
+                fast = fix_points(w, s)
+                assert fast.exact
+                assert fast.points == _two_walks(w, s) == _relational(w, s)
                 nonempty += bool(fast.points)
         assert nonempty > 1000
 
@@ -85,45 +68,15 @@ class TestKernel:
         for _ in range(20):
             p = sample_condition(rng, PosetMode.COFINITARY, [0, 1, 2], max_pairs=6, max_words=4)
             for w in words:
-                fast = fix_points(w, p.s, EMPTY_GROUND).points
-                assert fast == _two_walks(w, p.s, EMPTY_GROUND) == _relational(w, p.s)
-
-    @pytest.mark.parametrize("ground", ["zshift", "table"])
-    def test_mixed_words_under_a_ground(self, ground):
-        ground = GROUNDS[ground]
-        rng = random.Random(f"kernel-{ground.table[AMBIENT].name}")
-        alphabet = [0, 1, AMBIENT]
-        words = [w for w in reduced_words(alphabet, 4, min_len=1) if _finite_letter(w, ground)]
-        mixed = [w for w in words if AMBIENT in occurrences(w)]
-        assert len(mixed) > len(words) // 2
-        found = 0
-        for _ in range(12):
-            p = sample_condition(
-                rng, PosetMode.COFINITARY, [0, 1], max_pairs=6, max_words=3, ground=ground
-            )
-            s = Assignment({**p.s.table, **_random_injections(rng, [2], 5, 8).table})
-            for w in words + [parse_word(f"g2 g{AMBIENT}^-1 g2^-1 g{AMBIENT}")]:
-                fast = fix_points(w, s, ground)
-                assert fast.exact and fast.points == _two_walks(w, s, ground)
-                found += bool(fast.points)
-        assert found
-
-    def test_horizon_and_shift_branches_unchanged(self):
-        ground = GROUNDS["table"]
-        assert fix_points(parse_word(f"g{AMBIENT}"), Assignment(), ground).points == {0}
-        res = fix_points(parse_word(f"g{AMBIENT} g{AMBIENT}^-1 g0"), Assignment(), ground)
-        assert res.points == frozenset()
-        flip = GroundPermutation(lambda n: n ^ 1, lambda n: n ^ 1, scan_horizon=10)
-        res = fix_points(parse_word("g3"), Assignment(), GroundRep({3: flip}))
-        assert res.points == frozenset() and not res.exact and res.horizon == 10
-
+                fast = fix_points(w, p.s).points
+                assert fast == _two_walks(w, p.s) == _relational(w, p.s)
 
 def _seed7():
     return build(PosetMode.COFINITARY, [0, 1, 2], point_budget=12, word_budget=3, seed=7)
 
 
 def _with_map(report, s: Assignment):
-    report.final = Condition(s, report.final.words, report.final.mode, report.final.ground)
+    report.final = Condition(s, report.final.words, report.final.mode)
     return report
 
 
@@ -139,7 +92,7 @@ def _point_onto_a_fixed_point():
     """g1 also sends a fresh point onto the least fixed point of g0."""
     report = _seed7()
     s = report.final.s
-    x = min(fix_points(parse_word("g0"), s, EMPTY_GROUND).points)
+    x = min(fix_points(parse_word("g0"), s).points)
     return _with_map(report, s.with_pair(1, max(s.all_values()) + 1, x))
 
 
@@ -147,7 +100,7 @@ def _dropped_pair():
     """g1 loses the pair that lands on the least fixed point of g0."""
     report = _seed7()
     s = report.final.s
-    x = min(fix_points(parse_word("g0"), s, EMPTY_GROUND).points)
+    x = min(fix_points(parse_word("g0"), s).points)
     table = dict(s.table)
     table[1] = PartialMap(frozenset(p for p in s.get(1).pairs if p[1] != x))
     return _with_map(report, Assignment(table))
@@ -160,13 +113,6 @@ def _wrong_record():
     stage, fix = report.frozen_fix[w]
     report.frozen_fix[w] = (stage, fix | {999})
     return report
-
-
-def _ambient_fixed_point():
-    ground = GroundRep({AMBIENT: zshift()})
-    report = build(PosetMode.COFINITARY, [0], ground, point_budget=4, word_budget=2, seed=2)
-    k = max(report.final.s.all_values()) + 1
-    return _with_map(report, report.final.s.with_pair(0, k, k))
 
 
 # (violations, from the frozen law, from the conjugation law, SHA-256 of the
@@ -184,9 +130,6 @@ RECORDED = {
     _wrong_record: (
         1, 1, 0, "c7f7b2d4e754da3a20e9070eeb0e7411c3726b60173447ee75b8451dcda0bedb"
     ),
-    _ambient_fixed_point: (
-        4, 4, 0, "f09ee41e4a267fdff6dd2381bd1e34af463741a281a4c186f23be6f4a95a359d"
-    ),
 }
 
 
@@ -199,34 +142,27 @@ class TestVerifierGuard:
         digest = hashlib.sha256(json.dumps(violations).encode()).hexdigest()
         assert (len(violations), frozen, core, digest) == RECORDED[corrupt]
 
-    def test_horizon_limited_frozen_word_raises(self):
-        report = _seed7()
-        flip = GroundPermutation(lambda n: n ^ 1, lambda n: n ^ 1, scan_horizon=10)
-        report.frozen_fix[parse_word("g3")] = (0, frozenset())
-        final = report.final
-        report.final = Condition(final.s, final.words, final.mode, GroundRep({3: flip}))
-        with pytest.raises(ValueError, match="fix set of g3 is horizon-limited"):
-            verify_cofinitary(report)
-
     @pytest.mark.parametrize("mode", [PosetMode.ADP, PosetMode.EDF, PosetMode.MAD])
     def test_variants_verify_clean(self, mode):
         assert verify_cofinitary(build_variant_family(mode, [0, 1, 2, 3], 40, seed=7)) == []
 
     def test_one_fix_set_per_word(self, monkeypatch):
-        # the words over finite generators come from the fix table; only a
-        # word with an ambient letter is asked of fix_points, and only once
+        # the words up to the word budget come from the fix table; only a
+        # frozen word longer than that is asked of fix_points, and only once
         asked = Counter()
 
-        def counting(w, s, ground):
+        def counting(w, s):
             asked[w] += 1
-            return fix_points(w, s, ground)
+            return fix_points(w, s)
 
         report = _seed7()
-        ground = GroundRep({AMBIENT: zshift()})
-        ambient = build(PosetMode.COFINITARY, [0], ground, point_budget=4, word_budget=2, seed=2)
+        longer = parse_word("g0^2 g1 g2")
+        frozen_longer = build(
+            PosetMode.COFINITARY, [0, 1, 2], point_budget=12, word_budget=3, seed=7,
+            extra_goals=[DenseGoal("freeze", word=longer)],
+        )
         monkeypatch.setattr(builder, "fix_points", counting)
         monkeypatch.setattr(poset, "fix_points", counting)
         assert verify_cofinitary(report) == [] and not asked
-        assert verify_cofinitary(ambient) == []
-        mixed = [w for w in reduced_words([0, AMBIENT], 2, min_len=1) if occurrences(w) == {0, AMBIENT}]
-        assert set(asked) == set(mixed) and max(asked.values()) == 1
+        assert verify_cofinitary(frozen_longer) == []
+        assert asked == {longer: 1}

@@ -22,17 +22,7 @@ from cofinitary.builder import (
     build_variant_family,
     verify_cofinitary,
 )
-from cofinitary.evaluation import (
-    EMPTY_GROUND,
-    Assignment,
-    FixResult,
-    GroundPermutation,
-    GroundRep,
-    PartialMap,
-    fix_points,
-    fix_table,
-    zshift,
-)
+from cofinitary.evaluation import Assignment, PartialMap, fix_points, fix_table
 from cofinitary.poset import DISCIPLINES, Condition, PosetMode, add_words, leq
 from cofinitary.words import (
     Letter,
@@ -43,7 +33,6 @@ from cofinitary.words import (
     format_word,
     invert,
     is_hat,
-    occurrences,
     parse_word,
     reduced_letters,
     reduced_words,
@@ -53,35 +42,28 @@ GENS = (0, 1, 2, 3)
 
 
 def reference_verify_cofinitary(report: BuildReport) -> list[str]:
-    """The verifier before the fix table, verbatim: one fix_points call and
-    one conjugate_decompose per word."""
-    ground = report.final.ground
-    memo: dict[Word, FixResult] = {}
+    """The verifier before the fix table, verbatim but for the ambient
+    ground it no longer has: one fix_points call and one conjugate_decompose
+    per word."""
+    s = report.final.s
+    memo: dict[Word, frozenset[int]] = {}
 
-    def fix(w: Word, s: Assignment, ground: GroundRep) -> FixResult:
-        # s and ground are the final assignment and the ground throughout
-        res = memo.get(w)
-        if res is None:
-            res = memo[w] = fix_points(w, s, ground)
-        return res
+    def fix(w: Word) -> frozenset[int]:
+        points = memo.get(w)
+        if points is None:
+            points = memo[w] = fix_points(w, s).points
+        return points
 
     violations = _frozen_law(report, fix)
     if DISCIPLINES[report.mode].shape == "hat":
-        s = report.final.s
-        alphabet = sorted(set(report.generators) | ground.generators())
-        for w in reduced_words(alphabet, report.word_budget, min_len=1):
-            if not (occurrences(w) & set(report.generators)):
-                continue
-            res = fix(w, s, ground)
-            if not res.exact:
-                violations.append(f"{format_word(w)}: fix set not exactly computable")
-                continue
+        for w in reduced_words(sorted(set(report.generators)), report.word_budget, min_len=1):
+            points = fix(w)
             _, core = conjugate_decompose(w)
-            core_res = fix(core, s, ground)
-            if len(res.points) != len(core_res.points):
+            core_points = fix(core)
+            if len(points) != len(core_points):
                 violations.append(
-                    f"{format_word(w)}: |fix| = {len(res.points)} but its core "
-                    f"{format_word(core)} has {len(core_res.points)}"
+                    f"{format_word(w)}: |fix| = {len(points)} but its core "
+                    f"{format_word(core)} has {len(core_points)}"
                 )
     return violations
 
@@ -99,26 +81,23 @@ def _random_maps(rng: random.Random, gens, size: int, values: int) -> Assignment
     })
 
 
-def _table_matches(s: Assignment, ground: GroundRep, gens=GENS, max_len: int = 4) -> int:
-    """Check the table against fix_points on every reduced word over gens and
-    the ambient generators; returns how many words had a nonempty fix set."""
+def _table_matches(s: Assignment, gens=GENS, max_len: int = 4) -> int:
+    """Check the table against fix_points on every reduced word over gens;
+    returns how many words had a nonempty fix set."""
     table = fix_table(gens, max_len, s)
-    finite = set(gens)
+    words = reduced_words(gens, max_len, min_len=1)
     nonempty = 0
-    for w in reduced_words(sorted(finite | ground.generators()), max_len, min_len=1):
-        if occurrences(w) <= finite:
-            assert table[w.letters] == fix_points(w, s, ground).points, format_word(w)
-            nonempty += bool(table[w.letters])
-        else:
-            assert w.letters not in table
-    assert len(table) == sum(occurrences(w) <= finite for w in reduced_words(gens, max_len, 1))
+    for w in words:
+        assert table[w.letters] == fix_points(w, s).points, format_word(w)
+        nonempty += bool(table[w.letters])
+    assert len(table) == len(words)
     return nonempty
 
 
 @pytest.mark.parametrize("seed", [3, 5])
 def test_table_equals_fix_points_on_wide_builds(seed):
     s = _wide(seed).final.s
-    assert _table_matches(s, EMPTY_GROUND) > 0
+    assert _table_matches(s) > 0
 
 
 def test_table_equals_fix_points_on_non_injective_maps():
@@ -127,16 +106,8 @@ def test_table_equals_fix_points_on_non_injective_maps():
     for _ in range(12):
         s = _random_maps(rng, GENS, rng.randrange(1, 9), 6)
         clashes += sum(not (pm.is_injective() and pm.is_functional()) for pm in s.table.values())
-        nonempty += _table_matches(s, EMPTY_GROUND)
+        nonempty += _table_matches(s)
     assert nonempty > 100 and clashes > 20
-
-
-def test_table_under_an_ambient_ground_covers_the_finite_words_only():
-    ground = GroundRep({7: zshift()})
-    rng = random.Random(5)
-    for _ in range(3):
-        s = _random_maps(rng, GENS, 6, 8)
-        _table_matches(s, ground)
 
 
 def test_table_of_an_empty_assignment_and_of_length_zero():
@@ -211,29 +182,9 @@ def test_clean_builds_agree_in_every_mode():
         assert _both(build_variant_family(mode, [0, 1, 2], 20, seed=4)) == []
 
 
-@pytest.mark.parametrize("gens, budget", [([0], 2), ([0, 1], 3)])
-def test_ambient_builds_agree(gens, budget):
-    ground = GroundRep({7: zshift()})
-    report = build(PosetMode.COFINITARY, gens, ground, point_budget=4, word_budget=budget, seed=2)
-    assert any(7 in occurrences(w) for w in report.frozen_fix)
-    assert _both(report) == []
-
-
-def test_horizon_limited_words_agree():
-    # a report generator that is also ambient, backed by a permutation
-    # without shift structure: its pure powers are only horizon-scanned
-    swap = GroundPermutation(lambda n: n ^ 1, lambda n: n ^ 1, scan_horizon=40)
-    ground = GroundRep({7: swap})
-    report = build(PosetMode.COFINITARY, [0, 1], point_budget=6, word_budget=2, seed=3)
-    report.generators = (0, 1, 7)
-    report.final = Condition(report.final.s, report.final.words, report.mode, ground)
-    violations = _both(report)
-    assert any("not exactly computable" in v for v in violations)
-
-
 def _with_final_s(report: BuildReport, s: Assignment) -> BuildReport:
     return BuildReport(
-        Condition(s, report.final.words, report.mode, report.final.ground),
+        Condition(s, report.final.words, report.mode),
         report.goal_log, report.frozen_fix,
         report.mode, report.generators, report.point_budget, report.word_budget, report.seed,
     )

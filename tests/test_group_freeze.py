@@ -4,8 +4,7 @@ builder.build grows the side set once per length group, with one
 validation and one order check, where it used to freeze the words one at a
 time.  reference_build below is the word-at-a-time builder, kept verbatim
 but for its name and its add_words call; both must give the same report,
-goal log included, on every mode, word budget, ambient ground and kind of
-extra goal.
+goal log included, on every mode, word budget and kind of extra goal.
 
 A group's frozen values are read from one evaluation.fix_table of the
 group's s; the last tests check each group's reader against fix_points at
@@ -24,7 +23,7 @@ import pytest
 from cofinitary import builder
 from cofinitary.builder import BuildError, BuildReport, DenseGoal, build, hit_goal
 from cofinitary.cli import encode_report
-from cofinitary.evaluation import EMPTY_GROUND, GroundRep, fix_points, fix_table, zshift
+from cofinitary.evaluation import fix_points, fix_table, zshift
 from cofinitary.extension import hit_extend, hit_search, point_step, range_extend
 from cofinitary.poset import (
     DISCIPLINES,
@@ -35,13 +34,13 @@ from cofinitary.poset import (
     leq,
     side_words,
 )
-from cofinitary.words import Letter, Word, format_word, occurrences, reduced_words, single
+from cofinitary.words import Letter, Word, format_word, reduced_words, single
 
 
 def reference_build(
     mode: PosetMode,
     generators: Sequence[int],
-    ground: GroundRep = EMPTY_GROUND,
+    *,
     point_budget: int = 32,
     word_budget: int = 3,
     seed: int = 0,
@@ -52,7 +51,8 @@ def reference_build(
 
     Words of length L are frozen before point goals beyond 4*L are issued,
     so freezing happens while it still bites.  Every step is checked once
-    to extend the previous condition.
+    to extend the previous condition.  Its ambient ground is gone, as the
+    builder's is.
     """
     gens = tuple(sorted(generators))
     if not gens:
@@ -66,15 +66,14 @@ def reference_build(
     if value_ceiling is None:
         value_ceiling = max(1_000, 200 * point_budget)
     rng = random.Random(seed)
-    alphabet = tuple(sorted(set(gens) | ground.generators()))
     by_len: dict[int, list[Word]] = {}  # words to freeze, grouped by length
-    for w in side_words(mode, alphabet, ground.generators(), word_budget):
+    for w in side_words(mode, gens, word_budget):
         by_len.setdefault(len(w.letters), []).append(w)
     for group in by_len.values():
         group.sort(key=Word.sort_key)
         rng.shuffle(group)
 
-    cond = Condition(mode=mode, ground=ground)
+    cond = Condition(mode=mode)
     stage = 0
     goal_log: list[tuple[str, int, Optional[int]]] = []
     frozen_fix: dict[Word, tuple[int, frozenset[int]]] = {}
@@ -90,7 +89,7 @@ def reference_build(
         # the side set by construction, so this check cannot fail.
         if goal.kind == "freeze":
             cond = add_words(prev, prev.words | {goal.word})
-            fix = frozen_value(mode, cond.s, goal.word, prev.words, ground)
+            fix = frozen_value(mode, cond.s, goal.word, prev.words)
             frozen_fix[goal.word] = (stage, fix)
             if not leq(cond, prev):
                 raise BuildError(f"chain law broken at stage {stage}", _report())
@@ -172,12 +171,6 @@ def test_word_budgets(word_budget):
                    word_budget=word_budget, seed=seed))
 
 
-@pytest.mark.parametrize("seed", [0, 2, 4])
-def test_ambient(seed):
-    _same(dict(mode=PosetMode.COFINITARY, generators=[0], ground=GroundRep({7: zshift()}),
-               point_budget=4, word_budget=2, seed=seed))
-
-
 def _freeze(w: Word) -> DenseGoal:
     return DenseGoal("freeze", word=w)
 
@@ -232,15 +225,15 @@ def test_non_hat_word_in_a_group_is_rejected(monkeypatch):
     a, b = Letter(0, 1), Letter(1, 1)
     bad = [Word((a, b, a)), Word((b, a, b))]  # first and last letters share a generator
 
-    def with_bad_words(mode, alphabet, ambient, length):
-        return side_words(mode, alphabet, ambient, length) + tuple(bad)
+    def with_bad_words(mode, alphabet, length):
+        return side_words(mode, alphabet, length) + tuple(bad)
 
     frozen = []
     value = builder.frozen_value
 
-    def recording_value(mode, s, w, earlier, ground, fix=None):
+    def recording_value(mode, s, w, earlier, fix=None):
         frozen.append(w)
-        return value(mode, s, w, earlier, ground, fix)
+        return value(mode, s, w, earlier, fix)
 
     monkeypatch.setattr(builder, "side_words", with_bad_words)
     monkeypatch.setattr(builder, "frozen_value", recording_value)
@@ -254,22 +247,25 @@ def test_non_hat_word_in_a_group_is_rejected(monkeypatch):
 
 # -- frozen values from one fix table per group ------------------------------
 
-GROUNDS = [  # point goals go on after the last group, so the final s is not a group's
-    (EMPTY_GROUND, [0, 1, 2], 16, 3),
-    (GroundRep({7: zshift()}), [0, 1], 10, 2),  # side words mixed with the ambient g7
-]
+BUILDS = {  # point goals go on after the last group, so the final s is not a group's
+    "empty": ([0, 1, 2], 16, 3, ()),  # no extra goals
+    "zshift": ([0, 1], 10, 2, (hit_goal(0, zshift(), 10), hit_goal(1, zshift(), 4))),
+}
 
 
-@pytest.mark.parametrize("ground, gens, points, word_budget", GROUNDS, ids=["empty", "zshift"])
+@pytest.mark.parametrize(
+    "gens, points, word_budget, goals", list(BUILDS.values()), ids=list(BUILDS)
+)
 def test_group_values_come_from_a_table_at_the_group_s(
-    ground, gens, points, word_budget, monkeypatch
+    gens, points, word_budget, goals, monkeypatch
 ):
     # Each group has its own reader, each word is frozen through its group's
     # reader at its group's s, and the reader equals fix_points at that s on
-    # every word of the group's length; only a word with an ambient letter
-    # reaches fix_points.  A table one length short fails the last check.
+    # every word of the group's length.  No word reaches fix_points, which
+    # a table one length short would send its longest words to.
     # A table of the final s agrees on the frozen words, which keep their
     # fix sets, so the reader-per-group and group-s checks catch it.
+    # The zshift build also meets hit goals toward zshift after its groups.
     groups, calls, asked = [], [], []
     grow, value, points_of = builder.add_words, builder.frozen_value, builder.fix_points
 
@@ -277,33 +273,33 @@ def test_group_values_come_from_a_table_at_the_group_s(
         groups.append(grow(p, words))
         return groups[-1]
 
-    def recording_value(mode, s, w, earlier, ground, fix=None):
+    def recording_value(mode, s, w, earlier, fix=None):
         calls.append((w, s, fix))
-        return value(mode, s, w, earlier, ground, fix)
+        return value(mode, s, w, earlier, fix)
 
-    def recording_points(w, s, ground):
+    def recording_points(w, s):
         asked.append(w)
-        return points_of(w, s, ground)
+        return points_of(w, s)
 
     monkeypatch.setattr(builder, "add_words", recording_grow)
     monkeypatch.setattr(builder, "frozen_value", recording_value)
     monkeypatch.setattr(builder, "fix_points", recording_points)
-    report = build(PosetMode.COFINITARY, gens, ground, point_budget=points,
-                   word_budget=word_budget, seed=5)
-    amb = ground.generators()
-    assert all(occurrences(w) & amb for w in asked)
-    assert any(occurrences(w) & amb for w in report.frozen_fix) == bool(amb)
+    report = build(PosetMode.COFINITARY, gens, point_budget=points,
+                   word_budget=word_budget, seed=5, extra_goals=goals)
+    hits = [witness for goal, _, witness in report.goal_log if goal.startswith("hit:")]
+    assert len(hits) == len(goals) and None not in hits  # every hit goal was met
+    assert not asked
     assert report.final.s != groups[-1].s
     assert len(calls) == len(report.frozen_fix)
     checked = set()
     for w, s, fix in calls:
         group = next(c for c in groups if w in c.words)
         assert fix is not None and s is group.s
-        assert report.frozen_fix[w][1] == fix_points(w, s, ground).points
+        assert report.frozen_fix[w][1] == fix_points(w, s).points
         if (id(fix), id(group)) not in checked:
             checked.add((id(fix), id(group)))
-            for u in reduced_words(sorted(set(gens) | amb), len(w), min_len=len(w)):
-                assert fix(u, s, ground) == fix_points(u, s, ground), format_word(u)
+            for u in reduced_words(gens, len(w), min_len=len(w)):
+                assert fix(u) == fix_points(u, s).points, format_word(u)
     assert len({id(fix) for _, _, fix in calls}) == len(groups)  # a reader per group
 
 

@@ -2,15 +2,7 @@ import random
 
 import pytest
 
-from cofinitary.evaluation import (
-    Assignment,
-    EMPTY_GROUND,
-    GroundRep,
-    PartialMap,
-    eval_word,
-    exact_domain,
-    zshift,
-)
+from cofinitary.evaluation import Assignment, PartialMap, eval_domain, eval_word
 from cofinitary import poset
 from cofinitary.poset import (
     Condition,
@@ -32,25 +24,23 @@ def pmap(*pairs):
     return PartialMap(frozenset(pairs))
 
 
-def cond(pairs_by_gen, words, mode=PosetMode.COFINITARY, ground=EMPTY_GROUND):
+def cond(pairs_by_gen, words, mode=PosetMode.COFINITARY):
     return Condition(
         Assignment({g: pmap(*ps) for g, ps in pairs_by_gen.items()}),
         frozenset(parse_word(t) for t in words),
         mode,
-        ground,
     )
 
 
 def brute_leq(p: Condition, q: Condition) -> bool:
-    """Oracle: compare exact fixed point sets of every frozen word (no ambient
-    generators)."""
+    """Oracle: compare exact fixed point sets of every frozen word."""
     if not p.s.contains(q.s) or not (p.words >= q.words):
         return False
     for w in q.sorted_words():
-        dom_p = exact_domain(w, p.s, EMPTY_GROUND)
-        fix_p = {n for n in dom_p if eval_word(w, p.s, EMPTY_GROUND, n) == n}
-        dom_q = exact_domain(w, q.s, EMPTY_GROUND)
-        fix_q = {n for n in dom_q if eval_word(w, q.s, EMPTY_GROUND, n) == n}
+        dom_p = eval_domain(w, p.s)
+        fix_p = {n for n in dom_p if eval_word(w, p.s, n) == n}
+        dom_q = eval_domain(w, q.s)
+        fix_q = {n for n in dom_q if eval_word(w, q.s, n) == n}
         if not fix_p <= fix_q:
             return False
     return True
@@ -81,12 +71,6 @@ class TestValidate:
         c2 = cond({0: [(0, 1), (3, 0)]}, ["g0"], PosetMode.MAD)
         assert validate(c2) == []
 
-    def test_ambient_generator_cannot_carry_pairs(self):
-        ground = GroundRep({7: zshift()})
-        c = cond({7: [(0, 1)]}, [], ground=ground)
-        assert any("ambient" in v for v in validate(c))
-
-
 class TestLeq:
     def test_cycle_has_no_fixed_point(self):
         q = cond({0: [(0, 1)]}, ["g0"])
@@ -106,33 +90,6 @@ class TestLeq:
     def test_mode_mismatch(self):
         with pytest.raises(ValueError):
             leq(cond({}, []), cond({}, [], PosetMode.MAD))
-
-    def test_matches_exact_fix_oracle_with_ambient(self):
-        from cofinitary.evaluation import fix_points
-
-        ground = GroundRep({7: zshift()})
-        rng = random.Random(67)
-        for _ in range(200):
-            q = sample_condition(rng, PosetMode.COFINITARY, [0, 1], max_pairs=3,
-                                 max_words=3, value_range=10, word_len=3,
-                                 ground=ground)
-            p = sample_extension(rng, q)
-            if rng.random() < 0.4:
-                # haphazard extra pair
-                g = rng.choice([0, 1])
-                n, m = rng.randrange(10), rng.randrange(10)
-                if n not in p.s.get(g).domain() and m not in p.s.get(g).image():
-                    p = Condition(p.s.with_pair(g, n, m), p.words, p.mode, ground)
-            want = p.s.contains(q.s) and p.words >= q.words
-            if want:
-                for w in q.sorted_words():
-                    a = fix_points(w, p.s, ground)
-                    b = fix_points(w, q.s, ground)
-                    assert a.exact and b.exact
-                    if not a.points <= b.points:
-                        want = False
-                        break
-            assert leq(p, q) == want
 
     def test_matches_brute_force_oracle(self):
         rng = random.Random(23)
@@ -208,13 +165,6 @@ class TestRestrict:
             p = sample_extension(rng, q)
             keep = frozenset(rng.sample([0, 1, 2], rng.randrange(4)))
             assert leq(strong_restrict(p, keep), strong_restrict(q, keep))
-
-    def test_ambient_letters_survive_strong_restrict(self):
-        ground = GroundRep({7: zshift()})
-        p = cond({0: [(0, 1)]}, ["g0 g7"], ground=ground)
-        assert strong_restrict(p, {0}).words == p.words
-        assert strong_restrict(p, set()).words == frozenset()
-
 
 class TestMergeAndGrow:
     def test_disjoint_merge(self):
@@ -314,77 +264,3 @@ class TestJson:
     def test_roundtrip(self):
         p = cond({0: [(0, 1), (4, 2)], 1: [(3, 3)]}, ["g0^2 g1", "g0"])
         assert Condition.from_json(p.to_json()) == p
-
-
-class TestGrounds:
-    """A condition carries its ground; two grounds never mix, even when they
-    hold the same permutations."""
-
-    def _pair(self):
-        ground, twin = GroundRep({7: zshift()}), GroundRep({7: zshift()})
-        return cond({0: [(0, 1)]}, ["g0 g7"], ground=ground), ground, twin
-
-    def test_ground_rep_is_compared_by_identity(self):
-        _, ground, twin = self._pair()
-        assert ground == ground and ground != twin
-        assert len({ground, twin, ground}) == 2
-
-    def test_leq_rejects_mixed_grounds(self):
-        p, ground, twin = self._pair()
-        q = Condition(p.s, p.words, p.mode, twin)
-        assert leq(p, p)
-        with pytest.raises(ValueError, match="ground mismatch"):
-            leq(p, q)
-        with pytest.raises(ValueError, match="ground mismatch"):
-            leq(cond({}, []), cond({}, [], ground=ground))
-
-    def test_delta_compatible_merge_rejects_mixed_grounds(self):
-        p, ground, twin = self._pair()
-        q = cond({1: [(2, 3)]}, [], ground=twin)
-        clash = cond({0: [(2, 1)]}, [], ground=twin)  # a union that is not injective
-        for other in (q, clash):
-            with pytest.raises(ValueError, match="ground mismatch"):
-                delta_compatible_merge(p, other)
-        merged = delta_compatible_merge(p, Condition(q.s, q.words, q.mode, ground))
-        assert isinstance(merged, Condition) and merged.ground is ground
-
-    def test_canonical_extension_rejects_mixed_grounds(self):
-        from cofinitary.extension import canonical_extension, strong_reduction
-
-        p, ground, twin = self._pair()
-        red = strong_reduction(p, {0})
-        assert canonical_extension(p, red, {0}).ground is ground
-        with pytest.raises(ValueError, match="ground mismatch"):
-            canonical_extension(p, Condition(red.s, red.words, red.mode, twin), {0})
-
-    def test_validated_never_takes_the_delta_path_across_grounds(self):
-        from cofinitary.poset import validated
-
-        # g7 carries pairs: invalid over a ground that holds g7, valid
-        # without one; the delta path would skip the map prev already had
-        prev = add_words(cond({7: [(0, 1)]}, []), frozenset({parse_word("g7")}))
-        ground = GroundRep({7: zshift()})
-        out = Condition(prev.s, prev.words | {parse_word("g0")}, prev.mode, ground)
-        with pytest.raises(ValueError, match="g7 is an ambient generator"):
-            validated(prev, out)
-        same = Condition(prev.s, out.words, prev.mode)
-        assert validated(prev, same) is same
-
-    def test_every_step_keeps_the_ground(self):
-        from cofinitary.extension import domain_extend, range_extend, strong_reduction
-
-        ground = GroundRep({7: zshift()})
-        rng = random.Random(71)
-        for _ in range(30):
-            p = sample_condition(rng, PosetMode.COFINITARY, [0, 1], word_len=3, ground=ground)
-            steps = [
-                sample_extension(rng, p),
-                restrict(p, {0}),
-                strong_restrict(p, {0}),
-                strong_reduction(p, {0}),
-                add_words(p, p.words | {parse_word("g0 g7")}),
-            ]
-            n = max(p.s.all_values(), default=0) + 1
-            for ext in (domain_extend(p, 0, n), range_extend(p, 0, n)):
-                steps.append(ext.commit(ext.choose()))
-            assert all(q.ground is ground for q in steps)

@@ -21,7 +21,7 @@ from typing import Optional
 
 import pytest
 
-from cofinitary.evaluation import EMPTY_GROUND, Assignment, GroundRep, PartialMap, zshift
+from cofinitary.evaluation import Assignment, PartialMap
 from cofinitary.extension import (
     CertificateError,
     ContractViolation,
@@ -64,7 +64,7 @@ def _added_pairs(p: Assignment, q: Assignment):
     return added
 
 
-def reference_leq(p: Condition, q: Condition, ground: GroundRep = EMPTY_GROUND) -> bool:
+def reference_leq(p: Condition, q: Condition) -> bool:
     """The pair kernels ("ones", "agreement") of leq before the step-local check."""
     if p.mode is not q.mode:
         raise ValueError(f"mode mismatch: {p.mode} vs {q.mode}")
@@ -389,10 +389,6 @@ def test_injection_fact_along_drawn_chains(span):
 
 # -- the strong reduction kept on a condition ------------------------------------
 
-AMBIENT = GroundRep({7: zshift()})
-GROUNDS = {"ambient": AMBIENT, "none": EMPTY_GROUND}
-
-
 def _reduced(p: Condition, keep):
     try:
         return strong_reduction(p, keep).to_json()
@@ -402,40 +398,30 @@ def _reduced(p: Condition, keep):
 
 @pytest.mark.parametrize("mode", list(PosetMode), ids=lambda m: m.value)
 def test_reduction_memo_matches_a_fresh_reduction(mode):
-    """Each query on p, over either ground, must equal a reduction of a
-    fresh copy of p, whatever p was asked before: a memo that ignores keep
-    fails, and so would one shared by the conditions over two grounds."""
+    """Each query on p must equal a reduction of a fresh copy of p, whatever
+    p was asked before: a memo that ignores keep fails."""
     rng = random.Random(f"memo-{mode.value}")
     gens = [0, 1, 2, 3]
-    differ = {"keep": 0, "ground": 0}
+    differ = 0
     for _ in range(120):
-        p = sample_condition(rng, mode, gens, max_pairs=5, ground=AMBIENT)
-        over = {"ambient": p, "none": Condition(p.s, p.words, p.mode, EMPTY_GROUND)}
+        p = sample_condition(rng, mode, gens, max_pairs=5)
         a = frozenset(rng.sample(gens, rng.randrange(len(gens) + 1)))
         b = frozenset(rng.sample(gens, rng.randrange(len(gens) + 1)))
         c = Condition.from_json(p.to_json())
-        fresh = {
-            (keep, ground): _reduced(Condition(c.s, c.words, c.mode, GROUNDS[ground]), keep)
-            for keep in (a, b)
-            for ground in GROUNDS
-        }
-        differ["keep"] += fresh[a, "ambient"] != fresh[b, "ambient"]
-        differ["ground"] += fresh[a, "ambient"] != fresh[a, "none"]
-        for keep, ground in [(a, "ambient"), (a, "ambient"), (b, "ambient"), (a, "none"),
-                             (a, "ambient")]:
-            assert _reduced(over[ground], keep) == fresh[keep, ground]
-        if not isinstance(fresh[b, "none"], tuple):
-            first = strong_reduction(over["none"], set(b))  # any iterable keep
-            assert strong_reduction(over["none"], b) is first
-    assert differ["keep"] > 40
-    if mode is PosetMode.COFINITARY:  # only hat words hold the ambient letter
-        assert differ["ground"] > 10
+        fresh = {keep: _reduced(Condition(c.s, c.words, c.mode), keep) for keep in (a, b)}
+        differ += fresh[a] != fresh[b]
+        for keep in (a, a, b, a, a):
+            assert _reduced(p, keep) == fresh[keep]
+        if not isinstance(fresh[b], tuple):
+            first = strong_reduction(p, set(b))  # any iterable keep
+            assert strong_reduction(p, b) is first
+    assert differ > 40
 
 
 def test_memos_keep_no_parent_alive():
     rng = random.Random("alive")
     for mode in PosetMode:
-        p = sample_condition(rng, mode, [0, 1, 2], ground=AMBIENT)
+        p = sample_condition(rng, mode, [0, 1, 2])
         chain = [p]
         for n in range(30, 36):
             if n not in p.s.get(0).fwd:

@@ -20,21 +20,15 @@ import random
 
 import pytest
 
-from test_class_walk import GROUNDS
+from test_incremental_checks import follow_zshift
 from test_step_local import _linear_least
 
 from cofinitary import extension
 from cofinitary.builder import build, build_variant_family
-from cofinitary.evaluation import Assignment, GroundRep, PartialMap, zshift
-from cofinitary.extension import (
-    ExtensionCertificate,
-    _forbidden_edf,
-    _mirror,
-    _mixed,
-    domain_extend,
-)
+from cofinitary.evaluation import Assignment, PartialMap
+from cofinitary.extension import ExtensionCertificate, _forbidden_edf, _mirror, domain_extend
 from cofinitary.poset import DISCIPLINES, Condition, PosetMode, add_words, side_index
-from cofinitary.sampling import sample_condition
+from cofinitary.sampling import sample_condition, sample_extension
 from cofinitary.words import Letter, single
 
 
@@ -119,35 +113,28 @@ def test_a_point_at_the_gap_is_stepped_over():
 
 
 def test_the_mirror_shares_the_summary():
-    for name, ground in GROUNDS.items():
-        rng = random.Random(f"mirror-{name}")
-        finite = [g for g in range(3) if g not in ground.table]
-        for _ in range(40):
-            p = sample_condition(rng, PosetMode.COFINITARY, finite, max_words=3, ground=ground)
-            for gen in finite:
-                mirror = _mirror(p, gen)
-                assert "_summary" in mirror.s.__dict__
-                assert mirror.s.summary() is p.s.summary()
-                _check(mirror.s)
+    rng = random.Random("mirror-empty")
+    for _ in range(120):
+        p = sample_condition(rng, PosetMode.COFINITARY, range(3), max_words=3)
+        for gen in range(3):
+            mirror = _mirror(p, gen)
+            assert "_summary" in mirror.s.__dict__
+            assert mirror.s.summary() is p.s.summary()
+            _check(mirror.s)
 
 
 # -- every certificate of a run ------------------------------------------------
 
 
-def _reference_forbidden(
-    p: Condition, gen: int, n: int, cert: ExtensionCertificate
-) -> frozenset[int]:
+def _reference_forbidden(p: Condition, gen: int, n: int) -> frozenset[int]:
     """The set the certificate stood for before the summary: _forbidden_edf,
-    the image of gen when no side word holds it, {n} and a scan of every
-    value of s when no mixed word does; the mixed-word set is built as
-    before, by ExtensionCertificate.of, so it is its own reference."""
+    the image of gen when no side word holds it, else {n} and a scan of
+    every value of s."""
     if DISCIPLINES[p.mode].kernel == "agreement":
         return frozenset(_forbidden_edf(p, gen, n))
     tries = side_index(p.words)
     if Letter(gen, 1) not in tries and Letter(gen, -1) not in tries:
         return frozenset(p.s.get(gen).rev)
-    if _mixed(p, gen):
-        return cert.forbidden
     return _fresh(p.s)[0] | {n}
 
 
@@ -181,7 +168,7 @@ def certificates(monkeypatch):
 def _check_all(made) -> int:
     """Checks every certificate; returns how many have a gap to start from."""
     for p, gen, n, cert in made:
-        _check_certificate(cert, _reference_forbidden(p, gen, n, cert))
+        _check_certificate(cert, _reference_forbidden(p, gen, n))
     return sum(cert.gap > 0 for *_, cert in made)
 
 
@@ -190,8 +177,6 @@ def test_certificates_of_long_builds(certificates):
         lambda: build(PosetMode.COFINITARY, [0, 1], point_budget=200, word_budget=2, seed=3),
         lambda: build_variant_family(PosetMode.ADP, [0, 1, 2], 100, seed=3),
         lambda: build_variant_family(PosetMode.EDF, [0, 1, 2], 40, seed=3),
-        lambda: build(PosetMode.COFINITARY, [0], GroundRep({7: zshift()}),
-                      point_budget=12, word_budget=2, seed=2),
     ]
     for run in runs:
         run()
@@ -202,14 +187,17 @@ def test_certificates_of_long_builds(certificates):
     assert _check_all(certificates) > 500
 
 
-@pytest.mark.parametrize("ground_name", sorted(GROUNDS))
-def test_certificates_of_sampled_conditions(certificates, ground_name):
-    """Sampled conditions choose from random floors, below and above gap."""
-    ground = GROUNDS[ground_name]
-    rng = random.Random(f"certificates-{ground_name}")
-    finite = [g for g in range(3) if g not in ground.table]
+@pytest.mark.parametrize("case", ["empty", "zshift"])
+def test_certificates_of_sampled_conditions(certificates, case):
+    """Sampled conditions choose from random floors, below and above gap.
+    In the zshift case each one then takes hit steps toward zshift and
+    a few more point steps, whose certificates see maps that follow the
+    shift at some points."""
+    rng = random.Random(f"certificates-{case}")
     for _ in range(150):
         for mode in (PosetMode.COFINITARY, PosetMode.ADP):
-            sample_condition(rng, mode, finite, max_pairs=8, max_words=3, ground=ground)
+            p = sample_condition(rng, mode, range(3), max_pairs=8, max_words=3)
+            if case == "zshift":
+                sample_extension(rng, follow_zshift(rng, p, range(3)), steps=3)
     assert len(certificates) > 800, len(certificates)
     assert _check_all(certificates) > 50
