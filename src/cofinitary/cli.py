@@ -23,8 +23,8 @@ from .builder import BuildError, build, verify_cofinitary
 from .evaluation import zshift
 from .extension import CertificateError, ContractViolation, hit_search, hit_threshold, NOT_FOUND
 from .poset import DISCIPLINES, PosetMode, side_index, side_words
-from .sampling import Draws, sample_condition
-from .suslin import TrialWorkerLost, ffp_axiom_suite, n_suslin_trial
+from .sampling import Draws, TrialWorkerLost, sample_condition
+from .suslin import ffp_axiom_suite, n_suslin_trial
 from .templates import (
     SurrogateParams,
     TemplateOrder,

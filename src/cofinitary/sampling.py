@@ -1,4 +1,5 @@
-"""Seeded random generators for conditions and their extensions.
+"""Seeded random generators for conditions and their extensions, and the
+splitter that runs independent samples on every usable CPU.
 
 Sampling always goes through the extension machinery, so every sampled
 extension is an extension by construction; tests that want raw (possibly
@@ -7,8 +8,11 @@ invalid) material build it by hand.
 
 from __future__ import annotations
 
+import json
+import os
 import random
-from typing import Iterable, Optional, Sequence
+import threading
+from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 from .evaluation import Assignment, PartialMap
 from .extension import point_step
@@ -166,3 +170,125 @@ def sample_extra_words(rng: random.Random, p: Condition) -> frozenset[Word]:
     gens = sorted(p.occurring() | {0, 1})
     draws = rng.randrange(1, 3) if DISCIPLINES[p.mode].shape == "hat" else 1
     return frozenset(_draw_entries(rng, p.mode, gens, 2, draws))
+
+
+# ---------------------------------------------------------------------------
+# independent samples across CPUs
+
+T = TypeVar("T")
+
+
+class TrialWorkerLost(RuntimeError):
+    """A forked chunk of samples ended without sending its result."""
+
+
+def workers(samples: int, floor: int) -> int:
+    """Processes to share samples independent draws: one per CPU this
+    process may run on, at most one per floor samples.  1 where os.fork or
+    the CPU set is unavailable, and while another thread runs, since a fork
+    copies only the calling thread and may copy a lock another one holds."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), samples // floor))
+
+
+def split_samples(
+    run: Callable[[int, int], T], samples: int, workers: int, what: str = "samples"
+) -> list[T]:
+    """[run(lo, hi) for each of workers contiguous chunks of range(samples)],
+    in chunk order: this process runs chunk 0, a forked child each other
+    chunk.  A child's result comes back as JSON text, so run returns JSON
+    data (lists, not tuples).  A chunk whose child cannot be started (no
+    pids or descriptors left) runs here too.  Every child is reaped before
+    the first chunk's error is raised; a child that dies without a result
+    raises TrialWorkerLost, naming its chunk as `what lo..hi - 1`."""
+    bounds = [samples * k // workers for k in range(workers + 1)]
+    chunks = list(zip(bounds, bounds[1:]))
+    children: dict[int, tuple[int, int]] = {}
+    outcomes: dict[int, object] = {}
+    try:
+        for k in range(1, workers):
+            try:
+                children[k] = _fork_chunk(run, *chunks[k])
+            except OSError:
+                break
+        for k, chunk in enumerate(chunks):
+            if k not in children:
+                try:
+                    outcomes[k] = run(*chunk)
+                except Exception as err:
+                    outcomes[k] = err
+                    break  # a later chunk cannot fail first
+    finally:
+        for k, (pid, fd) in children.items():
+            lo, hi = chunks[k]
+            outcomes[k] = _collect(pid, fd, f"{what} {lo}..{hi - 1}")
+    results = []
+    for k in range(workers):
+        got = outcomes[k]
+        if isinstance(got, BaseException):
+            raise got
+        results.append(got)
+    return results
+
+
+def _fork_chunk(run: Callable[[int, int], object], lo: int, hi: int) -> tuple[int, int]:
+    """Fork a child that runs one chunk and writes its outcome to a pipe:
+    "R" and the result as JSON text, or "E" and the pickled exception;
+    returns (pid, read end).  pickle is imported on the error path only:
+    loading it costs the calling process about 0.5 MiB.  The child leaves
+    only through os._exit, so it runs no exit handler and flushes no buffer
+    it shares with this process."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            try:
+                data = memoryview(b"R" + json.dumps(run(lo, hi)).encode())
+            except BaseException as err:  # sent on: the parent raises it
+                import pickle
+
+                data = memoryview(b"E" + pickle.dumps(err))
+            while data:
+                data = data[os.write(w, data):]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def _collect(pid: int, fd: int, chunk: str) -> Union[object, BaseException]:
+    """A child's outcome: read its pipe to the end, then reap it.  A child
+    that exits nonzero, dies by a signal or sends nothing readable gives a
+    TrialWorkerLost."""
+    parts = []
+    try:
+        while part := os.read(fd, 1 << 16):
+            parts.append(part)
+    finally:
+        os.close(fd)
+        status = os.waitpid(pid, 0)[1]
+    code = os.waitstatus_to_exitcode(status)
+    data = b"".join(parts)
+    lost = f"{chunk}: worker {pid} "
+    if code != 0:
+        how = f"died by signal {-code}" if code < 0 else f"exited with status {code}"
+        return TrialWorkerLost(lost + how + " without a result")
+    if data[:1] == b"R":
+        return json.loads(data[1:])
+    try:
+        import pickle
+
+        return pickle.loads(data[1:])
+    except Exception as err:
+        return TrialWorkerLost(lost + f"sent an unreadable result ({err!r})")

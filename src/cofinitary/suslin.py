@@ -13,10 +13,9 @@ public functions convert at that edge and call the kernel op.
 
 from __future__ import annotations
 
-import os
 import random
-import threading
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from typing import Iterable, Optional, Sequence, Union
 
@@ -39,6 +38,8 @@ from .sampling import (
     sample_extension,
     sample_extra_words,
     sample_fresh_assignment,
+    split_samples,
+    workers,
 )
 from .words import format_word
 
@@ -653,7 +654,10 @@ def n_suslin_trial(poset: str, n: int, samples: int, seed: int) -> TrialReport:
     if n < 1:
         raise ValueError("n must be at least 1")
     _trial_kernels(poset)  # an unknown poset is rejected before any fork
-    failure_seeds = _split_failures(poset, n, seed, samples, _workers(samples))
+    chunks = split_samples(
+        partial(_trial_failures, poset, n, seed), samples, workers(samples, CHUNK_FLOOR), "trials"
+    )
+    failure_seeds = list(chain.from_iterable(chunks))
     return TrialReport(poset, n, samples, seed, len(failure_seeds), failure_seeds)
 
 
@@ -686,117 +690,6 @@ def _trial_failures(poset: str, n: int, seed: int, start: int, stop: int) -> lis
 CHUNK_FLOOR = 1000
 
 
-class TrialWorkerLost(RuntimeError):
-    """A forked chunk of trials ended without sending its result."""
-
-
-def _workers(samples: int) -> int:
-    """Processes to share the trials: one per CPU this process may run on,
-    at most one per CHUNK_FLOOR trials.  1 where os.fork or the CPU set is
-    unavailable, and while another thread runs, since a fork copies only
-    the calling thread and may copy a lock another one holds."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    if threading.active_count() > 1:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), samples // CHUNK_FLOOR))
-
-
-def _split_failures(poset: str, n: int, seed: int, samples: int, workers: int) -> list[int]:
-    """_trial_failures over range(samples), as workers contiguous chunks:
-    this process runs chunk 0, a forked child each other chunk.  A chunk
-    whose child cannot be started (no pids or descriptors left) runs here
-    too.  Every child is reaped before the first chunk's error is raised."""
-    bounds = [samples * k // workers for k in range(workers + 1)]
-    chunks = list(zip(bounds, bounds[1:]))
-    children: dict[int, tuple[int, int]] = {}
-    outcomes: dict[int, object] = {}
-    try:
-        for k in range(1, workers):
-            try:
-                children[k] = _fork_chunk(poset, n, seed, *chunks[k])
-            except OSError:
-                break
-        for k, chunk in enumerate(chunks):
-            if k not in children:
-                try:
-                    outcomes[k] = _trial_failures(poset, n, seed, *chunk)
-                except Exception as err:
-                    outcomes[k] = err
-                    break  # a later chunk cannot fail first
-    finally:
-        for k, (pid, fd) in children.items():
-            outcomes[k] = _collect(pid, fd, chunks[k])
-    failure_seeds: list[int] = []
-    for k in range(workers):
-        got = outcomes[k]
-        if isinstance(got, BaseException):
-            raise got
-        failure_seeds += got
-    return failure_seeds
-
-
-def _fork_chunk(poset: str, n: int, seed: int, start: int, stop: int) -> tuple[int, int]:
-    """Fork a child that runs one chunk and writes its outcome to a pipe:
-    "F" and the failing trials as decimal text, or "E" and the pickled
-    exception; returns (pid, read end).  pickle is imported on the error
-    path only: loading it costs the calling process about 0.5 MiB.  The
-    child leaves only through os._exit, so it runs no exit handler and
-    flushes no buffer it shares with this process."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            try:
-                failures = _trial_failures(poset, n, seed, start, stop)
-                data = memoryview(b"F" + " ".join(map(str, failures)).encode())
-            except BaseException as err:  # sent on: the parent raises it
-                import pickle
-
-                data = memoryview(b"E" + pickle.dumps(err))
-            while data:
-                data = data[os.write(w, data):]
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, r
-
-
-def _collect(pid: int, fd: int, chunk: tuple[int, int]) -> Union[list[int], BaseException]:
-    """A child's outcome: read its pipe to the end, then reap it.  A child
-    that exits nonzero, dies by a signal or sends nothing readable gives a
-    TrialWorkerLost."""
-    parts = []
-    try:
-        while part := os.read(fd, 1 << 16):
-            parts.append(part)
-    finally:
-        os.close(fd)
-        status = os.waitpid(pid, 0)[1]
-    code = os.waitstatus_to_exitcode(status)
-    data = b"".join(parts)
-    lost = f"trials {chunk[0]}..{chunk[1] - 1}: worker {pid} "
-    if code != 0:
-        how = f"died by signal {-code}" if code < 0 else f"exited with status {code}"
-        return TrialWorkerLost(lost + how + " without a result")
-    if data[:1] == b"F":
-        return [int(t) for t in data[1:].split()]
-    try:
-        import pickle
-
-        return pickle.loads(data[1:])
-    except Exception as err:
-        return TrialWorkerLost(lost + f"sent an unreadable result ({err!r})")
-
-
 # ---------------------------------------------------------------------------
 # finite-function-poset axiom suite
 
@@ -817,6 +710,21 @@ class ClauseResult:
         }
 
 
+FFP_CLAUSES = (
+    "restriction-order",
+    "restriction-monotone",
+    "disjoint-merge",
+    "side-set-growth",
+    "strong-embedding",
+    "freeze-guard",
+)
+
+# Fewest samples worth a forked chunk of the suite.  One sample takes about
+# 0.4-0.6 ms; starting a child, collecting its result and reaping it about
+# 2 ms.
+FFP_CHUNK_FLOOR = 100
+
+
 def ffp_axiom_suite(
     mode: PosetMode,
     samples: int,
@@ -827,24 +735,34 @@ def ffp_axiom_suite(
     """Property-check the finite-function-poset clauses (restrictions and
     extensions), the reduction/extension contract, and a freeze guard, on
     sampled conditions of the given mode.  leq_override(p, q) swaps in a different
-    order decision (used by mutation tests)."""
+    order decision (used by mutation tests).
+
+    Sample i draws from seed * 1_000_003 + i, as the Suslin trials do, so
+    the samples are independent and run in contiguous chunks, one per usable
+    CPU and at most one per FFP_CHUNK_FLOOR samples.  The chunks merge in
+    sample order: checks add up, and a clause's witness is its first failing
+    sample's, the serial run's."""
+    run = partial(_suite_chunk, mode, seed, leq_override)
+    results = [ClauseResult(name, True, 0) for name in FFP_CLAUSES]
+    for chunk in split_samples(run, samples, workers(samples, FFP_CHUNK_FLOOR)):
+        for res, (passed, checks, witness) in zip(results, chunk):
+            res.checks += checks
+            if res.passed and not passed:
+                res.passed, res.witness = False, witness
+    return results
+
+
+def _suite_chunk(mode: PosetMode, seed: int, leq_override, start: int, stop: int) -> list[list]:
+    """The suite over samples start, ..., stop - 1: [passed, checks, witness]
+    per clause, in FFP_CLAUSES order, each witness its first failing
+    sample's."""
     order = leq_override if leq_override is not None else leq
-    rng = Draws(seed)
-    results: list[ClauseResult] = []
-
-    def clause(name: str):
-        res = ClauseResult(name, True, 0)
-        results.append(res)
-        return res
-
+    rng = Draws()
+    results = [ClauseResult(name, True, 0) for name in FFP_CLAUSES]
+    res_restrict, res_mono, res_merge, res_grow, res_embed, res_guard = results
     gens = list(range(5))
-    res_restrict = clause("restriction-order")
-    res_mono = clause("restriction-monotone")
-    res_merge = clause("disjoint-merge")
-    res_grow = clause("side-set-growth")
-    res_embed = clause("strong-embedding")
-    res_guard = clause("freeze-guard")
-    for _ in range(samples):
+    for i in range(start, stop):
+        rng.seed(seed * 1_000_003 + i)
         p = sample_condition(rng, mode, gens)
         keep = frozenset(rng.sample(gens, rng.randrange(len(gens) + 1)))
         weak = restrict(p, keep)
@@ -867,9 +785,10 @@ def ffp_axiom_suite(
             if res_merge.passed and not order(merged, p):
                 res_merge.passed = False
                 res_merge.witness = f"p={p.to_json()}, t={t.to_json()}"
-        except Exception as err:  # pragma: no cover
-            res_merge.passed = False
-            res_merge.witness = str(err)
+        except Exception as err:
+            if res_merge.passed:
+                res_merge.passed = False
+                res_merge.witness = str(err)
         res_grow.checks += 1
         try:
             grown = add_words(p, p.words | sample_extra_words(rng, p))
@@ -878,9 +797,10 @@ def ffp_axiom_suite(
             if res_grow.passed and not (grown.words >= p.words and order(grown, p)):
                 res_grow.passed = False
                 res_grow.witness = f"p={p.to_json()}, E={[format_word(w) for w in grown.words]}"
-        except Exception as err:  # pragma: no cover
-            res_grow.passed = False
-            res_grow.witness = str(err)
+        except Exception as err:
+            if res_grow.passed:
+                res_grow.passed = False
+                res_grow.witness = str(err)
         res_embed.checks += 1
         try:
             red = strong_reduction(p, keep)
@@ -901,7 +821,7 @@ def ffp_axiom_suite(
             if order(probe, p):
                 res_guard.passed = False
                 res_guard.witness = f"p={p.to_json()}, probe={probe.to_json()}"
-    return results
+    return [[r.passed, r.checks, r.witness] for r in results]
 
 
 def _freeze_probe(p: Condition) -> Optional[Condition]:

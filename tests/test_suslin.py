@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 
 import pytest
@@ -486,20 +487,23 @@ class TestGoldenReports:
     @pytest.mark.parametrize(
         "mode, seed, digest",
         [
-            ("cofinitary", 3, "24cfbd0d37ee98c9554d424fd27d9c7a2f24c142f48130dee34276f980a08b2f"),
-            ("adp", 3, "e5a5f0363265cc4db603cc1cf84d417ce35221162ffcf947159979217620da9e"),
-            ("edf", 3, "1f5990c73b5dc2f96d26b8fcc7c0c1c1441aca4ada0ecdc49f6abf126088bb21"),
-            ("mad", 3, "2e1149d2065de2da0b1bcea2d3dc5d01d633ec34e4ddfc78b087ee5fa3fc9fa5"),
-            ("cofinitary", 1009, "9610a09208a86de4ed9c8a11a338b4d1e4c9fa5d8e4ca1a8cc9f95186d5b4f94"),
-            ("adp", 1009, "fa3cef944700cf78e779f14531cd27fef4eef8cf1de33cecf09813b05c0ec872"),
-            ("edf", 1009, "ed829e7db53e482cfc1cbffb1a0e6698f9a9adf0296e14d6d68dbd73b6242939"),
-            ("mad", 1009, "424369fe2e753c5bdc6327ab2d32e1888f7e44ca03e45267140e47332b2212fa"),
+            ("cofinitary", 3, "dce66bf401fe95d701b66d7f51409c54b67eeb48e00c830706aef0ced1847a57"),
+            ("adp", 3, "2ad4a02c758b28aa5a37ad979bfb4d70960c3589b626923ee868e8a2e616e952"),
+            ("edf", 3, "c064b65eb185ea640574a18c6d1d87db55caa054da3bfbd1fa41eb73989d18f0"),
+            ("mad", 3, "08b913c0aa580ffaa602993a6f361bf73c4333cede78e5677de47c27b9be0abc"),
+            ("cofinitary", 1009, "31a9cc10a5bb3f16971e849f88ac83778f9c7ce84bbdc4f2d0962fe642e143f6"),
+            ("adp", 1009, "04022135dc000732eb89aacb2336cb3f05932b68deca49f3771d5ebc23f74e3a"),
+            ("edf", 1009, "545355fa15691b2ce2c9c237d40f0117815e4f51f93be9b07013dae593f20f1b"),
+            ("mad", 1009, "107164b70a463275bc21fedf70ca877f9669114323216646611b326fd6efb1bc"),
         ],
     )
-    def test_ffp_suite_comparisons(self, mode, seed, digest):
+    def test_ffp_suite_comparisons(self, mode, seed, digest, monkeypatch):
         """A report records only pass/checks per clause, so its digest cannot
         show that the sampled conditions changed.  This pins every order
-        comparison the suite makes: both conditions and the verdict."""
+        comparison the suite makes: both conditions and the verdict.  One
+        CPU keeps every sample in this process, where the recording leq
+        runs; a forked chunk's comparisons would not be recorded."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         calls = []
 
         def recording_leq(p, q):

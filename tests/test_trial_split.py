@@ -8,47 +8,26 @@ import errno
 import os
 import signal
 import threading
+from functools import partial
+from itertools import chain
 
 import pytest
 
 import suslin_reference as ref
-from cofinitary import suslin
+from cofinitary import sampling, suslin
 from cofinitary.cli import main
 from cofinitary.extension import ContractViolation
-from cofinitary.sampling import Draws
+from cofinitary.sampling import Draws, TrialWorkerLost, split_samples
 
 CASES = [("hechler", 1), ("hechler", 2), ("loc", 1), ("loc", 2)]
 SAMPLES = (0, 1, 3, 1001, 2999)
 SEEDS = (3, 11, 1009)
 
 
-def open_fds() -> set:
-    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
-
-
-@pytest.fixture
-def clean():
-    """After the test: no child is left running or unreaped, and every pipe
-    end the split opened is closed."""
-    before = open_fds()
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert open_fds() == before
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The os.fork calls made, each still a real fork."""
-    calls = []
-    real = os.fork
-
-    def fork():
-        calls.append(os.getpid())
-        return real()
-
-    monkeypatch.setattr(os, "fork", fork)
-    return calls
+def split_failures(poset, n, seed, samples, k):
+    """The failing trials of range(samples), run as k chunks."""
+    run = partial(suslin._trial_failures, poset, n, seed)
+    return list(chain.from_iterable(split_samples(run, samples, k, "trials")))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -63,14 +42,14 @@ def test_split_is_the_serial_run(poset, n, seed, clean):
         serial = suslin._trial_failures(poset, n, seed, 0, samples)
         assert serial == [t for t in reference if t < samples]
         for workers in range(1, 5):
-            assert suslin._split_failures(poset, n, seed, samples, workers) == serial, (
+            assert split_failures(poset, n, seed, samples, workers) == serial, (
                 samples, workers)
             with pytest.raises(ChildProcessError):
                 os.waitpid(-1, os.WNOHANG)
 
 
 def test_one_worker_forks_nothing(forks, clean):
-    assert suslin._split_failures("loc", 1, 3, 2000, 1) == suslin._trial_failures(
+    assert split_failures("loc", 1, 3, 2000, 1) == suslin._trial_failures(
         "loc", 1, 3, 0, 2000)
     assert forks == []
 
@@ -118,7 +97,7 @@ def test_the_serial_runs_error_is_raised(monkeypatch, workers, bad, first, clean
     with pytest.raises(ContractViolation) as serial:
         suslin._trial_failures("loc", 2, 3, 0, 3000)
     with pytest.raises(ContractViolation) as split:
-        suslin._split_failures("loc", 2, 3, 3000, workers)
+        split_failures("loc", 2, 3, 3000, workers)
     assert str(split.value) == str(serial.value)
     assert str(split.value).startswith(f"trial {first}:")
 
@@ -150,8 +129,8 @@ def die_at(trial, how):
                                         ("exit", "exited with status 3")])
 def test_a_child_that_dies_is_an_internal_error(monkeypatch, how, cause, clean):
     fail_in_draw(monkeypatch, "loc", die_at(2500, how))
-    with pytest.raises(suslin.TrialWorkerLost, match=f"trials 1500..2999: worker .* {cause}"):
-        suslin._split_failures("loc", 2, 3, 3000, 2)
+    with pytest.raises(TrialWorkerLost, match=f"trials 1500..2999: worker .* {cause}"):
+        split_failures("loc", 2, 3, 3000, 2)
 
 
 def test_an_earlier_dead_child_comes_before_a_later_error(monkeypatch, clean):
@@ -162,8 +141,8 @@ def test_an_earlier_dead_child_comes_before_a_later_error(monkeypatch, clean):
         raise_at({2200})(t)
 
     fail_in_draw(monkeypatch, "loc", fail)
-    with pytest.raises(suslin.TrialWorkerLost, match="trials 1000..1999"):
-        suslin._split_failures("loc", 2, 3, 3000, 3)
+    with pytest.raises(TrialWorkerLost, match="trials 1000..1999"):
+        split_failures("loc", 2, 3, 3000, 3)
 
 
 def test_an_unpicklable_error_is_an_internal_error(monkeypatch, clean):
@@ -174,8 +153,8 @@ def test_an_unpicklable_error_is_an_internal_error(monkeypatch, clean):
             raise err
 
     fail_in_draw(monkeypatch, "loc", fail)
-    with pytest.raises(suslin.TrialWorkerLost, match="exited with status 1"):
-        suslin._split_failures("loc", 2, 3, 3000, 2)
+    with pytest.raises(TrialWorkerLost, match="exited with status 1"):
+        split_failures("loc", 2, 3, 3000, 2)
 
 
 @pytest.mark.parametrize("how", ["signal", "exit"])
@@ -196,10 +175,11 @@ def test_cli_exits_1_without_a_traceback_when_a_child_dies(monkeypatch, capsys, 
 
 def test_worker_count(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    got = {s: suslin._workers(s) for s in (0, 999, 1999, 2000, 5500, 10_000)}
+    got = {s: sampling.workers(s, suslin.CHUNK_FLOOR)
+           for s in (0, 999, 1999, 2000, 5500, 10_000)}
     assert got == {0: 1, 999: 1, 1999: 1, 2000: 2, 5500: 5, 10_000: 8}
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert suslin._workers(10_000) == 1
+    assert sampling.workers(10_000, suslin.CHUNK_FLOOR) == 1
 
 
 def fork_fails(monkeypatch, after=0):
@@ -221,7 +201,7 @@ def fork_fails(monkeypatch, after=0):
 def test_a_fork_that_fails_runs_its_chunks_here(monkeypatch, after, clean):
     calls = fork_fails(monkeypatch, after)
     serial = suslin._trial_failures("loc", 1, 11, 0, 2999)
-    assert suslin._split_failures("loc", 1, 11, 2999, 4) == serial
+    assert split_failures("loc", 1, 11, 2999, 4) == serial
     assert len(calls) == after + 1  # no fork is tried after one failed
 
 
@@ -230,7 +210,7 @@ def test_a_childs_error_comes_before_a_later_chunk_run_here(monkeypatch, clean):
     calls = fork_fails(monkeypatch, after=1)
     fail_in_draw(monkeypatch, "loc", raise_at({1500, 2500}))
     with pytest.raises(ContractViolation, match="^trial 1500:"):
-        suslin._split_failures("loc", 2, 3, 3000, 3)
+        split_failures("loc", 2, 3, 3000, 3)
     assert len(calls) == 2
 
 
@@ -240,7 +220,7 @@ def test_a_pipe_that_fails_runs_the_chunk_here(monkeypatch, forks, clean):
 
     monkeypatch.setattr(os, "pipe", pipe)
     serial = suslin._trial_failures("loc", 1, 3, 0, 2000)
-    assert suslin._split_failures("loc", 1, 3, 2000, 2) == serial
+    assert split_failures("loc", 1, 3, 2000, 2) == serial
     assert forks == []
 
 
@@ -256,7 +236,7 @@ def test_cli_runs_here_when_no_fork_can_be_made(monkeypatch, capsys, tmp_path, c
 @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
 def test_no_split_without_fork_or_a_cpu_set(monkeypatch, missing, clean):
     monkeypatch.delattr(os, missing)
-    assert suslin._workers(10_000) == 1
+    assert sampling.workers(10_000, suslin.CHUNK_FLOOR) == 1
     report = suslin.n_suslin_trial("loc", 1, 3000, 11)  # a fork would raise AttributeError
     assert report.failure_seeds == suslin._trial_failures("loc", 1, 11, 0, 3000)
 
@@ -264,6 +244,6 @@ def test_no_split_without_fork_or_a_cpu_set(monkeypatch, missing, clean):
 def test_no_split_while_another_thread_runs(monkeypatch, forks, clean):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(threading, "active_count", lambda: 2)
-    assert suslin._workers(10_000) == 1
+    assert sampling.workers(10_000, suslin.CHUNK_FLOOR) == 1
     report = suslin.n_suslin_trial("hechler", 1, 3000, 3)
     assert report.failures == 0 and forks == []
