@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -216,13 +217,27 @@ def cmd_build_group(args) -> int:
 
 def _load_template_file(path: str) -> TemplateOrder:
     obj = json.loads(Path(path).read_text())
-    elements = list(range(len(obj["elements"])))
-    names = {name: i for i, name in enumerate(obj["elements"])}
-    less = [(names[a], names[b]) for a, b in obj["less"]]
-    ideals = [[names[x] for x in a] for a in obj["I"]]
-    part0 = [names[x] for x in obj["L0"]]
-    part1 = [names[x] for x in obj["L1"]]
-    t = template_from_parts(elements, less, ideals, part0, part1)
+    if not isinstance(obj, dict):
+        raise ConfigError("bad template file: expected a JSON object")
+    key = "elements"  # the field being read, for the error message
+    try:
+        names = {name: i for i, name in enumerate(obj[key])}
+        key = "less"
+        if obj[key] == "by-rank":  # the elements are listed in order
+            less = list(itertools.combinations(names.values(), 2))
+        else:
+            less = [(names[a], names[b]) for a, b in obj[key]]
+        key = "I"
+        if not isinstance(obj[key], list):
+            raise TypeError("expected a list of members; an export past max_family omits them")
+        ideals = [[names[x] for x in a] for a in obj[key]]
+        key = "L0"
+        part0 = [names[x] for x in obj[key]]
+        key = "L1"
+        part1 = [names[x] for x in obj[key]]
+    except (KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"bad template file: field {key!r}: {err!r}")
+    t = template_from_parts(list(names.values()), less, ideals, part0, part1)
     return TemplateOrder(
         t.elements, t.order_key, t.family, t.part0, t.part1,
         {i: name for name, i in names.items()},
@@ -258,7 +273,7 @@ def cmd_template(args) -> int:
         params = SurrogateParams(
             sizes, args.omega1, element_cap=args.cap, last_negative_full=not args.bounded_last
         )
-        surrogate = build_surrogate_template(params)  # refuses parameters beyond its caps
+        surrogate = build_surrogate_template(params)  # refuses parameters beyond element_cap
     except ValueError as err:
         raise ConfigError(f"bad template parameters: {err}")
     t = surrogate.order
@@ -271,7 +286,7 @@ def cmd_template(args) -> int:
         "omega1": args.omega1,
         "seed": args.seed,
         "elements": len(t.elements),
-        "family_size": len(t.family),
+        "family_size": f">{params.family_cap}" if t.family is None else len(t.family),
         "family_atoms": sorted(surrogate.atom_provenance),
         "relevant": len(surrogate.relevant_ids),
         "axioms": [{"clause": v.clause, "detail": v.detail} for v in violations],

@@ -2,38 +2,34 @@
 two-part split, the closure operator, the well-founded depth/rank, and the
 classical template instantiated over small surrogate cardinals.
 
-The ideal family of a surrogate instance is generated from a finite atom list
-(initial cuts, closed intervals, singleton closures, lower part-0 cones) by
-taking all finite unions.  Every family is stored as integer bitmasks, bit i
-standing for the i-th element of the order, and the axiom checks, depth and
-rank run on those masks, so that families with tens of thousands of members
-stay checkable exactly: union closure over all pairs follows from
-completeness of the union generation, and intersection closure over all
-pairs reduces by distributivity to intersections of generating atoms, which
-are checked exhaustively.  ``TemplateOrder.ideals`` decodes the masks to
-element sets on demand.
+Families are bitmasks, bit i for the i-th element.  An explicit family is
+read member by member; a union-generated one (``from_atoms``) is held as its
+atoms and decided from them (proofs in the README design notes).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import cached_property, reduce
+from operator import or_
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 
 @dataclass(frozen=True)
 class TemplateOrder:
     """elements are opaque ids; order_key realizes the strict total order;
     family holds the members as bitmasks, bit i standing for the i-th
-    element in order_key order; part0/part1 the two-sided split."""
+    element in order_key order; part0/part1 the two-sided split.  atoms, if
+    given, generate the family by unions; family is then None past budget."""
 
     elements: frozenset[int]
     order_key: Mapping[int, tuple]
-    family: frozenset[int]
+    family: Optional[frozenset[int]]
     part0: frozenset[int]
     part1: frozenset[int]
     labels: Mapping[int, str] = field(default_factory=dict)
-    generators: tuple[frozenset[int], ...] = ()  # union-generating atoms, if known
+    atoms: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.part0 | self.part1 != self.elements or self.part0 & self.part1:
@@ -41,14 +37,17 @@ class TemplateOrder:
         keys = {self.order_key[x] for x in self.elements}
         if len(keys) != len(self.elements):
             raise ValueError("order keys must be distinct (strict total order)")
-        if self.family and (min(self.family) < 0 or max(self.family) >> len(self.elements)):
+        object.__setattr__(self, "atoms", tuple(sorted(set(self.atoms))))
+        masks = self.atoms or self.family or (0,)
+        if min(masks) < 0 or max(masks) >> len(self.elements):
             raise ValueError("family masks must name elements only")
 
     @property
     def ideals(self) -> frozenset[frozenset[int]]:
         """The family decoded to element sets."""
-        mk = _masks(self)
-        return frozenset(mk.unmask(m) for m in self.family)
+        if self.family is None:
+            raise ValueError("family past its enumeration budget")
+        return frozenset(map(_masks(self).unmask, self.family))
 
     def below(self, x: int) -> frozenset[int]:
         kx = self.order_key[x]
@@ -61,21 +60,18 @@ class TemplateOrder:
         return self.labels.get(x, str(x))
 
     def to_json(self, max_family: int = 2000) -> dict:
-        els = self.sorted_elements()
-        family = sorted(
-            [sorted(self.label(x) for x in a) for a in self.ideals],
-            key=lambda xs: (len(xs), xs),
-        )
+        """The template-file form; "by-rank": the elements are in order."""
+        n = None if self.family is None else len(self.family)
         out = {
-            "elements": [self.label(x) for x in els],
+            "elements": [self.label(x) for x in self.sorted_elements()],
             "less": "by-rank",
             "L0": sorted(self.label(x) for x in self.part0),
             "L1": sorted(self.label(x) for x in self.part1),
+            "I": {"count": n, "omitted": True},
         }
-        if len(family) <= max_family:
-            out["I"] = family
-        else:
-            out["I"] = {"count": len(family), "omitted": True}
+        if n is not None and n <= max_family:
+            family = [sorted(map(self.label, a)) for a in self.ideals]
+            out["I"] = sorted(family, key=lambda xs: (len(xs), xs))
         return out
 
 
@@ -88,6 +84,20 @@ def _encode(subset: Iterable[int], index: Mapping[int, int]) -> int:
             raise ValueError(f"{x!r} is not an element of the template")
         m |= 1 << i
     return m
+
+
+def _union(masks: Iterable[int]) -> int:
+    return reduce(or_, masks, 0)
+
+
+def _unions(gens: Iterable[int], budget: int) -> Optional[frozenset[int]]:
+    """All unions of gens (the empty one too), or None past budget."""
+    out = {0}
+    for g in gens:
+        out |= {m | g for m in out}
+        if len(out) > budget:
+            return None
+    return frozenset(out)
 
 
 def template_from_parts(
@@ -103,14 +113,11 @@ def template_from_parts(
     for x, y in itertools.combinations(els, 2):
         if ((x, y) in pairs) == ((y, x) in pairs):
             raise ValueError(f"order must compare {x} and {y} exactly one way")
-    index: dict[int, int] = {}
-    remaining = set(els)
-    while remaining:
-        minimal = [x for x in sorted(remaining) if not any((y, x) in pairs for y in remaining)]
-        if len(minimal) != 1:
-            raise ValueError(f"order relation is not strict total: minimal set {minimal}")
-        index[minimal[0]] = len(index)
-        remaining.remove(minimal[0])
+    # a relation comparing each pair one way is a strict total order iff the
+    # counts of elements below each element are 0, 1, ..., n - 1
+    index = {x: sum((y, x) in pairs for y in els) for x in els}
+    if sorted(index.values()) != list(range(len(els))):
+        raise ValueError("order relation is not transitive")
     return TemplateOrder(
         frozenset(els),
         {x: (i,) for x, i in index.items()},
@@ -118,6 +125,17 @@ def template_from_parts(
         frozenset(part0),
         frozenset(part1),
     )
+
+
+def from_atoms(t: TemplateOrder, atoms: Iterable[Iterable[int]], budget: int) -> TemplateOrder:
+    """t's order and split with the unions of the atoms as the family, held
+    as the atoms and enumerated only within budget."""
+    mk = _masks(t)
+    masks = [mk.mask(a) for a in atoms]
+    # k atoms whose traces are k single part1 elements give 2^k members
+    singles = _union(m & mk.part1 for m in masks if (m & mk.part1).bit_count() == 1)
+    family = None if 1 << singles.bit_count() > budget else _unions(masks, budget)
+    return TemplateOrder(t.elements, t.order_key, family, t.part0, t.part1, t.labels, tuple(masks))
 
 
 def closure(t: TemplateOrder, subset: Iterable[int]) -> frozenset[int]:
@@ -132,10 +150,13 @@ def closure(t: TemplateOrder, subset: Iterable[int]) -> frozenset[int]:
     return cur | (t.below(top) & t.part0)
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(NamedTuple):
     clause: int
     detail: str
+
+
+class ContractError(RuntimeError):
+    """A template broke a law of all templates: a bug, not bad input."""
 
 
 class _Masks:
@@ -150,8 +171,43 @@ class _Masks:
         self.part1 = self.mask(t.part1)
         self.below = [(1 << i) - 1 for i in range(len(els))]  # below sorted elt i
         self.below0 = [b & self.part0 for b in self.below]
-        self.members = sorted(t.family)
-        self.depths: Optional[dict[int, int]] = None  # trace -> depth, on first use
+        self.family = t.family
+        self.atoms = t.atoms  # sorted by value, so by top element
+
+    @cached_property
+    def members(self) -> list[int]:
+        """The explicit family, sorted: every member-wise walk."""
+        return sorted(self.family)
+
+    @cached_property
+    def inside(self) -> list[list[int]]:
+        """The atoms inside each atom, sorted."""
+        return [[c for c in self.atoms if not c & ~a] for a in self.atoms]
+
+    def member(self, m: int) -> bool:
+        """A set is a union of atoms iff the atoms inside it cover it."""
+        if not self.atoms:
+            return m in self.family
+        return _union(a for a in self.atoms if not a & ~m) == m
+
+    @cached_property
+    def depths(self) -> Optional[dict[int, int]]:
+        """Each part1 trace's depth; None when each part1 element of an atom
+        is an atom's whole trace: the traces, the unions of the atoms'
+        traces, are then a powerset, where depth is size."""
+        if self.atoms:
+            gens = {a & self.part1 for a in self.atoms}
+            if _union(g for g in gens if g.bit_count() == 1) == _union(gens):
+                return None
+            traces = _unions(gens, 2_000)  # the recursion below is quadratic
+            if traces is None:
+                raise ValueError("more than 2,000 part1 traces to rank")
+        else:
+            traces = {a & self.part1 for a in self.members}
+        depths: dict[int, int] = {}
+        for tr in sorted(traces, key=lambda m: (m.bit_count(), m)):
+            depths[tr] = max((depths[o] + 1 for o in depths if o != tr and not o & ~tr), default=0)
+        return depths
 
     def mask(self, subset: Iterable[int]) -> int:
         return _encode(subset, self.index)
@@ -165,9 +221,8 @@ class _Masks:
         return frozenset(out)
 
     def close(self, m: int) -> int:
-        """The closure of m in one step.  Closing adds below0[i] for each
-        member i; these prefix cones nest, so one step adds below0[top(m)],
-        whose bits lie below top(m) and so never raise it."""
+        """The closure of m: m and the part0 cone below its top (``closure``
+        proves that one step reaches it)."""
         return m | self.below0[m.bit_length() - 1] if m else 0
 
 
@@ -180,154 +235,102 @@ def _masks(t: TemplateOrder) -> _Masks:
     return mk
 
 
-def check_axioms(
-    t: TemplateOrder, pair_budget: int = 4_000_000
-) -> list[AxiomViolation]:
+def check_axioms(t: TemplateOrder, pair_budget: int = 4_000_000) -> list[AxiomViolation]:
     """Exhaustive check of the five template clauses; first witnesses per
-    violated clause.
-
-    Clause 1 is checked pairwise when the family is small enough; for larger
-    families generated by union atoms, union closure is certified by
-    regenerating all atom unions and intersection closure by checking all
-    atom pairs (distributivity covers the rest).  Families too large for
-    either route are rejected loudly rather than checked approximately.
-    """
-    out: list[AxiomViolation] = []
+    violated clause.  An explicit family is read member by member, and one
+    beyond pair_budget pairs is refused rather than checked approximately."""
     mk = _masks(t)
-    ideals = mk.members
-    family = t.family
-    if 0 not in family:
-        out.append(AxiomViolation(1, "empty set missing from the family"))
-    if mk.full not in family:
-        out.append(AxiomViolation(1, "full set missing from the family"))
-    if len(ideals) * len(ideals) <= pair_budget:
-        for i, a in enumerate(ideals):
-            stop = False
-            for b in ideals[i + 1 :]:
-                if a | b not in family:
-                    out.append(
-                        AxiomViolation(
-                            1,
-                            f"union of {sorted(mk.unmask(a))} and "
-                            f"{sorted(mk.unmask(b))} missing",
-                        )
-                    )
-                    stop = True
-                    break
-                if a & b not in family:
-                    out.append(
-                        AxiomViolation(
-                            1,
-                            f"intersection of {sorted(mk.unmask(a))} and "
-                            f"{sorted(mk.unmask(b))} missing",
-                        )
-                    )
-                    stop = True
-                    break
-            if stop:
-                break
-    elif t.generators:
-        atom_masks = [mk.mask(a) for a in t.generators]
-        regenerated = {0}
-        for atom in atom_masks:
-            regenerated |= {m | atom for m in regenerated}
-        if not (family <= regenerated):
-            out.append(AxiomViolation(1, "family exceeds the unions of its atoms"))
-        if not (regenerated <= family):
-            out.append(AxiomViolation(1, "family misses some union of its atoms"))
-        # distributivity: (U atoms) n (U atoms) = U pairwise atom intersections
-        for a, b in itertools.combinations_with_replacement(atom_masks, 2):
-            if a & b not in family:
-                out.append(
-                    AxiomViolation(
-                        1,
-                        f"atom intersection {sorted(mk.unmask(a & b))} missing",
-                    )
-                )
-                break
-    else:
-        raise ValueError(
-            f"family of {len(ideals)} sets is beyond the pairwise budget and carries "
-            "no generating atoms; refusing to check clause 1 approximately"
-        )
+    gens = mk.atoms or mk.members
+    out = [
+        AxiomViolation(1, f"{name} set missing from the family")
+        for name, m in (("empty", 0), ("full", mk.full))
+        if not mk.member(m)
+    ]
+    out += _clause1_atoms(mk) if mk.atoms else _clause1_members(mk, pair_budget)
     # clause 2: every x < y with y in part1 lies in a member inside the cut of y.
-    # A member lies inside the cut of the i-th element iff it is below 1 << i,
-    # so the members inside the cuts grow as a prefix of the sorted members.
-    sorted_els = mk.elements
-    covered = 0
-    inside = 0
-    for yi, y in enumerate(sorted_els):
-        while inside < len(ideals) and ideals[inside] >> yi == 0:
-            covered |= ideals[inside]
+    # The sets inside the cut of the i-th element are those below 1 << i.
+    covered = inside = 0
+    for yi, y in enumerate(mk.elements):
+        while inside < len(gens) and gens[inside] >> yi == 0:
+            covered |= gens[inside]
             inside += 1
-        if not (mk.part1 >> yi & 1):
-            continue
         missing = mk.below[yi] & ~covered
-        if missing:
-            x = mk.unmask(missing & -missing)
-            out.append(
-                AxiomViolation(
-                    2,
-                    f"no family member inside the cut of {t.label(y)} contains "
-                    f"{t.label(next(iter(x)))}",
-                )
-            )
+        if mk.part1 >> yi & 1 and missing:
+            x = mk.elements[(missing & -missing).bit_length() - 1]
+            detail = f"no family member inside the cut of {t.label(y)} contains {t.label(x)}"
+            out.append(AxiomViolation(2, detail))
             break
-    # clause 3: cuts of members at part1 non-members stay in the family (a cut
-    # above a member's top element is the member itself, so it is skipped)
-    done3 = False
-    for a in ideals:
-        if done3:
-            break
-        probe = mk.part1 & ~a & mk.below[a.bit_length() - 1] if a else 0
-        while probe:
-            low = probe & -probe
-            xi = low.bit_length() - 1
-            if a & mk.below[xi] not in family:
-                out.append(
-                    AxiomViolation(
-                        3,
-                        f"{sorted(mk.unmask(a))} cut at {t.label(sorted_els[xi])} "
-                        "leaves the family",
-                    )
-                )
-                done3 = True
-                break
-            probe ^= low
-    # clause 4 (the part1 traces are well-founded under strict inclusion)
-    # holds for every finite family: a strictly shrinking chain of traces is
-    # no longer than the family
+    out += _clause3_atoms(t, mk) if mk.atoms else _clause3_members(t, mk)
+    # clause 4 (part1 traces are well-founded under strict inclusion) holds
+    # for every finite family
     # clause 5: members are closed
-    for a in ideals:
+    for a in gens:
         if mk.close(a) != a:
             out.append(AxiomViolation(5, f"{sorted(mk.unmask(a))} is not closed"))
             break
     return out
 
 
-def _trace_depths(mk: _Masks) -> dict[int, int]:
-    """The depth of each part1 trace, computed once per mask view."""
-    if mk.depths is None:
-        traces = sorted({a & mk.part1 for a in mk.members}, key=lambda m: (m.bit_count(), m))
-        union_all = 0
-        for tr in traces:
-            union_all |= tr
-        # fast path: the traces form the full powerset of their union
-        if len(traces) == 1 << union_all.bit_count():
-            mk.depths = {tr: tr.bit_count() for tr in traces}
-        else:
-            depths: dict[int, int] = {}
-            for tr in traces:
-                best = 0
-                for other in traces:
-                    if other == tr or other.bit_count() >= tr.bit_count():
-                        continue
-                    if other & ~tr:
-                        continue
-                    best = max(best, depths[other] + 1)
-                depths[tr] = best
-            mk.depths = depths
-    return mk.depths
+def _clause1_members(mk: _Masks, pair_budget: int) -> list[AxiomViolation]:
+    if len(mk.members) ** 2 > pair_budget:
+        raise ValueError(
+            f"family of {len(mk.members)} sets is beyond the pairwise budget; "
+            "refusing to check clause 1 approximately"
+        )
+    for a, b in itertools.combinations(mk.members, 2):
+        for m, what in ((a | b, "union"), (a & b, "intersection")):
+            if m not in mk.family:
+                detail = f"{what} of {sorted(mk.unmask(a))} and {sorted(mk.unmask(b))} missing"
+                return [AxiomViolation(1, detail)]
+    return []
+
+
+def _clause1_atoms(mk: _Masks) -> list[AxiomViolation]:
+    known = set(mk.atoms)  # and the meets found to be members
+    for i, a in enumerate(mk.atoms):
+        for b in mk.atoms[i + 1 :]:
+            m = a & b
+            if m not in known:
+                if _union(c for c in mk.inside[i] if not c & ~b) != m:
+                    where = f"{sorted(mk.unmask(a))} and {sorted(mk.unmask(b))}"
+                    return [AxiomViolation(1, f"intersection of atoms {where} missing")]
+                known.add(m)
+    return []
+
+
+def _clause3_members(t: TemplateOrder, mk: _Masks) -> list[AxiomViolation]:
+    """Cuts of members at part1 non-members stay in the family (a cut above
+    a member's top is the member)."""
+    for a in mk.members:
+        probe = mk.part1 & ~a & mk.below[a.bit_length() - 1] if a else 0
+        while probe:
+            low = probe & -probe
+            if a & (low - 1) not in t.family:
+                return [_cut_leaves(t, mk, a, low)]
+            probe ^= low
+    return []
+
+
+def _clause3_atoms(t: TemplateOrder, mk: _Masks) -> list[AxiomViolation]:
+    """The same on each atom: the atoms inside its cut below x are a prefix
+    of the atoms inside it."""
+    for a, inside in zip(mk.atoms, mk.inside):
+        probe = mk.part1 & ~a & mk.below[a.bit_length() - 1] if a else 0
+        covered = k = 0
+        while probe:
+            low = probe & -probe
+            while k < len(inside) and inside[k] < low:
+                covered |= inside[k]
+                k += 1
+            if covered != a & (low - 1):
+                return [_cut_leaves(t, mk, a, low)]
+            probe ^= low
+    return []
+
+
+def _cut_leaves(t: TemplateOrder, mk: _Masks, a: int, low: int) -> AxiomViolation:
+    x = mk.elements[low.bit_length() - 1]
+    return AxiomViolation(3, f"{sorted(mk.unmask(a))} cut at {t.label(x)} leaves the family")
 
 
 def depth(t: TemplateOrder, subset: Iterable[int]) -> int:
@@ -335,9 +338,10 @@ def depth(t: TemplateOrder, subset: Iterable[int]) -> int:
     traces; members inside part0 have depth 0."""
     mk = _masks(t)
     m = mk.mask(subset)
-    if m not in t.family:
+    if not mk.member(m):
         raise ValueError("depth is defined only on family members")
-    return _trace_depths(mk)[m & mk.part1]
+    trace = m & mk.part1
+    return trace.bit_count() if mk.depths is None else mk.depths[trace]
 
 
 def rank(t: TemplateOrder) -> int:
@@ -368,30 +372,33 @@ def _compress(m: int, runs: Sequence[tuple[int, int, int]]) -> int:
 
 
 def restrict_template(t: TemplateOrder, subset: Iterable[int]) -> TemplateOrder:
-    """The induced template on a subset: induced order, trace family, induced
-    split.  When the subset is itself a family member and t meets the
-    clauses, the restriction's rank equals the member's depth in t.  This is
-    checked, and a mismatch raises ValueError; families that break the
-    clauses can show one."""
+    """The induced template on a subset: induced order, trace family (and
+    atoms), induced split.  If the subset is a member and t a template, the
+    restriction's rank is the member's depth; a mismatch raises ValueError
+    naming a clause t breaks, else ContractError."""
     keep = frozenset(subset)
     if not keep <= t.elements:
         raise ValueError("restriction set must consist of elements")
     mk = _masks(t)
     keep_mask = mk.mask(keep)
     runs = _bit_runs(keep_mask)
+    traces = None if t.family is None else {a & keep_mask for a in t.family}
     out = TemplateOrder(
         keep,
         {x: t.order_key[x] for x in keep},
-        frozenset(_compress(m, runs) for m in {a & keep_mask for a in t.family}),
+        None if traces is None else frozenset(_compress(m, runs) for m in traces),
         t.part0 & keep,
         t.part1 & keep,
         {x: t.label(x) for x in keep},
-        tuple(frozenset(a & keep) for a in t.generators),
+        tuple(_compress(a & keep_mask, runs) for a in mk.atoms),
     )
-    if keep_mask in t.family:
+    if mk.member(keep_mask):
         got, want = rank(out), depth(t, keep)
         if got != want:
-            raise ValueError(f"restriction rank {got} differs from the member's depth {want}")
+            broken = check_axioms(t)
+            if broken:
+                raise ValueError(f"not a template: clause {broken[0].clause}: {broken[0].detail}")
+            raise ContractError(f"restriction rank {got} differs from the member's depth {want}")
     return out
 
 
@@ -416,8 +423,8 @@ class SurrogateParams:
     club_classes: int
     partition: tuple[int, ...] = ()
     last_negative_full: bool = True
-    element_cap: int = 5000
-    family_cap: int = 400_000
+    element_cap: int = 5000  # positions: more are refused
+    family_cap: int = 400_000  # members: more are not enumerated
 
     def __post_init__(self) -> None:
         if not self.level_sizes or any(s < 1 for s in self.level_sizes):
@@ -427,11 +434,8 @@ class SurrogateParams:
         if self.club_classes < 1:
             raise ValueError("need at least one partition class")
         if not self.partition:
-            object.__setattr__(
-                self,
-                "partition",
-                tuple(v % self.club_classes for v in range(self.level_sizes[-1])),
-            )
+            partition = tuple(v % self.club_classes for v in range(self.level_sizes[-1]))
+            object.__setattr__(self, "partition", partition)
         if len(self.partition) != self.level_sizes[-1]:
             raise ValueError("partition must label every value below the top scale")
         if any(not (0 <= c < self.club_classes) for c in self.partition):
@@ -469,9 +473,6 @@ class SurrogatePosition:
     def key(self) -> tuple:
         return tuple(sv.key() for sv in self.seq) + (_END,)
 
-    def __len__(self) -> int:
-        return len(self.seq)
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(sv) for sv in self.seq) + ")"
 
@@ -488,27 +489,19 @@ def position_wellformed(pos: SurrogatePosition, params: SurrogateParams) -> bool
             return False
     if n >= 2:
         last = seq[n - 1]
-        bounded = n - 1 < params.levels and last.value < params.level_sizes[n - 1]
-        free = last.value < params.top
-        if seq[n - 2].positive:
-            ok = free if last.positive else bounded
-        else:
-            if last.positive:
-                ok = bounded
-            else:
-                ok = free if params.last_negative_full else bounded
-        if not ok:
-            return False
+        # a final value ranges over the union copy when its sign repeats the
+        # previous entry's (negatives only in the literal reading)
+        free = last.positive == seq[n - 2].positive and (last.positive or params.last_negative_full)
+        if free:
+            return last.value < params.top
+        return n - 1 < params.levels and last.value < params.level_sizes[n - 1]
     return True
 
 
 def enumerate_positions(params: SurrogateParams) -> list[SurrogatePosition]:
-    """All well-formed positions in increasing order.
-
-    Prefixes of well-formed positions are well-formed (the interior rule is
-    stricter than every final-slot rule), so breadth-first extension of valid
-    positions is complete.
-    """
+    """All well-formed positions in increasing order.  Prefixes of
+    well-formed positions are well-formed (the interior rule is stricter than
+    every final-slot rule), so breadth-first extension is complete."""
     out: list[SurrogatePosition] = []
     values = [SignedValue(v, s) for v in range(params.top) for s in (True, False)]
     frontier = [SurrogatePosition((SignedValue(v, True),)) for v in range(params.level_sizes[0])]
@@ -535,10 +528,8 @@ def enumerate_positions(params: SurrogateParams) -> list[SurrogatePosition]:
 
 
 def position_in_part1(pos: SurrogatePosition, params: SurrogateParams) -> bool:
-    if len(pos.seq) == 1:
-        return True
     i = len(pos.seq) - 1
-    return i < params.levels and pos.seq[i].value < params.level_sizes[i]
+    return i == 0 or (i < params.levels and pos.seq[i].value < params.level_sizes[i])
 
 
 def is_relevant(pos: SurrogatePosition, params: SurrogateParams) -> bool:
@@ -547,31 +538,20 @@ def is_relevant(pos: SurrogatePosition, params: SurrogateParams) -> bool:
     the predecessors of small even entries."""
     seq = pos.seq
     n = len(seq)
-    if n < 3 or n % 2 == 0:
+    if n < 3 or n % 2 == 0 or not position_in_part1(pos, params):
         return False
-    if not position_in_part1(pos, params):
+    if any(sv.positive != (i % 2 == 0) for i, sv in enumerate(seq)):
         return False
-    for i, sv in enumerate(seq):
-        if i % 2 == 0 and not sv.positive:
-            return False
-        if i % 2 == 1 and sv.positive:
-            return False
     if seq[n - 1].value >= params.club_classes:
         return False
-    small_even = [
-        i
-        for i in range(2, n, 2)
-        if seq[i].value < params.club_classes
-    ]
+    small_even = [i for i in range(2, n, 2) if seq[i].value < params.club_classes]
     for a, b in itertools.combinations(small_even, 2):
         if params.partition[seq[a - 1].value] <= params.partition[seq[b - 1].value]:
             return False
     return True
 
 
-def interval_of(
-    pos: SurrogatePosition, positions: Sequence[SurrogatePosition]
-) -> frozenset[int]:
+def interval_of(pos: SurrogatePosition, positions: Sequence[SurrogatePosition]) -> frozenset[int]:
     """The half-open interval from the truncation of pos up to pos, as indices
     into the sorted position list."""
     trunc = SurrogatePosition(pos.seq[:-1])
@@ -579,8 +559,7 @@ def interval_of(
     return frozenset(i for i, p in enumerate(positions) if lo <= p.key() < hi)
 
 
-@dataclass
-class SurrogateTemplate:
+class SurrogateTemplate(NamedTuple):
     params: SurrogateParams
     positions: list[SurrogatePosition]
     order: TemplateOrder
@@ -589,16 +568,16 @@ class SurrogateTemplate:
 
 
 def build_surrogate_template(params: SurrogateParams) -> SurrogateTemplate:
-    """Positions, order, split and the union-generated ideal family."""
+    """Positions, order, split and the ideal family, held as its atoms: the
+    members are enumerated only within params.family_cap."""
     positions = enumerate_positions(params)
-    n = len(positions)
-    ids = list(range(n))
+    ids = list(range(len(positions)))
     key = {i: positions[i].key() for i in ids}
     part1 = frozenset(i for i in ids if position_in_part1(positions[i], params))
     part0 = frozenset(ids) - part1
     labels = {i: str(positions[i]) for i in ids}
 
-    # temporary order object for closure computations
+    # the order and split, for the closures and the atom masks
     proto = TemplateOrder(frozenset(ids), key, frozenset({0}), part0, part1, labels)
 
     relevant = frozenset(i for i in ids if is_relevant(positions[i], params))
@@ -614,28 +593,5 @@ def build_surrogate_template(params: SurrogateParams) -> SurrogateTemplate:
         atoms[f"point:{labels[i]}"] = closure(proto, {i})
         atoms[f"cone0:{labels[i]}"] = frozenset(proto.below(i) & part0)
 
-    # all unions of atoms
-    masks = {name: 0 for name in atoms}
-    for name, a in atoms.items():
-        m = 0
-        for x in a:
-            m |= 1 << x
-        masks[name] = m
-    family = {0}
-    for name in sorted(masks):
-        family |= {m | masks[name] for m in family}
-        if len(family) > params.family_cap:
-            raise ValueError(
-                f"ideal family exceeds the cap {params.family_cap}; "
-                "shrink the parameters or raise family_cap"
-            )
-    order = TemplateOrder(
-        frozenset(ids),
-        key,
-        frozenset(family),  # the ids are the sorted positions, so bit i is id i
-        part0,
-        part1,
-        labels,
-        tuple(atoms[name] for name in sorted(atoms)),
-    )
+    order = from_atoms(proto, [atoms[name] for name in sorted(atoms)], params.family_cap)
     return SurrogateTemplate(params, positions, order, relevant, atoms)

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from cofinitary.cli import main
+from cofinitary.templates import SurrogateParams, build_surrogate_template, rank
 
 
 def run(argv, capsys):
@@ -193,6 +194,53 @@ class TestTemplateCmd:
         )
         assert code == 2 and len(err.strip().splitlines()) == 1
         assert err.startswith("bad template file")
+
+    @pytest.mark.parametrize("lambdas", ["1,2", "2"])
+    def test_exported_template_loads_back(self, lambdas, tmp_path, capsys):
+        sizes = tuple(int(x) for x in lambdas.split(","))
+        t = build_surrogate_template(SurrogateParams(sizes, 1)).order
+        path = tmp_path / "export.json"
+        path.write_text(json.dumps(t.to_json()))
+        out_file = tmp_path / "o.json"
+        code, _, err = run(
+            ["template", "--template-file", str(path), "--out", str(out_file)], capsys
+        )
+        assert code == 0, err
+        report = json.loads(out_file.read_text())
+        assert report["axioms"] == [] and report["rank"] == rank(t)
+        assert report["elements"] == len(t.elements)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("less", "by-size"), ("less", [["p"]]), ("less", 3), ("I", {"count": 3, "omitted": True}),
+         ("L1", ["r"]), ("elements", [["p"], "q"]), ("elements", None)],
+    )
+    def test_malformed_template_field_is_named(self, field, value, tmp_path, capsys):
+        blob = {
+            "elements": ["p", "q"],
+            "less": "by-rank",
+            "I": [[], ["p"], ["p", "q"]],
+            "L0": ["p"],
+            "L1": ["q"],
+        }
+        blob[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(blob))
+        code, _, err = run(
+            ["template", "--template-file", str(path), "--out", str(tmp_path / "o.json")],
+            capsys,
+        )
+        assert code == 2 and len(err.strip().splitlines()) == 1
+        assert err.startswith(f"bad template file: field {field!r}")
+
+    def test_template_file_that_is_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        code, _, err = run(
+            ["template", "--template-file", str(path), "--out", str(tmp_path / "o.json")],
+            capsys,
+        )
+        assert code == 2 and err.strip() == "bad template file: expected a JSON object"
 
     def test_good_template_file(self, tmp_path, capsys):
         blob = {

@@ -4,7 +4,9 @@ they replaced.
 The reference below is the earlier frozenset implementation, copied verbatim:
 its ``TemplateOrder`` stores the family as frozensets of element ids, and
 ``_Masks``, ``check_axioms``, ``_trace_depths``, ``depth`` and
-``restrict_template`` rebuild masks from those sets on every call.
+``restrict_template`` rebuild masks from those sets on every call.  It reads
+every family member by member, so it is also the reference for families held
+as atoms (the surrogates, ``from_atoms``): it gets their enumerated members.
 """
 
 from __future__ import annotations
@@ -302,9 +304,14 @@ def restrict_template(t: TemplateOrder, subset: Iterable[int]) -> TemplateOrder:
 
 
 def to_ref(t: new.TemplateOrder) -> TemplateOrder:
-    return TemplateOrder(
-        t.elements, t.order_key, t.ideals, t.part0, t.part1, t.labels, t.generators
-    )
+    mk = new._masks(t)
+    atoms = tuple(mk.unmask(a) for a in t.atoms)
+    return TemplateOrder(t.elements, t.order_key, t.ideals, t.part0, t.part1, t.labels, atoms)
+
+
+def clauses(violations) -> set[int]:
+    """The routes name the same clauses; their witnesses may differ."""
+    return {v.clause for v in violations}
 
 
 SURROGATES = {
@@ -387,6 +394,34 @@ def random_families(count: int, seed: int):
 RANDOM = random_families(600, seed=5)
 
 
+def random_atom_families(count: int, seed: int):
+    """Families held as atoms over up to 6 elements: a random part of the
+    prefixes, singleton closures and part0 cones (whose unions meet every
+    clause), and at times one random set or one atom without its closure
+    padding."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        els, pairs, part0, part1 = _random_parts(rng, rng.randrange(1, 7))
+        t = new.template_from_parts(els, pairs, [], part0, part1)
+        order = t.sorted_elements()
+        whole = [frozenset(order[:i]) for i in range(len(order) + 1)]
+        whole += [new.closure(t, {x}) for x in order]
+        whole += [frozenset(t.below(x) & t.part0) for x in order]
+        atoms = [a for a in whole if rng.random() < 0.6]
+        if rng.random() < 0.8:
+            atoms.append(frozenset(els))
+        if rng.random() < 0.3:
+            atoms.append(frozenset(x for x in els if rng.random() < 0.5))
+        if rng.random() < 0.2:
+            atoms.append(frozenset({rng.choice(els)}))
+        out.append(new.from_atoms(t, atoms, budget=1 << 12))
+    return out
+
+
+ATOMS = random_atom_families(400, seed=6)
+
+
 # ---------------------------------------------------------------------------
 # check_axioms
 
@@ -399,22 +434,44 @@ def test_violations_equal_on_surrogates(surrogates, name):
 
 @pytest.mark.parametrize("name", ["1,2/1", "2,3 bounded-last"])
 def test_violations_equal_on_broken_surrogates(surrogates, name):
-    # drop members from a surrogate family: the atom route (pair_budget=1)
-    # and, on the small instance, the pairwise route must name the same faults
+    # break a surrogate's atoms (drop three, strip one of its closure
+    # padding, or add a random set): the atom route must name the clauses
+    # that the reference names on the enumerated family
     t, _ = surrogates[name]
     rng = random.Random(11)
+    mk = new._masks(t)
+    atoms = [mk.unmask(a) for a in t.atoms]
+    seen = set()
+    for k in range(3 if len(t.family) > 1000 else 24):
+        broken = list(atoms)
+        if k % 3 == 0:
+            for a in rng.sample(broken, 3):
+                broken.remove(a)
+        elif k % 3 == 1:
+            a = rng.choice([a for a in broken if a & t.part0 and a & t.part1])
+            broken[broken.index(a)] = a - t.part0
+        else:
+            broken.append(frozenset(rng.sample(sorted(t.elements), 3)))
+        b = new.from_atoms(t, broken, budget=1 << 16)
+        got = new.check_axioms(b)
+        assert clauses(got) == clauses(check_axioms(to_ref(b), pair_budget=1))
+        seen |= clauses(got)
+    # the explicit route on members dropped from the family: pairwise on the
+    # small instance, refused beyond the pair budget on the large one
     members = sorted(t.family)
     for _ in range(2 if len(members) > 1000 else 6):
         gone = set(rng.sample(members, 3))
         broken = new.TemplateOrder(
-            t.elements, t.order_key, t.family - gone, t.part0, t.part1, t.labels, t.generators
+            t.elements, t.order_key, t.family - gone, t.part0, t.part1, t.labels
         )
-        ref = to_ref(broken)
-        got = new.check_axioms(broken, pair_budget=1)
-        assert got == check_axioms(ref, pair_budget=1)
-        assert any(v.clause == 1 for v in got)
-        if len(t.family) < 100:
-            assert new.check_axioms(broken) == check_axioms(ref)
+        if len(members) > 1000:
+            with pytest.raises(ValueError, match="beyond the pairwise budget"):
+                new.check_axioms(broken)
+            continue
+        got = new.check_axioms(broken)
+        assert got == check_axioms(to_ref(broken))
+        assert 1 in clauses(got)
+    assert seen
 
 
 def test_violations_equal_on_random_families():
@@ -428,6 +485,28 @@ def test_violations_equal_on_random_families():
     # the draws break every clause that a finite family can break, and pass
     assert broken == {1, 2, 3, 5}
     assert valid >= 150
+
+
+def test_violations_equal_on_atom_families():
+    broken = set()
+    valid = 0
+    alone = 0
+    for t in ATOMS:
+        got = new.check_axioms(t)
+        assert clauses(got) == clauses(check_axioms(to_ref(t), pair_budget=1))
+        broken |= clauses(got)
+        valid += not got
+        if not got:
+            continue
+        # drop each atom in turn, so that one atom is often the only witness
+        mk = new._masks(t)
+        for a in t.atoms:
+            less = new.from_atoms(t, [mk.unmask(b) for b in t.atoms if b != a], 1 << 12)
+            got = new.check_axioms(less)
+            assert clauses(got) == clauses(check_axioms(to_ref(less), pair_budget=1))
+            alone += 3 in clauses(got)
+    assert broken == {1, 2, 3, 5}
+    assert valid >= 100 and alone >= 50
 
 
 def test_each_clause_alone_is_caught():
@@ -446,6 +525,21 @@ def test_each_clause_alone_is_caught():
         got = new.check_axioms(t)
         assert got == check_axioms(to_ref(t))
         assert clause in {v.clause for v in got}
+    # families given by their atoms; in the clause 3 case the smallest atom
+    # is the only one whose cut leaves the family
+    atom_cases = {
+        1: ([[0, 1], [1, 2]], [], chain),
+        2: ([[0, 1]], [0], [1]),
+        3: ([[0, 2], [0, 1, 2]], [], chain),
+        5: ([[1], [0, 1]], [0], [1]),
+    }
+    for clause, (atoms, part0, part1) in atom_cases.items():
+        els = sorted(set(part0) | set(part1))
+        t = new.template_from_parts(els, [p for p in pairs if set(p) <= set(els)], [], part0, part1)
+        held = new.from_atoms(t, atoms, budget=100)
+        got = clauses(new.check_axioms(held))
+        assert got == clauses(check_axioms(to_ref(held), pair_budget=1))
+        assert clause in got
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +570,21 @@ def test_depths_equal_on_random_families():
     assert compared > 1000
 
 
+def test_depths_equal_on_atom_families():
+    compared = 0
+    for t in ATOMS:
+        ref = to_ref(t)
+        assert new._unions(t.atoms, 1 << 12) == t.family
+        for a in ref.ideals:
+            assert new.depth(t, a) == depth(ref, a)
+            compared += 1
+        if t.elements in ref.ideals:
+            assert new.rank(t) == rank(ref)
+    assert compared > 2000
+
+
 def test_depth_rejects_non_members_like_the_reference():
-    for t in RANDOM[:200]:
+    for t in RANDOM[:200] + ATOMS[:100]:
         ref = to_ref(t)
         for r in range(len(t.elements) + 1):
             for s in itertools.combinations(sorted(t.elements), r):
@@ -496,7 +603,8 @@ def _restrictions_equal(t: new.TemplateOrder, keep) -> None:
     ref = to_ref(t)
     try:
         got = new.restrict_template(t, keep)
-    except ValueError:
+    except ValueError as err:  # only a family that breaks a clause fails the law
+        assert str(err).startswith("not a template") and new.check_axioms(t)
         got = None
     try:
         want = restrict_template(ref, keep)
@@ -510,10 +618,14 @@ def _restrictions_equal(t: new.TemplateOrder, keep) -> None:
     assert got.ideals == want.ideals
     assert got.elements == want.elements
     assert (got.part0, got.part1) == (want.part0, want.part1)
-    assert new.check_axioms(got) == check_axioms(want)
+    if t.atoms:  # the atoms' traces generate the trace family
+        assert new._unions(got.atoms, len(t.family)) == got.family
+        assert clauses(new.check_axioms(got)) == clauses(check_axioms(want, pair_budget=1))
+    else:
+        assert new.check_axioms(got) == check_axioms(want)
 
 
-@pytest.mark.parametrize("name", ["2,3", "1,2/1"])
+@pytest.mark.parametrize("name", list(SURROGATES))
 def test_restrictions_equal_on_surrogates(surrogates, name):
     t, ref = surrogates[name]
     rng = random.Random(3)
@@ -528,11 +640,34 @@ def test_restrictions_equal_on_surrogates(surrogates, name):
 
 def test_restrictions_equal_on_random_families():
     rng = random.Random(8)
-    for t in RANDOM:
+    for t in RANDOM + ATOMS:
         els = sorted(t.elements)
         for a in to_ref(t).ideals:
             _restrictions_equal(t, a)
         _restrictions_equal(t, rng.sample(els, rng.randrange(len(els) + 1)))
+
+
+def test_restriction_errors_tell_bad_input_from_a_bug(monkeypatch):
+    # on these families the law fails only where a clause does: each failure
+    # names the clause, and none is reported as a bug
+    failed = restricted = 0
+    for t in RANDOM:
+        broken = new.check_axioms(t)
+        for a in to_ref(t).ideals:
+            restricted += 1
+            try:
+                new.restrict_template(t, a)
+            except ValueError as err:
+                v = broken[0]
+                assert str(err) == f"not a template: clause {v.clause}: {v.detail}"
+                failed += 1
+    assert (failed, restricted) == (90, 2982)
+    # on a template the law holds, so a mismatch can only be a bug
+    valid = [t for t in RANDOM + ATOMS if not new.check_axioms(t)]
+    monkeypatch.setattr(new, "rank", lambda t: -1)
+    for t in valid[:20] + valid[-20:]:
+        with pytest.raises(new.ContractError, match="differs from the member's depth"):
+            new.restrict_template(t, t.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -560,15 +695,21 @@ def test_one_step_closure_equals_the_iterated_closure(surrogates):
 
 
 def test_cli_template_never_decodes_the_family(monkeypatch, tmp_path):
-    def refuse(self):
-        raise AssertionError("the family was decoded to frozensets")
+    def refuse(*args):
+        raise AssertionError("the family was read member by member")
 
+    # decoding, the sorted member list every member-wise walk starts from,
+    # and the member-wise clause 3 loop
     monkeypatch.setattr(new.TemplateOrder, "ideals", property(refuse))
-    for extra in ([], ["--bounded-last"]):
+    monkeypatch.setattr(new._Masks, "members", property(refuse))
+    monkeypatch.setattr(new, "_clause3_members", refuse)
+    for extra in (["2,3"], ["2,3", "--bounded-last"], ["2,3,4"]):
         code = cli.main(
-            ["template", "--lambdas", "2,3", "--omega1", "2", "--seed", "3",
-             "--out", str(tmp_path / "t.json"), *extra]
+            ["template", "--omega1", "2", "--seed", "3",
+             "--out", str(tmp_path / "t.json"), "--lambdas", *extra]
         )
         assert code == 0
     with pytest.raises(AssertionError):
         build_surrogate_template(SurrogateParams((2,), 1)).order.ideals
+    with pytest.raises(AssertionError):
+        new.check_axioms(new.template_from_parts([0], [], [[], [0]], [], [0]))

@@ -68,6 +68,11 @@ class TestCheckAxioms:
         with pytest.raises(ValueError):
             check_axioms(t, pair_budget=1)
 
+    def test_cyclic_order_rejected(self):
+        # each pair is compared one way, but 0 < 1 < 2 < 0
+        with pytest.raises(ValueError, match="not transitive"):
+            template_from_parts([0, 1, 2], [(0, 1), (1, 2), (2, 0)], [[]], [], [0, 1, 2])
+
     def test_member_naming_a_non_element_rejected(self):
         with pytest.raises(ValueError, match="not an element"):
             template_from_parts([0, 1], [(0, 1)], [[], [0], [0, 5]], [0], [1])
@@ -173,11 +178,19 @@ class TestRestrictTemplate:
             restrict_template(t, a)  # the rank equality is asserted inside
 
     def test_rank_check_raises(self, monkeypatch):
-        # the check survives python -O: a mismatch raises, not asserts
+        # the check survives python -O: a mismatch raises, not asserts, and on
+        # a template that meets the clauses it is a bug, not bad input
         t = two_point_template()
         monkeypatch.setattr(templates, "rank", lambda t: -1)
-        with pytest.raises(ValueError, match="differs from the member's depth"):
+        with pytest.raises(templates.ContractError, match="differs from the member's depth"):
             restrict_template(t, {0})
+
+    def test_rank_mismatch_on_a_non_template_names_the_clause(self):
+        # the empty set is missing (clause 1), so the member {1} has depth 0,
+        # but its restriction's trace family {{}, {1}} has rank 1
+        t = template_from_parts([0, 1], [(0, 1)], [[0], [1], [0, 1]], [], [0, 1])
+        with pytest.raises(ValueError, match="not a template: clause 1: empty set missing"):
+            restrict_template(t, {1})
 
     def test_arbitrary_restriction_axioms_finding(self):
         t = two_point_template()
@@ -294,8 +307,27 @@ class TestSurrogateTemplate:
         assert check_axioms(sur.order) == []
 
     def test_family_cap_guard(self):
-        with pytest.raises(ValueError):
-            build_surrogate_template(SurrogateParams((2, 3, 4), 2, family_cap=10_000))
+        # family_cap budgets the enumeration of the members, not the check:
+        # past it the family is held only as its atoms and decided from them
+        within = build_surrogate_template(SurrogateParams((2, 3), 2)).order
+        assert len(within.family) == 29_672
+        for cap in (10_000, 20_000):  # 2^14 traces alone exceed 10,000
+            over = build_surrogate_template(SurrogateParams((2, 3), 2, family_cap=cap)).order
+            assert over.family is None and over.atoms == within.atoms
+            assert check_axioms(over) == check_axioms(within) == []
+            assert rank(over) == rank(within) == 14
+            with pytest.raises(ValueError, match="enumeration budget"):
+                over.ideals
+            assert over.to_json()["I"] == {"count": None, "omitted": True}
+
+    def test_three_level_instance(self):
+        # 496 positions and 205 distinct atoms: every part1 element is one
+        # atom's whole trace, so the rank is the 110 part1 elements
+        t = build_surrogate_template(SurrogateParams((2, 3, 4), 2)).order
+        assert (len(t.elements), len(t.atoms), len(t.part1)) == (496, 205, 110)
+        assert t.family is None
+        assert check_axioms(t) == []
+        assert rank(t) == 110
 
     def test_bounded_last_variant(self):
         literal = build_surrogate_template(SurrogateParams((2, 3), 2))
@@ -305,7 +337,11 @@ class TestSurrogateTemplate:
         assert len(bounded.order.elements) <= len(literal.order.elements)
         assert check_axioms(bounded.order) == []
 
-    def test_json_export(self):
+    def test_json_export(self, monkeypatch):
         sur = build_surrogate_template(SurrogateParams((2,), 1))
         blob = sur.order.to_json()
         assert set(blob) == {"elements", "less", "I", "L0", "L1"}
+        # above max_family the count is written without decoding a member
+        big = build_surrogate_template(SurrogateParams((2, 3), 2)).order
+        monkeypatch.setattr(templates.TemplateOrder, "ideals", property(lambda t: 1 / 0))
+        assert big.to_json()["I"] == {"count": 29_672, "omitted": True}
