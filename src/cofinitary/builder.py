@@ -16,17 +16,10 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .evaluation import Assignment, GroundPermutation, fix_points, fix_table
-from .extension import hit_extend, hit_search, point_step, range_extend
-from .poset import (
-    DISCIPLINES,
-    Condition,
-    PosetMode,
-    add_words,
-    frozen_value,
-    leq,
-    side_words,
-)
+from . import evaluation, extension, poset
+from .evaluation import Assignment, GroundPermutation, fix_table
+from .extension import hit_extend, point_step
+from .poset import DISCIPLINES, Condition, PosetMode, frozen_value, side_words
 from .words import Letter, Word, conjugate_core, format_word, reduced_letters
 
 
@@ -157,7 +150,7 @@ def build(
         # step's contract.
         nonlocal cond, stage
         prev = cond
-        cond = add_words(prev, prev.words | frozenset(group))
+        cond = poset.add_words(prev, prev.words | frozenset(group))
         fix = None
         if discipline.shape == "hat":
             fix = _fix_reader(fix_table(gens, max(map(len, group)), cond.s), cond.s)
@@ -166,7 +159,7 @@ def build(
             earlier = itertools.chain(prev.words, itertools.islice(group, i))
             frozen_fix[w] = (stage, frozen_value(mode, cond.s, w, earlier, fix))
             goal_log.append((_freeze_text(w), stage, None))
-        if not leq(cond, prev):
+        if not poset.leq(cond, prev):
             raise BuildError(f"chain law broken at stage {stage}", _report())
 
     def run_goal(goal: DenseGoal) -> None:
@@ -177,7 +170,7 @@ def build(
         # Point and hit steps come back order-checked by their step function
         # (the chooser's leq, mad_set_point, hit_extend) or leave cond as it was.
         if goal.kind == "hit":
-            found = hit_search(prev, goal.gen, goal.sigma, goal.floor, 256)
+            found = extension.hit_search(prev, goal.gen, goal.sigma, goal.floor, 256)
             if not isinstance(found, int):
                 raise BuildError(f"goal {goal.describe()} found no hit", _report())
             witness = found
@@ -191,7 +184,7 @@ def build(
                     witness = cond.s.get(goal.gen).fwd[goal.point]
                 else:
                     if goal.point not in pm.rev:
-                        ext = range_extend(prev, goal.gen, goal.point)
+                        ext = extension.range_extend(prev, goal.gen, goal.point)
                         cond = ext.commit(ext.choose(ceiling=value_ceiling))
                     witness = cond.s.get(goal.gen).rev[goal.point]
             except Exception as err:
@@ -237,7 +230,7 @@ def _fix_reader(
 
     def fix(w: Word) -> frozenset[int]:
         pts = table.get(w.letters)
-        return fix_points(w, s).points if pts is None else pts
+        return evaluation.fix_points(w, s).points if pts is None else pts
 
     return fix
 

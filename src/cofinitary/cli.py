@@ -4,6 +4,12 @@ Every command is a pure function of its configuration: reruns write
 byte-identical reports.  stdout carries nothing but the report path; human
 diagnostics go to stderr.  Exit codes: 0 all contracts hold, 1 contract
 violation or internal error, 2 usage or configuration error.
+
+The module imports no layer: each command imports what it runs when it
+runs, so building the parser, --help and a usage error load none, and
+`template` loads only cofinitary.templates.  main maps a layer's error
+classes to exit codes only once that layer is loaded; before, no instance
+of them can exist.
 """
 
 from __future__ import annotations
@@ -18,23 +24,11 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .builder import BuildError, build, verify_cofinitary
-from .evaluation import zshift
-from .extension import CertificateError, ContractViolation, hit_search, hit_threshold, NOT_FOUND
-from .poset import DISCIPLINES, PosetMode, side_index, side_words
-from .sampling import Draws, TrialWorkerLost, sample_condition
-from .suslin import ffp_axiom_suite, n_suslin_trial
-from .templates import (
-    SurrogateParams,
-    TemplateOrder,
-    build_surrogate_template,
-    check_axioms,
-    interval_of,
-    rank,
-    template_from_parts,
-)
+if TYPE_CHECKING:
+    from .poset import PosetMode
+    from .templates import TemplateOrder
 
 REPORT_DIR_ENV = "COFINITARY_REPORT_DIR"
 
@@ -173,6 +167,8 @@ def _non_negative(value: str) -> int:
 
 
 def _mode(value: str) -> PosetMode:
+    from .poset import PosetMode
+
     try:
         return PosetMode(value)
     except ValueError:
@@ -180,6 +176,9 @@ def _mode(value: str) -> PosetMode:
 
 
 def cmd_build_group(args) -> int:
+    from .builder import BuildError, build, verify_cofinitary
+    from .poset import DISCIPLINES
+
     mode = args.mode
     word_budget = DISCIPLINES[mode].word_budget
     if word_budget is None:
@@ -216,6 +215,8 @@ def cmd_build_group(args) -> int:
 
 
 def _load_template_file(path: str) -> TemplateOrder:
+    from .templates import TemplateOrder, template_from_parts
+
     obj = json.loads(Path(path).read_text())
     if not isinstance(obj, dict):
         raise ConfigError("bad template file: expected a JSON object")
@@ -245,6 +246,8 @@ def _load_template_file(path: str) -> TemplateOrder:
 
 
 def cmd_template(args) -> int:
+    from .templates import SurrogateParams, build_surrogate_template, check_axioms, rank
+
     if args.template_file:
         try:
             t = _load_template_file(args.template_file)
@@ -306,8 +309,11 @@ def cmd_template(args) -> int:
 
 
 def _check_interval_nesting(surrogate) -> int:
+    from .templates import interval_finder
+
     ids = sorted(surrogate.relevant_ids)
-    intervals = {i: interval_of(surrogate.positions[i], surrogate.positions) for i in ids}
+    interval = interval_finder(surrogate.positions)
+    intervals = {i: interval(surrogate.positions[i]) for i in ids}
     bad = 0
     for i in ids:
         for j in ids:
@@ -326,6 +332,8 @@ def _check_interval_nesting(surrogate) -> int:
 
 
 def cmd_suslin(args) -> int:
+    from .suslin import n_suslin_trial
+
     report = n_suslin_trial(args.poset, args.n, args.samples, args.seed)
     path = _report_path(args, f"suslin-{args.poset}-{args.n}-{args.seed}.json")
     _write_report(path, report.to_json())
@@ -339,6 +347,8 @@ def cmd_suslin(args) -> int:
 
 
 def cmd_ffp_suite(args) -> int:
+    from .suslin import ffp_axiom_suite
+
     results = ffp_axiom_suite(args.mode, args.samples, args.seed)
     payload = {
         "schema": "1",
@@ -356,6 +366,11 @@ def cmd_ffp_suite(args) -> int:
 
 
 def cmd_hit_density(args) -> int:
+    from .evaluation import zshift
+    from .extension import NOT_FOUND, hit_search, hit_threshold
+    from .poset import PosetMode
+    from .sampling import Draws, sample_condition
+
     sigma = zshift()
     rng = Draws(args.seed)
     misses = []
@@ -405,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     bg = sub.add_parser("build-group", help="run a greedy family build and verify it")
-    bg.add_argument("--mode", type=_mode, default=PosetMode.COFINITARY)
+    bg.add_argument("--mode", type=_mode, default="cofinitary")
     bg.add_argument("--generators", type=_positive, required=True)
     bg.add_argument("--points", type=_positive, required=True)
     bg.add_argument(
@@ -527,23 +542,34 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return USAGE if err.code else OK
     # Each command starts from cold side-word pools and side-set indexes, so
     # the work it does (and what a trace of it counts) does not depend on
-    # earlier commands.
-    side_words.cache_clear()
-    side_index.cache_clear()
+    # earlier commands.  Before the poset layer is loaded they are cold.
+    poset = sys.modules.get("cofinitary.poset")
+    if poset is not None:
+        poset.side_words.cache_clear()
+        poset.side_index.cache_clear()
     try:
         return args.func(args)
     except ConfigError as err:
         print(err, file=sys.stderr)
         return USAGE
-    except (CertificateError, ContractViolation) as err:
+    except _loaded("extension", "CertificateError", "ContractViolation") as err:
         print(err, file=sys.stderr)
         return VIOLATION
     except OSError as err:
         print(err, file=sys.stderr)
         return USAGE
-    except (ValueError, TrialWorkerLost) as err:  # input is judged before this point: a bug
+    except (ValueError, *_loaded("sampling", "TrialWorkerLost")) as err:
+        # input is judged before this point: a bug
         print(f"internal error: {err!r}", file=sys.stderr)
         return VIOLATION
+
+
+def _loaded(layer: str, *names: str) -> tuple:
+    """The named classes of a layer, or () while the layer is not loaded:
+    no instance of them can exist yet.  An except clause reads this only
+    when an exception reaches it, so the success path loads nothing."""
+    module = sys.modules.get(f"cofinitary.{layer}")
+    return tuple(getattr(module, name) for name in names) if module is not None else ()
 
 
 if __name__ == "__main__":  # pragma: no cover

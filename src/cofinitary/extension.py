@@ -23,25 +23,9 @@ from dataclasses import dataclass
 from itertools import count, filterfalse
 from typing import Callable, Iterable, Optional, Union
 
-from .evaluation import (
-    Assignment,
-    GroundPermutation,
-    PartialMap,
-    apply_letter,
-    compose_shift_forms,
-    eval_domain,
-    eval_range,
-    eval_word,
-)
-from .poset import (
-    DISCIPLINES,
-    Condition,
-    leq,
-    side_index,
-    strong_restrict,
-    validate,
-    validated,
-)
+from . import evaluation, poset
+from .evaluation import Assignment, GroundPermutation, PartialMap, compose_shift_forms, eval_domain
+from .poset import DISCIPLINES, Condition, side_index, validated
 from .words import Word, invert, occurrences
 
 
@@ -126,7 +110,7 @@ def _forbidden_edf(p: Condition, gen: int, n: int) -> set[int]:
 def extend_with(p: Condition, gen: int, n: int, m: int) -> Condition:
     """p with the pair (gen, n, m) adjoined; validated and order-checked."""
     out = validated(p, p.with_s(p.s.with_pair(gen, n, m)))
-    if not leq(out, p):
+    if not poset.leq(out, p):
         raise ContractViolation(
             f"adding (g{gen}, {n}, {m}) does not extend the condition"
         )
@@ -154,7 +138,7 @@ class Extension:
                 f"chooser exceeded ceiling {ceiling} for g{self.gen} at {self.point}"
             )
         out = self._apply(m)
-        if not leq(out, self.condition):
+        if not poset.leq(out, self.condition):
             raise ContractViolation(
                 f"certificate admitted {m} for g{self.gen} at {self.point} "
                 "but the extension fails the order check"
@@ -229,7 +213,7 @@ def mad_set_point(p: Condition, gen: int, n: int) -> Condition:
                 value = 0
                 break
     out = p.with_s(p.s.with_pair(gen, n, value))
-    if not leq(out, p):
+    if not poset.leq(out, p):
         raise ContractViolation("MAD point decision broke intersection freezing")
     return out
 
@@ -264,14 +248,14 @@ def cover_extend(
     for target_word, targets in ((w, cover_domain), (invert(w), cover_range)):
         for c in sorted(set(targets)):
             guard = 0
-            while eval_word(target_word, cur.s, c) is None:
+            while evaluation.eval_word(target_word, cur.s, c) is None:
                 guard += 1
                 if guard > len(target_word.letters) + 1:
                     raise ContractViolation("cover walk stuck")
                 v: Optional[int] = c
                 letters = target_word.letters
                 for idx in range(len(letters) - 1, -1, -1):
-                    nxt = apply_letter(letters[idx], v, cur.s)
+                    nxt = evaluation.apply_letter(letters[idx], v, cur.s)
                     if nxt is None:
                         letter = letters[idx]
                         if letter.sign == 1:
@@ -339,7 +323,7 @@ def strong_reduction(p: Condition, keep: Iterable[int]) -> Condition:
     memo = p._reduction
     if memo is not None and memo[0] == keep:
         return memo[1]
-    base = strong_restrict(p, keep)
+    base = poset.strong_restrict(p, keep)
     kernel = DISCIPLINES[p.mode].kernel
     if kernel == "ones":
         t0 = dict(p.s.restrict(keep).table)
@@ -375,14 +359,14 @@ def strong_reduction(p: Condition, keep: Iterable[int]) -> Condition:
             if occurrences(w) <= keep:
                 continue
             for u_block, v_right, v_left in _pair_blocks(w, keep):
-                need_dom = eval_range(v_right, p.s) if v_right else frozenset()
+                need_dom = evaluation.eval_range(v_right, p.s) if v_right else frozenset()
                 need_ran = eval_domain(v_left, p.s) if v_left else frozenset()
                 if not u_block:
                     continue
                 t = cover_extend(cur, u_block, need_dom, need_ran)
                 cur = cur.with_s(cur.s.union(t))
         out = base.with_s(cur.s.restrict(keep))
-    if not leq(out, base):
+    if not poset.leq(out, base):
         raise ContractViolation("reduction must extend the strong restriction")
     object.__setattr__(p, "_reduction", (keep, out))
     return out
@@ -393,18 +377,18 @@ def canonical_extension(p: Condition, t: Condition, keep: Iterable[int]) -> Cond
     checked to extend both; a t of another mode raises ValueError (leq)."""
     keep = frozenset(keep)
     red = strong_reduction(p, keep)
-    if not leq(t, red):
+    if not poset.leq(t, red):
         raise ValueError("t does not extend the strong reduction")
     clash = t.occurring() & (p.occurring() - keep)
     if clash:
         raise ValueError(f"occurrence disjointness violated on {sorted(clash)}")
     out = Condition(p.s.union(t.s), p.words | t.words, p.mode)
-    bad = validate(out)
+    bad = poset.validate(out)
     if bad:
         raise ContractViolation("; ".join(bad))
-    if not leq(out, p):
+    if not poset.leq(out, p):
         raise ContractViolation("canonical extension does not extend the base condition")
-    if not leq(out, t):
+    if not poset.leq(out, t):
         raise ContractViolation("canonical extension does not extend the side condition")
     return out
 
@@ -428,7 +412,7 @@ def hit_extend(
     if m in p.s.get(gen).rev:
         raise ValueError(f"sigma({n}) = {m} already in the range of g{gen}")
     out = p.with_s(p.s.with_pair(gen, n, m))
-    if leq(out, p):
+    if poset.leq(out, p):
         return out
     return Rejected(f"pair (g{gen}, {n}, {m}) adds a fixed point to a frozen word")
 

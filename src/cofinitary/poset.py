@@ -17,14 +17,14 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
 
+from . import evaluation, words
 from .evaluation import (
     Assignment,
     PartialMap,
     apply_letter,  # noqa: F401  (perfbench's tracer counts letter steps through this name)
-    fix_points,
     letter_step,
 )
-from .words import Letter, Word, format_word, hat_words, is_hat, occurrences, parse_word, single
+from .words import Letter, Word, format_word, occurrences, parse_word, single
 
 Step = Callable[[int], Optional[int]]
 
@@ -83,7 +83,7 @@ def pair_word(a: int, b: int) -> Word:
 def _entry_problem(shape: str, w: Word) -> Optional[str]:
     """Why the nonempty word w is no side entry of the shape; None if it is."""
     if shape == "hat":
-        return None if is_hat(w) else f"word {format_word(w)} is not in the hat class"
+        return None if words.is_hat(w) else f"word {format_word(w)} is not in the hat class"
     if shape == "pair":
         a, b = w.letters[0], w.letters[-1]
         if len(w) == 2 and a.gen != b.gen and (a.sign, b.sign) == (1, -1):
@@ -102,7 +102,7 @@ def side_words(mode: PosetMode, alphabet: tuple[int, ...], length: int) -> tuple
     """
     shape = DISCIPLINES[mode].shape
     if shape == "hat":
-        return tuple(hat_words(alphabet, length))
+        return tuple(words.hat_words(alphabet, length))
     if shape == "pair":
         if length < 2:
             return ()
@@ -281,7 +281,7 @@ def frozen_value(
     frozen before it (`earlier`; the other shapes ignore it)."""
     shape = DISCIPLINES[mode].shape
     if shape == "hat":
-        return fix(w) if fix is not None else fix_points(w, s).points
+        return fix(w) if fix is not None else evaluation.fix_points(w, s).points
     if shape == "pair":
         return _agreement(s, w.letters[0].gen, w.letters[1].gen)
     ones = _ones(s.get(w.letters[0].gen).pairs)

@@ -14,9 +14,10 @@ import random
 import threading
 from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
+from . import poset
 from .evaluation import Assignment, PartialMap
 from .extension import point_step
-from .poset import DISCIPLINES, Condition, PosetMode, add_words, pair_word, side_words
+from .poset import DISCIPLINES, Condition, PosetMode, pair_word, side_words
 from .words import Word, single
 
 _ONE = 1  # randrange's default step, compared by identity as random.Random does
@@ -111,7 +112,7 @@ def sample_condition(
         words = {single(g) for g in picked}
     else:
         words = _draw_entries(rng, mode, gens, word_len, rng.randrange(max_words + 1))
-    cond = add_words(Condition(mode=mode), frozenset(words))
+    cond = poset.add_words(Condition(mode=mode), frozenset(words))
     for _ in range(rng.randrange(max_pairs + 1) * max(1, len(gens) // 2)):
         g = rng.choice(gens)
         n = rng.randrange(value_range)
@@ -136,7 +137,7 @@ def sample_extension(
     if DISCIPLINES[p.mode].shape != "letter" and rng.random() < 0.5:
         extra = _draw_entries(rng, p.mode, sorted(set(candidates))[:4], 2, 1)
         if extra:
-            cond = add_words(cond, cond.words | extra)
+            cond = poset.add_words(cond, cond.words | extra)
     for _ in range(steps):
         g = rng.choice(candidates)
         n = rng.randrange(24)

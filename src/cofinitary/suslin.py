@@ -19,23 +19,11 @@ from functools import partial
 from itertools import chain
 from typing import Iterable, Optional, Sequence, Union
 
-from .extension import ContractViolation, canonical_extension, strong_reduction
-from .poset import (
-    DISCIPLINES,
-    Condition,
-    Incompatible,
-    PosetMode,
-    add_words,
-    leq,
-    merge_disjoint,
-    restrict,
-    strong_restrict,
-    validate,
-)
+from . import extension, poset, sampling
+from .extension import ContractViolation
+from .poset import DISCIPLINES, Condition, Incompatible, PosetMode, merge_disjoint, restrict
 from .sampling import (
     Draws,
-    sample_condition,
-    sample_extension,
     sample_extra_words,
     sample_fresh_assignment,
     split_samples,
@@ -756,26 +744,26 @@ def _suite_chunk(mode: PosetMode, seed: int, leq_override, start: int, stop: int
     """The suite over samples start, ..., stop - 1: [passed, checks, witness]
     per clause, in FFP_CLAUSES order, each witness its first failing
     sample's."""
-    order = leq_override if leq_override is not None else leq
+    order = leq_override if leq_override is not None else poset.leq
     rng = Draws()
     results = [ClauseResult(name, True, 0) for name in FFP_CLAUSES]
     res_restrict, res_mono, res_merge, res_grow, res_embed, res_guard = results
     gens = list(range(5))
     for i in range(start, stop):
         rng.seed(seed * 1_000_003 + i)
-        p = sample_condition(rng, mode, gens)
+        p = sampling.sample_condition(rng, mode, gens)
         keep = frozenset(rng.sample(gens, rng.randrange(len(gens) + 1)))
         weak = restrict(p, keep)
-        strong = strong_restrict(p, keep)
+        strong = poset.strong_restrict(p, keep)
         res_restrict.checks += 1
         if res_restrict.passed and not (
-            not validate(weak) and not validate(strong) and order(weak, strong)
+            not poset.validate(weak) and not poset.validate(strong) and order(weak, strong)
         ):
             res_restrict.passed = False
             res_restrict.witness = f"p={p.to_json()}, keep={sorted(keep)}"
-        q = sample_extension(rng, p)
+        q = sampling.sample_extension(rng, p)
         res_mono.checks += 1
-        if res_mono.passed and not order(strong_restrict(q, keep), strong):
+        if res_mono.passed and not order(poset.strong_restrict(q, keep), strong):
             res_mono.passed = False
             res_mono.witness = f"p={p.to_json()}, q={q.to_json()}, keep={sorted(keep)}"
         t = sample_fresh_assignment(rng, p)
@@ -791,7 +779,7 @@ def _suite_chunk(mode: PosetMode, seed: int, leq_override, start: int, stop: int
                 res_merge.witness = str(err)
         res_grow.checks += 1
         try:
-            grown = add_words(p, p.words | sample_extra_words(rng, p))
+            grown = poset.add_words(p, p.words | sample_extra_words(rng, p))
             # the superset is tested on its own as well as inside order, so
             # the clause does not rest on the check it tests
             if res_grow.passed and not (grown.words >= p.words and order(grown, p)):
@@ -803,11 +791,11 @@ def _suite_chunk(mode: PosetMode, seed: int, leq_override, start: int, stop: int
                 res_grow.witness = str(err)
         res_embed.checks += 1
         try:
-            red = strong_reduction(p, keep)
+            red = extension.strong_reduction(p, keep)
             if not order(red, strong):
                 raise ValueError("reduction does not extend the strong restriction")
-            ext = sample_extension(rng, red, avoid=p.occurring() - keep)
-            both = canonical_extension(p, ext, keep)
+            ext = sampling.sample_extension(rng, red, avoid=p.occurring() - keep)
+            both = extension.canonical_extension(p, ext, keep)
             if res_embed.passed and not (order(both, p) and order(both, ext)):
                 res_embed.passed = False
                 res_embed.witness = f"p={p.to_json()}, keep={sorted(keep)}"

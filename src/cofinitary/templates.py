@@ -10,10 +10,11 @@ atoms and decided from them (proofs in the README design notes).
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import or_
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -554,9 +555,21 @@ def is_relevant(pos: SurrogatePosition, params: SurrogateParams) -> bool:
 def interval_of(pos: SurrogatePosition, positions: Sequence[SurrogatePosition]) -> frozenset[int]:
     """The half-open interval from the truncation of pos up to pos, as indices
     into the sorted position list."""
-    trunc = SurrogatePosition(pos.seq[:-1])
-    lo, hi = trunc.key(), pos.key()
-    return frozenset(i for i, p in enumerate(positions) if lo <= p.key() < hi)
+    return interval_finder(positions)(pos)
+
+
+def interval_finder(
+    positions: Sequence[SurrogatePosition],
+) -> Callable[[SurrogatePosition], frozenset[int]]:
+    """interval_of over one sorted position list: its keys are computed once,
+    and each interval's ends are found by bisection."""
+    keys = [p.key() for p in positions]
+
+    def interval(pos: SurrogatePosition) -> frozenset[int]:
+        lo = bisect_left(keys, SurrogatePosition(pos.seq[:-1]).key())
+        return frozenset(range(lo, bisect_left(keys, pos.key(), lo)))
+
+    return interval
 
 
 class SurrogateTemplate(NamedTuple):
@@ -587,8 +600,9 @@ def build_surrogate_template(params: SurrogateParams) -> SurrogateTemplate:
         head = SurrogatePosition((SignedValue(v, True),)).key()
         atoms[f"cut:{v}"] = frozenset(i for i in ids if key[i] < head)
     atoms["cut:top"] = frozenset(ids)
+    interval = interval_finder(positions)
     for i in sorted(relevant):
-        atoms[f"interval:{labels[i]}"] = closure(proto, interval_of(positions[i], positions))
+        atoms[f"interval:{labels[i]}"] = closure(proto, interval(positions[i]))
     for i in sorted(part1):
         atoms[f"point:{labels[i]}"] = closure(proto, {i})
         atoms[f"cone0:{labels[i]}"] = frozenset(proto.below(i) & part0)

@@ -34,3 +34,28 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", fork)
     return calls
+
+
+class _LayerView:
+    """A layer as one caller sees it: the replaced names, then the layer's own."""
+
+    def __init__(self, layer, replaced: dict) -> None:
+        self.__dict__.update(replaced)
+        self._layer = layer
+
+    def __getattr__(self, name):
+        return getattr(self._layer, name)
+
+
+@pytest.fixture
+def intercept(monkeypatch):
+    """intercept(caller, layer, name=fn, ...): the caller's calls of the
+    layer's named functions go to fn, and no other module's do.  A layer
+    reaches another layer's traced functions through the module
+    (`poset.leq(...)`), so the caller's module attribute is swapped for a
+    view of the layer, until the test ends."""
+
+    def swap(caller, layer, **replaced) -> None:
+        monkeypatch.setattr(caller, layer.__name__.rpartition(".")[2], _LayerView(layer, replaced))
+
+    return swap

@@ -42,12 +42,13 @@ class TestBuildGroup:
         assert code == 2
 
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch, capsys):
-        import cofinitary.cli as cli
+        import cofinitary.builder as builder
 
         def broken(*args, **kwargs):
             raise ValueError("broken build\nsecond line")
 
-        monkeypatch.setattr(cli, "build", broken)
+        # cmd_build_group imports build from its module when it runs
+        monkeypatch.setattr(builder, "build", broken)
         code, out, err = run(
             ["build-group", "--generators", "2", "--points", "4", "--seed", "1"], capsys
         )
@@ -290,13 +291,12 @@ class TestSuslinCmd:
     def test_failures_count_where_the_law_holds(self, poset, n, code, monkeypatch, tmp_path,
                                                 capsys):
         # the law holds for hechler from n = 1 and for loc from n = 2
-        import cofinitary.cli as cli
-        from cofinitary.suslin import TrialReport
+        import cofinitary.suslin as suslin
 
         def one_failure(poset, n, samples, seed):
-            return TrialReport(poset, n, samples, seed, 1, [0])
+            return suslin.TrialReport(poset, n, samples, seed, 1, [0])
 
-        monkeypatch.setattr(cli, "n_suslin_trial", one_failure)
+        monkeypatch.setattr(suslin, "n_suslin_trial", one_failure)
         got, _, err = run(
             ["suslin", "--poset", poset, "--n", str(n), "--samples", "10",
              "--seed", "3", "--out", str(tmp_path / "s.json")],

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cofinitary.evaluation import Assignment, GroundPermutation, PartialMap, zshift
-from cofinitary import extension
+from cofinitary import extension, poset
 from cofinitary.extension import (
     CertificateError,
     ContractViolation,
@@ -163,11 +163,11 @@ class TestStrongReduction:
         red = strong_reduction(p, {0})
         assert red == p
 
-    def test_order_check_raises(self, monkeypatch):
+    def test_order_check_raises(self, intercept):
         # the reduction's own order check is its only leq call here; it is a
         # raise, not an assert, so it holds under -O too
         calls = []
-        monkeypatch.setattr(extension, "leq", lambda *args: calls.append(args) and False)
+        intercept(extension, poset, leq=lambda *args: calls.append(args) and False)
         p = cond({0: [(0, 1)]}, ["g0"])
         with pytest.raises(ContractViolation, match="strong restriction"):
             strong_reduction(p, {0})

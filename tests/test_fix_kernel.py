@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from cofinitary import builder, poset
+from cofinitary import builder, evaluation, poset
 from cofinitary.builder import DenseGoal, build, build_variant_family, verify_cofinitary
 from cofinitary.evaluation import (
     Assignment,
@@ -146,7 +146,7 @@ class TestVerifierGuard:
     def test_variants_verify_clean(self, mode):
         assert verify_cofinitary(build_variant_family(mode, [0, 1, 2, 3], 40, seed=7)) == []
 
-    def test_one_fix_set_per_word(self, monkeypatch):
+    def test_one_fix_set_per_word(self, intercept):
         # the words up to the word budget come from the fix table; only a
         # frozen word longer than that is asked of fix_points, and only once
         asked = Counter()
@@ -161,8 +161,8 @@ class TestVerifierGuard:
             PosetMode.COFINITARY, [0, 1, 2], point_budget=12, word_budget=3, seed=7,
             extra_goals=[DenseGoal("freeze", word=longer)],
         )
-        monkeypatch.setattr(builder, "fix_points", counting)
-        monkeypatch.setattr(poset, "fix_points", counting)
+        intercept(builder, evaluation, fix_points=counting)
+        intercept(poset, evaluation, fix_points=counting)
         assert verify_cofinitary(report) == [] and not asked
         assert verify_cofinitary(frozen_longer) == []
         assert asked == {longer: 1}

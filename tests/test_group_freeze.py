@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 
 import pytest
 
-from cofinitary import builder
+from cofinitary import builder, evaluation, poset
 from cofinitary.builder import BuildError, BuildReport, DenseGoal, build, hit_goal
 from cofinitary.cli import encode_report
 from cofinitary.evaluation import fix_points, fix_table, zshift
@@ -192,9 +192,9 @@ def test_extra_goals_mad():
                word_budget=1, seed=4, extra_goals=goals))
 
 
-def test_one_growth_and_one_check_per_group(monkeypatch):
+def test_one_growth_and_one_check_per_group(intercept):
     calls = {"grow": [], "leq": 0}
-    grow, check = builder.add_words, builder.leq
+    grow, check = poset.add_words, poset.leq
 
     def counting_grow(p, words):
         calls["grow"].append(words - p.words)
@@ -204,8 +204,7 @@ def test_one_growth_and_one_check_per_group(monkeypatch):
         calls["leq"] += 1
         return check(p, q)
 
-    monkeypatch.setattr(builder, "add_words", counting_grow)
-    monkeypatch.setattr(builder, "leq", counting_leq)
+    intercept(builder, poset, add_words=counting_grow, leq=counting_leq)
     report = build(PosetMode.COFINITARY, [0, 1, 2], point_budget=12, word_budget=3, seed=7)
     groups = {len(w) for w in report.frozen_fix}
     assert groups == {1, 2, 3}
@@ -257,7 +256,7 @@ BUILDS = {  # point goals go on after the last group, so the final s is not a gr
     "gens, points, word_budget, goals", list(BUILDS.values()), ids=list(BUILDS)
 )
 def test_group_values_come_from_a_table_at_the_group_s(
-    gens, points, word_budget, goals, monkeypatch
+    gens, points, word_budget, goals, monkeypatch, intercept
 ):
     # Each group has its own reader, each word is frozen through its group's
     # reader at its group's s, and the reader equals fix_points at that s on
@@ -267,7 +266,7 @@ def test_group_values_come_from_a_table_at_the_group_s(
     # fix sets, so the reader-per-group and group-s checks catch it.
     # The zshift build also meets hit goals toward zshift after its groups.
     groups, calls, asked = [], [], []
-    grow, value, points_of = builder.add_words, builder.frozen_value, builder.fix_points
+    grow, value, points_of = poset.add_words, builder.frozen_value, evaluation.fix_points
 
     def recording_grow(p, words):
         groups.append(grow(p, words))
@@ -281,9 +280,9 @@ def test_group_values_come_from_a_table_at_the_group_s(
         asked.append(w)
         return points_of(w, s)
 
-    monkeypatch.setattr(builder, "add_words", recording_grow)
+    intercept(builder, poset, add_words=recording_grow)
     monkeypatch.setattr(builder, "frozen_value", recording_value)
-    monkeypatch.setattr(builder, "fix_points", recording_points)
+    intercept(builder, evaluation, fix_points=recording_points)
     report = build(PosetMode.COFINITARY, gens, point_budget=points,
                    word_budget=word_budget, seed=5, extra_goals=goals)
     hits = [witness for goal, _, witness in report.goal_log if goal.startswith("hit:")]

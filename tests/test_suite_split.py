@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from cofinitary import suslin
+from cofinitary import poset, sampling, suslin
 from cofinitary.cli import main
 from cofinitary.extension import ContractViolation
 from cofinitary.poset import PosetMode, leq
@@ -106,9 +106,10 @@ class Marked(Draws):
         super().seed(a, version)
 
 
-def raise_at(monkeypatch, name, bad):
-    """Make suslin's `name` raise at the samples in bad, naming the sample."""
-    real = getattr(suslin, name)
+def raise_at(monkeypatch, intercept, name, bad):
+    """Make suslin's calls of poset's `name` raise at the samples in bad,
+    naming the sample."""
+    real = getattr(poset, name)
 
     def op(*args):
         if Marked.at in bad:
@@ -116,14 +117,17 @@ def raise_at(monkeypatch, name, bad):
         return real(*args)
 
     monkeypatch.setattr(suslin, "Draws", Marked)
-    monkeypatch.setattr(suslin, name, op)
+    if name in vars(suslin):  # bound by name, not reached through poset
+        monkeypatch.setattr(suslin, name, op)
+    else:
+        intercept(suslin, poset, **{name: op})
 
 
 @pytest.mark.parametrize("op, clause", [("merge_disjoint", "disjoint-merge"),
                                         ("add_words", "side-set-growth")])
 @pytest.mark.parametrize("bad", [{30, 60}, {130, 370}, {390, 399}])
-def test_a_clause_keeps_its_first_failure(monkeypatch, op, clause, bad, clean):
-    raise_at(monkeypatch, op, bad)
+def test_a_clause_keeps_its_first_failure(monkeypatch, intercept, op, clause, bad, clean):
+    raise_at(monkeypatch, intercept, op, bad)
     for k in range(1, 5):
         on_cpus(monkeypatch, k)
         results = ffp_axiom_suite(PosetMode.ADP, SAMPLES, 3)
@@ -135,16 +139,16 @@ def test_a_clause_keeps_its_first_failure(monkeypatch, op, clause, bad, clean):
 # -- errors -------------------------------------------------------------------
 
 
-def fail_in_sampling(monkeypatch, fail):
+def fail_in_sampling(monkeypatch, intercept, fail):
     """Make every sample_condition call of the suite call fail(sample) first."""
-    real = suslin.sample_condition
+    real = sampling.sample_condition
 
     def sample_condition(rng, mode, gens):
         fail(Marked.at)
         return real(rng, mode, gens)
 
     monkeypatch.setattr(suslin, "Draws", Marked)
-    monkeypatch.setattr(suslin, "sample_condition", sample_condition)
+    intercept(suslin, sampling, sample_condition=sample_condition)
 
 
 def die_at(sample, how):
@@ -165,10 +169,10 @@ def ffp_cli(tmp_path, samples=SAMPLES):
 
 @pytest.mark.parametrize("how, cause", [("signal", "died by signal 9"),
                                         ("exit", "exited with status 3")])
-def test_cli_exits_1_without_a_traceback_when_a_chunk_dies(monkeypatch, capsys, tmp_path, how,
-                                                           cause, clean):
+def test_cli_exits_1_without_a_traceback_when_a_chunk_dies(monkeypatch, intercept, capsys, tmp_path,
+                                                           how, cause, clean):
     on_cpus(monkeypatch, 2)
-    fail_in_sampling(monkeypatch, die_at(300, how))
+    fail_in_sampling(monkeypatch, intercept, die_at(300, how))
     code = ffp_cli(tmp_path)
     err = capsys.readouterr().err
     assert code == 1
@@ -177,12 +181,13 @@ def test_cli_exits_1_without_a_traceback_when_a_chunk_dies(monkeypatch, capsys, 
     assert not (tmp_path / "f.json").exists()
 
 
-def test_a_chunks_error_is_the_serial_runs(monkeypatch, capsys, tmp_path, forks, clean):
+def test_a_chunks_error_is_the_serial_runs(monkeypatch, intercept, capsys, tmp_path, forks,
+                                           clean):
     def fail(i):
         if i in (250, 350):
             raise ContractViolation(f"sample {i}: random extension fails the order check")
 
-    fail_in_sampling(monkeypatch, fail)
+    fail_in_sampling(monkeypatch, intercept, fail)
     for k in (1, 4):
         on_cpus(monkeypatch, k)
         assert ffp_cli(tmp_path) == 1
@@ -190,8 +195,8 @@ def test_a_chunks_error_is_the_serial_runs(monkeypatch, capsys, tmp_path, forks,
     assert len(forks) == 3
 
 
-def test_a_dead_chunk_is_an_internal_error(monkeypatch, clean):
-    fail_in_sampling(monkeypatch, die_at(150, "exit"))
+def test_a_dead_chunk_is_an_internal_error(monkeypatch, intercept, clean):
+    fail_in_sampling(monkeypatch, intercept, die_at(150, "exit"))
     on_cpus(monkeypatch, 4)
     with pytest.raises(TrialWorkerLost, match="^samples 100..199: worker .* exited with status 3"):
         ffp_axiom_suite(PosetMode.MAD, SAMPLES, 3)

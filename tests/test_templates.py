@@ -283,6 +283,17 @@ class TestRelevance:
                 trunc = SurrogatePosition(p.seq[:-1])
                 assert index[trunc.key()] in interval_of(p, positions)
 
+    @pytest.mark.parametrize("sizes", [(2, 3), (2, 3, 4)])
+    def test_interval_bisection_is_the_scan(self, sizes):
+        # every position's interval, against the scan over all keys that
+        # the bisection replaced (an empty one when pos's last entry is negative)
+        positions = enumerate_positions(SurrogateParams(sizes, 2))
+        keys = [p.key() for p in positions]
+        interval = templates.interval_finder(positions)
+        for p in positions:
+            lo, hi = SurrogatePosition(p.seq[:-1]).key(), p.key()
+            assert interval(p) == frozenset(i for i, k in enumerate(keys) if lo <= k < hi)
+
 
 class TestSurrogateTemplate:
     def test_desk_instance_all_axioms(self):
