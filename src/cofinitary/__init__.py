@@ -42,9 +42,7 @@ _EXPORTS = {
         "check_axioms", "closure", "depth", "rank", "restrict_template", "template_from_parts",
     ),
     "suslin": (
-        "DomCondition", "FinSeq", "LocCondition", "Rule", "Undecidable", "dom_condition",
-        "dom_leq", "dom_meet", "ffp_axiom_suite", "loc_condition", "loc_leq", "loc_meet",
-        "localizes", "n_suslin_trial",
+        "Undecidable", "dom_meet", "ffp_axiom_suite", "loc_meet", "n_suslin_trial",
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -177,9 +177,9 @@ def _mode(value: str) -> PosetMode:
 
 def cmd_build_group(args) -> int:
     from .builder import BuildError, build, verify_cofinitary
-    from .poset import DISCIPLINES
+    from .poset import DISCIPLINES, PosetMode
 
-    mode = args.mode
+    mode = args.mode or PosetMode.COFINITARY
     word_budget = DISCIPLINES[mode].word_budget
     if word_budget is None:
         word_budget = args.max_word_len or DEFAULT_WORD_LEN
@@ -206,7 +206,9 @@ def cmd_build_group(args) -> int:
     path = _report_path(args, f"build-{mode.value}-{args.seed}.json")
     _write_report(path, payload)
     if args.csv:
-        Path(args.csv).write_text(report.to_csv())
+        csv = Path(args.csv)
+        csv.parent.mkdir(parents=True, exist_ok=True)
+        csv.write_text(report.to_csv())
     if violations:
         for v in violations:
             print(v, file=sys.stderr)
@@ -223,6 +225,8 @@ def _load_template_file(path: str) -> TemplateOrder:
     key = "elements"  # the field being read, for the error message
     try:
         names = {name: i for i, name in enumerate(obj[key])}
+        if len(names) != len(obj[key]):
+            raise ValueError("an element name is repeated")
         key = "less"
         if obj[key] == "by-rank":  # the elements are listed in order
             less = list(itertools.combinations(names.values(), 2))
@@ -420,7 +424,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     bg = sub.add_parser("build-group", help="run a greedy family build and verify it")
-    bg.add_argument("--mode", type=_mode, default="cofinitary")
+    # no string default: argparse would convert it through _mode, loading the
+    # poset layer, before it reports a missing required flag
+    bg.add_argument("--mode", type=_mode, default=None)
     bg.add_argument("--generators", type=_positive, required=True)
     bg.add_argument("--points", type=_positive, required=True)
     bg.add_argument(

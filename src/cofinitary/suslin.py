@@ -6,9 +6,9 @@ Infinite tails are represented by a closed rule algebra (constant value,
 constant finite set, affine) plus finitely many exceptions, which keeps the
 extension relations and the localization predicate decidable.
 
-The algebra runs on plain data (the kernel below).  ``FinSeq``, ``Rule``,
-``LocCondition`` and ``DomCondition`` are the public, validated surface: the
-public functions convert at that edge and call the kernel op.
+The algebra runs on plain data, in one kernel below: a sequence is a
+(slope, value, exc) tuple and a condition a (stem, seq) or (sigma, seq)
+pair.  ``dom_meet`` and ``loc_meet`` are the meets the trials run.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from . import extension, poset, sampling
 from .extension import ContractViolation
@@ -37,88 +37,6 @@ class Undecidable(Exception):
 
 
 Value = Union[int, frozenset[int]]
-
-
-@dataclass(frozen=True)
-class Rule:
-    kind: str  # "constant" | "affine"
-    value: Value = 0
-    slope: int = 0  # the slope of every rule: constants have slope 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("constant", "affine"):
-            raise Undecidable(f"unknown rule kind {self.kind!r}")
-        if self.kind == "affine" and isinstance(self.value, frozenset):
-            raise ValueError("affine rules are for number sequences only")
-        if self.kind == "constant" and self.slope != 0:
-            raise ValueError("constant rules have slope 0")
-
-    def at(self, i: int) -> Value:
-        if self.kind == "constant":
-            return self.value
-        return self.slope * i + self.value
-
-    def to_json(self) -> dict:
-        if self.kind == "constant":
-            v = sorted(self.value) if isinstance(self.value, frozenset) else self.value
-            return {"kind": "constant", "value": v}
-        return {"kind": "affine", "a": self.slope, "b": self.value}
-
-    @staticmethod
-    def from_json(obj: dict) -> "Rule":
-        if obj["kind"] == "constant":
-            v = obj["value"]
-            return Rule("constant", frozenset(v) if isinstance(v, list) else v)
-        if obj["kind"] == "affine":
-            return Rule("affine", obj["b"], obj["a"])
-        raise Undecidable(f"unknown rule kind {obj['kind']!r}")
-
-
-@dataclass(frozen=True)
-class FinSeq:
-    """A total sequence: finitely many exceptions over a named default rule.
-
-    Exceptions the rule already produces are dropped, so equal sequences have
-    equal representations.  The exceptions are also kept as a private dict,
-    with the settle index, for lookups; both are derived, not fields.
-    """
-
-    rule: Rule
-    exceptions: tuple[tuple[int, Value], ...] = ()
-
-    def __post_init__(self) -> None:
-        slim = {
-            i: v for i, v in sorted(dict(self.exceptions).items()) if self.rule.at(i) != v
-        }
-        object.__setattr__(self, "exceptions", tuple(slim.items()))
-        object.__setattr__(self, "_table", slim)
-        object.__setattr__(self, "_settle", max(slim, default=-1) + 1)
-
-    def at(self, i: int) -> Value:
-        v = self._table.get(i)
-        return self.rule.at(i) if v is None else v
-
-    def settle_index(self) -> int:
-        """Past this index only the rule speaks."""
-        return self._settle
-
-    def with_exceptions(self, extra: Iterable[tuple[int, Value]]) -> "FinSeq":
-        merged = dict(self._table)
-        merged.update(extra)
-        return FinSeq(self.rule, tuple(merged.items()))
-
-    def to_json(self) -> dict:
-        exc = {}
-        for j, v in self.exceptions:
-            exc[str(j)] = sorted(v) if isinstance(v, frozenset) else v
-        return {"exceptions": exc, "default": self.rule.to_json()}
-
-    @staticmethod
-    def from_json(obj: dict) -> "FinSeq":
-        exc = []
-        for j, v in obj.get("exceptions", {}).items():
-            exc.append((int(j), frozenset(v) if isinstance(v, list) else v))
-        return FinSeq(Rule.from_json(obj["default"]), tuple(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -141,21 +59,6 @@ class FinSeq:
 # computed on the failure path only.
 
 Seq = tuple  # (slope, value, exc)
-
-
-def _kseq(s: FinSeq) -> Seq:
-    """s as kernel data; negative indices are outside every statement."""
-    t = s._table
-    if t and min(t) < 0:
-        t = {i: v for i, v in t.items() if i >= 0}
-    return s.rule.slope, s.rule.value, t
-
-
-def _finseq(k: Seq, *rules: Rule) -> FinSeq:
-    """k at the edge, under the first of rules with k's slope and value: the
-    kernel does not keep a rule's kind."""
-    rule = next(r for r in rules if r.slope == k[0] and r.value == k[1])
-    return FinSeq(rule, tuple(k[2].items()))
 
 
 def _with(k: Seq, items: Iterable[tuple[int, Value]]) -> Seq:
@@ -337,11 +240,11 @@ def _loc_le(p: tuple, q: tuple) -> bool:
     return len(sigma) >= len(tau) and sigma[: len(tau)] == tau and _subset(q[1], p[1])
 
 
-def _loc_meet(p: tuple, q: tuple):
-    """Common extension of p and q when the prefixes are comparable and the
-    pointwise union respects the width bound, first as it is (covers
-    p = q), then after committing to twice the longer prefix; Incompatible
-    otherwise."""
+def loc_meet(p: tuple, q: tuple):
+    """Common extension (sigma, seq) of slalom conditions p and q when the
+    prefixes are comparable and the pointwise union respects the width
+    bound, first as it is (covers p = q), then after committing to twice the
+    longer prefix; Incompatible otherwise."""
     if len(q[0]) > len(p[0]):
         p, q = q, p
     sigma = p[0]
@@ -382,9 +285,10 @@ def _dom_le(p: tuple, q: tuple) -> bool:
     return len(s) >= len(t) and s[: len(t)] == t and _le(q[1], p[1])
 
 
-def _dom_meet(p: tuple, q: tuple):
-    """Common extension: the longer stem with the pointwise maximum of the
-    tails, when the stems are comparable and dominate the other tail."""
+def dom_meet(p: tuple, q: tuple):
+    """Common extension (stem, seq) of dominating pairs p and q: the longer
+    stem with the pointwise maximum of the tails, when the stems are
+    comparable and dominate the other tail; Incompatible otherwise."""
     if len(q[0]) > len(p[0]):
         p, q = q, p
     stem = p[0]
@@ -399,124 +303,6 @@ def _dom_meet(p: tuple, q: tuple):
     if not (_dom_le(out, p) and _dom_le(out, q)):
         return Incompatible("constructed meet fails the order check")
     return out
-
-
-# ---------------------------------------------------------------------------
-# the public surface
-
-
-def seq_le(f: FinSeq, g: FinSeq) -> bool:
-    """Pointwise f(i) <= g(i) for all i, exactly."""
-    return _le(_kseq(f), _kseq(g))
-
-
-def _constant_rules(f: FinSeq, g: FinSeq) -> None:
-    if f.rule.kind != "constant" or g.rule.kind != "constant":
-        raise Undecidable("set sequences need constant tails")
-
-
-def seq_subset(f: FinSeq, g: FinSeq) -> bool:
-    """Pointwise f(i) subseteq g(i) for set sequences, exactly."""
-    _constant_rules(f, g)
-    return _subset(_kseq(f), _kseq(g))
-
-
-def seq_max(f: FinSeq, g: FinSeq) -> FinSeq:
-    """Pointwise maximum of number sequences, representable inside the
-    algebra: the eventually dominant rule with exceptions at the finitely
-    many crossings."""
-    return _finseq(_max(_kseq(f), _kseq(g)), f.rule, g.rule)
-
-
-def seq_union(f: FinSeq, g: FinSeq) -> FinSeq:
-    """Pointwise union for set sequences with constant tails, exactly."""
-    _constant_rules(f, g)
-    u = _union(_kseq(f), _kseq(g))
-    return _finseq(u, Rule("constant", u[1]))
-
-
-@dataclass(frozen=True)
-class LocCondition:
-    """(sigma, phi): a committed slalom prefix with |sigma(i)| = i, and a total
-    slalom tail of width at most |sigma| that equals the prefix on the
-    committed slots.  (Reading "the prefix sits inside the tail" as slotwise
-    containment instead gives the same conditions under the extension
-    dynamics, which only ever grow the tail.)
-    """
-
-    sigma: tuple[frozenset[int], ...]
-    phi: FinSeq
-
-    def __post_init__(self) -> None:
-        _loc(self.sigma, _kseq(self.phi))
-
-    def to_json(self) -> dict:
-        return {"sigma": [sorted(s) for s in self.sigma], "phi": self.phi.to_json()}
-
-
-def loc_condition(sigma: Sequence[Iterable[int]], phi: FinSeq) -> LocCondition:
-    pref = tuple(frozenset(s) for s in sigma)
-    pinned = phi.with_exceptions((i, s) for i, s in enumerate(pref))
-    return LocCondition(pref, pinned)
-
-
-def loc_leq(p: LocCondition, q: LocCondition) -> bool:
-    """p extends q: longer committed prefix, pointwise larger slalom."""
-    return _loc_le((p.sigma, _kseq(p.phi)), (q.sigma, _kseq(q.phi)))
-
-
-def loc_meet(p: LocCondition, q: LocCondition):
-    """Common extension of p and q when the prefixes are comparable and the
-    pointwise union respects the width bound after committing to twice the
-    longer prefix; Incompatible otherwise."""
-    met = _loc_meet((p.sigma, _kseq(p.phi)), (q.sigma, _kseq(q.phi)))
-    if isinstance(met, Incompatible):
-        return met
-    sigma, phi = met
-    return LocCondition(sigma, _finseq(phi, Rule("constant", phi[1])))
-
-
-def localizes(phi: FinSeq, f: FinSeq) -> Optional[int]:
-    """Least m with f(n) in phi(n) for every n >= m; None when there is none."""
-    if phi.rule.kind != "constant":
-        raise Undecidable("slalom tails must be constant finite sets")
-    return _localizes(_kseq(phi), _kseq(f))
-
-
-@dataclass(frozen=True)
-class DomCondition:
-    """(stem, f): a committed finite prefix pinned by a total sequence."""
-
-    stem: tuple[int, ...]
-    f: FinSeq
-
-    def __post_init__(self) -> None:
-        _dom(self.stem, _kseq(self.f))
-
-    def to_json(self) -> dict:
-        return {"stem": list(self.stem), "f": self.f.to_json()}
-
-
-def dom_condition(stem: Sequence[int], f: FinSeq) -> DomCondition:
-    stem = tuple(stem)
-    return DomCondition(stem, f.with_exceptions(enumerate(stem)))
-
-
-def dom_leq(p: DomCondition, q: DomCondition) -> bool:
-    """p extends q: longer stem, everywhere pointwise at least q's tail."""
-    return _dom_le((p.stem, _kseq(p.f)), (q.stem, _kseq(q.f)))
-
-
-def dom_meet(p: DomCondition, q: DomCondition):
-    """Common extension: the longer stem with the pointwise maximum of the
-    tails, when the stems are comparable and dominate the other tail."""
-    if len(q.stem) > len(p.stem):
-        p, q = q, p  # the kernel's order, which keeps p's rule on a tie
-    met = _dom_meet((p.stem, _kseq(p.f)), (q.stem, _kseq(q.f)))
-    if isinstance(met, Incompatible):
-        return met
-    stem, f = met
-    return DomCondition(stem, _finseq(f, p.f.rule, q.f.rule))
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +438,7 @@ def n_suslin_trial(poset: str, n: int, samples: int, seed: int) -> TrialReport:
 def _trial_kernels(poset: str) -> tuple:
     """(draw, meet, le) of a poset, looked up when called, so that a kernel
     op patched in this process is the one a forked chunk runs too."""
-    kernels = {"hechler": (_dom_draw, _dom_meet, _dom_le), "loc": (_loc_draw, _loc_meet, _loc_le)}
+    kernels = {"hechler": (_dom_draw, dom_meet, _dom_le), "loc": (_loc_draw, loc_meet, _loc_le)}
     if poset not in kernels:
         raise ValueError(f"unknown poset {poset!r}")
     return kernels[poset]

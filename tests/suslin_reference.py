@@ -2,20 +2,105 @@
 it ran before the plain-data kernel: the oracle the kernel is checked
 against.
 
-Every statement reads one probe list, ``probe_indices``, in index order;
-conditions are named tuples validated by ``loc``/``dom``, which raise the
-same ``ValueError`` texts as the public classes.  The trial samplers and
-``n_suslin_trial`` are kept too, drawing a fresh ``random.Random`` per trial.
+``Rule`` and ``FinSeq`` are the sequence classes the package held before its
+kernel was the only algebra.  Every statement reads one probe list,
+``probe_indices``, in index order; conditions are named tuples validated by
+``loc``/``dom``, which raise the same ``ValueError`` texts as the kernel's
+``_loc``/``_dom``.  The trial samplers and ``n_suslin_trial`` are kept too,
+drawing a fresh ``random.Random`` per trial.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from cofinitary.extension import ContractViolation
 from cofinitary.poset import Incompatible
-from cofinitary.suslin import FinSeq, Rule, Undecidable, Value
+from cofinitary.suslin import Undecidable, Value
+
+
+@dataclass(frozen=True)
+class Rule:
+    kind: str  # "constant" | "affine"
+    value: Value = 0
+    slope: int = 0  # the slope of every rule: constants have slope 0
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("constant", "affine"):
+            raise Undecidable(f"unknown rule kind {self.kind!r}")
+        if self.kind == "affine" and isinstance(self.value, frozenset):
+            raise ValueError("affine rules are for number sequences only")
+        if self.kind == "constant" and self.slope != 0:
+            raise ValueError("constant rules have slope 0")
+
+    def at(self, i: int) -> Value:
+        if self.kind == "constant":
+            return self.value
+        return self.slope * i + self.value
+
+    def to_json(self) -> dict:
+        if self.kind == "constant":
+            v = sorted(self.value) if isinstance(self.value, frozenset) else self.value
+            return {"kind": "constant", "value": v}
+        return {"kind": "affine", "a": self.slope, "b": self.value}
+
+    @staticmethod
+    def from_json(obj: dict) -> "Rule":
+        if obj["kind"] == "constant":
+            v = obj["value"]
+            return Rule("constant", frozenset(v) if isinstance(v, list) else v)
+        if obj["kind"] == "affine":
+            return Rule("affine", obj["b"], obj["a"])
+        raise Undecidable(f"unknown rule kind {obj['kind']!r}")
+
+
+@dataclass(frozen=True)
+class FinSeq:
+    """A total sequence: finitely many exceptions over a named default rule.
+
+    Exceptions the rule already produces are dropped, so equal sequences have
+    equal representations.  The exceptions are also kept as a private dict,
+    with the settle index, for lookups; both are derived, not fields.
+    """
+
+    rule: Rule
+    exceptions: tuple[tuple[int, Value], ...] = ()
+
+    def __post_init__(self) -> None:
+        slim = {
+            i: v for i, v in sorted(dict(self.exceptions).items()) if self.rule.at(i) != v
+        }
+        object.__setattr__(self, "exceptions", tuple(slim.items()))
+        object.__setattr__(self, "_table", slim)
+        object.__setattr__(self, "_settle", max(slim, default=-1) + 1)
+
+    def at(self, i: int) -> Value:
+        v = self._table.get(i)
+        return self.rule.at(i) if v is None else v
+
+    def settle_index(self) -> int:
+        """Past this index only the rule speaks."""
+        return self._settle
+
+    def with_exceptions(self, extra: Iterable[tuple[int, Value]]) -> "FinSeq":
+        merged = dict(self._table)
+        merged.update(extra)
+        return FinSeq(self.rule, tuple(merged.items()))
+
+    def to_json(self) -> dict:
+        exc = {}
+        for j, v in self.exceptions:
+            exc[str(j)] = sorted(v) if isinstance(v, frozenset) else v
+        return {"exceptions": exc, "default": self.rule.to_json()}
+
+    @staticmethod
+    def from_json(obj: dict) -> "FinSeq":
+        exc = []
+        for j, v in obj.get("exceptions", {}).items():
+            exc.append((int(j), frozenset(v) if isinstance(v, list) else v))
+        return FinSeq(Rule.from_json(obj["default"]), tuple(exc))
 
 
 def finseq(k) -> FinSeq:
@@ -117,7 +202,7 @@ class Loc(NamedTuple):
 
 
 def loc(sigma, phi: FinSeq) -> Loc:
-    """Loc(sigma, phi) after the checks LocCondition made."""
+    """Loc(sigma, phi) after the checks the kernel's _loc makes."""
     width = len(sigma)
     for i in probe_indices(phi):
         v = phi.at(i)
@@ -168,7 +253,7 @@ class Dom(NamedTuple):
 
 
 def dom(stem, f: FinSeq) -> Dom:
-    """Dom(stem, f) after the check DomCondition made."""
+    """Dom(stem, f) after the check the kernel's _dom makes."""
     for i, v in enumerate(stem):
         if f.at(i) != v:
             raise ValueError(f"tail does not pin the stem at {i}")

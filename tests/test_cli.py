@@ -78,6 +78,20 @@ class TestBuildGroup:
         assert code == 0
         assert csv_file.read_text().startswith("word,stage,fix_size")
 
+    def test_csv_into_a_missing_directory(self, tmp_path, capsys):
+        # the CSV's directories are made as the report's are
+        out_file, csv_file = tmp_path / "r.json", tmp_path / "new" / "dir" / "r.csv"
+        code, _, err = run(
+            [
+                "build-group", "--generators", "1", "--points", "3",
+                "--max-word-len", "1", "--seed", "0",
+                "--out", str(out_file), "--csv", str(csv_file),
+            ],
+            capsys,
+        )
+        assert code == 0, err
+        assert csv_file.read_text().startswith("word,stage,fix_size")
+
     @pytest.mark.parametrize("mode", ["adp", "edf", "mad"])
     def test_variant_modes(self, mode, tmp_path, capsys):
         code, _, _ = run(
@@ -214,7 +228,8 @@ class TestTemplateCmd:
     @pytest.mark.parametrize(
         "field, value",
         [("less", "by-size"), ("less", [["p"]]), ("less", 3), ("I", {"count": 3, "omitted": True}),
-         ("L1", ["r"]), ("elements", [["p"], "q"]), ("elements", None)],
+         ("L1", ["r"]), ("elements", [["p"], "q"]), ("elements", None),
+         ("elements", ["p", "p", "q"])],
     )
     def test_malformed_template_field_is_named(self, field, value, tmp_path, capsys):
         blob = {

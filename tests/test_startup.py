@@ -75,6 +75,7 @@ print(json.dumps([code, {LOADED}]))
     (["frobnicate"], 2),
     (["build-group", "--generators", "2", "--points", "0", "--seed", "1"], 2),
     (["suslin", "--poset", "laver", "--n", "1", "--samples", "10", "--seed", "0"], 2),
+    (["build-group", "--generators", "2", "--points", "4"], 2),  # no --seed
 ])
 def test_the_parser_help_and_usage_errors_load_no_layer(argv, code):
     assert fresh(RUN_CLI, *argv) == [code, package()]
@@ -243,4 +244,6 @@ def test_layers_loaded_under_the_tracer_count_as_if_loaded_first(workload, tmp_p
     assert lazy["failures"] == eager["failures"] == []
     first, second = lazy["counters"]
     assert first["cli.main.calls"] > 0 and first["poset.leq.calls"] > 0
+    if workload == "suites":  # the meets the trials run are the traced ones
+        assert first["suslin.dom_meet.calls"] > 0 and first["suslin.loc_meet.calls"] > 0
     assert first == second == eager["counters"][0] == eager["counters"][1]

@@ -10,31 +10,30 @@ from cofinitary.cli import encode_report
 from cofinitary.extension import ContractViolation
 from cofinitary.poset import PosetMode, leq
 from cofinitary.suslin import (
-    DomCondition,
-    FinSeq,
     Incompatible,
-    LocCondition,
-    Rule,
     Undecidable,
-    dom_condition,
-    dom_leq,
     dom_meet,
     ffp_axiom_suite,
-    loc_condition,
-    loc_leq,
     loc_meet,
-    localizes,
     n_suslin_trial,
-    seq_le,
-    seq_max,
-    seq_subset,
-    seq_union,
+    _dom,
+    _dom_le,
     _extend_dom,
     _extend_loc,
+    _le,
+    _loc,
+    _loc_le,
+    _localizes,
+    _max,
     _random_dom_pair,
     _random_loc_pair,
+    _random_number_seq,
+    _random_set_seq,
+    _subset,
+    _union,
+    _with,
 )
-from suslin_reference import finseq
+from suslin_reference import FinSeq, Rule, finseq
 
 
 # The brute-force window.  The random sequences hold exceptions below 12,
@@ -43,58 +42,66 @@ from suslin_reference import finseq
 WINDOW = 64
 
 
-def fs(rule_kind, value, slope=0, **exceptions):
-    exc = tuple((int(k[1:]), v) for k, v in exceptions.items())
-    return FinSeq(Rule(rule_kind, value, slope), exc)
+def at(k, i):
+    """Entry i of the kernel sequence k = (slope, value, exc)."""
+    a, b, e = k
+    return e[i] if i in e else a * i + b if a else b
 
 
-def constant_seq(value) -> FinSeq:
-    return FinSeq(Rule("constant", value))
+def seq(value, slope=0, **exceptions):
+    """The kernel sequence slope*i + value with the exceptions given as
+    i3=9 (index 3 holds 9), less those the rule produces."""
+    return _with((slope, value, {}), ((int(k[1:]), v) for k, v in exceptions.items()))
 
 
-def number_seq(rng, lo_len=0) -> FinSeq:
-    return finseq(suslin._random_number_seq(rng, lo_len))
+def loc_cond(sigma, phi):
+    """The slalom condition with prefix sigma and tail phi pinned to it."""
+    pref = tuple(frozenset(s) for s in sigma)
+    return _loc(pref, _with(phi, enumerate(pref)))
 
 
-def set_seq(rng, width) -> FinSeq:
-    return finseq(suslin._random_set_seq(rng, width))
+def dom_cond(stem, f):
+    """The dominating pair with stem and tail f pinned to it."""
+    stem = tuple(stem)
+    return _dom(stem, _with(f, enumerate(stem)))
 
 
-def loc_pair(rng):
-    return [LocCondition(sigma, finseq(phi)) for sigma, phi in _random_loc_pair(rng)]
-
-
-def build_localizing_slalom(reals, width_budget: int) -> LocCondition:
+def build_localizing_slalom(reals, width_budget: int) -> tuple:
     """A condition whose slalom swallows every input sequence from its
     commitment point on; inputs must be eventually constant."""
     if len(reals) > width_budget:
         raise ValueError(f"{len(reals)} sequences exceed the width budget {width_budget}")
-    if any(f.rule.slope != 0 for f in reals):
+    if any(f[0] != 0 for f in reals):
         raise ValueError("only eventually constant sequences are representable")
-    settle = max([f.settle_index() for f in reals], default=0)
+    settle = max([max(f[2], default=-1) + 1 for f in reals], default=0)
     width = max(width_budget, len(reals), 1)
-    sigma = [suslin._pad(sorted({f.at(i) for f in reals})[:i], i) for i in range(width)]
-    exc = {i: frozenset(f.at(i) for f in reals) for i in range(width, max(settle, width))}
-    phi = FinSeq(Rule("constant", frozenset(f.rule.value for f in reals)), tuple(exc.items()))
-    out = loc_condition(sigma, phi)
+    sigma = [suslin._pad(sorted({at(f, i) for f in reals})[:i], i) for i in range(width)]
+    exc = {i: frozenset(at(f, i) for f in reals) for i in range(width, max(settle, width))}
+    out = loc_cond(sigma, _with((0, frozenset(f[1] for f in reals), {}), exc.items()))
     for f in reals:
-        m = suslin.localizes(out.phi, f)
+        m = suslin._localizes(out[1], f)
         if m is None or m > width:
             raise ContractViolation("built slalom fails to localize an input")
     return out
 
 
 class TestFinSeq:
+    """The kernel's sequences, checked against a brute-force window, and the
+    oracle's FinSeq and Rule (tests/suslin_reference.py)."""
+
     def test_exceptions_override(self):
-        f = fs("constant", 5, i3=9)
-        assert f.at(3) == 9 and f.at(4) == 5
+        f = seq(5, i3=9)
+        assert f == (0, 5, {3: 9})
+        assert at(f, 3) == 9 and at(f, 4) == 5
 
     def test_affine(self):
-        f = fs("affine", 2, slope=3)
-        assert f.at(0) == 2 and f.at(4) == 14
+        # an entry the rule produces is no exception
+        f = seq(2, slope=3, i4=14)
+        assert f == (3, 2, {})
+        assert at(f, 0) == 2 and at(f, 4) == 14
 
     def test_json_roundtrip(self):
-        for f in (fs("constant", 5, i3=9), fs("affine", 2, slope=3),
+        for f in (finseq(seq(5, i3=9)), finseq(seq(2, slope=3)),
                   FinSeq(Rule("constant", frozenset({1, 2})), ((4, frozenset({0})),))):
             assert FinSeq.from_json(f.to_json()) == f
 
@@ -110,45 +117,41 @@ class TestFinSeq:
 
     def test_lookup_table_matches_the_exceptions(self):
         # at/settle_index read a private dict; they must agree with a scan of
-        # the canonical exceptions tuple, which alone decides equality
+        # the canonical exceptions tuple, which alone decides equality, and
+        # with the kernel sequence the FinSeq was made from
         rng = random.Random(2)
         for _ in range(500):
-            f = number_seq(rng, rng.randrange(4))
+            k = _random_number_seq(rng, rng.randrange(4))
+            f = finseq(k)
             for i in range(-2, 14):
                 scanned = next((v for j, v in f.exceptions if j == i), f.rule.at(i))
                 assert f.at(i) == scanned
+                assert i < 0 or f.at(i) == at(k, i)
             assert f.settle_index() == max((j + 1 for j, _ in f.exceptions), default=0)
             twin = FinSeq(f.rule, tuple(reversed(f.exceptions)) + ((99, f.rule.at(99)),))
             assert twin == f and hash(twin) == hash(f)
             assert FinSeq.from_json(f.to_json()) == f
 
     def test_seq_le_decides_affine(self):
-        assert seq_le(fs("constant", 3), fs("affine", 3, slope=1))
-        assert not seq_le(fs("affine", 3, slope=1), fs("constant", 3))
-        assert not seq_le(fs("affine", 0, slope=2), fs("affine", 50, slope=1))
+        assert _le(seq(3), seq(3, slope=1))
+        assert not _le(seq(3, slope=1), seq(3))
+        assert not _le(seq(0, slope=2), seq(50, slope=1))
 
     def test_seq_le_sees_a_rule_gap_between_exceptions(self):
         # 0 and 10 are exceptions of g; at 1 its rule gives 1 < 5
-        f, g = fs("constant", 5), fs("affine", 0, slope=1, i0=100, i10=100)
-        assert f.at(1) > g.at(1)
-        assert not seq_le(f, g)
-        assert seq_le(f, fs("affine", 5, slope=1, i0=100, i10=100))
-
-    def test_negative_exceptions_are_not_probed(self):
-        # the sequences are indexed by the naturals; an exception at -1 is
-        # outside every comparison
-        f = FinSeq(Rule("constant", 0), ((-1, 100),))
-        assert seq_le(f, constant_seq(0))
-        assert suslin._kseq(FinSeq(Rule("constant", 0), ((-1, 100), (2, 1))))[2] == {2: 1}
+        f, g = seq(5), seq(0, slope=1, i0=100, i10=100)
+        assert at(f, 1) > at(g, 1)
+        assert not _le(f, g)
+        assert _le(f, seq(5, slope=1, i0=100, i10=100))
 
     def test_seq_le_matches_a_window(self):
         rng = random.Random("seq-le")
         verdicts = {True: 0, False: 0}
         for _ in range(20_000):
-            f = number_seq(rng, rng.randrange(6))
-            g = number_seq(rng, rng.randrange(6))
-            want = all(f.at(i) <= g.at(i) for i in range(WINDOW))
-            assert seq_le(f, g) == want, (f, g)
+            f = _random_number_seq(rng, rng.randrange(6))
+            g = _random_number_seq(rng, rng.randrange(6))
+            want = all(at(f, i) <= at(g, i) for i in range(WINDOW))
+            assert _le(f, g) == want, (f, g)
             verdicts[want] += 1
         assert min(verdicts.values()) > 2000, verdicts
 
@@ -157,33 +160,33 @@ class TestFinSeq:
         verdicts = {True: 0, False: 0}
         for _ in range(5_000):
             width = rng.randrange(5)
-            f, g = set_seq(rng, width), set_seq(rng, width)
-            want = all(f.at(i) <= g.at(i) for i in range(WINDOW))
-            assert seq_subset(f, g) == want, (f, g)
+            f, g = _random_set_seq(rng, width), _random_set_seq(rng, width)
+            want = all(at(f, i) <= at(g, i) for i in range(WINDOW))
+            assert _subset(f, g) == want, (f, g)
             verdicts[want] += 1
-            u = seq_union(f, g)
-            assert all(u.at(i) == f.at(i) | g.at(i) for i in range(WINDOW)), (f, g)
+            u = _union(f, g)
+            assert all(at(u, i) == at(f, i) | at(g, i) for i in range(WINDOW)), (f, g)
         assert min(verdicts.values()) > 500, verdicts
 
     def test_seq_max_matches_a_window(self):
         rng = random.Random("seq-max")
         for _ in range(5_000):
-            f = number_seq(rng, rng.randrange(6))
-            g = number_seq(rng, rng.randrange(6))
-            m = seq_max(f, g)
-            assert all(m.at(i) == max(f.at(i), g.at(i)) for i in range(WINDOW)), (f, g)
+            f = _random_number_seq(rng, rng.randrange(6))
+            g = _random_number_seq(rng, rng.randrange(6))
+            m = _max(f, g)
+            assert all(at(m, i) == max(at(f, i), at(g, i)) for i in range(WINDOW)), (f, g)
 
     def test_loc_width_check_matches_a_window(self):
         rng = random.Random("loc-width")
         verdicts = {True: 0, False: 0}
         for _ in range(5_000):
             width = rng.randrange(4)
-            sigma = [frozenset(rng.sample(range(12), i)) for i in range(width)]
-            phi = set_seq(rng, width + 1)
-            pinned = phi.with_exceptions(enumerate(sigma))
-            want = all(len(pinned.at(i)) <= width for i in range(WINDOW))
+            sigma = tuple(frozenset(rng.sample(range(12), i)) for i in range(width))
+            phi = _random_set_seq(rng, width + 1)
+            pinned = _with(phi, enumerate(sigma))
+            want = all(len(at(pinned, i)) <= width for i in range(WINDOW))
             try:
-                LocCondition(tuple(sigma), pinned)
+                _loc(sigma, pinned)
                 got = True
             except ValueError:
                 got = False
@@ -192,73 +195,69 @@ class TestFinSeq:
         assert min(verdicts.values()) > 500, verdicts
 
     def test_seq_max_representable(self):
-        f, g = fs("affine", 0, slope=2), fs("affine", 50, slope=1)
-        m = seq_max(f, g)
+        f, g = seq(0, slope=2), seq(50, slope=1)
+        m = _max(f, g)
         for i in range(120):
-            assert m.at(i) == max(f.at(i), g.at(i)), i
+            assert at(m, i) == max(at(f, i), at(g, i)), i
 
     def test_seq_union(self):
-        f = FinSeq(Rule("constant", frozenset({1})), ((2, frozenset({5})),))
-        g = FinSeq(Rule("constant", frozenset({2})), ())
-        u = seq_union(f, g)
-        assert u.at(2) == {5, 2} and u.at(10) == {1, 2}
-        assert seq_subset(f, u) and seq_subset(g, u)
+        f = seq(frozenset({1}), i2=frozenset({5}))
+        g = seq(frozenset({2}))
+        u = _union(f, g)
+        assert at(u, 2) == {5, 2} and at(u, 10) == {1, 2}
+        assert _subset(f, u) and _subset(g, u)
 
     def test_seq_max_rejects_set_sequences(self):
         # a pointwise maximum of sets is no union: {1} and {2} have none
         with pytest.raises(Undecidable):
-            seq_max(constant_seq(frozenset({1})), constant_seq(frozenset({2})))
+            _max(seq(frozenset({1})), seq(frozenset({2})))
 
 
 class TestLocPoset:
     def test_reflexive(self):
-        p = loc_condition([set(), {4}], constant_seq(frozenset({4, 5})))
-        assert loc_leq(p, p)
+        p = loc_cond([set(), {4}], seq(frozenset({4, 5})))
+        assert _loc_le(p, p)
 
     def test_extension(self):
-        q = loc_condition([set()], constant_seq(frozenset({7})))
-        p = loc_condition([set(), {7}], constant_seq(frozenset({7, 8})))
-        assert loc_leq(p, q)
-        assert not loc_leq(q, p)
+        q = loc_cond([set()], seq(frozenset({7})))
+        p = loc_cond([set(), {7}], seq(frozenset({7, 8})))
+        assert _loc_le(p, q)
+        assert not _loc_le(q, p)
 
     def test_width_invariant_enforced(self):
         with pytest.raises(ValueError):
-            loc_condition([set()], constant_seq(frozenset({1, 2, 3})))
+            loc_cond([set()], seq(frozenset({1, 2, 3})))
 
     def test_prefix_size_enforced(self):
         with pytest.raises(ValueError):
-            LocCondition((frozenset({1, 2}),), constant_seq(frozenset()))
+            _loc((frozenset({1, 2}),), seq(frozenset()))
 
     def test_pinning_toggle(self):
         # the tail must equal the prefix on the committed slots: a tail that
         # strictly contains the prefix is rejected
         sigma = (frozenset(), frozenset({4}))
-        tail = FinSeq(Rule("constant", frozenset({4, 5})))
+        tail = seq(frozenset({4, 5}))
         with pytest.raises(ValueError):
-            LocCondition(sigma, tail)
-        assert LocCondition(sigma, tail.with_exceptions(enumerate(sigma))).sigma == sigma
+            _loc(sigma, tail)
+        assert _loc(sigma, _with(tail, enumerate(sigma)))[0] == sigma
 
     @pytest.mark.parametrize(
         "phi",
-        [
-            FinSeq(Rule("constant", 3)),
-            FinSeq(Rule("affine", 0, 1)),
-            FinSeq(Rule("constant", frozenset()), ((2, 5),)),
-        ],
+        [seq(3), seq(0, slope=1), seq(frozenset(), i2=5)],
         ids=["number", "affine", "number-exception"],
     )
     def test_number_tail_rejected(self, phi):
         with pytest.raises(ValueError, match="finite sets"):
-            LocCondition((), phi)
+            _loc((), phi)
 
     def test_preorder_sampled(self):
         rng = random.Random(3)
         for _ in range(1000):
             p, q = _random_loc_pair(rng)
-            p, q, r = (LocCondition(c[0], finseq(c[1])) for c in (p, q, _extend_loc(rng, p)))
-            assert loc_leq(p, p) and loc_leq(q, q)
-            assert loc_leq(p, q) and loc_leq(r, p)
-            assert loc_leq(r, q)  # transitivity along the chain
+            r = _extend_loc(rng, p)
+            assert _loc_le(p, p) and _loc_le(q, q)
+            assert _loc_le(p, q) and _loc_le(r, p)
+            assert _loc_le(r, q)  # transitivity along the chain
 
     def test_extension_order_check_raises(self, monkeypatch):
         monkeypatch.setattr(suslin, "_loc_le", lambda p, q: False)
@@ -268,64 +267,64 @@ class TestLocPoset:
     def test_leq_matches_horizon_scan(self):
         rng = random.Random(5)
         for _ in range(300):
-            p, q = loc_pair(rng)
-            want = len(p.sigma) >= len(q.sigma) and p.sigma[: len(q.sigma)] == q.sigma
-            want = want and all(q.phi.at(i) <= p.phi.at(i) for i in range(2000))
-            assert loc_leq(p, q) == want
+            p, q = _random_loc_pair(rng)
+            want = len(p[0]) >= len(q[0]) and p[0][: len(q[0])] == q[0]
+            want = want and all(at(q[1], i) <= at(p[1], i) for i in range(2000))
+            assert _loc_le(p, q) == want
 
     def test_meet_identity(self):
-        p = loc_condition([set(), {4}], constant_seq(frozenset({4})))
+        p = loc_cond([set(), {4}], seq(frozenset({4})))
         assert loc_meet(p, p) == p
 
     def test_meet_width_violation(self):
         # doubling the commitment does not help when a new slot needs more
         # values than it holds: slot 1 of the union is {1, 2}
-        p = loc_condition([set()], constant_seq(frozenset({1})))
-        q = loc_condition([set()], constant_seq(frozenset({2})))
+        p = loc_cond([set()], seq(frozenset({1})))
+        q = loc_cond([set()], seq(frozenset({2})))
         assert loc_meet(p, q) == Incompatible("slalom prefix slot 1 has size 2, wants 1")
         # a union of width 4 over 3 committed slots fits after committing to 6
         sigma = [set(), {6}, {0, 4}]
-        p = loc_condition(sigma, FinSeq(Rule("constant", frozenset({4, 6, 7})), ((3, frozenset({4})),)))
-        q = loc_condition(sigma, constant_seq(frozenset({4, 5})))
+        p = loc_cond(sigma, seq(frozenset({4, 6, 7}), i3=frozenset({4})))
+        q = loc_cond(sigma, seq(frozenset({4, 5})))
         met = loc_meet(p, q)
-        assert isinstance(met, LocCondition) and len(met.sigma) == 6
-        assert loc_leq(met, p) and loc_leq(met, q)
+        assert not isinstance(met, Incompatible) and len(met[0]) == 6
+        assert _loc_le(met, p) and _loc_le(met, q)
 
 
 class TestDomPoset:
     def test_extension(self):
-        q = dom_condition([3], constant_seq(1))
-        p = dom_condition([3, 5], fs("constant", 2))
-        assert dom_leq(p, q)
-        assert not dom_leq(q, p)
+        q = dom_cond([3], seq(1))
+        p = dom_cond([3, 5], seq(2))
+        assert _dom_le(p, q)
+        assert not _dom_le(q, p)
 
     def test_stem_pinning(self):
-        c = dom_condition([3, 1], constant_seq(0))
-        assert c.f.at(0) == 3 and c.f.at(1) == 1
+        with pytest.raises(ValueError, match="does not pin the stem at 0"):
+            _dom((3, 1), seq(0))
+        c = dom_cond([3, 1], seq(0))
+        assert at(c[1], 0) == 3 and at(c[1], 1) == 1
 
     def test_meet_is_pointwise_max(self):
-        q = dom_condition([2], constant_seq(1))
-        p = dom_condition([2, 4], fs("constant", 3))
-        h = constant_seq(2).with_exceptions([(0, 2)])
-        sib = DomCondition((2,), h)
+        p = dom_cond([2, 4], seq(3))
+        sib = _dom((2,), seq(2, i0=2))
         met = dom_meet(p, sib)
-        assert isinstance(met, DomCondition)
-        assert met.stem == p.stem
+        assert not isinstance(met, Incompatible)
+        assert met[0] == p[0]
         for i in range(40):
-            assert met.f.at(i) == max(p.f.at(i), sib.f.at(i))
+            assert at(met[1], i) == max(at(p[1], i), at(sib[1], i))
 
     def test_incomparable_stems(self):
-        a = dom_condition([1], constant_seq(0))
-        b = dom_condition([2], constant_seq(0))
+        a = dom_cond([1], seq(0))
+        b = dom_cond([2], seq(0))
         assert isinstance(dom_meet(a, b), Incompatible)
 
     def test_preorder_sampled(self):
         rng = random.Random(7)
         for _ in range(1000):
             p, q = _random_dom_pair(rng)
-            p, q, r = (DomCondition(c[0], finseq(c[1])) for c in (p, q, _extend_dom(rng, p)))
-            assert dom_leq(p, p) and dom_leq(p, q)
-            assert dom_leq(r, p) and dom_leq(r, q)
+            r = _extend_dom(rng, p)
+            assert _dom_le(p, p) and _dom_le(p, q)
+            assert _dom_le(r, p) and _dom_le(r, q)
 
     def test_extension_order_check_raises(self, monkeypatch):
         # the check survives python -O: a broken order raises, not asserts
@@ -359,53 +358,61 @@ class TestTrials:
             n_suslin_trial("laver", 1, 10, 0)
 
 
+
+    @pytest.mark.parametrize("poset, meet", [("hechler", "dom_meet"), ("loc", "loc_meet")])
+    def test_the_trials_run_the_named_meets(self, monkeypatch, poset, meet):
+        # the tracer counts suslin.dom_meet and suslin.loc_meet, so those must
+        # be the meets a trial calls: a meet that never meets fails them all
+        monkeypatch.setattr(suslin, meet, lambda p, q: Incompatible("patched"))
+        assert suslin._trial_failures(poset, 2, 3, 0, 50) == list(range(50))
+
+
 class TestLocalizes:
     def test_constant_tails(self):
-        phi = FinSeq(Rule("constant", frozenset({0, 1})), ((0, frozenset()),))
-        f = constant_seq(0).with_exceptions([(0, 7), (1, 0)])
-        m = localizes(phi, f)
+        phi = seq(frozenset({0, 1}), i0=frozenset())
+        f = seq(0, i0=7, i1=0)
+        m = _localizes(phi, f)
         assert m == 1
 
     def test_escaping_tail(self):
-        phi = constant_seq(frozenset({0, 1}))
-        assert localizes(phi, fs("constant", 9)) is None
-        assert localizes(phi, fs("affine", 0, slope=1)) is None
+        phi = seq(frozenset({0, 1}))
+        assert _localizes(phi, seq(9)) is None
+        assert _localizes(phi, seq(0, slope=1)) is None
 
     def test_built_slalom(self):
-        reals = [constant_seq(4), fs("constant", 2, i3=9), constant_seq(0)]
+        reals = [seq(4), seq(2, i3=9), seq(0)]
         slalom = build_localizing_slalom(reals, 5)
         for f in reals:
-            m = localizes(slalom.phi, f)
-            assert m is not None and m <= len(slalom.sigma)
+            m = _localizes(slalom[1], f)
+            assert m is not None and m <= len(slalom[0])
 
     def test_width_overflow(self):
         with pytest.raises(ValueError):
-            build_localizing_slalom([constant_seq(i) for i in range(4)], 3)
+            build_localizing_slalom([seq(i) for i in range(4)], 3)
 
     def test_singleton_tails(self):
-        slalom = build_localizing_slalom([constant_seq(3)], 2)
-        assert slalom.phi.rule.value == frozenset({3})
+        slalom = build_localizing_slalom([seq(3)], 2)
+        assert slalom[1][1] == frozenset({3})
 
     def test_localizes_matches_a_window(self):
         rng = random.Random("localizes")
         verdicts = {"none": 0, "zero": 0, "later": 0}
         for _ in range(5_000):
-            f = number_seq(rng, rng.randrange(6))
-            phi = set_seq(rng, rng.randrange(5))
-            if rng.random() < 0.5 and f.rule.slope == 0:
-                tail = phi.rule.value | {f.rule.value}
-                phi = FinSeq(Rule("constant", tail), phi.exceptions)
-            bad = [n for n in range(WINDOW) if f.at(n) not in phi.at(n)]
+            f = _random_number_seq(rng, rng.randrange(6))
+            phi = _random_set_seq(rng, rng.randrange(5))
+            if rng.random() < 0.5 and f[0] == 0:
+                phi = _with((0, phi[1] | {f[1]}, {}), phi[2].items())
+            bad = [n for n in range(WINDOW) if at(f, n) not in at(phi, n)]
             # a miss at the window's end is a rule miss, which never stops
             want = None if bad and bad[-1] == WINDOW - 1 else (bad[-1] + 1 if bad else 0)
-            assert localizes(phi, f) == want, (phi, f)
+            assert _localizes(phi, f) == want, (phi, f)
             verdicts["none" if want is None else "zero" if want == 0 else "later"] += 1
         assert min(verdicts.values()) > 500, verdicts
 
     def test_localization_check_raises(self, monkeypatch):
-        monkeypatch.setattr(suslin, "localizes", lambda phi, f: None)
+        monkeypatch.setattr(suslin, "_localizes", lambda phi, f: None)
         with pytest.raises(ContractViolation):
-            build_localizing_slalom([constant_seq(3)], 2)
+            build_localizing_slalom([seq(3)], 2)
 
 
 class TestFfpSuite:
