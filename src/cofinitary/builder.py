@@ -2,6 +2,11 @@
 goals up to budgets, producing concrete partial-permutation families whose
 frozen words keep their fixed-point sets.
 
+A cofinitary build freezes one hat word per class under rotation and
+inversion (words.cyclic_class), the least under Word.sort_key: the fixed
+points of every word of a class are in bijection with its representative's,
+so freezing it freezes the class.
+
 A build is strictly sequential and deterministic for a given seed; the seed
 only permutes the word-freezing order inside each length group, so different
 seeds build different families under the same invariants.
@@ -20,7 +25,7 @@ from . import evaluation, extension, poset
 from .evaluation import Assignment, GroundPermutation, fix_table
 from .extension import hit_extend, point_step
 from .poset import DISCIPLINES, Condition, PosetMode, frozen_value, side_words
-from .words import Letter, Word, conjugate_core, format_word, reduced_letters
+from .words import Letter, Word, class_hat_letters, conjugate_core, format_word, reduced_letters
 
 
 class BuildError(Exception):
@@ -71,11 +76,17 @@ class BuildReport:
     def to_json(self) -> dict:
         """The JSON form.  The frozen words are sorted and formatted once; in
         a build they are the final side set, so F reuses their texts when
-        every one of them is in it."""
+        every one of them is in it.  A frozen hat word's entry also gives
+        the number of hat words of its class ("hat_words"), all of which it
+        freezes."""
         frozen = sorted(self.frozen_fix.items(), key=lambda kv: kv[0].sort_key())
         names = [format_word(w) for w, _ in frozen]
         words = self.final.words
         same = len(words) == len(frozen) and all(w in words for w, _ in frozen)
+        entries = [{"stage": stage, "fix": sorted(fix)} for _, (stage, fix) in frozen]
+        if DISCIPLINES[self.mode].shape == "hat":
+            for entry, (w, _) in zip(entries, frozen):
+                entry["hat_words"] = len(class_hat_letters(w))
         return {
             "schema": "1",
             "mode": self.mode.value,
@@ -84,10 +95,7 @@ class BuildReport:
             "word_budget": self.word_budget,
             "seed": self.seed,
             "final": self.final.to_json(names if same else None),
-            "frozen_fix": {
-                name: {"stage": stage, "fix": sorted(fix)}
-                for name, (_, (stage, fix)) in zip(names, frozen)
-            },
+            "frozen_fix": dict(zip(names, entries)),
             "goal_log": [
                 {"goal": g, "stage": st, "witness": wit} for g, st, wit in self.goal_log
             ],
@@ -131,11 +139,18 @@ def build(
     if value_ceiling is None:
         value_ceiling = max(1_000, 200 * point_budget)
     rng = random.Random(seed)
+    entries = sorted(side_words(mode, gens, word_budget), key=Word.sort_key)
+    if discipline.shape == "hat":
+        # the least hat word of each class stands for it (see the module
+        # docstring); the side-set index and leq already read F by class
+        least: dict[tuple[Letter, ...], Word] = {}
+        for w in entries:
+            least.setdefault(w.class_key, w)
+        entries = list(least.values())
     by_len: dict[int, list[Word]] = {}  # words to freeze, grouped by length
-    for w in side_words(mode, gens, word_budget):
+    for w in entries:
         by_len.setdefault(len(w.letters), []).append(w)
     for group in by_len.values():
-        group.sort(key=Word.sort_key)
         rng.shuffle(group)
 
     cond = Condition(mode=mode)
@@ -258,18 +273,21 @@ def verify_cofinitary(report: BuildReport) -> list[str]:
     builds the conjugation-cardinality law |Fix(w)| = |Fix(core)| over all
     short words (words.conjugate_core); empty list means ok.
 
-    Both laws read the fix sets from one evaluation.fix_table of the final
-    assignment, built here and not shared with the build, so the check
-    stays independent of the fix sets the build recorded; the table holds
-    every short word and its core, and a frozen word it lacks goes through
-    fix_points, once (_fix_reader).  Violations come in freezing order, then
-    in reduced_words order."""
+    A cofinitary build records one word per class, which stands for the
+    class only while the maps are partial injections, as the conjugation
+    law also needs; so those reports are first checked with poset.validate,
+    whose findings lead the list.  Both laws read the fix sets from one
+    evaluation.fix_table of the final assignment, built here and not shared
+    with the build, so the check stays independent of the fix sets the build
+    recorded; the table holds every short word and its core, and a frozen
+    word it lacks goes through fix_points, once (_fix_reader).  Violations
+    then come in freezing order, then in reduced_words order."""
     if DISCIPLINES[report.mode].shape != "hat":
         return _frozen_law(report)
     s = report.final.s
     gens = sorted(set(report.generators))
     table = fix_table(gens, report.word_budget, s)
-    violations = _frozen_law(report, _fix_reader(table, s))
+    violations = poset.validate(report.final) + _frozen_law(report, _fix_reader(table, s))
     for letters in reduced_letters(gens, report.word_budget, min_len=1):
         points = table[letters]
         core = conjugate_core(letters)[1]

@@ -204,10 +204,13 @@ def cmd_build_group(args) -> int:
     payload = report.to_json()
     payload["violations"] = violations
     path = _report_path(args, f"build-{mode.value}-{args.seed}.json")
+    csv = Path(args.csv) if args.csv else None
+    # both directories first: a path that cannot be made leaves neither file
+    for target in (path, csv):
+        if target is not None:
+            target.parent.mkdir(parents=True, exist_ok=True)
     _write_report(path, payload)
-    if args.csv:
-        csv = Path(args.csv)
-        csv.parent.mkdir(parents=True, exist_ok=True)
+    if csv is not None:
         csv.write_text(report.to_csv())
     if violations:
         for v in violations:

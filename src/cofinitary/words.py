@@ -116,11 +116,23 @@ def cyclic_class(w: Word) -> tuple[Letter, ...]:
     onto Fix(vu), and Fix(w^-1) = Fix(w).  A rotation need not be reduced,
     so the key is a letter tuple, not a Word.
     """
-    letters = w.letters
+    return min(_rotations(w.letters), default=())
+
+
+def _rotations(letters: tuple[Letter, ...]) -> Iterable[tuple[Letter, ...]]:
+    """The rotations of the letters and of the letters of their inverse."""
     inverse = tuple(map(INVERSE.__getitem__, reversed(letters)))
-    return min(
-        (t[i:] + t[:i] for t in (letters, inverse) for i in range(len(t))), default=()
-    )
+    return (t[i:] + t[:i] for t in (letters, inverse) for i in range(len(t)))
+
+
+def class_hat_letters(w: Word) -> list[tuple[Letter, ...]]:
+    """The letters of the hat words with w's cyclic_class key, in
+    Word.sort_key order: the distinct hat words among the rotations of the
+    hat word w and of w^-1.  A hat word is cyclically reduced, so each
+    rotation is a reduced word."""
+    if not w or not _hat_letters(w.letters):
+        raise ValueError(f"{format_word(w)} is not a hat word")
+    return sorted({t for t in _rotations(w.letters) if _hat_letters(t)})
 
 
 def power(gen: int, k: int) -> Word:

@@ -24,7 +24,9 @@ class TestBuild:
         pm = report.final.s.get(0)
         assert pm.domain() >= {0, 1, 2} and pm.image() >= {0, 1, 2}
         assert pm.is_injective()
-        assert single(0) in report.frozen_fix
+        # the class {g0, g0^-1} is frozen once, by its least word
+        assert set(report.frozen_fix) == {single(0, -1)}
+        assert report.to_json()["frozen_fix"]["g0^-1"]["hat_words"] == 2
         assert verify_cofinitary(report) == []
 
     def test_zero_budget_rejected(self):
@@ -134,12 +136,14 @@ def _digest(report) -> str:
 
 class TestGoldenReports:
     """Report digests recorded before the build steps were made incremental;
-    any change to what a build produces shows here."""
+    any change to what a build produces shows here.  The cofinitary digests
+    were re-recorded when a build came to freeze one hat word per class;
+    their final assignments did not change."""
 
     def test_cofinitary(self):
         report = build(PosetMode.COFINITARY, [0, 1, 2], point_budget=12, word_budget=3, seed=7)
         assert _digest(report) == (
-            "42dbe9342416e33eaee05c765299993fa9f25a2b5a75bbd564b81037fe4e2461"
+            "c05cb40d1733ed27210161529d476ddee79c492e472ffe6d9bbbf79363041452"
         )
 
     @pytest.mark.parametrize(
@@ -156,11 +160,11 @@ class TestGoldenReports:
     @pytest.mark.parametrize(
         "seed, mode, digest",
         [
-            (3, "cofinitary", "5db18e16b2c8b670bc0eaca0d4568dc269ae458ee3418b45fd176d44a6f698b1"),
+            (3, "cofinitary", "ba8c0b7648fac894602bccb25959ff1f9378ad088dfdc2f4a4bd7ce1c130873a"),
             (3, "adp", "0ffafcc1a91ff9b9a3a52b4ab5a3a34418da34e557c952ae913261d3d2633357"),
             (3, "edf", "5572b99a9fe17f34f87a26afb6c08cd48e567581faecdf6d87be2df3b5d8a0ed"),
             (3, "mad", "9a7437a78a4c52b582b381f2f9a3cfc07e08ae5345951dc68872e07ee3b2d146"),
-            (1009, "cofinitary", "595711136b98bd087124ab2a179b17fac5f7d18e201340771743026de0f10b56"),
+            (1009, "cofinitary", "8c4c88b5547cc59753e767dad74eb3f4f142558f6a86bd2b12212ce1eb0cd30a"),
             (1009, "adp", "9fd47f8acde2bc8caa196302ffe94cd5cb49235af201fc963f5a93e31f18e3db"),
             (1009, "edf", "320a68e9796472d61590d2c2c303eaebf752200e423a7af2c305fb92206cb1b8"),
             (1009, "mad", "9b513b9921b037fb9f481058bc65341981e84595da68a5e968affacc0b5220d0"),
@@ -181,14 +185,14 @@ class TestGoldenReports:
     @pytest.mark.parametrize(
         "seed, digest",
         [
-            (3, "194058de08bec9467ff7b144a482907486cae342360c61af8dbf2af09887651b"),
-            (1009, "8d8efd2de75127e7c51c1c17195875cdcac087f8a965661ee0b6cdd65c9ae47d"),
+            (3, "d53bb2fd79fc315123dd6160082537e03b6296514c5c40f0a3217cd838541267"),
+            (1009, "b33d7786c31a45e62ba6e875db23ddc76909945dea147c02fc6241460e3e68d8"),
         ],
     )
     def test_wide(self, seed, digest):
         """The build of `build-group --generators 4 --max-word-len 4
-        --points 20`: 2,432 hat words in four length groups, recorded
-        before a length group was frozen in one step."""
+        --points 20`: 2,432 hat words in 390 classes and four length
+        groups, one word frozen per class."""
         report = build(
             PosetMode.COFINITARY, range(4), point_budget=20, word_budget=4, seed=seed
         )
@@ -261,6 +265,12 @@ class TestReportFormats:
         payload = json.loads(encode_report(report.to_json()))
         assert payload["schema"] == "1"
         assert "final" in payload and "frozen_fix" in payload and "goal_log" in payload
+        for entry in payload["frozen_fix"].values():
+            assert set(entry) == {"stage", "fix", "hat_words"}
+
+    @pytest.mark.parametrize("mode", [PosetMode.ADP, PosetMode.EDF, PosetMode.MAD])
+    def test_variant_entries_count_no_hat_words(self, mode):
+        payload = build_variant_family(mode, [0, 1, 2], 10, seed=0).to_json()
         for entry in payload["frozen_fix"].values():
             assert set(entry) == {"stage", "fix"}
 

@@ -92,6 +92,23 @@ class TestBuildGroup:
         assert code == 0, err
         assert csv_file.read_text().startswith("word,stage,fix_size")
 
+    def test_csv_under_a_plain_file_writes_no_report(self, tmp_path, capsys):
+        # the CSV's directory cannot be made, so the command is a usage
+        # error that leaves no report behind and prints no path
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out_file, csv_file = tmp_path / "r.json", afile / "r.csv"
+        code, out, err = run(
+            [
+                "build-group", "--generators", "1", "--points", "3",
+                "--max-word-len", "1", "--seed", "0",
+                "--out", str(out_file), "--csv", str(csv_file),
+            ],
+            capsys,
+        )
+        assert code == 2 and out == "" and "afile" in err
+        assert not out_file.exists() and afile.read_text() == ""
+
     @pytest.mark.parametrize("mode", ["adp", "edf", "mad"])
     def test_variant_modes(self, mode, tmp_path, capsys):
         code, _, _ = run(

@@ -107,28 +107,33 @@ def _dropped_pair():
 
 
 def _wrong_record():
-    """The recorded fix set of one frozen word gains a point."""
+    """The recorded fix set of one frozen word (the class of g1 g2) gains a
+    point."""
     report = _seed7()
-    w = parse_word("g1 g2")
+    w = parse_word("g1^-1 g2^-1")
     stage, fix = report.frozen_fix[w]
     report.frozen_fix[w] = (stage, fix | {999})
     return report
 
 
 # (violations, from the frozen law, from the conjugation law, SHA-256 of the
-# JSON list), recorded with the verifier that recomputed every fix set
+# JSON list), recorded with the verifier that recomputed every fix set, and
+# re-recorded when a build came to freeze one word per class: the frozen
+# law then reads 3 / 16 / 23 classes where it read 6 / 51 / 102 words, the
+# conjugation law is unchanged, and the map of g1 that _point_onto_a_fixed_point
+# makes non-injective leads its list (validate)
 RECORDED = {
     _fresh_fixed_point: (
-        14, 6, 8, "ddbdf65b7d070b180dcb02bc3e2c619cf33b8513377a7c836bde0786f7c51209"
+        11, 3, 8, "631bd131b67f97f3e90b6ddad1407dbe206d0bbf93d4e26471b3f20178dc85f1"
     ),
     _point_onto_a_fixed_point: (
-        55, 51, 4, "c8ce4b58e4dc9e5da0a2bb6175a034a8f9aa523528850d9f22cfead787cec355"
+        21, 16, 4, "e7b5857bf3378b302faa1ba34d2bf324ddbd2417f21d5a5ff814680d6c21e36e"
     ),
     _dropped_pair: (
-        110, 102, 8, "3a7f51beb6b8e89f3d7b6f1a8394a00b8eb06644d54e9887e7c046bdb39ebb67"
+        31, 23, 8, "62b70f51052871d8ab9f087c2f781c1b906a056cece37589806e1dde7cd6f61c"
     ),
     _wrong_record: (
-        1, 1, 0, "c7f7b2d4e754da3a20e9070eeb0e7411c3726b60173447ee75b8451dcda0bedb"
+        1, 1, 0, "9ffd480c9b3860034a143844c02d8c1a52dd473d2179ad5c08c7345af8a7404c"
     ),
 }
 
@@ -141,6 +146,12 @@ class TestVerifierGuard:
         core = sum("but its core" in v for v in violations)
         digest = hashlib.sha256(json.dumps(violations).encode()).hexdigest()
         assert (len(violations), frozen, core, digest) == RECORDED[corrupt]
+
+    def test_a_map_that_is_no_injection_leads_the_list(self):
+        # one frozen word stands for its class only on partial injections
+        violations = verify_cofinitary(_point_onto_a_fixed_point())
+        assert violations[0] == "map for g1 is not injective"
+        assert not any("injective" in v for v in violations[1:])
 
     @pytest.mark.parametrize("mode", [PosetMode.ADP, PosetMode.EDF, PosetMode.MAD])
     def test_variants_verify_clean(self, mode):

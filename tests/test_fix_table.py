@@ -23,7 +23,7 @@ from cofinitary.builder import (
     verify_cofinitary,
 )
 from cofinitary.evaluation import Assignment, PartialMap, fix_points, fix_table
-from cofinitary.poset import DISCIPLINES, Condition, PosetMode, add_words, leq
+from cofinitary.poset import DISCIPLINES, Condition, PosetMode, add_words, leq, validate
 from cofinitary.words import (
     Letter,
     Word,
@@ -43,8 +43,9 @@ GENS = (0, 1, 2, 3)
 
 def reference_verify_cofinitary(report: BuildReport) -> list[str]:
     """The verifier before the fix table, verbatim but for the ambient
-    ground it no longer has: one fix_points call and one conjugate_decompose
-    per word."""
+    ground it no longer has and the validate findings that now lead a
+    cofinitary list: one fix_points call and one conjugate_decompose per
+    word."""
     s = report.final.s
     memo: dict[Word, frozenset[int]] = {}
 
@@ -56,6 +57,7 @@ def reference_verify_cofinitary(report: BuildReport) -> list[str]:
 
     violations = _frozen_law(report, fix)
     if DISCIPLINES[report.mode].shape == "hat":
+        violations = validate(report.final) + violations
         for w in reduced_words(sorted(set(report.generators)), report.word_budget, min_len=1):
             points = fix(w)
             _, core = conjugate_decompose(w)
@@ -191,12 +193,18 @@ def _with_final_s(report: BuildReport, s: Assignment) -> BuildReport:
 
 
 def test_a_moved_frozen_fix_set_is_reported_alike():
+    # g1 gains the fixed point n and stays a partial injection: the point k
+    # it sent onto n now goes to m, n's old value
     report = build(PosetMode.COFINITARY, [0, 1, 2], point_budget=10, word_budget=3, seed=1)
     pm = report.final.s.get(1)
     n, m = min(p for p in pm.pairs if p[0] != p[1])
-    s = Assignment({**report.final.s.table, 1: PartialMap(pm.pairs - {(n, m)} | {(n, n)})})
+    k = pm.rev[n]
+    pairs = pm.pairs - {(n, m), (k, n)} | {(n, n), (k, m)}
+    s = Assignment({**report.final.s.table, 1: PartialMap(pairs)})
+    assert s.get(1).injection
     violations = _both(_with_final_s(report, s))
-    assert any(v.startswith("g1: frozen at stage") for v in violations)
+    # the class of g1 is frozen by g1^-1, the least word in it
+    assert any(v.startswith("g1^-1: frozen at stage") for v in violations)
 
 
 def test_a_broken_conjugation_law_alone_is_reported_alike():
