@@ -34,8 +34,8 @@ _EXPORTS = {
         "strong_reduction",
     ),
     "builder": (
-        "BuildError", "BuildReport", "DenseGoal", "build", "build_variant_family", "hit_goal",
-        "verify_cofinitary", "verify_variant",
+        "BuildError", "BuildReport", "DenseGoal", "build", "hit_goal", "verify_cofinitary",
+        "verify_variant",
     ),
     "templates": (
         "AxiomViolation", "SurrogateParams", "TemplateOrder", "build_surrogate_template",

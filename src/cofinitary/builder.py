@@ -19,10 +19,10 @@ import io
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import evaluation, extension, poset
-from .evaluation import Assignment, GroundPermutation, fix_table
+from .evaluation import GroundPermutation, fix_table
 from .extension import hit_extend, point_step
 from .poset import DISCIPLINES, Condition, PosetMode, frozen_value, side_words
 from .words import Letter, Word, class_hat_letters, conjugate_core, format_word, reduced_letters
@@ -166,13 +166,10 @@ def build(
         nonlocal cond, stage
         prev = cond
         cond = poset.add_words(prev, prev.words | frozenset(group))
-        fix = None
-        if discipline.shape == "hat":
-            fix = _fix_reader(fix_table(gens, max(map(len, group)), cond.s), cond.s)
         for i, w in enumerate(group):
             stage += 1
             earlier = itertools.chain(prev.words, itertools.islice(group, i))
-            frozen_fix[w] = (stage, frozen_value(mode, cond.s, w, earlier, fix))
+            frozen_fix[w] = (stage, frozen_value(mode, cond.s, w, earlier))
             goal_log.append((_freeze_text(w), stage, None))
         if not poset.leq(cond, prev):
             raise BuildError(f"chain law broken at stage {stage}", _report())
@@ -234,22 +231,6 @@ def build(
     return _report()
 
 
-def _fix_reader(
-    table: Mapping[tuple[Letter, ...], frozenset[int]], s: Assignment
-) -> Callable[[Word], frozenset[int]]:
-    """fix(w) = fix_points(w, s).points, read from `table`, an
-    evaluation.fix_table of s, when it holds the word (every word over the
-    table's generators up to its depth), else from fix_points.  Each caller
-    asks a word once.  The closure holds the table and no reference to
-    itself, so the table goes when the reader does."""
-
-    def fix(w: Word) -> frozenset[int]:
-        pts = table.get(w.letters)
-        return evaluation.fix_points(w, s).points if pts is None else pts
-
-    return fix
-
-
 def _frozen_law(report: BuildReport, fix=None) -> list[str]:
     """Each frozen entry's value under the final condition, taken against
     the entries frozen before it, equals the value recorded when it was
@@ -277,17 +258,23 @@ def verify_cofinitary(report: BuildReport) -> list[str]:
     class only while the maps are partial injections, as the conjugation
     law also needs; so those reports are first checked with poset.validate,
     whose findings lead the list.  Both laws read the fix sets from one
-    evaluation.fix_table of the final assignment, built here and not shared
-    with the build, so the check stays independent of the fix sets the build
-    recorded; the table holds every short word and its core, and a frozen
-    word it lacks goes through fix_points, once (_fix_reader).  Violations
-    then come in freezing order, then in reduced_words order."""
+    evaluation.fix_table of the final assignment, a kernel the build does
+    not use (it freezes through fix_points), so the check stays independent
+    of the fix sets the build recorded.  The table holds every short word
+    and its core; a frozen word it lacks (an extra goal's, longer than the
+    budget) goes through fix_points.  Violations then come in freezing
+    order, then in reduced_words order."""
     if DISCIPLINES[report.mode].shape != "hat":
         return _frozen_law(report)
     s = report.final.s
     gens = sorted(set(report.generators))
     table = fix_table(gens, report.word_budget, s)
-    violations = poset.validate(report.final) + _frozen_law(report, _fix_reader(table, s))
+
+    def fix(w: Word) -> frozenset[int]:
+        pts = table.get(w.letters)
+        return evaluation.fix_points(w, s).points if pts is None else pts
+
+    violations = poset.validate(report.final) + _frozen_law(report, fix)
     for letters in reduced_letters(gens, report.word_budget, min_len=1):
         points = table[letters]
         core = conjugate_core(letters)[1]
@@ -307,22 +294,3 @@ def verify_variant(report: BuildReport) -> list[str]:
     verify_cofinitary checks every mode; this thin entry is kept on purpose,
     because perfbench/tracing.py wraps it by name and reports its calls."""
     return _frozen_law(report)
-
-
-def build_variant_family(
-    mode: PosetMode,
-    generators: Sequence[int],
-    point_budget: int,
-    seed: int = 0,
-    value_ceiling: Optional[int] = None,
-) -> BuildReport:
-    """ADP: almost disjoint injections; EDF: eventually different functions;
-    MAD: almost disjoint {0,1}-coded sets.  All pairwise agreement or
-    intersection sets are frozen once the corresponding side entries are in."""
-    word_budget = DISCIPLINES[mode].word_budget
-    if word_budget is None:
-        raise ValueError("variant builder covers ADP, EDF and MAD")
-    return build(
-        mode, generators, point_budget=point_budget, word_budget=word_budget, seed=seed,
-        value_ceiling=value_ceiling,
-    )

@@ -436,6 +436,8 @@ def fix_table(
     each start follows the lookups fix_points walks, so the sets are
     fix_points(w, s).points.  Only the maps on the current path are live,
     so the walk holds O(max_len * |points|) values besides the table.
+    builder.verify_cofinitary makes one per check; a build freezes one word
+    per class through fix_points and makes none.
     """
     lookups: dict[Letter, Mapping[int, int]] = {}
     for g in sorted(gens):
@@ -470,33 +472,3 @@ def _fix_walk(
             table[child] = frozenset(x for x, v in cur.items() if m.get(v) == x)
         else:
             _fix_walk(table, lookups, max_len, child, {x: m[v] for x, v in cur.items() if v in m})
-
-
-def relation_compose(
-    outer: frozenset[tuple[int, int]], inner: frozenset[tuple[int, int]]
-) -> frozenset[tuple[int, int]]:
-    by_mid: dict[int, list[int]] = {}
-    for k, m in outer:
-        by_mid.setdefault(k, []).append(m)
-    out = set()
-    for n, k in inner:
-        for m in by_mid.get(k, ()):
-            out.add((n, m))
-    return frozenset(out)
-
-
-def relational_eval(w: Word, s: Assignment) -> frozenset[tuple[int, int]]:
-    """Materialize e_w as a pair set by naive relational composition; the
-    tests' oracle for eval_word, fix_points and fix_table."""
-    if not w:
-        raise ValueError("the empty word is the identity relation on omega")
-
-    def relation(letter: Letter) -> frozenset[tuple[int, int]]:
-        pairs = s.get(letter.gen).pairs
-        return pairs if letter.sign == 1 else frozenset((m, n) for n, m in pairs)
-
-    applied = w.letters[::-1]
-    rel = relation(applied[0])
-    for letter in applied[1:]:
-        rel = relation_compose(relation(letter), rel)
-    return rel

@@ -398,14 +398,9 @@ def hit_extend(
     gen: int,
     sigma: GroundPermutation,
     n: int,
-    sigma_gen: Optional[int] = None,
 ) -> Union[Condition, Rejected]:
     """Adjoin the single pair (gen, n, sigma(n)); accepted exactly when the
     order check certifies the extension."""
-    if sigma_gen is not None:
-        for w in p.words:
-            if sigma_gen in occurrences(w):
-                raise ValueError(f"side words mention the target generator g{sigma_gen}")
     if n in p.s.get(gen).fwd:
         raise ValueError(f"{n} already in the domain of g{gen}")
     m = sigma.apply(n)
@@ -455,7 +450,6 @@ def hit_search(
     sigma: GroundPermutation,
     start: int,
     window: int,
-    sigma_gen: Optional[int] = None,
 ) -> Union[int, NotFound]:
     """First n in [start, start + window) whose hit extension is accepted."""
     for n in range(start, start + window):
@@ -463,6 +457,6 @@ def hit_search(
             continue
         if sigma.apply(n) in p.s.get(gen).rev:
             continue
-        if isinstance(hit_extend(p, gen, sigma, n, sigma_gen), Condition):
+        if isinstance(hit_extend(p, gen, sigma, n), Condition):
             return n
     return NOT_FOUND

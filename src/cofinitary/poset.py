@@ -276,9 +276,10 @@ def frozen_value(
     fix: Optional[Callable[[Word], frozenset[int]]] = None,
 ) -> frozenset[int]:
     """What freezing the entry w keeps under s: the fixed points of a hat
-    word (from `fix`, a reader of the fix sets under s, when given), the
-    agreement set of a pair, or a letter's common 1-points with the letters
-    frozen before it (`earlier`; the other shapes ignore it)."""
+    word (evaluation.fix_points, or `fix`, the verifier's reader of its fix
+    table under s, when given), the agreement set of a pair, or a letter's
+    common 1-points with the letters frozen before it (`earlier`; the other
+    shapes ignore it)."""
     shape = DISCIPLINES[mode].shape
     if shape == "hat":
         return fix(w) if fix is not None else evaluation.fix_points(w, s).points

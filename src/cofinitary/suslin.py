@@ -159,27 +159,6 @@ def _union(f: Seq, g: Seq) -> Seq:
     return 0, tail, exc
 
 
-def _localizes(phi: Seq, f: Seq) -> Optional[int]:
-    """Least m with f(n) in phi(n) for every n >= m, or None: past the
-    exceptions f reads a rule value the rule test put inside phi's rule."""
-    pb, pe = phi[1], phi[2]
-    fa, fb, fe = f
-    if not isinstance(pb, frozenset):
-        raise Undecidable("slalom tails must be constant finite sets")
-    if fa != 0:
-        return None  # unbounded values escape any finite tail
-    if fb not in pb:
-        return None
-    last_bad = -1
-    for n, v in pe.items():
-        if n > last_bad and fe.get(n, fb) not in v:
-            last_bad = n
-    for n, x in fe.items():
-        if n > last_bad and n not in pe and x not in pb:
-            last_bad = n
-    return last_bad + 1
-
-
 def _pad(need: Iterable[int], size: int) -> frozenset[int]:
     """need, filled up to size values with the least naturals not in it."""
     pad = set(need)

@@ -552,17 +552,12 @@ def is_relevant(pos: SurrogatePosition, params: SurrogateParams) -> bool:
     return True
 
 
-def interval_of(pos: SurrogatePosition, positions: Sequence[SurrogatePosition]) -> frozenset[int]:
-    """The half-open interval from the truncation of pos up to pos, as indices
-    into the sorted position list."""
-    return interval_finder(positions)(pos)
-
-
 def interval_finder(
     positions: Sequence[SurrogatePosition],
 ) -> Callable[[SurrogatePosition], frozenset[int]]:
-    """interval_of over one sorted position list: its keys are computed once,
-    and each interval's ends are found by bisection."""
+    """The half-open interval from the truncation of a position up to it, as
+    indices into the sorted position list: its keys are computed once, and
+    each interval's ends are found by bisection."""
     keys = [p.key() for p in positions]
 
     def interval(pos: SurrogatePosition) -> frozenset[int]:

@@ -8,7 +8,7 @@ sorting.  Everything here is immutable and pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 
 class Letter(NamedTuple):
@@ -162,11 +162,8 @@ def _hat_letters(letters: tuple[Letter, ...]) -> bool:
     return first != letters[-1].gen or all(l.gen == first for l in letters)
 
 
-def occurrences(w: Word, restrict_to: Optional[Iterable[int]] = None) -> frozenset[int]:
-    occ = frozenset(l.gen for l in w.letters)
-    if restrict_to is not None:
-        occ &= frozenset(restrict_to)
-    return occ
+def occurrences(w: Word) -> frozenset[int]:
+    return frozenset(l.gen for l in w.letters)
 
 
 def conjugate_core(letters: tuple[Letter, ...]) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:

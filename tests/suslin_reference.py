@@ -8,6 +8,10 @@ kernel was the only algebra.  Every statement reads one probe list,
 ``loc``/``dom``, which raise the same ``ValueError`` texts as the kernel's
 ``_loc``/``_dom``.  The trial samplers and ``n_suslin_trial`` are kept too,
 drawing a fresh ``random.Random`` per trial.
+
+``plain_localizes`` is the one statement over the kernel's plain sequences:
+the localization test of the tests' slalom builder, checked against
+``localizes`` and a brute-force window.
 """
 
 from __future__ import annotations
@@ -180,6 +184,29 @@ def localizes(phi: FinSeq, f: FinSeq) -> Optional[int]:
     last_bad = -1
     for n in probe_indices(phi, f):
         if f.at(n) not in phi.at(n):
+            last_bad = n
+    return last_bad + 1
+
+
+def plain_localizes(phi, f) -> Optional[int]:
+    """localizes on the kernel's plain (slope, value, exc) sequences: least
+    m with f(n) in phi(n) for every n >= m, or None.  Past the exceptions f
+    reads a rule value the rule test put inside phi's rule, so only the
+    exceptions are scanned."""
+    pb, pe = phi[1], phi[2]
+    fa, fb, fe = f
+    if not isinstance(pb, frozenset):
+        raise Undecidable("slalom tails must be constant finite sets")
+    if fa != 0:
+        return None  # unbounded values escape any finite tail
+    if fb not in pb:
+        return None
+    last_bad = -1
+    for n, v in pe.items():
+        if n > last_bad and fe.get(n, fb) not in v:
+            last_bad = n
+    for n, x in fe.items():
+        if n > last_bad and n not in pe and x not in pb:
             last_bad = n
     return last_bad + 1
 

@@ -19,14 +19,13 @@ import time
 
 import pytest
 
-from cofinitary.builder import build, build_variant_family, verify_cofinitary, verify_variant
+from cofinitary.builder import build, verify_cofinitary, verify_variant
 from cofinitary.cli import main
 from cofinitary.evaluation import (
     Assignment,
     PartialMap,
     eval_word,
     fix_points,
-    relational_eval,
     zshift,
 )
 from cofinitary.extension import (
@@ -35,7 +34,7 @@ from cofinitary.extension import (
     hit_search,
     strong_reduction,
 )
-from cofinitary.poset import Condition, PosetMode, leq, strong_restrict, validate
+from cofinitary.poset import DISCIPLINES, Condition, PosetMode, leq, strong_restrict, validate
 from cofinitary.sampling import sample_condition, sample_extension
 from cofinitary.suslin import n_suslin_trial
 from cofinitary.templates import (
@@ -43,11 +42,12 @@ from cofinitary.templates import (
     build_surrogate_template,
     check_axioms,
     enumerate_positions,
-    interval_of,
+    interval_finder,
     is_relevant,
     rank,
 )
 from cofinitary.words import Word, concat, is_hat, reduced_words
+from relational_reference import relational_eval
 
 
 def criterion(number, summary):
@@ -249,13 +249,17 @@ def test_criterion_6_hit_density():
 @criterion(7, "variant families freeze their pairwise agreement and intersection sets")
 def test_criterion_7_variant_families():
     for mode in (PosetMode.ADP, PosetMode.EDF, PosetMode.MAD):
-        report = build_variant_family(mode, [0, 1, 2], 100, seed=7)
+        report = build(
+            mode, [0, 1, 2], point_budget=100, word_budget=DISCIPLINES[mode].word_budget, seed=7
+        )
         assert verify_variant(report) == [], mode
         for g in (0, 1, 2):
             assert report.final.s.get(g).domain() >= set(range(100))
     # exact recomputation of every pairwise set for the word modes
     for mode in (PosetMode.ADP, PosetMode.EDF):
-        report = build_variant_family(mode, [0, 1, 2], 100, seed=7)
+        report = build(
+            mode, [0, 1, 2], point_budget=100, word_budget=DISCIPLINES[mode].word_budget, seed=7
+        )
         s = report.final.s
         for w, (_, recorded) in report.frozen_fix.items():
             a, b = w.letters[0].gen, w.letters[1].gen
@@ -275,7 +279,7 @@ def test_criterion_8_surrogate_template():
         pp = SurrogateParams(lv, 2)
         positions = enumerate_positions(pp)
         rel = [p for p in positions if is_relevant(p, pp)]
-        ivs = [interval_of(p, positions) for p in rel]
+        ivs = list(map(interval_finder(positions), rel))
         for (p, a), (q, b) in itertools.combinations(zip(rel, ivs), 2):
             assert not (a & b) or a <= b or b <= a
         for p, a in zip(rel, ivs):

@@ -6,7 +6,6 @@ import pytest
 from cofinitary.builder import (
     BuildError,
     build,
-    build_variant_family,
     hit_goal,
     verify_cofinitary,
     verify_variant,
@@ -14,7 +13,7 @@ from cofinitary.builder import (
 from cofinitary.cli import encode_report
 from cofinitary.evaluation import zshift
 from cofinitary.extension import ContractViolation, ExtensionCertificate
-from cofinitary.poset import Condition, PosetMode, leq
+from cofinitary.poset import DISCIPLINES, Condition, PosetMode, leq
 from cofinitary.words import format_word, parse_word, single
 
 
@@ -155,7 +154,10 @@ class TestGoldenReports:
         ],
     )
     def test_variants(self, mode, digest):
-        assert _digest(build_variant_family(mode, [0, 1, 2, 3], 40, seed=7)) == digest
+        report = build(
+            mode, [0, 1, 2, 3], point_budget=40, word_budget=DISCIPLINES[mode].word_budget, seed=7
+        )
+        assert _digest(report) == digest
 
     @pytest.mark.parametrize(
         "seed, mode, digest",
@@ -179,7 +181,10 @@ class TestGoldenReports:
         if mode == "cofinitary":
             report = build(PosetMode.COFINITARY, [0, 1], point_budget=300, word_budget=2, seed=seed)
         else:
-            report = build_variant_family(PosetMode(mode), [0, 1, 2, 3], 200, seed=seed)
+            report = build(
+                PosetMode(mode), [0, 1, 2, 3], point_budget=200,
+                word_budget=DISCIPLINES[PosetMode(mode)].word_budget, seed=seed,
+            )
         assert _digest(report) == digest
 
     @pytest.mark.parametrize(
@@ -201,7 +206,10 @@ class TestGoldenReports:
 
 class TestVariantFamilies:
     def test_adp(self):
-        report = build_variant_family(PosetMode.ADP, [0, 1, 2], 30, seed=5)
+        report = build(
+            PosetMode.ADP, [0, 1, 2], point_budget=30,
+            word_budget=DISCIPLINES[PosetMode.ADP].word_budget, seed=5,
+        )
         assert verify_variant(report) == []
         for g in (0, 1, 2):
             pm = report.final.s.get(g)
@@ -210,13 +218,19 @@ class TestVariantFamilies:
         assert len(report.frozen_fix) == 3  # three unordered pairs
 
     def test_edf_accepts_collisions(self):
-        report = build_variant_family(PosetMode.EDF, [0, 1, 2], 30, seed=6)
+        report = build(
+            PosetMode.EDF, [0, 1, 2], point_budget=30,
+            word_budget=DISCIPLINES[PosetMode.EDF].word_budget, seed=6,
+        )
         assert verify_variant(report) == []
         for g in (0, 1, 2):
             assert report.final.s.get(g).domain() >= set(range(30))
 
     def test_mad(self):
-        report = build_variant_family(PosetMode.MAD, [0, 1, 2], 30, seed=7)
+        report = build(
+            PosetMode.MAD, [0, 1, 2], point_budget=30,
+            word_budget=DISCIPLINES[PosetMode.MAD].word_budget, seed=7,
+        )
         assert verify_variant(report) == []
         for g in (0, 1, 2):
             pm = report.final.s.get(g)
@@ -224,7 +238,10 @@ class TestVariantFamilies:
             assert set(pm.rev) <= {0, 1}
 
     def test_mad_corruption_detected(self):
-        report = build_variant_family(PosetMode.MAD, [0, 1], 10, seed=8)
+        report = build(
+            PosetMode.MAD, [0, 1], point_budget=10,
+            word_budget=DISCIPLINES[PosetMode.MAD].word_budget, seed=8,
+        )
         fresh = max(report.final.s.all_values()) + 1
         report.final = Condition(
             report.final.s.with_pair(0, fresh, 1).with_pair(1, fresh, 1),
@@ -239,7 +256,9 @@ class TestVariantFamilies:
         # a MAD letter's record holds its common 1-points with the letters
         # frozen before it only; checking it against all letters flagged
         # g2 of this build as broken
-        report = build_variant_family(mode, [0, 1, 2], 30, seed=7)
+        report = build(
+            mode, [0, 1, 2], point_budget=30, word_budget=DISCIPLINES[mode].word_budget, seed=7
+        )
         assert verify_cofinitary(report) == [] == verify_variant(report)
 
     def test_failed_point_step_keeps_its_cause(self, monkeypatch):
@@ -250,13 +269,12 @@ class TestVariantFamilies:
 
         monkeypatch.setattr(extension, "mad_set_point", broken)
         with pytest.raises(BuildError) as err:
-            build_variant_family(PosetMode.MAD, [0, 1], 4, seed=0)
+            build(
+                PosetMode.MAD, [0, 1], point_budget=4,
+                word_budget=DISCIPLINES[PosetMode.MAD].word_budget, seed=0,
+            )
         assert isinstance(err.value.__cause__, ContractViolation)
         assert "domain:g0@0" in str(err.value) and err.value.partial is not None
-
-    def test_cofinitary_not_a_variant(self):
-        with pytest.raises(ValueError):
-            build_variant_family(PosetMode.COFINITARY, [0], 5)
 
 
 class TestReportFormats:
@@ -270,7 +288,10 @@ class TestReportFormats:
 
     @pytest.mark.parametrize("mode", [PosetMode.ADP, PosetMode.EDF, PosetMode.MAD])
     def test_variant_entries_count_no_hat_words(self, mode):
-        payload = build_variant_family(mode, [0, 1, 2], 10, seed=0).to_json()
+        report = build(
+            mode, [0, 1, 2], point_budget=10, word_budget=DISCIPLINES[mode].word_budget, seed=0
+        )
+        payload = report.to_json()
         for entry in payload["frozen_fix"].values():
             assert set(entry) == {"stage", "fix"}
 

@@ -12,7 +12,6 @@ from cofinitary.evaluation import (
     eval_range,
     eval_word,
     fix_points,
-    relational_eval,
     zshift,
 )
 from cofinitary.words import (
@@ -25,6 +24,7 @@ from cofinitary.words import (
     reduced_words,
     single,
 )
+from relational_reference import relational_eval
 
 
 def pmap(*pairs) -> PartialMap:

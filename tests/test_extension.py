@@ -249,12 +249,6 @@ class TestHit:
         with pytest.raises(ValueError):
             hit_extend(p, 0, sigma, sigma.unapply(5))  # image already taken
 
-    def test_forbidden_generator_in_side_words(self):
-        sigma = zshift()
-        p = cond({}, ["g0 g7"])
-        with pytest.raises(ValueError):
-            hit_extend(p, 0, sigma, 0, sigma_gen=7)
-
     def test_search_within_window(self):
         rng = random.Random(53)
         sigma = zshift()

@@ -15,18 +15,18 @@ from collections import Counter
 import pytest
 
 from cofinitary import builder, evaluation, poset
-from cofinitary.builder import DenseGoal, build, build_variant_family, verify_cofinitary
+from cofinitary.builder import DenseGoal, build, verify_cofinitary
 from cofinitary.evaluation import (
     Assignment,
     PartialMap,
     eval_domain,
     eval_word,
     fix_points,
-    relational_eval,
 )
-from cofinitary.poset import Condition, PosetMode
+from cofinitary.poset import DISCIPLINES, Condition, PosetMode
 from cofinitary.sampling import sample_condition
 from cofinitary.words import hat_words, parse_word, reduced_words
+from relational_reference import relational_eval
 
 
 def _two_walks(w, s) -> frozenset[int]:
@@ -155,7 +155,10 @@ class TestVerifierGuard:
 
     @pytest.mark.parametrize("mode", [PosetMode.ADP, PosetMode.EDF, PosetMode.MAD])
     def test_variants_verify_clean(self, mode):
-        assert verify_cofinitary(build_variant_family(mode, [0, 1, 2, 3], 40, seed=7)) == []
+        report = build(
+            mode, [0, 1, 2, 3], point_budget=40, word_budget=DISCIPLINES[mode].word_budget, seed=7
+        )
+        assert verify_cofinitary(report) == []
 
     def test_one_fix_set_per_word(self, intercept):
         # the words up to the word budget come from the fix table; only a

@@ -19,7 +19,6 @@ from cofinitary.builder import (
     BuildReport,
     _frozen_law,
     build,
-    build_variant_family,
     verify_cofinitary,
 )
 from cofinitary.evaluation import Assignment, PartialMap, fix_points, fix_table
@@ -181,7 +180,10 @@ def test_clean_builds_agree_in_every_mode():
     assert _both(build(PosetMode.COFINITARY, [0, 1, 2], point_budget=12, word_budget=3, seed=7)) == []
     assert _both(_wide(3)) == []
     for mode in (PosetMode.ADP, PosetMode.EDF, PosetMode.MAD):
-        assert _both(build_variant_family(mode, [0, 1, 2], 20, seed=4)) == []
+        report = build(
+            mode, [0, 1, 2], point_budget=20, word_budget=DISCIPLINES[mode].word_budget, seed=4
+        )
+        assert _both(report) == []
 
 
 def _with_final_s(report: BuildReport, s: Assignment) -> BuildReport:

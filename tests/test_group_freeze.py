@@ -8,24 +8,22 @@ each class (words.cyclic_class) for the class; both must give the same
 report, goal log included, on every mode, word budget and kind of extra
 goal.
 
-A group's frozen values are read from one evaluation.fix_table of the
-group's s; the last tests check each group's reader against fix_points at
-that s, and that the table is freed when its group is done.
+Each word's frozen value is evaluation.fix_points at its group's s; the
+last test checks that, that the build makes no fix table, and that the
+verifier makes one.
 """
 
 from __future__ import annotations
 
-import gc
 import random
-import weakref
 from typing import Iterable, Optional, Sequence
 
 import pytest
 
-from cofinitary import builder, evaluation, poset
+from cofinitary import builder, poset
 from cofinitary.builder import BuildError, BuildReport, DenseGoal, build, hit_goal
 from cofinitary.cli import encode_report
-from cofinitary.evaluation import fix_points, fix_table, zshift
+from cofinitary.evaluation import fix_points, zshift
 from cofinitary.extension import hit_extend, hit_search, point_step, range_extend
 from cofinitary.poset import (
     DISCIPLINES,
@@ -36,7 +34,7 @@ from cofinitary.poset import (
     leq,
     side_words,
 )
-from cofinitary.words import Letter, Word, cyclic_class, format_word, reduced_words, single
+from cofinitary.words import Letter, Word, cyclic_class, format_word, single
 
 
 def reference_build(
@@ -256,7 +254,7 @@ def test_non_hat_word_in_a_group_is_rejected(monkeypatch):
     assert frozen and all(len(w) < 3 for w in frozen)  # nothing of the group was frozen
 
 
-# -- frozen values from one fix table per group ------------------------------
+# -- frozen values from fix_points at each group's s ------------------------
 
 BUILDS = {  # point goals go on after the last group, so the final s is not a group's
     "empty": ([0, 1, 2], 16, 3, ()),  # no extra goals
@@ -267,18 +265,23 @@ BUILDS = {  # point goals go on after the last group, so the final s is not a gr
 @pytest.mark.parametrize(
     "gens, points, word_budget, goals", list(BUILDS.values()), ids=list(BUILDS)
 )
-def test_group_values_come_from_a_table_at_the_group_s(
+def test_each_word_is_frozen_through_fix_points_at_its_group_s(
     gens, points, word_budget, goals, monkeypatch, intercept
 ):
-    # Each group has its own reader, each word is frozen through its group's
-    # reader at its group's s, and the reader equals fix_points at that s on
-    # every word of the group's length.  No word reaches fix_points, which
-    # a table one length short would send its longest words to.
-    # A table of the final s agrees on the frozen words, which keep their
-    # fix sets, so the reader-per-group and group-s checks catch it.
+    # The build makes no fix table (the verifier makes one), each word is
+    # frozen at the s of the step that added its group, and its value is
+    # fix_points at that s.  The final s is not a group's, and a frozen
+    # word keeps its fix set, so the group-s check is what tells them apart.
     # The zshift build also meets hit goals toward zshift after its groups.
-    groups, calls, asked = [], [], []
-    grow, value, points_of = poset.add_words, builder.frozen_value, evaluation.fix_points
+    groups, calls, tables = [], [], []
+    grow, value, table = poset.add_words, builder.frozen_value, builder.fix_table
+
+    def no_table(*args):
+        raise AssertionError("the build made a fix table")
+
+    def counted_table(*args):
+        tables.append(args)
+        return table(*args)
 
     def recording_grow(p, words):
         groups.append(grow(p, words))
@@ -288,49 +291,18 @@ def test_group_values_come_from_a_table_at_the_group_s(
         calls.append((w, s, fix))
         return value(mode, s, w, earlier, fix)
 
-    def recording_points(w, s):
-        asked.append(w)
-        return points_of(w, s)
-
+    monkeypatch.setattr(builder, "fix_table", no_table)
     intercept(builder, poset, add_words=recording_grow)
     monkeypatch.setattr(builder, "frozen_value", recording_value)
-    intercept(builder, evaluation, fix_points=recording_points)
     report = build(PosetMode.COFINITARY, gens, point_budget=points,
                    word_budget=word_budget, seed=5, extra_goals=goals)
     hits = [witness for goal, _, witness in report.goal_log if goal.startswith("hit:")]
     assert len(hits) == len(goals) and None not in hits  # every hit goal was met
-    assert not asked
     assert report.final.s != groups[-1].s
     assert len(calls) == len(report.frozen_fix)
-    checked = set()
     for w, s, fix in calls:
         group = next(c for c in groups if w in c.words)
-        assert fix is not None and s is group.s
-        assert report.frozen_fix[w][1] == fix_points(w, s).points
-        if (id(fix), id(group)) not in checked:
-            checked.add((id(fix), id(group)))
-            for u in reduced_words(gens, len(w), min_len=len(w)):
-                assert fix(u) == fix_points(u, s).points, format_word(u)
-    assert len({id(fix) for _, _, fix in calls}) == len(groups)  # a reader per group
-
-
-def test_each_group_table_is_dropped_with_its_group(monkeypatch):
-    # the reader's closure holds its table in no cycle, so reference
-    # counting frees it when the freeze returns, with the collector off
-    class Table(dict):
-        pass
-
-    refs = []
-
-    def tracked(gens, max_len, s):
-        table = Table(fix_table(gens, max_len, s))
-        refs.append(weakref.ref(table))
-        return table
-
-    monkeypatch.setattr(builder, "fix_table", tracked)
-    gc.disable()
-    try:
-        build(PosetMode.COFINITARY, [0, 1, 2], point_budget=12, word_budget=3, seed=2)
-        assert len(refs) == 3 and all(r() is None for r in refs)
-    finally:
-        gc.enable()
+        assert fix is None and s is group.s
+        assert report.frozen_fix[w][1] == fix_points(w, group.s).points, format_word(w)
+    monkeypatch.setattr(builder, "fix_table", counted_table)
+    assert builder.verify_cofinitary(report) == [] and len(tables) == 1

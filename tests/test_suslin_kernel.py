@@ -73,7 +73,7 @@ def _loc_cases(rng, p, q, sib):
     return [
         ("subset", suslin._subset, ref.seq_subset, [(f, g), (g, f)], [(rf, rg), (rg, rf)]),
         ("union", suslin._union, ref.seq_union, [(f, g)], [(rf, rg)]),
-        ("localizes", suslin._localizes, ref.localizes, [(f, h), (sib[1], h)],
+        ("localizes", ref.plain_localizes, ref.localizes, [(f, h), (sib[1], h)],
          [(rf, rh), (rsib.phi, rh)]),
         ("loc_le", suslin._loc_le, ref.loc_leq, [(p, q), (q, p), (sib, p)],
          [(rp, rq), (rq, rp), (rsib, rp)]),

@@ -12,7 +12,7 @@ from cofinitary.templates import (
     closure,
     depth,
     enumerate_positions,
-    interval_of,
+    interval_finder,
     is_relevant,
     position_in_part1,
     position_wellformed,
@@ -265,7 +265,7 @@ class TestRelevance:
         params = SurrogateParams((2, 3, 4), 2)
         positions = enumerate_positions(params)
         rel = [p for p in positions if is_relevant(p, params)]
-        ivs = [interval_of(p, positions) for p in rel]
+        ivs = list(map(interval_finder(positions), rel))
         for (p, a), (q, b) in itertools.combinations(zip(rel, ivs), 2):
             assert not (a & b) or a <= b or b <= a
         for p, a in zip(rel, ivs):
@@ -278,10 +278,11 @@ class TestRelevance:
         params = SurrogateParams((2, 3, 4), 2)
         positions = enumerate_positions(params)
         index = {p.key(): i for i, p in enumerate(positions)}
+        interval = interval_finder(positions)
         for p in positions:
             if is_relevant(p, params):
                 trunc = SurrogatePosition(p.seq[:-1])
-                assert index[trunc.key()] in interval_of(p, positions)
+                assert index[trunc.key()] in interval(p)
 
     @pytest.mark.parametrize("sizes", [(2, 3), (2, 3, 4)])
     def test_interval_bisection_is_the_scan(self, sizes):
@@ -289,7 +290,7 @@ class TestRelevance:
         # the bisection replaced (an empty one when pos's last entry is negative)
         positions = enumerate_positions(SurrogateParams(sizes, 2))
         keys = [p.key() for p in positions]
-        interval = templates.interval_finder(positions)
+        interval = interval_finder(positions)
         for p in positions:
             lo, hi = SurrogatePosition(p.seq[:-1]).key(), p.key()
             assert interval(p) == frozenset(i for i, k in enumerate(keys) if lo <= k < hi)

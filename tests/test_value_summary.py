@@ -24,7 +24,7 @@ from test_incremental_checks import follow_zshift
 from test_step_local import _linear_least
 
 from cofinitary import extension
-from cofinitary.builder import build, build_variant_family
+from cofinitary.builder import build
 from cofinitary.evaluation import Assignment, PartialMap
 from cofinitary.extension import ExtensionCertificate, _forbidden_edf, _mirror, domain_extend
 from cofinitary.poset import DISCIPLINES, Condition, PosetMode, add_words, side_index
@@ -175,8 +175,14 @@ def _check_all(made) -> int:
 def test_certificates_of_long_builds(certificates):
     runs = [
         lambda: build(PosetMode.COFINITARY, [0, 1], point_budget=200, word_budget=2, seed=3),
-        lambda: build_variant_family(PosetMode.ADP, [0, 1, 2], 100, seed=3),
-        lambda: build_variant_family(PosetMode.EDF, [0, 1, 2], 40, seed=3),
+        lambda: build(
+            PosetMode.ADP, [0, 1, 2], point_budget=100,
+            word_budget=DISCIPLINES[PosetMode.ADP].word_budget, seed=3,
+        ),
+        lambda: build(
+            PosetMode.EDF, [0, 1, 2], point_budget=40,
+            word_budget=DISCIPLINES[PosetMode.EDF].word_budget, seed=3,
+        ),
     ]
     for run in runs:
         run()
