@@ -24,8 +24,8 @@ _EXPORTS = {
         "eval_range", "eval_word", "fix_points", "zshift",
     ),
     "poset": (
-        "Condition", "Incompatible", "PosetMode", "add_words", "delta_compatible_merge", "leq",
-        "merge_disjoint", "restrict", "strong_restrict", "validate",
+        "Condition", "Incompatible", "PosetMode", "add_words", "leq", "merge_disjoint", "restrict",
+        "strong_restrict", "validate",
     ),
     "extension": (
         "CertificateError", "ContractViolation", "ExtensionCertificate", "NOT_FOUND",

@@ -19,7 +19,6 @@ import contextlib
 import io
 import itertools
 import json
-import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -55,8 +54,9 @@ def encode_report(payload: dict) -> bytes:
     Written directly, because CPython's json runs its pure-Python encoder
     whenever indent is set: a list of plain ints or of plain strings is
     joined in one step, and strings are escaped by json's own
-    encode_basestring_ascii.  A value of a type json.dumps rejects raises
-    TypeError."""
+    encode_basestring_ascii.  Any other scalar goes to json.dumps, whose C
+    encoder writes it as the indented encoder would; a value of a type it
+    rejects raises TypeError."""
     out: list[str] = []
     _encode(payload, "\n", out)
     out.append("\n")
@@ -87,7 +87,7 @@ def _encode(o, nl: str, out: list[str]) -> None:
                 out.append(key)
                 _encode(v, inner, out)
             else:
-                out.append(key + _scalar_text(v))
+                out.append(key + json.dumps(v))
             sep = comma
         out.append(nl + "}")
     elif isinstance(o, (list, tuple)):
@@ -108,23 +108,7 @@ def _encode(o, nl: str, out: list[str]) -> None:
                 sep = comma
             out.append(nl + "]")
     else:
-        out.append(_scalar_text(o))
-
-
-def _scalar_text(o) -> str:
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _float_text(o)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        out.append(json.dumps(o))
 
 
 def _key_text(k) -> str:
@@ -132,18 +116,8 @@ def _key_text(k) -> str:
     if isinstance(k, str):
         return k
     if k is None or isinstance(k, (int, float)):
-        return _scalar_text(k)
+        return json.dumps(k)
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-
-
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
 
 
 def _write_report(path: Path, payload: dict) -> None:
@@ -519,7 +493,7 @@ def _apply_config(argv: Sequence[str], parser: argparse.ArgumentParser):
         return parser.parse_args(argv)
     try:
         defaults = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:  # ValueError: not UTF-8, or not JSON
         raise ConfigError(f"bad config file: {err}")
     if not isinstance(defaults, dict):
         raise ConfigError("bad config file: expected a JSON object")

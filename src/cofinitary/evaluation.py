@@ -258,21 +258,20 @@ class Assignment:
 class GroundPermutation:
     """A total permutation of the naturals with an unapply inverse.
 
-    A member of the shift family keeps a canonical form (shift_power,
-    exceptions) that makes fixed-point sets of compositions exactly
-    computable (compose_shift_forms); a custom callable has none.
+    A power zshift^k of the integer shift records shift=k, which lets
+    hit_threshold bound its hits exactly; a custom callable records None.
     """
 
     def __init__(
         self,
         apply: Callable[[int], int],
         unapply: Callable[[int], int],
-        shift_form: Optional[tuple[int, dict[int, int]]] = None,
+        shift: Optional[int] = None,
         name: str = "custom",
     ) -> None:
         self.apply = apply
         self.unapply = unapply
-        self.shift_form = shift_form  # (k, exceptions): equals zshift^k off dom(exceptions)
+        self.shift = shift
         self.name = name
 
     def __repr__(self) -> str:
@@ -298,45 +297,7 @@ def _zshift_pow(k: int) -> Callable[[int], int]:
 def zshift() -> GroundPermutation:
     """The integer shift z -> z + 1 pulled back along the standard pairing;
     fixed-point free of infinite order."""
-    return GroundPermutation(_zshift_pow(1), _zshift_pow(-1), shift_form=(1, {}), name="zshift")
-
-
-def compose_shift_forms(
-    forms: Iterable[tuple[int, dict[int, int], int]]
-) -> tuple[int, dict[int, int]]:
-    """Compose shift-family permutations given as (k, exceptions, sign),
-    applied left to right.  Returns the canonical form of the composite."""
-    total = 0
-    exc: dict[int, int] = {}
-
-    def one(k: int, e: dict[int, int], x: int) -> int:
-        return e[x] if x in e else _zshift_pow(k)(x)
-
-    steps: list[tuple[int, dict[int, int]]] = []
-    for k, e, sign in forms:
-        if sign == 1:
-            steps.append((k, dict(e)))
-        else:
-            steps.append((-k, {m: n for n, m in e.items()}))
-    # disturbed inputs: anything whose path can meet an exception
-    candidates: set[int] = set()
-    for i, (_, e) in enumerate(steps):
-        for x in e:
-            # pull x back through the earlier steps
-            back = x
-            for k2, e2 in reversed(steps[:i]):
-                rev = {m: n for n, m in e2.items()}
-                back = rev[back] if back in rev else _zshift_pow(-k2)(back)
-            candidates.add(back)
-    for k, _ in steps:
-        total += k
-    for x in sorted(candidates):
-        y = x
-        for k, e in steps:
-            y = one(k, e, y)
-        if y != _zshift_pow(total)(x):
-            exc[x] = y
-    return total, exc
+    return GroundPermutation(_zshift_pow(1), _zshift_pow(-1), shift=1, name="zshift")
 
 
 def _lookup(letter: Letter, s: Assignment) -> Mapping[int, int]:

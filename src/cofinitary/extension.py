@@ -20,11 +20,11 @@ extensions built on the sub-alphabet merge back losslessly
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, filterfalse
+from itertools import count, filterfalse, groupby
 from typing import Callable, Iterable, Optional, Union
 
 from . import evaluation, poset
-from .evaluation import Assignment, GroundPermutation, PartialMap, compose_shift_forms, eval_domain
+from .evaluation import Assignment, GroundPermutation, PartialMap, eval_domain
 from .poset import DISCIPLINES, Condition, side_index, validated
 from .words import Word, invert, occurrences
 
@@ -276,40 +276,16 @@ def cover_extend(
 
 
 def _pair_blocks(w: Word, keep: frozenset[int]) -> list[tuple[Word, Word, Word]]:
-    """(u_block, v_right, v_left) triples for the alternating split of w into
-    kept-alphabet blocks u and dropped-alphabet blocks v.  v_right / v_left
+    """(u_block, v_right, v_left) for each run u_block of kept letters in w,
+    with the runs of dropped letters either side of it; v_right / v_left
     are empty at the word ends."""
-    letters = w.letters
-    outside = [i for i, l in enumerate(letters) if l.gen not in keep]
-    if not outside:
-        return []
-    # group runs of adjacent outside positions
-    groups: list[tuple[int, int]] = []
-    start = prev = outside[0]
-    for i in outside[1:]:
-        if i == prev + 1:
-            prev = i
-        else:
-            groups.append((start, prev))
-            start = prev = i
-    groups.append((start, prev))
-    v_spans = [(a, b) for a, b in groups]
-    blocks: list[tuple[Word, Word, Word]] = []
-    bounds = [(-1, -1)] + v_spans + [(len(letters), len(letters))]
-    for idx in range(len(bounds) - 1):
-        left_span = bounds[idx]
-        right_span = bounds[idx + 1]
-        u_letters = letters[left_span[1] + 1 : right_span[0]]
-        v_left = (
-            Word(letters[left_span[0] : left_span[1] + 1]) if left_span[0] >= 0 else Word()
-        )
-        v_right = (
-            Word(letters[right_span[0] : right_span[1] + 1])
-            if right_span[0] < len(letters)
-            else Word()
-        )
-        blocks.append((Word(u_letters), v_right, v_left))
-    return blocks
+    runs = [(kept, Word(tuple(run))) for kept, run in groupby(w.letters, lambda l: l.gen in keep)]
+    empty = Word()
+    return [
+        (u, runs[i + 1][1] if i + 1 < len(runs) else empty, runs[i - 1][1] if i else empty)
+        for i, (kept, u) in enumerate(runs)
+        if kept
+    ]
 
 
 def strong_reduction(p: Condition, keep: Iterable[int]) -> Condition:
@@ -361,8 +337,6 @@ def strong_reduction(p: Condition, keep: Iterable[int]) -> Condition:
             for u_block, v_right, v_left in _pair_blocks(w, keep):
                 need_dom = evaluation.eval_range(v_right, p.s) if v_right else frozenset()
                 need_ran = eval_domain(v_left, p.s) if v_left else frozenset()
-                if not u_block:
-                    continue
                 t = cover_extend(cur, u_block, need_dom, need_ran)
                 cur = cur.with_s(cur.s.union(t))
         out = base.with_s(cur.s.restrict(keep))
@@ -414,9 +388,11 @@ def hit_extend(
 
 def hit_threshold(p: Condition, gen: int, sigma: GroundPermutation) -> Optional[int]:
     """Exact acceptance threshold: every n >= threshold is accepted by
-    hit_extend.  Computable when every side word containing gen is a pure
-    power and sigma carries shift structure with nonzero net shift."""
-    if sigma.shift_form is None:
+    hit_extend.  Computable when sigma is a power of the shift and every
+    side word containing gen is a power of gen; a nonzero power of the
+    shift fixes no natural, so then only the pairs of gen bound it.  The
+    identity (shift 0) has one only when no side word holds gen."""
+    if sigma.shift is None:
         return None
     pm = p.s.get(gen)
     bound = 0
@@ -424,23 +400,10 @@ def hit_threshold(p: Condition, gen: int, sigma: GroundPermutation) -> Optional[
         bound = max(bound, n + 1)
     for m in pm.image():
         bound = max(bound, sigma.unapply(m) + 1)
-    for w in p.sorted_words():
-        if gen not in occurrences(w):
-            continue
-        if occurrences(w) != {gen}:
+    for w in p.words:
+        occ = occurrences(w)
+        if gen in occ and (occ != {gen} or sigma.shift == 0):
             return None
-        k = sum(l.sign for l in w.letters)
-        net, exc = compose_shift_forms([(*sigma.shift_form, 1)] * abs(k))
-        if k < 0:
-            net, exc = -net, {m: n for n, m in exc.items()}
-        if net == 0:
-            return None
-        fixed = sorted(x for x, y in exc.items() if y == x)
-        for f in fixed:
-            v = f
-            for _ in range(abs(k) + 1):
-                bound = max(bound, v + 1)
-                v = sigma.apply(v)
     return bound
 
 

@@ -482,19 +482,3 @@ class Incompatible:
     """Why two conditions have no common extension."""
 
     reason: str
-
-
-def delta_compatible_merge(p: Condition, q: Condition):
-    """The union condition when it is valid and extends both inputs, else
-    Incompatible.  This is the finite merge behind root-only-overlap
-    compatibility arguments; conditions of two modes raise ValueError."""
-    _same_poset(p, q)
-    union = Condition(p.s.union(q.s), p.words | q.words, p.mode)
-    problems = validate(union)
-    if problems:
-        return Incompatible("; ".join(problems))
-    if not leq(union, p):
-        return Incompatible("union does not extend the first condition")
-    if not leq(union, q):
-        return Incompatible("union does not extend the second condition")
-    return union

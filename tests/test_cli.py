@@ -402,6 +402,20 @@ class TestConfigFile:
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and next(iter(config)) in err
 
+    def test_non_utf8_config_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe{")
+        report = tmp_path / "o.json"
+        code, out, err = run(
+            ["suslin", "--poset", "hechler", "--n", "1", "--samples", "5", "--seed", "1",
+             "--config", str(cfg), "--out", str(report)],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and "bad config file" in err
+        assert not report.exists()
+
     @pytest.mark.parametrize(
         "flag", [["--maxN", "2"], ["--maxN=2"], ["--max", "2"]], ids=["dest", "equals", "prefix"]
     )

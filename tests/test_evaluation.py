@@ -6,8 +6,6 @@ from cofinitary.evaluation import (
     Assignment,
     GroundPermutation,
     PartialMap,
-    _zshift_pow,
-    compose_shift_forms,
     eval_domain,
     eval_range,
     eval_word,
@@ -39,21 +37,6 @@ def spot_check(perm: GroundPermutation, upto: int = 200) -> None:
     """unapply undoes apply on 0..upto-1."""
     for n in range(upto):
         assert perm.unapply(perm.apply(n)) == n, (perm, n)
-
-
-def table_over_zshift(table: dict[int, int]) -> GroundPermutation:
-    """The z-shift patched by a finite table that permutes the shift images
-    of its keys, with its shift form."""
-    shift, unshift = _zshift_pow(1), _zshift_pow(-1)
-    assert set(table.values()) == {shift(n) for n in table}
-    rev = {m: n for n, m in table.items()}
-    exceptions = {n: m for n, m in table.items() if m != shift(n)}
-    return GroundPermutation(
-        lambda n: table[n] if n in table else shift(n),
-        lambda m: rev[m] if m in rev else unshift(m),
-        shift_form=(1, exceptions),
-        name="table-over-zshift",
-    )
 
 
 def random_assignment(rng, gens=(0, 1), max_pairs=6, values=9) -> Assignment:
@@ -200,30 +183,3 @@ class TestGroundPermutations:
         assert sigma.apply(1) == 0
         assert sigma.apply(3) == 1
         spot_check(sigma, 500)
-
-    def test_identity(self):
-        # the shift followed by its inverse is the identity: no net shift
-        # and no exception
-        sigma = zshift()
-        assert compose_shift_forms([(*sigma.shift_form, 1), (*sigma.shift_form, -1)]) == (0, {})
-
-    def test_compose_shift_forms_matches_pointwise(self):
-        sigma = zshift()
-        table = {0: sigma.apply(1), 1: sigma.apply(0)}
-        tau = table_over_zshift(table)
-        spot_check(tau)
-        seq = [tau, sigma, tau]
-        signs = [1, -1, 1]
-        k, exc = compose_shift_forms(
-            [(p.shift_form[0], p.shift_form[1], s) for p, s in zip(seq, signs)]
-        )
-        def composite(n):
-            v = n
-            for p, s in zip(seq, signs):
-                v = p.apply(v) if s == 1 else p.unapply(v)
-            return v
-        base = _zshift_pow(k)
-        for n in range(300):
-            want = composite(n)
-            got = exc[n] if n in exc else base(n)
-            assert got == want, n

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cofinitary.evaluation import Assignment, GroundPermutation, PartialMap, zshift
+from cofinitary.evaluation import Assignment, GroundPermutation, PartialMap, _zshift_pow, zshift
 from cofinitary import extension, poset
 from cofinitary.extension import (
     CertificateError,
@@ -16,12 +16,13 @@ from cofinitary.extension import (
     hit_search,
     hit_threshold,
     mad_set_point,
+    point_step,
     range_extend,
     strong_reduction,
 )
 from cofinitary.poset import Condition, PosetMode, leq, strong_restrict, validate
 from cofinitary.sampling import sample_condition, sample_extension
-from cofinitary.words import parse_word, single
+from cofinitary.words import Word, parse_word, power, reduced_words, single
 
 
 def pmap(*pairs):
@@ -157,7 +158,39 @@ class TestCoverExtend:
             cover_extend(cond({}, []), single(0), {0}, set())
 
 
+def split_reference(w, keep):
+    """Every (u_block, v_right, v_left) of w's alternating split, empty u
+    blocks included: the kept gap before, between and after the maximal
+    dropped runs, each with the runs either side.  The runs are found by
+    testing every interval."""
+    letters, end = w.letters, len(w.letters)
+    dropped = [i for i in range(end) if letters[i].gen not in keep]
+    runs = [
+        (a, b)
+        for a in range(end)
+        for b in range(a + 1, end + 1)
+        if all(i in dropped for i in range(a, b))
+        and (a == 0 or a - 1 not in dropped)
+        and (b == end or b not in dropped)
+    ]
+    edges = [(0, 0), *runs, (end, end)]
+    return [
+        (Word(letters[left_end:right_start]), Word(letters[right_start:right_end]),
+         Word(letters[left_start:left_end]))
+        for (left_start, left_end), (right_start, right_end) in zip(edges, edges[1:])
+    ]
+
+
 class TestStrongReduction:
+    def test_pair_blocks_match_the_split(self):
+        # every reduced word of length <= 5 over 3 generators, every keep set:
+        # the blocks are the split's nonempty kept blocks, in order
+        keeps = [frozenset(k for k in range(3) if mask >> k & 1) for mask in range(8)]
+        for w in reduced_words([0, 1, 2], 5):
+            for keep in keeps:
+                want = [block for block in split_reference(w, keep) if block[0]]
+                assert extension._pair_blocks(w, keep) == want, (w, keep)
+
     def test_pure_inside_is_fixed_point(self):
         p = cond({0: [(0, 1)]}, ["g0"])
         red = strong_reduction(p, {0})
@@ -277,11 +310,33 @@ class TestHit:
 
     def test_rejection_reported(self):
         # identity target: hitting g0 at n gives the pair (n, n), a fixed point
-        e = GroundPermutation(lambda n: n, lambda n: n, shift_form=(0, {}), name="identity")
+        e = GroundPermutation(lambda n: n, lambda n: n, shift=0, name="identity")
         p = cond({}, ["g0"])
         r = hit_extend(p, 0, e, 4)
         assert isinstance(r, Rejected)
         assert hit_search(p, 0, e, 0, 16) is NOT_FOUND
+        assert hit_threshold(p, 0, e) is None
+        # with no side word on g0 the identity is bounded by g0's pairs alone
+        assert hit_threshold(cond({0: [(3, 5)]}, ["g1"]), 0, e) == 6
+
+    @pytest.mark.parametrize("k", [-2, -1, 1, 2])
+    def test_threshold_exact_for_shift_powers(self, k):
+        """Under zshift^k, every n from the threshold on is accepted, on
+        sampled conditions whose side words are powers of one generator."""
+        sigma = GroundPermutation(_zshift_pow(k), _zshift_pow(-k), shift=k, name=f"zshift^{k}")
+        rng = random.Random(71 + k)
+        powers = [power(g, j) for g in range(3) for j in (-3, -2, -1, 1, 2, 3)]
+        for _ in range(80):
+            p = poset.add_words(Condition(), frozenset(rng.sample(powers, rng.randrange(4))))
+            for _ in range(rng.randrange(8)):
+                g, n = rng.randrange(3), rng.randrange(24)
+                if n not in p.s.get(g).fwd:
+                    p = point_step(p, g, n, floor=lambda: rng.randrange(24))
+            gen = rng.randrange(3)
+            bound = hit_threshold(p, gen, sigma)
+            assert bound is not None, p.to_json()
+            for n in range(bound, bound + 40):
+                assert isinstance(hit_extend(p, gen, sigma, n), Condition), (p.to_json(), gen, n)
 
 
 class TestMadSetPoint:

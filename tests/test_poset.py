@@ -6,10 +6,8 @@ from cofinitary.evaluation import Assignment, PartialMap, eval_domain, eval_word
 from cofinitary import poset
 from cofinitary.poset import (
     Condition,
-    Incompatible,
     PosetMode,
     add_words,
-    delta_compatible_merge,
     leq,
     merge_disjoint,
     restrict,
@@ -215,49 +213,6 @@ class TestMergeAndGrow:
         p = cond({}, ["g0"])
         with pytest.raises(ValueError):
             add_words(p, frozenset({parse_word("g1")}))
-
-
-class TestDeltaMerge:
-    def test_disjoint_conditions_merge(self):
-        p = cond({0: [(0, 1)]}, ["g0"])
-        q = cond({2: [(0, 1)]}, ["g2"])
-        r = delta_compatible_merge(p, q)
-        assert isinstance(r, Condition)
-        assert leq(r, p) and leq(r, q)
-
-    def test_non_injective_union_incompatible(self):
-        p = cond({0: [(0, 1)]}, [])
-        q = cond({0: [(2, 1)]}, [])
-        assert isinstance(delta_compatible_merge(p, q), Incompatible)
-
-    def test_freezing_conflict_incompatible(self):
-        p = cond({0: [(0, 0)]}, [])        # fixed point already present
-        q = cond({}, ["g0"])               # freezes the letter at empty fix set
-        r = delta_compatible_merge(p, q)
-        assert isinstance(r, Incompatible)
-
-    def test_root_only_overlap_family(self):
-        # family of conditions sharing a root, with fresh tails: every pair
-        # must merge
-        rng = random.Random(17)
-        root = cond({0: [(0, 5), (1, 6)]}, ["g0", "g0^2 g1"])
-        family = []
-        for k in range(200):
-            base_gen = 10 + 3 * k
-            tail = Assignment(
-                {
-                    base_gen: pmap((rng.randrange(50), 50 + rng.randrange(50))),
-                    base_gen + 1: pmap((rng.randrange(50), 100 + rng.randrange(50))),
-                }
-            )
-            c = merge_disjoint(root, tail)
-            c = add_words(c, c.words | {parse_word(f"g{base_gen} g{base_gen + 1}^-1")})
-            family.append(c)
-        for i in range(0, 200, 7):
-            for j in range(i + 1, 200, 11):
-                r = delta_compatible_merge(family[i], family[j])
-                assert isinstance(r, Condition), (i, j)
-                assert leq(r, family[i]) and leq(r, family[j])
 
 
 class TestJson:

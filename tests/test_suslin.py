@@ -78,6 +78,10 @@ def build_localizing_slalom(reals, width_budget: int) -> tuple:
     sigma = [suslin._pad(sorted({at(f, i) for f in reals})[:i], i) for i in range(width)]
     exc = {i: frozenset(at(f, i) for f in reals) for i in range(width, max(settle, width))}
     out = loc_cond(sigma, _with((0, frozenset(f[1] for f in reals), {}), exc.items()))
+    for i, slot in enumerate(out[0]):
+        values = {at(f, i) for f in reals}
+        if len(values) <= i and not values <= slot:
+            raise ContractViolation(f"committed slot {i} misses an input's value")
     for f in reals:
         m = suslin_reference.plain_localizes(out[1], f)
         if m is None or m > width:
@@ -368,6 +372,13 @@ class TestTrials:
 
 
 class TestLocalizes:
+    def test_pad_keeps_need_then_fills_least_free(self):
+        assert suslin._pad([5, 2], 4) == frozenset({0, 1, 2, 5})
+        assert suslin._pad({0, 2}, 4) == frozenset({0, 1, 2, 3})
+        assert suslin._pad((), 3) == frozenset({0, 1, 2})
+        assert suslin._pad({7, 9}, 2) == frozenset({7, 9})
+        assert suslin._pad({7, 9, 11}, 2) == frozenset({7, 9, 11})
+
     def test_constant_tails(self):
         phi = seq(frozenset({0, 1}), i0=frozenset())
         f = seq(0, i0=7, i1=0)
