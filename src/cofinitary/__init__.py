@@ -14,10 +14,9 @@ tracer's wrapper.
 # submodule -> the public names it defines
 _EXPORTS = {
     "words": (
-        "EMPTY_WORD", "GoodDecomposition", "Letter", "NotGood", "Word", "concat",
-        "conjugate_decompose", "format_word", "good_decompose", "hat_words", "invert",
-        "is_hat", "occurrences", "parse_word", "power", "reduce_letters", "reduced_words",
-        "single", "substitute",
+        "EMPTY_WORD", "GoodDecomposition", "Letter", "NotGood", "Word", "conjugate_decompose",
+        "format_word", "good_decompose", "hat_words", "invert", "is_hat", "occurrences",
+        "parse_word", "power", "reduce_letters", "reduced_words", "single", "substitute",
     ),
     "evaluation": (
         "Assignment", "FixResult", "GroundPermutation", "PartialMap", "eval_domain",

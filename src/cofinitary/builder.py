@@ -5,7 +5,10 @@ frozen words keep their fixed-point sets.
 A cofinitary build freezes one hat word per class under rotation and
 inversion (words.cyclic_class), the least under Word.sort_key: the fixed
 points of every word of a class are in bijection with its representative's,
-so freezing it freezes the class.
+so freezing it freezes the class.  The representatives come straight from
+words.class_representatives, which enumerates one word per class; no other
+hat word is built.  Its order is Word.sort_key's, the order the word
+groups are shuffled from.
 
 A build is strictly sequential and deterministic for a given seed; the seed
 only permutes the word-freezing order inside each length group, so different
@@ -25,7 +28,14 @@ from . import evaluation, extension, poset
 from .evaluation import GroundPermutation, fix_table
 from .extension import hit_extend, point_step
 from .poset import DISCIPLINES, Condition, PosetMode, frozen_value, side_words
-from .words import Letter, Word, class_hat_letters, conjugate_core, format_word, reduced_letters
+from .words import (
+    Word,
+    class_hat_letters,
+    class_representatives,
+    conjugate_core,
+    format_word,
+    reduced_letters,
+)
 
 
 class BuildError(Exception):
@@ -139,14 +149,12 @@ def build(
     if value_ceiling is None:
         value_ceiling = max(1_000, 200 * point_budget)
     rng = random.Random(seed)
-    entries = sorted(side_words(mode, gens, word_budget), key=Word.sort_key)
     if discipline.shape == "hat":
         # the least hat word of each class stands for it (see the module
         # docstring); the side-set index and leq already read F by class
-        least: dict[tuple[Letter, ...], Word] = {}
-        for w in entries:
-            least.setdefault(w.class_key, w)
-        entries = list(least.values())
+        entries = class_representatives(gens, word_budget)
+    else:
+        entries = sorted(side_words(mode, gens, word_budget), key=Word.sort_key)
     by_len: dict[int, list[Word]] = {}  # words to freeze, grouped by length
     for w in entries:
         by_len.setdefault(len(w.letters), []).append(w)

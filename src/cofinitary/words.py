@@ -96,13 +96,6 @@ def reduce_letters(seq: Iterable[Letter]) -> Word:
     return Word(tuple(stack))
 
 
-def concat(*words: Word) -> Word:
-    out: list[Letter] = []
-    for w in words:
-        out.extend(w.letters)
-    return reduce_letters(out)
-
-
 def invert(w: Word) -> Word:
     # The inverse of a reduced word is already reduced.
     return Word(tuple(map(INVERSE.__getitem__, reversed(w.letters))))
@@ -388,3 +381,47 @@ def hat_words(gens: Sequence[int], max_len: int) -> list[Word]:
     """The hat words among reduced_words(gens, max_len, min_len=1), in the
     same order; a Word is built only for a hat word."""
     return [Word(t) for t in reduced_letters(gens, max_len, min_len=1) if _hat_letters(t)]
+
+
+def class_representatives(gens: Sequence[int], max_len: int) -> list[Word]:
+    """The least hat word of each cyclic_class among hat_words(gens,
+    max_len), in Word.sort_key order, each with its class_key preset.
+
+    The least rotation of a cyclically reduced word is a hat word, so a
+    class's representative is its key: the necklace t (t is its own least
+    rotation) of a cyclically reduced word with t <= the least rotation of
+    t^-1.  Necklaces come from FKM generation over the letters in tuple
+    order, which yields them in lexicographic order; a prefix in which a
+    letter follows its inverse is pruned, since no cyclically reduced word
+    has one.  Letters are handled as their indices in that order."""
+    alphabet = sorted(Letter(g, s) for g in set(gens) for s in (1, -1))
+    inv = [alphabet.index(INVERSE[x]) for x in alphabet]
+    k = len(alphabet)
+    out: list[Word] = []
+    for n in range(1, max_len + 1):
+        a = [0] * (n + 1)  # a[1..n] is the prefix; a[0] = 0 starts period 1
+
+        def extend(t: int, p: int) -> None:
+            # a[1..t-1] is a reduced prenecklace whose longest Lyndon prefix
+            # has length p: a[t] may repeat a[t-p], or exceed it and start
+            # a Lyndon prefix of length t
+            if t > n:
+                # a necklace whose ends do not cancel, and at most the
+                # least rotation of its inverse
+                if n % p or n > 1 and a[1] == inv[a[n]]:
+                    return
+                necklace = tuple(a[1:])
+                back = tuple(inv[j] for j in reversed(necklace))
+                if all(necklace <= back[i:] + back[:i] for i in range(n)):
+                    w = Word(tuple(alphabet[j] for j in necklace))
+                    object.__setattr__(w, "_class_key", w.letters)
+                    out.append(w)
+                return
+            banned = inv[a[t - 1]] if t > 1 else -1
+            for j in range(a[t - p], k):
+                if j != banned:
+                    a[t] = j
+                    extend(t + 1, p if j == a[t - p] else t)
+
+        extend(1, 1)
+    return out

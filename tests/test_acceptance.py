@@ -46,8 +46,9 @@ from cofinitary.templates import (
     is_relevant,
     rank,
 )
-from cofinitary.words import Word, concat, is_hat, reduced_words
+from cofinitary.words import Word, is_hat, reduced_words
 from relational_reference import relational_eval
+from word_reference import concat
 
 
 def criterion(number, summary):

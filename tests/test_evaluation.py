@@ -14,7 +14,6 @@ from cofinitary.evaluation import (
 )
 from cofinitary.words import (
     Word,
-    concat,
     invert,
     is_hat,
     parse_word,
@@ -23,6 +22,7 @@ from cofinitary.words import (
     single,
 )
 from relational_reference import relational_eval
+from word_reference import concat
 
 
 def pmap(*pairs) -> PartialMap:

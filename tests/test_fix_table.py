@@ -26,7 +26,6 @@ from cofinitary.poset import DISCIPLINES, Condition, PosetMode, add_words, leq, 
 from cofinitary.words import (
     Letter,
     Word,
-    concat,
     conjugate_core,
     conjugate_decompose,
     format_word,
@@ -36,6 +35,7 @@ from cofinitary.words import (
     reduced_letters,
     reduced_words,
 )
+from word_reference import concat
 
 GENS = (0, 1, 2, 3)
 

@@ -228,14 +228,15 @@ def test_freeze_stages_match_frozen_fix(mode, gens, points, word_budget):
 
 def test_non_hat_word_in_a_group_is_rejected(monkeypatch):
     # First and last letters share a generator, and neither word is
-    # cyclically reduced, so its class holds no hat word: the build keeps
-    # each as the least word of its own class, and the group's growth step
-    # must reject it.
+    # cyclically reduced, so its class holds no hat word.  Handed to the
+    # build as class representatives, they join the length-3 group, and
+    # the group's growth step must reject them.
     a, b = Letter(0, 1), Letter(1, 1)
     bad = [Word((a, b, a.inverse())), Word((b, a, b.inverse()))]
+    representatives = builder.class_representatives
 
-    def with_bad_words(mode, alphabet, length):
-        return side_words(mode, alphabet, length) + tuple(bad)
+    def with_bad_words(gens, max_len):
+        return representatives(gens, max_len) + bad
 
     frozen = []
     value = builder.frozen_value
@@ -244,7 +245,7 @@ def test_non_hat_word_in_a_group_is_rejected(monkeypatch):
         frozen.append(w)
         return value(mode, s, w, earlier, fix)
 
-    monkeypatch.setattr(builder, "side_words", with_bad_words)
+    monkeypatch.setattr(builder, "class_representatives", with_bad_words)
     monkeypatch.setattr(builder, "frozen_value", recording_value)
     with pytest.raises(ValueError) as err:
         build(PosetMode.COFINITARY, [0, 1], point_budget=12, word_budget=3, seed=1)

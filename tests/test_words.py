@@ -11,7 +11,6 @@ from cofinitary.words import (
     Letter,
     NotGood,
     Word,
-    concat,
     conjugate_decompose,
     format_word,
     good_decompose,
@@ -26,6 +25,7 @@ from cofinitary.words import (
     single,
     substitute,
 )
+from word_reference import concat
 
 
 def all_cancellations(seq: tuple) -> frozenset:
