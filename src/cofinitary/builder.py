@@ -10,6 +10,24 @@ words.class_representatives, which enumerates one word per class; no other
 hat word is built.  Its order is Word.sort_key's, the order the word
 groups are shuffled from.
 
+Between freezes, point goals extend a transient point phase (_PointPhase):
+the maps of the last kept condition copied into mutable fwd/rev dicts, the
+value set V with its gap and top, and the side-set index, pair partners or
+frozen letters of that condition's side set, which no point step changes.
+Each domain, range or MAD goal runs the checks a point step of extension
+runs, through the same functions of plain lookups: its discipline's
+certificate rule (extension.walk_certificate, agreement_certificate,
+mad_value), the ceiling (least_within), validate's rules on the new pair
+(poset.pair_problems) and leq's one-pair order kernel (poset.walk_breaks,
+agreement_breaks, ones_breaks).  It then sets one key in each lookup and
+grows V, so a step costs O(1) besides its checks, where building a new
+condition per pair copied a map and V.  A Condition is made only where one
+is kept: at each freeze, where add_words, frozen_value and the chain-law
+leq run on it, for the report, and for a BuildError's partial report.  It
+closes the phase and takes over its lookups; the next phase copies them
+when it opens, so no later step changes a kept condition.  Hit and freeze
+goals past the points run on such a condition.
+
 A build is strictly sequential and deterministic for a given seed; the seed
 only permutes the word-freezing order inside each length group, so different
 seeds build different families under the same invariants.
@@ -25,12 +43,13 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import evaluation, extension, poset
-from .evaluation import GroundPermutation, fix_table
-from .extension import hit_extend, point_step
-from .poset import DISCIPLINES, Condition, PosetMode, frozen_value, side_words
+from .evaluation import Assignment, GroundPermutation, PartialMap, fix_table
+from .extension import ContractViolation, hit_extend
+from .poset import DISCIPLINES, Condition, PosetMode, Step, frozen_value, side_words
 from .words import (
+    Letter,
     Word,
-    class_hat_letters,
+    class_hat_count,
     class_representatives,
     conjugate_core,
     format_word,
@@ -55,13 +74,15 @@ class DenseGoal:
     floor: Optional[int] = None
 
     def describe(self) -> str:
-        if self.kind == "domain":
-            return f"domain:g{self.gen}@{self.point}"
-        if self.kind == "range":
-            return f"range:g{self.gen}@{self.point}"
+        if self.kind in ("domain", "range"):
+            return _point_text(self.kind, self.gen, self.point)
         if self.kind == "freeze":
             return _freeze_text(self.word)
         return f"hit:g{self.gen}>={self.floor}"
+
+
+def _point_text(kind: str, gen: int, point: int) -> str:
+    return f"{kind}:g{gen}@{point}"
 
 
 def _freeze_text(w: Word) -> str:
@@ -96,7 +117,7 @@ class BuildReport:
         entries = [{"stage": stage, "fix": sorted(fix)} for _, (stage, fix) in frozen]
         if DISCIPLINES[self.mode].shape == "hat":
             for entry, (w, _) in zip(entries, frozen):
-                entry["hat_words"] = len(class_hat_letters(w))
+                entry["hat_words"] = class_hat_count(w)
         return {
             "schema": "1",
             "mode": self.mode.value,
@@ -120,6 +141,132 @@ class BuildReport:
         return buf.getvalue()
 
 
+class _PointPhase:
+    """The builder's transient point phase (see the module docstring).  A
+    step keeps its pair only once every check passes; a failed check
+    leaves the lookups as they were and raises what extension's point step
+    raises."""
+
+    def __init__(self, base: Condition, gens: Iterable[int]) -> None:
+        """A phase over base whose steps touch the generators gens."""
+        self.base = base
+        self.discipline = d = DISCIPLINES[base.mode]
+        # fwd and rev per generator (rev only where maps are injective),
+        # copied from base's maps, which the phase never changes
+        self.fwd: dict[int, dict[int, int]] = {}
+        self.rev: dict[int, dict[int, int]] = {}
+        self.steps: dict[Letter, Step] = {}  # the walk kernel's lookup per letter
+        for g in sorted(set(gens) | base.occurring()):
+            pm = base.s.get(g)
+            fwd = self.fwd[g] = dict(pm.fwd)
+            self.steps[Letter(g, 1)] = fwd.get
+            if d.injective:
+                rev = self.rev[g] = dict(pm.rev)
+                self.steps[Letter(g, -1)] = rev.get
+        if d.kernel == "walk":
+            self.tries = poset.side_index(base.words)
+            values, self.gap, self.top = base.s.summary()
+            self.values = set(values)
+        elif d.kernel == "agreement":
+            self.partners = poset.partners(base.words)
+        else:
+            self.letters = [w.letters[0].gen for w in base.words]
+
+    def close(self) -> Condition:
+        """The condition the lookups stand for, validated against the kept
+        condition.  The phase ends here and hands its dicts over to the
+        condition's maps, so no step changes them after: a later phase
+        copies them when it opens."""
+        fwd, rev = self.fwd, self.rev
+        self.fwd = self.rev = None  # the phase is over
+        table = {
+            g: PartialMap.of_lookups(f, rev.get(g)) for g, f in sorted(fwd.items()) if f
+        }
+        base = self.base
+        return poset.validated(base, Condition(Assignment._of_clean(table), base.words, base.mode))
+
+    def summary(self) -> tuple[set[int], int, int]:
+        return self.values, self.gap, self.top
+
+    def certificate(self, gen: int, point: int, direction: str) -> extension.ExtensionCertificate:
+        """The certificate for a new pair of gen at the fixed coordinate
+        point ("domain": n, "range": m), as domain_extend or range_extend
+        makes it for the kept condition's side set over these maps."""
+        if self.discipline.kernel == "agreement":
+            return extension.agreement_certificate(
+                [self.fwd[h] for h in self.partners.get(gen, ())], point
+            )
+        image = (self.rev if direction == "domain" else self.fwd)[gen].keys
+        return extension.walk_certificate(self.tries, gen, image, point, self.summary)
+
+    def domain(self, gen: int, n: int, ceiling: Optional[int]) -> int:
+        """Add n to gen's domain; returns its value."""
+        if self.discipline.values is not None:
+            value = extension.mad_value(gen, n, self.letters, self.fwd.__getitem__)
+        else:
+            value = extension.least_within(self.certificate(gen, n, "domain"), gen, n, 0, ceiling)
+        self._add(gen, n, value, n)
+        return value
+
+    def range(self, gen: int, m: int, ceiling: Optional[int]) -> int:
+        """Add m to gen's range; returns its preimage."""
+        if not self.discipline.injective:
+            raise ValueError(f"range extension undefined for {self.base.mode.value} conditions")
+        n = extension.least_within(self.certificate(gen, m, "range"), gen, m, 0, ceiling)
+        self._add(gen, n, m, m)
+        return n
+
+    def _add(self, gen: int, n: int, m: int, point: int) -> None:
+        """Keep the pair (n, m) on gen once it passes validate's rules and
+        the order kernel; otherwise raise, with the lookups unchanged."""
+        d = self.discipline
+        fwd, rev = self.fwd[gen], self.rev.get(gen)
+        problems = poset.pair_problems(d, gen, fwd, rev, n, m)
+        if problems:
+            raise ValueError("; ".join(problems))
+        fwd[n] = m
+        if rev is not None:
+            rev[m] = n
+        kept = False
+        try:
+            if self._breaks(gen, n, m):
+                raise (
+                    ContractViolation(extension.MAD_NOT_BELOW) if d.values is not None
+                    else extension.not_below(gen, point, m)
+                )
+            kept = True
+        finally:
+            if not kept:
+                del fwd[n]
+                if rev is not None:
+                    del rev[m]
+        if d.kernel == "walk":
+            values = self.values
+            values.add(n)
+            values.add(m)
+            while self.gap in values:
+                self.gap += 1
+            self.top = max(self.top, n, m)
+
+    def _breaks(self, gen: int, n: int, m: int) -> bool:
+        """The discipline's order kernel on the pair (n, m) just put on gen."""
+        kernel = self.discipline.kernel
+        if kernel == "walk":
+            return poset.walk_breaks(self.tries, self.steps, gen, n, m)
+        fwd = self.fwd[gen]
+        if kernel == "agreement":
+            # gen held nothing at n before the step
+            return any(
+                poset.agreement_breaks(fwd, self.fwd[h], {}, self.fwd[h], n)
+                for h in self.partners.get(gen, ())
+            )
+        if gen not in self.letters:
+            return False
+        others = list(self.letters)
+        others.remove(gen)
+        return poset.ones_breaks(n, m, [self.fwd[h].items() for h in others])
+
+
 def build(
     mode: PosetMode,
     generators: Sequence[int],
@@ -133,9 +280,12 @@ def build(
     """Run the greedy goal schedule from the empty condition.
 
     Words of length L are frozen before point goals beyond 4*L are issued,
-    so freezing happens while it still bites.  Every step is checked once
-    to extend the previous condition; the words of one length group are
-    frozen in one step, with one check.
+    so freezing happens while it still bites.  Point goals extend a
+    transient point phase in place, one checked pair per step (_PointPhase);
+    a condition is made only where one is kept: at each freeze, for the
+    report and for a BuildError's partial report.  The words of one length
+    group are frozen in one step, with one check that it extends the
+    condition before it.
     """
     gens = tuple(sorted(generators))
     if not gens:
@@ -161,10 +311,20 @@ def build(
     for group in by_len.values():
         rng.shuffle(group)
 
-    cond = Condition(mode=mode)
+    # the generators point goals touch: the build's and any extra goal's
+    goal_gens = set(gens).union(g.gen for g in extra_goals if g.kind in ("domain", "range"))
+    cond = Condition(mode=mode)  # the last kept condition
+    phase: Optional[_PointPhase] = None  # the point phase extending it, if open
     stage = 0
     goal_log: list[tuple[str, int, Optional[int]]] = []
     frozen_fix: dict[Word, tuple[int, frozenset[int]]] = {}
+
+    def kept() -> Condition:
+        """The current condition, with the point phase closed."""
+        nonlocal cond, phase
+        if phase is not None:
+            cond, phase = phase.close(), None
+        return cond
 
     def freeze(group: Sequence[Word]) -> None:
         # No point step comes between the words, so s stays prev's: the side
@@ -172,7 +332,7 @@ def build(
         # prev's and the side set a superset of prev's); it is kept as the
         # step's contract.
         nonlocal cond, stage
-        prev = cond
+        prev = kept()
         cond = poset.add_words(prev, prev.words | frozenset(group))
         for i, w in enumerate(group):
             stage += 1
@@ -182,38 +342,39 @@ def build(
         if not poset.leq(cond, prev):
             raise BuildError(f"chain law broken at stage {stage}", _report())
 
-    def run_goal(goal: DenseGoal) -> None:
+    def hit(goal: DenseGoal) -> None:
         nonlocal cond, stage
         stage += 1
-        prev = cond
-        witness: Optional[int] = None
-        # Point and hit steps come back order-checked by their step function
-        # (the chooser's leq, mad_set_point, hit_extend) or leave cond as it was.
-        if goal.kind == "hit":
-            found = extension.hit_search(prev, goal.gen, goal.sigma, goal.floor, 256)
-            if not isinstance(found, int):
-                raise BuildError(f"goal {goal.describe()} found no hit", _report())
-            witness = found
-            cond = hit_extend(prev, goal.gen, goal.sigma, found)
-        else:
-            pm = prev.s.get(goal.gen)
-            try:
-                if goal.kind == "domain":
-                    if goal.point not in pm.fwd:
-                        cond = point_step(prev, goal.gen, goal.point, ceiling=value_ceiling)
-                    witness = cond.s.get(goal.gen).fwd[goal.point]
-                else:
-                    if goal.point not in pm.rev:
-                        ext = extension.range_extend(prev, goal.gen, goal.point)
-                        cond = ext.commit(ext.choose(ceiling=value_ceiling))
-                    witness = cond.s.get(goal.gen).rev[goal.point]
-            except Exception as err:
-                raise BuildError(f"goal {goal.describe()} failed: {err}", _report()) from err
-        goal_log.append((goal.describe(), stage, witness))
+        prev = kept()
+        found = extension.hit_search(prev, goal.gen, goal.sigma, goal.floor, 256)
+        if not isinstance(found, int):
+            raise BuildError(f"goal {goal.describe()} found no hit", _report())
+        cond = hit_extend(prev, goal.gen, goal.sigma, found)  # order-checked there
+        goal_log.append((goal.describe(), stage, found))
+
+    def point_goal(kind: str, gen: int, point: int) -> None:
+        nonlocal phase, stage
+        stage += 1
+        text = _point_text(kind, gen, point)
+        if phase is None:
+            phase = _PointPhase(cond, goal_gens)
+        try:
+            if kind == "domain":
+                witness = phase.fwd[gen].get(point)
+                if witness is None:
+                    witness = phase.domain(gen, point, value_ceiling)
+            else:
+                rev = phase.rev.get(gen)
+                witness = None if rev is None else rev.get(point)
+                if witness is None:
+                    witness = phase.range(gen, point, value_ceiling)
+        except Exception as err:
+            raise BuildError(f"goal {text} failed: {err}", _report()) from err
+        goal_log.append((text, stage, witness))
 
     def _report() -> BuildReport:
         return BuildReport(
-            cond, goal_log, frozen_fix, mode, gens, point_budget, word_budget, seed
+            kept(), goal_log, frozen_fix, mode, gens, point_budget, word_budget, seed
         )
 
     next_point = 0
@@ -222,9 +383,9 @@ def build(
         nonlocal next_point
         while next_point < limit:
             for g in gens:
-                run_goal(DenseGoal("domain", gen=g, point=next_point))
+                point_goal("domain", g, next_point)
                 if discipline.injective:
-                    run_goal(DenseGoal("range", gen=g, point=next_point))
+                    point_goal("range", g, next_point)
             next_point += 1
 
     for length in sorted(by_len):
@@ -234,8 +395,10 @@ def build(
     for goal in extra_goals:
         if goal.kind == "freeze":
             freeze((goal.word,))
+        elif goal.kind == "hit":
+            hit(goal)
         else:
-            run_goal(goal)
+            point_goal(goal.kind, goal.gen, goal.point)
     return _report()
 
 

@@ -103,6 +103,17 @@ class PartialMap:
     def image(self) -> frozenset[int]:
         return frozenset(self.rev)
 
+    @classmethod
+    def of_lookups(cls, fwd: dict[int, int], rev: Optional[dict[int, int]] = None) -> "PartialMap":
+        """The functional map with lookup fwd, and rev when given, as a step
+        makes one: no pair set until one is read.  The dicts are taken as
+        they are, so the caller hands over dicts that nothing changes."""
+        out = object.__new__(cls)
+        out.__dict__["fwd"] = fwd
+        if rev is not None:
+            out.__dict__["rev"] = rev
+        return out
+
     def with_pair(self, n: int, m: int) -> "PartialMap":
         """The map with (n, m) added.  It gets a copy of fwd, and of rev if
         self has built it, with one key set by the largest-value rule, so no
@@ -112,8 +123,7 @@ class PartialMap:
         fwd = self.fwd
         pairs = d.get("pairs")
         if fwd.get(n, m) == m and (pairs is None or len(pairs) == len(fwd)):
-            out = object.__new__(PartialMap)  # functional: no pair set
-            out.__dict__["fwd"] = {**fwd, n: m}
+            out = PartialMap.of_lookups({**fwd, n: m})  # functional: no pair set
         else:
             out = PartialMap(self.pairs | {(n, m)})
             out.__dict__["fwd"] = _with_key(fwd, n, m)
@@ -127,8 +137,8 @@ class PartialMap:
         hands its lookups over swapped: its rev is the inverse's fwd."""
         if not self.injection:
             return PartialMap(frozenset((m, n) for n, m in self.pairs))
-        out = object.__new__(PartialMap)  # functional: no pair set
-        out.__dict__.update(fwd=self.rev, rev=self.fwd, injection=True)
+        out = PartialMap.of_lookups(self.rev, self.fwd)  # functional: no pair set
+        out.__dict__["injection"] = True
         return out
 
 

@@ -8,7 +8,10 @@ values of s: every walk from those values stays among them.  That set, its
 bound and where the chooser's scan starts are read off the value summary
 each assignment carries from step to step (Assignment.summary), so a step
 scans no value set.  The forbidden set may over-approximate; the extension
-order check is re-run on every chosen value and is authoritative.
+order check is re-run on every chosen value and is authoritative.  Each
+discipline's rule (walk_certificate, agreement_certificate, mad_value) and
+the chooser's ceiling (least_within) are functions of plain lookups, which
+the builder's point phase calls on its own mutable maps as well.
 
 cover_extend forces a word's evaluation to cover given finite sets;
 strong_reduction restricts a condition to a sub-alphabet padded so that
@@ -21,12 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count, filterfalse, groupby
-from typing import Callable, Iterable, Optional, Union
+from typing import AbstractSet, Callable, Collection, Iterable, Mapping, Optional, Union
 
 from . import evaluation, poset
 from .evaluation import Assignment, GroundPermutation, PartialMap, eval_domain
 from .poset import DISCIPLINES, Condition, side_index, validated
-from .words import Word, invert, occurrences
+from .words import Letter, Word, invert, occurrences
 
 
 class CertificateError(Exception):
@@ -61,7 +64,7 @@ class ExtensionCertificate:
     admitted value at or above a floor without probing values one at a time.
     """
 
-    forbidden: frozenset[int]
+    forbidden: AbstractSet[int]
     bound: int
     gap: int = 0
 
@@ -83,28 +86,69 @@ class ExtensionCertificate:
         return ExtensionCertificate(forb, max(forb, default=-1) + 1)
 
 
-def _word_modes_certificate(p: Condition, gen: int, n: int) -> ExtensionCertificate:
-    """The certificate for (gen, n, ?) in the walk disciplines: F = {n} |
-    V(s), read off the assignment's carried value summary, since every walk
-    from those values stays among them.  bound is max(top, n) + 1, and
-    [0, gap) lies in V, so the chooser's scan starts at gap.  No step scans
-    V."""
-    tries = side_index(p.words)
+def walk_certificate(
+    tries: Mapping[Letter, dict],
+    gen: int,
+    image: Callable[[], Collection[int]],
+    n: int,
+    summary: Callable[[], tuple[AbstractSet[int], int, int]],
+) -> ExtensionCertificate:
+    """The certificate for (gen, n, ?) in the walk disciplines, from the
+    side-set index, gen's image and the value summary (V, gap, top) of the
+    maps (Assignment.summary); each of the last two is read only where the
+    rule needs it.  When no side word holds gen, F is the image, so the map
+    stays injective.  Otherwise F = {n} | V, since every walk
+    from those values stays among them: bound is max(top, n) + 1, [0, gap)
+    lies in V, so the chooser's scan starts at gap, and F is V itself when n
+    is in V.  No step scans V.  V may be the caller's own set, which the
+    certificate then reads as it stands: the builder's point phase reads
+    its certificate before its next step grows V."""
     if (gen, 1) not in tries and (gen, -1) not in tries:
-        # no side word holds gen: keep the map injective
-        return ExtensionCertificate.of(p.s.get(gen).rev)
-    values, gap, top = p.s.summary()
+        return ExtensionCertificate.of(image())
+    values, gap, top = summary()
     return ExtensionCertificate(values if n in values else values | {n}, max(top, n) + 1, gap)
 
 
-def _forbidden_edf(p: Condition, gen: int, n: int) -> set[int]:
-    # only a new agreement with a frozen partner at the new point is dangerous
-    forb = set()
-    for w in p.words:
-        a, b = (letter.gen for letter in w.letters)
-        if gen in (a, b):
-            forb.add(p.s.get(b if a == gen else a).fwd.get(n))
-    return forb - {None}
+def agreement_certificate(
+    partner_lookups: Iterable[Mapping[int, int]], n: int
+) -> ExtensionCertificate:
+    """The certificate for (gen, n, ?) in the agreement discipline: only a
+    new agreement with a frozen partner at the new point is dangerous, so F
+    is the partners' values at n (poset.partners names them)."""
+    values = (fb.get(n) for fb in partner_lookups)
+    return ExtensionCertificate.of(v for v in values if v is not None)
+
+
+def mad_value(
+    gen: int, n: int, frozen: Collection[int], lookup: Callable[[int], Mapping[int, int]]
+) -> int:
+    """The value mad_set_point decides for gen at n: 1 when gen is no frozen
+    letter or no other frozen letter already holds 1 there, else 0.
+    `lookup` gives a generator's fwd."""
+    if gen in frozen and any(lookup(b).get(n) == 1 for b in frozen if b != gen):
+        return 0
+    return 1
+
+
+def least_within(
+    cert: ExtensionCertificate, gen: int, point: int, floor: int, ceiling: Optional[int]
+) -> int:
+    """The certificate's least admitted value >= floor; CertificateError
+    when it lies above ceiling."""
+    m = cert.least_admitted(floor)
+    if ceiling is not None and m > ceiling:
+        raise CertificateError(f"chooser exceeded ceiling {ceiling} for g{gen} at {point}")
+    return m
+
+
+def not_below(gen: int, point: int, m: int) -> ContractViolation:
+    """The error of an admitted value whose extension fails the order check."""
+    return ContractViolation(
+        f"certificate admitted {m} for g{gen} at {point} but the extension fails the order check"
+    )
+
+
+MAD_NOT_BELOW = "MAD point decision broke intersection freezing"
 
 
 def extend_with(p: Condition, gen: int, n: int, m: int) -> Condition:
@@ -132,17 +176,10 @@ class Extension:
         ExtensionCertificate.least_admitted; CertificateError when it lies
         above ceiling.  The resulting extension is re-checked against the
         extension order before being trusted."""
-        m = self.certificate.least_admitted(floor)
-        if ceiling is not None and m > ceiling:
-            raise CertificateError(
-                f"chooser exceeded ceiling {ceiling} for g{self.gen} at {self.point}"
-            )
+        m = least_within(self.certificate, self.gen, self.point, floor, ceiling)
         out = self._apply(m)
         if not poset.leq(out, self.condition):
-            raise ContractViolation(
-                f"certificate admitted {m} for g{self.gen} at {self.point} "
-                "but the extension fails the order check"
-            )
+            raise not_below(self.gen, self.point, m)
         # commit hands this condition back without a second leq
         object.__setattr__(self, "_checked", (m, out))
         return m
@@ -171,14 +208,18 @@ def domain_extend(p: Condition, gen: int, n: int) -> Extension:
     the extension below p."""
     if n in p.s.get(gen).fwd:
         raise ValueError(f"{n} already in the domain of g{gen}")
-    d = DISCIPLINES[p.mode]
-    if d.values is not None:
+    if DISCIPLINES[p.mode].values is not None:
         raise ValueError("use mad_set_point for MAD conditions")
-    if d.kernel == "agreement":
-        cert = ExtensionCertificate.of(_forbidden_edf(p, gen, n))
-    else:
-        cert = _word_modes_certificate(p, gen, n)
-    return Extension(p, gen, n, cert, "domain")
+    return Extension(p, gen, n, certificate(p, gen, n), "domain")
+
+
+def certificate(p: Condition, gen: int, n: int) -> ExtensionCertificate:
+    """The certificate for (gen, n, ?) over p: its discipline's rule read off
+    p's side-set index or pair partners and p's maps."""
+    if DISCIPLINES[p.mode].kernel == "agreement":
+        partners = poset.partners(p.words).get(gen, ())
+        return agreement_certificate([p.s.get(h).fwd for h in partners], n)
+    return walk_certificate(side_index(p.words), gen, p.s.get(gen).image, n, p.s.summary)
 
 
 def _mirror(p: Condition, gen: int) -> Condition:
@@ -206,15 +247,10 @@ def mad_set_point(p: Condition, gen: int, n: int) -> Condition:
     if n in p.s.get(gen).fwd:
         raise ValueError(f"{n} already decided for g{gen}")
     frozen = {w.letters[0].gen for w in p.words}
-    value = 1
-    if gen in frozen:
-        for b in sorted(frozen - {gen}):
-            if p.s.get(b).fwd.get(n) == 1:
-                value = 0
-                break
+    value = mad_value(gen, n, frozen, lambda b: p.s.get(b).fwd)
     out = p.with_s(p.s.with_pair(gen, n, value))
     if not poset.leq(out, p):
-        raise ContractViolation("MAD point decision broke intersection freezing")
+        raise ContractViolation(MAD_NOT_BELOW)
     return out
 
 

@@ -7,7 +7,8 @@ cofinitary group (cofinitary), almost disjoint permutations (adp), an
 eventually different family (edf) and Hechler's MAD family (mad).  What each
 mode decides is its row of the discipline table DISCIPLINES.
 
-Everything is a value type; extension never mutates.
+Everything is a value type; extension never mutates.  Only the builder's
+point phase extends maps in place, on lookups of its own (builder.py).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Container, Iterable, Mapping, Optional
 
 from . import evaluation, words
 from .evaluation import (
@@ -202,21 +203,54 @@ def _problems(
     problems: list[str] = []
     for g, pm in maps:
         # a map that passes, as nearly all do, is judged by one cached fact
-        if not (pm.injection if d.injective else pm.is_functional()):
-            if not pm.is_functional():
-                problems.append(f"map for g{g} is not functional")
-            if d.injective and not pm.is_injective():
-                problems.append(f"map for g{g} is not injective")
-        if d.values is not None:
-            bad = pm.rev.keys() - set(d.values)  # rev's keys are the map's values
-            if bad:
-                allowed = ",".join(map(str, d.values))
-                problems.append(f"map for g{g} takes values outside {{{allowed}}}: {sorted(bad)}")
+        ok = pm.injection if d.injective else pm.is_functional()
+        if not ok or d.values is not None:
+            problems += _map_problems(
+                d, g, ok or pm.is_functional(), ok or pm.is_injective(),
+                pm.rev.keys() if d.values is not None else (),  # rev's keys are its values
+            )
     for w in words:
         problem = _entry_problem(d.shape, w) if w else "side set contains the empty word"
         if problem:
             problems.append(problem)
     return problems
+
+
+def _map_problems(
+    d: Discipline, g: int, functional: bool, injective: bool, values: Iterable[int]
+) -> list[str]:
+    """validate's findings on g's map, from its facts and its values."""
+    problems: list[str] = []
+    if not functional:
+        problems.append(f"map for g{g} is not functional")
+    if d.injective and not injective:
+        problems.append(f"map for g{g} is not injective")
+    if d.values is not None:
+        bad = set(values) - set(d.values)
+        if bad:
+            allowed = ",".join(map(str, d.values))
+            problems.append(f"map for g{g} takes values outside {{{allowed}}}: {sorted(bad)}")
+    return problems
+
+
+def pair_problems(
+    d: Discipline,
+    g: int,
+    fwd: Mapping[int, int],
+    rev: Optional[Mapping[int, int]],
+    n: int,
+    m: int,
+) -> list[str]:
+    """validate's findings on g's map with the pair (n, m) added, for a map
+    with lookups fwd and rev (rev may be None where d is not injective) on
+    which validate finds nothing.  Such a map is functional, and injective
+    where d asks it to be, so it stays so exactly when n has no other value
+    and m no other preimage; its values stay allowed exactly when m is."""
+    functional = fwd.get(n, m) == m
+    injective = not d.injective or rev.get(m, n) == n
+    if functional and injective and (d.values is None or m in d.values):
+        return []
+    return _map_problems(d, g, functional, injective, (m,))
 
 
 def validated(
@@ -255,17 +289,6 @@ def _ones(pm_pairs: Iterable[tuple[int, int]]) -> frozenset[int]:
 def _agreement(s: Assignment, a: int, b: int) -> frozenset[int]:
     fa, fb = s.get(a).fwd, s.get(b).fwd
     return frozenset(n for n, v in fa.items() if fb.get(n) == v)
-
-
-def _meets(new: Iterable[tuple[int, int]], pm: PartialMap) -> bool:
-    """Whether some new pair (n, 1) is also a pair of pm."""
-    return any(m == 1 and (n, 1) in pm for n, m in new)
-
-
-def _agrees(fa: Mapping[int, int], fb: Mapping[int, int], n: int) -> bool:
-    """Whether n is in the agreement set of the maps with lookups fa, fb."""
-    v = fa.get(n)
-    return v is not None and fb.get(n) == v
 
 
 def frozen_value(
@@ -333,7 +356,7 @@ class _Steps(dict):
         return step
 
 
-def _closes(trie: dict, steps: _Steps, start: int, target: int) -> bool:
+def _closes(trie: dict, steps: Mapping[Letter, Step], start: int, target: int) -> bool:
     """Whether some rotation in the trie walks start to target under steps.
     A lookup that fails prunes the subtree below it."""
     stack = [(trie, start)]
@@ -348,6 +371,60 @@ def _closes(trie: dict, steps: _Steps, start: int, target: int) -> bool:
             if nxt is not None:
                 stack.append((child, nxt))
     return False
+
+
+# -- the per-pair order kernels ------------------------------------------------
+# Each discipline decides whether one added pair breaks what the side set
+# freezes in one function of plain lookups.  leq calls it once per added pair;
+# the builder's point phase calls it once per step on its mutable lookups.
+
+
+def walk_breaks(
+    tries: dict[Letter, dict], steps: Mapping[Letter, Step], g: int, a: int, b: int
+) -> bool:
+    """Whether the added pair (a, b) on g gives a frozen word a new fixed
+    point, under the lookups `steps` of the extended maps and the side-set
+    index `tries` (see leq)."""
+    ahead, back = tries.get((g, 1)), tries.get((g, -1))
+    return bool(ahead and _closes(ahead, steps, b, a) or back and _closes(back, steps, a, b))
+
+
+def agreement_breaks(
+    pa: Mapping[int, int], pb: Mapping[int, int],
+    qa: Mapping[int, int], qb: Mapping[int, int], n: int,
+) -> bool:
+    """Whether n, a point where a gained a pair, agrees under the extended
+    lookups pa, pb of a frozen pair a, b but not under their old lookups
+    qa, qb."""
+    return _agrees(pa, pb, n) and not _agrees(qa, qb, n)
+
+
+def ones_breaks(n: int, v: int, others: Iterable[Container[tuple[int, int]]]) -> bool:
+    """Whether the added pair (n, v) on a frozen letter makes n a common
+    1-point with one of the other frozen letters, whose extended maps
+    `others` answer pair membership.  The pair is new, so such a common
+    1-point is new too."""
+    return v == 1 and any((n, 1) in pm for pm in others)
+
+
+def _agrees(fa: Mapping[int, int], fb: Mapping[int, int], n: int) -> bool:
+    """Whether n is in the agreement set of the maps with lookups fa, fb."""
+    v = fa.get(n)
+    return v is not None and fb.get(n) == v
+
+
+@functools.lru_cache(maxsize=8)
+def partners(words: frozenset[Word]) -> dict[int, tuple[int, ...]]:
+    """Generator -> the other generator of each pair word a b^-1 that holds
+    it, once per word (a word on one generator names it twice).  Cached
+    like side_index, so the conditions that keep a side set share it;
+    callers only read it."""
+    out: dict[int, list[int]] = {}
+    for w in words:
+        a, b = w.letters[0].gen, w.letters[1].gen
+        out.setdefault(a, []).append(b)
+        out.setdefault(b, []).append(a)
+    return {g: tuple(hs) for g, hs in out.items()}
 
 
 def _added_pairs(p: Assignment, q: Assignment) -> Optional[dict[int, frozenset[tuple[int, int]]]]:
@@ -400,26 +477,31 @@ def leq(p: Condition, q: Condition) -> bool:
     # b: elsewhere both maps hold the same pairs in p as in q, so a point
     # agrees (is a common 1-point) in p exactly when it does in q.  A pair
     # (n, 1) that p adds is not q's, so a common 1-point of p that uses it
-    # is new.
+    # is new.  The ones kernel meets the new pairs of each frozen letter
+    # with the maps of the other frozen letters.
     if kernel == "ones":
-        letters = sorted(w.letters[0].gen for w in q.words)
-        for i, a in enumerate(letters):
-            for b in letters[i + 1 :]:
-                pa, pb = p.s.get(a), p.s.get(b)
-                if _meets(added.get(a, ()), pb) or _meets(added.get(b, ()), pa):
-                    return False
+        letters = [w.letters[0].gen for w in q.words]
+        for g, pairs in added.items():
+            if g not in letters:
+                continue
+            others = list(letters)
+            others.remove(g)
+            maps = [p.s.get(h) for h in others]
+            if any(ones_breaks(n, v, maps) for n, v in pairs):
+                return False
         return True
     if kernel == "agreement":
-        for w in q.words:
-            a, b = w.letters[0].gen, w.letters[1].gen
-            new = {n for g in (a, b) for n, _ in added.get(g, ())}
-            if not new:
+        pairs_of = partners(q.words)
+        for g, pairs in added.items():
+            hs = pairs_of.get(g)
+            if not hs:
                 continue
-            pa, pb = p.s.get(a).fwd, p.s.get(b).fwd
-            qa, qb = q.s.get(a).fwd, q.s.get(b).fwd
-            for n in new:
-                if _agrees(pa, pb, n) and not _agrees(qa, qb, n):
-                    return False
+            pa, qa = p.s.get(g).fwd, q.s.get(g).fwd
+            for h in hs:
+                pb, qb = p.s.get(h).fwd, q.s.get(h).fwd
+                for n, _ in pairs:
+                    if agreement_breaks(pa, pb, qa, qb, n):
+                        return False
         return True
     if not added:
         return True
@@ -433,9 +515,8 @@ def leq(p: Condition, q: Condition) -> bool:
     tries = side_index(q.words)
     steps = _Steps(p.s)
     for g, pairs in added.items():
-        ahead, back = tries.get((g, 1)), tries.get((g, -1))
         for a, b in pairs:
-            if ahead and _closes(ahead, steps, b, a) or back and _closes(back, steps, a, b):
+            if walk_breaks(tries, steps, g, a, b):
                 return False
     return True
 

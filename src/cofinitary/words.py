@@ -118,14 +118,23 @@ def _rotations(letters: tuple[Letter, ...]) -> Iterable[tuple[Letter, ...]]:
     return (t[i:] + t[:i] for t in (letters, inverse) for i in range(len(t)))
 
 
-def class_hat_letters(w: Word) -> list[tuple[Letter, ...]]:
-    """The letters of the hat words with w's cyclic_class key, in
-    Word.sort_key order: the distinct hat words among the rotations of the
-    hat word w and of w^-1.  A hat word is cyclically reduced, so each
-    rotation is a reduced word."""
-    if not w or not _hat_letters(w.letters):
-        raise ValueError(f"{format_word(w)} is not a hat word")
-    return sorted({t for t in _rotations(w.letters) if _hat_letters(t)})
+def class_hat_count(w: Word) -> int:
+    """The number of hat words with the hat word w's cyclic_class key,
+    counted without building them.  A rotation of w starting at i is a hat
+    word exactly when the letters either side of the cut use distinct
+    generators; the distinct rotations are those with i below w's least
+    period p, so the hat words among them are the generator changes at the
+    cuts 0 .. p-1 (one rotation when w is a power of one generator).  The
+    rotations of w^-1 are the reverse cuts, and in a free group no
+    nontrivial element is conjugate to its inverse, so they add as many
+    again: 2 * that count."""
+    letters = w.letters
+    size = len(letters)
+    period = next(
+        p for p in range(1, size + 1) if size % p == 0 and letters[p:] + letters[:p] == letters
+    )
+    changes = sum(letters[i - 1].gen != letters[i].gen for i in range(period))
+    return 2 * max(changes, 1)
 
 
 def power(gen: int, k: int) -> Word:

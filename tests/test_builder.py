@@ -94,8 +94,10 @@ class TestBuild:
 
 
     def test_admitted_bad_value_still_aborts(self, monkeypatch):
-        # The chooser's order check is the only one a point step runs.  With
-        # a single generator the identity is laid on 0..3 before g0 is
+        # The point phase's order kernel is the only check that can catch a
+        # bad admitted value: the builder chooses through the certificate's
+        # least_admitted (extension.least_within), patched here.  With a
+        # single generator the identity is laid on 0..3 before g0 is
         # frozen, so at domain:g0@4 the least admitted value becomes 4: a
         # new fixed point of the frozen word g0.
         least = ExtensionCertificate.least_admitted
@@ -267,7 +269,8 @@ class TestVariantFamilies:
         def broken(*args):
             raise ContractViolation("broken point decision")
 
-        monkeypatch.setattr(extension, "mad_set_point", broken)
+        # the point phase decides a MAD point by extension.mad_value
+        monkeypatch.setattr(extension, "mad_value", broken)
         with pytest.raises(BuildError) as err:
             build(
                 PosetMode.MAD, [0, 1], point_budget=4,

@@ -20,12 +20,12 @@ from cofinitary.evaluation import Assignment, PartialMap, fix_points
 from cofinitary.poset import PosetMode, side_words
 from cofinitary.words import (
     Word,
-    class_hat_letters,
     cyclic_class,
     format_word,
     hat_words,
     parse_word,
 )
+from word_reference import class_hat_letters
 
 
 @pytest.mark.parametrize("seed", [0, 3, 1009])

@@ -14,11 +14,12 @@ import pytest
 
 from cofinitary.words import (
     Word,
-    class_hat_letters,
+    class_hat_count,
     class_representatives,
     cyclic_class,
     hat_words,
 )
+from word_reference import class_hat_letters
 
 
 def least_per_class(gens, max_len) -> list[Word]:
@@ -46,6 +47,16 @@ def test_same_words_in_the_same_order(gens, max_len):
     assert [w.letters for w in reps] == [w.letters for w in expected]
     assert all(w.class_key == w.letters == cyclic_class(w) for w in reps)
     assert sum(len(class_hat_letters(w)) for w in reps) == len(hat_words(gens, max_len))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_class_hat_count_matches_the_listed_rotations(count):
+    # the report's "hat_words" count, against the class's hat words listed
+    # one by one, on every representative up to length 6
+    gens = tuple(range(count))
+    reps = class_representatives(gens, 6)
+    assert [class_hat_count(w) for w in reps] == [len(class_hat_letters(w)) for w in reps]
+    assert sum(map(class_hat_count, reps)) == len(hat_words(gens, 6))
 
 
 def test_class_keys_are_preset():

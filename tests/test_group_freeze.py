@@ -6,7 +6,10 @@ time.  reference_build below is the word-at-a-time builder, kept verbatim
 but for its name, its add_words call and its freezing the least hat word of
 each class (words.cyclic_class) for the class; both must give the same
 report, goal log included, on every mode, word budget and kind of extra
-goal.
+goal.  Its point steps go through extension's point_step, range_extend and
+mad_set_point, one new condition per pair: it is also the copy path that
+the builder's point phase replaced, and tests/test_point_phase.py compares
+drawn builds and ceiling aborts with it.
 
 Each word's frozen value is evaluation.fix_points at its group's s; the
 last test checks that, that the build makes no fix table, and that the

@@ -21,7 +21,7 @@ from test_class_walk import FINITE, _paths, _random_injection, _rotations_after,
 from cofinitary import poset
 from cofinitary.cli import main
 from cofinitary.evaluation import Assignment, PartialMap
-from cofinitary.extension import _forbidden_edf, _mirror, _word_modes_certificate
+from cofinitary.extension import _mirror, certificate
 from cofinitary.poset import Condition, PosetMode, add_words, pair_word, side_index
 from cofinitary.words import Letter, hat_words, parse_word
 
@@ -113,7 +113,7 @@ def _holding_by_scan(p: Condition, gen: int) -> list:
 
 
 def _concrete_by_scan(p: Condition, gen: int, n: int) -> set[int]:
-    """The forbidden set of _word_modes_certificate before the trie test,
+    """The forbidden set of the walk certificate before the trie test,
     on the words _holding_by_scan finds."""
     if not _holding_by_scan(p, gen):
         return set(p.s.get(gen).rev)
@@ -136,7 +136,7 @@ def test_trie_test_and_mixed_scan_match_the_holding_scan():
                     assert keyed == bool(_holding_by_scan(x, gen)), (gen, x.to_json())
                     n = rng.randrange(12)
                     want = _concrete_by_scan(x, gen, n)
-                    assert _word_modes_certificate(x, gen, n).forbidden == want
+                    assert certificate(x, gen, n).forbidden == want
                     held += keyed
                     unheld += not keyed
                     minus_only += keyed and Letter(gen, 1) not in tries
@@ -157,7 +157,8 @@ def _edf_condition(rng: random.Random) -> Condition:
 
 
 def _forbidden_edf_by_holding(p: Condition, gen: int, n: int) -> set[int]:
-    """_forbidden_edf before the scan, on the words _holding_by_scan finds."""
+    """The edf forbidden set before the scan, on the words _holding_by_scan
+    finds."""
     forb = set()
     for w in _holding_by_scan(p, gen):
         a, b = (letter.gen for letter in w.letters)
@@ -173,7 +174,7 @@ def test_edf_forbidden_set_matches_the_holding_form():
         for gen in range(4):
             for n in range(10):
                 want = _forbidden_edf_by_holding(p, gen, n)
-                assert _forbidden_edf(p, gen, n) == want
+                assert certificate(p, gen, n).forbidden == want
                 nonempty += bool(want)
     assert nonempty >= 4000, nonempty
 

@@ -8,6 +8,9 @@ over unchanged, so a build scans V once.  The finite-word certificate
 starts at gap.  Each is checked here against a fresh scan: the summary after
 every way an assignment is made, and every certificate of long builds and
 sampled conditions against ExtensionCertificate.of of the set it replaced.
+A build's point phase keeps its value summary itself, grown in place; its
+certificates are checked against the same fresh scan of the condition the
+phase stands for.
 
 The checks catch these broken copies of the code: with_pair not advancing
 gap past n or past m, with_pair not raising top to n or m, and a mirror
@@ -23,10 +26,10 @@ import pytest
 from test_incremental_checks import follow_zshift
 from test_step_local import _linear_least
 
-from cofinitary import extension
+from cofinitary import builder, extension
 from cofinitary.builder import build
 from cofinitary.evaluation import Assignment, PartialMap
-from cofinitary.extension import ExtensionCertificate, _forbidden_edf, _mirror, domain_extend
+from cofinitary.extension import ExtensionCertificate, _mirror, domain_extend
 from cofinitary.poset import DISCIPLINES, Condition, PosetMode, add_words, side_index
 from cofinitary.sampling import sample_condition, sample_extension
 from cofinitary.words import Letter, single
@@ -126,6 +129,16 @@ def test_the_mirror_shares_the_summary():
 # -- every certificate of a run ------------------------------------------------
 
 
+def _forbidden_edf(p: Condition, gen: int, n: int) -> set[int]:
+    # only a new agreement with a frozen partner at the new point is dangerous
+    forb = set()
+    for w in p.words:
+        a, b = (letter.gen for letter in w.letters)
+        if gen in (a, b):
+            forb.add(p.s.get(b if a == gen else a).fwd.get(n))
+    return forb - {None}
+
+
 def _reference_forbidden(p: Condition, gen: int, n: int) -> frozenset[int]:
     """The set the certificate stood for before the summary: _forbidden_edf,
     the image of gen when no side word holds it, else {n} and a scan of
@@ -152,16 +165,31 @@ def _check_certificate(cert: ExtensionCertificate, want: frozenset[int]) -> None
 @pytest.fixture
 def certificates(monkeypatch):
     """Every certificate domain_extend makes, range steps' mirrors included,
-    with the arguments it was made from."""
+    and every one a build's point phase makes, with the condition its
+    lookups stand for (a range step's mirror of it) and the arguments.  A phase's
+    certificate may read the phase's own value set, which its next step
+    grows, so it is recorded over a copy."""
     made = []
     real = extension.domain_extend
+    phase_certificate = builder._PointPhase.certificate
 
     def recording(p, gen, n):
         ext = real(p, gen, n)
         made.append((p, gen, n, ext.certificate))
         return ext
 
+    def recording_phase(phase, gen, point, direction):
+        cert = phase_certificate(phase, gen, point, direction)
+        table = {g: PartialMap(frozenset(fwd.items())) for g, fwd in phase.fwd.items()}
+        p = Condition(Assignment(table), phase.base.words, phase.base.mode)
+        if direction == "range":
+            p = _mirror(p, gen)
+        kept = ExtensionCertificate(frozenset(cert.forbidden), cert.bound, cert.gap)
+        made.append((p, gen, point, kept))
+        return cert
+
     monkeypatch.setattr(extension, "domain_extend", recording)
+    monkeypatch.setattr(builder._PointPhase, "certificate", recording_phase)
     return made
 
 
