@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -396,6 +397,10 @@ def cmd_hit_density(args) -> int:
     return OK
 
 
+# Built once per process: a parser per main call cost about 1 ms and grew
+# argparse's allocations.  No parse changes it (_apply_config restores the
+# flags it relaxes).
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cofinitary")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -479,9 +484,9 @@ def _apply_config(argv: Sequence[str], parser: argparse.ArgumentParser):
     neither, the error is argparse's own."""
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     required = [a for sub in commands.choices.values() for a in sub._actions if a.required]
-    for action in required:
-        action.required = False
     try:
+        for action in required:
+            action.required = False
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             args = parser.parse_args(argv)
     except SystemExit:  # help or a usage error: the strict parse below reports it
@@ -515,9 +520,8 @@ def _apply_config(argv: Sequence[str], parser: argparse.ArgumentParser):
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = _apply_config(list(argv) if argv is not None else sys.argv[1:], parser)
+        args = _apply_config(list(argv) if argv is not None else sys.argv[1:], _build_parser())
     except ConfigError as err:
         print(err, file=sys.stderr)
         return USAGE

@@ -9,20 +9,11 @@ with; no word evaluates through them.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import FrozenInstanceError, dataclass, field
 from itertools import count, filterfalse
 from typing import Callable, Iterable, Mapping, Optional
 
 from .words import INVERSE, Letter, Word, invert
-
-
-def _with_key(cache: dict[int, int], k: int, v: int) -> dict[int, int]:
-    """A copy of a fwd/rev cache with the pair k -> v added by the tie rule."""
-    out = dict(cache)
-    if out.get(k, v) <= v:
-        out[k] = v
-    return out
 
 
 class PartialMap:
@@ -33,9 +24,9 @@ class PartialMap:
     repeated key: it is dict(sorted(pairs)) up to key order.  The fact
     `injection` is read from their sizes.
 
-    A step (with_pair, inverse) whose result is functional makes a map that
-    holds only its lookups: its pair set is fwd.items(), built when something
-    reads it.  Every derived attribute, the pair set of such a map included,
+    A map made by of_lookups (a closed point phase's) holds only its
+    lookups: its pair set is fwd.items(), built when something reads it.
+    Every derived attribute, the pair set of such a map included,
     is a plain instance attribute once built; __getattr__ builds a missing
     one, so reading a built one costs a plain lookup.  Maps compare, hash
     and count by their pair sets, and no code changes one once it is made.
@@ -55,7 +46,7 @@ class PartialMap:
             pairs = d.get("pairs")
             size = len(self.fwd)
             value = size == len(self.rev) and (pairs is None or len(pairs) == size)
-        elif name == "pairs" and "fwd" in d:  # a map made by a step is functional
+        elif name == "pairs" and "fwd" in d:  # a map made by of_lookups is functional
             value = frozenset(d["fwd"].items())
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
@@ -105,40 +96,13 @@ class PartialMap:
 
     @classmethod
     def of_lookups(cls, fwd: dict[int, int], rev: Optional[dict[int, int]] = None) -> "PartialMap":
-        """The functional map with lookup fwd, and rev when given, as a step
-        makes one: no pair set until one is read.  The dicts are taken as
-        they are, so the caller hands over dicts that nothing changes."""
+        """The functional map with lookup fwd, and rev when given: no pair
+        set until one is read.  The dicts are taken as they are, so the
+        caller hands over dicts that nothing changes."""
         out = object.__new__(cls)
         out.__dict__["fwd"] = fwd
         if rev is not None:
             out.__dict__["rev"] = rev
-        return out
-
-    def with_pair(self, n: int, m: int) -> "PartialMap":
-        """The map with (n, m) added.  It gets a copy of fwd, and of rev if
-        self has built it, with one key set by the largest-value rule, so no
-        lookup is rebuilt from the pairs.  When it is functional it gets no
-        pair set; otherwise it gets self's pair set grown by (n, m)."""
-        d = self.__dict__
-        fwd = self.fwd
-        pairs = d.get("pairs")
-        if fwd.get(n, m) == m and (pairs is None or len(pairs) == len(fwd)):
-            out = PartialMap.of_lookups({**fwd, n: m})  # functional: no pair set
-        else:
-            out = PartialMap(self.pairs | {(n, m)})
-            out.__dict__["fwd"] = _with_key(fwd, n, m)
-        rev = d.get("rev")
-        if rev is not None:
-            out.__dict__["rev"] = _with_key(rev, m, n)
-        return out
-
-    def inverse(self) -> "PartialMap":
-        """The map with every pair flipped.  An injective, functional map
-        hands its lookups over swapped: its rev is the inverse's fwd."""
-        if not self.injection:
-            return PartialMap(frozenset((m, n) for n, m in self.pairs))
-        out = PartialMap.of_lookups(self.rev, self.fwd)  # functional: no pair set
-        out.__dict__["injection"] = True
         return out
 
 
@@ -152,10 +116,6 @@ class Assignment:
 
     table: Mapping[int, PartialMap] = field(default_factory=dict)
 
-    # (a weak reference to the parent, gen, n, m) on an assignment made by
-    # with_pair, for the order check (poset._added_pairs); None on the rest.
-    _step = None
-
     def __post_init__(self) -> None:
         clean = {g: pm for g, pm in sorted(self.table.items()) if pm.pairs}
         object.__setattr__(self, "table", clean)
@@ -163,7 +123,7 @@ class Assignment:
     @classmethod
     def _of_clean(cls, table: dict[int, PartialMap]) -> "Assignment":
         """The assignment over a table the caller built clean, taken as it
-        is: the steps below change a clean table, so none is sorted again."""
+        is, so none is sorted again."""
         out = object.__new__(cls)
         object.__setattr__(out, "table", table)
         return out
@@ -174,42 +134,13 @@ class Assignment:
     def generators(self) -> tuple[int, ...]:
         return tuple(sorted(self.table))
 
-    def triples(self) -> frozenset[tuple[int, int, int]]:
-        return frozenset(
-            (g, n, m) for g, pm in self.table.items() for n, m in pm.pairs
-        )
-
     def with_pair(self, gen: int, n: int, m: int) -> "Assignment":
-        """The assignment with (gen, n, m) added.  It records the step, with
-        a weak reference to self, so the step neither keeps self alive nor
-        pins a chain of steps.  A value summary self has already built is
-        handed on grown by n and m, so none is rebuilt."""
-        pm = self.get(gen).with_pair(n, m)
-        if gen in self.table:
-            new = dict(self.table)
-            new[gen] = pm
-        else:  # a new generator: the one step that sorts
-            new = dict(sorted([*self.table.items(), (gen, pm)]))
-        out = Assignment._of_clean(new)
-        object.__setattr__(out, "_step", (weakref.ref(self), gen, n, m))
-        summary = self.__dict__.get("_summary")
-        if summary is not None:
-            values, gap, top = summary
-            values = values | {n, m}
-            while gap in values:
-                gap += 1
-            object.__setattr__(out, "_summary", (values, gap, max(top, n, m)))
-        return out
-
-    def with_inverse(self, gen: int) -> "Assignment":
-        """The assignment with gen's map inverted.  Inverting a map keeps its
-        values, so the value summary is handed over, built here if need be."""
-        new = dict(self.table)
-        if gen in new:
-            new[gen] = new[gen].inverse()
-        out = Assignment._of_clean(new)
-        object.__setattr__(out, "_summary", self.summary())
-        return out
+        """The assignment with (gen, n, m) added, unchecked: raw material for
+        suslin's freeze probe and for tests.  Kept as a method because
+        perfbench/tracing.py wraps it by name; no point step goes through
+        it."""
+        table = {**self.table, gen: PartialMap(self.get(gen).pairs | {(n, m)})}
+        return Assignment._of_clean(dict(sorted(table.items())))
 
     def union(self, other: "Assignment") -> "Assignment":
         new = dict(self.table)
@@ -227,8 +158,7 @@ class Assignment:
     def summary(self) -> tuple[frozenset[int], int, int]:
         """(V, gap, top): V is every domain and image value of the maps, gap
         the least natural not in V and top the max of V (-1 when V is
-        empty).  Built on first use and cached, like PartialMap's caches;
-        with_pair hands it on, so a chain of steps builds it once."""
+        empty).  Built on first use and cached, like PartialMap's caches."""
         try:
             return self._summary  # type: ignore[attr-defined]
         except AttributeError:

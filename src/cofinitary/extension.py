@@ -1,17 +1,26 @@
 """Certified extension machinery for conditions.
 
-domain_extend / range_extend compute a finite forbidden set of values such
-that every value outside it yields an extension of the condition (no frozen
-word gains a fixed point), together with a deterministic chooser.  When a
-frozen word holds the generator, the forbidden set is {n} together with the
-values of s: every walk from those values stays among them.  That set, its
-bound and where the chooser's scan starts are read off the value summary
-each assignment carries from step to step (Assignment.summary), so a step
-scans no value set.  The forbidden set may over-approximate; the extension
-order check is re-run on every chosen value and is authoritative.  Each
+A new pair (gen, n, ?) has a finite forbidden set of values: every value
+outside it yields an extension (no frozen word gains a fixed point).  Each
 discipline's rule (walk_certificate, agreement_certificate, mad_value) and
-the chooser's ceiling (least_within) are functions of plain lookups, which
-the builder's point phase calls on its own mutable maps as well.
+the chooser's ceiling (least_within) are functions of plain lookups.  When
+a frozen word holds the generator, the forbidden set is {n} together with
+the values V of s: every walk from those values stays among them.  The
+certificate reads it off the value summary (V, gap, top), so no step scans
+V.  It may over-approximate; the order check on every chosen value is
+authoritative.
+
+PointPhase is the one point step.  It opens on a condition, copies a
+generator's lookups the first time it reads them (the walk kernel reads
+the others off the condition's maps) and extends its copies in place: each
+step runs the discipline's rule, the ceiling, validate's rules on the new
+pair (poset.pair_problems) and leq's one-pair order kernel
+(poset.walk_breaks, agreement_breaks, ones_breaks), then sets one key per
+lookup and grows V.  close makes the one Condition.  The builder steps a
+phase between freezes; the samplers, cover_extend, strong_reduction (one
+phase per reduction), hit_extend and hit_search each open one per call.
+domain_extend, range_extend, Extension.choose, extend_with and
+mad_set_point are thin entries over a phase, kept for the benchmark tracer.
 
 cover_extend forces a word's evaluation to cover given finite sets;
 strong_reduction restricts a condition to a sub-alphabet padded so that
@@ -28,7 +37,7 @@ from typing import AbstractSet, Callable, Collection, Iterable, Mapping, Optiona
 
 from . import evaluation, poset
 from .evaluation import Assignment, GroundPermutation, PartialMap, eval_domain
-from .poset import DISCIPLINES, Condition, side_index, validated
+from .poset import DISCIPLINES, Condition, side_index
 from .words import Letter, Word, invert, occurrences
 
 
@@ -87,25 +96,20 @@ class ExtensionCertificate:
 
 
 def walk_certificate(
-    tries: Mapping[Letter, dict],
-    gen: int,
-    image: Callable[[], Collection[int]],
-    n: int,
-    summary: Callable[[], tuple[AbstractSet[int], int, int]],
+    tries: Mapping[Letter, dict], gen: int, image: Collection[int], n: int,
+    values: AbstractSet[int], gap: int, top: int,
 ) -> ExtensionCertificate:
     """The certificate for (gen, n, ?) in the walk disciplines, from the
     side-set index, gen's image and the value summary (V, gap, top) of the
-    maps (Assignment.summary); each of the last two is read only where the
-    rule needs it.  When no side word holds gen, F is the image, so the map
-    stays injective.  Otherwise F = {n} | V, since every walk
-    from those values stays among them: bound is max(top, n) + 1, [0, gap)
-    lies in V, so the chooser's scan starts at gap, and F is V itself when n
-    is in V.  No step scans V.  V may be the caller's own set, which the
-    certificate then reads as it stands: the builder's point phase reads
-    its certificate before its next step grows V."""
+    maps.  When no side word holds gen, F is the image, so the map stays
+    injective.  Otherwise F = {n} | V, since every walk from those values
+    stays among them: bound is max(top, n) + 1, [0, gap) lies in V, so the
+    chooser's scan starts at gap, and F is V itself when n is in V.  No step
+    scans V.  V is a point phase's own set, which the certificate reads as
+    it stands: the phase reads its certificate before its next step grows
+    V."""
     if (gen, 1) not in tries and (gen, -1) not in tries:
-        return ExtensionCertificate.of(image())
-    values, gap, top = summary()
+        return ExtensionCertificate.of(image)
     return ExtensionCertificate(values if n in values else values | {n}, max(top, n) + 1, gap)
 
 
@@ -122,7 +126,7 @@ def agreement_certificate(
 def mad_value(
     gen: int, n: int, frozen: Collection[int], lookup: Callable[[int], Mapping[int, int]]
 ) -> int:
-    """The value mad_set_point decides for gen at n: 1 when gen is no frozen
+    """The value a MAD point step decides for gen at n: 1 when gen is no frozen
     letter or no other frozen letter already holds 1 there, else 0.
     `lookup` gives a generator's fwd."""
     if gen in frozen and any(lookup(b).get(n) == 1 for b in frozen if b != gen):
@@ -151,124 +155,271 @@ def not_below(gen: int, point: int, m: int) -> ContractViolation:
 MAD_NOT_BELOW = "MAD point decision broke intersection freezing"
 
 
-def extend_with(p: Condition, gen: int, n: int, m: int) -> Condition:
-    """p with the pair (gen, n, m) adjoined; validated and order-checked."""
-    out = validated(p, p.with_s(p.s.with_pair(gen, n, m)))
-    if not poset.leq(out, p):
-        raise ContractViolation(
-            f"adding (g{gen}, {n}, {m}) does not extend the condition"
-        )
-    return out
+class _Copies(dict):
+    """gen -> a point phase's own copy of one lookup of base's map for gen
+    (fwd for sign 1, rev for sign -1), made on first use; from then on the
+    walk kernel's lookup for that letter reads the copy."""
+
+    def __init__(self, base: Condition, sign: int, steps: dict) -> None:
+        super().__init__()
+        self.base, self.sign, self.steps = base, sign, steps
+
+    def __missing__(self, gen: int) -> dict[int, int]:
+        pm = self.base.s.get(gen)
+        copy = self[gen] = dict(pm.fwd if self.sign == 1 else pm.rev)
+        self.steps[Letter(gen, self.sign)] = copy.get
+        return copy
+
+
+class PointPhase:
+    """A condition extended in place, one checked pair per step (see the
+    module docstring).  A step keeps its pair only once every check
+    passes; a refused pair leaves the lookups as they were."""
+
+    def __init__(self, base: Condition) -> None:
+        self.base = base
+        self.discipline = d = DISCIPLINES[base.mode]
+        self.steps = poset._Steps(base.s)  # the lookup per letter, base's until copied
+        # fwd and rev (rev only where maps are injective) per generator,
+        # copied from base's maps, which the phase never changes
+        self.fwd = _Copies(base, 1, self.steps)
+        self.rev = _Copies(base, -1, self.steps) if d.injective else None
+        self.added: list[tuple[int, int, int]] = []  # the kept pairs (gen, n, m)
+        if d.kernel == "walk":
+            self.tries = side_index(base.words)
+            values, self.gap, self.top = base.s.summary()
+            self.values = set(values)
+        elif d.kernel == "agreement":
+            self.partners = poset.partners(base.words)
+        else:
+            self.letters = [w.letters[0].gen for w in base.words]
+
+    def certificate(self, gen: int, point: int, direction: str) -> ExtensionCertificate:
+        """The certificate for a new pair of gen at the fixed coordinate
+        point ("domain": n, "range": m), read off base's side set and the
+        lookups."""
+        if self.discipline.kernel == "agreement":
+            return agreement_certificate([self.fwd[h] for h in self.partners.get(gen, ())], point)
+        image = self.rev[gen] if direction == "domain" else self.fwd[gen]  # its keys
+        return walk_certificate(self.tries, gen, image, point, self.values, self.gap, self.top)
+
+    def domain(
+        self, gen: int, n: int,
+        floor: Optional[Callable[[], int]] = None, ceiling: Optional[int] = None,
+    ) -> int:
+        """n's value under gen: the one it has, else a new one, kept.  A
+        finite value set (MAD) decides it by mad_value; otherwise it is the
+        least admitted value >= floor() (0 without a floor) up to ceiling.
+        floor is called only when a value is chosen, so a caller may draw
+        it at random without spending a draw on MAD points or decided
+        points."""
+        value = self.fwd[gen].get(n)
+        if value is None:
+            if self.discipline.values is not None:
+                value = mad_value(gen, n, self.letters, self.fwd.__getitem__)
+            else:
+                cert = self.certificate(gen, n, "domain")
+                value = least_within(cert, gen, n, 0 if floor is None else floor(), ceiling)
+            refusal = self.try_pair(gen, n, value)
+            if refusal is not None:
+                raise refusal
+        return value
+
+    def range(self, gen: int, m: int, ceiling: Optional[int] = None) -> int:
+        """m's preimage under gen: the one it has, else the least admitted
+        one up to ceiling, kept."""
+        if self.rev is None:
+            raise ValueError(f"range extension undefined for {self.base.mode.value} conditions")
+        n = self.rev[gen].get(m)
+        if n is None:
+            n = least_within(self.certificate(gen, m, "range"), gen, m, 0, ceiling)
+            refusal = self.try_pair(gen, n, m, True, "range")
+            if refusal is not None:
+                raise refusal
+        return n
+
+    def try_pair(
+        self, gen: int, n: int, m: int, keep: bool = True, direction: str = "domain"
+    ) -> Optional[Exception]:
+        """None when the pair (n, m) on gen passes validate's rules on the
+        grown map (poset.pair_problems), checked first, and the order
+        kernel; then it is kept if keep is set, recorded in `added`, with V
+        grown.  Otherwise the lookups stay as they were and the refusal
+        comes back: a ValueError with validate's message, or the kernel's
+        ContractViolation for a step in the direction ("domain": n fixed,
+        "range": m fixed).  The pair must be new: the kernel reads every
+        pair on the lookups as one that may give a frozen word something."""
+        fwd = self.fwd[gen]
+        d = self.discipline
+        rev = None if self.rev is None else self.rev[gen]
+        problems = poset.pair_problems(d, gen, fwd, rev, n, m)
+        if problems:
+            return ValueError("; ".join(problems))
+        fwd[n] = m
+        if rev is not None:
+            rev[m] = n
+        refusal = None
+        if self._breaks(gen, n, m):
+            refusal = (
+                ContractViolation(MAD_NOT_BELOW) if d.values is not None
+                else not_below(gen, n, m) if direction == "domain" else not_below(gen, m, n)
+            )
+        elif keep:
+            self.added.append((gen, n, m))
+            if d.kernel == "walk":
+                values = self.values
+                values.add(n)
+                values.add(m)
+                while self.gap in values:
+                    self.gap += 1
+                self.top = max(self.top, n, m)
+            return None
+        del fwd[n]
+        if rev is not None:
+            del rev[m]
+        return refusal
+
+    def _breaks(self, gen: int, n: int, m: int) -> bool:
+        """The discipline's order kernel on the pair (n, m) just put on gen."""
+        kernel = self.discipline.kernel
+        if kernel == "walk":
+            return poset.walk_breaks(self.tries, self.steps, gen, n, m)
+        fwd = self.fwd
+        if kernel == "agreement":
+            # gen held nothing at n before the step
+            pa = fwd[gen]
+            for h in self.partners.get(gen, ()):
+                pb = fwd[h]
+                if poset.agreement_breaks(pa, pb, {}, pb, n):
+                    return True
+            return False
+        if gen not in self.letters:
+            return False
+        others = list(self.letters)
+        others.remove(gen)
+        return poset.ones_breaks(n, m, [fwd[h].items() for h in others])
+
+    def close(self) -> Condition:
+        """The condition the lookups stand for, validated against base:
+        base itself when no pair was kept; otherwise base's maps, the same
+        objects, where no kept pair touched a generator, and the phase's
+        lookups, handed over, where one did.  The phase ends here, so no
+        step changes a handed-over lookup: a later phase copies it."""
+        fwd, rev = self.fwd, self.rev
+        self.fwd = self.rev = None  # the phase is over
+        base = self.base
+        if not self.added:
+            return base
+        table = dict(base.s.table)
+        for g in {g for g, _, _ in self.added}:
+            table[g] = PartialMap.of_lookups(fwd[g], None if rev is None else rev[g])
+        s = Assignment._of_clean(dict(sorted(table.items())))
+        return poset.validated(base, Condition(s, base.words, base.mode))
+
+
+# -- thin entries over the phase -------------------------------------------------
+# domain_extend, range_extend, Extension.choose, extend_with and mad_set_point
+# are kept because perfbench/tracing.py wraps them by name; no code here steps
+# through them.
 
 
 @dataclass(frozen=True)
 class Extension:
-    """A certificate plus a deterministic chooser for one new pair."""
+    """A certificate plus a deterministic chooser for one new pair of the
+    condition a point phase was opened on."""
 
-    condition: Condition
+    phase: PointPhase
     gen: int
     point: int  # the fixed coordinate: n for domain, m for range
     certificate: ExtensionCertificate
     direction: str  # "domain" | "range"
 
     def choose(self, floor: int = 0, ceiling: Optional[int] = None) -> int:
-        """Least admitted value >= floor, found in one step by
-        ExtensionCertificate.least_admitted; CertificateError when it lies
-        above ceiling.  The resulting extension is re-checked against the
-        extension order before being trusted."""
+        """Least admitted value >= floor; CertificateError when it lies
+        above ceiling.  The phase's checks run on the resulting pair, which
+        it does not keep.  Kept because perfbench/tracing.py wraps it by
+        name."""
         m = least_within(self.certificate, self.gen, self.point, floor, ceiling)
-        out = self._apply(m)
-        if not poset.leq(out, self.condition):
-            raise not_below(self.gen, self.point, m)
-        # commit hands this condition back without a second leq
-        object.__setattr__(self, "_checked", (m, out))
+        pair = (self.point, m) if self.direction == "domain" else (m, self.point)
+        refusal = self.phase.try_pair(self.gen, *pair, keep=False, direction=self.direction)
+        if refusal is not None:
+            raise refusal
         return m
-
-    def commit(self, value: int) -> Condition:
-        """The condition extended by value, validated and order-checked.
-
-        For the value choose last returned, its order check stands and only
-        the new pair is validated; any other value goes through extend_with.
-        """
-        checked = getattr(self, "_checked", None)
-        if checked is None or checked[0] != value:
-            return extend_with(self.condition, self.gen, *self._pair(value))
-        return validated(self.condition, checked[1])
-
-    def _pair(self, value: int) -> tuple[int, int]:
-        return (self.point, value) if self.direction == "domain" else (value, self.point)
-
-    def _apply(self, value: int) -> Condition:
-        p = self.condition
-        return p.with_s(p.s.with_pair(self.gen, *self._pair(value)))
 
 
 def domain_extend(p: Condition, gen: int, n: int) -> Extension:
     """Certificate and chooser for adding (gen, n, m): cofinitely many m keep
-    the extension below p."""
+    the extension below p.  Kept because perfbench/tracing.py wraps it by
+    name."""
     if n in p.s.get(gen).fwd:
         raise ValueError(f"{n} already in the domain of g{gen}")
     if DISCIPLINES[p.mode].values is not None:
         raise ValueError("use mad_set_point for MAD conditions")
-    return Extension(p, gen, n, certificate(p, gen, n), "domain")
-
-
-def certificate(p: Condition, gen: int, n: int) -> ExtensionCertificate:
-    """The certificate for (gen, n, ?) over p: its discipline's rule read off
-    p's side-set index or pair partners and p's maps."""
-    if DISCIPLINES[p.mode].kernel == "agreement":
-        partners = poset.partners(p.words).get(gen, ())
-        return agreement_certificate([p.s.get(h).fwd for h in partners], n)
-    return walk_certificate(side_index(p.words), gen, p.s.get(gen).image, n, p.s.summary)
-
-
-def _mirror(p: Condition, gen: int) -> Condition:
-    """Invert gen's map.  Of the side words, the certificate reads a single
-    fact, whether one holds gen; flipping gen's sign in them would not
-    change it, so the mirror keeps p's side set, and with it p's cached
-    side-set index.  Inverting keeps the values of s, so the mirror shares
-    its value summary (Assignment.with_inverse)."""
-    return p.with_s(p.s.with_inverse(gen))
+    phase = PointPhase(p)
+    return Extension(phase, gen, n, phase.certificate(gen, n, "domain"), "domain")
 
 
 def range_extend(p: Condition, gen: int, m: int) -> Extension:
-    """Certificate and chooser for adding (gen, n, m) with m fixed."""
+    """Certificate and chooser for adding (gen, n, m) with m fixed.  Kept
+    because perfbench/tracing.py wraps it by name."""
     if m in p.s.get(gen).rev:
         raise ValueError(f"{m} already in the range of g{gen}")
     if not DISCIPLINES[p.mode].injective:
         raise ValueError(f"range extension undefined for {p.mode.value} conditions")
-    ext = domain_extend(_mirror(p, gen), gen, m)
-    return Extension(p, gen, m, ext.certificate, "range")
+    phase = PointPhase(p)
+    return Extension(phase, gen, m, phase.certificate(gen, m, "range"), "range")
+
+
+def extend_with(p: Condition, gen: int, n: int, m: int) -> Condition:
+    """p with the pair (gen, n, m) adjoined; validated and order-checked.
+    Kept because perfbench/tracing.py wraps it by name."""
+    phase = PointPhase(p)
+    refusal = None if phase.fwd[gen].get(n) == m else phase.try_pair(gen, n, m)
+    if isinstance(refusal, ContractViolation):
+        raise ContractViolation(f"adding (g{gen}, {n}, {m}) does not extend the condition")
+    if refusal is not None:
+        raise refusal
+    return phase.close()
 
 
 def mad_set_point(p: Condition, gen: int, n: int) -> Condition:
     """Decide the point n for gen: 1 when no frozen partner already holds 1
-    there, else 0."""
+    there, else 0.  Kept because perfbench/tracing.py wraps it by name."""
     if n in p.s.get(gen).fwd:
         raise ValueError(f"{n} already decided for g{gen}")
-    frozen = {w.letters[0].gen for w in p.words}
-    value = mad_value(gen, n, frozen, lambda b: p.s.get(b).fwd)
-    out = p.with_s(p.s.with_pair(gen, n, value))
-    if not poset.leq(out, p):
-        raise ContractViolation(MAD_NOT_BELOW)
-    return out
+    phase = PointPhase(p)
+    phase.domain(gen, n)
+    return phase.close()
 
 
-def point_step(
-    p: Condition, gen: int, n: int,
-    floor: Callable[[], int] = lambda: 0, ceiling: Optional[int] = None,
-) -> Condition:
-    """p with n added to the domain of gen, validated and order-checked.
+# -- covers, reductions and hits ---------------------------------------------------
 
-    A finite value set (MAD) decides the value by mad_set_point's rule;
-    otherwise it is the least admitted value >= floor() up to ceiling.
-    floor is called only when a value is chosen, so a caller may draw it at
-    random without spending a draw on decided points.
-    """
-    if DISCIPLINES[p.mode].values is not None:
-        return mad_set_point(p, gen, n)
-    ext = domain_extend(p, gen, n)
-    return ext.commit(ext.choose(floor=floor(), ceiling=ceiling))
+
+def _cover(
+    phase: PointPhase, w: Word, cover_domain: Iterable[int], cover_range: Iterable[int]
+) -> None:
+    """Step the phase until the evaluation of w is defined on all of
+    cover_domain and onto all of cover_range: a walk that fails at a letter
+    gets the pair it lacks there, by a domain step for g and a range step
+    for g^-1.  A walk of k letters needs at most k steps."""
+    for target_word, targets in ((w, cover_domain), (invert(w), cover_range)):
+        applied = target_word.letters[::-1]
+        for c in sorted(set(targets)):
+            for _ in range(len(applied) + 1):
+                v = c
+                for letter in applied:  # the walk from c, to the letter it lacks
+                    nxt = phase.steps[letter](v)
+                    if nxt is None:
+                        break
+                    v = nxt
+                else:
+                    break  # the walk is defined
+                if letter.sign == 1:
+                    phase.domain(letter.gen, v)
+                else:
+                    phase.range(letter.gen, v)
+            else:
+                raise ContractViolation("cover walk stuck")
 
 
 def cover_extend(
@@ -279,34 +430,17 @@ def cover_extend(
 ) -> Assignment:
     """An assignment t over the generators of w with (s u t, F) <= p,
     the evaluation of w defined on all of cover_domain and onto all of
-    cover_range."""
-    cur = p
-    for target_word, targets in ((w, cover_domain), (invert(w), cover_range)):
-        for c in sorted(set(targets)):
-            guard = 0
-            while evaluation.eval_word(target_word, cur.s, c) is None:
-                guard += 1
-                if guard > len(target_word.letters) + 1:
-                    raise ContractViolation("cover walk stuck")
-                v: Optional[int] = c
-                letters = target_word.letters
-                for idx in range(len(letters) - 1, -1, -1):
-                    nxt = evaluation.apply_letter(letters[idx], v, cur.s)
-                    if nxt is None:
-                        letter = letters[idx]
-                        if letter.sign == 1:
-                            ext = domain_extend(cur, letter.gen, v)
-                        else:
-                            ext = range_extend(cur, letter.gen, v)
-                        cur = ext.commit(ext.choose())
-                        break
-                    v = nxt
-    added = cur.s.triples() - p.s.triples()
-    extra_gens = {g for g, _, _ in added} - occurrences(w)
+    cover_range: the pairs a point phase over p adds.  It takes range
+    steps, so it is defined in the injective modes only."""
+    if not DISCIPLINES[p.mode].injective:
+        raise ValueError(f"cover extension undefined for {p.mode.value} conditions")
+    phase = PointPhase(p)
+    _cover(phase, w, cover_domain, cover_range)
+    extra_gens = {g for g, _, _ in phase.added} - occurrences(w)
     if extra_gens:
         raise ContractViolation(f"cover touched foreign generators {sorted(extra_gens)}")
     table: dict[int, set[tuple[int, int]]] = {}
-    for g, a, b in added:
+    for g, a, b in phase.added:
         table.setdefault(g, set()).add((a, b))
     return Assignment({g: PartialMap(frozenset(ps)) for g, ps in table.items()})
 
@@ -327,7 +461,8 @@ def _pair_blocks(w: Word, keep: frozenset[int]) -> list[tuple[Word, Word, Word]]
 def strong_reduction(p: Condition, keep: Iterable[int]) -> Condition:
     """The condition (t0, F restricted to the kept alphabet) with t0 padded so
     that any extension built over the kept alphabet, with new occurrences
-    disjoint from the rest of p, merges back losslessly.
+    disjoint from the rest of p, merges back losslessly.  The padding (0s,
+    agreement points or walk covers) steps one point phase over p.
 
     The result is kept on p with its keep, and handed back for the same
     keep: canonical_extension reduces the p its caller has just reduced."""
@@ -337,45 +472,30 @@ def strong_reduction(p: Condition, keep: Iterable[int]) -> Condition:
         return memo[1]
     base = poset.strong_restrict(p, keep)
     kernel = DISCIPLINES[p.mode].kernel
+    phase = PointPhase(p)
     if kernel == "ones":
-        t0 = dict(p.s.restrict(keep).table)
+        # a kept frozen letter takes 0 where a dropped one holds 1
         frozen = {w.letters[0].gen for w in p.words}
-        inside = sorted(frozen & keep)
-        outside = sorted(frozen - keep)
-        hot = set()
-        for b in outside:
-            hot |= {n for n, v in p.s.get(b).pairs if v == 1}
-        for a in inside:
-            pairs = set(t0.get(a, PartialMap()).pairs)
-            decided = {n for n, _ in pairs}
-            for n in sorted(hot - decided):
-                pairs.add((n, 0))
-            if pairs:
-                t0[a] = PartialMap(frozenset(pairs))
-        out = base.with_s(Assignment(t0))
-    elif kernel == "agreement":
-        cur = p
-        for w in p.sorted_words():
-            a, b = w.letters[0].gen, w.letters[1].gen
-            ins = [g for g in (a, b) if g in keep]
-            outs = [g for g in (a, b) if g not in keep]
-            if len(ins) != 1:
-                continue
-            c, d = ins[0], outs[0]
-            for n in sorted(p.s.get(d).domain() - cur.s.get(c).domain()):
-                cur = point_step(cur, c, n)
-        out = base.with_s(cur.s.restrict(keep))
+        hot = sorted({n for b in frozen - keep for n, v in p.s.get(b).pairs if v == 1})
+        for a in sorted(frozen & keep):
+            fwd = phase.fwd[a]
+            for n in hot:
+                if n not in fwd and phase.try_pair(a, n, 0) is not None:
+                    raise ContractViolation(f"padding g{a} with 0 at {n} was refused")
     else:
-        cur = p
         for w in p.sorted_words():
-            if occurrences(w) <= keep:
-                continue
-            for u_block, v_right, v_left in _pair_blocks(w, keep):
-                need_dom = evaluation.eval_range(v_right, p.s) if v_right else frozenset()
-                need_ran = eval_domain(v_left, p.s) if v_left else frozenset()
-                t = cover_extend(cur, u_block, need_dom, need_ran)
-                cur = cur.with_s(cur.s.union(t))
-        out = base.with_s(cur.s.restrict(keep))
+            if kernel == "agreement":
+                a, b = w.letters[0].gen, w.letters[1].gen
+                if (a in keep) != (b in keep):  # pad the kept one where the other is defined
+                    c, d = (a, b) if a in keep else (b, a)
+                    for n in sorted(p.s.get(d).fwd):  # a decided point is skipped
+                        phase.domain(c, n)
+            elif not occurrences(w) <= keep:
+                for u_block, v_right, v_left in _pair_blocks(w, keep):
+                    need_dom = evaluation.eval_range(v_right, p.s) if v_right else frozenset()
+                    need_ran = eval_domain(v_left, p.s) if v_left else frozenset()
+                    _cover(phase, u_block, need_dom, need_ran)
+    out = base.with_s(phase.close().s.restrict(keep))
     if not poset.leq(out, base):
         raise ContractViolation("reduction must extend the strong restriction")
     object.__setattr__(p, "_reduction", (keep, out))
@@ -409,16 +529,16 @@ def hit_extend(
     sigma: GroundPermutation,
     n: int,
 ) -> Union[Condition, Rejected]:
-    """Adjoin the single pair (gen, n, sigma(n)); accepted exactly when the
-    order check certifies the extension."""
+    """Adjoin the single pair (gen, n, sigma(n)); accepted exactly when a
+    point phase over p keeps it."""
     if n in p.s.get(gen).fwd:
         raise ValueError(f"{n} already in the domain of g{gen}")
     m = sigma.apply(n)
     if m in p.s.get(gen).rev:
         raise ValueError(f"sigma({n}) = {m} already in the range of g{gen}")
-    out = p.with_s(p.s.with_pair(gen, n, m))
-    if poset.leq(out, p):
-        return out
+    phase = PointPhase(p)
+    if phase.try_pair(gen, n, m) is None:
+        return phase.close()
     return Rejected(f"pair (g{gen}, {n}, {m}) adds a fixed point to a frozen word")
 
 
@@ -450,12 +570,16 @@ def hit_search(
     start: int,
     window: int,
 ) -> Union[int, NotFound]:
-    """First n in [start, start + window) whose hit extension is accepted."""
+    """First n in [start, start + window) whose hit extension is accepted,
+    each tried on one point phase over p, which keeps none of them."""
+    phase = PointPhase(p)
+    pm = p.s.get(gen)
     for n in range(start, start + window):
-        if n in p.s.get(gen).fwd:
+        if n in pm.fwd:
             continue
-        if sigma.apply(n) in p.s.get(gen).rev:
+        m = sigma.apply(n)
+        if m in pm.rev:
             continue
-        if isinstance(hit_extend(p, gen, sigma, n), Condition):
+        if phase.try_pair(gen, n, m, keep=False) is None:
             return n
     return NOT_FOUND

@@ -7,8 +7,9 @@ cofinitary group (cofinitary), almost disjoint permutations (adp), an
 eventually different family (edf) and Hechler's MAD family (mad).  What each
 mode decides is its row of the discipline table DISCIPLINES.
 
-Everything is a value type; extension never mutates.  Only the builder's
-point phase extends maps in place, on lookups of its own (builder.py).
+Everything is a value type; no code changes a condition once it is made.
+Only a point phase (extension.PointPhase) extends maps in place, on lookups
+of its own, and it makes a new condition when it closes.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class Discipline:
     injective  maps must be injections; only then are range steps defined
     values     the value set of the maps: None for all naturals, where a new
                value is chosen from a certified cofinite set, or a finite set
-               whose points mad_set_point decides one by one
+               whose points extension.mad_value decides one by one
     shape      side entries: "hat" words, "pair" words a b^-1 or single
                "letter"s
     kernel     the order check on frozen entries: "walk" the words for new
@@ -124,7 +125,7 @@ def side_index(words: frozenset[Word]) -> dict[Letter, dict]:
     g exactly when Letter(g, 1) or Letter(g, -1) keys a trie.  The tries
     depend only on the side set, not on the order classes are inserted, so
     they are built once per distinct side set: every condition that keeps
-    the set, such as the steps made by with_pair, shares them."""
+    the set, such as the ones point phases close into, shares them."""
     tries: dict[Letter, dict] = {}
     for key in {w.class_key for w in words}:
         applied = key[::-1]
@@ -344,7 +345,7 @@ def new_fix_candidates(
 
 class _Steps(dict):
     """Letter -> the lookup applying it under s, resolved on first use and
-    kept for one order check."""
+    kept for one order check or one point phase."""
 
     def __init__(self, s: Assignment) -> None:
         super().__init__()
@@ -376,7 +377,7 @@ def _closes(trie: dict, steps: Mapping[Letter, Step], start: int, target: int) -
 # -- the per-pair order kernels ------------------------------------------------
 # Each discipline decides whether one added pair breaks what the side set
 # freezes in one function of plain lookups.  leq calls it once per added pair;
-# the builder's point phase calls it once per step on its mutable lookups.
+# a point phase calls it once per step on its mutable lookups.
 
 
 def walk_breaks(
@@ -429,15 +430,9 @@ def partners(words: frozenset[Word]) -> dict[int, tuple[int, ...]]:
 
 def _added_pairs(p: Assignment, q: Assignment) -> Optional[dict[int, frozenset[tuple[int, int]]]]:
     """The pairs p adds to q, per generator with new pairs, or None when p
-    lacks a pair of q.  When q.with_pair made p, p's step record names the
-    one pair it may add, and no map is compared.  Otherwise only the maps
-    that are not q's own objects are compared: q's pairs are all in p's
-    when |p| - |p - q| = |q|."""
-    step = p._step
-    if step is not None and step[0]() is q:
-        _, g, n, m = step
-        old = q.table.get(g)
-        return {} if old is not None and (n, m) in old else {g: frozenset({(n, m)})}
+    lacks a pair of q.  Only the maps that are not q's own objects are
+    compared (a closed point phase keeps the maps it did not step): q's
+    pairs are all in p's when |p| - |p - q| = |q|."""
     old_maps = q.table
     if not old_maps.keys() <= p.table.keys():
         return None

@@ -1,9 +1,9 @@
 """Seeded random generators for conditions and their extensions, and the
 splitter that runs independent samples on every usable CPU.
 
-Sampling always goes through the extension machinery, so every sampled
-extension is an extension by construction; tests that want raw (possibly
-invalid) material build it by hand.
+Sampling steps one point phase per call (extension.PointPhase), so every
+sampled extension is an extension by construction; tests that want raw
+(possibly invalid) material build it by hand.
 """
 
 from __future__ import annotations
@@ -12,11 +12,12 @@ import json
 import os
 import random
 import threading
+from functools import partial
 from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 from . import poset
 from .evaluation import Assignment, PartialMap
-from .extension import point_step
+from .extension import PointPhase
 from .poset import DISCIPLINES, Condition, PosetMode, pair_word, side_words
 from .words import Word, single
 
@@ -104,21 +105,21 @@ def sample_condition(
     value_range: int = 24,
     word_len: int = 3,
 ) -> Condition:
-    """A random valid condition, built pair by pair through the extension
-    machinery so freezing always holds along the way."""
+    """A random valid condition, built pair by pair on a point phase so
+    freezing always holds along the way."""
     gens = list(gens)
     if DISCIPLINES[mode].shape == "letter":  # distinct letters
         picked = rng.sample(gens, rng.randrange(min(max_words, len(gens)) + 1))
         words = {single(g) for g in picked}
     else:
         words = _draw_entries(rng, mode, gens, word_len, rng.randrange(max_words + 1))
-    cond = poset.add_words(Condition(mode=mode), frozenset(words))
+    phase = PointPhase(poset.add_words(Condition(mode=mode), frozenset(words)))
+    floor = partial(rng.randrange, value_range)  # drawn only for a chosen value
     for _ in range(rng.randrange(max_pairs + 1) * max(1, len(gens) // 2)):
         g = rng.choice(gens)
         n = rng.randrange(value_range)
-        if n not in cond.s.get(g).fwd:
-            cond = point_step(cond, g, n, floor=lambda: rng.randrange(value_range))
-    return cond
+        phase.domain(g, n, floor)
+    return phase.close()
 
 
 def sample_extension(
@@ -138,12 +139,13 @@ def sample_extension(
         extra = _draw_entries(rng, p.mode, sorted(set(candidates))[:4], 2, 1)
         if extra:
             cond = poset.add_words(cond, cond.words | extra)
+    phase = PointPhase(cond)
+    floor = partial(rng.randrange, 24)  # drawn only for a chosen value
     for _ in range(steps):
         g = rng.choice(candidates)
         n = rng.randrange(24)
-        if n not in cond.s.get(g).fwd:
-            cond = point_step(cond, g, n, floor=lambda: rng.randrange(24))
-    return cond
+        phase.domain(g, n, floor)
+    return phase.close()
 
 
 def sample_fresh_assignment(rng: random.Random, p: Condition) -> Assignment:

@@ -6,7 +6,7 @@ through the trie of those that follow a (g, -1), each rotation taken from
 the one representative of its words.cyclic_class.  It orders partial
 injections only and raises on any other map.  The reference below is the
 order check as it was before the class reduction, copied verbatim: it walks
-every frozen word, with the new pairs taken from the whole triples() sets.
+every frozen word, with the new pairs taken from the whole triples sets.
 Only its ambient ground is gone: conditions are over finite maps only.
 """
 
@@ -17,9 +17,11 @@ from typing import Iterable, Optional
 
 import pytest
 
+from copy_path import triples
+
 from cofinitary import poset
 from cofinitary.evaluation import Assignment, PartialMap, apply_letter, eval_word, fix_points
-from cofinitary.extension import domain_extend
+from cofinitary.extension import domain_extend, extend_with
 from cofinitary.poset import DISCIPLINES, END, Condition, PosetMode, _agreement, _ones, validate
 from cofinitary.sampling import sample_condition
 from cofinitary.words import INVERSE, Letter, Word, cyclic_class, hat_words, invert, parse_word
@@ -89,7 +91,7 @@ def leq(p: Condition, q: Condition) -> bool:
             if not (_agreement(p.s, a, b) <= _agreement(q.s, a, b)):
                 return False
         return True
-    new_triples = p.s.triples() - q.s.triples()
+    new_triples = triples(p.s) - triples(q.s)
     if not new_triples:
         return True
     for w in q.words:
@@ -241,10 +243,9 @@ def _freeze_everything() -> tuple[Condition, Condition]:
     q = Condition()
     for g in range(4):
         for n in range(3):
-            q = domain_extend(q, g, n).commit(n + 1 + g % 2)
+            q = extend_with(q, g, n, n + 1 + g % 2)
     q = poset.add_words(q, hat_words(range(4), 4))
-    ext = domain_extend(q, 0, 5)
-    p = ext.commit(ext.choose())
+    p = extend_with(q, 0, 5, domain_extend(q, 0, 5).choose())
     return p, q
 
 

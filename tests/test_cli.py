@@ -1,6 +1,9 @@
+import argparse
+import gc
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -481,3 +484,43 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == str(tmp_path / "o.json")
+
+
+# -- one parser per process ------------------------------------------------------
+
+
+def test_repeated_calls_grow_no_argparse_allocation(capsys):
+    # a usage error (no --seed) parses and loads no layer; a parser built
+    # per call grew argparse's allocations by about 1 KiB a call
+    argv = ["build-group", "--generators", "2", "--points", "4"]
+    for _ in range(3):
+        assert run(argv, capsys)[0] == 2
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        for _ in range(30):
+            run(argv, capsys)
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    only = [tracemalloc.Filter(True, argparse.__file__)]
+    diff = after.filter_traces(only).compare_to(before.filter_traces(only), "filename")
+    assert sum(d.size_diff for d in diff) <= 0, diff
+
+
+def test_config_calls_leave_the_required_flags_required(tmp_path, capsys):
+    # --config relaxes the required flags for one parse of the shared
+    # parser; a later call that omits one is still a usage error
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"points": 5, "seed": 3}))
+    flags = ["build-group", "--generators", "2", "--max-word-len", "2", "--config", str(cfg)]
+    assert run([*flags, "--out", str(tmp_path / "o.json")], capsys)[0] == 0
+    assert run([*flags, "--ceiling", "-1"], capsys)[0] == 2  # the relaxed parse fails
+    for _ in range(2):
+        code, _, err = run(["build-group", "--generators", "2", "--seed", "3"], capsys)
+        assert code == 2
+        assert err.splitlines()[-1] == (
+            "cofinitary build-group: error: the following arguments are required: --points"
+        )

@@ -16,7 +16,6 @@ from cofinitary.extension import (
     hit_search,
     hit_threshold,
     mad_set_point,
-    point_step,
     range_extend,
     strong_reduction,
 )
@@ -132,7 +131,7 @@ class TestCoverExtend:
 
     def test_empty_targets(self):
         p = cond({0: [(0, 1)]}, ["g0"])
-        assert cover_extend(p, single(0), set(), set()).triples() == frozenset()
+        assert cover_extend(p, single(0), set(), set()).table == {}
 
     def test_cover_keeps_order(self):
         p = cond({0: [(0, 9)]}, ["g0^2 g1"])
@@ -142,18 +141,19 @@ class TestCoverExtend:
 
     def test_stuck_walk_is_a_contract_violation(self, monkeypatch):
         # a step that adds nothing leaves the walk undefined forever
-        monkeypatch.setattr(extension.Extension, "commit", lambda self, value: self.condition)
+        monkeypatch.setattr(extension.PointPhase, "domain", lambda self, gen, n: 0)
         with pytest.raises(ContractViolation, match="cover walk stuck"):
             cover_extend(cond({}, []), single(0), {0}, set())
 
     def test_foreign_generator_is_a_contract_violation(self, monkeypatch):
-        commit = extension.Extension.commit
+        domain = extension.PointPhase.domain
 
-        def leaky(self, value):
-            out = commit(self, value)
-            return Condition(out.s.with_pair(9, 0, 0), out.words, out.mode)
+        def leaky(self, gen, n):
+            value = domain(self, gen, n)
+            assert self.try_pair(9, 0, 0) is None  # a pair kept on g9
+            return value
 
-        monkeypatch.setattr(extension.Extension, "commit", leaky)
+        monkeypatch.setattr(extension.PointPhase, "domain", leaky)
         with pytest.raises(ContractViolation, match=r"foreign generators \[9\]"):
             cover_extend(cond({}, []), single(0), {0}, set())
 
@@ -327,11 +327,13 @@ class TestHit:
         rng = random.Random(71 + k)
         powers = [power(g, j) for g in range(3) for j in (-3, -2, -1, 1, 2, 3)]
         for _ in range(80):
-            p = poset.add_words(Condition(), frozenset(rng.sample(powers, rng.randrange(4))))
+            phase = extension.PointPhase(
+                poset.add_words(Condition(), frozenset(rng.sample(powers, rng.randrange(4))))
+            )
             for _ in range(rng.randrange(8)):
                 g, n = rng.randrange(3), rng.randrange(24)
-                if n not in p.s.get(g).fwd:
-                    p = point_step(p, g, n, floor=lambda: rng.randrange(24))
+                phase.domain(g, n, lambda: rng.randrange(24))
+            p = phase.close()
             gen = rng.randrange(3)
             bound = hit_threshold(p, gen, sigma)
             assert bound is not None, p.to_json()

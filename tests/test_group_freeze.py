@@ -6,9 +6,9 @@ time.  reference_build below is the word-at-a-time builder, kept verbatim
 but for its name, its add_words call and its freezing the least hat word of
 each class (words.cyclic_class) for the class; both must give the same
 report, goal log included, on every mode, word budget and kind of extra
-goal.  Its point steps go through extension's point_step, range_extend and
-mad_set_point, one new condition per pair: it is also the copy path that
-the builder's point phase replaced, and tests/test_point_phase.py compares
+goal.  Its point and hit steps go through the copy path
+(tests/copy_path.py), one new condition per pair: it is also the builder
+that the point phase replaced, and tests/test_point_phase.py compares
 drawn builds and ceiling aborts with it.
 
 Each word's frozen value is evaluation.fix_points at its group's s; the
@@ -23,11 +23,12 @@ from typing import Iterable, Optional, Sequence
 
 import pytest
 
+from copy_path import hit_extend, hit_search, point_step, range_extend
+
 from cofinitary import builder, poset
 from cofinitary.builder import BuildError, BuildReport, DenseGoal, build, hit_goal
 from cofinitary.cli import encode_report
 from cofinitary.evaluation import fix_points, zshift
-from cofinitary.extension import hit_extend, hit_search, point_step, range_extend
 from cofinitary.poset import (
     DISCIPLINES,
     Condition,

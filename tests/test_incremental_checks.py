@@ -1,9 +1,10 @@
 """The incremental checks of a build step against the full ones.
 
-add_words, extend_with and Extension.commit validate only what a step adds
-when the condition they start from is known valid.  Each must raise
-ValueError on exactly the inputs where a full validate of the result finds a
-problem, with validate's message.
+add_words and extend_with (a point phase's one step) validate only what a
+step adds when the condition they start from is known valid.  Each must
+raise ValueError on exactly the inputs where a full validate of the result
+finds a problem, with validate's message.  extend_with must also agree with
+the copy path's chooser and commit (tests/copy_path.py).
 
 Each check runs on sampled conditions ("no-ground") and, for the disciplines
 that take hit goals' steps, on sampled conditions after a few hit steps
@@ -14,6 +15,8 @@ import random
 import re
 
 import pytest
+
+import copy_path
 
 from cofinitary.evaluation import Assignment, PartialMap, zshift
 from cofinitary.extension import (
@@ -126,20 +129,22 @@ def test_commit_matches_extend_with(mode, case):
         g, n = rng.choice(GENS), rng.randrange(30)
         if n in p.s.get(g).domain():
             continue
-        ext = domain_extend(p, g, n)
-        m = ext.choose(floor=rng.randrange(24))
-        out = ext.commit(m)
+        floor = rng.randrange(24)
+        ref = copy_path.domain_extend(p, g, n)
+        m = ref.choose(floor=floor)
+        assert domain_extend(p, g, n).choose(floor=floor) == m
+        out = ref.commit(m)
         assert out == extend_with(p, g, n, m)
         assert validate(out) == []
-        # a value the chooser did not return takes the full extend_with path
+        # a value the chooser did not return
         other = rng.randrange(8)
         try:
-            expected = extend_with(p, g, n, other)
+            expected = ref.commit(other)
         except (ValueError, ContractViolation) as err:
             with pytest.raises(type(err), match="^" + re.escape(str(err)) + "$"):
-                ext.commit(other)
+                extend_with(p, g, n, other)
         else:
-            assert ext.commit(other) == expected
+            assert extend_with(p, g, n, other) == expected
 
 
 def pmap(*pairs):

@@ -1,15 +1,19 @@
-"""The builder's transient point phase against the copy path it replaced.
+"""The point phase against the copy path it replaced.
 
-builder.build extends one mutable set of lookups in place between freezes
-(builder._PointPhase) and makes a Condition only where one is kept.  The
-reference is test_group_freeze.reference_build, which steps through
-point_step / range_extend / mad_set_point and builds a new condition per
-pair.  Both must give the same report, goal log included, on drawn builds
-of every mode, and abort on the same goal with the same message, the same
+extension.PointPhase extends one mutable set of lookups in place and makes
+a Condition only when it closes.  The builder steps one between freezes;
+the samplers, cover_extend, strong_reduction and the hit search each open
+one per call.  The reference is tests/copy_path.py, which builds a new
+condition per pair, and test_group_freeze.reference_build, the builder on
+it.  Drawn builds of every mode must give the same report, goal log
+included, and abort on the same goal with the same message, the same
 cause and equal partial reports when the chooser runs past its ceiling.
-A kept condition must not change when the phase steps on, each step must
-keep validate's rules and its order check, and the per-pair validation
-must say what validate says about the grown map.
+Drawn sampler calls must give equal conditions and leave the random
+generator in the same state; cover_extend, strong_reduction on every drawn
+keep set and hit_search over the hit-density window must give what the
+copy path gives.  A kept condition must not change when the phase steps
+on, each step must keep validate's rules and its order check, and the
+per-pair validation must say what validate says about the grown map.
 """
 
 from __future__ import annotations
@@ -18,16 +22,17 @@ import random
 
 import pytest
 
+import copy_path
 from test_group_freeze import reference_build
 from test_step_local import reference_leq
 
-from cofinitary import builder, extension, poset
+from cofinitary import extension, poset, sampling
 from cofinitary.builder import BuildError, build, hit_goal
 from cofinitary.cli import encode_report
-from cofinitary.evaluation import Assignment, PartialMap, zshift
-from cofinitary.extension import ExtensionCertificate
+from cofinitary.evaluation import Assignment, GroundPermutation, PartialMap, zshift
+from cofinitary.extension import ExtensionCertificate, PointPhase
 from cofinitary.poset import DISCIPLINES, Condition, PosetMode, leq, pair_problems, validate
-from cofinitary.words import Letter, Word, single
+from cofinitary.words import Letter, Word, reduced_words, single
 
 
 def _draws(mode: PosetMode, count: int):
@@ -101,26 +106,26 @@ def _state(c: Condition):
 @pytest.mark.parametrize("mode", list(PosetMode), ids=lambda m: m.value)
 def test_kept_conditions_do_not_change_as_the_build_steps_on(mode, monkeypatch):
     # Every condition a point phase hands over as it closes (at each
-    # freeze, for the report, before a hit goal) is recorded as it was
-    # made and compared after the build; the cofinitary build also meets
-    # hit goals after its points.
+    # freeze, for the report, before a hit goal and for the hit itself) is
+    # recorded as it was made and compared after the build; the cofinitary
+    # build also meets a hit goal after its points.
     kept = []
-    close = builder._PointPhase.close
+    close = PointPhase.close
 
     def recording(phase):
         c = close(phase)
         kept.append((c, _state(c)))
         return c
 
-    monkeypatch.setattr(builder._PointPhase, "close", recording)
+    monkeypatch.setattr(PointPhase, "close", recording)
     goals = [hit_goal(0, zshift(), 10)] if mode is PosetMode.COFINITARY else []
     report = build(mode, [0, 1, 2], point_budget=40,
                    word_budget=DISCIPLINES[mode].word_budget or 2, seed=4, extra_goals=goals)
     assert len(kept) >= 2  # a freeze and the report
     for c, state in kept:
         assert _state(c) == state
-    if goals:  # the hit stepped on from the last phase's condition
-        assert report.final.s != kept[-1][0].s
+    if goals:  # the hit closed a phase of its own on the last build phase's condition
+        assert report.final is kept[-1][0] and report.final.s != kept[-2][0].s
 
 
 @pytest.mark.parametrize("mode", list(PosetMode), ids=lambda m: m.value)
@@ -134,17 +139,15 @@ def test_a_closed_phase_hands_over_maps_that_later_phases_do_not_change(mode):
                  word_budget=DISCIPLINES[mode].word_budget or 2, seed=2).final
     chain = []
     for n in range(12, 30):
-        phase = builder._PointPhase(cond, gens)
+        phase = PointPhase(cond)
         for g in gens:
-            fwd, rev = phase.fwd[g], phase.rev.get(g)
-            if n not in fwd:
-                phase.domain(g, n, None)
-            if rev is not None and n not in rev:
-                phase.range(g, n, None)
+            phase.domain(g, n)
+            if DISCIPLINES[mode].injective:
+                phase.range(g, n)
         cond = phase.close()
         chain.append((cond, _state(cond)))
         with pytest.raises((TypeError, AttributeError)):  # its lookups are gone
-            phase.domain(0, n + 100, None)
+            phase.domain(0, n + 100)
     for c, state in chain:
         assert _state(c) == state
         for pm in c.s.table.values():
@@ -169,14 +172,14 @@ def test_an_admitted_value_the_map_holds_is_rejected_by_validation(
     # (domain) or a point (range): the step's validation must reject the
     # pair with validate's message before the order kernel reads the
     # lookups.
-    real = builder._PointPhase.certificate
+    real = PointPhase.certificate
 
     def admits_0(phase, gen, point, way):
         if way == direction and point >= 5:
             return ExtensionCertificate(frozenset(), 0)
         return real(phase, gen, point, way)
 
-    monkeypatch.setattr(builder._PointPhase, "certificate", admits_0)
+    monkeypatch.setattr(PointPhase, "certificate", admits_0)
     with pytest.raises(BuildError) as err:
         build(PosetMode.COFINITARY, [0, 1], point_budget=8, word_budget=1, seed=0)
     goal = str(err.value).split()[1]
@@ -277,3 +280,141 @@ def test_walk_kernel_is_leq_per_pair():
         assert broke == (not leq(p, q))
         verdicts.add(broke)
     assert verdicts == {True, False}
+
+
+# -- the other callers against the copy path -----------------------------------
+
+
+def _outcome(run):
+    """What run gives, or the type and message of what it raises."""
+    try:
+        return run()
+    except (ValueError, extension.CertificateError, extension.ContractViolation) as err:
+        return type(err), str(err)
+
+
+def _same(run, reference) -> None:
+    got, want = _outcome(run), _outcome(reference)
+    assert got == want
+    if isinstance(got, Condition):
+        assert encode_report(got.to_json()) == encode_report(want.to_json())
+
+
+@pytest.mark.parametrize("mode", list(PosetMode), ids=lambda m: m.value)
+def test_drawn_sampler_calls_match_the_copy_path(mode):
+    # sample_condition, then sample_extension of what it gave, on twin
+    # generators: equal conditions, and the same draws spent on each side
+    rng = random.Random(f"samplers-{mode.value}")
+    stepped = 0
+    for _ in range(150):
+        gens = sorted(rng.sample(range(6), rng.randint(1, 4)))
+        kwargs = dict(
+            max_pairs=rng.randint(0, 6), max_words=rng.randint(0, 4),
+            value_range=rng.randint(1, 30), word_len=rng.randint(1, 3),
+        )
+        seed = rng.randrange(10**6)
+        ours, theirs = sampling.Draws(seed), sampling.Draws(seed)  # as the suites draw
+        p = sampling.sample_condition(ours, mode, gens, **kwargs)
+        assert p == copy_path.sample_condition(theirs, mode, gens, **kwargs)
+        assert ours.getstate() == theirs.getstate()
+        avoid = rng.sample(gens, rng.randrange(len(gens) + 1))
+        steps = rng.choice([None, 0, 1, 5])
+        q = sampling.sample_extension(ours, p, avoid, steps)
+        assert q == copy_path.sample_extension(theirs, p, avoid, steps)
+        assert ours.getstate() == theirs.getstate()
+        assert validate(q) == [] and leq(q, p)
+        stepped += q != p
+    assert stepped > 50, stepped
+
+
+@pytest.mark.parametrize("mode", [PosetMode.COFINITARY, PosetMode.ADP], ids=lambda m: m.value)
+def test_cover_extend_matches_the_copy_path(mode):
+    rng = random.Random(f"cover-{mode.value}")
+    words = reduced_words([0, 1, 2], 3, min_len=1)
+    for _ in range(200):
+        p = sampling.sample_condition(rng, mode, [0, 1, 2], max_pairs=5, value_range=12)
+        w = rng.choice(words)
+        dom = rng.sample(range(16), rng.randrange(4))
+        ran = rng.sample(range(16), rng.randrange(4))
+        _same(
+            lambda: extension.cover_extend(p, w, dom, ran),
+            lambda: copy_path.cover_extend(p, w, dom, ran),
+        )
+
+
+@pytest.mark.parametrize("mode", list(PosetMode), ids=lambda m: m.value)
+def test_strong_reduction_matches_the_copy_path_on_every_keep_set(mode):
+    rng = random.Random(f"reduction-{mode.value}")
+    gens = [0, 1, 2, 3]
+    keeps = [frozenset(g for g in gens if mask >> g & 1) for mask in range(16)]
+    padded = 0
+    for _ in range(25):
+        p = sampling.sample_condition(rng, mode, gens, max_pairs=5, max_words=4)
+        for keep in keeps:
+            fresh = Condition(p.s, p.words, p.mode)  # no reduction kept on it
+            got = _outcome(lambda: extension.strong_reduction(fresh, keep))
+            _same(lambda: got, lambda: copy_path.strong_reduction(p, keep))
+            padded += isinstance(got, Condition) and got.s != p.s.restrict(keep)
+    assert padded > 20, padded
+
+
+def test_hit_search_matches_the_copy_path_over_the_hit_density_window():
+    # the hit-density command's conditions and window (--generators 3
+    # --words 4 --maxN 50 --window 64), and the identity target, which some
+    # windows miss
+    sigma = zshift()
+    identity = GroundPermutation(lambda n: n, lambda n: n, shift=0, name="identity")
+    rng = sampling.Draws(3)
+    missed = 0
+    for _ in range(25):
+        cond = sampling.sample_condition(rng, PosetMode.COFINITARY, [0, 1, 2], max_words=4)
+        gen = rng.randrange(3)
+        for start in range(51):
+            for target in (sigma, identity):
+                found = extension.hit_search(cond, gen, target, start, 64)
+                assert found == copy_path.hit_search(cond, gen, target, start, 64)
+                missed += found is extension.NOT_FOUND
+                if found is not extension.NOT_FOUND:
+                    _same(
+                        lambda: extension.hit_extend(cond, gen, target, found),
+                        lambda: copy_path.hit_extend(cond, gen, target, found),
+                    )
+    assert missed > 25, missed
+
+
+@pytest.mark.parametrize("case", ["cofinitary-taken", "edf-agrees", "mad-ones", "mad-two"])
+def test_a_sampler_step_keeps_the_phase_checks(case, monkeypatch):
+    # A patched rule admits 0 (cofinitary, edf) or decides 1 or 2 (mad) on
+    # every point the sampler steps.  The step itself must refuse some pair,
+    # before the phase closes: by validation (a value the map already
+    # takes, a value outside {0, 1}) or by the order kernel (a new
+    # agreement, a new common 1-point).
+    mode = PosetMode(case.split("-")[0])
+    if mode is PosetMode.MAD:
+        value = 1 if case == "mad-ones" else 2
+        monkeypatch.setattr(extension, "mad_value", lambda *args: value)
+    else:
+        monkeypatch.setattr(ExtensionCertificate, "least_admitted", lambda self, floor=0: 0)
+    want = {
+        "cofinitary-taken": (ValueError, "is not injective"),
+        "edf-agrees": (extension.ContractViolation, "but the extension fails the order check"),
+        "mad-ones": (extension.ContractViolation, extension.MAD_NOT_BELOW),
+        "mad-two": (ValueError, "takes values outside {0,1}: [2]"),
+    }[case]
+    refused = []
+    try_pair = PointPhase.try_pair
+
+    def recording(phase, *args, **kwargs):
+        refusal = try_pair(phase, *args, **kwargs)
+        if refusal is not None:
+            refused.append((type(refusal), str(refusal)))
+        return refusal
+
+    monkeypatch.setattr(PointPhase, "try_pair", recording)
+    rng = random.Random(f"refused-{case}")
+    for _ in range(60):
+        try:
+            sampling.sample_condition(rng, mode, [0, 1, 2], max_pairs=6, max_words=3)
+        except (ValueError, extension.ContractViolation):
+            pass
+    assert any(kind is want[0] and want[1] in text for kind, text in refused), refused

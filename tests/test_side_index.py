@@ -4,8 +4,8 @@ poset.side_index is the whole index: per letter, the trie of the class
 representatives' rotations that follow it.  leq walks only the tries of
 letters whose generator gains pairs.  A class representative holds the
 generators of its words, so a side word holds g exactly when Letter(g, 1)
-or Letter(g, -1) keys a trie; the certificate of extension reads that
-fact, also for the conditions _mirror makes.  The pair partners of an edf
+or Letter(g, -1) keys a trie; a point phase's certificate reads that
+fact, for range steps too.  The pair partners of an edf
 generator come from a scan of the side set.  Both are checked here against
 the scans they replaced.
 """
@@ -16,12 +16,13 @@ import random
 
 import pytest
 
+from copy_path import mirror
 from test_class_walk import FINITE, _paths, _random_injection, _rotations_after, reference_leq
 
 from cofinitary import poset
 from cofinitary.cli import main
 from cofinitary.evaluation import Assignment, PartialMap
-from cofinitary.extension import _mirror, certificate
+from cofinitary.extension import PointPhase
 from cofinitary.poset import Condition, PosetMode, add_words, pair_word, side_index
 from cofinitary.words import Letter, hat_words, parse_word
 
@@ -122,21 +123,22 @@ def _concrete_by_scan(p: Condition, gen: int, n: int) -> set[int]:
 
 def test_trie_test_and_mixed_scan_match_the_holding_scan():
     # The trie test and the certificate built on it, against the scan of
-    # the side set, on chains and on the mirrors of their range steps.  The
-    # maps also cover g3, which no side word holds.
+    # the side set, on chains; a range step's certificate against the scan
+    # of the mirror of the condition.  The maps also cover g3, which no
+    # side word holds.
     held = unheld = minus_only = 0
     rng = random.Random("holding-empty")
     gens = FINITE + (3,)
     for _ in range(3):
         for c in _chain(rng, 30, gens)[::3]:
             for gen in gens:
-                for x in (c, _mirror(c, gen)):
+                for x, direction in ((c, "domain"), (mirror(c, gen), "range")):
                     tries = side_index(x.words)
                     keyed = Letter(gen, 1) in tries or Letter(gen, -1) in tries
                     assert keyed == bool(_holding_by_scan(x, gen)), (gen, x.to_json())
                     n = rng.randrange(12)
                     want = _concrete_by_scan(x, gen, n)
-                    assert certificate(x, gen, n).forbidden == want
+                    assert PointPhase(c).certificate(gen, n, direction).forbidden == want
                     held += keyed
                     unheld += not keyed
                     minus_only += keyed and Letter(gen, 1) not in tries
@@ -174,7 +176,7 @@ def test_edf_forbidden_set_matches_the_holding_form():
         for gen in range(4):
             for n in range(10):
                 want = _forbidden_edf_by_holding(p, gen, n)
-                assert certificate(p, gen, n).forbidden == want
+                assert PointPhase(p).certificate(gen, n, "domain").forbidden == want
                 nonempty += bool(want)
     assert nonempty >= 4000, nonempty
 

@@ -5,7 +5,8 @@ Each check of what is loaded runs in a fresh interpreter:
 
 - the parser, --help, an unknown command and a bad flag value load no
   layer; `template` loads only the template layer; `build-group` loads no
-  sampling, suslin or template code;
+  sampling, suslin or template code; `ffp-suite` and `hit-density` load no
+  builder code (the point phase they step lives in extension);
 - every public name of the package resolves to its submodule's object;
 - an error raised by a layer first loaded inside main keeps its exit code.
 
@@ -92,6 +93,20 @@ def test_build_group_loads_no_sampling_suslin_or_template_code(tmp_path):
     code, loaded = fresh(RUN_CLI, *argv)
     assert code == 0
     assert loaded == package("words", "evaluation", "poset", "extension", "builder")
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["ffp-suite", "--mode", "cofinitary", "--samples", "20", "--seed", "3"],
+     ("words", "evaluation", "poset", "extension", "sampling", "suslin")),
+    (["hit-density", "--generators", "3", "--maxN", "5", "--window", "64", "--samples", "5",
+      "--seed", "3"],
+     ("words", "evaluation", "poset", "extension", "sampling")),
+], ids=["ffp-suite", "hit-density"])
+def test_the_suite_commands_load_no_builder_code(argv, layers, tmp_path):
+    code, loaded = fresh(RUN_CLI, *argv, "--out", str(tmp_path / "r.json"))
+    assert code == 0
+    assert loaded == package(*layers)
+    assert "cofinitary.builder" not in loaded
 
 
 PUBLIC_NAMES = f"""

@@ -7,9 +7,9 @@ Extension.choose, which probed one value at a time from the floor; and the
 PartialMap caches, which were rebuilt from the sorted pairs for every new
 map.  The derived facts kept on value types are checked against a fresh
 computation: the assignment tables built without a re-sort, the cached
-partial-injection fact, the strong reduction kept on a condition, the pair
-set a step's map builds only when read, and the step record that answers
-the order check's added pairs, whose parent must stay weakly held.
+partial-injection fact, the strong reduction kept on a condition and the
+pair set a map made from lookups builds only when read.  Maps are grown
+and inverted through tests/copy_path.py, as the copy path did.
 """
 
 from __future__ import annotations
@@ -21,14 +21,17 @@ from typing import Optional
 
 import pytest
 
+import copy_path
+from copy_path import map_inverse, map_with_pair
+
 from cofinitary.evaluation import Assignment, PartialMap
 from cofinitary.extension import (
     CertificateError,
     ContractViolation,
     Extension,
     ExtensionCertificate,
+    PointPhase,
     domain_extend,
-    point_step,
     strong_reduction,
 )
 from cofinitary.poset import DISCIPLINES, Condition, PosetMode, leq, pair_word
@@ -90,8 +93,10 @@ def reference_leq(p: Condition, q: Condition) -> bool:
     raise AssertionError("the reference covers the pair kernels only")
 
 
-def reference_choose(self: Extension, floor: int = 0, ceiling: Optional[int] = None) -> int:
-    """Extension.choose before the one-step chooser."""
+def reference_choose(
+    self: copy_path.Extension, floor: int = 0, ceiling: Optional[int] = None
+) -> int:
+    """Extension.choose before the one-step chooser, on the copy path."""
     m = max(floor, 0)
     while True:
         if ceiling is not None and m > ceiling:
@@ -99,10 +104,7 @@ def reference_choose(self: Extension, floor: int = 0, ceiling: Optional[int] = N
                 f"chooser exceeded ceiling {ceiling} for g{self.gen} at {self.point}"
             )
         if self.certificate.admits(m):
-            out = self._apply(m)
-            if leq(out, self.condition):
-                # commit hands this condition back without a second leq
-                object.__setattr__(self, "_checked", (m, out))
+            if leq(self.apply(m), self.condition):
                 return m
             raise ContractViolation(
                 f"certificate admitted {m} for g{self.gen} at {self.point} "
@@ -264,13 +266,14 @@ def test_choose_matches_the_probing_chooser(mode):
         p = sample_condition(rng, mode, [0, 1, 2], max_pairs=6, max_words=3, value_range=12)
         g = rng.choice([0, 1, 2])
         n = next(v for v in range(40) if v not in p.s.get(g).fwd)
-        ext = domain_extend(p, g, n)
+        ext, ref = domain_extend(p, g, n), copy_path.domain_extend(p, g, n)
+        assert ext.certificate == ref.certificate
         floor = rng.randrange(-4, 20)
         least = _linear_least(ext.certificate, floor)
         # at the ceiling, one past it, and unbounded
         for ceiling in (None, least, least - 1):
             got = _outcome(lambda: ext.choose(floor, ceiling))
-            want = _outcome(lambda: reference_choose(ext, floor, ceiling))
+            want = _outcome(lambda: reference_choose(ref, floor, ceiling))
             assert got == want
             seen.add(got[0])
     assert seen == {"value", "CertificateError"}
@@ -279,9 +282,10 @@ def test_choose_matches_the_probing_chooser(mode):
 def test_choose_keeps_the_authoritative_order_check():
     # a certificate that admits a bad value: the identity on g0 with g0 frozen
     p = Condition(Assignment({0: PartialMap(frozenset({(0, 0)}))}), frozenset({single(0)}))
-    ext = Extension(p, 0, 1, ExtensionCertificate.of({0}), "domain")
+    cert = ExtensionCertificate.of({0})
+    ext = Extension(PointPhase(p), 0, 1, cert, "domain")
     got = _outcome(lambda: ext.choose())
-    assert got == _outcome(lambda: reference_choose(ext))
+    assert got == _outcome(lambda: reference_choose(copy_path.Extension(p, 0, 1, cert, "domain")))
     assert got[0] == "ContractViolation"
 
 
@@ -305,11 +309,11 @@ def test_with_pair_and_inverse_chains_keep_the_caches(span):
         for _ in range(rng.randrange(1, 12)):
             if rng.random() < 0.25:
                 before = pm
-                pm = pm.inverse()
+                pm = map_inverse(pm)
                 assert pm.pairs == frozenset((m, n) for n, m in before.pairs)
                 swapped += pm.fwd is before.rev
             else:
-                pm = pm.with_pair(rng.randrange(span), rng.randrange(span))
+                pm = map_with_pair(pm, rng.randrange(span), rng.randrange(span))
             if rng.random() < 0.4:  # build some caches mid-chain, leave others lazy
                 rng.choice([lambda: pm.fwd, lambda: pm.rev])()
             if rng.random() < 0.2:
@@ -336,11 +340,9 @@ def test_assignment_steps_keep_the_table_clean():
         for _ in range(rng.randrange(1, 12)):
             roll = rng.random()
             g = rng.randrange(8)
-            if roll < 0.6:
+            if roll < 0.7:
                 inserted += g not in a.table
                 a = a.with_pair(g, rng.randrange(12), rng.randrange(12))
-            elif roll < 0.8:
-                a = a.with_inverse(g)  # also on generators without a map
             else:
                 a = a.restrict(rng.sample(range(8), rng.randrange(9)))
             _check_table(a)
@@ -366,7 +368,7 @@ def test_injection_fact_on_hand_built_maps():
         pm = PartialMap(pairs)
         assert pm.injection is want
         _check_injection(pm)
-        _check_injection(pm.inverse())
+        _check_injection(map_inverse(pm))
 
 
 @pytest.mark.parametrize("span", [4, 40], ids=["dense", "sparse"])
@@ -377,9 +379,9 @@ def test_injection_fact_along_drawn_chains(span):
         pm = PartialMap(frozenset({(rng.randrange(span), rng.randrange(span)) for _ in range(3)}))
         for _ in range(rng.randrange(1, 10)):
             if rng.random() < 0.3:
-                pm = pm.inverse()
+                pm = map_inverse(pm)
             else:
-                pm = pm.with_pair(rng.randrange(span), rng.randrange(span))
+                pm = map_with_pair(pm, rng.randrange(span), rng.randrange(span))
             if rng.random() < 0.5:  # read the fact mid-chain, or leave it lazy
                 _check_injection(pm)
         _check_injection(pm)
@@ -418,6 +420,13 @@ def test_reduction_memo_matches_a_fresh_reduction(mode):
     assert differ > 40
 
 
+def _stepped(p: Condition, gen: int, n: int) -> Condition:
+    """p with n added to gen's domain by a point phase of its own."""
+    phase = PointPhase(p)
+    phase.domain(gen, n)
+    return phase.close()
+
+
 def test_memos_keep_no_parent_alive():
     rng = random.Random("alive")
     for mode in PosetMode:
@@ -425,7 +434,7 @@ def test_memos_keep_no_parent_alive():
         chain = [p]
         for n in range(30, 36):
             if n not in p.s.get(0).fwd:
-                p = point_step(p, 0, n)
+                p = _stepped(p, 0, n)
                 strong_reduction(p, {0, 1})
                 p.occurring()
                 p.s.summary()
@@ -460,7 +469,7 @@ def _check_against_eager(pm: PartialMap, pairs: frozenset, rng: random.Random) -
         lambda: len(pm) == len(pairs),
         lambda: all((pair in pm) == (pair in pairs) for pair in _probes(pairs)),
         lambda: pm == ref and ref == pm and hash(pm) == hash(ref),
-        lambda: pm.inverse().inverse() == ref,
+        lambda: map_inverse(map_inverse(pm)) == ref,
         lambda: pm.pairs == pairs,
     ]
     rng.shuffle(reads)
@@ -475,11 +484,11 @@ def _probes(pairs: frozenset) -> list[tuple[int, int]]:
 
 def _steps(rng: random.Random, mode: PosetMode, p: Condition):
     """A drawn chain of conditions from p in the mode: point steps and, in
-    the injective modes, the range steps' mirrored maps (with_inverse)."""
+    the injective modes, the range steps' mirrored maps (map_inverse)."""
     for _ in range(rng.randrange(1, 10)):
         yield p
         if DISCIPLINES[mode].injective and rng.random() < 0.25:
-            yield p.with_s(p.s.with_inverse(rng.choice(GENS)))
+            yield copy_path.mirror(p, rng.choice(GENS))
         p = sample_extension(rng, p, steps=rng.randint(1, 3))
     yield p
 
@@ -494,12 +503,12 @@ def test_lazy_maps_match_eager_maps_on_drawn_chains(mode):
             for pm in c.s.table.values():
                 lazy += "pairs" not in pm.__dict__
                 _check_against_eager(pm, _eager(pm).pairs, rng)
-    assert lazy > 100  # most maps made by steps hold no pair set until read
+    assert lazy > 100  # most maps closed phases make hold no pair set until read
 
 
 @pytest.mark.parametrize("span", [3, 6, 40], ids=["dense", "mixed", "sparse"])
 def test_lazy_maps_match_a_tracked_pair_set(span):
-    """Raw with_pair/inverse chains, pairs tracked beside the map: small
+    """Raw map_with_pair/map_inverse chains, pairs tracked beside the map: small
     spans repeat keys (a step that makes the map non-functional must keep
     the pair set) and values (non-injective maps invert by their pairs)."""
     rng = random.Random(f"tracked-{span}")
@@ -509,10 +518,10 @@ def test_lazy_maps_match_a_tracked_pair_set(span):
         pm = PartialMap()
         for _ in range(rng.randrange(1, 14)):
             if rng.random() < 0.2:
-                pm, pairs = pm.inverse(), frozenset((m, n) for n, m in pairs)
+                pm, pairs = map_inverse(pm), frozenset((m, n) for n, m in pairs)
             else:
                 n, m = rng.randrange(span), rng.randrange(span)
-                pm, pairs = pm.with_pair(n, m), pairs | {(n, m)}
+                pm, pairs = map_with_pair(pm, n, m), pairs | {(n, m)}
             if rng.random() < 0.3:  # build some facts mid-chain, leave others lazy
                 rng.choice([lambda: pm.fwd, lambda: pm.rev, lambda: pm.injection])()
             if rng.random() < 0.3:
@@ -520,90 +529,3 @@ def test_lazy_maps_match_a_tracked_pair_set(span):
         _check_against_eager(pm, pairs, rng)
         kinds["functional" if pm.is_functional() else "not functional"] += 1
     assert min(kinds.values()) > 40, kinds
-
-
-# -- the step record -------------------------------------------------------------
-
-
-def _check_added(p: Assignment, q: Assignment) -> bool:
-    """poset._added_pairs(p, q) against the set difference; whether p's
-    step record answered it."""
-    from cofinitary.poset import _added_pairs as added_pairs
-
-    got = added_pairs(p, q)
-    assert got == _added_pairs(p, q)
-    return p._step is not None and p._step[0]() is q
-
-
-def test_step_record_matches_the_set_difference():
-    rng = random.Random("record")
-    used = 0
-    seen = {"repeat": 0, "non-injective": 0, "siblings": 0, "freed": 0}
-    for _ in range(400):
-        q = Assignment({
-            g: PartialMap(frozenset({(rng.randrange(6), rng.randrange(6)) for _ in range(3)}))
-            for g in rng.sample(GENS, rng.randrange(1, 4))
-        })
-        for _ in range(rng.randrange(4)):  # some parents are steps themselves
-            q = q.with_pair(rng.choice(GENS), rng.randrange(8), rng.randrange(8))
-        g = rng.choice(GENS)
-        if q.get(g) and rng.random() < 0.3:  # a pair q already holds
-            n, m = rng.choice(sorted(q.get(g).pairs))
-            seen["repeat"] += 1
-        else:
-            n, m = rng.randrange(8), rng.randrange(8)
-            seen["non-injective"] += m in q.get(g).rev or n in q.get(g).fwd
-        p = q.with_pair(g, n, m)
-        sibling = q.with_pair(rng.choice(GENS), rng.randrange(8), rng.randrange(8))
-        seen["siblings"] += 1
-        used += _check_added(p, q)
-        used += _check_added(sibling, q)
-        for a, b in [(p, sibling), (sibling, p), (q, p), (p, p)]:
-            assert not _check_added(a, b)
-        # a freed parent: an equal copy of it is answered by the set difference
-        copy = Assignment(dict(q.table))
-        del q, sibling
-        if p._step[0]() is not None:  # no cycle holds an assignment: collect only to be sure
-            gc.collect()
-        assert p._step[0]() is None
-        assert not _check_added(p, copy)
-        seen["freed"] += 1
-    assert used == 800
-    assert min(seen.values()) > 80, seen
-
-
-def test_order_checks_read_the_step_record():
-    """leq through the step record gives the set-difference verdict in every
-    mode, also for a step that repeats a pair of its parent."""
-    rng = random.Random("record-leq")
-    for mode in PosetMode:
-        for _ in range(100):
-            q = sample_condition(rng, mode, GENS, max_pairs=5, value_range=10)
-            g = rng.choice(GENS)
-            pm = q.s.get(g)
-            if pm and rng.random() < 0.5:
-                n, m = rng.choice(sorted(pm.pairs))
-            else:
-                n = next(v for v in range(30) if v not in pm.fwd)
-                m = rng.choice(_values(mode))
-            p = q.with_s(q.s.with_pair(g, n, m))
-            # the same p with no step record: a copy of its table
-            fresh = q.with_s(Assignment(dict(p.s.table)))
-            try:
-                want = leq(fresh, q)
-            except ValueError as err:  # a walk discipline on a non-injective map
-                with pytest.raises(ValueError, match=str(err)):
-                    leq(p, q)
-                continue
-            assert leq(p, q) == want
-
-
-def test_a_long_chain_keeps_no_earlier_assignment_alive():
-    a = Assignment()
-    refs = []
-    for i in range(2000):
-        refs.append(weakref.ref(a))
-        a = a.with_pair(i % 3, i, i + 1)
-    gc.collect()
-    assert sum(r() is not None for r in refs) == 0
-    assert a._step[0]() is None  # the last parent is gone too
