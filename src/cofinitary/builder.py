@@ -32,11 +32,13 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from . import evaluation, extension, poset
-from .evaluation import GroundPermutation, fix_table
+from . import extension, poset
+from .evaluation import Assignment, GroundPermutation, fix_sets, fix_table
 from .extension import PointPhase, hit_extend
 from .poset import DISCIPLINES, Condition, PosetMode, frozen_value, side_words
 from .words import (
+    INVERSE,
+    Letter,
     Word,
     class_hat_count,
     class_representatives,
@@ -279,30 +281,62 @@ def _frozen_law(report: BuildReport, fix=None) -> list[str]:
 def verify_cofinitary(report: BuildReport) -> list[str]:
     """The verifier of every build: the frozen law, plus for cofinitary
     builds the conjugation-cardinality law |Fix(w)| = |Fix(core)| over all
-    short words (words.conjugate_core); empty list means ok.
+    reduced words of length 1..L, L the word budget (words.conjugate_core);
+    empty list means ok.
 
     A cofinitary build records one word per class, which stands for the
     class only while the maps are partial injections, as the conjugation
     law also needs; so those reports are first checked with poset.validate,
-    whose findings lead the list.  Both laws read the fix sets from one
-    evaluation.fix_table of the final assignment, a kernel the build does
-    not use (it freezes through fix_points), so the check stays independent
-    of the fix sets the build recorded.  The table holds every short word
-    and its core; a frozen word it lacks (an extra goal's, longer than the
-    budget) goes through fix_points.  Violations then come in freezing
-    order, then in reduced_words order."""
+    whose findings lead the list.  The frozen law reads the recorded words'
+    fix sets from one walk of their own trie (evaluation.fix_sets), a
+    kernel the build does not use (it freezes through fix_points), so the
+    check stays independent of the fix sets the build recorded.
+
+    On partial injections the conjugation law holds exactly when each
+    reduced word w' of length at most L - 2 keeps its fix set inside the
+    range of every letter a that conjugates it (a^-1 w' a reduced), so
+    that check runs first, on the fix sets of those words alone (see
+    _conjugates_keep_fix and the README design notes).  When validate finds
+    a problem, or a containment fails, the law runs over every reduced word
+    of length 1..L, from one evaluation.fix_table.  Violations then come in
+    freezing order, then in reduced_words order."""
     if DISCIPLINES[report.mode].shape != "hat":
         return _frozen_law(report)
     s = report.final.s
     gens = sorted(set(report.generators))
-    table = fix_table(gens, report.word_budget, s)
+    frozen = fix_sets([w.letters for w in report.frozen_fix], s)
+    problems = poset.validate(report.final)
+    violations = problems + _frozen_law(report, lambda w: frozen[w.letters])
+    if problems or not _conjugates_keep_fix(gens, report.word_budget, s):
+        violations += _conjugation_law(gens, report.word_budget, s)
+    return violations
 
-    def fix(w: Word) -> frozenset[int]:
-        pts = table.get(w.letters)
-        return evaluation.fix_points(w, s).points if pts is None else pts
 
-    violations = poset.validate(report.final) + _frozen_law(report, fix)
-    for letters in reduced_letters(gens, report.word_budget, min_len=1):
+def _conjugates_keep_fix(gens: Sequence[int], max_len: int, s: Assignment) -> bool:
+    """Whether Fix(w') lies in the range of a (the keys of a^-1's lookup)
+    for every reduced word w' over gens of length at most max_len - 2 and
+    every letter a with a^-1 w' a reduced.  On partial injections,
+    eval_word applies a first, so Fix(a^-1 w' a) = a^-1(Fix(w') & ran a),
+    and this holds exactly when the conjugation law holds up to max_len."""
+    ranges = {}  # letter -> the keys of its inverse's lookup
+    for g in gens:
+        ranges[Letter(g, 1)] = s.get(g).rev.keys()
+        ranges[Letter(g, -1)] = s.get(g).fwd.keys()
+    for letters, points in fix_table(gens, max_len - 2, s).items():
+        if points:
+            first, cancel = letters[0], INVERSE[letters[-1]]
+            for a, image in ranges.items():
+                if a != first and a != cancel and not image >= points:
+                    return False
+    return True
+
+
+def _conjugation_law(gens: Sequence[int], max_len: int, s: Assignment) -> list[str]:
+    """|Fix(w)| = |Fix(core)| for every reduced word w over gens of length
+    1..max_len, from one fix table; violations in reduced_words order."""
+    table = fix_table(gens, max_len, s)
+    violations: list[str] = []
+    for letters in reduced_letters(gens, max_len, min_len=1):
         points = table[letters]
         core = conjugate_core(letters)[1]
         core_points = table[core]

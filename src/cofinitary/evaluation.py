@@ -13,7 +13,7 @@ from dataclasses import FrozenInstanceError, dataclass, field
 from itertools import count, filterfalse
 from typing import Callable, Iterable, Mapping, Optional
 
-from .words import INVERSE, Letter, Word, invert
+from .words import Letter, Word, invert, reduced_letters
 
 
 class PartialMap:
@@ -327,49 +327,65 @@ def fix_table(
     gens: Iterable[int], max_len: int, s: Assignment
 ) -> dict[tuple[Letter, ...], frozenset[int]]:
     """Fix(e_w) under s for every reduced word w of length 1..max_len over
-    the generators `gens`, keyed by w's letter tuple.
+    the generators `gens`, keyed by w's letter tuple: fix_sets over
+    words.reduced_letters.  builder.verify_cofinitary reads the words two
+    letters shorter than its budget from one, and every word up to the
+    budget only when validate or its containment check fails (see its
+    docstring)."""
+    return fix_sets(reduced_letters(tuple(gens), max_len, min_len=1), s)
 
-    One depth-first walk of the word trie in application order: a node
-    holds the map start -> value of its word, and a child applies one more
-    letter (prepends it to the word), keeping the starts whose value the
-    letter's lookup defines.  A word's fix set is the starts its map sends
-    home.  The starts of a one-letter word are the keys of its lookup, and
-    each start follows the lookups fix_points walks, so the sets are
-    fix_points(w, s).points.  Only the maps on the current path are live,
-    so the walk holds O(max_len * |points|) values besides the table.
-    builder.verify_cofinitary makes one per check; a build freezes one word
-    per class through fix_points and makes none.
+
+def fix_sets(
+    words: Iterable[tuple[Letter, ...]], s: Assignment
+) -> dict[tuple[Letter, ...], frozenset[int]]:
+    """Fix(e_w) under s for each nonempty reduced letter tuple w in `words`,
+    keyed by it.
+
+    One depth-first walk of the words' trie in application order (the trie
+    of the reversed tuples): a node holds the map start -> value of its
+    word, and a child applies one more letter (prepends it to the word),
+    keeping the starts whose value the letter's lookup defines.  A word's
+    fix set is the starts its map sends home.  The starts of a one-letter
+    word are the keys of its lookup, and each start follows the lookups
+    fix_points walks, so the sets are fix_points(w, s).points.  Only the
+    maps on the current path are live, so the walk holds
+    O(max length * |points|) values besides the table, and it visits only
+    the words' suffixes.  A build freezes through fix_points and walks no
+    trie.
     """
+    trie: dict = {}  # letter -> child node; a node's None entry is its word
     lookups: dict[Letter, Mapping[int, int]] = {}
-    for g in sorted(gens):
-        lookups[Letter(g, 1)] = s.get(g).fwd
-        lookups[Letter(g, -1)] = s.get(g).rev
+    for letters in words:
+        if not letters:
+            raise ValueError("fix of the empty word is everything; not represented")
+        node = trie
+        for letter in reversed(letters):
+            if letter not in lookups:
+                lookups[letter] = _lookup(letter, s)
+            node = node.setdefault(letter, {})
+        node[None] = letters
     table: dict[tuple[Letter, ...], frozenset[int]] = {}
-    if max_len >= 1:
-        for letter, m in lookups.items():
-            _fix_walk(table, lookups, max_len, (letter,), m)
+    for letter, child in trie.items():
+        _fix_walk(table, lookups, child, lookups[letter])
     return table
 
 
 def _fix_walk(
     table: dict[tuple[Letter, ...], frozenset[int]],
     lookups: Mapping[Letter, Mapping[int, int]],
-    max_len: int,
-    word: tuple[Letter, ...],
+    node: dict,
     cur: Mapping[int, int],
 ) -> None:
-    """Record word's fix set from its map cur, then visit its children; a
-    child at the last depth needs only its fix set, so its map is not built.
-    A module-level function, so no closure keeps the table alive in a cycle."""
-    table[word] = frozenset(x for x, v in cur.items() if x == v)
-    if len(word) == max_len:
-        return
-    last = INVERSE[word[0]]  # the letter that would cancel
-    for letter, m in lookups.items():
-        if letter == last:
+    """Record the fix set of node's word, if it is one of the words, from
+    its map cur, then visit its children; a leaf child needs only its fix
+    set, so its map is not built.  A module-level function, so no closure
+    keeps the table alive in a cycle."""
+    for letter, child in node.items():
+        if letter is None:
+            table[child] = frozenset(x for x, v in cur.items() if x == v)
             continue
-        child = (letter,) + word
-        if len(child) == max_len:
-            table[child] = frozenset(x for x, v in cur.items() if m.get(v) == x)
+        m = lookups[letter]
+        if len(child) == 1 and None in child:
+            table[child[None]] = frozenset(x for x, v in cur.items() if m.get(v) == x)
         else:
-            _fix_walk(table, lookups, max_len, child, {x: m[v] for x, v in cur.items() if v in m})
+            _fix_walk(table, lookups, child, {x: m[v] for x, v in cur.items() if v in m})

@@ -2,9 +2,9 @@
 
 `fix_points` walks each start candidate once; the reference computes the
 exact domain by walking every candidate and then walks the domain a second
-time.  `verify_cofinitary` reads every fix set from one fix table per call
-(and a memo for a frozen word the table lacks); its violation lists on
-corrupted builds were recorded before the memo existed.
+time.  `verify_cofinitary` reads the frozen words' fix sets from one walk
+of their own trie per call; its violation lists on corrupted builds were
+recorded when it still read every fix set from fix_points.
 """
 
 import hashlib
@@ -160,14 +160,21 @@ class TestVerifierGuard:
         )
         assert verify_cofinitary(report) == []
 
-    def test_one_fix_set_per_word(self, intercept):
-        # the words up to the word budget come from the fix table; only a
-        # frozen word longer than that is asked of fix_points, and only once
+    def test_one_fix_set_per_word(self, intercept, monkeypatch):
+        # the frozen words come from one walk of their own trie, a frozen
+        # word longer than the word budget among them, so fix_points is
+        # asked for none; each frozen word is walked once
         asked = Counter()
+        walked = []
+        walk = builder.fix_sets
 
         def counting(w, s):
             asked[w] += 1
             return fix_points(w, s)
+
+        def recording_walk(words, s):
+            walked.append(list(words))
+            return walk(walked[-1], s)
 
         report = _seed7()
         longer = parse_word("g0^2 g1 g2")
@@ -175,8 +182,11 @@ class TestVerifierGuard:
             PosetMode.COFINITARY, [0, 1, 2], point_budget=12, word_budget=3, seed=7,
             extra_goals=[DenseGoal("freeze", word=longer)],
         )
-        intercept(builder, evaluation, fix_points=counting)
         intercept(poset, evaluation, fix_points=counting)
+        monkeypatch.setattr(builder, "fix_sets", recording_walk)
         assert verify_cofinitary(report) == [] and not asked
-        assert verify_cofinitary(frozen_longer) == []
-        assert asked == {longer: 1}
+        assert verify_cofinitary(frozen_longer) == [] and not asked
+        assert [sorted(words) for words in walked] == [
+            sorted(w.letters for w in r.frozen_fix) for r in (report, frozen_longer)
+        ]
+        assert longer.letters in walked[1]

@@ -273,20 +273,26 @@ BUILDS = {  # point goals go on after the last group, so the final s is not a gr
 def test_each_word_is_frozen_through_fix_points_at_its_group_s(
     gens, points, word_budget, goals, monkeypatch, intercept
 ):
-    # The build makes no fix table (the verifier makes one), each word is
-    # frozen at the s of the step that added its group, and its value is
-    # fix_points at that s.  The final s is not a group's, and a frozen
+    # The build walks no fix trie (the verifier walks the frozen words' trie
+    # and the table of the words two letters shorter than the budget), each
+    # word is frozen at the s of the step that added its group, and its
+    # value is fix_points at that s.  The final s is not a group's, and a frozen
     # word keeps its fix set, so the group-s check is what tells them apart.
     # The zshift build also meets hit goals toward zshift after its groups.
-    groups, calls, tables = [], [], []
-    grow, value, table = poset.add_words, builder.frozen_value, builder.fix_table
+    groups, calls, walks = [], [], []
+    grow, value = poset.add_words, builder.frozen_value
+    walk, table = builder.fix_sets, builder.fix_table
 
-    def no_table(*args):
-        raise AssertionError("the build made a fix table")
+    def no_walk(*args):
+        raise AssertionError("the build walked a fix trie")
 
-    def counted_table(*args):
-        tables.append(args)
-        return table(*args)
+    def counted_walk(words, s):
+        walks.append(("trie", sorted(words)))
+        return walk(walks[-1][1], s)
+
+    def counted_table(gens, max_len, s):
+        walks.append(("table", max_len))
+        return table(gens, max_len, s)
 
     def recording_grow(p, words):
         groups.append(grow(p, words))
@@ -296,7 +302,8 @@ def test_each_word_is_frozen_through_fix_points_at_its_group_s(
         calls.append((w, s, fix))
         return value(mode, s, w, earlier, fix)
 
-    monkeypatch.setattr(builder, "fix_table", no_table)
+    monkeypatch.setattr(builder, "fix_sets", no_walk)
+    monkeypatch.setattr(builder, "fix_table", no_walk)
     intercept(builder, poset, add_words=recording_grow)
     monkeypatch.setattr(builder, "frozen_value", recording_value)
     report = build(PosetMode.COFINITARY, gens, point_budget=points,
@@ -309,5 +316,9 @@ def test_each_word_is_frozen_through_fix_points_at_its_group_s(
         group = next(c for c in groups if w in c.words)
         assert fix is None and s is group.s
         assert report.frozen_fix[w][1] == fix_points(w, group.s).points, format_word(w)
+    monkeypatch.setattr(builder, "fix_sets", counted_walk)
     monkeypatch.setattr(builder, "fix_table", counted_table)
-    assert builder.verify_cofinitary(report) == [] and len(tables) == 1
+    assert builder.verify_cofinitary(report) == []
+    assert walks == [
+        ("trie", sorted(w.letters for w in report.frozen_fix)), ("table", word_budget - 2)
+    ]
