@@ -527,15 +527,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return USAGE
     except SystemExit as err:  # argparse reports usage errors with code 2
         return USAGE if err.code else OK
-    # Each command starts from cold side-word pools, side-set indexes and
-    # pair partners, so the work it does (and what a trace of it counts)
-    # does not depend on earlier commands.  Before the poset layer is
-    # loaded they are cold.
+    # Each command starts from cold side-word pools and side-set indexes,
+    # so the work it does (and what a trace of it counts) does not depend
+    # on earlier commands.  Before the poset layer is loaded they are cold.
     poset = sys.modules.get("cofinitary.poset")
     if poset is not None:
         poset.side_words.cache_clear()
         poset.side_index.cache_clear()
-        poset.partners.cache_clear()
     try:
         return args.func(args)
     except ConfigError as err:

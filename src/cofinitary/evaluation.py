@@ -172,9 +172,6 @@ class Assignment:
             object.__setattr__(self, "_summary", summary)
             return summary
 
-    def all_values(self) -> frozenset[int]:
-        return self.summary()[0]
-
     @property
     def top(self) -> int:
         return self.summary()[2]

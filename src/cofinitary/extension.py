@@ -10,15 +10,16 @@ certificate reads it off the value summary (V, gap, top), so no step scans
 V.  It may over-approximate; the order check on every chosen value is
 authoritative.
 
-PointPhase is the one point step.  It opens on a condition, copies a
-generator's lookups the first time it reads them (the walk kernel reads
-the others off the condition's maps) and extends its copies in place: each
-step runs the discipline's rule, the ceiling, validate's rules on the new
-pair (poset.pair_problems) and leq's one-pair order kernel
-(poset.walk_breaks, agreement_breaks, ones_breaks), then sets one key per
-lookup and grows V.  close makes the one Condition.  The builder steps a
-phase between freezes; the samplers, cover_extend, strong_reduction (one
-phase per reduction), hit_extend and hit_search each open one per call.
+PointPhase is the one point step.  It opens on a condition and its side
+set's index (poset.side_index), copies a generator's lookups the first time
+it reads them (the order rule reads the others off the condition's maps)
+and extends its copies in place: each step runs the discipline's rule, the
+ceiling, validate's rules on the new pair (poset.pair_problems) and the
+order rule leq asks per added pair (poset.SideIndex.breaks), then sets one
+key per lookup and grows V.  close makes the one Condition.  The builder
+steps a phase between freezes; the samplers, cover_extend,
+strong_reduction (one phase per reduction), hit_extend and hit_search each
+open one per call.
 domain_extend, range_extend, Extension.choose, extend_with and
 mad_set_point are thin entries over a phase, kept for the benchmark tracer.
 
@@ -37,7 +38,7 @@ from typing import AbstractSet, Callable, Collection, Iterable, Mapping, Optiona
 
 from . import evaluation, poset
 from .evaluation import Assignment, GroundPermutation, PartialMap, eval_domain
-from .poset import DISCIPLINES, Condition, side_index
+from .poset import DISCIPLINES, Condition
 from .words import Letter, Word, invert, occurrences
 
 
@@ -118,7 +119,7 @@ def agreement_certificate(
 ) -> ExtensionCertificate:
     """The certificate for (gen, n, ?) in the agreement discipline: only a
     new agreement with a frozen partner at the new point is dangerous, so F
-    is the partners' values at n (poset.partners names them)."""
+    is the partners' values at n (the side-set index names them)."""
     values = (fb.get(n) for fb in partner_lookups)
     return ExtensionCertificate.of(v for v in values if v is not None)
 
@@ -128,7 +129,8 @@ def mad_value(
 ) -> int:
     """The value a MAD point step decides for gen at n: 1 when gen is no frozen
     letter or no other frozen letter already holds 1 there, else 0.
-    `lookup` gives a generator's fwd."""
+    `frozen` holds the frozen letters' generators (the keys of the side-set
+    index's partners) and `lookup` gives a generator's fwd."""
     if gen in frozen and any(lookup(b).get(n) == 1 for b in frozen if b != gen):
         return 0
     return 1
@@ -158,7 +160,7 @@ MAD_NOT_BELOW = "MAD point decision broke intersection freezing"
 class _Copies(dict):
     """gen -> a point phase's own copy of one lookup of base's map for gen
     (fwd for sign 1, rev for sign -1), made on first use; from then on the
-    walk kernel's lookup for that letter reads the copy."""
+    phase's lookup for that letter (steps) reads the copy."""
 
     def __init__(self, base: Condition, sign: int, steps: dict) -> None:
         super().__init__()
@@ -185,23 +187,20 @@ class PointPhase:
         self.fwd = _Copies(base, 1, self.steps)
         self.rev = _Copies(base, -1, self.steps) if d.injective else None
         self.added: list[tuple[int, int, int]] = []  # the kept pairs (gen, n, m)
+        self.index = poset.side_index(d.kernel, base.words)  # fixed: no step grows the side set
         if d.kernel == "walk":
-            self.tries = side_index(base.words)
             values, self.gap, self.top = base.s.summary()
             self.values = set(values)
-        elif d.kernel == "agreement":
-            self.partners = poset.partners(base.words)
-        else:
-            self.letters = [w.letters[0].gen for w in base.words]
 
     def certificate(self, gen: int, point: int, direction: str) -> ExtensionCertificate:
         """The certificate for a new pair of gen at the fixed coordinate
         point ("domain": n, "range": m), read off base's side set and the
         lookups."""
-        if self.discipline.kernel == "agreement":
-            return agreement_certificate([self.fwd[h] for h in self.partners.get(gen, ())], point)
+        index = self.index
+        if index.kernel == "agreement":
+            return agreement_certificate([self.fwd[h] for h in index.partners.get(gen, ())], point)
         image = self.rev[gen] if direction == "domain" else self.fwd[gen]  # its keys
-        return walk_certificate(self.tries, gen, image, point, self.values, self.gap, self.top)
+        return walk_certificate(index.tries, gen, image, point, self.values, self.gap, self.top)
 
     def domain(
         self, gen: int, n: int,
@@ -216,7 +215,7 @@ class PointPhase:
         value = self.fwd[gen].get(n)
         if value is None:
             if self.discipline.values is not None:
-                value = mad_value(gen, n, self.letters, self.fwd.__getitem__)
+                value = mad_value(gen, n, self.index.partners, self.fwd.__getitem__)
             else:
                 cert = self.certificate(gen, n, "domain")
                 value = least_within(cert, gen, n, 0 if floor is None else floor(), ceiling)
@@ -243,12 +242,12 @@ class PointPhase:
     ) -> Optional[Exception]:
         """None when the pair (n, m) on gen passes validate's rules on the
         grown map (poset.pair_problems), checked first, and the order
-        kernel; then it is kept if keep is set, recorded in `added`, with V
-        grown.  Otherwise the lookups stay as they were and the refusal
-        comes back: a ValueError with validate's message, or the kernel's
-        ContractViolation for a step in the direction ("domain": n fixed,
-        "range": m fixed).  The pair must be new: the kernel reads every
-        pair on the lookups as one that may give a frozen word something."""
+        rule (SideIndex.breaks); then it is kept if keep is set, recorded in
+        `added`, with V grown.  Otherwise the lookups stay as they were and
+        the refusal comes back: a ValueError with validate's message, or
+        the rule's ContractViolation for a step in the direction ("domain":
+        n fixed, "range": m fixed).  The pair must be new: the rule reads it
+        as gen's first value at n, so it is asked without old lookups."""
         fwd = self.fwd[gen]
         d = self.discipline
         rev = None if self.rev is None else self.rev[gen]
@@ -259,7 +258,7 @@ class PointPhase:
         if rev is not None:
             rev[m] = n
         refusal = None
-        if self._breaks(gen, n, m):
+        if self.index.breaks(self.steps, gen, n, m):
             refusal = (
                 ContractViolation(MAD_NOT_BELOW) if d.values is not None
                 else not_below(gen, n, m) if direction == "domain" else not_below(gen, m, n)
@@ -278,26 +277,6 @@ class PointPhase:
         if rev is not None:
             del rev[m]
         return refusal
-
-    def _breaks(self, gen: int, n: int, m: int) -> bool:
-        """The discipline's order kernel on the pair (n, m) just put on gen."""
-        kernel = self.discipline.kernel
-        if kernel == "walk":
-            return poset.walk_breaks(self.tries, self.steps, gen, n, m)
-        fwd = self.fwd
-        if kernel == "agreement":
-            # gen held nothing at n before the step
-            pa = fwd[gen]
-            for h in self.partners.get(gen, ()):
-                pb = fwd[h]
-                if poset.agreement_breaks(pa, pb, {}, pb, n):
-                    return True
-            return False
-        if gen not in self.letters:
-            return False
-        others = list(self.letters)
-        others.remove(gen)
-        return poset.ones_breaks(n, m, [fwd[h].items() for h in others])
 
     def close(self) -> Condition:
         """The condition the lookups stand for, validated against base:

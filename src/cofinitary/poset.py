@@ -5,7 +5,10 @@ set of entries whose frozen values are kept: an extension may not give a
 frozen entry anything new.  Four modes share the representation: a
 cofinitary group (cofinitary), almost disjoint permutations (adp), an
 eventually different family (edf) and Hechler's MAD family (mad).  What each
-mode decides is its row of the discipline table DISCIPLINES.
+mode decides is its row of the discipline table DISCIPLINES.  The order
+rule on frozen entries is written once, in the side-set index (SideIndex,
+built by side_index): leq asks it once per pair an extension adds, and a
+point phase once per step.
 
 Everything is a value type; no code changes a condition once it is made.
 Only a point phase (extension.PointPhase) extends maps in place, on lookups
@@ -17,7 +20,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Container, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from . import evaluation, words
 from .evaluation import (
@@ -112,31 +115,6 @@ def side_words(mode: PosetMode, alphabet: tuple[int, ...], length: int) -> tuple
     return tuple(single(g) for g in alphabet)
 
 
-END = None  # the trie key that closes a rotation
-
-
-@functools.lru_cache(maxsize=8)
-def side_index(words: frozenset[Word]) -> dict[Letter, dict]:
-    """The side-set index: letter -> the trie of the rotations of each class
-    representative (w.class_key) in application order, each read from just
-    after an occurrence of the letter; END marks where a rotation ends.
-
-    A representative holds the generators of its words, so a side word holds
-    g exactly when Letter(g, 1) or Letter(g, -1) keys a trie.  The tries
-    depend only on the side set, not on the order classes are inserted, so
-    they are built once per distinct side set: every condition that keeps
-    the set, such as the ones point phases close into, shares them."""
-    tries: dict[Letter, dict] = {}
-    for key in {w.class_key for w in words}:
-        applied = key[::-1]
-        for i, letter in enumerate(applied):
-            node = tries.setdefault(letter, {})
-            for x in applied[i + 1 :] + applied[:i]:
-                node = node.setdefault(x, {})
-            node[END] = END
-    return tries
-
-
 @dataclass(frozen=True)
 class Condition:
     """A condition of the poset: finite partial maps and a finite side set.
@@ -183,12 +161,6 @@ class Condition:
             frozenset(parse_word(t) for t in obj.get("F", [])),
             PosetMode(obj.get("mode", "cofinitary")),
         )
-
-
-def _same_poset(p: Condition, q: Condition) -> None:
-    """Raise ValueError unless p and q share a mode."""
-    if p.mode is not q.mode:
-        raise ValueError(f"mode mismatch: {p.mode} vs {q.mode}")
 
 
 def validate(c: Condition) -> list[str]:
@@ -345,16 +317,19 @@ def new_fix_candidates(
 
 class _Steps(dict):
     """Letter -> the lookup applying it under s, resolved on first use and
-    kept for one order check or one point phase."""
+    kept for one order check or one point phase.  A Letter is a named
+    tuple, so a plain (gen, sign) tuple keys it too."""
 
     def __init__(self, s: Assignment) -> None:
-        super().__init__()
-        self.s = s
+        self.s = s  # dict.__new__ has made the empty dict
 
     def __missing__(self, letter: Letter) -> Step:
-        step = letter_step(letter, self.s)
+        step = letter_step(Letter(*letter), self.s)
         self[letter] = step
         return step
+
+
+END = None  # the trie key that closes a rotation
 
 
 def _closes(trie: dict, steps: Mapping[Letter, Step], start: int, target: int) -> bool:
@@ -374,58 +349,93 @@ def _closes(trie: dict, steps: Mapping[Letter, Step], start: int, target: int) -
     return False
 
 
-# -- the per-pair order kernels ------------------------------------------------
-# Each discipline decides whether one added pair breaks what the side set
-# freezes in one function of plain lookups.  leq calls it once per added pair;
-# a point phase calls it once per step on its mutable lookups.
+# -- the side-set index: the order rule, written once ------------------------
 
 
-def walk_breaks(
-    tries: dict[Letter, dict], steps: Mapping[Letter, Step], g: int, a: int, b: int
-) -> bool:
-    """Whether the added pair (a, b) on g gives a frozen word a new fixed
-    point, under the lookups `steps` of the extended maps and the side-set
-    index `tries` (see leq)."""
-    ahead, back = tries.get((g, 1)), tries.get((g, -1))
-    return bool(ahead and _closes(ahead, steps, b, a) or back and _closes(back, steps, a, b))
+class SideIndex:
+    """A side set indexed for its discipline's order rule, which breaks
+    decides: leq asks it once per pair p adds, a point phase once per step.
+    Only the kernel's field is filled; callers only read it.
+
+    tries     walk: letter -> the trie of the rotations of each class
+              representative (w.class_key) in application order, each read
+              from just after an occurrence of the letter and closed by END.
+              A side word holds g exactly when (g, 1) or (g, -1) keys a trie.
+    partners  generator -> the generators it is frozen against: the other
+              one of each pair word a b^-1 holding it (agreement), or every
+              other frozen letter (ones; its keys are the frozen letters).
+              A generator frozen twice is its own partner.
+    """
+
+    def __init__(self, kernel: str, words: Iterable[Word]) -> None:
+        self.kernel = kernel
+        self.tries: dict[Letter, dict] = {}
+        self.partners: dict[int, tuple[int, ...]] = {}
+        if kernel == "walk":
+            for key in {w.class_key for w in words}:
+                applied = key[::-1]
+                for i, letter in enumerate(applied):
+                    node = self.tries.setdefault(letter, {})
+                    for x in applied[i + 1 :] + applied[:i]:
+                        node = node.setdefault(x, {})
+                    node[END] = END
+        elif kernel == "agreement":
+            out: dict[int, list[int]] = {}
+            for w in words:
+                a, b = w.letters[0].gen, w.letters[1].gen
+                out.setdefault(a, []).append(b)
+                out.setdefault(b, []).append(a)
+            self.partners = {g: tuple(hs) for g, hs in out.items()}
+        else:
+            gens = [w.letters[0].gen for w in words]
+            self.partners = {g: tuple(gens[:i] + gens[i + 1 :]) for i, g in enumerate(gens)}
+
+    def breaks(
+        self, steps: Mapping[Letter, Step], g: int, n: int, m: int,
+        old: Optional[Mapping[Letter, Step]] = None,
+    ) -> bool:
+        """Whether the pair (n, m) just put on g gives a frozen entry
+        something new.  steps[letter] applies a letter with the pair in and
+        old[letter] without it; old is None where g had no value at n.
+
+        walk: on partial injections g had no pair at n and none onto m, so
+        a frozen word gains a fixed point exactly when its cycle uses the
+        pair: read from just after it, the cycle walks m to n along a
+        rotation that follows (g, +1), or n to m along one that follows
+        (g, -1).  A class gains one when its representative does
+        (words.cyclic_class).
+        agreement, ones: away from n the maps read as they did, so a new
+        agreement (common 1-point) sits at n.  A pair (n, 1) is new, so a
+        common 1-point that uses it is new."""
+        kernel = self.kernel
+        if kernel == "walk":
+            # a Letter is a named tuple, so the plain (g, sign) keys its trie too
+            ahead, back = self.tries.get((g, 1)), self.tries.get((g, -1))
+            return bool(
+                ahead and _closes(ahead, steps, m, n) or back and _closes(back, steps, n, m)
+            )
+        partners = self.partners.get(g, ())
+        if kernel == "ones":
+            return m == 1 and any(steps[h, 1](n) == 1 for h in partners)
+        for h in partners:
+            if _agrees(steps, g, h, n) and not (old is not None and _agrees(old, g, h, n)):
+                return True
+        return False
 
 
-def agreement_breaks(
-    pa: Mapping[int, int], pb: Mapping[int, int],
-    qa: Mapping[int, int], qb: Mapping[int, int], n: int,
-) -> bool:
-    """Whether n, a point where a gained a pair, agrees under the extended
-    lookups pa, pb of a frozen pair a, b but not under their old lookups
-    qa, qb."""
-    return _agrees(pa, pb, n) and not _agrees(qa, qb, n)
-
-
-def ones_breaks(n: int, v: int, others: Iterable[Container[tuple[int, int]]]) -> bool:
-    """Whether the added pair (n, v) on a frozen letter makes n a common
-    1-point with one of the other frozen letters, whose extended maps
-    `others` answer pair membership.  The pair is new, so such a common
-    1-point is new too."""
-    return v == 1 and any((n, 1) in pm for pm in others)
-
-
-def _agrees(fa: Mapping[int, int], fb: Mapping[int, int], n: int) -> bool:
-    """Whether n is in the agreement set of the maps with lookups fa, fb."""
-    v = fa.get(n)
-    return v is not None and fb.get(n) == v
+def _agrees(steps: Mapping[Letter, Step], a: int, b: int, n: int) -> bool:
+    """Whether the maps of a and b, applied by steps, agree at n."""
+    v = steps[a, 1](n)
+    return v is not None and steps[b, 1](n) == v
 
 
 @functools.lru_cache(maxsize=8)
-def partners(words: frozenset[Word]) -> dict[int, tuple[int, ...]]:
-    """Generator -> the other generator of each pair word a b^-1 that holds
-    it, once per word (a word on one generator names it twice).  Cached
-    like side_index, so the conditions that keep a side set share it;
-    callers only read it."""
-    out: dict[int, list[int]] = {}
-    for w in words:
-        a, b = w.letters[0].gen, w.letters[1].gen
-        out.setdefault(a, []).append(b)
-        out.setdefault(b, []).append(a)
-    return {g: tuple(hs) for g, hs in out.items()}
+def side_index(kernel: str, words: frozenset[Word]) -> SideIndex:
+    """The side set's index for the kernel.  It depends only on the side
+    set, not on the order entries were added, so it is built once per
+    distinct side set: every condition that keeps the set, such as the ones
+    point phases close into, shares it."""
+    return SideIndex(kernel, words)
 
 
 def _added_pairs(p: Assignment, q: Assignment) -> Optional[dict[int, frozenset[tuple[int, int]]]]:
@@ -453,65 +463,27 @@ def _added_pairs(p: Assignment, q: Assignment) -> Optional[dict[int, frozenset[t
 
 
 def leq(p: Condition, q: Condition) -> bool:
-    """p extends q: larger assignment and side set, no frozen word gains a
-    fixed point (MAD: no frozen pair gains a common 1-point).  Raises
-    ValueError when p and q differ in mode; the walk disciplines
-    also raise it on a map of p that is no partial injection."""
-    _same_poset(p, q)
-    kernel = DISCIPLINES[p.mode].kernel
-    if kernel == "walk":
+    """p extends q: larger assignment and side set, and no frozen entry
+    gains anything new, which the side-set index decides once per pair p
+    adds (SideIndex.breaks).  Raises ValueError when p and q differ in
+    mode; the disciplines of injections (cofinitary, adp) also raise it on
+    a map of p that is no partial injection."""
+    if p.mode is not q.mode:
+        raise ValueError(f"mode mismatch: {p.mode} vs {q.mode}")
+    d = DISCIPLINES[p.mode]
+    if d.injective:
         for pm in p.s.table.values():
             if not pm.injection:
                 raise ValueError(f"the {p.mode.value} order is defined on partial injections only")
     added = _added_pairs(p.s, q.s)
-    if added is None:
+    if added is None or not (p.words is q.words or p.words >= q.words):
         return False
-    if not (p.words is q.words or p.words >= q.words):
-        return False
-    # The pair kernels look only at the points where p adds a pair on a or
-    # b: elsewhere both maps hold the same pairs in p as in q, so a point
-    # agrees (is a common 1-point) in p exactly when it does in q.  A pair
-    # (n, 1) that p adds is not q's, so a common 1-point of p that uses it
-    # is new.  The ones kernel meets the new pairs of each frozen letter
-    # with the maps of the other frozen letters.
-    if kernel == "ones":
-        letters = [w.letters[0].gen for w in q.words]
-        for g, pairs in added.items():
-            if g not in letters:
-                continue
-            others = list(letters)
-            others.remove(g)
-            maps = [p.s.get(h) for h in others]
-            if any(ones_breaks(n, v, maps) for n, v in pairs):
-                return False
-        return True
-    if kernel == "agreement":
-        pairs_of = partners(q.words)
-        for g, pairs in added.items():
-            hs = pairs_of.get(g)
-            if not hs:
-                continue
-            pa, qa = p.s.get(g).fwd, q.s.get(g).fwd
-            for h in hs:
-                pb, qb = p.s.get(h).fwd, q.s.get(h).fwd
-                for n, _ in pairs:
-                    if agreement_breaks(pa, pb, qa, qb, n):
-                        return False
-        return True
     if not added:
         return True
-    # A frozen word gains a fixed point exactly when its p-cycle uses a new
-    # pair (a, b) on g: q's pairs are a subset of p's, and p has no other
-    # pair at a or onto b, so q's walk follows p's and dies there.  Read from just after that
-    # step, the cycle walks b to a along a rotation that follows a (g, +1),
-    # or a to b along one that follows a (g, -1).  Every word of a class
-    # gains one when its representative does (words.cyclic_class).  A
-    # Letter is a named tuple, so the plain (g, sign) tuple keys its trie.
-    tries = side_index(q.words)
-    steps = _Steps(p.s)
+    index, steps, old = side_index(d.kernel, q.words), _Steps(p.s), _Steps(q.s)
     for g, pairs in added.items():
-        for a, b in pairs:
-            if walk_breaks(tries, steps, g, a, b):
+        for n, m in pairs:
+            if index.breaks(steps, g, n, m, old):
                 return False
     return True
 

@@ -7,9 +7,11 @@ read through the bijection, on partial injections:
     w = uv:  n -> e_v(n) maps Fix(uv) onto Fix(vu),  and  Fix(w^-1) = Fix(w).
 
 expand() does that from the report's JSON alone, with its own word walks;
-check() compares the result with fix_points on the final assignment for
-every hat word up to the report's word budget, which is what the build
-recorded when it froze every hat word.
+check() compares the result with the fix set of every hat word up to the
+report's word budget on the final assignment, which is what the build
+recorded when it froze every hat word.  It reads them from
+evaluation.fix_sets walks of the hat words' trie, one per first-applied
+letter, which the build does not use: it freezes through fix_points.
 
     PYTHONPATH=src python tests/class_expansion.py REPORT.json [...]
 
@@ -115,9 +117,9 @@ def expand(report: dict) -> tuple[dict[str, list[int]], list[str]]:
 
 def check(report: dict) -> list[str]:
     """Every hat word up to the word budget gets, by expand, exactly its
-    fix_points on the final assignment; the recorded hat_words add up to
-    the number of hat words."""
-    from cofinitary.evaluation import Assignment, fix_points
+    fix set on the final assignment (evaluation.fix_sets); the recorded
+    hat_words add up to the number of hat words."""
+    from cofinitary.evaluation import Assignment, fix_sets
     from cofinitary.words import format_word, hat_words
 
     expanded, problems = expand(report)
@@ -126,12 +128,19 @@ def check(report: dict) -> list[str]:
     total = sum(entry["hat_words"] for entry in report["frozen_fix"].values())
     if total != len(words):
         problems.append(f"hat_words add up to {total}, not {len(words)}")
+    # one walk per first-applied letter: the walks share no trie node, so
+    # only one group's trie and fix sets are held at a time
+    groups: dict[tuple[int, int], list] = {}
     for w in words:
-        name = format_word(w)
-        want = sorted(fix_points(w, s).points)
-        got = expanded.pop(name, None)
-        if got != want:
-            problems.append(f"{name}: expanded {got}, fix_points {want}")
+        groups.setdefault(w.letters[-1], []).append(w)
+    for group in groups.values():
+        fix = fix_sets([w.letters for w in group], s)
+        for w in group:
+            name = format_word(w)
+            want = sorted(fix[w.letters])
+            got = expanded.pop(name, None)
+            if got != want:
+                problems.append(f"{name}: expanded {got}, fix set {want}")
     problems += [f"{name}: expanded, but no hat word of the budget" for name in expanded]
     return problems
 

@@ -85,12 +85,14 @@ def triples(s: Assignment) -> frozenset[tuple[int, int, int]]:
 
 
 def certificate(p: Condition, gen: int, n: int) -> ExtensionCertificate:
-    """The certificate for (gen, n, ?) over p, read off p's side-set index or
-    pair partners and p's maps."""
-    if DISCIPLINES[p.mode].kernel == "agreement":
-        partners = poset.partners(p.words).get(gen, ())
+    """The certificate for (gen, n, ?) over p, read off p's side-set index
+    (its tries or pair partners) and p's maps."""
+    kernel = DISCIPLINES[p.mode].kernel
+    index = side_index(kernel, p.words)
+    if kernel == "agreement":
+        partners = index.partners.get(gen, ())
         return agreement_certificate([p.s.get(h).fwd for h in partners], n)
-    return walk_certificate(side_index(p.words), gen, p.s.get(gen).image(), n, *p.s.summary())
+    return walk_certificate(index.tries, gen, p.s.get(gen).image(), n, *p.s.summary())
 
 
 def mirror(p: Condition, gen: int) -> Condition:

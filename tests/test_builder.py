@@ -56,7 +56,7 @@ class TestBuild:
 
     def test_corrupted_report_detected(self):
         report = build(PosetMode.COFINITARY, [0], point_budget=4, word_budget=1, seed=0)
-        hot = report.final.s.all_values()
+        hot = report.final.s.summary()[0]
         k = max(hot) + 1
         report.final = Condition(
             report.final.s.with_pair(0, k, k), report.final.words, report.final.mode
@@ -244,7 +244,7 @@ class TestVariantFamilies:
             PosetMode.MAD, [0, 1], point_budget=10,
             word_budget=DISCIPLINES[PosetMode.MAD].word_budget, seed=8,
         )
-        fresh = max(report.final.s.all_values()) + 1
+        fresh = max(report.final.s.summary()[0]) + 1
         report.final = Condition(
             report.final.s.with_pair(0, fresh, 1).with_pair(1, fresh, 1),
             report.final.words,

@@ -4,8 +4,9 @@ Under partial injections the fixed points of every word with one
 words.cyclic_class key are in bijection (see tests/class_expansion.py), so
 the builder freezes and records only the least hat word of each class.
 These tests expand every recorded class back to all hat words up to the
-word budget and compare each with fix_points on the final assignment: the
-fix sets a build that froze every hat word recorded.
+word budget and compare each with its fix set on the final assignment,
+which check reads from evaluation.fix_sets walks: the fix sets a build
+that froze every hat word recorded.
 """
 
 from __future__ import annotations

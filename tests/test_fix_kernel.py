@@ -84,7 +84,7 @@ def _fresh_fixed_point():
     """g0 gains a fresh fixed point: every frozen power of g0 breaks, and so
     do the conjugates of g0 that cannot reach the new point."""
     report = _seed7()
-    k = max(report.final.s.all_values()) + 1
+    k = max(report.final.s.summary()[0]) + 1
     return _with_map(report, report.final.s.with_pair(0, k, k))
 
 
@@ -93,7 +93,7 @@ def _point_onto_a_fixed_point():
     report = _seed7()
     s = report.final.s
     x = min(fix_points(parse_word("g0"), s).points)
-    return _with_map(report, s.with_pair(1, max(s.all_values()) + 1, x))
+    return _with_map(report, s.with_pair(1, max(s.summary()[0]) + 1, x))
 
 
 def _dropped_pair():

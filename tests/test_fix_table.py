@@ -344,7 +344,7 @@ def test_a_build_with_a_frozen_word_longer_than_the_budget_agrees():
     )
     assert longer in report.frozen_fix and _both(report) == []
     stage, fix = report.frozen_fix[longer]
-    report.frozen_fix[longer] = (stage, fix | {max(report.final.s.all_values()) + 1})
+    report.frozen_fix[longer] = (stage, fix | {max(report.final.s.summary()[0]) + 1})
     violations = _both(report)
     assert len(violations) == 1 and violations[0].startswith("g0^2 g1 g2^-1 g1: frozen at")
 
@@ -404,7 +404,7 @@ def test_a_broken_conjugation_law_alone_is_reported_alike():
     # the report lists a third generator with no frozen word; its map has a
     # fixed point outside the image of g0, which conjugating by g0 loses
     report = build(PosetMode.COFINITARY, [0, 1], point_budget=6, word_budget=3, seed=2)
-    k = max(report.final.s.all_values()) + 1
+    k = max(report.final.s.summary()[0]) + 1
     corrupt = _with_final_s(report, report.final.s.with_pair(2, k, k))
     corrupt.generators = (0, 1, 2)
     violations = _both(corrupt)

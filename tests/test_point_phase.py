@@ -24,7 +24,7 @@ import pytest
 
 import copy_path
 from test_group_freeze import reference_build
-from test_step_local import reference_leq
+from test_class_walk import reference_leq
 
 from cofinitary import extension, poset, sampling
 from cofinitary.builder import BuildError, build, hit_goal
@@ -260,7 +260,7 @@ def test_the_ones_kernel_counts_a_letter_frozen_twice():
 
 
 def test_walk_kernel_is_leq_per_pair():
-    # one pair at a time, walk_breaks answers what leq answers
+    # one pair at a time, the side-set index answers what leq answers
     rng = random.Random("walk-kernel")
     words = frozenset({Word((Letter(0, 1), Letter(1, 1))), single(0), single(1, -1)})
     verdicts = set()
@@ -275,8 +275,7 @@ def test_walk_kernel_is_leq_per_pair():
         n = rng.choice([k for k in range(10) if k not in fwd])
         m = rng.choice([v for v in range(10) if v not in rev])
         p = Condition(q.s.with_pair(g, n, m), words)
-        steps = poset._Steps(p.s)
-        broke = poset.walk_breaks(poset.side_index(words), steps, g, n, m)
+        broke = poset.side_index("walk", words).breaks(poset._Steps(p.s), g, n, m)
         assert broke == (not leq(p, q))
         verdicts.add(broke)
     assert verdicts == {True, False}

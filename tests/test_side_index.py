@@ -1,13 +1,13 @@
 """The side-set index and the code paths that read it.
 
-poset.side_index is the whole index: per letter, the trie of the class
-representatives' rotations that follow it.  leq walks only the tries of
-letters whose generator gains pairs.  A class representative holds the
-generators of its words, so a side word holds g exactly when Letter(g, 1)
-or Letter(g, -1) keys a trie; a point phase's certificate reads that
-fact, for range steps too.  The pair partners of an edf
-generator come from a scan of the side set.  Both are checked here against
-the scans they replaced.
+poset.side_index builds one index per kernel and side set.  For the walk
+disciplines it holds, per letter, the trie of the class representatives'
+rotations that follow it.  leq walks only the tries of letters whose
+generator gains pairs.  A class representative holds the generators of its
+words, so a side word holds g exactly when Letter(g, 1) or Letter(g, -1)
+keys a trie; a point phase's certificate reads that fact, for range steps
+too.  For edf it holds each generator's pair partners, from a scan of the
+side set.  Both are checked here against the scans they replaced.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def test_trie_test_and_mixed_scan_match_the_holding_scan():
         for c in _chain(rng, 30, gens)[::3]:
             for gen in gens:
                 for x, direction in ((c, "domain"), (mirror(c, gen), "range")):
-                    tries = side_index(x.words)
+                    tries = side_index("walk", x.words).tries
                     keyed = Letter(gen, 1) in tries or Letter(gen, -1) in tries
                     assert keyed == bool(_holding_by_scan(x, gen)), (gen, x.to_json())
                     n = rng.randrange(12)
@@ -182,14 +182,25 @@ def test_edf_forbidden_set_matches_the_holding_form():
 
 
 @pytest.mark.parametrize("mode, calls", [("edf", False), ("mad", False), ("adp", True)])
-def test_only_the_walk_disciplines_build_an_index(mode, calls, tmp_path, capsys):
-    # the build-long variant command; main clears the cache, so its counts
-    # are this command's calls
+def test_only_the_walk_disciplines_build_an_index(mode, calls, tmp_path, capsys, monkeypatch):
+    # the build-long variant command; main clears the cache, so every index
+    # it reads is built during the command.  Every discipline builds one,
+    # but only the walk disciplines build rotation tries: the edf and mad
+    # indexes hold pair partners only.
+    built = []
+    init = poset.SideIndex.__init__
+
+    def recording(self, kernel, words):
+        init(self, kernel, words)
+        built.append(self)
+
+    monkeypatch.setattr(poset.SideIndex, "__init__", recording)
     argv = ["build-group", "--mode", mode, "--generators", "4", "--points", "200",
             "--seed", "3", "--out", str(tmp_path / "o.json")]
     assert main(argv) == 0
-    info = side_index.cache_info()
-    assert (info.hits + info.misses > 0) == calls, info
+    assert built
+    assert any(index.tries for index in built) == calls
+    assert any(index.partners for index in built) != calls
 
 
 def test_index_depends_only_on_the_side_set():
@@ -197,14 +208,14 @@ def test_index_depends_only_on_the_side_set():
     one, other = frozenset(words), frozenset(reversed(words))
     assert one == other and one is not other
     side_index.cache_clear()
-    first = side_index(one)
+    first = side_index("walk", one)
     side_index.cache_clear()
-    second = side_index(other)
-    assert first is not second and first == second
-    assert side_index(one) is second  # equal side sets share one index
+    second = side_index("walk", other)
+    assert first is not second and first.tries == second.tries
+    assert side_index("walk", one) is second  # equal side sets share one index
     keys = {w.class_key for w in one}
     letters = {x for key in keys for x in key}
-    assert set(first) == letters
+    assert set(first.tries) == letters
     for letter in letters:
         want = set().union(*(_rotations_after(key, letter) for key in keys))
-        assert set(_paths(first[letter])) == want
+        assert set(_paths(first.tries[letter])) == want

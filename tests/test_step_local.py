@@ -1,14 +1,15 @@
 """Differential tests for the step-local build paths.
 
-Each fast path is checked against the code it replaced, copied verbatim
-below: the pair kernels of poset.leq (with _added_pairs, _ones and
-_agreement), which rebuilt every agreement set and 1-set on each call;
-Extension.choose, which probed one value at a time from the floor; and the
-PartialMap caches, which were rebuilt from the sorted pairs for every new
-map.  The derived facts kept on value types are checked against a fresh
-computation: the assignment tables built without a re-sort, the cached
-partial-injection fact, the strong reduction kept on a condition and the
-pair set a map made from lookups builds only when read.  Maps are grown
+Each fast path is checked against the code it replaced.  The pair rules
+of poset.leq are checked against the reference order of
+tests/test_class_walk.py, which rebuilds every agreement set and 1-set on
+each call.  Copied verbatim below are Extension.choose, which probed one
+value at a time from the floor, and the PartialMap caches, which were
+rebuilt from the sorted pairs for every new map.  The derived facts kept
+on value types are checked against a fresh computation: the assignment
+tables built without a re-sort, the cached partial-injection fact, the
+strong reduction kept on a condition and the pair set a map made from
+lookups builds only when read.  Maps are grown
 and inverted through tests/copy_path.py, as the copy path did.
 """
 
@@ -23,6 +24,7 @@ import pytest
 
 import copy_path
 from copy_path import map_inverse, map_with_pair
+from test_class_walk import reference_leq
 
 from cofinitary.evaluation import Assignment, PartialMap
 from cofinitary.extension import (
@@ -40,57 +42,6 @@ from cofinitary.words import single
 
 
 # -- the references: the replaced code, verbatim -------------------------------
-
-
-def _ones(pm_pairs):
-    return frozenset(n for n, m in pm_pairs if m == 1)
-
-
-def _agreement(s: Assignment, a: int, b: int) -> frozenset[int]:
-    fa, fb = s.get(a).fwd, s.get(b).fwd
-    return frozenset(n for n, v in fa.items() if fb.get(n) == v)
-
-
-def _added_pairs(p: Assignment, q: Assignment):
-    if not q.table.keys() <= p.table.keys():
-        return None
-    added = {}
-    for g, pm in p.table.items():
-        old = q.get(g)
-        if old is pm:
-            continue
-        extra = pm.pairs - old.pairs
-        if len(pm.pairs) - len(extra) != len(old.pairs):
-            return None
-        if extra:
-            added[g] = extra
-    return added
-
-
-def reference_leq(p: Condition, q: Condition) -> bool:
-    """The pair kernels ("ones", "agreement") of leq before the step-local check."""
-    if p.mode is not q.mode:
-        raise ValueError(f"mode mismatch: {p.mode} vs {q.mode}")
-    added = _added_pairs(p.s, q.s)
-    if added is None or not (p.words is q.words or p.words >= q.words):
-        return False
-    kernel = DISCIPLINES[p.mode].kernel
-    if kernel == "ones":
-        letters = sorted(w.letters[0].gen for w in q.words)
-        for i, a in enumerate(letters):
-            for b in letters[i + 1 :]:
-                ones_p = _ones(p.s.get(a).pairs) & _ones(p.s.get(b).pairs)
-                ones_q = _ones(q.s.get(a).pairs) & _ones(q.s.get(b).pairs)
-                if not (ones_p <= ones_q):
-                    return False
-        return True
-    if kernel == "agreement":
-        for w in q.words:
-            a, b = w.letters[0].gen, w.letters[1].gen
-            if not (_agreement(p.s, a, b) <= _agreement(q.s, a, b)):
-                return False
-        return True
-    raise AssertionError("the reference covers the pair kernels only")
 
 
 def reference_choose(
@@ -200,6 +151,21 @@ def test_pair_kernels_match_reference_on_raw_material(mode):
             verdicts[expected] += 1
     # both verdicts are common, so a kernel that always answers one way fails
     assert min(verdicts.values()) > 300
+
+
+def test_an_agreement_q_already_had_is_not_new():
+    # Unvalidated edf maps: the frozen pair g0 g1^-1 agrees at 3 in q when
+    # both maps hold (3, 1).  p adds (3, 2) to both, and a map's lookup
+    # keeps the largest value at a repeated point, so they agree at 3 in p
+    # too, at another value: not a new agreement.  Where q's maps disagree
+    # at 3 it is one.
+    words = frozenset({pair_word(0, 1)})
+    for other, want in ((1, True), (0, False)):
+        table = {0: PartialMap(frozenset({(3, 1)})), 1: PartialMap(frozenset({(3, other)}))}
+        q = Condition(Assignment(table), words, PosetMode.EDF)
+        p = Condition(q.s.with_pair(0, 3, 2).with_pair(1, 3, 2), words, PosetMode.EDF)
+        assert reference_leq(p, q) is want
+        assert leq(p, q) is want
 
 
 @pytest.mark.parametrize("mode", PAIR_MODES, ids=lambda m: m.value)

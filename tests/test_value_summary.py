@@ -44,7 +44,7 @@ def _fresh(s: Assignment) -> tuple[frozenset[int], int, int]:
 
 def _check(s: Assignment) -> None:
     assert s.summary() == _fresh(s)
-    assert (s.all_values(), s.top) == s.summary()[::2]
+    assert s.top == s.summary()[2]
 
 
 def _random_assignment(rng: random.Random, span: int) -> Assignment:
@@ -123,7 +123,7 @@ def _reference_forbidden(p: Condition, gen: int, n: int) -> frozenset[int]:
     every value of s."""
     if DISCIPLINES[p.mode].kernel == "agreement":
         return frozenset(_forbidden_edf(p, gen, n))
-    tries = side_index(p.words)
+    tries = side_index("walk", p.words).tries
     if Letter(gen, 1) not in tries and Letter(gen, -1) not in tries:
         return frozenset(p.s.get(gen).rev)
     return _fresh(p.s)[0] | {n}
