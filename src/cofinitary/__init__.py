@@ -27,10 +27,9 @@ _EXPORTS = {
         "strong_restrict", "validate",
     ),
     "extension": (
-        "CertificateError", "ContractViolation", "ExtensionCertificate", "NOT_FOUND",
-        "Rejected", "canonical_extension", "cover_extend", "domain_extend", "extend_with",
-        "hit_extend", "hit_search", "hit_threshold", "mad_set_point", "range_extend",
-        "strong_reduction",
+        "CertificateError", "ContractViolation", "ExtensionCertificate", "Rejected",
+        "canonical_extension", "cover_extend", "domain_extend", "extend_with", "hit_extend",
+        "hit_search", "hit_threshold", "mad_set_point", "range_extend", "strong_reduction",
     ),
     "builder": (
         "BuildError", "BuildReport", "DenseGoal", "build", "hit_goal", "verify_cofinitary",

@@ -210,7 +210,7 @@ def build(
         stage += 1
         prev = kept()
         found = extension.hit_search(prev, goal.gen, goal.sigma, goal.floor, 256)
-        if not isinstance(found, int):
+        if found is None:
             raise BuildError(f"goal {goal.describe()} found no hit", _report())
         cond = hit_extend(prev, goal.gen, goal.sigma, found)  # order-checked there
         goal_log.append((goal.describe(), stage, found))

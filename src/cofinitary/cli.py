@@ -349,7 +349,7 @@ def cmd_ffp_suite(args) -> int:
 
 def cmd_hit_density(args) -> int:
     from .evaluation import zshift
-    from .extension import NOT_FOUND, hit_search, hit_threshold
+    from .extension import hit_search, hit_threshold
     from .poset import PosetMode
     from .sampling import Draws, sample_condition
 
@@ -369,7 +369,7 @@ def cmd_hit_density(args) -> int:
         threshold = hit_threshold(cond, gen, sigma)
         for start in range(args.max_n + 1):
             hit = hit_search(cond, gen, sigma, start, args.window)
-            if hit is NOT_FOUND:
+            if hit is None:
                 misses.append({"sample": k, "start": start})
         records.append(
             {
@@ -545,8 +545,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as err:
         print(err, file=sys.stderr)
         return USAGE
-    except (ValueError, *_loaded("sampling", "TrialWorkerLost")) as err:
-        # input is judged before this point: a bug
+    except Exception as err:
+        # input is judged before this point: a bug, or a budget past what
+        # the recursive walkers reach (RecursionError); never a traceback
         print(f"internal error: {err!r}", file=sys.stderr)
         return VIOLATION
 

@@ -9,84 +9,50 @@ with; no word evaluates through them.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 from itertools import count, filterfalse
 from typing import Callable, Iterable, Mapping, Optional
 
 from .words import Letter, Word, invert, reduced_letters
 
 
+@dataclass(frozen=True, slots=True)
 class PartialMap:
-    """A finite partial map on naturals: a pair set with lookup caches.
+    """A finite partial map on naturals: a pair set with its lookups.
 
     fwd and rev are lookups from the pairs.  Where the pair set is not
     functional (not injective), fwd (rev) keeps the largest value for a
     repeated key: it is dict(sorted(pairs)) up to key order.  The fact
-    `injection` is read from their sizes.
-
-    A map made by of_lookups (a closed point phase's) holds only its
-    lookups: its pair set is fwd.items(), built when something reads it.
-    Every derived attribute, the pair set of such a map included,
-    is a plain instance attribute once built; __getattr__ builds a missing
-    one, so reading a built one costs a plain lookup.  Maps compare, hash
-    and count by their pair sets, and no code changes one once it is made.
+    `injection` (functional and injective) is read from their sizes.
+    All four are built when the map is made; a map compares, hashes and
+    prints by its pair set, and no code changes one once it is made.
     """
 
-    def __init__(self, pairs: frozenset[tuple[int, int]] = frozenset()) -> None:
-        self.__dict__["pairs"] = pairs
+    pairs: frozenset[tuple[int, int]] = frozenset()
+    fwd: dict[int, int] = field(init=False, compare=False, repr=False)
+    rev: dict[int, int] = field(init=False, compare=False, repr=False)
+    injection: bool = field(init=False, compare=False, repr=False)
 
-    def __getattr__(self, name: str):
-        d = self.__dict__
-        if name == "fwd":
-            value = dict(sorted(self.pairs))
-        elif name == "rev":
-            pairs = d.get("pairs")
-            value = {m: n for n, m in sorted(self.fwd.items() if pairs is None else pairs)}
-        elif name == "injection":  # a partial injection: functional and injective
-            pairs = d.get("pairs")
-            size = len(self.fwd)
-            value = size == len(self.rev) and (pairs is None or len(pairs) == size)
-        elif name == "pairs" and "fwd" in d:  # a map made by of_lookups is functional
-            value = frozenset(d["fwd"].items())
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        d[name] = value
-        return value
+    def __post_init__(self) -> None:
+        ordered = sorted(self.pairs)
+        self._set_lookups(dict(ordered), {m: n for n, m in ordered})
 
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.pairs == other.pairs
-
-    def __hash__(self) -> int:
-        return hash((self.pairs,))
-
-    def __repr__(self) -> str:
-        return f"PartialMap(pairs={self.pairs!r})"
+    def _set_lookups(self, fwd: dict[int, int], rev: dict[int, int]) -> None:
+        object.__setattr__(self, "fwd", fwd)
+        object.__setattr__(self, "rev", rev)
+        object.__setattr__(self, "injection", len(self.pairs) == len(fwd) == len(rev))
 
     def __len__(self) -> int:
-        pairs = self.__dict__.get("pairs")
-        return len(self.fwd) if pairs is None else len(pairs)
+        return len(self.pairs)
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
-        pairs = self.__dict__.get("pairs")
-        if pairs is None:
-            n, m = pair
-            return self.fwd.get(n) == m
-        return pair in pairs
+        return pair in self.pairs
 
     def is_functional(self) -> bool:
-        pairs = self.__dict__.get("pairs")
-        return pairs is None or len(self.fwd) == len(pairs)
+        return len(self.fwd) == len(self.pairs)
 
     def is_injective(self) -> bool:
-        return len(self.rev) == len(self)
+        return len(self.rev) == len(self.pairs)
 
     def domain(self) -> frozenset[int]:
         return frozenset(self.fwd)
@@ -96,13 +62,12 @@ class PartialMap:
 
     @classmethod
     def of_lookups(cls, fwd: dict[int, int], rev: Optional[dict[int, int]] = None) -> "PartialMap":
-        """The functional map with lookup fwd, and rev when given: no pair
-        set until one is read.  The dicts are taken as they are, so the
+        """The functional map with lookup fwd, and rev when given (built
+        from fwd otherwise).  The dicts are taken as they are, so the
         caller hands over dicts that nothing changes."""
         out = object.__new__(cls)
-        out.__dict__["fwd"] = fwd
-        if rev is not None:
-            out.__dict__["rev"] = rev
+        object.__setattr__(out, "pairs", frozenset(fwd.items()))
+        out._set_lookups(fwd, {m: n for n, m in sorted(fwd.items())} if rev is None else rev)
         return out
 
 
@@ -158,7 +123,7 @@ class Assignment:
     def summary(self) -> tuple[frozenset[int], int, int]:
         """(V, gap, top): V is every domain and image value of the maps, gap
         the least natural not in V and top the max of V (-1 when V is
-        empty).  Built on first use and cached, like PartialMap's caches."""
+        empty).  Built on first use and cached."""
         try:
             return self._summary  # type: ignore[attr-defined]
         except AttributeError:

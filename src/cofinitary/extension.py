@@ -56,14 +56,6 @@ class Rejected:
     reason: str
 
 
-class NotFound:
-    def __repr__(self) -> str:  # pragma: no cover
-        return "NotFound"
-
-
-NOT_FOUND = NotFound()
-
-
 @dataclass(frozen=True)
 class ExtensionCertificate:
     """Finite forbidden set; every natural outside it is admitted.
@@ -548,9 +540,10 @@ def hit_search(
     sigma: GroundPermutation,
     start: int,
     window: int,
-) -> Union[int, NotFound]:
+) -> Optional[int]:
     """First n in [start, start + window) whose hit extension is accepted,
-    each tried on one point phase over p, which keeps none of them."""
+    or None when there is none; each is tried on one point phase over p,
+    which keeps none of them."""
     phase = PointPhase(p)
     pm = p.s.get(gen)
     for n in range(start, start + window):
@@ -561,4 +554,4 @@ def hit_search(
             continue
         if phase.try_pair(gen, n, m, keep=False) is None:
             return n
-    return NOT_FOUND
+    return None

@@ -175,7 +175,7 @@ def _problems(
     words, in Word.sort_key order: each is judged on its own."""
     problems: list[str] = []
     for g, pm in maps:
-        # a map that passes, as nearly all do, is judged by one cached fact
+        # a map that passes, as nearly all do, is judged by one fact built with it
         ok = pm.injection if d.injective else pm.is_functional()
         if not ok or d.values is not None:
             problems += _map_problems(

@@ -20,7 +20,6 @@ from typing import Callable, Iterable, Optional, Sequence
 from cofinitary import evaluation, poset
 from cofinitary.evaluation import Assignment, GroundPermutation, PartialMap, eval_domain
 from cofinitary.extension import (
-    NOT_FOUND,
     ContractViolation,
     ExtensionCertificate,
     MAD_NOT_BELOW,
@@ -39,41 +38,14 @@ from cofinitary.words import Word, invert, occurrences, single
 # -- one map ------------------------------------------------------------------
 
 
-def _with_key(cache: dict[int, int], k: int, v: int) -> dict[int, int]:
-    """A copy of a fwd/rev cache with the pair k -> v added by the tie rule."""
-    out = dict(cache)
-    if out.get(k, v) <= v:
-        out[k] = v
-    return out
-
-
 def map_with_pair(pm: PartialMap, n: int, m: int) -> PartialMap:
-    """pm with (n, m) added (PartialMap.with_pair).  It gets a copy of fwd,
-    and of rev if pm has built it, with one key set by the largest-value
-    rule.  When it is functional it gets no pair set; otherwise it gets
-    pm's pair set grown by (n, m)."""
-    d = pm.__dict__
-    fwd = pm.fwd
-    pairs = d.get("pairs")
-    if fwd.get(n, m) == m and (pairs is None or len(pairs) == len(fwd)):
-        out = PartialMap.of_lookups({**fwd, n: m})  # functional: no pair set
-    else:
-        out = PartialMap(pm.pairs | {(n, m)})
-        out.__dict__["fwd"] = _with_key(fwd, n, m)
-    rev = d.get("rev")
-    if rev is not None:
-        out.__dict__["rev"] = _with_key(rev, m, n)
-    return out
+    """pm with (n, m) added (PartialMap.with_pair)."""
+    return PartialMap(pm.pairs | {(n, m)})
 
 
 def map_inverse(pm: PartialMap) -> PartialMap:
-    """pm with every pair flipped (PartialMap.inverse).  An injective,
-    functional map hands its lookups over swapped."""
-    if not pm.injection:
-        return PartialMap(frozenset((m, n) for n, m in pm.pairs))
-    out = PartialMap.of_lookups(pm.rev, pm.fwd)  # functional: no pair set
-    out.__dict__["injection"] = True
-    return out
+    """pm with every pair flipped (PartialMap.inverse)."""
+    return PartialMap(frozenset((m, n) for n, m in pm.pairs))
 
 
 def triples(s: Assignment) -> frozenset[tuple[int, int, int]]:
@@ -329,4 +301,4 @@ def hit_search(p: Condition, gen: int, sigma: GroundPermutation, start: int, win
             continue
         if isinstance(hit_extend(p, gen, sigma, n), Condition):
             return n
-    return NOT_FOUND
+    return None

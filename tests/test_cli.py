@@ -486,6 +486,22 @@ def test_console_entry_point(tmp_path):
     assert proc.stdout.strip() == str(tmp_path / "o.json")
 
 
+def test_a_word_budget_past_the_recursion_limit_prints_no_traceback(tmp_path):
+    # the word walkers recurse once per letter, so length 990 exceeds
+    # Python's default recursion limit
+    proc = subprocess.run(
+        [sys.executable, "-m", "cofinitary.cli", "build-group", "--generators", "1",
+         "--max-word-len", "990", "--points", "1", "--seed", "0",
+         "--out", str(tmp_path / "o.json")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("internal error: RecursionError(")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 # -- one parser per process ------------------------------------------------------
 
 

@@ -7,7 +7,6 @@ from cofinitary import extension, poset
 from cofinitary.extension import (
     CertificateError,
     ContractViolation,
-    NOT_FOUND,
     Rejected,
     canonical_extension,
     cover_extend,
@@ -314,7 +313,7 @@ class TestHit:
         p = cond({}, ["g0"])
         r = hit_extend(p, 0, e, 4)
         assert isinstance(r, Rejected)
-        assert hit_search(p, 0, e, 0, 16) is NOT_FOUND
+        assert hit_search(p, 0, e, 0, 16) is None
         assert hit_threshold(p, 0, e) is None
         # with no side word on g0 the identity is bounded by g0's pairs alone
         assert hit_threshold(cond({0: [(3, 5)]}, ["g1"]), 0, e) == 6

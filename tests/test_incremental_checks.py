@@ -20,7 +20,6 @@ import copy_path
 
 from cofinitary.evaluation import Assignment, PartialMap, zshift
 from cofinitary.extension import (
-    NOT_FOUND,
     ContractViolation,
     domain_extend,
     extend_with,
@@ -43,7 +42,7 @@ def follow_zshift(rng: random.Random, p: Condition, gens=GENS, steps: int = 3) -
     for _ in range(steps):
         gen = rng.choice(gens)
         n = hit_search(p, gen, ZSHIFT, rng.randrange(24), 24)
-        if n is not NOT_FOUND:
+        if n is not None:
             p = validated(p, hit_extend(p, gen, ZSHIFT, n))
     return p
 

@@ -372,8 +372,8 @@ def test_hit_search_matches_the_copy_path_over_the_hit_density_window():
             for target in (sigma, identity):
                 found = extension.hit_search(cond, gen, target, start, 64)
                 assert found == copy_path.hit_search(cond, gen, target, start, 64)
-                missed += found is extension.NOT_FOUND
-                if found is not extension.NOT_FOUND:
+                missed += found is None
+                if found is not None:
                     _same(
                         lambda: extension.hit_extend(cond, gen, target, found),
                         lambda: copy_path.hit_extend(cond, gen, target, found),

@@ -186,6 +186,8 @@ print(json.dumps([before, code]))
     ("suslin", "ffp_axiom_suite", "cofinitary.sampling.TrialWorkerLost",
      ["ffp-suite", "--mode", "adp", "--samples", "10", "--seed", "1"], 1,
      "internal error: TrialWorkerLost('{}')"),
+    ("templates", "check_axioms", "KeyError", ["template", "--lambdas", "2,3"], 1,
+     "internal error: KeyError('{}')"),
 ])
 def test_an_error_from_a_layer_loaded_inside_main_keeps_its_exit_code(
         layer, attr, error, argv, code, shown, tmp_path):

@@ -4,13 +4,13 @@ Each fast path is checked against the code it replaced.  The pair rules
 of poset.leq are checked against the reference order of
 tests/test_class_walk.py, which rebuilds every agreement set and 1-set on
 each call.  Copied verbatim below are Extension.choose, which probed one
-value at a time from the floor, and the PartialMap caches, which were
-rebuilt from the sorted pairs for every new map.  The derived facts kept
-on value types are checked against a fresh computation: the assignment
-tables built without a re-sort, the cached partial-injection fact, the
-strong reduction kept on a condition and the pair set a map made from
-lookups builds only when read.  Maps are grown
-and inverted through tests/copy_path.py, as the copy path did.
+value at a time from the floor, and the PartialMap lookups, built from
+the sorted pairs.  The derived facts kept on value types are checked
+against a fresh computation: the assignment tables built without a
+re-sort, the partial-injection fact, the strong reduction kept on a
+condition and the pair set of a map a closed phase made from its lookups.
+Maps are grown and inverted through tests/copy_path.py, as the copy path
+did.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import gc
 import random
 import weakref
+from dataclasses import FrozenInstanceError
 from typing import Optional
 
 import pytest
@@ -99,23 +100,12 @@ def _raw_condition(rng: random.Random, mode: PosetMode) -> Condition:
     return Condition(Assignment(table), _entries(rng, mode), mode)
 
 
-def _touch_caches(rng: random.Random, c: Condition) -> None:
-    """Build the fwd/rev caches of some maps, so with_pair copies some."""
-    for pm in c.s.table.values():
-        if rng.random() < 0.5:
-            pm.fwd
-        if rng.random() < 0.5:
-            pm.rev
-
-
-def _grown(rng: random.Random, q: Condition, fresh: bool) -> Condition:
+def _grown(rng: random.Random, q: Condition) -> Condition:
     """q with one to four pairs added, on one map or several, and sometimes
-    more side words; fresh builds the maps without inherited caches."""
+    more side words."""
     s = q.s
     for _ in range(rng.randint(1, 4)):
         s = s.with_pair(rng.choice(GENS), rng.randrange(8), rng.choice(_values(q.mode)))
-    if fresh:
-        s = Assignment({g: PartialMap(pm.pairs) for g, pm in s.table.items()})
     words = q.words | _entries(rng, q.mode) if rng.random() < 0.3 else q.words
     return Condition(s, words, q.mode)
 
@@ -137,13 +127,12 @@ def test_pair_kernels_match_reference_on_raw_material(mode):
     verdicts = {True: 0, False: 0}
     for _ in range(600):
         q = _raw_condition(rng, mode)
-        _touch_caches(rng, q)
-        p = _grown(rng, q, fresh=rng.random() < 0.3)
+        p = _grown(rng, q)
         pairs = [
             (p, q),
             (q, p),
             (_dropped(rng, p), q),  # p lost a pair or a whole map of q's
-            (p, _grown(rng, q, fresh=False)),  # q holds pairs p lacks
+            (p, _grown(rng, q)),  # q holds pairs p lacks
         ]
         for a, b in pairs:
             expected = reference_leq(a, b)
@@ -255,10 +244,10 @@ def test_choose_keeps_the_authoritative_order_check():
     assert got[0] == "ContractViolation"
 
 
-# -- the map caches ------------------------------------------------------------
+# -- the map lookups ------------------------------------------------------------
 
 
-def _check_caches(pm: PartialMap) -> None:
+def _check_lookups(pm: PartialMap) -> None:
     assert pm.fwd == reference_fwd(pm)
     assert pm.rev == reference_rev(pm)
 
@@ -266,9 +255,8 @@ def _check_caches(pm: PartialMap) -> None:
 @pytest.mark.parametrize("span", [4, 40], ids=["dense", "sparse"])
 def test_with_pair_and_inverse_chains_keep_the_caches(span):
     """Small spans repeat keys and values (non-functional, non-injective
-    maps); large spans keep most maps injective, so inverse swaps caches."""
+    maps); large spans keep most maps injective."""
     rng = random.Random(f"chain-{span}")
-    swapped = 0
     for _ in range(300):
         pairs = {(rng.randrange(span), rng.randrange(span)) for _ in range(rng.randrange(4))}
         pm = PartialMap(frozenset(pairs))
@@ -277,15 +265,11 @@ def test_with_pair_and_inverse_chains_keep_the_caches(span):
                 before = pm
                 pm = map_inverse(pm)
                 assert pm.pairs == frozenset((m, n) for n, m in before.pairs)
-                swapped += pm.fwd is before.rev
             else:
                 pm = map_with_pair(pm, rng.randrange(span), rng.randrange(span))
-            if rng.random() < 0.4:  # build some caches mid-chain, leave others lazy
-                rng.choice([lambda: pm.fwd, lambda: pm.rev])()
             if rng.random() < 0.2:
-                _check_caches(pm)
-        _check_caches(pm)
-    assert swapped > 50
+                _check_lookups(pm)
+        _check_lookups(pm)
 
 
 # -- tables built without a re-sort ---------------------------------------------
@@ -348,7 +332,7 @@ def test_injection_fact_along_drawn_chains(span):
                 pm = map_inverse(pm)
             else:
                 pm = map_with_pair(pm, rng.randrange(span), rng.randrange(span))
-            if rng.random() < 0.5:  # read the fact mid-chain, or leave it lazy
+            if rng.random() < 0.5:  # check mid-chain too
                 _check_injection(pm)
         _check_injection(pm)
         verdicts[pm.injection] += 1
@@ -412,7 +396,7 @@ def test_memos_keep_no_parent_alive():
 
 
 
-# -- the lazy pair set -----------------------------------------------------------
+# -- maps made from lookups ------------------------------------------------------
 
 
 def _eager(pm: PartialMap) -> PartialMap:
@@ -423,8 +407,7 @@ def _eager(pm: PartialMap) -> PartialMap:
 def _check_against_eager(pm: PartialMap, pairs: frozenset, rng: random.Random) -> None:
     """pm holds exactly `pairs`, tracked apart from the map, and every fact
     of it agrees with a map built from them; the facts are read in a drawn
-    order, so each is sometimes built before the pair set and sometimes
-    after."""
+    order."""
     ref = PartialMap(pairs)
     reads = [
         lambda: pm.fwd == reference_fwd(ref),
@@ -461,15 +444,14 @@ def _steps(rng: random.Random, mode: PosetMode, p: Condition):
 
 @pytest.mark.parametrize("mode", list(PosetMode), ids=lambda m: m.value)
 def test_lazy_maps_match_eager_maps_on_drawn_chains(mode):
+    """The maps closed phases make (PartialMap.of_lookups) agree with maps
+    built from their pair sets."""
     rng = random.Random(f"lazy-{mode.value}")
-    lazy = 0
     for _ in range(60):
         start = sample_condition(rng, mode, GENS, max_pairs=4, value_range=12)
         for c in _steps(rng, mode, start):
             for pm in c.s.table.values():
-                lazy += "pairs" not in pm.__dict__
                 _check_against_eager(pm, _eager(pm).pairs, rng)
-    assert lazy > 100  # most maps closed phases make hold no pair set until read
 
 
 @pytest.mark.parametrize("span", [3, 6, 40], ids=["dense", "mixed", "sparse"])
@@ -488,10 +470,17 @@ def test_lazy_maps_match_a_tracked_pair_set(span):
             else:
                 n, m = rng.randrange(span), rng.randrange(span)
                 pm, pairs = map_with_pair(pm, n, m), pairs | {(n, m)}
-            if rng.random() < 0.3:  # build some facts mid-chain, leave others lazy
-                rng.choice([lambda: pm.fwd, lambda: pm.rev, lambda: pm.injection])()
             if rng.random() < 0.3:
                 _check_against_eager(pm, pairs, rng)
         _check_against_eager(pm, pairs, rng)
         kinds["functional" if pm.is_functional() else "not functional"] += 1
     assert min(kinds.values()) > 40, kinds
+
+
+def test_maps_refuse_assignment_and_deletion():
+    for pm in (PartialMap(frozenset({(0, 1), (2, 1)})), PartialMap.of_lookups({0: 1, 2: 3})):
+        for name in ("pairs", "fwd", "rev", "injection"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(pm, name, getattr(pm, name))
+            with pytest.raises(FrozenInstanceError):
+                delattr(pm, name)
