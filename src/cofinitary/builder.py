@@ -12,11 +12,13 @@ groups are shuffled from.
 
 Between freezes, point goals step one extension.PointPhase, the point step
 every caller shares: it opens on the last kept condition and extends
-copied lookups in place, so a step costs O(1) besides its checks.  A
-Condition is made only where one is kept: at each freeze, where add_words,
+copied lookups in place, so a step costs O(1) besides its checks.  A hit
+goal is one step of the same phase (PointPhase.hit): it keeps the first
+pair of its window that agrees with the goal's permutation.  A Condition
+is made only where one is kept: at each freeze, where add_words,
 frozen_value and the chain-law leq run on it, for the report, and for a
 BuildError's partial report.  It closes the phase and takes over its
-lookups.  Hit and freeze goals past the points run on such a condition.
+lookups.  Freeze goals past the points run on such a condition.
 
 A build is strictly sequential and deterministic for a given seed; the seed
 only permutes the word-freezing order inside each length group, so different
@@ -32,9 +34,9 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from . import extension, poset
+from . import poset
 from .evaluation import Assignment, GroundPermutation, fix_sets, fix_table
-from .extension import PointPhase, hit_extend
+from .extension import PointPhase
 from .poset import DISCIPLINES, Condition, PosetMode, frozen_value, side_words
 from .words import (
     INVERSE,
@@ -145,7 +147,7 @@ def build(
     """Run the greedy goal schedule from the empty condition.
 
     Words of length L are frozen before point goals beyond 4*L are issued,
-    so freezing happens while it still bites.  Point goals extend a
+    so freezing happens while it still bites.  Point and hit goals extend a
     point phase in place, one checked pair per step (extension.PointPhase);
     a condition is made only where one is kept: at each freeze, for the
     report and for a BuildError's partial report.  The words of one length
@@ -206,13 +208,13 @@ def build(
             raise BuildError(f"chain law broken at stage {stage}", _report())
 
     def hit(goal: DenseGoal) -> None:
-        nonlocal cond, stage
+        nonlocal phase, stage
         stage += 1
-        prev = kept()
-        found = extension.hit_search(prev, goal.gen, goal.sigma, goal.floor, 256)
+        if phase is None:
+            phase = PointPhase(cond)
+        found = phase.hit(goal.gen, goal.sigma, goal.floor, 256)
         if found is None:
             raise BuildError(f"goal {goal.describe()} found no hit", _report())
-        cond = hit_extend(prev, goal.gen, goal.sigma, found)  # order-checked there
         goal_log.append((goal.describe(), stage, found))
 
     def point_goal(kind: str, gen: int, point: int) -> None:

@@ -212,7 +212,7 @@ def _load_template_file(path: str) -> TemplateOrder:
             less = [(names[a], names[b]) for a, b in obj[key]]
         key = "I"
         if not isinstance(obj[key], list):
-            raise TypeError("expected a list of members; an export past max_family omits them")
+            raise TypeError("expected a list of members; an export past MAX_FAMILY omits them")
         ideals = [[names[x] for x in a] for a in obj[key]]
         key = "L0"
         part0 = [names[x] for x in obj[key]]
@@ -546,8 +546,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(err, file=sys.stderr)
         return USAGE
     except Exception as err:
-        # input is judged before this point: a bug, or a budget past what
-        # the recursive walkers reach (RecursionError); never a traceback
+        # input is judged before this point: a bug; never a traceback
         print(f"internal error: {err!r}", file=sys.stderr)
         return VIOLATION
 

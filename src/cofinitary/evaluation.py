@@ -120,26 +120,14 @@ class Assignment:
     def contains(self, other: "Assignment") -> bool:
         return all(pm.pairs <= self.get(g).pairs for g, pm in other.table.items())
 
-    def summary(self) -> tuple[frozenset[int], int, int]:
-        """(V, gap, top): V is every domain and image value of the maps, gap
-        the least natural not in V and top the max of V (-1 when V is
-        empty).  Built on first use and cached."""
-        try:
-            return self._summary  # type: ignore[attr-defined]
-        except AttributeError:
-            vals: set[int] = set()
-            for pm in self.table.values():
-                vals.update(pm.fwd)
-                vals.update(pm.rev)
-            values = frozenset(vals)
-            gap = next(filterfalse(values.__contains__, count()))
-            summary = (values, gap, max(values, default=-1))
-            object.__setattr__(self, "_summary", summary)
-            return summary
-
-    @property
-    def top(self) -> int:
-        return self.summary()[2]
+    def summary(self) -> tuple[set[int], int]:
+        """(V, gap): V is a new set of every domain and image value of the
+        maps, gap the least natural not in V."""
+        values: set[int] = set()
+        for pm in self.table.values():
+            values.update(pm.fwd)
+            values.update(pm.rev)
+        return values, next(filterfalse(values.__contains__, count()))
 
     def to_json(self) -> dict:
         return {
@@ -327,27 +315,21 @@ def fix_sets(
             node = node.setdefault(letter, {})
         node[None] = letters
     table: dict[tuple[Letter, ...], frozenset[int]] = {}
-    for letter, child in trie.items():
-        _fix_walk(table, lookups, child, lookups[letter])
-    return table
-
-
-def _fix_walk(
-    table: dict[tuple[Letter, ...], frozenset[int]],
-    lookups: Mapping[Letter, Mapping[int, int]],
-    node: dict,
-    cur: Mapping[int, int],
-) -> None:
-    """Record the fix set of node's word, if it is one of the words, from
-    its map cur, then visit its children; a leaf child needs only its fix
-    set, so its map is not built.  A module-level function, so no closure
-    keeps the table alive in a cycle."""
-    for letter, child in node.items():
-        if letter is None:
-            table[child] = frozenset(x for x, v in cur.items() if x == v)
-            continue
-        m = lookups[letter]
-        if len(child) == 1 and None in child:
-            table[child[None]] = frozenset(x for x, v in cur.items() if m.get(v) == x)
+    # (the node's remaining items, its word's map start -> value): the path
+    # from the root, with the one-letter nodes still to visit below it
+    stack = [(iter(child.items()), lookups[letter]) for letter, child in reversed(trie.items())]
+    while stack:
+        items, cur = stack[-1]
+        for letter, child in items:
+            if letter is None:
+                table[child] = frozenset(x for x, v in cur.items() if x == v)
+                continue
+            m = lookups[letter]
+            if len(child) == 1 and None in child:  # a leaf needs only its fix set
+                table[child[None]] = frozenset(x for x, v in cur.items() if m.get(v) == x)
+            else:
+                stack.append((iter(child.items()), {x: m[v] for x, v in cur.items() if v in m}))
+                break
         else:
-            _fix_walk(table, lookups, child, {x: m[v] for x, v in cur.items() if v in m})
+            stack.pop()
+    return table

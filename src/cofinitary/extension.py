@@ -6,8 +6,8 @@ discipline's rule (walk_certificate, agreement_certificate, mad_value) and
 the chooser's ceiling (least_within) are functions of plain lookups.  When
 a frozen word holds the generator, the forbidden set is {n} together with
 the values V of s: every walk from those values stays among them.  The
-certificate reads it off the value summary (V, gap, top), so no step scans
-V.  It may over-approximate; the order check on every chosen value is
+certificate reads it off the value summary (V, gap), so no step scans V.
+It may over-approximate; the order check on every chosen value is
 authoritative.
 
 PointPhase is the one point step.  It opens on a condition and its side
@@ -16,25 +16,27 @@ it reads them (the order rule reads the others off the condition's maps)
 and extends its copies in place: each step runs the discipline's rule, the
 ceiling, validate's rules on the new pair (poset.pair_problems) and the
 order rule leq asks per added pair (poset.SideIndex.breaks), then sets one
-key per lookup and grows V.  close makes the one Condition.  The builder
-steps a phase between freezes; the samplers, cover_extend,
-strong_reduction (one phase per reduction), hit_extend and hit_search each
-open one per call.
+key per lookup and grows V.  hit is the hitting lemma's step: the first
+point of a window where a pair agreeing with a target permutation is
+kept.  close makes the one Condition.  The builder steps a phase between
+freezes, hit goals among its steps; the samplers, cover_extend,
+strong_reduction (one phase per reduction) and hit_search each open one
+per call.
 domain_extend, range_extend, Extension.choose, extend_with and
 mad_set_point are thin entries over a phase, kept for the benchmark tracer.
 
 cover_extend forces a word's evaluation to cover given finite sets;
 strong_reduction restricts a condition to a sub-alphabet padded so that
 extensions built on the sub-alphabet merge back losslessly
-(canonical_extension).  hit_extend / hit_search realize the density of
-"agree with a target permutation beyond N" extensions.
+(canonical_extension).  PointPhase.hit / hit_search realize the density
+of "agree with a target permutation beyond N" extensions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count, filterfalse, groupby
-from typing import AbstractSet, Callable, Collection, Iterable, Mapping, Optional, Union
+from typing import AbstractSet, Callable, Collection, Iterable, Mapping, Optional
 
 from . import evaluation, poset
 from .evaluation import Assignment, GroundPermutation, PartialMap, eval_domain
@@ -52,22 +54,14 @@ class ContractViolation(Exception):
 
 
 @dataclass(frozen=True)
-class Rejected:
-    reason: str
-
-
-@dataclass(frozen=True)
 class ExtensionCertificate:
-    """Finite forbidden set; every natural outside it is admitted.
-
-    bound is the least value above the whole forbidden set, witnessing that
-    the admitted set is cofinite.  gap is a natural with [0, gap) inside the
+    """Finite forbidden set; every natural outside it is admitted, so the
+    admitted set is cofinite.  gap is a natural with [0, gap) inside the
     forbidden set (0 claims nothing).  least_admitted finds the least
     admitted value at or above a floor without probing values one at a time.
     """
 
     forbidden: AbstractSet[int]
-    bound: int
     gap: int = 0
 
     def admits(self, m: int) -> bool:
@@ -84,26 +78,24 @@ class ExtensionCertificate:
 
     @staticmethod
     def of(values: Iterable[int]) -> "ExtensionCertificate":
-        forb = frozenset(values)
-        return ExtensionCertificate(forb, max(forb, default=-1) + 1)
+        return ExtensionCertificate(frozenset(values))
 
 
 def walk_certificate(
     tries: Mapping[Letter, dict], gen: int, image: Collection[int], n: int,
-    values: AbstractSet[int], gap: int, top: int,
+    values: AbstractSet[int], gap: int,
 ) -> ExtensionCertificate:
     """The certificate for (gen, n, ?) in the walk disciplines, from the
-    side-set index, gen's image and the value summary (V, gap, top) of the
-    maps.  When no side word holds gen, F is the image, so the map stays
+    side-set index, gen's image and the value summary (V, gap) of the maps.
+    When no side word holds gen, F is the image, so the map stays
     injective.  Otherwise F = {n} | V, since every walk from those values
-    stays among them: bound is max(top, n) + 1, [0, gap) lies in V, so the
-    chooser's scan starts at gap, and F is V itself when n is in V.  No step
-    scans V.  V is a point phase's own set, which the certificate reads as
-    it stands: the phase reads its certificate before its next step grows
-    V."""
+    stays among them: [0, gap) lies in V, so the chooser's scan starts at
+    gap, and F is V itself when n is in V.  No step scans V.  V is a point
+    phase's own set, which the certificate reads as it stands: the phase
+    reads its certificate before its next step grows V."""
     if (gen, 1) not in tries and (gen, -1) not in tries:
         return ExtensionCertificate.of(image)
-    return ExtensionCertificate(values if n in values else values | {n}, max(top, n) + 1, gap)
+    return ExtensionCertificate(values if n in values else values | {n}, gap)
 
 
 def agreement_certificate(
@@ -181,8 +173,7 @@ class PointPhase:
         self.added: list[tuple[int, int, int]] = []  # the kept pairs (gen, n, m)
         self.index = poset.side_index(d.kernel, base.words)  # fixed: no step grows the side set
         if d.kernel == "walk":
-            values, self.gap, self.top = base.s.summary()
-            self.values = set(values)
+            self.values, self.gap = base.s.summary()  # the phase's own set
 
     def certificate(self, gen: int, point: int, direction: str) -> ExtensionCertificate:
         """The certificate for a new pair of gen at the fixed coordinate
@@ -192,7 +183,7 @@ class PointPhase:
         if index.kernel == "agreement":
             return agreement_certificate([self.fwd[h] for h in index.partners.get(gen, ())], point)
         image = self.rev[gen] if direction == "domain" else self.fwd[gen]  # its keys
-        return walk_certificate(index.tries, gen, image, point, self.values, self.gap, self.top)
+        return walk_certificate(index.tries, gen, image, point, self.values, self.gap)
 
     def domain(
         self, gen: int, n: int,
@@ -263,12 +254,29 @@ class PointPhase:
                 values.add(m)
                 while self.gap in values:
                     self.gap += 1
-                self.top = max(self.top, n, m)
             return None
         del fwd[n]
         if rev is not None:
             del rev[m]
         return refusal
+
+    def hit(
+        self, gen: int, sigma: GroundPermutation, start: int, window: int, keep: bool = True
+    ) -> Optional[int]:
+        """The first n in [start, start + window) where gen has no value,
+        sigma(n) has no preimage and try_pair accepts (n, sigma(n)), with
+        the pair kept if keep is set; None when there is none.  Where the
+        phase keeps no rev (edf, mad), the preimages are read off base's
+        map."""
+        fwd = self.fwd[gen]
+        rev = self.base.s.get(gen).rev if self.rev is None else self.rev[gen]
+        for n in range(start, start + window):
+            if n in fwd:
+                continue
+            m = sigma.apply(n)
+            if m not in rev and self.try_pair(gen, n, m, keep) is None:
+                return n
+        return None
 
     def close(self) -> Condition:
         """The condition the lookups stand for, validated against base:
@@ -494,28 +502,9 @@ def canonical_extension(p: Condition, t: Condition, keep: Iterable[int]) -> Cond
     return out
 
 
-def hit_extend(
-    p: Condition,
-    gen: int,
-    sigma: GroundPermutation,
-    n: int,
-) -> Union[Condition, Rejected]:
-    """Adjoin the single pair (gen, n, sigma(n)); accepted exactly when a
-    point phase over p keeps it."""
-    if n in p.s.get(gen).fwd:
-        raise ValueError(f"{n} already in the domain of g{gen}")
-    m = sigma.apply(n)
-    if m in p.s.get(gen).rev:
-        raise ValueError(f"sigma({n}) = {m} already in the range of g{gen}")
-    phase = PointPhase(p)
-    if phase.try_pair(gen, n, m) is None:
-        return phase.close()
-    return Rejected(f"pair (g{gen}, {n}, {m}) adds a fixed point to a frozen word")
-
-
 def hit_threshold(p: Condition, gen: int, sigma: GroundPermutation) -> Optional[int]:
     """Exact acceptance threshold: every n >= threshold is accepted by
-    hit_extend.  Computable when sigma is a power of the shift and every
+    PointPhase.hit.  Computable when sigma is a power of the shift and every
     side word containing gen is a power of gen; a nonzero power of the
     shift fixes no natural, so then only the pairs of gen bound it.  The
     identity (shift 0) has one only when no side word holds gen."""
@@ -541,17 +530,8 @@ def hit_search(
     start: int,
     window: int,
 ) -> Optional[int]:
-    """First n in [start, start + window) whose hit extension is accepted,
-    or None when there is none; each is tried on one point phase over p,
-    which keeps none of them."""
-    phase = PointPhase(p)
-    pm = p.s.get(gen)
-    for n in range(start, start + window):
-        if n in pm.fwd:
-            continue
-        m = sigma.apply(n)
-        if m in pm.rev:
-            continue
-        if phase.try_pair(gen, n, m, keep=False) is None:
-            return n
-    return None
+    """First n in [start, start + window) whose hit pair a point phase over
+    p accepts (PointPhase.hit), or None when there is none; the phase keeps
+    none of them.  Kept as a function because perfbench/tracing.py wraps it
+    by name and hit-density calls it."""
+    return PointPhase(p).hit(gen, sigma, start, window, keep=False)

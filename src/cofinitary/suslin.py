@@ -581,7 +581,7 @@ def _freeze_probe(p: Condition) -> Optional[Condition]:
     """A deliberately violating extension: gives some frozen entry a new
     fixed point / agreement / common 1-point.  None when p freezes nothing
     usable."""
-    fresh = max(p.s.top, 9) + 1
+    fresh = max(p.s.summary()[0] | {9}) + 1
     shape = DISCIPLINES[p.mode].shape
     words = p.sorted_words()
     if shape == "letter":

@@ -16,6 +16,8 @@ from functools import cached_property, reduce
 from operator import or_
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
+MAX_FAMILY = 2000  # TemplateOrder.to_json lists a family of at most this many members
+
 
 @dataclass(frozen=True)
 class TemplateOrder:
@@ -60,8 +62,9 @@ class TemplateOrder:
     def label(self, x: int) -> str:
         return self.labels.get(x, str(x))
 
-    def to_json(self, max_family: int = 2000) -> dict:
-        """The template-file form; "by-rank": the elements are in order."""
+    def to_json(self) -> dict:
+        """The template-file form; "by-rank": the elements are in order.  A
+        family of more than MAX_FAMILY members is written as its count."""
         n = None if self.family is None else len(self.family)
         out = {
             "elements": [self.label(x) for x in self.sorted_elements()],
@@ -70,7 +73,7 @@ class TemplateOrder:
             "L1": sorted(self.label(x) for x in self.part1),
             "I": {"count": n, "omitted": True},
         }
-        if n is not None and n <= max_family:
+        if n is not None and n <= MAX_FAMILY:
             family = [sorted(map(self.label, a)) for a in self.ideals]
             out["I"] = sorted(family, key=lambda xs: (len(xs), xs))
         return out
@@ -412,9 +415,9 @@ class SurrogateParams:
     """Finite stand-ins for the increasing cardinal sequence.
 
     level_sizes: strictly increasing sizes; the union scale is the last one.
-    club_classes: number of partition classes on the negative copies.
-    partition: class label for every value below the top scale; per-level
-    partitions are its restrictions, hence coherent across levels.
+    club_classes: number of partition classes on the negative copies; a
+    value's class is value % club_classes, the same at every level, so the
+    per-level partitions are coherent.
     last_negative_full: at the final slot after a negative entry, a negative
     value may range over the whole union copy (the literal reading); when
     off it is bounded by the slot's level.
@@ -422,7 +425,6 @@ class SurrogateParams:
 
     level_sizes: tuple[int, ...]
     club_classes: int
-    partition: tuple[int, ...] = ()
     last_negative_full: bool = True
     element_cap: int = 5000  # positions: more are refused
     family_cap: int = 400_000  # members: more are not enumerated
@@ -434,13 +436,6 @@ class SurrogateParams:
             raise ValueError("level sizes must be strictly increasing")
         if self.club_classes < 1:
             raise ValueError("need at least one partition class")
-        if not self.partition:
-            partition = tuple(v % self.club_classes for v in range(self.level_sizes[-1]))
-            object.__setattr__(self, "partition", partition)
-        if len(self.partition) != self.level_sizes[-1]:
-            raise ValueError("partition must label every value below the top scale")
-        if any(not (0 <= c < self.club_classes) for c in self.partition):
-            raise ValueError("partition labels out of range")
 
     @property
     def top(self) -> int:
@@ -539,15 +534,16 @@ def is_relevant(pos: SurrogatePosition, params: SurrogateParams) -> bool:
     the predecessors of small even entries."""
     seq = pos.seq
     n = len(seq)
+    classes = params.club_classes
     if n < 3 or n % 2 == 0 or not position_in_part1(pos, params):
         return False
     if any(sv.positive != (i % 2 == 0) for i, sv in enumerate(seq)):
         return False
-    if seq[n - 1].value >= params.club_classes:
+    if seq[n - 1].value >= classes:
         return False
-    small_even = [i for i in range(2, n, 2) if seq[i].value < params.club_classes]
+    small_even = [i for i in range(2, n, 2) if seq[i].value < classes]
     for a, b in itertools.combinations(small_even, 2):
-        if params.partition[seq[a - 1].value] <= params.partition[seq[b - 1].value]:
+        if seq[a - 1].value % classes <= seq[b - 1].value % classes:
             return False
     return True
 

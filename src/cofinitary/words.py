@@ -409,28 +409,31 @@ def class_representatives(gens: Sequence[int], max_len: int) -> list[Word]:
     out: list[Word] = []
     for n in range(1, max_len + 1):
         a = [0] * (n + 1)  # a[1..n] is the prefix; a[0] = 0 starts period 1
-
-        def extend(t: int, p: int) -> None:
-            # a[1..t-1] is a reduced prenecklace whose longest Lyndon prefix
-            # has length p: a[t] may repeat a[t-p], or exceed it and start
-            # a Lyndon prefix of length t
+        # (t, p, j): a[1..t-2] is set and a[t-1] takes j; then a[1..t-1] is
+        # a reduced prenecklace whose longest Lyndon prefix has length p.
+        # The stack holds the branches still to take, least j on top, so
+        # necklaces come out in lexicographic order.
+        stack = [(1, 1, 0)]
+        while stack:
+            t, p, j = stack.pop()
+            a[t - 1] = j
             if t > n:
                 # a necklace whose ends do not cancel, and at most the
                 # least rotation of its inverse
                 if n % p or n > 1 and a[1] == inv[a[n]]:
-                    return
+                    continue
                 necklace = tuple(a[1:])
                 back = tuple(inv[j] for j in reversed(necklace))
                 if all(necklace <= back[i:] + back[:i] for i in range(n)):
                     w = Word(tuple(alphabet[j] for j in necklace))
                     object.__setattr__(w, "_class_key", w.letters)
                     out.append(w)
-                return
+                continue
+            # a[t] may repeat a[t-p], or exceed it and start a Lyndon prefix
+            # of length t
             banned = inv[a[t - 1]] if t > 1 else -1
-            for j in range(a[t - p], k):
-                if j != banned:
-                    a[t] = j
-                    extend(t + 1, p if j == a[t - p] else t)
-
-        extend(1, 1)
+            least = a[t - p]
+            stack.extend(
+                (t + 1, p if j == least else t, j) for j in reversed(range(least, k)) if j != banned
+            )
     return out

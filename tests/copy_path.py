@@ -23,7 +23,6 @@ from cofinitary.extension import (
     ContractViolation,
     ExtensionCertificate,
     MAD_NOT_BELOW,
-    Rejected,
     _pair_blocks,
     agreement_certificate,
     least_within,
@@ -34,6 +33,14 @@ from cofinitary.extension import (
 from cofinitary.poset import DISCIPLINES, Condition, PosetMode, side_index, validated
 from cofinitary.sampling import _draw_entries
 from cofinitary.words import Word, invert, occurrences, single
+
+
+@dataclass(frozen=True)
+class Rejected:
+    """What hit_extend gives for a pair the order check refuses."""
+
+    reason: str
+
 
 # -- one map ------------------------------------------------------------------
 

@@ -10,6 +10,9 @@ its classes must cover every hat word once.
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
+
 import pytest
 
 from cofinitary.words import (
@@ -18,6 +21,7 @@ from cofinitary.words import (
     class_representatives,
     cyclic_class,
     hat_words,
+    power,
 )
 from word_reference import class_hat_letters
 
@@ -64,3 +68,27 @@ def test_class_keys_are_preset():
     # is computed for a representative
     for w in class_representatives((0, 1, 2), 3):
         assert w.__dict__["_class_key"] is w.letters
+
+
+@contextmanager
+def recursion_headroom(frames: int):
+    """Python's recursion limit set to the current frame depth + frames,
+    and restored afterwards: a walker that recurses once per letter of a
+    long word runs out of it."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_a_word_budget_past_the_recursion_limit_enumerates():
+    # over one generator each length has one class, g0^k, whose least word
+    # is g0^-k; the enumeration keeps its own stack
+    with recursion_headroom(50):
+        reps = class_representatives([0], 200)
+    assert [w.letters for w in reps] == [power(0, -k).letters for k in range(1, 201)]

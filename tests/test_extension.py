@@ -7,11 +7,10 @@ from cofinitary import extension, poset
 from cofinitary.extension import (
     CertificateError,
     ContractViolation,
-    Rejected,
+    PointPhase,
     canonical_extension,
     cover_extend,
     domain_extend,
-    hit_extend,
     hit_search,
     hit_threshold,
     mad_set_point,
@@ -259,27 +258,42 @@ class TestCanonicalExtension:
             canonical_extension(p, stranger, {0})
 
 
+def hit_kept(p, gen, sigma, n):
+    """The condition a point phase over p closes to once its hit step keeps
+    (gen, n, sigma(n)), or None when the step refuses n."""
+    phase = PointPhase(p)
+    if phase.hit(gen, sigma, n, 1) is None:
+        assert phase.close() is p  # a refused pair is not kept
+        return None
+    q = phase.close()
+    assert (n, sigma.apply(n)) in q.s.get(gen) and leq(q, p)
+    return q
+
+
 class TestHit:
     def test_single_letter_every_point(self):
         sigma = zshift()
         p = cond({}, ["g0"])
         for n in range(50):
-            assert isinstance(hit_extend(p, 0, sigma, n), Condition)
+            assert isinstance(hit_kept(p, 0, sigma, n), Condition)
         assert hit_threshold(p, 0, sigma) == 0
 
     def test_square_every_point(self):
         sigma = zshift()
         p = cond({}, ["g0^2"])
         for n in range(50):
-            assert isinstance(hit_extend(p, 0, sigma, n), Condition)
+            assert isinstance(hit_kept(p, 0, sigma, n), Condition)
 
     def test_preconditions(self):
+        # a point gen already maps, or whose image already has a preimage,
+        # is skipped, not refused
         sigma = zshift()
         p = cond({0: [(1, 5)]}, ["g0"])
-        with pytest.raises(ValueError):
-            hit_extend(p, 0, sigma, 1)  # already in the domain
-        with pytest.raises(ValueError):
-            hit_extend(p, 0, sigma, sigma.unapply(5))  # image already taken
+        assert hit_kept(p, 0, sigma, 1) is None  # already in the domain
+        taken = sigma.unapply(5)
+        assert hit_kept(p, 0, sigma, taken) is None  # image already taken
+        assert PointPhase(p).hit(0, sigma, 1, 2) == 2
+        assert PointPhase(p).hit(0, sigma, taken, 2) == taken + 1
 
     def test_search_within_window(self):
         rng = random.Random(53)
@@ -300,7 +314,7 @@ class TestHit:
         bound = hit_threshold(p, 0, sigma)
         assert bound is not None
         for n in range(bound, bound + 40):
-            assert isinstance(hit_extend(p, 0, sigma, n), Condition), n
+            assert isinstance(hit_kept(p, 0, sigma, n), Condition), n
 
     def test_threshold_none_for_mixed_words(self):
         sigma = zshift()
@@ -311,8 +325,7 @@ class TestHit:
         # identity target: hitting g0 at n gives the pair (n, n), a fixed point
         e = GroundPermutation(lambda n: n, lambda n: n, shift=0, name="identity")
         p = cond({}, ["g0"])
-        r = hit_extend(p, 0, e, 4)
-        assert isinstance(r, Rejected)
+        assert hit_kept(p, 0, e, 4) is None
         assert hit_search(p, 0, e, 0, 16) is None
         assert hit_threshold(p, 0, e) is None
         # with no side word on g0 the identity is bounded by g0's pairs alone
@@ -337,7 +350,7 @@ class TestHit:
             bound = hit_threshold(p, gen, sigma)
             assert bound is not None, p.to_json()
             for n in range(bound, bound + 40):
-                assert isinstance(hit_extend(p, gen, sigma, n), Condition), (p.to_json(), gen, n)
+                assert isinstance(hit_kept(p, gen, sigma, n), Condition), (p.to_json(), gen, n)
 
 
 class TestMadSetPoint:

@@ -22,6 +22,8 @@ import random
 
 import pytest
 
+from test_class_representatives import recursion_headroom
+
 from cofinitary.builder import (
     BuildReport,
     DenseGoal,
@@ -136,6 +138,17 @@ def test_table_of_an_empty_assignment_and_of_length_zero():
     table = fix_table((0, 1), 2, Assignment())
     assert len(table) == 4 + 4 * 3 and not any(table.values())
     assert fix_table((0, 1), 0, Assignment()) == {}
+
+
+def test_a_word_budget_past_the_recursion_limit_walks_the_trie():
+    # a 7-cycle fixes every point under g0^k and g0^-k exactly when 7
+    # divides k; the trie walk keeps its own stack
+    s = Assignment({0: PartialMap(frozenset((i, (i + 1) % 7) for i in range(7)))})
+    with recursion_headroom(50):
+        table = fix_table([0], 200, s)
+    assert len(table) == 400
+    for letters, points in table.items():
+        assert points == (frozenset(range(7)) if len(letters) % 7 == 0 else frozenset())
 
 
 def test_fix_sets_of_any_word_list_equal_fix_points():

@@ -19,13 +19,7 @@ import pytest
 import copy_path
 
 from cofinitary.evaluation import Assignment, PartialMap, zshift
-from cofinitary.extension import (
-    ContractViolation,
-    domain_extend,
-    extend_with,
-    hit_extend,
-    hit_search,
-)
+from cofinitary.extension import ContractViolation, PointPhase, domain_extend, extend_with
 from cofinitary.poset import Condition, PosetMode, add_words, validate, validated
 from cofinitary.sampling import sample_condition, sample_extra_words
 from cofinitary.words import Word, parse_word, reduced_words, single
@@ -36,14 +30,13 @@ ZSHIFT = zshift()
 
 def follow_zshift(rng: random.Random, p: Condition, gens=GENS, steps: int = 3) -> Condition:
     """p after up to `steps` hit steps toward zshift, each on a random
-    generator from a random start, as the builder's hit goals take them.
-    Each step is marked valid through validated, so later steps from it take
-    the incremental path."""
+    generator from a random start, as the builder's hit goals take them
+    (PointPhase.hit).  Each step closes its phase, which marks the result
+    valid, so later steps from it take the incremental path."""
     for _ in range(steps):
-        gen = rng.choice(gens)
-        n = hit_search(p, gen, ZSHIFT, rng.randrange(24), 24)
-        if n is not None:
-            p = validated(p, hit_extend(p, gen, ZSHIFT, n))
+        phase = PointPhase(p)
+        phase.hit(rng.choice(gens), ZSHIFT, rng.randrange(24), 24)
+        p = phase.close()
     return p
 
 

@@ -1,19 +1,20 @@
 """The point phase against the copy path it replaced.
 
 extension.PointPhase extends one mutable set of lookups in place and makes
-a Condition only when it closes.  The builder steps one between freezes;
-the samplers, cover_extend, strong_reduction and the hit search each open
-one per call.  The reference is tests/copy_path.py, which builds a new
-condition per pair, and test_group_freeze.reference_build, the builder on
-it.  Drawn builds of every mode must give the same report, goal log
-included, and abort on the same goal with the same message, the same
-cause and equal partial reports when the chooser runs past its ceiling.
-Drawn sampler calls must give equal conditions and leave the random
-generator in the same state; cover_extend, strong_reduction on every drawn
-keep set and hit_search over the hit-density window must give what the
-copy path gives.  A kept condition must not change when the phase steps
-on, each step must keep validate's rules and its order check, and the
-per-pair validation must say what validate says about the grown map.
+a Condition only when it closes.  The builder steps one between freezes,
+hit goals included; the samplers, cover_extend, strong_reduction and the
+hit search each open one per call.  The reference is tests/copy_path.py,
+which builds a new condition per pair, and test_group_freeze.reference_build,
+the builder on it.  Drawn builds of every mode must give the same report,
+goal log included, and abort on the same goal with the same message, the
+same cause and equal partial reports when the chooser runs past its
+ceiling.  Drawn sampler calls must give equal conditions and leave the
+random generator in the same state; cover_extend, strong_reduction on
+every drawn keep set, and hit_search and a kept hit step over the
+hit-density window must give what the copy path gives.  A kept condition
+must not change when the phase steps on, each step must keep validate's
+rules and its order check, and the per-pair validation must say what
+validate says about the grown map.
 """
 
 from __future__ import annotations
@@ -106,9 +107,9 @@ def _state(c: Condition):
 @pytest.mark.parametrize("mode", list(PosetMode), ids=lambda m: m.value)
 def test_kept_conditions_do_not_change_as_the_build_steps_on(mode, monkeypatch):
     # Every condition a point phase hands over as it closes (at each
-    # freeze, for the report, before a hit goal and for the hit itself) is
-    # recorded as it was made and compared after the build; the cofinitary
-    # build also meets a hit goal after its points.
+    # freeze and for the report) is recorded as it was made and compared
+    # after the build; the cofinitary build also meets a hit goal after its
+    # points, a step of the phase the report closes.
     kept = []
     close = PointPhase.close
 
@@ -124,8 +125,33 @@ def test_kept_conditions_do_not_change_as_the_build_steps_on(mode, monkeypatch):
     assert len(kept) >= 2  # a freeze and the report
     for c, state in kept:
         assert _state(c) == state
-    if goals:  # the hit closed a phase of its own on the last build phase's condition
-        assert report.final is kept[-1][0] and report.final.s != kept[-2][0].s
+    assert report.final is kept[-1][0]
+    if goals:
+        hit = report.goal_log[-1][2]
+        assert (hit, zshift().apply(hit)) in report.final.s.get(0)
+
+
+def test_hit_goals_step_the_open_phase(monkeypatch):
+    # A hit goal is one step of the phase the points left open: a build
+    # whose extra goals are two hit goals opens no more phases than the
+    # same build without them, and meets both.
+    opened = []
+    init = PointPhase.__init__
+
+    def counting(phase, base):
+        opened.append(base)
+        init(phase, base)
+
+    monkeypatch.setattr(PointPhase, "__init__", counting)
+    counts = []
+    for goals in ((), (hit_goal(0, zshift(), 10), hit_goal(1, zshift(), 4))):
+        opened.clear()
+        report = build(PosetMode.COFINITARY, [0, 1], point_budget=30, word_budget=2, seed=3,
+                       extra_goals=goals)
+        counts.append(len(opened))
+    assert counts[0] == counts[1] > 0
+    hits = [witness for goal, _, witness in report.goal_log if goal.startswith("hit:")]
+    assert len(hits) == 2 and None not in hits
 
 
 @pytest.mark.parametrize("mode", list(PosetMode), ids=lambda m: m.value)
@@ -357,6 +383,13 @@ def test_strong_reduction_matches_the_copy_path_on_every_keep_set(mode):
     assert padded > 20, padded
 
 
+def _hit_closed(cond: Condition, gen: int, target: GroundPermutation, start: int) -> Condition:
+    """cond with the pair a point phase's hit step keeps in the window."""
+    phase = PointPhase(cond)
+    phase.hit(gen, target, start, 64)
+    return phase.close()
+
+
 def test_hit_search_matches_the_copy_path_over_the_hit_density_window():
     # the hit-density command's conditions and window (--generators 3
     # --words 4 --maxN 50 --window 64), and the identity target, which some
@@ -375,7 +408,7 @@ def test_hit_search_matches_the_copy_path_over_the_hit_density_window():
                 missed += found is None
                 if found is not None:
                     _same(
-                        lambda: extension.hit_extend(cond, gen, target, found),
+                        lambda: _hit_closed(cond, gen, target, start),
                         lambda: copy_path.hit_extend(cond, gen, target, found),
                     )
     assert missed > 25, missed

@@ -1,17 +1,18 @@
 """Differential tests for the value summary.
 
-Assignment.summary() is (V, gap, top): every domain and image value of the
-maps, the least natural outside V and the max of V.  A point phase starts
-from its base's summary and grows its own copy in place, so it scans V
-once.  The finite-word certificate {n} | V is read off it: bound
-max(top, n) + 1, and the chooser's scan starts at gap.  Each is checked
-here against a fresh scan: the summary after every way an assignment is
-made, and every certificate a point phase makes in long builds and sampled
-conditions, against ExtensionCertificate.of of the set it replaced, read
-off the condition the phase's lookups stand for.
+Assignment.summary() is (V, gap): a new set of every domain and image value
+of the maps, and the least natural outside V.  A point phase takes its
+base's summary as its own when it opens and grows V in place, so it scans
+the maps once.  The finite-word certificate {n} | V is read off it, and
+the chooser's scan starts at gap.  Each is checked here against a fresh
+scan: the summary after every way an assignment is made, and every
+certificate a point phase makes in long builds and sampled conditions,
+against ExtensionCertificate.of of the set it replaced, read off the
+condition the phase's lookups stand for.
 
 The checks catch these broken copies of the code: a phase step not
-advancing gap past n or past m, and one not raising top to n or m.
+advancing gap past n or past m, and a summary that hands back one set
+twice, which a phase would then grow under the assignment.
 """
 
 from __future__ import annotations
@@ -33,18 +34,18 @@ from cofinitary.sampling import sample_condition, sample_extension
 from cofinitary.words import Letter, single
 
 
-def _fresh(s: Assignment) -> tuple[frozenset[int], int, int]:
-    """(V, gap, top) by a scan of the pairs."""
+def _fresh(s: Assignment) -> tuple[frozenset[int], int]:
+    """(V, gap) by a scan of the pairs."""
     values = frozenset(v for pm in s.table.values() for pair in pm.pairs for v in pair)
     gap = 0
     while gap in values:
         gap += 1
-    return values, gap, max(values, default=-1)
+    return values, gap
 
 
 def _check(s: Assignment) -> None:
     assert s.summary() == _fresh(s)
-    assert s.top == s.summary()[2]
+    assert s.summary()[0] is not s.summary()[0]  # a new set each time
 
 
 def _random_assignment(rng: random.Random, span: int) -> Assignment:
@@ -59,13 +60,10 @@ def _random_assignment(rng: random.Random, span: int) -> Assignment:
 @pytest.mark.parametrize("span", [4, 40], ids=["dense", "sparse"])
 def test_summary_matches_a_fresh_scan_along_chains(span):
     """Small spans repeat keys and values and fill [0, span), so gap moves
-    past runs; large spans leave holes.  Summaries are built mid-chain or
-    left lazy."""
+    past runs; large spans leave holes."""
     rng = random.Random(f"summary-{span}")
     for _ in range(300):
         s = _random_assignment(rng, span)
-        if rng.random() < 0.5:
-            s.summary()
         for _ in range(rng.randrange(1, 14)):
             op = rng.random()
             if op < 0.7:
@@ -82,15 +80,14 @@ def test_summary_matches_a_fresh_scan_along_chains(span):
 
 
 def test_summary_of_edge_assignments():
-    assert Assignment().summary() == (frozenset(), 0, -1)
+    assert Assignment().summary() == (set(), 0)
     s = Assignment().with_pair(0, 0, 0)
-    assert _fresh(s) == (frozenset({0}), 1, 0)
+    assert _fresh(s) == (frozenset({0}), 1)
     s = Assignment()
-    s.summary()
     for n, m in [(1, 3), (0, 2), (5, 4)]:  # gap stays, then jumps past a run
         s = s.with_pair(0, n, m)
         _check(s)
-    assert s.summary()[1:] == (6, 5)
+    assert s.summary()[1] == 6
 
 
 def test_a_point_at_the_gap_is_stepped_over():
@@ -99,7 +96,7 @@ def test_a_point_at_the_gap_is_stepped_over():
     s = Assignment({0: PartialMap(frozenset({(0, 1), (1, 3)}))})
     p = add_words(Condition(s), [single(0)])
     cert = domain_extend(p, 0, 2).certificate
-    assert (cert.gap, cert.bound) == (2, 4)
+    assert cert.gap == 2
     _check_certificate(cert, frozenset({0, 1, 2, 3}))
     assert cert.least_admitted(0) == 4 and cert.least_admitted(3) == 4
 
@@ -131,11 +128,12 @@ def _reference_forbidden(p: Condition, gen: int, n: int) -> frozenset[int]:
 
 def _check_certificate(cert: ExtensionCertificate, want: frozenset[int]) -> None:
     ref = ExtensionCertificate.of(want)
-    assert cert.forbidden == ref.forbidden and cert.bound == ref.bound
+    assert cert.forbidden == ref.forbidden
     assert all(v in cert.forbidden for v in range(cert.gap))
-    rng = random.Random(cert.bound)
-    floors = {-3, -1, 0, cert.gap - 1, cert.gap, cert.gap + 1, cert.bound - 1, cert.bound,
-              cert.bound + 2, rng.randrange(-2, cert.bound + 3)}
+    bound = max(ref.forbidden, default=-1) + 1  # every value from here on is admitted
+    rng = random.Random(bound)
+    floors = {-3, -1, 0, cert.gap - 1, cert.gap, cert.gap + 1, bound - 1, bound,
+              bound + 2, rng.randrange(-2, bound + 3)}
     for floor in floors:
         assert cert.least_admitted(floor) == _linear_least(ref, floor)
 
@@ -157,7 +155,7 @@ def certificates(monkeypatch):
         p = Condition(Assignment(table), phase.base.words, phase.base.mode)
         if direction == "range":
             p = mirror(p, gen)
-        kept = ExtensionCertificate(frozenset(cert.forbidden), cert.bound, cert.gap)
+        kept = ExtensionCertificate(frozenset(cert.forbidden), cert.gap)
         made.append((p, gen, point, kept))
         return cert
 
