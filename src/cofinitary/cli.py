@@ -22,7 +22,6 @@ import itertools
 import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -48,80 +47,9 @@ def _report_path(args, default_name: str) -> Path:
     return base / default_name
 
 
-def encode_report(payload: dict) -> bytes:
-    """The bytes of a report file: json.dumps(payload, sort_keys=True,
-    indent=1) and a final newline, byte for byte.
-
-    Written directly, because CPython's json runs its pure-Python encoder
-    whenever indent is set: a list of plain ints or of plain strings is
-    joined in one step, and strings are escaped by json's own
-    encode_basestring_ascii.  Any other scalar goes to json.dumps, whose C
-    encoder writes it as the indented encoder would; a value of a type it
-    rejects raises TypeError."""
-    out: list[str] = []
-    _encode(payload, "\n", out)
-    out.append("\n")
-    return "".join(out).encode()
-
-
-_INTS, _STRS = {int}, {str}
-
-
-def _encode(o, nl: str, out: list[str]) -> None:
-    """Append the JSON text of o to out; nl is a newline and o's indent."""
-    if isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        inner = nl + " "
-        sep, comma = "{" + inner, "," + inner
-        for k, v in sorted(o.items()):
-            key = f"{sep}{encode_basestring_ascii(k if type(k) is str else _key_text(k))}: "
-            kind = type(v)
-            if kind is int:  # the common leaves are written without a call
-                out.append(key + int.__repr__(v))
-            elif kind is str:
-                out.append(key + encode_basestring_ascii(v))
-            elif v is None:
-                out.append(key + "null")
-            elif isinstance(v, (dict, list, tuple)):
-                out.append(key)
-                _encode(v, inner, out)
-            else:
-                out.append(key + json.dumps(v))
-            sep = comma
-        out.append(nl + "}")
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
-        inner = nl + " "
-        kinds = set(map(type, o))
-        if kinds == _INTS:
-            out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, o))}{nl}]")
-        elif kinds == _STRS:
-            out.append(f"[{inner}{(',' + inner).join(map(encode_basestring_ascii, o))}{nl}]")
-        else:
-            sep, comma = "[" + inner, "," + inner
-            for x in o:
-                out.append(sep)
-                _encode(x, inner, out)
-                sep = comma
-            out.append(nl + "]")
-    else:
-        out.append(json.dumps(o))
-
-
-def _key_text(k) -> str:
-    """The text of a key before it is quoted, as json.dumps reads it."""
-    if isinstance(k, str):
-        return k
-    if k is None or isinstance(k, (int, float)):
-        return json.dumps(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-
-
 def _write_report(path: Path, payload: dict) -> None:
+    from .writer import encode_report
+
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(encode_report(payload))
     print(path)
@@ -463,11 +391,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_value(action: argparse.Action, key: str, value):
     """A config value read as its flag would read it on the command line:
-    through the flag's own type and choices."""
+    through the flag's own type and choices.  A flag with no type (a path,
+    --lambdas) takes only a JSON string."""
     if action.nargs == 0:  # an on/off flag
         if not isinstance(value, bool):
             raise ConfigError(f"config key {key!r} must be true or false")
         return value
+    if action.type is None and not isinstance(value, str):
+        raise ConfigError(f"config key {key!r} must be a string")
     text = value if isinstance(value, str) else json.dumps(value)
     try:
         value = action.type(text) if action.type else text

@@ -16,12 +16,13 @@ it reads them (the order rule reads the others off the condition's maps)
 and extends its copies in place: each step runs the discipline's rule, the
 ceiling, validate's rules on the new pair (poset.pair_problems) and the
 order rule leq asks per added pair (poset.SideIndex.breaks), then sets one
-key per lookup and grows V.  hit is the hitting lemma's step: the first
-point of a window where a pair agreeing with a target permutation is
-kept.  close makes the one Condition.  The builder steps a phase between
-freezes, hit goals among its steps; the samplers, cover_extend,
-strong_reduction (one phase per reduction) and hit_search each open one
-per call.
+key per lookup and grows V.  V is built on the phase's first certificate,
+so a phase that only searches for hits builds none.  hit is the hitting
+lemma's step: the first point of a window where a pair agreeing with a
+target permutation is kept.  close makes the one Condition.  The builder
+steps a phase between freezes, hit goals among its steps; the samplers,
+cover_extend, strong_reduction (one phase per reduction) and hit_search
+each open one per call.
 domain_extend, range_extend, Extension.choose, extend_with and
 mad_set_point are thin entries over a phase, kept for the benchmark tracer.
 
@@ -172,8 +173,10 @@ class PointPhase:
         self.rev = _Copies(base, -1, self.steps) if d.injective else None
         self.added: list[tuple[int, int, int]] = []  # the kept pairs (gen, n, m)
         self.index = poset.side_index(d.kernel, base.words)  # fixed: no step grows the side set
-        if d.kernel == "walk":
-            self.values, self.gap = base.s.summary()  # the phase's own set
+        # V and gap (a walk's), built on the first certificate: a phase that
+        # only searches for hits reads none
+        self.values: Optional[set[int]] = None
+        self.gap = 0
 
     def certificate(self, gen: int, point: int, direction: str) -> ExtensionCertificate:
         """The certificate for a new pair of gen at the fixed coordinate
@@ -183,7 +186,18 @@ class PointPhase:
         if index.kernel == "agreement":
             return agreement_certificate([self.fwd[h] for h in index.partners.get(gen, ())], point)
         image = self.rev[gen] if direction == "domain" else self.fwd[gen]  # its keys
+        if self.values is None:
+            self.values, self.gap = self.base.s.summary()  # the phase's own set
+            for _, n, m in self.added:
+                self._grow(n, m)
         return walk_certificate(index.tries, gen, image, point, self.values, self.gap)
+
+    def _grow(self, n: int, m: int) -> None:
+        values = self.values
+        values.add(n)
+        values.add(m)
+        while self.gap in values:
+            self.gap += 1
 
     def domain(
         self, gen: int, n: int,
@@ -226,7 +240,7 @@ class PointPhase:
         """None when the pair (n, m) on gen passes validate's rules on the
         grown map (poset.pair_problems), checked first, and the order
         rule (SideIndex.breaks); then it is kept if keep is set, recorded in
-        `added`, with V grown.  Otherwise the lookups stay as they were and
+        `added`, with V grown once built.  Otherwise the lookups stay as they were and
         the refusal comes back: a ValueError with validate's message, or
         the rule's ContractViolation for a step in the direction ("domain":
         n fixed, "range": m fixed).  The pair must be new: the rule reads it
@@ -248,12 +262,8 @@ class PointPhase:
             )
         elif keep:
             self.added.append((gen, n, m))
-            if d.kernel == "walk":
-                values = self.values
-                values.add(n)
-                values.add(m)
-                while self.gap in values:
-                    self.gap += 1
+            if self.values is not None:
+                self._grow(n, m)
             return None
         del fwd[n]
         if rev is not None:

@@ -10,7 +10,7 @@ from cofinitary.builder import (
     verify_cofinitary,
     verify_variant,
 )
-from cofinitary.cli import encode_report
+from cofinitary.writer import encode_report
 from cofinitary.evaluation import zshift
 from cofinitary.extension import ContractViolation, ExtensionCertificate
 from cofinitary.poset import DISCIPLINES, Condition, PosetMode, leq

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from cofinitary.cli import main
+from cofinitary.cli import REPORT_DIR_ENV, main
 from cofinitary.templates import SurrogateParams, build_surrogate_template, rank
 
 
@@ -404,6 +404,32 @@ class TestConfigFile:
         assert code == 2
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and next(iter(config)) in err
+
+    @pytest.mark.parametrize(
+        "config", [{"csv": {}}, {"out": 5}, {"csv": None}, {"out": ["o.json"]}],
+        ids=["csv-object", "out-number", "csv-null", "out-list"],
+    )
+    def test_a_string_flag_takes_only_a_string(self, config, tmp_path, capsys, monkeypatch):
+        # read through str(), these named files such as "{}" and "5"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"generators": 2, "seed": 0, "points": 2, **config}))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(REPORT_DIR_ENV, str(tmp_path))
+        code, out, err = run(["build-group", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == f"config key {next(iter(config))!r} must be a string"
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_string_flags_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        report, table = tmp_path / "r.json", tmp_path / "t.csv"
+        cfg.write_text(json.dumps({"generators": 2, "seed": 0, "points": 2,
+                                   "out": str(report), "csv": str(table)}))
+        code, out, _ = run(["build-group", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert out.strip() == str(report)
+        assert table.read_text().startswith("word,stage,fix_size")
 
     def test_non_utf8_config_is_a_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

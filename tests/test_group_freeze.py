@@ -27,7 +27,7 @@ from copy_path import hit_extend, hit_search, point_step, range_extend
 
 from cofinitary import builder, poset
 from cofinitary.builder import BuildError, BuildReport, DenseGoal, build, hit_goal
-from cofinitary.cli import encode_report
+from cofinitary.writer import encode_report
 from cofinitary.evaluation import fix_points, zshift
 from cofinitary.poset import (
     DISCIPLINES,

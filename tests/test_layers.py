@@ -3,10 +3,10 @@
 The pipeline runs words < evaluation < poset < extension < sampling <
 {builder, suslin} < cli: a module may import only modules below it, so the
 order rule that leq and a point phase share lives in poset, and poset never
-reaches up into extension.  templates stands apart: it imports no other
-module of the package, and only cli imports it.  The package's __init__
-loads its layers lazily, by name, and imports none of them.  Every import
-counts, the ones inside functions too.
+reaches up into extension.  templates and writer stand apart: neither
+imports another module of the package, and only cli imports them.  The
+package's __init__ loads its layers lazily, by name, and imports none of
+them.  Every import counts, the ones inside functions too.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ RANK = {
     "suslin": 5,
     "cli": 6,
 }
-STANDALONE = {"templates": {"cli"}}  # module -> the modules that may import it
+STANDALONE = {"templates": {"cli"}, "writer": {"cli"}}  # module -> the modules that may import it
 
 
 def _imports(module: str) -> set[str]:

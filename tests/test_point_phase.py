@@ -29,7 +29,7 @@ from test_class_walk import reference_leq
 
 from cofinitary import extension, poset, sampling
 from cofinitary.builder import BuildError, build, hit_goal
-from cofinitary.cli import encode_report
+from cofinitary.writer import encode_report
 from cofinitary.evaluation import Assignment, GroundPermutation, PartialMap, zshift
 from cofinitary.extension import ExtensionCertificate, PointPhase
 from cofinitary.poset import DISCIPLINES, Condition, PosetMode, leq, pair_problems, validate

@@ -1,4 +1,4 @@
-"""cli.encode_report writes JSON directly, byte for byte as
+"""writer.encode_report writes JSON directly, byte for byte as
 
     json.dumps(payload, sort_keys=True, indent=1).encode() + b"\\n"
 
@@ -7,6 +7,12 @@ bytes.  The reference below is that expression; the writer is compared with
 it on the payload of every command, in every mode, and on drawn payloads
 that reach each branch of json's encoder: empty and nested containers,
 tuples, escapes, big ints, bools, None, special floats and non-string keys.
+
+A list of plain scalars, or of equal-shaped rows of them, is written as a
+table (writer._table).  Tables are drawn too, with one row sometimes broken
+so that the list must take the recursive path; the named cases below catch
+a table path that puts a key's % into its template unescaped or that
+accepts ragged rows.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ from collections import OrderedDict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cofinitary import cli
-from cofinitary.cli import encode_report
+from cofinitary import cli, writer
+from cofinitary.writer import encode_report
 
 
 def reference(payload) -> bytes:
@@ -154,6 +160,66 @@ def test_rejected_payloads_raise_type_error(payload):
         encode_report(payload)
 
 
+# -- tables ---------------------------------------------------------------------
+
+_TABLES = {
+    "scalars": [3, "s", 1.5, True, None, -(10**40)],
+    "pairs": [[0, 1], [2, 3], (4, 5)],
+    "one-column rows": [[1], [2]],
+    "goal rows": [{"goal": "domain:g0@0", "stage": 1, "witness": 0},
+                  {"witness": None, "goal": "hit", "stage": 2}],
+    "one-key rows": [{"k": 1}, {"k": "v"}],
+    "percent keys": [{"%s": 1, "a%%b": "%s", "%": "%d", "%(x)s": 2}] * 2,
+    "quote keys": [{'"': 1, 'a"b\\': 2}, {'"': 3, 'a"b\\': 4}],
+    "non-ascii keys": [{"é": 1, "\U0001f600": "ü", "\n": "\u2028"}] * 3,
+    "special values": [[True, None, math.nan], [False, math.inf, -math.inf],
+                       [10**60, -0.0, 1e300]],
+    "newline values": [["a\nb", "%s"], ["%%", "\r\n"]],
+}
+_NOT_TABLES = {
+    "int-enum": [[Colour.RED, 1], [2, 3]],
+    "int-enum scalars": [Colour.RED, 2],
+    "str subclass": [{"k": Name("v")}, {"k": "w"}],
+    "str subclass key": [{Name("k"): 1}, {"k": 2}],
+    "ragged short": [[1, 2], [3]],
+    "ragged long": [[1], [2, 3]],
+    "ragged dict extra key": [{"a": 1}, {"a": 2, "b": 3}],
+    "ragged dict other key": [{"a": 1, "b": 2}, {"a": 1, "c": 2}],
+    "empty lists": [[], []],
+    "empty dicts": [{}, {}],
+    "empty row": [[1], []],
+    "empty dict row": [{"a": 1}, {}],
+    "list in a row": [[1, [2]], [3, [4]]],
+    "dict in a row": [{"a": {}}, {"a": {}}],
+    "dict and list rows": [{"a": 1}, [1]],
+    "int keys": [{1: "a"}, {1: "b"}],
+    "ordered dicts": [OrderedDict(a=1), OrderedDict(a=2)],
+    "scalar and row": [1, [1]],
+}
+
+
+@pytest.mark.parametrize("rows", list(_TABLES.values()), ids=list(_TABLES))
+def test_tables(rows):
+    assert writer._table(rows, "\n ") is not None
+    for payload in (rows, {"t": rows}, [rows, rows]):
+        assert encode_report(payload) == reference(payload)
+
+
+@pytest.mark.parametrize("rows", list(_NOT_TABLES.values()), ids=list(_NOT_TABLES))
+def test_lists_that_are_not_tables(rows):
+    assert writer._table(rows, "\n ") is None
+    for payload in (rows, {"t": rows}, [rows, rows]):
+        assert encode_report(payload) == reference(payload)
+
+
+def test_mixed_key_rows_raise_type_error():
+    rows = [{"a": 1, 2: 3}, {"a": 1, 2: 3}]
+    with pytest.raises(TypeError):
+        reference(rows)
+    with pytest.raises(TypeError):
+        encode_report(rows)
+
+
 _scalars = st.one_of(
     st.none(),
     st.booleans(),
@@ -164,10 +230,39 @@ _scalars = st.one_of(
     st.text(alphabet='"\\\n\t\x00\x1f\x7fé \U0001f600 ab', max_size=8),
 )
 _keys = st.one_of(st.text(max_size=6), st.integers(-5, 5), st.floats(), st.booleans(), st.none())
+_row_keys = st.text(alphabet='%s"\\\né\U0001f600ab', max_size=4)
+_row_values = st.one_of(_scalars, st.just(Colour.RED), st.builds(Name, st.text(max_size=3)))
+
+
+@st.composite
+def _tables(draw, values):
+    """A list of rows of one shape, dicts with the same keys or lists and
+    tuples of one length, holding drawn values; sometimes one row is then
+    broken: made ragged, emptied, or of the other kind."""
+    if draw(st.booleans()):
+        keys = draw(st.lists(_row_keys, min_size=1, max_size=4, unique=True))
+        width, make = len(keys), lambda row: dict(zip(keys, row))
+    else:
+        width = draw(st.integers(1, 4))
+        make = draw(st.sampled_from([list, tuple]))
+    cells = st.lists(values, min_size=width, max_size=width)
+    rows = draw(st.lists(cells.map(make), min_size=1, max_size=6))
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        rows[i] = draw(st.sampled_from([
+            row[:-1] if isinstance(row, (list, tuple)) else dict(list(row.items())[:-1]),
+            [*row, 0] if isinstance(row, (list, tuple)) else {**row, "%extra": 0},
+            type(row)(),
+            list(row.values()) if isinstance(row, dict) else dict(enumerate(row)),
+        ]))
+    return rows
 
 
 def _containers(children):
     return st.one_of(
+        _tables(_row_values),
+        _tables(children),
         st.lists(children, max_size=6),
         st.lists(children, max_size=6).map(tuple),
         st.lists(st.integers(), max_size=6),

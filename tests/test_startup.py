@@ -6,7 +6,8 @@ Each check of what is loaded runs in a fresh interpreter:
 - the parser, --help, an unknown command and a bad flag value load no
   layer; `template` loads only the template layer; `build-group` loads no
   sampling, suslin or template code; `ffp-suite` and `hit-density` load no
-  builder code (the point phase they step lives in extension);
+  builder code (the point phase they step lives in extension); a command
+  that writes a report also loads the report writer;
 - every public name of the package resolves to its submodule's object;
 - an error raised by a layer first loaded inside main keeps its exit code.
 
@@ -84,7 +85,7 @@ def test_the_parser_help_and_usage_errors_load_no_layer(argv, code):
 
 def test_template_loads_only_the_template_layer(tmp_path):
     argv = ["template", "--lambdas", "2,3", "--out", str(tmp_path / "t.json")]
-    assert fresh(RUN_CLI, *argv) == [0, package("templates")]
+    assert fresh(RUN_CLI, *argv) == [0, package("templates", "writer")]
 
 
 def test_build_group_loads_no_sampling_suslin_or_template_code(tmp_path):
@@ -92,15 +93,15 @@ def test_build_group_loads_no_sampling_suslin_or_template_code(tmp_path):
             "--seed", "1", "--out", str(tmp_path / "b.json")]
     code, loaded = fresh(RUN_CLI, *argv)
     assert code == 0
-    assert loaded == package("words", "evaluation", "poset", "extension", "builder")
+    assert loaded == package("words", "evaluation", "poset", "extension", "builder", "writer")
 
 
 @pytest.mark.parametrize("argv, layers", [
     (["ffp-suite", "--mode", "cofinitary", "--samples", "20", "--seed", "3"],
-     ("words", "evaluation", "poset", "extension", "sampling", "suslin")),
+     ("words", "evaluation", "poset", "extension", "sampling", "suslin", "writer")),
     (["hit-density", "--generators", "3", "--maxN", "5", "--window", "64", "--samples", "5",
       "--seed", "3"],
-     ("words", "evaluation", "poset", "extension", "sampling")),
+     ("words", "evaluation", "poset", "extension", "sampling", "writer")),
 ], ids=["ffp-suite", "hit-density"])
 def test_the_suite_commands_load_no_builder_code(argv, layers, tmp_path):
     code, loaded = fresh(RUN_CLI, *argv, "--out", str(tmp_path / "r.json"))

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from cofinitary import suslin
-from cofinitary.cli import encode_report
+from cofinitary.writer import encode_report
 from cofinitary.extension import ContractViolation
 from cofinitary.poset import PosetMode, leq
 from cofinitary.suslin import (

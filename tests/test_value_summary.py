@@ -10,6 +10,11 @@ certificate a point phase makes in long builds and sampled conditions,
 against ExtensionCertificate.of of the set it replaced, read off the
 condition the phase's lookups stand for.
 
+A phase builds V and gap on its first certificate, from its base's
+summary and the pairs it has kept, so a phase that only searches for hits
+builds neither.  Lazy phases are checked against phases that build them
+when they open, step for step, on sampled conditions in every mode.
+
 The checks catch these broken copies of the code: a phase step not
 advancing gap past n or past m, and a summary that hands back one set
 twice, which a phase would then grow under the assignment.
@@ -22,13 +27,13 @@ import random
 import pytest
 
 from copy_path import mirror
-from test_incremental_checks import follow_zshift
+from test_incremental_checks import ZSHIFT, follow_zshift
 from test_step_local import _linear_least
 
 from cofinitary import extension
 from cofinitary.builder import build
 from cofinitary.evaluation import Assignment, PartialMap
-from cofinitary.extension import ExtensionCertificate, domain_extend
+from cofinitary.extension import ExtensionCertificate, PointPhase, domain_extend, hit_search
 from cofinitary.poset import DISCIPLINES, Condition, PosetMode, add_words, side_index
 from cofinitary.sampling import sample_condition, sample_extension
 from cofinitary.words import Letter, single
@@ -205,3 +210,81 @@ def test_certificates_of_sampled_conditions(certificates, case):
                 sample_extension(rng, follow_zshift(rng, p, range(3)), steps=3)
     assert len(certificates) > 800, len(certificates)
     assert _check_all(certificates) > 50
+
+
+# -- the summary is built on the first certificate ------------------------------
+
+
+class _Recording(PointPhase):
+    """A phase that records each certificate it makes; an eager one builds
+    V and gap when it opens."""
+
+    def __init__(self, base: Condition, eager: bool) -> None:
+        super().__init__(base)
+        self.made = []
+        self.kept_first = 0  # the pairs kept before the first certificate
+        if eager and self.discipline.kernel == "walk":
+            self.values, self.gap = base.s.summary()
+
+    def certificate(self, gen, point, direction):
+        if not self.made:
+            self.kept_first = len(self.added)
+        cert = super().certificate(gen, point, direction)
+        self.made.append((gen, point, direction, frozenset(cert.forbidden), cert.gap))
+        return cert
+
+
+def _step(phase: PointPhase, op: tuple):
+    """The outcome of one step: its value, or its refusal's type and text."""
+    kind, gen, point, arg = op
+    try:
+        if kind == "hit":
+            return phase.hit(gen, ZSHIFT, point, arg)
+        if kind == "range":
+            return phase.range(gen, point)
+        return phase.domain(gen, point, lambda: arg)
+    except (ValueError, extension.ContractViolation) as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("mode", list(PosetMode), ids=lambda m: m.value)
+def test_lazy_and_eager_summaries_make_the_same_certificates(mode):
+    rng = random.Random(f"lazy-{mode.value}")
+    late = 0  # lazy phases that built V after keeping pairs
+    for _ in range(120):
+        p = sample_condition(rng, mode, range(3), max_pairs=8, max_words=3)
+        kinds = ["hit", "domain", "range"] if DISCIPLINES[mode].injective else ["hit", "domain"]
+        ops = [
+            (rng.choice(kinds), rng.randrange(3), rng.randrange(30), rng.randrange(40))
+            for _ in range(rng.randrange(1, 10))
+        ]
+        lazy, eager = _Recording(p, eager=False), _Recording(p, eager=True)
+        for op in ops:
+            assert _step(lazy, op) == _step(eager, op), op
+        assert lazy.made == eager.made
+        assert lazy.added == eager.added
+        assert lazy.close().s == eager.close().s
+        late += lazy.kept_first > 0
+    if DISCIPLINES[mode].kernel != "ones":  # MAD chooses by mad_value, not certificates
+        assert late > 10, late
+
+
+def test_a_hit_search_builds_no_summary(monkeypatch):
+    calls = []
+    real = Assignment.summary
+
+    def counting(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(Assignment, "summary", counting)
+    rng = random.Random("hit-search")
+    for _ in range(40):
+        p = sample_condition(rng, PosetMode.COFINITARY, range(3), max_pairs=8, max_words=3)
+        calls.clear()
+        hit_search(p, rng.randrange(3), ZSHIFT, rng.randrange(20), 32)
+        phase = PointPhase(p)
+        phase.hit(rng.randrange(3), ZSHIFT, rng.randrange(20), 32)
+        assert calls == []
+        phase.domain(0, 100)
+        assert len(calls) == 1
