@@ -55,6 +55,14 @@ def _write_report(path: Path, payload: dict) -> None:
     print(path)
 
 
+def _verdict(problems: list[str]) -> int:
+    """A command's exit code: each problem is one stderr line, and the code
+    is VIOLATION exactly when there is one."""
+    for line in problems:
+        print(line, file=sys.stderr)
+    return VIOLATION if problems else OK
+
+
 def _positive(value: str) -> int:
     n = int(value)
     if n <= 0:
@@ -102,8 +110,7 @@ def cmd_build_group(args) -> int:
         )
         violations = verify_cofinitary(report)
     except BuildError as err:
-        print(f"build aborted: {err}", file=sys.stderr)
-        return VIOLATION
+        return _verdict([f"build aborted: {err}"])
     payload = report.to_json()
     payload["violations"] = violations
     path = _report_path(args, f"build-{mode.value}-{args.seed}.json")
@@ -115,11 +122,7 @@ def cmd_build_group(args) -> int:
     _write_report(path, payload)
     if csv is not None:
         csv.write_text(report.to_csv())
-    if violations:
-        for v in violations:
-            print(v, file=sys.stderr)
-        return VIOLATION
-    return OK
+    return _verdict(violations)
 
 
 def _load_template_file(path: str) -> TemplateOrder:
@@ -156,7 +159,9 @@ def _load_template_file(path: str) -> TemplateOrder:
 
 
 def cmd_template(args) -> int:
-    from .templates import SurrogateParams, build_surrogate_template, check_axioms, rank
+    from .templates import (
+        SurrogateParams, build_surrogate_template, check_axioms, interval_nesting_failures, rank,
+    )
 
     if args.template_file:
         try:
@@ -164,81 +169,40 @@ def cmd_template(args) -> int:
             violations = check_axioms(t)  # refuses families beyond its budget
         except (KeyError, ValueError, json.JSONDecodeError) as err:
             raise ConfigError(f"bad template file: {err}")
+        payload: dict = {"source": "file"}
+        nesting_lines = []
+        name = "template-file.json"
+    else:
+        try:
+            sizes = tuple(int(x) for x in args.lambdas.split(","))
+            params = SurrogateParams(
+                sizes, args.omega1, element_cap=args.cap, last_negative_full=not args.bounded_last
+            )
+            surrogate = build_surrogate_template(params)  # refuses parameters beyond element_cap
+        except ValueError as err:
+            raise ConfigError(f"bad template parameters: {err}")
+        t = surrogate.order
+        violations = check_axioms(t)
+        nesting = interval_nesting_failures(surrogate)
         payload = {
-            "schema": "1",
-            "source": "file",
-            "elements": len(t.elements),
-            "axioms": [
-                {"clause": v.clause, "detail": v.detail} for v in violations
-            ],
+            "source": "surrogate",
+            "lambdas": list(sizes),
+            "omega1": args.omega1,
+            "seed": args.seed,
+            "family_size": f">{params.family_cap}" if t.family is None else len(t.family),
+            "family_atoms": sorted(surrogate.atom_provenance),
+            "relevant": len(surrogate.relevant_ids),
+            "interval_nesting_failures": nesting,
         }
-        if not violations:
-            payload["rank"] = rank(t)
-        path = _report_path(args, "template-file.json")
-        _write_report(path, payload)
-        if violations:
-            for v in violations:
-                print(f"clause {v.clause}: {v.detail}", file=sys.stderr)
-            return VIOLATION
-        return OK
-    try:
-        sizes = tuple(int(x) for x in args.lambdas.split(","))
-        params = SurrogateParams(
-            sizes, args.omega1, element_cap=args.cap, last_negative_full=not args.bounded_last
-        )
-        surrogate = build_surrogate_template(params)  # refuses parameters beyond element_cap
-    except ValueError as err:
-        raise ConfigError(f"bad template parameters: {err}")
-    t = surrogate.order
-    violations = check_axioms(t)
-    nesting = _check_interval_nesting(surrogate)
-    payload = {
-        "schema": "1",
-        "source": "surrogate",
-        "lambdas": list(sizes),
-        "omega1": args.omega1,
-        "seed": args.seed,
-        "elements": len(t.elements),
-        "family_size": f">{params.family_cap}" if t.family is None else len(t.family),
-        "family_atoms": sorted(surrogate.atom_provenance),
-        "relevant": len(surrogate.relevant_ids),
-        "axioms": [{"clause": v.clause, "detail": v.detail} for v in violations],
-        "interval_nesting_failures": nesting,
-    }
+        nesting_lines = [f"{nesting} interval nesting failures"] if nesting else []
+        name = f"template-{args.lambdas}-{args.omega1}.json"
+    payload["schema"] = "1"
+    payload["elements"] = len(t.elements)
+    payload["axioms"] = [{"clause": v.clause, "detail": v.detail} for v in violations]
     if not violations:
         payload["rank"] = rank(t)
-    path = _report_path(args, f"template-{args.lambdas}-{args.omega1}.json")
-    _write_report(path, payload)
-    if violations or nesting:
-        for v in violations:
-            print(f"clause {v.clause}: {v.detail}", file=sys.stderr)
-        if nesting:
-            print(f"{nesting} interval nesting failures", file=sys.stderr)
-        return VIOLATION
-    return OK
-
-
-def _check_interval_nesting(surrogate) -> int:
-    from .templates import interval_finder
-
-    ids = sorted(surrogate.relevant_ids)
-    interval = interval_finder(surrogate.positions)
-    intervals = {i: interval(surrogate.positions[i]) for i in ids}
-    bad = 0
-    for i in ids:
-        for j in ids:
-            if i == j:
-                continue
-            a, b = intervals[i], intervals[j]
-            if i < j and a & b and not (a <= b or b <= a):
-                bad += 1
-            if a < b:
-                pi, pj = surrogate.positions[i], surrogate.positions[j]
-                if len(pj.seq) > len(pi.seq):
-                    bad += 1
-                elif pi.seq[: len(pj.seq) - 1] != pj.seq[: len(pj.seq) - 1]:
-                    bad += 1
-    return bad
+    _write_report(_report_path(args, name), payload)
+    return _verdict([f"clause {v.clause}: {v.detail}" for v in violations] + nesting_lines)
 
 
 def cmd_suslin(args) -> int:
@@ -247,13 +211,8 @@ def cmd_suslin(args) -> int:
     report = n_suslin_trial(args.poset, args.n, args.samples, args.seed)
     path = _report_path(args, f"suslin-{args.poset}-{args.n}-{args.seed}.json")
     _write_report(path, report.to_json())
-    # the law at n implies it at every larger n: a trial at n + 1 agrees on
-    # more indices, so it is also a trial at n
-    expected_zero = args.n >= (1 if args.poset == "hechler" else 2)
-    if expected_zero and report.failures:
-        print(f"{report.failures} failures out of {args.samples}", file=sys.stderr)
-        return VIOLATION
-    return OK
+    failures = [f"{report.failures} failures out of {args.samples}"]
+    return _verdict(failures if report.breaks_law else [])
 
 
 def cmd_ffp_suite(args) -> int:
@@ -269,10 +228,7 @@ def cmd_ffp_suite(args) -> int:
     }
     path = _report_path(args, f"ffp-{args.mode.value}-{args.seed}.json")
     _write_report(path, payload)
-    failed = [r for r in results if not r.passed]
-    for r in failed:
-        print(f"{r.name}: {r.witness}", file=sys.stderr)
-    return VIOLATION if failed else OK
+    return _verdict([f"{r.name}: {r.witness}" for r in results if not r.passed])
 
 
 def cmd_hit_density(args) -> int:
@@ -319,10 +275,7 @@ def cmd_hit_density(args) -> int:
     }
     path = _report_path(args, f"hit-density-{args.seed}.json")
     _write_report(path, payload)
-    if misses:
-        print(f"{len(misses)} searches found no hit", file=sys.stderr)
-        return VIOLATION
-    return OK
+    return _verdict([f"{len(misses)} searches found no hit"] if misses else [])
 
 
 # Built once per process: a parser per main call cost about 1 ms and grew
@@ -471,15 +424,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(err, file=sys.stderr)
         return USAGE
     except _loaded("extension", "CertificateError", "ContractViolation") as err:
-        print(err, file=sys.stderr)
-        return VIOLATION
+        return _verdict([str(err)])
     except OSError as err:
         print(err, file=sys.stderr)
         return USAGE
     except Exception as err:
         # input is judged before this point: a bug; never a traceback
-        print(f"internal error: {err!r}", file=sys.stderr)
-        return VIOLATION
+        return _verdict([f"internal error: {err!r}"])
 
 
 def _loaded(layer: str, *names: str) -> tuple:

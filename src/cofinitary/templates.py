@@ -563,6 +563,24 @@ def interval_finder(
     return interval
 
 
+def interval_nesting_failures(surrogate: SurrogateTemplate) -> int:
+    """Breaches of the interval nesting law among the relevant positions:
+    two intervals that meet are nested, and a position whose interval lies
+    strictly inside another's is no shorter than that one and shares its
+    prefix up to that one's last entry."""
+    rel = [surrogate.positions[i] for i in sorted(surrogate.relevant_ids)]
+    pairs = list(zip(rel, map(interval_finder(surrogate.positions), rel)))
+    bad = sum(
+        bool(a & b) and not (a <= b or b <= a)
+        for (_, a), (_, b) in itertools.combinations(pairs, 2)
+    )
+    for (p, a), (q, b) in itertools.permutations(pairs, 2):
+        if a < b:
+            k = len(q.seq) - 1
+            bad += len(p.seq) <= k or p.seq[:k] != q.seq[:k]
+    return bad
+
+
 class SurrogateTemplate(NamedTuple):
     params: SurrogateParams
     positions: list[SurrogatePosition]

@@ -20,7 +20,7 @@ def run(argv, capsys):
 class TestBuildGroup:
     def test_happy_path(self, tmp_path, capsys):
         out_file = tmp_path / "report.json"
-        code, out, _ = run(
+        code, out, err = run(
             [
                 "build-group", "--mode", "cofinitary", "--generators", "2",
                 "--points", "8", "--max-word-len", "2", "--seed", "7",
@@ -28,7 +28,7 @@ class TestBuildGroup:
             ],
             capsys,
         )
-        assert code == 0
+        assert code == 0 and err == ""
         assert out.strip() == str(out_file)
         payload = json.loads(out_file.read_text())
         assert payload["schema"] == "1" and payload["violations"] == []
@@ -173,12 +173,12 @@ class TestBuildGroup:
 class TestTemplateCmd:
     def test_surrogate_happy(self, tmp_path, capsys):
         out_file = tmp_path / "t.json"
-        code, out, _ = run(
+        code, out, err = run(
             ["template", "--lambdas", "2,3", "--omega1", "2", "--seed", "1",
              "--out", str(out_file)],
             capsys,
         )
-        assert code == 0
+        assert code == 0 and err == ""
         payload = json.loads(out_file.read_text())
         assert payload["axioms"] == [] and "rank" in payload
 
@@ -211,6 +211,8 @@ class TestTemplateCmd:
         )
         assert code == 1
         assert "clause 2" in err and "q" in err
+        axioms = json.loads((tmp_path / "o.json").read_text())["axioms"]
+        assert err.splitlines() == [f"clause {a['clause']}: {a['detail']}" for a in axioms]
 
     @pytest.mark.parametrize("member", [["p", "r"], ["p", 3]])
     def test_template_file_member_naming_a_non_element(self, member, tmp_path, capsys):
@@ -288,30 +290,31 @@ class TestTemplateCmd:
         }
         path = tmp_path / "good.json"
         path.write_text(json.dumps(blob))
-        code, _, _ = run(
+        code, _, err = run(
             ["template", "--template-file", str(path), "--out", str(tmp_path / "o.json")],
             capsys,
         )
-        assert code == 0
+        assert code == 0 and err == ""
 
 
 class TestSuslinCmd:
     def test_hechler(self, tmp_path, capsys):
-        code, _, _ = run(
+        code, _, err = run(
             ["suslin", "--poset", "hechler", "--n", "1", "--samples", "500",
              "--seed", "3", "--out", str(tmp_path / "s.json")],
             capsys,
         )
-        assert code == 0
+        assert code == 0 and err == ""
 
     def test_loc_one_informational(self, tmp_path, capsys):
         # failures with n = 1 are reported, not asserted
-        code, _, _ = run(
+        code, _, err = run(
             ["suslin", "--poset", "loc", "--n", "1", "--samples", "500",
              "--seed", "3", "--out", str(tmp_path / "s.json")],
             capsys,
         )
-        assert code == 0
+        assert code == 0 and err == ""
+        assert json.loads((tmp_path / "s.json").read_text())["failures"] > 0
 
     def test_bad_poset(self, capsys):
         code, _, _ = run(
@@ -338,29 +341,29 @@ class TestSuslinCmd:
             capsys,
         )
         assert got == code
-        assert ("1 failures" in err) == (code == 1)
+        assert err == ("1 failures out of 10\n" if code == 1 else "")
 
 
 class TestFfpCmd:
     def test_all_modes(self, tmp_path, capsys):
         for mode in ("cofinitary", "adp", "edf", "mad"):
-            code, _, _ = run(
+            code, _, err = run(
                 ["ffp-suite", "--mode", mode, "--samples", "15", "--seed", "9",
                  "--out", str(tmp_path / f"f-{mode}.json")],
                 capsys,
             )
-            assert code == 0
+            assert code == 0 and err == ""
 
 
 class TestHitDensityCmd:
     def test_happy(self, tmp_path, capsys):
-        code, _, _ = run(
+        code, _, err = run(
             ["hit-density", "--generators", "3", "--words", "4", "--maxN", "20",
              "--window", "64", "--samples", "20", "--seed", "5",
              "--out", str(tmp_path / "h.json")],
             capsys,
         )
-        assert code == 0
+        assert code == 0 and err == ""
         payload = json.loads((tmp_path / "h.json").read_text())
         assert payload["misses"] == []
 
@@ -526,6 +529,105 @@ def test_a_word_budget_past_the_recursion_limit_builds(tmp_path):
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout.strip() == str(tmp_path / "o.json")
     assert len(json.loads((tmp_path / "o.json").read_text())["frozen_fix"]) == 990
+
+
+# -- the verdict rule -------------------------------------------------------------
+# A run exits 1 exactly when its report records a problem, and prints each
+# problem as one stderr line, in the report's order; a passing run exits 0
+# and prints nothing to stderr.  Each case is a passing command, a patch that
+# makes it fail, and the problems read off its failing report (None where
+# the run writes none, as an aborted build must not).
+
+
+def _verify_finds_two(monkeypatch, intercept):
+    import cofinitary.builder as builder
+
+    monkeypatch.setattr(builder, "verify_cofinitary", lambda report: ["g0 fixes 3", "g1 fixes 5"])
+
+
+ABORT = "goal g0 found no hit"
+
+
+def _build_aborts(monkeypatch, intercept):
+    import cofinitary.builder as builder
+
+    def build(*args, **kwargs):
+        raise builder.BuildError(ABORT)
+
+    monkeypatch.setattr(builder, "build", build)
+
+
+def _axioms_and_nesting_fail(monkeypatch, intercept):
+    import cofinitary.templates as templates
+
+    bad = [templates.AxiomViolation(1, "not closed"), templates.AxiomViolation(3, "cut leaks")]
+    monkeypatch.setattr(templates, "check_axioms", lambda t: bad)
+    monkeypatch.setattr(templates, "interval_nesting_failures", lambda surrogate: 2)
+
+
+def _suite_order_refuses(monkeypatch, intercept):
+    from cofinitary import poset, suslin
+
+    intercept(suslin, poset, leq=lambda p, q: False)
+
+
+def _meets_refused(monkeypatch, intercept):
+    from cofinitary import suslin
+    from cofinitary.poset import Incompatible
+
+    monkeypatch.setattr(suslin, "dom_meet", lambda p, q: Incompatible("refused"))
+
+
+def _hits_missed(monkeypatch, intercept):
+    import cofinitary.extension as extension
+
+    monkeypatch.setattr(extension, "hit_search", lambda *args: None)
+
+
+BUILD = ["build-group", "--generators", "2", "--points", "8", "--max-word-len", "2", "--seed", "7"]
+
+VERDICTS = {
+    "build-group": (BUILD, _verify_finds_two, lambda r: r["violations"]),
+    "build-group-aborted": (
+        BUILD, _build_aborts, lambda r: [f"build aborted: {ABORT}"] if r is None else [],
+    ),
+    "template": (
+        ["template", "--lambdas", "2,3", "--omega1", "2", "--seed", "1"],
+        _axioms_and_nesting_fail,
+        lambda r: [f"clause {a['clause']}: {a['detail']}" for a in r["axioms"]]
+        + [f"{r['interval_nesting_failures']} interval nesting failures"],
+    ),
+    "ffp-suite": (
+        ["ffp-suite", "--mode", "cofinitary", "--samples", "15", "--seed", "9"],
+        _suite_order_refuses,
+        lambda r: [f"{c['name']}: {c['witness']}" for c in r["clauses"] if not c["passed"]],
+    ),
+    "suslin": (
+        ["suslin", "--poset", "hechler", "--n", "1", "--samples", "50", "--seed", "3"],
+        _meets_refused,
+        lambda r: [f"{r['failures']} failures out of {r['samples']}"],
+    ),
+    "hit-density": (
+        ["hit-density", "--generators", "3", "--maxN", "5", "--window", "64", "--samples", "3",
+         "--seed", "5"],
+        _hits_missed,
+        lambda r: [f"{len(r['misses'])} searches found no hit"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(VERDICTS))
+def test_each_recorded_problem_is_one_stderr_line(command, monkeypatch, intercept, tmp_path,
+                                                  capsys):
+    argv, fail, problems = VERDICTS[command]
+    passed, failed = tmp_path / "pass.json", tmp_path / "fail.json"
+    code, _, err = run(argv + ["--out", str(passed)], capsys)
+    assert (code, err) == (0, "")
+    fail(monkeypatch, intercept)
+    code, _, err = run(argv + ["--out", str(failed)], capsys)
+    want = problems(json.loads(failed.read_text()) if failed.exists() else None)
+    assert code == 1 and want
+    assert err.splitlines() == want
 
 
 # -- one parser per process ------------------------------------------------------

@@ -13,6 +13,7 @@ from cofinitary.templates import (
     depth,
     enumerate_positions,
     interval_finder,
+    interval_nesting_failures,
     is_relevant,
     position_in_part1,
     position_wellformed,
@@ -273,6 +274,36 @@ class TestRelevance:
                 if p is not q and a < b:
                     assert len(q.seq) <= len(p.seq)
                     assert p.seq[: len(q.seq) - 1] == q.seq[: len(q.seq) - 1]
+
+    @pytest.mark.parametrize("sizes", [(2, 3), (2, 3, 4)])
+    def test_nesting_failures_count_each_breach(self, sizes):
+        # the template report's count, against a plain loop over ordered
+        # pairs: 0 on the relevant positions, and equal on position sets
+        # that break the law
+        surrogate = build_surrogate_template(SurrogateParams(sizes, 2))
+        positions = surrogate.positions
+        interval = interval_finder(positions)
+
+        def breaches(ids):
+            bad = 0
+            for i, j in itertools.permutations(sorted(ids), 2):
+                a, b = interval(positions[i]), interval(positions[j])
+                if i < j and a & b and not (a <= b or b <= a):
+                    bad += 1
+                if a < b:
+                    inner, outer = positions[i].seq, positions[j].seq
+                    k = len(outer) - 1
+                    if len(outer) > len(inner) or inner[:k] != outer[:k]:
+                        bad += 1
+            return bad
+
+        assert interval_nesting_failures(surrogate) == breaches(surrogate.relevant_ids) == 0
+        windows = [frozenset(range(lo, min(lo + 60, len(positions))))
+                   for lo in range(0, len(positions), 40)]
+        want = [breaches(ids) for ids in windows]
+        assert max(want) > 0
+        assert [interval_nesting_failures(surrogate._replace(relevant_ids=ids))
+                for ids in windows] == want
 
     def test_interval_contains_truncation(self):
         params = SurrogateParams((2, 3, 4), 2)
