@@ -189,7 +189,7 @@ def cmd_template(args) -> int:
             "lambdas": list(sizes),
             "omega1": args.omega1,
             "seed": args.seed,
-            "family_size": f">{params.family_cap}" if t.family is None else len(t.family),
+            "family_size": f">{params.family_cap}" if t.family_size is None else t.family_size,
             "family_atoms": sorted(surrogate.atom_provenance),
             "relevant": len(surrogate.relevant_ids),
             "interval_nesting_failures": nesting,
@@ -365,7 +365,8 @@ def _config_value(action: argparse.Action, key: str, value):
 def _apply_config(argv: Sequence[str], parser: argparse.ArgumentParser):
     """The parsed arguments, with the --config file's values for the flags
     not typed.  A required flag may come from either; when it comes from
-    neither, the error is argparse's own."""
+    neither, the error is argparse's own.  A valid command line is parsed
+    once: the required flags are relaxed for that parse and checked after."""
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     required = [a for sub in commands.choices.values() for a in sub._actions if a.required]
     try:
@@ -378,15 +379,26 @@ def _apply_config(argv: Sequence[str], parser: argparse.ArgumentParser):
     finally:
         for action in required:
             action.required = True
-    if args is None or not getattr(args, "config", None):
+    if args is None:
         return parser.parse_args(argv)
+    sub = commands.choices[args.command]
+    if args.config:
+        _read_config(args, sub, argv)
+    missing = [a for a in sub._actions if a.required and getattr(args, a.dest) is None]
+    if missing:  # in argparse's own words
+        names = ", ".join("/".join(a.option_strings) for a in missing)
+        sub.error(f"the following arguments are required: {names}")
+    return args
+
+
+def _read_config(args: argparse.Namespace, sub: argparse.ArgumentParser, argv: Sequence[str]):
+    """Set on args the --config file's values for the flags not typed."""
     try:
         defaults = json.loads(Path(args.config).read_text())
     except (OSError, ValueError) as err:  # ValueError: not UTF-8, or not JSON
         raise ConfigError(f"bad config file: {err}")
     if not isinstance(defaults, dict):
         raise ConfigError("bad config file: expected a JSON object")
-    sub = commands.choices[args.command]
     actions = {a.dest: a for a in sub._actions}
     # flags as typed: argparse also takes --flag=value and unique prefixes
     typed = {a.split("=")[0] for a in argv if a.startswith("--") and len(a) > 2}
@@ -396,11 +408,6 @@ def _apply_config(argv: Sequence[str], parser: argparse.ArgumentParser):
             raise ConfigError(f"unknown config key {key!r}")
         if not any(o.startswith(t) for t in typed for o in action.option_strings):
             setattr(args, action.dest, _config_value(action, key, value))
-    missing = [a for a in sub._actions if a.required and getattr(args, a.dest) is None]
-    if missing:
-        names = ", ".join("/".join(a.option_strings) for a in missing)
-        sub.error(f"the following arguments are required: {names}")
-    return args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

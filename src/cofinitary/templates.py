@@ -4,7 +4,8 @@ classical template instantiated over small surrogate cardinals.
 
 Families are bitmasks, bit i for the i-th element.  An explicit family is
 read member by member; a union-generated one (``from_atoms``) is held as its
-atoms and decided from them (proofs in the README design notes).
+atoms, decided from them and counted from them, never listed unless its
+members are read (proofs in the README design notes).
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ MAX_FAMILY = 2000  # TemplateOrder.to_json lists a family of at most this many m
 class TemplateOrder:
     """elements are opaque ids; order_key realizes the strict total order;
     family holds the members as bitmasks, bit i standing for the i-th
-    element in order_key order; part0/part1 the two-sided split.  atoms, if
-    given, generate the family by unions; family is then None past budget."""
+    element in order_key order; part0/part1 the two-sided split.  When
+    family is None, atoms generate it by unions.  family_size is the number
+    of members, None past the budget the atoms were counted within."""
 
     elements: frozenset[int]
     order_key: Mapping[int, tuple]
@@ -33,6 +35,7 @@ class TemplateOrder:
     part1: frozenset[int]
     labels: Mapping[int, str] = field(default_factory=dict)
     atoms: tuple[int, ...] = ()
+    family_size: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.part0 | self.part1 != self.elements or self.part0 & self.part1:
@@ -41,6 +44,8 @@ class TemplateOrder:
         if len(keys) != len(self.elements):
             raise ValueError("order keys must be distinct (strict total order)")
         object.__setattr__(self, "atoms", tuple(sorted(set(self.atoms))))
+        if self.family is not None:
+            object.__setattr__(self, "family_size", len(self.family))
         masks = self.atoms or self.family or (0,)
         if min(masks) < 0 or max(masks) >> len(self.elements):
             raise ValueError("family masks must name elements only")
@@ -48,9 +53,8 @@ class TemplateOrder:
     @property
     def ideals(self) -> frozenset[frozenset[int]]:
         """The family decoded to element sets."""
-        if self.family is None:
-            raise ValueError("family past its enumeration budget")
-        return frozenset(map(_masks(self).unmask, self.family))
+        mk = _masks(self)
+        return frozenset(map(mk.unmask, mk.members))
 
     def below(self, x: int) -> frozenset[int]:
         kx = self.order_key[x]
@@ -65,7 +69,7 @@ class TemplateOrder:
     def to_json(self) -> dict:
         """The template-file form; "by-rank": the elements are in order.  A
         family of more than MAX_FAMILY members is written as its count."""
-        n = None if self.family is None else len(self.family)
+        n = self.family_size
         out = {
             "elements": [self.label(x) for x in self.sorted_elements()],
             "less": "by-rank",
@@ -104,6 +108,67 @@ def _unions(gens: Iterable[int], budget: int) -> Optional[frozenset[int]]:
     return frozenset(out)
 
 
+def _count_unions(gens: Iterable[int], budget: int) -> Optional[int]:
+    """The number of unions of gens (the empty one too), or None past
+    budget: the size of _unions(gens, budget), found without listing every
+    union.  Each set of atoms is split by _count_step, and each count is
+    kept, since different splits meet the same set again; a loop over an
+    explicit stack, so a long chain of splits needs no Python frame each."""
+    root = frozenset(gens) - {0}
+    count = {frozenset(): 1}
+    parts: dict[frozenset[int], tuple] = {}
+    stack = [root]
+    while stack:
+        s = stack[-1]
+        if s in count:
+            stack.pop()
+        elif s in parts:
+            extra, *subs = parts.pop(s)
+            n = extra + sum(count[sub] for sub in subs)
+            if n > budget:  # a part counts no more than the whole
+                return None
+            count[s] = n
+            stack.pop()
+        else:
+            step = _count_step(s, budget)
+            if step is None:
+                return None
+            parts[s] = step
+            stack += step[1:]
+    return count[root] if count[root] <= budget else None  # the empty root's one union
+
+
+def _count_step(s: frozenset[int], budget: int) -> Optional[tuple]:
+    """(extra, *parts): the unions of the nonempty atoms s number extra plus
+    the parts' counts; None past budget (proofs in the README design notes).
+
+    A top atom that holds all the others adds one union, itself, unless it
+    is their union.  Then an atom a with a private element (one no other
+    atom holds) splits the rest: c(A) = c(A - {a}) + c({b - a : b in A - {a}}).
+    Atoms without one are listed."""
+    atoms = sorted(s)
+    below = list(itertools.accumulate(atoms, or_, initial=0))  # unions of the lesser atoms
+    extra = 0
+    while atoms and not below[len(atoms) - 1] & ~atoms[-1]:
+        top = atoms.pop()
+        extra += top != below[len(atoms)]
+    once = shared = 0
+    for b in atoms:
+        shared |= once & b
+        once |= b
+    private = [b for b in atoms if b & ~shared]
+    if 1 << len(private) > budget:  # each set of them has a union of its own
+        return None
+    if private:
+        a = max(private)
+        rest = frozenset(atoms) - {a}
+        return (extra, rest, frozenset(b & ~a for b in rest) - {0})
+    if not atoms:
+        return (extra + 1,)
+    listed = _unions(atoms, budget)
+    return None if listed is None else (extra + len(listed),)
+
+
 def template_from_parts(
     elements: Sequence[int],
     less_pairs: Iterable[tuple[int, int]],
@@ -133,13 +198,15 @@ def template_from_parts(
 
 def from_atoms(t: TemplateOrder, atoms: Iterable[Iterable[int]], budget: int) -> TemplateOrder:
     """t's order and split with the unions of the atoms as the family, held
-    as the atoms and enumerated only within budget."""
+    as the atoms; its members are counted within budget, not listed."""
     mk = _masks(t)
     masks = [mk.mask(a) for a in atoms]
     # k atoms whose traces are k single part1 elements give 2^k members
     singles = _union(m & mk.part1 for m in masks if (m & mk.part1).bit_count() == 1)
-    family = None if 1 << singles.bit_count() > budget else _unions(masks, budget)
-    return TemplateOrder(t.elements, t.order_key, family, t.part0, t.part1, t.labels, tuple(masks))
+    size = None if 1 << singles.bit_count() > budget else _count_unions(masks, budget)
+    return TemplateOrder(
+        t.elements, t.order_key, None, t.part0, t.part1, t.labels, tuple(masks), size
+    )
 
 
 def closure(t: TemplateOrder, subset: Iterable[int]) -> frozenset[int]:
@@ -177,11 +244,17 @@ class _Masks:
         self.below0 = [b & self.part0 for b in self.below]
         self.family = t.family
         self.atoms = t.atoms  # sorted by value, so by top element
+        self.size = t.family_size
 
     @cached_property
     def members(self) -> list[int]:
-        """The explicit family, sorted: every member-wise walk."""
-        return sorted(self.family)
+        """The family, sorted: every member-wise walk.  A family held as
+        atoms is listed here, and only here."""
+        if self.family is not None:
+            return sorted(self.family)
+        if self.size is None:
+            raise ValueError("family past its enumeration budget")
+        return sorted(_unions(self.atoms, self.size))  # type: ignore[arg-type]  # the exact count
 
     @cached_property
     def inside(self) -> list[list[int]]:
@@ -190,7 +263,7 @@ class _Masks:
 
     def member(self, m: int) -> bool:
         """A set is a union of atoms iff the atoms inside it cover it."""
-        if not self.atoms:
+        if self.family is not None:
             return m in self.family
         return _union(a for a in self.atoms if not a & ~m) == m
 
@@ -199,7 +272,7 @@ class _Masks:
         """Each part1 trace's depth; None when each part1 element of an atom
         is an atom's whole trace: the traces, the unions of the atoms'
         traces, are then a powerset, where depth is size."""
-        if self.atoms:
+        if self.family is None:
             gens = {a & self.part1 for a in self.atoms}
             if _union(g for g in gens if g.bit_count() == 1) == _union(gens):
                 return None
@@ -244,13 +317,14 @@ def check_axioms(t: TemplateOrder, pair_budget: int = 4_000_000) -> list[AxiomVi
     violated clause.  An explicit family is read member by member, and one
     beyond pair_budget pairs is refused rather than checked approximately."""
     mk = _masks(t)
-    gens = mk.atoms or mk.members
+    held = mk.family is None  # as atoms
+    gens = mk.atoms if held else mk.members
     out = [
         AxiomViolation(1, f"{name} set missing from the family")
         for name, m in (("empty", 0), ("full", mk.full))
         if not mk.member(m)
     ]
-    out += _clause1_atoms(mk) if mk.atoms else _clause1_members(mk, pair_budget)
+    out += _clause1_atoms(mk) if held else _clause1_members(mk, pair_budget)
     # clause 2: every x < y with y in part1 lies in a member inside the cut of y.
     # The sets inside the cut of the i-th element are those below 1 << i.
     covered = inside = 0
@@ -264,7 +338,7 @@ def check_axioms(t: TemplateOrder, pair_budget: int = 4_000_000) -> list[AxiomVi
             detail = f"no family member inside the cut of {t.label(y)} contains {t.label(x)}"
             out.append(AxiomViolation(2, detail))
             break
-    out += _clause3_atoms(t, mk) if mk.atoms else _clause3_members(t, mk)
+    out += _clause3_atoms(t, mk) if held else _clause3_members(t, mk)
     # clause 4 (part1 traces are well-founded under strict inclusion) holds
     # for every finite family
     # clause 5: members are closed
@@ -386,15 +460,21 @@ def restrict_template(t: TemplateOrder, subset: Iterable[int]) -> TemplateOrder:
     mk = _masks(t)
     keep_mask = mk.mask(keep)
     runs = _bit_runs(keep_mask)
-    traces = None if t.family is None else {a & keep_mask for a in t.family}
+    atoms = tuple(_compress(a & keep_mask, runs) for a in mk.atoms)
+    family = size = None
+    if t.family is not None:
+        family = frozenset(_compress(a & keep_mask, runs) for a in t.family)
+    elif t.family_size is not None:  # the traces are no more than the members
+        size = _count_unions(atoms, t.family_size)
     out = TemplateOrder(
         keep,
         {x: t.order_key[x] for x in keep},
-        None if traces is None else frozenset(_compress(m, runs) for m in traces),
+        family,
         t.part0 & keep,
         t.part1 & keep,
         {x: t.label(x) for x in keep},
-        tuple(_compress(a & keep_mask, runs) for a in mk.atoms),
+        atoms,
+        size,
     )
     if mk.member(keep_mask):
         got, want = rank(out), depth(t, keep)
@@ -427,7 +507,7 @@ class SurrogateParams:
     club_classes: int
     last_negative_full: bool = True
     element_cap: int = 5000  # positions: more are refused
-    family_cap: int = 400_000  # members: more are not enumerated
+    family_cap: int = 400_000  # members: past it family_size is None, not a count
 
     def __post_init__(self) -> None:
         if not self.level_sizes or any(s < 1 for s in self.level_sizes):
@@ -591,7 +671,7 @@ class SurrogateTemplate(NamedTuple):
 
 def build_surrogate_template(params: SurrogateParams) -> SurrogateTemplate:
     """Positions, order, split and the ideal family, held as its atoms: the
-    members are enumerated only within params.family_cap."""
+    members are counted, not listed, within params.family_cap."""
     positions = enumerate_positions(params)
     ids = list(range(len(positions)))
     key = {i: positions[i].key() for i in ids}

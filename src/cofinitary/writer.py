@@ -10,10 +10,12 @@ Most of a report is tables: the pairs [n, m] of each map and the goal log's
 or non-empty rows of one shape holding plain scalars, is written in one C
 encoder call: its values, row by row, joined by "\\n", which no value's
 text holds, since json escapes every newline inside a string.  The split
-texts then fill one %-template of the table.  Any other value takes the
-recursive path, which escapes strings with json's encode_basestring_ascii
-and hands any other scalar to json.dumps, whose C encoder writes it as the
-indented encoder would (a value of a type json rejects raises TypeError).
+texts then fill one %-template of the table.  So do a dict's dict rows
+whose cells may also be lists of plain scalars: the build report's
+frozen_fix.  Any other value takes the recursive path, which escapes
+strings with json's encode_basestring_ascii and hands any other scalar to
+json.dumps, whose C encoder writes it as the indented encoder would (a
+value of a type json rejects raises TypeError).
 Imported by the CLI's first report write, so building the parser does not
 compile it.
 """
@@ -21,7 +23,7 @@ compile it.
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Optional
@@ -48,8 +50,13 @@ def _encode(o, nl: str, out: list[str]) -> None:
             out.append("{}")
             return
         inner = nl + " "
+        items = sorted(o.items())
+        table = _keyed_table(items, inner)
+        if table is not None:
+            out.append(f"{{{inner}{table}{nl}}}")
+            return
         sep, comma = "{" + inner, "," + inner
-        for k, v in sorted(o.items()):
+        for k, v in items:
             key = f"{sep}{encode_basestring_ascii(k if type(k) is str else _key_text(k))}: "
             kind = type(v)
             if kind is int:  # the common leaves are written without a call
@@ -117,6 +124,56 @@ def _table(items, inner: str) -> Optional[str]:
     deeper = inner + " "
     row = f"{brackets[0]}{deeper}{(',' + deeper).join(h + '%s' for h in heads)}{inner}{brackets[1]}"
     return ("," + inner).join([row] * len(items)) % tuple(_lines(values)[1:-1].split("\n"))
+
+
+def _keyed_table(items, inner: str) -> Optional[str]:
+    """The texts of a dict's sorted items joined by "," + inner, when the
+    dict is a table: its values are non-empty dicts with one set of str
+    keys, holding plain scalars or lists of them.  None for any other dict."""
+    rows = [v for _, v in items]
+    if set(map(type, rows)) != {dict}:
+        return None
+    first = rows[0]
+    if not first or not all(type(k) is str for k in first) or set(map(len, rows)) != {len(first)}:
+        return None
+    keys = sorted(first)
+    get = itemgetter(*keys)
+    try:  # as in _table, a row with all of the first's keys has just those
+        cells = list(chain.from_iterable(map(get, rows)) if len(keys) > 1 else map(get, rows))
+    except KeyError:
+        return None
+    flat: list = []
+    sizes = []  # a list cell's length, or -1 for a scalar cell
+    for cell in cells:
+        kind = type(cell)
+        if kind is list:
+            if not set(map(type, cell)) <= _SCALARS:
+                return None
+            flat += cell
+            sizes.append(len(cell))
+        elif kind in _SCALARS:
+            flat.append(cell)
+            sizes.append(-1)
+        else:
+            return None
+    texts = iter(_lines(flat)[1:-1].split("\n") if flat else ())
+    deeper = inner + " "
+    deepest = deeper + " "
+    comma = "," + deepest
+    filled = []
+    for n in sizes:
+        if n < 0:
+            filled.append(next(texts))
+        else:
+            filled.append(f"[{deepest}{comma.join(islice(texts, n))}{deeper}]" if n else "[]")
+    heads = [encode_basestring_ascii(k).replace("%", "%%") + ": " for k in keys]
+    row = f"%s: {{{deeper}{(',' + deeper).join(h + '%s' for h in heads)}{inner}}}"
+    slots = []
+    width = len(keys)
+    for i, (k, _) in enumerate(items):
+        slots.append(encode_basestring_ascii(k if type(k) is str else _key_text(k)))
+        slots += filled[i * width : (i + 1) * width]
+    return ("," + inner).join([row] * len(rows)) % tuple(slots)
 
 
 def _key_text(k) -> str:

@@ -9,10 +9,11 @@ that reach each branch of json's encoder: empty and nested containers,
 tuples, escapes, big ints, bools, None, special floats and non-string keys.
 
 A list of plain scalars, or of equal-shaped rows of them, is written as a
-table (writer._table).  Tables are drawn too, with one row sometimes broken
-so that the list must take the recursive path; the named cases below catch
-a table path that puts a key's % into its template unescaped or that
-accepts ragged rows.
+table (writer._table), and so is a dict of dicts with one set of keys that
+hold plain scalars or lists of them (writer._keyed_table).  Tables of both
+kinds are drawn too, with one row sometimes broken so that the value must
+take the recursive path; the named cases below catch a table path that
+puts a key's % into its template unescaped or that accepts ragged rows.
 """
 
 from __future__ import annotations
@@ -212,6 +213,54 @@ def test_lists_that_are_not_tables(rows):
         assert encode_report(payload) == reference(payload)
 
 
+_KEYED_TABLES = {
+    "frozen words": {"g0": {"fix": [0, 1, 2], "hat_words": 2, "stage": 3},
+                     "g0^-1 g1": {"fix": [], "hat_words": 4, "stage": 0}},
+    "empty lists": {"a": {"k": []}, "b": {"k": []}},
+    "one-key rows": {"a": {"k": [1]}, "b": {"k": 2}},
+    "percent keys": {"%s": {"%d": [1, "%s"], "a%%b": "%", "%(x)s": 0},
+                     "%%": {"%d": [], "a%%b": None, "%(x)s": [True, False]}},
+    "escaped keys": {'"\n': {"\\": [1.5, math.nan], "\u00e9": True},
+                     "\U0001f600": {"\\": [], "\u00e9": -0.0}},
+    "special values": {"x": {"v": [10**60, -math.inf, None], "w": math.nan},
+                       "y": {"v": ["a\nb", "%s", "\u2028"], "w": False}},
+    "int outer keys": {1: {"a": [1]}, -2: {"a": "b"}},
+    "float outer keys": {1.5: {"a": 1}, math.inf: {"a": 2}},
+}
+_NOT_KEYED_TABLES = {
+    "int-enum cell": {"a": {"k": Colour.RED}, "b": {"k": 1}},
+    "int-enum in a list": {"a": {"k": [Colour.RED, 1]}, "b": {"k": [2]}},
+    "str subclass cell": {"a": {"k": Name("v")}, "b": {"k": "w"}},
+    "str subclass in a list": {"a": {"k": [Name("v")]}},
+    "str subclass key": {"a": {Name("k"): 1}, "b": {"k": 2}},
+    "tuple cell": {"a": {"k": (1, 2)}, "b": {"k": [1, 2]}},
+    "list in a list": {"a": {"k": [[1]]}},
+    "dict cell": {"a": {"k": {}}, "b": {"k": {"j": 1}}},
+    "ragged extra key": {"a": {"k": 1}, "b": {"k": 1, "j": 2}},
+    "ragged other key": {"a": {"k": 1, "j": 2}, "b": {"k": 1, "i": 2}},
+    "empty rows": {"a": {}, "b": {}},
+    "empty row": {"a": {"k": 1}, "b": {}},
+    "scalar value": {"a": {"k": 1}, "b": 1},
+    "list value": {"a": {"k": 1}, "b": [1]},
+    "int inner keys": {"a": {1: "x"}, "b": {1: "y"}},
+    "ordered dict rows": {"a": OrderedDict(k=1), "b": OrderedDict(k=2)},
+}
+
+
+@pytest.mark.parametrize("table", list(_KEYED_TABLES.values()), ids=list(_KEYED_TABLES))
+def test_keyed_tables(table):
+    assert writer._keyed_table(sorted(table.items()), "\n ") is not None
+    for payload in (table, {"t": table}, [table, table]):
+        assert encode_report(payload) == reference(payload)
+
+
+@pytest.mark.parametrize("table", list(_NOT_KEYED_TABLES.values()), ids=list(_NOT_KEYED_TABLES))
+def test_dicts_that_are_not_keyed_tables(table):
+    assert writer._keyed_table(sorted(table.items()), "\n ") is None
+    for payload in (table, {"t": table}, [table, table]):
+        assert encode_report(payload) == reference(payload)
+
+
 def test_mixed_key_rows_raise_type_error():
     rows = [{"a": 1, 2: 3}, {"a": 1, 2: 3}]
     with pytest.raises(TypeError):
@@ -259,10 +308,34 @@ def _tables(draw, values):
     return rows
 
 
+@st.composite
+def _keyed_tables(draw, values):
+    """A dict of dicts with the same keys, holding drawn values or lists of
+    them; sometimes one row is then broken: made ragged, emptied, or given
+    a key or a cell of another kind."""
+    keys = draw(st.lists(_row_keys, min_size=1, max_size=4, unique=True))
+    cells = st.one_of(values, st.lists(values, max_size=4))
+    rows = st.lists(cells, min_size=len(keys), max_size=len(keys)).map(lambda r: dict(zip(keys, r)))
+    table = draw(st.dictionaries(_row_keys, rows, min_size=1, max_size=6))
+    if draw(st.integers(0, 3)) == 0:
+        name = draw(st.sampled_from(sorted(table)))
+        row = table[name]
+        table[name] = draw(st.sampled_from([
+            dict(list(row.items())[:-1]),
+            {**row, "%extra": 0},
+            {**row, keys[0]: (1, 2)},
+            {**row, keys[0]: [Colour.RED]},
+            list(row.values()),
+        ]))
+    return table
+
+
 def _containers(children):
     return st.one_of(
         _tables(_row_values),
         _tables(children),
+        _keyed_tables(_row_values),
+        _keyed_tables(children),
         st.lists(children, max_size=6),
         st.lists(children, max_size=6).map(tuple),
         st.lists(st.integers(), max_size=6),

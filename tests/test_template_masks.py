@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cofinitary import cli
 from cofinitary import templates as new
@@ -442,7 +444,7 @@ def test_violations_equal_on_broken_surrogates(surrogates, name):
     mk = new._masks(t)
     atoms = [mk.unmask(a) for a in t.atoms]
     seen = set()
-    for k in range(3 if len(t.family) > 1000 else 24):
+    for k in range(3 if t.family_size > 1000 else 24):
         broken = list(atoms)
         if k % 3 == 0:
             for a in rng.sample(broken, 3):
@@ -458,11 +460,11 @@ def test_violations_equal_on_broken_surrogates(surrogates, name):
         seen |= clauses(got)
     # the explicit route on members dropped from the family: pairwise on the
     # small instance, refused beyond the pair budget on the large one
-    members = sorted(t.family)
+    members = sorted(new._unions(t.atoms, t.family_size))
     for _ in range(2 if len(members) > 1000 else 6):
         gone = set(rng.sample(members, 3))
         broken = new.TemplateOrder(
-            t.elements, t.order_key, t.family - gone, t.part0, t.part1, t.labels
+            t.elements, t.order_key, frozenset(members) - gone, t.part0, t.part1, t.labels
         )
         if len(members) > 1000:
             with pytest.raises(ValueError, match="beyond the pairwise budget"):
@@ -574,7 +576,7 @@ def test_depths_equal_on_atom_families():
     compared = 0
     for t in ATOMS:
         ref = to_ref(t)
-        assert new._unions(t.atoms, 1 << 12) == t.family
+        assert len(new._unions(t.atoms, 1 << 12)) == t.family_size
         for a in ref.ideals:
             assert new.depth(t, a) == depth(ref, a)
             compared += 1
@@ -618,8 +620,8 @@ def _restrictions_equal(t: new.TemplateOrder, keep) -> None:
     assert got.ideals == want.ideals
     assert got.elements == want.elements
     assert (got.part0, got.part1) == (want.part0, want.part1)
-    if t.atoms:  # the atoms' traces generate the trace family
-        assert new._unions(got.atoms, len(t.family)) == got.family
+    if t.family is None:  # the atoms' traces generate the trace family
+        assert got.family is None and got.family_size == len(want.ideals)
         assert clauses(new.check_axioms(got)) == clauses(check_axioms(want, pair_budget=1))
     else:
         assert new.check_axioms(got) == check_axioms(want)
@@ -677,7 +679,7 @@ def test_restriction_errors_tell_bad_input_from_a_bug(monkeypatch):
 def test_one_step_closure_equals_the_iterated_closure(surrogates):
     t, ref = surrogates["2,3"]
     mk, ref_mk = new._masks(t), _Masks(ref)
-    for m in t.family:
+    for m in new._unions(t.atoms, t.family_size):
         assert mk.close(m) == ref_mk.closure_mask(m)
     rng = random.Random(4)
     for _ in range(10_000):
@@ -713,3 +715,116 @@ def test_cli_template_never_decodes_the_family(monkeypatch, tmp_path):
         build_surrogate_template(SurrogateParams((2,), 1)).order.ideals
     with pytest.raises(AssertionError):
         new.check_axioms(new.template_from_parts([0], [], [[], [0]], [], [0]))
+
+
+# ---------------------------------------------------------------------------
+# the union count against the listing
+
+
+@st.composite
+def _atom_lists(draw):
+    """Atoms over 10 elements, with empty, repeated and nested atoms, and
+    triangles {x, y}, {y, z}, {x, z}, where no atom holds a private element,
+    mixed in."""
+    atoms = draw(st.lists(st.integers(0, (1 << 10) - 1), max_size=8))
+    for kind in draw(st.lists(st.sampled_from(["empty", "repeat", "nested", "triangle"]), max_size=4)):
+        if kind == "empty":
+            atoms.append(0)
+        elif kind == "triangle":
+            x, y, z = (1 << i for i in draw(st.permutations(range(10)))[:3])
+            atoms += [x | y, y | z, x | z]
+        elif atoms:
+            a = draw(st.sampled_from(atoms))
+            atoms.append(a if kind == "repeat" else a & draw(st.integers(0, (1 << 10) - 1)))
+    return draw(st.permutations(atoms))
+
+
+def _counts_like_the_listing(atoms, listed) -> None:
+    n = len(listed)
+    for budget in (n - 1, n, n + 1):
+        assert new._count_unions(atoms, budget) == (None if n > budget else n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_atom_lists())
+def test_drawn_counts_equal_the_listing(atoms):
+    _counts_like_the_listing(atoms, new._unions(atoms, 1 << 12))
+
+
+@pytest.mark.parametrize(
+    "atoms",
+    [[], [0], [0, 0], [0b11, 0b110, 0b101], [0b11, 0b110, 0b101, 0b111], [0b1, 0b1, 0b11],
+     [0b1111, 0b11, 0b1100, 0b110], [0b101, 0b1010, 0b1111, 0b10000]],
+)
+def test_named_counts_equal_the_listing(atoms):
+    _counts_like_the_listing(atoms, new._unions(atoms, 1 << 12))
+
+
+# every surrogate size the tests build, and the (2,4) one, whose family is
+# past the cap
+COUNTED = {
+    "2/1": SurrogateParams((2,), 1),
+    "1,2/1": SurrogateParams((1, 2), 1),
+    "2,3": SurrogateParams((2, 3), 2),
+    "2,3 bounded-last": SurrogateParams((2, 3), 2, last_negative_full=False),
+    "2,3/3": SurrogateParams((2, 3), 3),
+    "2,3,4": SurrogateParams((2, 3, 4), 2),
+    "2,4": SurrogateParams((2, 4), 2),
+}
+
+
+@pytest.mark.parametrize("name", list(COUNTED))
+def test_surrogate_counts_equal_the_listing(name):
+    t = build_surrogate_template(COUNTED[name]).order
+    listed = new._unions(t.atoms, 1 << 15)
+    if listed is None:
+        assert new._count_unions(t.atoms, 1 << 15) is None
+        assert t.family_size is None or t.family_size > 1 << 15
+    else:
+        assert t.family_size == len(listed)
+        _counts_like_the_listing(t.atoms, listed)
+
+
+def test_long_chains_count_without_deep_recursion():
+    chain = [(1 << i) - 1 for i in range(1, 3001)]
+    assert new._count_unions(chain[::-1], 3001) == 3001
+    assert new._count_unions(chain, 3000) is None
+    # a chain with one element left out of each atom: no atom holds all the
+    # lesser ones, so each step splits off one private atom
+    gapped = [a & ~(1 << (i // 2)) for i, a in enumerate(chain[:200])]
+    _counts_like_the_listing(gapped, new._unions(gapped, 1 << 16))
+    # 3,000 disjoint atoms: each holds a private element, so their 2^3000
+    # unions are past the budget before any split
+    assert new._count_unions([1 << i for i in range(3000)], 1 << 20) is None
+
+
+def test_cli_template_never_lists_the_atoms(monkeypatch, tmp_path):
+    unions = new._unions
+    listed: list[frozenset[int]] = []
+
+    def spy(gens, budget):
+        gens = list(gens)
+        listed.append(frozenset(gens))
+        return unions(gens, budget)
+
+    for lambdas in ("2,3", "2,4", "2,3,4"):
+        sizes = tuple(map(int, lambdas.split(",")))
+        atoms = frozenset(build_surrogate_template(SurrogateParams(sizes, 2)).order.atoms)
+        monkeypatch.setattr(new, "_unions", spy)
+        argv = ["template", "--lambdas", lambdas, "--omega1", "2", "--out", str(tmp_path / "t.json")]
+        assert cli.main(argv) == 0
+        monkeypatch.setattr(new, "_unions", unions)
+        assert atoms not in listed
+
+
+def test_cli_template_peak_memory(tmp_path):
+    argv = ["template", "--lambdas", "2,3", "--omega1", "2", "--seed", "3",
+            "--out", str(tmp_path / "t.json")]
+    assert cli.main(argv) == 0  # the imports and the parser, once per process
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

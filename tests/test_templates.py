@@ -350,13 +350,13 @@ class TestSurrogateTemplate:
         assert check_axioms(sur.order) == []
 
     def test_family_cap_guard(self):
-        # family_cap budgets the enumeration of the members, not the check:
-        # past it the family is held only as its atoms and decided from them
+        # family_cap budgets the count of the members, not the check: past
+        # it the family is held only as its atoms and decided from them
         within = build_surrogate_template(SurrogateParams((2, 3), 2)).order
-        assert len(within.family) == 29_672
+        assert within.family_size == len(templates._unions(within.atoms, 10**6)) == 29_672
         for cap in (10_000, 20_000):  # 2^14 traces alone exceed 10,000
             over = build_surrogate_template(SurrogateParams((2, 3), 2, family_cap=cap)).order
-            assert over.family is None and over.atoms == within.atoms
+            assert over.family_size is None and over.atoms == within.atoms
             assert check_axioms(over) == check_axioms(within) == []
             assert rank(over) == rank(within) == 14
             with pytest.raises(ValueError, match="enumeration budget"):
@@ -368,7 +368,7 @@ class TestSurrogateTemplate:
         # atom's whole trace, so the rank is the 110 part1 elements
         t = build_surrogate_template(SurrogateParams((2, 3, 4), 2)).order
         assert (len(t.elements), len(t.atoms), len(t.part1)) == (496, 205, 110)
-        assert t.family is None
+        assert t.family_size is None
         assert check_axioms(t) == []
         assert rank(t) == 110
 
