@@ -97,20 +97,39 @@ class BuildReport:
     word_budget: int
     seed: int
 
+    # The frozen words in Word.sort_key order, or None to sort them: build
+    # sets it from the order it froze them in (see build's _report).
+    frozen_order: Optional[Sequence[Word]] = None
+
+    def _sorted_frozen(self) -> Sequence[Word]:
+        order = self.frozen_order
+        if order is None or len(order) != len(self.frozen_fix):
+            return sorted(self.frozen_fix, key=Word.sort_key)
+        return order
+
     def to_json(self) -> dict:
-        """The JSON form.  The frozen words are sorted and formatted once; in
-        a build they are the final side set, so F reuses their texts when
-        every one of them is in it.  A frozen hat word's entry also gives
-        the number of hat words of its class ("hat_words"), all of which it
-        freezes."""
-        frozen = sorted(self.frozen_fix.items(), key=lambda kv: kv[0].sort_key())
-        names = [format_word(w) for w, _ in frozen]
-        words = self.final.words
-        same = len(words) == len(frozen) and all(w in words for w, _ in frozen)
-        entries = [{"stage": stage, "fix": sorted(fix)} for _, (stage, fix) in frozen]
+        """The JSON form, with its tables as the writer's Rows: the goal log
+        is its own (goal, stage, witness) tuples, and frozen_fix one row
+        per frozen word, keyed by its text, which the writer sorts.  The
+        frozen words are formatted once, in Word.sort_key order; in a build
+        they are the final side set, so F reuses their texts when every one
+        of them is in it.  A frozen hat word's row also gives the number of
+        hat words of its class ("hat_words"), all of which it freezes.  Each
+        map's pairs are sorted tuples."""
+        from .writer import Rows  # loaded with the report, as in the CLI
+
+        final = self.final
+        order = self._sorted_frozen()
+        names = list(map(format_word, order))
+        same = len(final.words) == len(order) and all(map(final.words.__contains__, order))
+        entries = list(map(self.frozen_fix.__getitem__, order))
+        # fix sets as tuples of ints, which the garbage collector stops
+        # tracking: lists would each be scanned by its full collections
+        columns = [names, [st for st, _ in entries], [tuple(sorted(fix)) for _, fix in entries]]
+        fields = ["stage", "fix"]
         if DISCIPLINES[self.mode].shape == "hat":
-            for entry, (w, _) in zip(entries, frozen):
-                entry["hat_words"] = class_hat_count(w)
+            columns.append(list(map(class_hat_count, order)))
+            fields.append("hat_words")
         return {
             "schema": "1",
             "mode": self.mode.value,
@@ -118,18 +137,21 @@ class BuildReport:
             "point_budget": self.point_budget,
             "word_budget": self.word_budget,
             "seed": self.seed,
-            "final": self.final.to_json(names if same else None),
-            "frozen_fix": dict(zip(names, entries)),
-            "goal_log": [
-                {"goal": g, "stage": st, "witness": wit} for g, st, wit in self.goal_log
-            ],
+            "final": {
+                "mode": final.mode.value,
+                "s": {f"g{g}": sorted(pm.pairs) for g, pm in sorted(final.s.table.items())},
+                "F": names if same else list(map(format_word, final.sorted_words())),
+            },
+            "frozen_fix": Rows(fields, list(zip(*columns)), keyed=True),
+            "goal_log": Rows(("goal", "stage", "witness"), self.goal_log),
         }
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["word", "stage", "fix_size"])
-        for w, (stage, fix) in sorted(self.frozen_fix.items(), key=lambda kv: kv[0].sort_key()):
+        for w in self._sorted_frozen():
+            stage, fix = self.frozen_fix[w]
             writer.writerow([format_word(w), stage, len(fix)])
         return buf.getvalue()
 
@@ -233,8 +255,11 @@ def build(
         goal_log.append((text, stage, witness))
 
     def _report() -> BuildReport:
+        # the main loop freezes entries alone, and all of them, before any
+        # extra goal; so the frozen words are the entries when as many
+        order = entries if len(frozen_fix) == len(entries) else None
         return BuildReport(
-            kept(), goal_log, frozen_fix, mode, gens, point_budget, word_budget, seed
+            kept(), goal_log, frozen_fix, mode, gens, point_budget, word_budget, seed, order
         )
 
     next_point = 0

@@ -233,7 +233,7 @@ def cmd_ffp_suite(args) -> int:
 
 def cmd_hit_density(args) -> int:
     from .evaluation import zshift
-    from .extension import hit_search, hit_threshold
+    from .extension import PointPhase, hit_threshold
     from .poset import PosetMode
     from .sampling import Draws, sample_condition
 
@@ -251,9 +251,9 @@ def cmd_hit_density(args) -> int:
         )
         gen = rng.randrange(args.generators)
         threshold = hit_threshold(cond, gen, sigma)
+        phase = PointPhase(cond)  # keeps no pair, so every start searches cond
         for start in range(args.max_n + 1):
-            hit = hit_search(cond, gen, sigma, start, args.window)
-            if hit is None:
+            if phase.hit(gen, sigma, start, args.window, keep=False) is None:
                 misses.append({"sample": k, "start": start})
         records.append(
             {

@@ -117,9 +117,6 @@ class Assignment:
         keep = set(keep)
         return Assignment._of_clean({g: pm for g, pm in self.table.items() if g in keep})
 
-    def contains(self, other: "Assignment") -> bool:
-        return all(pm.pairs <= self.get(g).pairs for g, pm in other.table.items())
-
     def summary(self) -> tuple[set[int], int]:
         """(V, gap): V is a new set of every domain and image value of the
         maps, gap the least natural not in V."""

@@ -22,7 +22,8 @@ lemma's step: the first point of a window where a pair agreeing with a
 target permutation is kept.  close makes the one Condition.  The builder
 steps a phase between freezes, hit goals among its steps; the samplers,
 cover_extend, strong_reduction (one phase per reduction) and hit_search
-each open one per call.
+each open one per call; hit-density opens one per condition and asks it,
+keeping no pair, for every start.
 domain_extend, range_extend, Extension.choose, extend_with and
 mad_set_point are thin entries over a phase, kept for the benchmark tracer.
 
@@ -64,9 +65,6 @@ class ExtensionCertificate:
 
     forbidden: AbstractSet[int]
     gap: int = 0
-
-    def admits(self, m: int) -> bool:
-        return m >= 0 and m not in self.forbidden
 
     def least_admitted(self, floor: int = 0) -> int:
         """The least admitted value >= floor, by one scan in C that stops at
@@ -543,5 +541,6 @@ def hit_search(
     """First n in [start, start + window) whose hit pair a point phase over
     p accepts (PointPhase.hit), or None when there is none; the phase keeps
     none of them.  Kept as a function because perfbench/tracing.py wraps it
-    by name and hit-density calls it."""
+    by name; hit-density asks one phase per condition for all its starts
+    instead, since a phase that keeps no pair answers each as this does."""
     return PointPhase(p).hit(gen, sigma, start, window, keep=False)

@@ -147,12 +147,12 @@ class Condition:
             object.__setattr__(self, "_occurring", occ)
         return occ
 
-    def to_json(self, texts: Optional[Iterable[str]] = None) -> dict:
-        """The JSON form; `texts` may give the format_word texts of
-        sorted_words(), so a caller that has formatted them does not again."""
-        if texts is None:
-            texts = map(format_word, self.sorted_words())
-        return {"mode": self.mode.value, "s": self.s.to_json(), "F": list(texts)}
+    def to_json(self) -> dict:
+        return {
+            "mode": self.mode.value,
+            "s": self.s.to_json(),
+            "F": list(map(format_word, self.sorted_words())),
+        }
 
     @staticmethod
     def from_json(obj: dict) -> "Condition":

@@ -5,19 +5,24 @@ a final newline: every golden digest and rerun comparison reads these
 bytes.  CPython's json runs its pure-Python encoder whenever indent is set,
 one call per container, so encode_report writes the same bytes itself.
 
-Most of a report is tables: the pairs [n, m] of each map and the goal log's
-{"goal", "stage", "witness"} rows.  A list whose items are plain scalars,
-or non-empty rows of one shape holding plain scalars, is written in one C
-encoder call: its values, row by row, joined by "\\n", which no value's
-text holds, since json escapes every newline inside a string.  The split
-texts then fill one %-template of the table.  So do a dict's dict rows
-whose cells may also be lists of plain scalars: the build report's
-frozen_fix.  Any other value takes the recursive path, which escapes
-strings with json's encode_basestring_ascii and hands any other scalar to
-json.dumps, whose C encoder writes it as the indented encoder would (a
-value of a type json rejects raises TypeError).
-Imported by the CLI's first report write, so building the parser does not
-compile it.
+Most of a report is tables.  A list whose items are plain scalars, or
+non-empty rows of one shape holding plain scalars (the pairs of each map),
+is written in one C encoder call: its values, row by row, joined by "\\n",
+which no value's text holds, since json escapes every newline inside a
+string.  The split texts then fill one %-template of the table.
+
+Named rows take one path, whether they come as a list of dicts with one
+set of str keys or as Rows: a table the program hands over as it holds
+it, with no dict per row (the build report's goal log and frozen
+entries).  Their cells may also be lists or tuples of plain scalars.
+Each column's texts come from one encoder call, and the rows fill one
+template in the fields' sorted order; keyed Rows are written in their
+keys' sorted order.  Any other value takes the recursive path, which
+escapes strings with json's encode_basestring_ascii and hands any other
+scalar to json.dumps, whose C encoder writes it as the indented encoder
+would (a value of a type json rejects raises TypeError).
+Imported by the CLI's first report write and by BuildReport.to_json, so
+building the parser does not compile it.
 """
 
 from __future__ import annotations
@@ -26,12 +31,30 @@ import json
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Optional
+from typing import Optional, Sequence
 
 # exact types: a subclass (IntEnum, a str subclass) takes the recursive path
 _SCALARS = frozenset({int, str, float, bool, type(None)})
+_LISTS = frozenset({list, tuple})
 # the texts of a list of _SCALARS, one to a line, in brackets
 _lines = json.JSONEncoder(separators=("\n", ": "), check_circular=False).encode
+
+
+class Rows:
+    """Named rows, written as their dict form: the list of the dicts
+    dict(zip(fields, row)), or when keyed, the dict that maps each row's
+    first cell, an exact str, to dict(zip(fields, row[1:])).  The fields
+    are distinct exact strs and every cell is a plain scalar or a list or
+    tuple of them.  The writer raises ValueError for a row of another
+    length or a repeated key, and TypeError for any other cell, key or
+    field; json.dumps rejects a Rows."""
+
+    __slots__ = ("fields", "rows", "keyed")
+
+    def __init__(self, fields: Sequence[str], rows: Sequence[Sequence], keyed: bool = False) -> None:
+        self.fields = fields
+        self.rows = rows
+        self.keyed = keyed
 
 
 def encode_report(payload) -> bytes:
@@ -50,13 +73,8 @@ def _encode(o, nl: str, out: list[str]) -> None:
             out.append("{}")
             return
         inner = nl + " "
-        items = sorted(o.items())
-        table = _keyed_table(items, inner)
-        if table is not None:
-            out.append(f"{{{inner}{table}{nl}}}")
-            return
         sep, comma = "{" + inner, "," + inner
-        for k, v in items:
+        for k, v in sorted(o.items()):
             key = f"{sep}{encode_basestring_ascii(k if type(k) is str else _key_text(k))}: "
             kind = type(v)
             if kind is int:  # the common leaves are written without a call
@@ -65,7 +83,7 @@ def _encode(o, nl: str, out: list[str]) -> None:
                 out.append(key + encode_basestring_ascii(v))
             elif v is None:
                 out.append(key + "null")
-            elif isinstance(v, (dict, list, tuple)):
+            elif isinstance(v, (dict, list, tuple, Rows)):
                 out.append(key)
                 _encode(v, inner, out)
             else:
@@ -87,93 +105,115 @@ def _encode(o, nl: str, out: list[str]) -> None:
             _encode(x, inner, out)
             sep = comma
         out.append(nl + "]")
+    elif type(o) is Rows:
+        out.append(_rows(o, nl))
     else:
         out.append(json.dumps(o))
 
 
+def _rows(table: Rows, nl: str) -> str:
+    """The JSON text of a Rows at indent nl."""
+    fields, rows, keyed = table.fields, table.rows, table.keyed
+    if not all(type(f) is str for f in fields):
+        raise TypeError("Rows fields must be str")
+    if not fields or len(set(fields)) != len(fields):
+        raise ValueError(f"Rows fields must be distinct and at least one: {fields!r}")
+    width = len(fields) + keyed  # a keyed row starts with its key
+    if set(map(len, rows)) - {width}:
+        raise ValueError(f"a row's length is not {width}")
+    if not rows:
+        return "{}" if keyed else "[]"
+    if keyed:
+        rows = sorted(rows, key=itemgetter(0))
+    # columns by index, not zip(*rows), which makes one iterator per row
+    columns = [list(map(itemgetter(i), rows)) for i in range(width)]
+    keys = columns.pop(0) if keyed else None
+    if keyed:
+        if not all(type(k) is str for k in keys):
+            raise TypeError("Rows keys must be str")
+        if any(map(str.__eq__, keys, islice(keys, 1, None))):
+            raise ValueError("a Rows key is repeated")
+    order = sorted(range(len(fields)), key=fields.__getitem__)
+    inner = nl + " "
+    text = _named([fields[i] for i in order], [columns[i] for i in order], inner, keys)
+    if text is None:
+        raise TypeError("a Rows cell is not a plain scalar or a list or tuple of them")
+    start, end = "{}" if keyed else "[]"
+    return f"{start}{inner}{text}{nl}{end}"
+
+
 def _table(items, inner: str) -> Optional[str]:
     """The texts of a list's items joined by "," + inner, when the list is
-    a table: plain scalars, or non-empty rows of one shape (dicts with the
-    same str keys, or lists and tuples of one length) that hold plain
-    scalars.  None for any other list."""
+    a table: plain scalars, non-empty rows of one length (lists and tuples)
+    that hold plain scalars, or named rows (dicts with the same str keys;
+    see _named).  None for any other list."""
     kinds = set(map(type, items))
     if kinds <= _SCALARS:
         return _lines(items)[1:-1].replace("\n", "," + inner)
     first = items[0]
     if kinds == {dict} and first and all(type(k) is str for k in first):
+        if set(map(len, items)) != {len(first)}:
+            return None
         keys = sorted(first)
-        # a % in a key would read as a conversion in the template
-        heads = [encode_basestring_ascii(k).replace("%", "%%") + ": " for k in keys]
-        get = itemgetter(*keys)  # a row's values, or the value of a one-key row
-        rows = map(get, items) if len(keys) > 1 else zip(map(get, items))
-        brackets = "{}"
-    elif kinds <= {list, tuple} and first:
-        heads = [""] * len(first)
-        rows = items
-        brackets = "[]"
-    else:
+        try:  # a dict as long as the first that has all of its keys has its keys
+            columns = [list(map(itemgetter(k), items)) for k in keys]
+        except KeyError:
+            return None
+        return _named(keys, columns, inner)
+    if not (kinds <= {list, tuple} and first) or set(map(len, items)) != {len(first)}:
         return None
-    if set(map(len, items)) != {len(heads)}:
-        return None
-    try:  # a dict as long as the first that has all of its keys has its keys
-        values = list(chain.from_iterable(rows))
-    except KeyError:
-        return None
+    values = list(chain.from_iterable(items))
     if not set(map(type, values)) <= _SCALARS:
         return None
     deeper = inner + " "
-    row = f"{brackets[0]}{deeper}{(',' + deeper).join(h + '%s' for h in heads)}{inner}{brackets[1]}"
+    row = f"[{deeper}{(',' + deeper).join(['%s'] * len(first))}{inner}]"
     return ("," + inner).join([row] * len(items)) % tuple(_lines(values)[1:-1].split("\n"))
 
 
-def _keyed_table(items, inner: str) -> Optional[str]:
-    """The texts of a dict's sorted items joined by "," + inner, when the
-    dict is a table: its values are non-empty dicts with one set of str
-    keys, holding plain scalars or lists of them.  None for any other dict."""
-    rows = [v for _, v in items]
-    if set(map(type, rows)) != {dict}:
+def _named(fields: list[str], columns: list, inner: str, keys=None) -> Optional[str]:
+    """The texts of named rows joined by "," + inner: row i holds column
+    j's cell i under fields[j], the fields in sorted order, and is preceded
+    by keys[i] when keys are given.  None when a cell is neither a plain
+    scalar nor a list or tuple of them."""
+    deeper = inner + " "
+    texts = [_column(c, deeper) for c in columns]
+    if None in texts:
         return None
-    first = rows[0]
-    if not first or not all(type(k) is str for k in first) or set(map(len, rows)) != {len(first)}:
-        return None
-    keys = sorted(first)
-    get = itemgetter(*keys)
-    try:  # as in _table, a row with all of the first's keys has just those
-        cells = list(chain.from_iterable(map(get, rows)) if len(keys) > 1 else map(get, rows))
-    except KeyError:
+    if keys is not None:
+        texts.insert(0, _lines(keys)[1:-1].split("\n"))
+    # a % in a field would read as a conversion in the template
+    heads = [encode_basestring_ascii(f).replace("%", "%%") + ": %s" for f in fields]
+    row = f"{'%s: ' if keys is not None else ''}{{{deeper}{(',' + deeper).join(heads)}{inner}}}"
+    return ("," + inner).join([row] * len(texts[0])) % tuple(chain.from_iterable(zip(*texts)))
+
+
+def _column(cells, deeper: str) -> Optional[list[str]]:
+    """The texts of one column's cells at indent deeper, from one encoder
+    call; None when a cell is neither a plain scalar nor a list or tuple
+    of them."""
+    kinds = set(map(type, cells))
+    if kinds <= _SCALARS:
+        return _lines(cells)[1:-1].split("\n")
+    if not kinds <= _SCALARS | _LISTS:
         return None
     flat: list = []
     sizes = []  # a list cell's length, or -1 for a scalar cell
     for cell in cells:
-        kind = type(cell)
-        if kind is list:
-            if not set(map(type, cell)) <= _SCALARS:
-                return None
+        if type(cell) in _LISTS:
             flat += cell
             sizes.append(len(cell))
-        elif kind in _SCALARS:
+        else:
             flat.append(cell)
             sizes.append(-1)
-        else:
-            return None
+    if not set(map(type, flat)) <= _SCALARS:
+        return None
     texts = iter(_lines(flat)[1:-1].split("\n") if flat else ())
-    deeper = inner + " "
     deepest = deeper + " "
     comma = "," + deepest
-    filled = []
-    for n in sizes:
-        if n < 0:
-            filled.append(next(texts))
-        else:
-            filled.append(f"[{deepest}{comma.join(islice(texts, n))}{deeper}]" if n else "[]")
-    heads = [encode_basestring_ascii(k).replace("%", "%%") + ": " for k in keys]
-    row = f"%s: {{{deeper}{(',' + deeper).join(h + '%s' for h in heads)}{inner}}}"
-    slots = []
-    width = len(keys)
-    for i, (k, _) in enumerate(items):
-        slots.append(encode_basestring_ascii(k if type(k) is str else _key_text(k)))
-        slots += filled[i * width : (i + 1) * width]
-    return ("," + inner).join([row] * len(rows)) % tuple(slots)
+    return [
+        next(texts) if n < 0 else f"[{deepest}{comma.join(islice(texts, n))}{deeper}]" if n else "[]"
+        for n in sizes
+    ]
 
 
 def _key_text(k) -> str:

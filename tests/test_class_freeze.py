@@ -11,12 +11,14 @@ that froze every hat word recorded.
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
 from class_expansion import check, expand
 from cofinitary.builder import build, verify_cofinitary
+from cofinitary.writer import encode_report
 from cofinitary.evaluation import Assignment, PartialMap, fix_points
 from cofinitary.poset import PosetMode, side_words
 from cofinitary.words import (
@@ -29,13 +31,18 @@ from cofinitary.words import (
 from word_reference import class_hat_letters
 
 
+def _payload(report) -> dict:
+    """The report file's contents, as class_expansion.py reads them."""
+    return json.loads(encode_report(report.to_json()))
+
+
 @pytest.mark.parametrize("seed", [0, 3, 1009])
 @pytest.mark.parametrize("word_budget", [1, 2, 3, 4])
 @pytest.mark.parametrize("gens", [2, 3, 4])
 def test_expanded_classes_give_every_hat_word_its_fix_set(gens, word_budget, seed):
     report = build(PosetMode.COFINITARY, range(gens), point_budget=20,
                    word_budget=word_budget, seed=seed)
-    payload = report.to_json()
+    payload = _payload(report)
     assert check(payload) == []
     words = side_words(PosetMode.COFINITARY, tuple(range(gens)), word_budget)
     assert sum(e["hat_words"] for e in payload["frozen_fix"].values()) == len(words)
@@ -47,7 +54,7 @@ def test_expanded_classes_give_every_hat_word_its_fix_set(gens, word_budget, see
 
 def test_the_classes_of_build_wide():
     report = build(PosetMode.COFINITARY, range(4), point_budget=20, word_budget=4, seed=3)
-    payload = report.to_json()
+    payload = _payload(report)
     assert len(payload["frozen_fix"]) == len(payload["final"]["F"]) == 390
     freezes = [g for g, _, _ in report.goal_log if g.startswith("freeze:")]
     assert len(freezes) == 390
@@ -98,8 +105,8 @@ def _fix(w: Word, s: Assignment) -> frozenset[int]:
 
 @pytest.mark.parametrize("seed", range(5))
 def test_expansion_on_random_injections(seed):
-    payload = build(PosetMode.COFINITARY, range(3), point_budget=8, word_budget=4,
-                    seed=seed).to_json()
+    payload = _payload(build(PosetMode.COFINITARY, range(3), point_budget=8, word_budget=4,
+                             seed=seed))
     payload = _on_random_injections(payload, seed, _fix)
     expanded, problems = expand(payload)
     assert not problems and check(payload) == []
@@ -115,16 +122,16 @@ def test_expansion_on_random_injections(seed):
 def test_a_wrong_rotation_recorded_is_caught(seed):
     # the mutant records, for each class, the fix set of the representative
     # turned by one letter: a word of the class, but not the frozen one
-    payload = build(PosetMode.COFINITARY, range(3), point_budget=8, word_budget=4,
-                    seed=seed).to_json()
+    payload = _payload(build(PosetMode.COFINITARY, range(3), point_budget=8, word_budget=4,
+                             seed=seed))
     payload = _on_random_injections(payload, seed, lambda w, s: _fix(_rotated(w), s))
     problems = check(payload)
     assert any(": expanded " in p for p in problems)
 
 
 def test_a_wrong_hat_words_count_is_caught():
-    payload = build(PosetMode.COFINITARY, range(2), point_budget=8, word_budget=2,
-                    seed=1).to_json()
+    payload = _payload(build(PosetMode.COFINITARY, range(2), point_budget=8, word_budget=2,
+                             seed=1))
     entry = next(iter(payload["frozen_fix"].values()))
     entry["hat_words"] += 1
     problems = check(payload)

@@ -27,6 +27,11 @@ from cofinitary.sampling import sample_condition
 from cofinitary.words import INVERSE, Letter, Word, cyclic_class, hat_words, invert, parse_word
 
 
+def _contains(s, t) -> bool:
+    """Every pair of the assignment t is a pair of s."""
+    return all(pm.pairs <= s.get(g).pairs for g, pm in t.table.items())
+
+
 # -- the reference: the order check before the class reduction, verbatim -----
 
 
@@ -73,7 +78,7 @@ def leq(p: Condition, q: Condition) -> bool:
     fixed point (MAD: no frozen pair gains a common 1-point)."""
     if p.mode is not q.mode:
         raise ValueError(f"mode mismatch: {p.mode} vs {q.mode}")
-    if not p.s.contains(q.s) or not (p.words >= q.words):
+    if not _contains(p.s, q.s) or not (p.words >= q.words):
         return False
     kernel = DISCIPLINES[p.mode].kernel
     if kernel == "ones":

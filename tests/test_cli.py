@@ -367,6 +367,33 @@ class TestHitDensityCmd:
         payload = json.loads((tmp_path / "h.json").read_text())
         assert payload["misses"] == []
 
+    def test_one_phase_per_sample_answers_as_fresh_searches(self, tmp_path, capsys, monkeypatch):
+        # each sample asks one point phase for all its starts: the phase
+        # must keep no pair, and answer each start as a fresh hit_search
+        from cofinitary import extension
+
+        real = extension.PointPhase.hit
+        phases = {}
+
+        def checked(self, gen, sigma, start, window, keep=True):
+            got = real(self, gen, sigma, start, window, keep)
+            assert not self.added
+            # hit_search's search, on the unpatched method
+            fresh = real(extension.PointPhase(self.base), gen, sigma, start, window, False)
+            assert got == fresh
+            phases[id(self)] = self
+            return got
+
+        monkeypatch.setattr(extension.PointPhase, "hit", checked)
+        code, _, err = run(
+            ["hit-density", "--generators", "3", "--words", "4", "--maxN", "20",
+             "--window", "64", "--samples", "6", "--seed", "5",
+             "--out", str(tmp_path / "h.json")],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        assert len(phases) == 6
+
 
 class TestConfigFile:
     def test_config_defaults_with_flag_override(self, tmp_path, capsys):
@@ -581,7 +608,7 @@ def _meets_refused(monkeypatch, intercept):
 def _hits_missed(monkeypatch, intercept):
     import cofinitary.extension as extension
 
-    monkeypatch.setattr(extension, "hit_search", lambda *args: None)
+    monkeypatch.setattr(extension.PointPhase, "hit", lambda *args, **kwargs: None)
 
 
 BUILD = ["build-group", "--generators", "2", "--points", "8", "--max-word-len", "2", "--seed", "7"]

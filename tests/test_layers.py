@@ -4,7 +4,8 @@ The pipeline runs words < evaluation < poset < extension < sampling <
 {builder, suslin} < cli: a module may import only modules below it, so the
 order rule that leq and a point phase share lives in poset, and poset never
 reaches up into extension.  templates and writer stand apart: neither
-imports another module of the package, and only cli imports them.  The
+imports another module of the package.  Only cli imports templates; cli
+and builder, whose report hands the writer its rows, import writer.  The
 package's __init__ loads its layers lazily, by name, and imports none of
 them.  Every import counts, the ones inside functions too.
 """
@@ -28,7 +29,8 @@ RANK = {
     "suslin": 5,
     "cli": 6,
 }
-STANDALONE = {"templates": {"cli"}, "writer": {"cli"}}  # module -> the modules that may import it
+# module -> the modules that may import it
+STANDALONE = {"templates": {"cli"}, "writer": {"cli", "builder"}}
 
 
 def _imports(module: str) -> set[str]:

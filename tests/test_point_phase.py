@@ -3,7 +3,8 @@
 extension.PointPhase extends one mutable set of lookups in place and makes
 a Condition only when it closes.  The builder steps one between freezes,
 hit goals included; the samplers, cover_extend, strong_reduction and the
-hit search each open one per call.  The reference is tests/copy_path.py,
+hit search each open one per call; hit-density asks one phase, keeping
+no pair, for every start of a condition.  The reference is tests/copy_path.py,
 which builds a new condition per pair, and test_group_freeze.reference_build,
 the builder on it.  Drawn builds of every mode must give the same report,
 goal log included, and abort on the same goal with the same message, the
@@ -11,7 +12,8 @@ same cause and equal partial reports when the chooser runs past its
 ceiling.  Drawn sampler calls must give equal conditions and leave the
 random generator in the same state; cover_extend, strong_reduction on
 every drawn keep set, and hit_search and a kept hit step over the
-hit-density window must give what the copy path gives.  A kept condition
+hit-density window must give what the copy path gives, and a phase reused
+for every start must answer each as a fresh hit_search.  A kept condition
 must not change when the phase steps on, each step must keep validate's
 rules and its order check, and the per-pair validation must say what
 validate says about the grown map.
@@ -412,6 +414,38 @@ def test_hit_search_matches_the_copy_path_over_the_hit_density_window():
                         lambda: copy_path.hit_extend(cond, gen, target, found),
                     )
     assert missed > 25, missed
+
+
+@pytest.mark.parametrize("mode", list(PosetMode), ids=lambda m: m.value)
+def test_a_reused_phase_answers_every_start_as_a_fresh_search(mode):
+    # hit-density asks one phase per condition for all 51 starts with
+    # keep=False: each answer, misses included, must be a fresh
+    # hit_search's, and the phase must keep no pair and no changed lookup
+    sigma = zshift()
+    identity = GroundPermutation(lambda n: n, lambda n: n, shift=0, name="identity")
+    rng = sampling.Draws(f"reused-{mode.value}")
+    missed = found = 0
+    for _ in range(12):
+        gens = list(range(rng.randint(1, 3)))
+        cond = sampling.sample_condition(rng, mode, gens, max_words=4)
+        gen = rng.choice(gens)
+        for target in (sigma, identity):
+            phase = PointPhase(cond)
+            for start in range(51):
+                got = phase.hit(gen, target, start, 64, keep=False)
+                assert got == extension.hit_search(cond, gen, target, start, 64)
+                missed += got is None
+                found += got is not None
+            assert phase.added == []
+            for g in gens:
+                pm = cond.s.get(g)
+                assert phase.fwd[g] == pm.fwd
+                if phase.rev is not None:
+                    assert phase.rev[g] == pm.rev
+            assert phase.close() is cond
+    assert found > 25, found
+    # adp and edf draws admit every pair these windows ask for
+    assert missed > 25 or mode in (PosetMode.ADP, PosetMode.EDF), missed
 
 
 @pytest.mark.parametrize("case", ["cofinitary-taken", "edf-agrees", "mad-ones", "mad-two"])

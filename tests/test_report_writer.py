@@ -9,11 +9,15 @@ that reach each branch of json's encoder: empty and nested containers,
 tuples, escapes, big ints, bools, None, special floats and non-string keys.
 
 A list of plain scalars, or of equal-shaped rows of them, is written as a
-table (writer._table), and so is a dict of dicts with one set of keys that
-hold plain scalars or lists of them (writer._keyed_table).  Tables of both
-kinds are drawn too, with one row sometimes broken so that the value must
-take the recursive path; the named cases below catch a table path that
-puts a key's % into its template unescaped or that accepts ragged rows.
+table (writer._table); so is a writer.Rows, a table of named rows that a
+report hands over as it holds it (the build report's goal log and frozen
+entries), which is compared with json.dumps of its dict form
+(report_reference.plain).  Tables are drawn too, with one row sometimes
+broken: a broken list must take the recursive path, and a broken Rows is
+refused.  The named cases below catch a table path that puts a key's % into
+its template unescaped or that accepts ragged rows.  A dict of dicts, which
+the build report's frozen entries were before they became keyed Rows, now
+takes the recursive path; its keyed Rows writes the same bytes.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cofinitary import cli, writer
-from cofinitary.writer import encode_report
+from cofinitary.writer import Rows, encode_report
+from report_reference import plain
 
 
 def reference(payload) -> bytes:
@@ -93,7 +98,7 @@ def test_every_command_payload(name, tmp_path, monkeypatch, capsys):
     assert cli.main([*argv, "--out", str(out)]) in (0, 1)
     capsys.readouterr()
     (payload,) = payloads
-    assert out.read_bytes() == encode_report(payload) == reference(payload)
+    assert out.read_bytes() == encode_report(payload) == reference(plain(payload))
 
 
 def test_the_writer_does_not_call_json_dumps(monkeypatch):
@@ -247,18 +252,94 @@ _NOT_KEYED_TABLES = {
 }
 
 
+def _keyed_rows(table) -> Rows:
+    """The keyed Rows of a dict of dicts, under its first row's keys."""
+    fields = list(next(iter(table.values())))
+    return Rows(fields, [(k, *row.values()) for k, row in table.items()], keyed=True)
+
+
 @pytest.mark.parametrize("table", list(_KEYED_TABLES.values()), ids=list(_KEYED_TABLES))
 def test_keyed_tables(table):
-    assert writer._keyed_table(sorted(table.items()), "\n ") is not None
+    # the dict of dicts takes the recursive path; its keyed Rows, the
+    # table path, writes the same bytes when its keys are str, and else is
+    # refused
+    rows = _keyed_rows(table)
     for payload in (table, {"t": table}, [table, table]):
         assert encode_report(payload) == reference(payload)
+    if all(type(k) is str for k in table):
+        for payload in (rows, {"t": rows}, [rows, rows]):
+            assert encode_report(payload) == reference(plain(payload))
+    else:
+        with pytest.raises(TypeError):
+            encode_report(rows)
 
 
 @pytest.mark.parametrize("table", list(_NOT_KEYED_TABLES.values()), ids=list(_NOT_KEYED_TABLES))
 def test_dicts_that_are_not_keyed_tables(table):
-    assert writer._keyed_table(sorted(table.items()), "\n ") is None
     for payload in (table, {"t": table}, [table, table]):
         assert encode_report(payload) == reference(payload)
+
+
+# -- Rows -----------------------------------------------------------------------
+
+_ROWS = {
+    "goal log": Rows(("goal", "stage", "witness"),
+                     [("domain:g0@0", 1, 0), ("freeze:g0 g1^-1", 2, None), ("hit:g0>=3", 3, 7)]),
+    "frozen entries": Rows(["stage", "fix", "hat_words"],
+                           [("g1", 2, (0, 3), 2), ("g0 g1", 1, (), 4), ("g0", 3, [5], 2)],
+                           keyed=True),
+    "fields out of order": Rows(["z", "a", "m"], [(1, 2, 3), (4, 5, 6)]),
+    "one field": Rows(["k"], [(1,), ("v",)]),
+    "percent": Rows(["%s", "a%%b", "%(x)s"], [("%s", "%d", ["%", "%%"])] * 2),
+    "percent keys": Rows(["%d"], [("%s", 1), ("%%", ["%s"]), ("%(x)s", None)], keyed=True),
+    "escapes": Rows(['"\n', "\u00e9"], [("quote \" nl \n tab \t", "\u2028 \U0001f600"),
+                                         ("\x00\x1f\x7f", ["a\nb", "\udc80"])]),
+    "non-ascii keys": Rows(["\u00fc"], [("\U0001f600", 1), ("\u00e9\n", 2), ("a", 3)], keyed=True),
+    "special values": Rows(["b", "f", "n"], [(True, 1.5, None), (False, math.nan, None),
+                                            (None, -0.0, [math.inf, -math.inf, 10**60])]),
+    "empty": Rows(["a"], []),
+    "empty keyed": Rows(["a"], [], keyed=True),
+    "list fields": Rows(["b", "a"], [[1, 2], [3, [4, 5]]]),
+}
+_REFUSED_ROWS = {
+    "ragged short": (ValueError, Rows(["a", "b"], [(1, 2), (3,)])),
+    "ragged long": (ValueError, Rows(["a"], [(1,), (2, 3)])),
+    "ragged keyed": (ValueError, Rows(["a"], [("k", 1), ("j",)], keyed=True)),
+    "empty keyed row": (ValueError, Rows(["a"], [("k", 1), ()], keyed=True)),
+    "repeated key": (ValueError, Rows(["a"], [("k", 1), ("j", 2), ("k", 3)], keyed=True)),
+    "repeated field": (ValueError, Rows(["a", "a"], [(1, 2)])),
+    "no fields": (ValueError, Rows([], [(), ()])),
+    "int key": (TypeError, Rows(["a"], [(1, 1), (2, 2)], keyed=True)),
+    "str subclass key": (TypeError, Rows(["a"], [(Name("k"), 1)], keyed=True)),
+    "int field": (TypeError, Rows([1], [(1,)])),
+    "str subclass field": (TypeError, Rows([Name("a")], [(1,)])),
+    "int-enum cell": (TypeError, Rows(["a"], [(Colour.RED,), (1,)])),
+    "str subclass cell": (TypeError, Rows(["a"], [("v",), (Name("w"),)])),
+    "int-enum in a list": (TypeError, Rows(["a"], [([1, Colour.RED],)])),
+    "list in a list": (TypeError, Rows(["a"], [([[1]],)])),
+    "dict cell": (TypeError, Rows(["a"], [({},)])),
+    "set cell": (TypeError, Rows(["a"], [({1},)])),
+    "bytes cell": (TypeError, Rows(["a"], [(b"x",)])),
+}
+
+
+@pytest.mark.parametrize("rows", list(_ROWS.values()), ids=list(_ROWS))
+def test_rows(rows):
+    for payload in (rows, {"t": rows}, [rows, rows], {"t": [1, rows]}):
+        assert encode_report(payload) == reference(plain(payload))
+
+
+@pytest.mark.parametrize("error, rows", list(_REFUSED_ROWS.values()), ids=list(_REFUSED_ROWS))
+def test_refused_rows(error, rows):
+    for payload in (rows, {"t": rows}):
+        with pytest.raises(error):
+            encode_report(payload)
+
+
+def test_rows_are_not_json():
+    # a Rows is written by encode_report alone; json.dumps rejects it
+    with pytest.raises(TypeError):
+        reference({"t": _ROWS["goal log"]})
 
 
 def test_mixed_key_rows_raise_type_error():
@@ -328,6 +409,42 @@ def _keyed_tables(draw, values):
             list(row.values()),
         ]))
     return table
+
+
+@st.composite
+def _drawn_rows(draw):
+    """Rows of drawn fields and cells, keyed or not, and whether one row was
+    then broken: made ragged, given a non-plain cell, or keyed by the first
+    row's key."""
+    fields = draw(st.lists(_row_keys, min_size=1, max_size=4, unique=True))
+    cell = st.one_of(_scalars, st.lists(_scalars, max_size=4),
+                     st.lists(_scalars, max_size=3).map(tuple))
+    rows = draw(st.lists(st.tuples(*[cell] * len(fields)), max_size=6))
+    keyed = draw(st.booleans())
+    if keyed:
+        keys = draw(st.lists(_row_keys, min_size=len(rows), max_size=len(rows), unique=True))
+        rows = [(k, *row) for k, row in zip(keys, rows)]
+    broken = bool(rows) and draw(st.integers(0, 3)) == 0
+    if broken:
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        breaks = [row[:-1], (*row, 0), (*row[:-1], Colour.RED), (*row[:-1], [Name("x")])]
+        if keyed and i:
+            breaks.append((rows[0][0], *row[1:]))
+        rows[i] = draw(st.sampled_from(breaks))
+    return Rows(fields, rows, keyed), broken
+
+
+@settings(max_examples=300, deadline=None)
+@given(_drawn_rows())
+def test_drawn_rows(drawn):
+    rows, broken = drawn
+    for payload in (rows, {"t": rows}):
+        if broken:
+            with pytest.raises((TypeError, ValueError)):
+                encode_report(payload)
+        else:
+            assert encode_report(payload) == reference(plain(payload))
 
 
 def _containers(children):

@@ -42,6 +42,11 @@ from cofinitary.sampling import sample_condition, sample_extension
 from cofinitary.words import single
 
 
+def _admits(cert, m: int) -> bool:
+    """The certificate leaves m, a natural, free."""
+    return m >= 0 and m not in cert.forbidden
+
+
 # -- the references: the replaced code, verbatim -------------------------------
 
 
@@ -55,7 +60,7 @@ def reference_choose(
             raise CertificateError(
                 f"chooser exceeded ceiling {ceiling} for g{self.gen} at {self.point}"
             )
-        if self.certificate.admits(m):
+        if _admits(self.certificate, m):
             if leq(self.apply(m), self.condition):
                 return m
             raise ContractViolation(
@@ -186,7 +191,7 @@ def test_pair_kernels_match_reference_on_sampled_conditions(mode):
 
 def _linear_least(cert: ExtensionCertificate, floor: int) -> int:
     m = max(floor, 0)
-    while not cert.admits(m):
+    while not _admits(cert, m):
         m += 1
     return m
 

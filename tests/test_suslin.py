@@ -36,6 +36,11 @@ import suslin_reference
 from suslin_reference import FinSeq, Rule, finseq, plain_localizes
 
 
+def _contains(s, t) -> bool:
+    """Every pair of the assignment t is a pair of s."""
+    return all(pm.pairs <= s.get(g).pairs for g, pm in t.table.items())
+
+
 # The brute-force window.  The random sequences hold exceptions below 12,
 # rule values below 8 and slopes below 3, so past 12 only the rules speak and
 # two rules that cross have crossed; a window of 64 sees every difference.
@@ -435,7 +440,7 @@ class TestFfpSuite:
 
     def test_broken_leq_caught(self):
         def permissive(p, q):
-            return p.s.contains(q.s) and p.words >= q.words
+            return _contains(p.s, q.s) and p.words >= q.words
 
         results = ffp_axiom_suite(PosetMode.COFINITARY, 25, 7, leq_override=permissive)
         failed = [c for c in results if not c.passed]
