@@ -11,16 +11,17 @@ is written in one C encoder call: its values, row by row, joined by "\\n",
 which no value's text holds, since json escapes every newline inside a
 string.  The split texts then fill one %-template of the table.
 
-Named rows take one path, whether they come as a list of dicts with one
-set of str keys or as Rows: a table the program hands over as it holds
-it, with no dict per row (the build report's goal log and frozen
-entries).  Their cells may also be lists or tuples of plain scalars.
-Each column's texts come from one encoder call, and the rows fill one
-template in the fields' sorted order; keyed Rows are written in their
-keys' sorted order.  Any other value takes the recursive path, which
-escapes strings with json's encode_basestring_ascii and hands any other
-scalar to json.dumps, whose C encoder writes it as the indented encoder
-would (a value of a type json rejects raises TypeError).
+Named rows come as Rows: a table the program hands over as it holds it,
+with no dict per row (the build report's goal log and frozen entries).
+Their cells may also be lists or tuples of plain scalars.  Each column's
+texts come from one encoder call, and the rows fill one template in the
+fields' sorted order; keyed Rows are written in their keys' sorted order.
+Any other value takes the recursive path, lists of dicts included (the
+short ones a report still holds: the ffp clauses, hit-density's conditions
+and misses, the template axioms).  It escapes strings with json's
+encode_basestring_ascii and hands any other scalar to json.dumps, whose C
+encoder writes it as the indented encoder would (a value of a type json
+rejects raises TypeError).
 Imported by the CLI's first report write and by BuildReport.to_json, so
 building the parser does not compile it.
 """
@@ -144,22 +145,12 @@ def _rows(table: Rows, nl: str) -> str:
 
 def _table(items, inner: str) -> Optional[str]:
     """The texts of a list's items joined by "," + inner, when the list is
-    a table: plain scalars, non-empty rows of one length (lists and tuples)
-    that hold plain scalars, or named rows (dicts with the same str keys;
-    see _named).  None for any other list."""
+    a table: plain scalars, or non-empty rows of one length (lists and
+    tuples) that hold plain scalars.  None for any other list."""
     kinds = set(map(type, items))
     if kinds <= _SCALARS:
         return _lines(items)[1:-1].replace("\n", "," + inner)
     first = items[0]
-    if kinds == {dict} and first and all(type(k) is str for k in first):
-        if set(map(len, items)) != {len(first)}:
-            return None
-        keys = sorted(first)
-        try:  # a dict as long as the first that has all of its keys has its keys
-            columns = [list(map(itemgetter(k), items)) for k in keys]
-        except KeyError:
-            return None
-        return _named(keys, columns, inner)
     if not (kinds <= {list, tuple} and first) or set(map(len, items)) != {len(first)}:
         return None
     values = list(chain.from_iterable(items))
@@ -170,10 +161,10 @@ def _table(items, inner: str) -> Optional[str]:
     return ("," + inner).join([row] * len(items)) % tuple(_lines(values)[1:-1].split("\n"))
 
 
-def _named(fields: list[str], columns: list, inner: str, keys=None) -> Optional[str]:
+def _named(fields: list[str], columns: list, inner: str, keys) -> Optional[str]:
     """The texts of named rows joined by "," + inner: row i holds column
     j's cell i under fields[j], the fields in sorted order, and is preceded
-    by keys[i] when keys are given.  None when a cell is neither a plain
+    by keys[i] unless keys is None.  None when a cell is neither a plain
     scalar nor a list or tuple of them."""
     deeper = inner + " "
     texts = [_column(c, deeper) for c in columns]

@@ -15,9 +15,9 @@ entries), which is compared with json.dumps of its dict form
 (report_reference.plain).  Tables are drawn too, with one row sometimes
 broken: a broken list must take the recursive path, and a broken Rows is
 refused.  The named cases below catch a table path that puts a key's % into
-its template unescaped or that accepts ragged rows.  A dict of dicts, which
-the build report's frozen entries were before they became keyed Rows, now
-takes the recursive path; its keyed Rows writes the same bytes.
+its template unescaped or that accepts ragged rows.  A list of dicts and a
+dict of dicts, which the goal log and the frozen entries were before they
+became Rows, take the recursive path; their Rows write the same bytes.
 """
 
 from __future__ import annotations
@@ -206,9 +206,16 @@ _NOT_TABLES = {
 
 @pytest.mark.parametrize("rows", list(_TABLES.values()), ids=list(_TABLES))
 def test_tables(rows):
-    assert writer._table(rows, "\n ") is not None
+    # a list of dicts takes the recursive path; its Rows, the table path,
+    # writes the same bytes
+    named = type(rows[0]) is dict
+    assert (writer._table(rows, "\n ") is None) == named
     for payload in (rows, {"t": rows}, [rows, rows]):
         assert encode_report(payload) == reference(payload)
+    if named:
+        table = Rows(list(rows[0]), [tuple(map(row.__getitem__, rows[0])) for row in rows])
+        for payload, same in ((table, rows), ({"t": table}, {"t": rows}), ([table, table], [rows, rows])):
+            assert encode_report(payload) == reference(same)
 
 
 @pytest.mark.parametrize("rows", list(_NOT_TABLES.values()), ids=list(_NOT_TABLES))
