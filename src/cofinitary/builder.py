@@ -20,6 +20,12 @@ frozen_value and the chain-law leq run on it, for the report, and for a
 BuildError's partial report.  It closes the phase and takes over its
 lookups.  Freeze goals past the points run on such a condition.
 
+The goal log is kept as runs (GoalRun): the schedule fixes each goal's
+text, and a goal's stage is its place in the log, so a block of point
+goals is its points and its witnesses, and a length group its first stage
+and its size.  No goal text is formatted on the way, but for an extra goal
+or a failing one.
+
 A build is strictly sequential and deterministic for a given seed; the seed
 only permutes the word-freezing order inside each length group, so different
 seeds build different families under the same invariants.
@@ -32,7 +38,7 @@ import io
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import poset
 from .evaluation import Assignment, GroundPermutation, fix_sets, fix_table
@@ -70,7 +76,7 @@ class DenseGoal:
         if self.kind in ("domain", "range"):
             return _point_text(self.kind, self.gen, self.point)
         if self.kind == "freeze":
-            return _freeze_text(self.word)
+            return f"freeze:{format_word(self.word)}"
         return f"hit:g{self.gen}>={self.floor}"
 
 
@@ -78,8 +84,25 @@ def _point_text(kind: str, gen: int, point: int) -> str:
     return f"{kind}:g{gen}@{point}"
 
 
-def _freeze_text(w: Word) -> str:
-    return f"freeze:{format_word(w)}"
+class GoalRun(NamedTuple):
+    """count goals of the log, at stages stage, stage + 1, ...
+
+    kind "points": the point goals of points first..last in schedule order
+    (points ascending, then generators ascending, then domain before range
+    where the discipline is injective), witnesses their values; a partial
+    report's last run may stop short (count < the block's goals).
+    kind "freeze": one length group, a word per stage; frozen_fix holds
+    each word's stage; first, last are None and witnesses empty.
+    Any other kind is one extra goal's text, witnesses its one witness
+    (None for a freeze); an extra freeze of a word frozen before gives
+    that stage as first, since frozen_fix keeps the word's last stage."""
+
+    kind: str
+    stage: int
+    count: int
+    first: Optional[int]
+    last: Optional[int]
+    witnesses: list
 
 
 def hit_goal(gen: int, sigma: GroundPermutation, floor: int) -> DenseGoal:
@@ -89,7 +112,7 @@ def hit_goal(gen: int, sigma: GroundPermutation, floor: int) -> DenseGoal:
 @dataclass
 class BuildReport:
     final: Condition
-    goal_log: list[tuple[str, int, Optional[int]]]  # (goal, stage, witness)
+    goal_log: list[GoalRun]
     frozen_fix: dict[Word, tuple[int, frozenset[int]]]
     mode: PosetMode
     generators: tuple[int, ...]
@@ -109,7 +132,7 @@ class BuildReport:
 
     def to_json(self) -> dict:
         """The JSON form, with its tables as the writer's Rows: the goal log
-        is its own (goal, stage, witness) tuples, and frozen_fix one row
+        is its own runs (GoalRun), and frozen_fix one row
         per frozen word, keyed by its text, which the writer sorts.  The
         frozen words are formatted once, in Word.sort_key order; in a build
         they are the final side set, so F reuses their texts when every one
@@ -131,7 +154,7 @@ class BuildReport:
             columns.append(list(map(class_hat_count, order)))
             fields.append("hat_words")
         return {
-            "schema": "1",
+            "schema": "2",
             "mode": self.mode.value,
             "generators": list(self.generators),
             "point_budget": self.point_budget,
@@ -143,7 +166,7 @@ class BuildReport:
                 "F": names if same else list(map(format_word, final.sorted_words())),
             },
             "frozen_fix": Rows(fields, list(zip(*columns)), keyed=True),
-            "goal_log": Rows(("goal", "stage", "witness"), self.goal_log),
+            "goal_log": Rows(GoalRun._fields, self.goal_log),
         }
 
     def to_csv(self) -> str:
@@ -202,8 +225,8 @@ def build(
 
     cond = Condition(mode=mode)  # the last kept condition
     phase: Optional[PointPhase] = None  # the point phase extending it, if open
-    stage = 0
-    goal_log: list[tuple[str, int, Optional[int]]] = []
+    stage = 0  # the stage of the last goal met
+    goal_log: list[GoalRun] = []
     frozen_fix: dict[Word, tuple[int, frozenset[int]]] = {}
 
     def kept() -> Condition:
@@ -213,46 +236,55 @@ def build(
             cond, phase = phase.close(), None
         return cond
 
-    def freeze(group: Sequence[Word]) -> None:
+    def opened() -> PointPhase:
+        """The open point phase, opened on the kept condition if none is."""
+        nonlocal phase
+        if phase is None:
+            phase = PointPhase(cond)
+        return phase
+
+    def log(run: GoalRun) -> None:
+        nonlocal stage
+        goal_log.append(run)
+        stage += run.count
+
+    def freeze(group: Sequence[Word], run: Optional[GoalRun] = None) -> None:
         # No point step comes between the words, so s stays prev's: the side
         # set grows and is validated once.  The order check cannot fail (s is
         # prev's and the side set a superset of prev's); it is kept as the
         # step's contract.
-        nonlocal cond, stage
+        nonlocal cond
         prev = kept()
         cond = poset.add_words(prev, prev.words | frozenset(group))
         for i, w in enumerate(group):
-            stage += 1
             earlier = itertools.chain(prev.words, itertools.islice(group, i))
-            frozen_fix[w] = (stage, frozen_value(mode, cond.s, w, earlier))
-            goal_log.append((_freeze_text(w), stage, None))
+            frozen_fix[w] = (stage + 1 + i, frozen_value(mode, cond.s, w, earlier))
+        log(GoalRun("freeze", stage + 1, len(group), None, None, []) if run is None else run)
         if not poset.leq(cond, prev):
             raise BuildError(f"chain law broken at stage {stage}", _report())
 
-    def hit(goal: DenseGoal) -> None:
-        nonlocal phase, stage
-        stage += 1
-        if phase is None:
-            phase = PointPhase(cond)
-        found = phase.hit(goal.gen, goal.sigma, goal.floor, 256)
-        if found is None:
-            raise BuildError(f"goal {goal.describe()} found no hit", _report())
-        goal_log.append((goal.describe(), stage, found))
-
-    def point_goal(kind: str, gen: int, point: int) -> None:
-        nonlocal phase, stage
-        stage += 1
-        text = _point_text(kind, gen, point)
-        if phase is None:
-            phase = PointPhase(cond)
-        try:
-            if kind == "domain":
-                witness = phase.domain(gen, point, None, value_ceiling)
-            else:
-                witness = phase.range(gen, point, value_ceiling)
-        except Exception as err:
-            raise BuildError(f"goal {text} failed: {err}", _report()) from err
-        goal_log.append((text, stage, witness))
+    def extra(goal: DenseGoal) -> None:
+        """An extra goal, logged as a run of one."""
+        text = goal.describe()
+        if goal.kind == "freeze":
+            before = frozen_fix.get(goal.word)
+            first = None if before is None else before[0]
+            freeze((goal.word,), GoalRun(text, stage + 1, 1, first, None, [None]))
+            return
+        step = opened()
+        if goal.kind == "hit":
+            witness = step.hit(goal.gen, goal.sigma, goal.floor, 256)
+            if witness is None:
+                raise BuildError(f"goal {text} found no hit", _report())
+        else:
+            try:
+                if goal.kind == "domain":
+                    witness = step.domain(goal.gen, goal.point, None, value_ceiling)
+                else:
+                    witness = step.range(goal.gen, goal.point, value_ceiling)
+            except Exception as err:
+                raise BuildError(f"goal {text} failed: {err}", _report()) from err
+        log(GoalRun(text, stage + 1, 1, None, None, [witness]))
 
     def _report() -> BuildReport:
         # the main loop freezes entries alone, and all of them, before any
@@ -263,27 +295,40 @@ def build(
         )
 
     next_point = 0
+    ways = 2 if discipline.injective else 1  # goals per generator and point
 
     def issue_points(limit: int) -> None:
+        """The point goals of points next_point..limit - 1, as one run."""
         nonlocal next_point
-        while next_point < limit:
-            for g in gens:
-                point_goal("domain", g, next_point)
-                if discipline.injective:
-                    point_goal("range", g, next_point)
-            next_point += 1
+        first = next_point
+        if first >= limit:
+            return
+        step = opened()
+        domain, range_ = step.domain, step.range
+        witnesses: list[int] = []
+        add = witnesses.append
+        run = GoalRun("points", stage + 1, 0, first, limit - 1, witnesses)
+        try:
+            for point in range(first, limit):
+                for g in gens:
+                    add(domain(g, point, None, value_ceiling))
+                    if ways == 2:
+                        add(range_(g, point, value_ceiling))
+        except Exception as err:
+            log(run._replace(count=len(witnesses)))
+            point, i = divmod(len(witnesses), len(gens) * ways)
+            g, way = divmod(i, ways)
+            text = _point_text("range" if way else "domain", gens[g], first + point)
+            raise BuildError(f"goal {text} failed: {err}", _report()) from err
+        log(run._replace(count=len(witnesses)))
+        next_point = limit
 
     for length in sorted(by_len):
         issue_points(min(point_budget, 4 * length))
         freeze(by_len[length])
     issue_points(point_budget)
     for goal in extra_goals:
-        if goal.kind == "freeze":
-            freeze((goal.word,))
-        elif goal.kind == "hit":
-            hit(goal)
-        else:
-            point_goal(goal.kind, goal.gen, goal.point)
+        extra(goal)
     return _report()
 
 

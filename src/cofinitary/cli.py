@@ -126,7 +126,7 @@ def cmd_build_group(args) -> int:
 
 
 def _load_template_file(path: str) -> TemplateOrder:
-    from .templates import TemplateOrder, template_from_parts
+    from .templates import template_from_parts
 
     obj = json.loads(Path(path).read_text())
     if not isinstance(obj, dict):
@@ -151,11 +151,8 @@ def _load_template_file(path: str) -> TemplateOrder:
         part1 = [names[x] for x in obj[key]]
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"bad template file: field {key!r}: {err!r}")
-    t = template_from_parts(list(names.values()), less, ideals, part0, part1)
-    return TemplateOrder(
-        t.elements, t.order_key, t.family, t.part0, t.part1,
-        {i: name for name, i in names.items()},
-    )
+    labels = {i: name for name, i in names.items()}
+    return template_from_parts(list(names.values()), less, ideals, part0, part1, labels)
 
 
 def cmd_template(args) -> int:

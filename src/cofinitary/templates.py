@@ -175,12 +175,15 @@ def template_from_parts(
     ideals: Iterable[Iterable[int]],
     part0: Iterable[int],
     part1: Iterable[int],
+    labels: Optional[Mapping[int, str]] = None,
 ) -> TemplateOrder:
-    """Build from an explicit strict order relation (must be total)."""
-    els = list(elements)
+    """Build from an explicit strict order relation (must be total); labels
+    name the elements, in its messages too."""
+    els, labels = list(elements), labels or {}
     pairs = set(less_pairs)
     for x, y in itertools.combinations(els, 2):
         if ((x, y) in pairs) == ((y, x) in pairs):
+            x, y = (labels.get(e, e) for e in (x, y))
             raise ValueError(f"order must compare {x} and {y} exactly one way")
     # a relation comparing each pair one way is a strict total order iff the
     # counts of elements below each element are 0, 1, ..., n - 1
@@ -193,6 +196,7 @@ def template_from_parts(
         frozenset(_encode(a, index) for a in ideals),
         frozenset(part0),
         frozenset(part1),
+        labels,
     )
 
 
@@ -245,6 +249,7 @@ class _Masks:
         self.family = t.family
         self.atoms = t.atoms  # sorted by value, so by top element
         self.size = t.family_size
+        self.label = t.label
 
     @cached_property
     def members(self) -> list[int]:
@@ -297,6 +302,10 @@ class _Masks:
             m ^= low
         return frozenset(out)
 
+    def names(self, m: int) -> str:
+        """The labels of m's elements, in the order, as a list."""
+        return f"[{', '.join(self.label(x) for i, x in enumerate(self.elements) if m >> i & 1)}]"
+
     def close(self, m: int) -> int:
         """The closure of m: m and the part0 cone below its top (``closure``
         proves that one step reaches it)."""
@@ -344,7 +353,7 @@ def check_axioms(t: TemplateOrder, pair_budget: int = 4_000_000) -> list[AxiomVi
     # clause 5: members are closed
     for a in gens:
         if mk.close(a) != a:
-            out.append(AxiomViolation(5, f"{sorted(mk.unmask(a))} is not closed"))
+            out.append(AxiomViolation(5, f"{mk.names(a)} is not closed"))
             break
     return out
 
@@ -358,7 +367,7 @@ def _clause1_members(mk: _Masks, pair_budget: int) -> list[AxiomViolation]:
     for a, b in itertools.combinations(mk.members, 2):
         for m, what in ((a | b, "union"), (a & b, "intersection")):
             if m not in mk.family:
-                detail = f"{what} of {sorted(mk.unmask(a))} and {sorted(mk.unmask(b))} missing"
+                detail = f"{what} of {mk.names(a)} and {mk.names(b)} missing"
                 return [AxiomViolation(1, detail)]
     return []
 
@@ -370,7 +379,7 @@ def _clause1_atoms(mk: _Masks) -> list[AxiomViolation]:
             m = a & b
             if m not in known:
                 if _union(c for c in mk.inside[i] if not c & ~b) != m:
-                    where = f"{sorted(mk.unmask(a))} and {sorted(mk.unmask(b))}"
+                    where = f"{mk.names(a)} and {mk.names(b)}"
                     return [AxiomViolation(1, f"intersection of atoms {where} missing")]
                 known.add(m)
     return []
@@ -408,7 +417,7 @@ def _clause3_atoms(t: TemplateOrder, mk: _Masks) -> list[AxiomViolation]:
 
 def _cut_leaves(t: TemplateOrder, mk: _Masks, a: int, low: int) -> AxiomViolation:
     x = mk.elements[low.bit_length() - 1]
-    return AxiomViolation(3, f"{sorted(mk.unmask(a))} cut at {t.label(x)} leaves the family")
+    return AxiomViolation(3, f"{mk.names(a)} cut at {t.label(x)} leaves the family")
 
 
 def depth(t: TemplateOrder, subset: Iterable[int]) -> int:

@@ -6,7 +6,8 @@ read through the bijection, on partial injections:
 
     w = uv:  n -> e_v(n) maps Fix(uv) onto Fix(vu),  and  Fix(w^-1) = Fix(w).
 
-expand() does that from the report's JSON alone, with its own word walks;
+expand() does that from the report's JSON alone, with its own word walks,
+one per distinct rotation, so a power g^k costs O(k) letter steps per point;
 check() compares the result with the fix set of every hat word up to the
 report's word budget on the final assignment, which is what the build
 recorded when it froze every hat word.  It reads them from
@@ -57,6 +58,13 @@ def is_hat(letters: tuple[Letter, ...]) -> bool:
     return letters[0][0] != letters[-1][0] or len(gens) == 1
 
 
+def period(letters: tuple[Letter, ...]) -> int:
+    """The least p > 0 with letters rotated by p equal to letters: the
+    number of distinct rotations (1 for a power g^k)."""
+    n = len(letters)
+    return next(p for p in range(1, n + 1) if n % p == 0 and letters[p:] + letters[:p] == letters)
+
+
 def _maps(report: dict) -> dict[Letter, dict[int, int]]:
     """(g, +1) -> g's forward map and (g, -1) -> its inverse."""
     maps: dict[Letter, dict[int, int]] = {}
@@ -91,7 +99,7 @@ def expand(report: dict) -> tuple[dict[str, list[int]], list[str]]:
         fix = entry["fix"]
         members: dict[str, list[int]] = {}
         for t in (word, inverse):  # Fix(w^-1) = Fix(w)
-            for i in range(len(t)):
+            for i in range(period(t)):  # the distinct rotations
                 u, v = t[:i], t[i:]  # t = uv; rotation vu
                 rotated = v + u
                 if not is_hat(rotated):

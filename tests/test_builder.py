@@ -15,6 +15,7 @@ from cofinitary.evaluation import zshift
 from cofinitary.extension import ContractViolation, ExtensionCertificate
 from cofinitary.poset import DISCIPLINES, Condition, PosetMode, leq
 from cofinitary.words import format_word, parse_word, single
+from goal_log import logged, schema1_bytes
 from report_reference import plain
 
 
@@ -37,7 +38,7 @@ class TestBuild:
 
     def test_stages_strictly_increase(self):
         report = build(PosetMode.COFINITARY, [0, 1], point_budget=6, word_budget=2, seed=1)
-        stages = [st for _, st, _ in report.goal_log]
+        stages = [st for _, st, _ in logged(report)]
         assert stages == sorted(stages) and len(set(stages)) == len(stages)
 
     def test_deterministic(self):
@@ -48,7 +49,7 @@ class TestBuild:
     def test_seed_changes_schedule(self):
         a = build(PosetMode.COFINITARY, [0, 1], point_budget=8, word_budget=3, seed=1)
         b = build(PosetMode.COFINITARY, [0, 1], point_budget=8, word_budget=3, seed=2)
-        assert [g for g, _, _ in a.goal_log] != [g for g, _, _ in b.goal_log]
+        assert [g for g, _, _ in logged(a)] != [g for g, _, _ in logged(b)]
 
     def test_chain_log_extends_previous(self):
         report = build(PosetMode.COFINITARY, [0, 1], point_budget=6, word_budget=2, seed=4)
@@ -88,7 +89,7 @@ class TestBuild:
             seed=3,
             extra_goals=[hit_goal(0, sigma, 10)],
         )
-        hits = [w for g, _, w in report.goal_log if g.startswith("hit:")]
+        hits = [w for g, _, w in logged(report) if g.startswith("hit:")]
         assert len(hits) == 1 and hits[0] >= 10
         n = hits[0]
         assert report.final.s.get(0).fwd[n] == sigma.apply(n)
@@ -133,50 +134,67 @@ def test_the_build_recheck_call_shape():
             fix_points(w, s, object())
 
 
-def _digest(report) -> str:
-    return hashlib.sha256(encode_report(report.to_json())).hexdigest()
+def _digests(report) -> tuple[str, str]:
+    """The report's sha256 and that of its schema-1 readback."""
+    data = encode_report(report.to_json())
+    return hashlib.sha256(data).hexdigest(), hashlib.sha256(schema1_bytes(data)).hexdigest()
 
 
 class TestGoldenReports:
     """Report digests recorded before the build steps were made incremental;
     any change to what a build produces shows here.  The cofinitary digests
     were re-recorded when a build came to freeze one hat word per class;
-    their final assignments did not change."""
+    their final assignments did not change.  Each report's digest was
+    re-recorded again when the goal log came to be written as runs (schema
+    2); the digest of its schema-1 readback (tests/goal_log.py) is the one
+    recorded before."""
 
     def test_cofinitary(self):
         report = build(PosetMode.COFINITARY, [0, 1, 2], point_budget=12, word_budget=3, seed=7)
-        assert _digest(report) == (
-            "c05cb40d1733ed27210161529d476ddee79c492e472ffe6d9bbbf79363041452"
+        assert _digests(report) == (
+            "5980a8343eccb6cfacef9f8e00df4994012ec028bd2a6f042efcd035c49c170b",
+            "c05cb40d1733ed27210161529d476ddee79c492e472ffe6d9bbbf79363041452",
         )
 
     @pytest.mark.parametrize(
-        "mode, digest",
+        "mode, schema1, digest",
         [
-            (PosetMode.ADP, "6497583e6ae23515d708c686f5caa243be5b0d92327619a0b83550a6ed897653"),
-            (PosetMode.EDF, "83e6aa9a14b85e611588e5122567ad53d22f73cceb3c23276439ac57cc920294"),
-            (PosetMode.MAD, "6324d313cb0d6614e1ea894294eb33bf79f909f98cf66bb0e934959709976ef8"),
+            (PosetMode.ADP, "6497583e6ae23515d708c686f5caa243be5b0d92327619a0b83550a6ed897653",
+             "226217fc67ea7cbe57038b88d45dcb7896c9129f93a8abe0530c43241eb2860c"),
+            (PosetMode.EDF, "83e6aa9a14b85e611588e5122567ad53d22f73cceb3c23276439ac57cc920294",
+             "771d391e9ec66851eb0de064a637acacc22e004bf9c2f355ea976028f821efa1"),
+            (PosetMode.MAD, "6324d313cb0d6614e1ea894294eb33bf79f909f98cf66bb0e934959709976ef8",
+             "ef0f11502d3193c29e6a1a178c545b0a8a1cb7681bccebfa36c20bd28b57598b"),
         ],
     )
-    def test_variants(self, mode, digest):
+    def test_variants(self, mode, schema1, digest):
         report = build(
             mode, [0, 1, 2, 3], point_budget=40, word_budget=DISCIPLINES[mode].word_budget, seed=7
         )
-        assert _digest(report) == digest
+        assert _digests(report) == (digest, schema1)
 
     @pytest.mark.parametrize(
-        "seed, mode, digest",
+        "seed, mode, schema1, digest",
         [
-            (3, "cofinitary", "ba8c0b7648fac894602bccb25959ff1f9378ad088dfdc2f4a4bd7ce1c130873a"),
-            (3, "adp", "0ffafcc1a91ff9b9a3a52b4ab5a3a34418da34e557c952ae913261d3d2633357"),
-            (3, "edf", "5572b99a9fe17f34f87a26afb6c08cd48e567581faecdf6d87be2df3b5d8a0ed"),
-            (3, "mad", "9a7437a78a4c52b582b381f2f9a3cfc07e08ae5345951dc68872e07ee3b2d146"),
-            (1009, "cofinitary", "8c4c88b5547cc59753e767dad74eb3f4f142558f6a86bd2b12212ce1eb0cd30a"),
-            (1009, "adp", "9fd47f8acde2bc8caa196302ffe94cd5cb49235af201fc963f5a93e31f18e3db"),
-            (1009, "edf", "320a68e9796472d61590d2c2c303eaebf752200e423a7af2c305fb92206cb1b8"),
-            (1009, "mad", "9b513b9921b037fb9f481058bc65341981e84595da68a5e968affacc0b5220d0"),
+            (3, "cofinitary", "ba8c0b7648fac894602bccb25959ff1f9378ad088dfdc2f4a4bd7ce1c130873a",
+             "884f2252b4751aad8daac4e79d375ce98d492614b89b239d16f9cf74ec1d6f29"),
+            (3, "adp", "0ffafcc1a91ff9b9a3a52b4ab5a3a34418da34e557c952ae913261d3d2633357",
+             "9cf84e7efb5324f063a015491190ad90928c209c66b25d1c57d41dcda260b6bc"),
+            (3, "edf", "5572b99a9fe17f34f87a26afb6c08cd48e567581faecdf6d87be2df3b5d8a0ed",
+             "470390b60461267d6ad2109a0406357bba7f813e78c2cf16f5ca0aea6a147f2f"),
+            (3, "mad", "9a7437a78a4c52b582b381f2f9a3cfc07e08ae5345951dc68872e07ee3b2d146",
+             "d0f24ab767552c9b45f1e5b578fa3c1aeaf1944867110d8ef8006548aa8f6d5f"),
+            (1009, "cofinitary", "8c4c88b5547cc59753e767dad74eb3f4f142558f6a86bd2b12212ce1eb0cd30a",
+             "4f98d0e28cdaf4c160439d0f71c89eb4883faa3af930d6bdcfdf54d59c79fa1e"),
+            (1009, "adp", "9fd47f8acde2bc8caa196302ffe94cd5cb49235af201fc963f5a93e31f18e3db",
+             "5c57485233e607dfff0499758990b8d678dd1be4d30ee2896ccad70a576831f4"),
+            (1009, "edf", "320a68e9796472d61590d2c2c303eaebf752200e423a7af2c305fb92206cb1b8",
+             "3863f2426312941b73de02e18ff6c9147e8a4b05529698df9056a1446eef7786"),
+            (1009, "mad", "9b513b9921b037fb9f481058bc65341981e84595da68a5e968affacc0b5220d0",
+             "2ebdc1b7f853b1e96c9727b97b7f89ee9dbcca6d334503e44dacdac3c052edbf"),
         ],
     )
-    def test_long(self, seed, mode, digest):
+    def test_long(self, seed, mode, schema1, digest):
         """The four builds of `build-group`: cofinitary over 2 generators
         with 300 points and words up to length 2, and adp, edf and mad over
         4 generators with 200 points.  Recorded before each assignment
@@ -189,23 +207,25 @@ class TestGoldenReports:
                 PosetMode(mode), [0, 1, 2, 3], point_budget=200,
                 word_budget=DISCIPLINES[PosetMode(mode)].word_budget, seed=seed,
             )
-        assert _digest(report) == digest
+        assert _digests(report) == (digest, schema1)
 
     @pytest.mark.parametrize(
-        "seed, digest",
+        "seed, schema1, digest",
         [
-            (3, "d53bb2fd79fc315123dd6160082537e03b6296514c5c40f0a3217cd838541267"),
-            (1009, "b33d7786c31a45e62ba6e875db23ddc76909945dea147c02fc6241460e3e68d8"),
+            (3, "d53bb2fd79fc315123dd6160082537e03b6296514c5c40f0a3217cd838541267",
+             "7e20b4f108b8754cb5cb803326876a7b550b8ac3d6ba08a905166284dcc47f94"),
+            (1009, "b33d7786c31a45e62ba6e875db23ddc76909945dea147c02fc6241460e3e68d8",
+             "b995723036d45efa6b4b64f4aaf952a7dac6eb12e619cf9b8b8b4337adfe4a64"),
         ],
     )
-    def test_wide(self, seed, digest):
+    def test_wide(self, seed, schema1, digest):
         """The build of `build-group --generators 4 --max-word-len 4
         --points 20`: 2,432 hat words in 390 classes and four length
         groups, one word frozen per class."""
         report = build(
             PosetMode.COFINITARY, range(4), point_budget=20, word_budget=4, seed=seed
         )
-        assert _digest(report) == digest
+        assert _digests(report) == (digest, schema1)
 
 
 class TestVariantFamilies:
@@ -286,7 +306,7 @@ class TestReportFormats:
     def test_json_shape(self):
         report = build(PosetMode.COFINITARY, [0], point_budget=3, word_budget=1, seed=0)
         payload = json.loads(encode_report(report.to_json()))
-        assert payload["schema"] == "1"
+        assert payload["schema"] == "2"
         assert "final" in payload and "frozen_fix" in payload and "goal_log" in payload
         for entry in payload["frozen_fix"].values():
             assert set(entry) == {"stage", "fix", "hat_words"}

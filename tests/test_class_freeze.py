@@ -16,7 +16,9 @@ import random
 
 import pytest
 
-from class_expansion import check, expand
+import class_expansion
+from class_expansion import check, expand, period
+from goal_log import logged
 from cofinitary.builder import build, verify_cofinitary
 from cofinitary.writer import encode_report
 from cofinitary.evaluation import Assignment, PartialMap, fix_points
@@ -56,7 +58,7 @@ def test_the_classes_of_build_wide():
     report = build(PosetMode.COFINITARY, range(4), point_budget=20, word_budget=4, seed=3)
     payload = _payload(report)
     assert len(payload["frozen_fix"]) == len(payload["final"]["F"]) == 390
-    freezes = [g for g, _, _ in report.goal_log if g.startswith("freeze:")]
+    freezes = [g for g, _, _ in logged(report) if g.startswith("freeze:")]
     assert len(freezes) == 390
     expanded, problems = expand(payload)
     assert not problems and len(expanded) == len(hat_words(range(4), 4)) == 2432
@@ -75,6 +77,32 @@ def test_class_hat_letters():
                                      "g1^-1 g0^-1 g1^-1 g0^-1", "g1 g0 g1 g0"]
     with pytest.raises(ValueError):
         class_hat_letters(parse_word("g0 g1 g0"))
+
+
+def test_period():
+    assert [period(parse_word(t).letters) for t in ("g0", "g0^5", "g0 g1", "g0 g1 g0 g1",
+                                                     "g0^2 g1 g0^2 g1 g0^2 g1")] == [1, 1, 2, 2, 3]
+
+
+def test_a_power_is_walked_once_per_distinct_rotation(monkeypatch):
+    # g0^5 and its inverse have one distinct rotation each: every fixed
+    # point is walked twice, not once per letter of each
+    report = build(PosetMode.COFINITARY, [0], point_budget=4, word_budget=5, seed=0)
+    payload = _payload(report)
+    fix = payload["frozen_fix"]["g0^-5"]["fix"]
+    assert fix
+    walks = []
+    real = class_expansion._apply
+
+    def counting(letters, maps, n):
+        walks.append(letters)
+        return real(letters, maps, n)
+
+    monkeypatch.setattr(class_expansion, "_apply", counting)
+    payload["frozen_fix"] = {"g0^-5": payload["frozen_fix"]["g0^-5"]}
+    expanded, problems = expand(payload)
+    assert not problems and expanded == {"g0^-5": fix, "g0^5": fix}
+    assert len(walks) == 2 * len(fix)
 
 
 def _rotated(w: Word) -> Word:

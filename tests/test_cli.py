@@ -31,7 +31,7 @@ class TestBuildGroup:
         assert code == 0 and err == ""
         assert out.strip() == str(out_file)
         payload = json.loads(out_file.read_text())
-        assert payload["schema"] == "1" and payload["violations"] == []
+        assert payload["schema"] == "2" and payload["violations"] == []
 
     def test_zero_points_usage_error(self, capsys):
         code, _, _ = run(
@@ -214,6 +214,31 @@ class TestTemplateCmd:
         axioms = json.loads((tmp_path / "o.json").read_text())["axioms"]
         assert err.splitlines() == [f"clause {a['clause']}: {a['detail']}" for a in axioms]
 
+    @pytest.mark.parametrize("blob, lines", [
+        ({"I": [[], ["c", "a"], ["b"]], "L0": [], "L1": ["c", "a", "b"]}, [
+            "clause 1: full set missing from the family",
+            "clause 1: union of [b] and [a, c] missing",
+            "clause 2: no family member inside the cut of b contains a",
+            "clause 3: [a, c] cut at b leaves the family",
+        ]),
+        ({"I": [[], ["b"], ["c", "b"], ["c"]], "L0": ["a"], "L1": ["b", "c"]}, [
+            "clause 1: full set missing from the family",
+            "clause 2: no family member inside the cut of b contains a",
+            "clause 5: [b] is not closed",
+        ]),
+    ])
+    def test_template_file_witnesses_name_the_file_elements(self, blob, lines, tmp_path, capsys):
+        # the elements are listed out of order (c first), so their ids are
+        # neither their names nor their places in the order a < b < c
+        blob = {"elements": ["c", "a", "b"], "less": [["a", "b"], ["b", "c"], ["a", "c"]], **blob}
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(blob))
+        code, _, err = run(
+            ["template", "--template-file", str(path), "--out", str(tmp_path / "o.json")],
+            capsys,
+        )
+        assert code == 1 and err.splitlines() == lines
+
     @pytest.mark.parametrize("member", [["p", "r"], ["p", 3]])
     def test_template_file_member_naming_a_non_element(self, member, tmp_path, capsys):
         blob = {
@@ -279,6 +304,18 @@ class TestTemplateCmd:
             capsys,
         )
         assert code == 2 and err.strip() == "bad template file: expected a JSON object"
+
+    def test_an_unordered_pair_is_named_by_the_file_elements(self, tmp_path, capsys):
+        blob = {"elements": ["c", "a", "b"], "less": [["a", "b"], ["b", "c"]],
+                "I": [[]], "L0": [], "L1": ["c", "a", "b"]}
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(blob))
+        code, _, err = run(
+            ["template", "--template-file", str(path), "--out", str(tmp_path / "o.json")],
+            capsys,
+        )
+        assert code == 2
+        assert err.strip() == "bad template file: order must compare c and a exactly one way"
 
     def test_good_template_file(self, tmp_path, capsys):
         blob = {

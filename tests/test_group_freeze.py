@@ -5,11 +5,12 @@ validation and one order check, where it used to freeze the words one at a
 time.  reference_build below is the word-at-a-time builder, kept verbatim
 but for its name, its add_words call and its freezing the least hat word of
 each class (words.cyclic_class) for the class; both must give the same
-report, goal log included, on every mode, word budget and kind of extra
-goal.  Its point and hit steps go through the copy path
-(tests/copy_path.py), one new condition per pair: it is also the builder
-that the point phase replaced, and tests/test_point_phase.py compares
-drawn builds and ceiling aborts with it.
+report, goal log included (the build's runs read back by tests/goal_log.py
+against its rows), on every mode, word budget and kind of extra goal.  Its
+point and hit steps go through the copy path (tests/copy_path.py), one new
+condition per pair: it is also the builder that the point phase replaced,
+and tests/test_point_phase.py compares drawn builds and ceiling aborts with
+it.
 
 Each word's frozen value is evaluation.fix_points at its group's s; the
 last test checks that, that the build makes no fix table, and that the
@@ -24,7 +25,8 @@ from typing import Iterable, Optional, Sequence
 import pytest
 
 from copy_path import hit_extend, hit_search, point_step, range_extend
-from report_reference import plain
+from goal_log import logged, schema1_bytes
+from report_reference import reference_to_json
 
 from cofinitary import builder, poset
 from cofinitary.builder import BuildError, BuildReport, DenseGoal, build, hit_goal
@@ -154,9 +156,8 @@ def reference_build(
 
 def _same(kwargs: dict) -> BuildReport:
     new, old = build(**kwargs), reference_build(**kwargs)
-    assert new.goal_log == old.goal_log
-    assert plain(new.to_json()) == plain(old.to_json())
-    assert encode_report(new.to_json()) == encode_report(old.to_json())
+    assert logged(new) == old.goal_log
+    assert schema1_bytes(encode_report(new.to_json())) == encode_report(reference_to_json(old))
     return new
 
 
@@ -191,8 +192,8 @@ def test_extra_goals_cofinitary():
     goals = [_freeze(new_word), _freeze(single(1)), hit_goal(0, zshift(), 10), _freeze(single(0))]
     report = _same(dict(mode=PosetMode.COFINITARY, generators=[0, 1], point_budget=6,
                         word_budget=2, seed=3, extra_goals=goals))
-    logged = [g for g, _, _ in report.goal_log[-4:]]
-    assert logged == [g.describe() for g in goals]
+    assert [g for g, _, _ in logged(report)[-4:]] == [g.describe() for g in goals]
+    assert [run.kind for run in report.goal_log[-4:]] == [g.describe() for g in goals]
 
 
 def test_extra_goals_mad():
@@ -227,8 +228,8 @@ def test_one_growth_and_one_check_per_group(intercept):
 @pytest.mark.parametrize("mode, gens, points, word_budget", MODES)
 def test_freeze_stages_match_frozen_fix(mode, gens, points, word_budget):
     report = build(mode, gens, point_budget=points, word_budget=word_budget, seed=9)
-    logged = {g[len("freeze:"):]: st for g, st, _ in report.goal_log if g.startswith("freeze:")}
-    assert logged == {format_word(w): st for w, (st, _) in report.frozen_fix.items()}
+    frozen = {g[len("freeze:"):]: st for g, st, _ in logged(report) if g.startswith("freeze:")}
+    assert frozen == {format_word(w): st for w, (st, _) in report.frozen_fix.items()}
 
 
 def test_non_hat_word_in_a_group_is_rejected(monkeypatch):
@@ -309,7 +310,7 @@ def test_each_word_is_frozen_through_fix_points_at_its_group_s(
     monkeypatch.setattr(builder, "frozen_value", recording_value)
     report = build(PosetMode.COFINITARY, gens, point_budget=points,
                    word_budget=word_budget, seed=5, extra_goals=goals)
-    hits = [witness for goal, _, witness in report.goal_log if goal.startswith("hit:")]
+    hits = [witness for goal, _, witness in logged(report) if goal.startswith("hit:")]
     assert len(hits) == len(goals) and None not in hits  # every hit goal was met
     assert report.final.s != groups[-1].s
     assert len(calls) == len(report.frozen_fix)

@@ -3,10 +3,11 @@
 Every row parses, its digest is its own and its argv is one the CLI's
 parser takes.  The rules derived from each command pick the runs and
 checks the pins had before they were one table: a second run on CPU 0 for
-the 16 suslin and ffp-suite pins, a class expansion for the 13 cofinitary
-builds not marked "not expanded".  The check passes on one cheap pin, run
-for real; a stub command runner shows it failing, and naming the pin, for
-each way a run can go wrong.
+the 16 suslin and ffp-suite pins, a class expansion for the 14 cofinitary
+builds not marked "not expanded"; each of the 25 builds also carries the
+digest of its schema-1 readback (tests/goal_log.py).  The check passes on
+one cheap pin, run for real; a stub command runner shows it failing, and
+naming the pin, for each way a run can go wrong.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ def test_every_row_parses_and_the_digests_are_distinct():
     "083A1C68E84519AD22F9B825EBDE01AC645B2F80C99D31B15B5585EF578A5A47 template",
     f"{CHEAP}",
     f"{CHEAP} build-group --seed 0 | not expanded: ",
-], ids=["short digest", "upper-case digest", "no argv", "no reason"])
+    f"{CHEAP} {CHEAP} template --lambdas 2,3",
+], ids=["short digest", "upper-case digest", "no argv", "no reason", "readback of no build"])
 def test_a_broken_row_is_refused(row):
     with pytest.raises(ValueError):
         pins.parse(row)
@@ -60,17 +62,20 @@ def test_the_derived_rules():
 
     builds = [p for p in pins.PINS if p.argv[0] == "build-group"]
     assert len(builds) == 25
+    assert all(p.schema1 for p in builds)
+    assert not any(p.schema1 for p in pins.PINS if p not in builds)
+    assert len({p.schema1 for p in builds}) == 25
     assert {p.timeout for p in builds} == {120}
     assert {p.timeout for p in pins.PINS if p not in builds} == {60}
 
     # the rule of the old CI loop: every build but adp, edf and mad ones
     cofinitary = [p for p in builds if not {"adp", "edf", "mad"} & set(p.argv)]
     marked = [p for p in pins.PINS if p.marked]
-    assert [p.argv[2] for p in marked] == ["1", "50"]  # --generators
+    assert [p.argv[2] for p in marked] == ["50"]  # --generators
     assert all(p in cofinitary for p in marked)
     expanded = [p for p in pins.PINS if p.expanded]
     assert expanded == [p for p in cofinitary if p not in marked]
-    assert len(expanded) == 13
+    assert len(expanded) == 14
 
 
 def test_the_cheap_pin_passes(capsys):
@@ -134,7 +139,7 @@ def test_a_split_command_runs_again_on_cpu_0(capsys):
 def test_a_cofinitary_build_is_expanded(tmp_path, capsys):
     # the real report passes; one recorded fix point moved fails the class
     # expansion alone
-    pin = _pin("86f4a66806a66872ac9c4fc906e541db572217efe7ccb66197babf2a35149ead")
+    pin = _pin("a019b45a884efa36815f4dfe5a509f335ba0e6293d3f3fba4f87fde596eeecda")
     assert pin.expanded
     assert pins.check(pin) == []
     assert pins.run_cli(pin.argv, tmp_path / "r.json", None, pin.timeout) == (0, "")
@@ -147,3 +152,26 @@ def test_a_cofinitary_build_is_expanded(tmp_path, capsys):
     # a report the expansion cannot read fails its run, and only its run
     (failure,) = pins.check(replace(pin, digest=hashlib.sha256(GOOD).hexdigest()), _stub(GOOD))
     assert failure.startswith(f"FAILED {' '.join(pin.argv)} cpus=all: class expansion raised ")
+
+
+def test_a_build_is_read_back_to_its_schema_1_digest(tmp_path, capsys):
+    # the real report passes; a report whose goal log reads back to other
+    # rows fails on its readback digest alone, and one that cannot be read
+    # back fails its run
+    pin = _pin("92618b3f7acc83fd310e0fb138a51d4d3da833493338fabc539030ad2fd6c26f")
+    assert pins.run_cli(pin.argv, tmp_path / "r.json", None, pin.timeout) == (0, "")
+    report = (tmp_path / "r.json").read_bytes()
+    assert pins.check(pin, _stub(report)) == []
+    payload = json.loads(report)
+    payload["goal_log"][0]["witnesses"][0] += 1
+    report = json.dumps(payload, sort_keys=True, indent=1).encode() + b"\n"
+    (failure,) = pins.check(replace(pin, digest=hashlib.sha256(report).hexdigest(), marked=True),
+                            _stub(report))
+    assert failure.startswith(f"FAILED {' '.join(pin.argv)} cpus=all: "
+                              "the schema-1 readback's digest is ")
+    del payload["goal_log"]
+    report = json.dumps(payload, sort_keys=True, indent=1).encode() + b"\n"
+    (failure,) = pins.check(replace(pin, digest=hashlib.sha256(report).hexdigest(), marked=True),
+                            _stub(report))
+    assert failure.startswith(f"FAILED {' '.join(pin.argv)} cpus=all: "
+                              "the schema-1 readback raised KeyError('goal_log')")

@@ -26,6 +26,8 @@ import random
 import pytest
 
 import copy_path
+from goal_log import logged, schema1_bytes
+from report_reference import reference_to_json
 from test_group_freeze import reference_build
 from test_class_walk import reference_leq
 
@@ -53,8 +55,8 @@ def _draws(mode: PosetMode, count: int):
 
 
 def _same_report(new, old) -> None:
-    assert new.goal_log == old.goal_log
-    assert encode_report(new.to_json()) == encode_report(old.to_json())
+    assert logged(new) == old.goal_log
+    assert schema1_bytes(encode_report(new.to_json())) == encode_report(reference_to_json(old))
 
 
 @pytest.mark.parametrize("mode", list(PosetMode), ids=lambda m: m.value)
@@ -129,7 +131,7 @@ def test_kept_conditions_do_not_change_as_the_build_steps_on(mode, monkeypatch):
         assert _state(c) == state
     assert report.final is kept[-1][0]
     if goals:
-        hit = report.goal_log[-1][2]
+        hit = logged(report)[-1][2]
         assert (hit, zshift().apply(hit)) in report.final.s.get(0)
 
 
@@ -152,7 +154,7 @@ def test_hit_goals_step_the_open_phase(monkeypatch):
                        extra_goals=goals)
         counts.append(len(opened))
     assert counts[0] == counts[1] > 0
-    hits = [witness for goal, _, witness in report.goal_log if goal.startswith("hit:")]
+    hits = [witness for goal, _, witness in logged(report) if goal.startswith("hit:")]
     assert len(hits) == 2 and None not in hits
 
 

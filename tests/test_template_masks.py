@@ -1,10 +1,12 @@
 """Differential tests: the mask-family templates against the frozenset route
 they replaced.
 
-The reference below is the earlier frozenset implementation, copied verbatim:
-its ``TemplateOrder`` stores the family as frozensets of element ids, and
-``_Masks``, ``check_axioms``, ``_trace_depths``, ``depth`` and
-``restrict_template`` rebuild masks from those sets on every call.  It reads
+The reference below is the earlier frozenset implementation, copied verbatim
+but for its witnesses, which name a set's elements by their labels in the
+order (``_names``).  Its ``TemplateOrder`` stores the family as frozensets
+of element ids, and ``_Masks``, ``check_axioms``, ``_trace_depths``,
+``depth`` and ``restrict_template`` rebuild masks from those sets on every
+call.  It reads
 every family member by member, so it is also the reference for families held
 as atoms (the surrogates, ``from_atoms``): it gets their enumerated members.
 """
@@ -118,6 +120,12 @@ class _Masks:
             m = grown
 
 
+def _names(t: TemplateOrder, mk: "_Masks", m: int) -> str:
+    """The labels of mask m's elements, in the order; the copy below named
+    a set by its sorted ids, sorted(mk.unmask(m))."""
+    return f"[{', '.join(t.label(x) for i, x in enumerate(mk.elements) if m >> i & 1)}]"
+
+
 def check_axioms(
     t: TemplateOrder, pair_budget: int = 4_000_000
 ) -> list[AxiomViolation]:
@@ -146,8 +154,8 @@ def check_axioms(
                     out.append(
                         AxiomViolation(
                             1,
-                            f"union of {sorted(mk.unmask(a))} and "
-                            f"{sorted(mk.unmask(b))} missing",
+                            f"union of {_names(t, mk, a)} and "
+                            f"{_names(t, mk, b)} missing",
                         )
                     )
                     stop = True
@@ -156,8 +164,8 @@ def check_axioms(
                     out.append(
                         AxiomViolation(
                             1,
-                            f"intersection of {sorted(mk.unmask(a))} and "
-                            f"{sorted(mk.unmask(b))} missing",
+                            f"intersection of {_names(t, mk, a)} and "
+                            f"{_names(t, mk, b)} missing",
                         )
                     )
                     stop = True
@@ -179,7 +187,7 @@ def check_axioms(
                 out.append(
                     AxiomViolation(
                         1,
-                        f"atom intersection {sorted(mk.unmask(a & b))} missing",
+                        f"atom intersection {_names(t, mk, a & b)} missing",
                     )
                 )
                 break
@@ -222,7 +230,7 @@ def check_axioms(
                 out.append(
                     AxiomViolation(
                         3,
-                        f"{sorted(mk.unmask(a))} cut at {t.label(sorted_els[xi])} "
+                        f"{_names(t, mk, a)} cut at {t.label(sorted_els[xi])} "
                         "leaves the family",
                     )
                 )
@@ -238,7 +246,7 @@ def check_axioms(
     # clause 5: members are closed
     for a in ideals:
         if mk.closure_mask(a) != a:
-            out.append(AxiomViolation(5, f"{sorted(mk.unmask(a))} is not closed"))
+            out.append(AxiomViolation(5, f"{_names(t, mk, a)} is not closed"))
             break
     return out
 
