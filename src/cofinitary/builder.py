@@ -211,6 +211,8 @@ def build(
     if value_ceiling is None:
         value_ceiling = max(1_000, 200 * point_budget)
     rng = random.Random(seed)
+    # only a letter's frozen value reads the entries frozen before it
+    reads_earlier = discipline.shape == "letter"
     if discipline.shape == "hat":
         # the least hat word of each class stands for it (see the module
         # docstring); the side-set index and leq already read F by class
@@ -257,7 +259,9 @@ def build(
         prev = kept()
         cond = poset.add_words(prev, prev.words | frozenset(group))
         for i, w in enumerate(group):
-            earlier = itertools.chain(prev.words, itertools.islice(group, i))
+            earlier = (
+                itertools.chain(prev.words, itertools.islice(group, i)) if reads_earlier else ()
+            )
             frozen_fix[w] = (stage + 1 + i, frozen_value(mode, cond.s, w, earlier))
         log(GoalRun("freeze", stage + 1, len(group), None, None, []) if run is None else run)
         if not poset.leq(cond, prev):
@@ -332,22 +336,48 @@ def build(
     return _report()
 
 
-def _frozen_law(report: BuildReport, fix=None) -> list[str]:
+def _frozen_law(report: BuildReport) -> list[str]:
     """Each frozen entry's value under the final condition, taken against
     the entries frozen before it, equals the value recorded when it was
-    frozen; violations come in freezing order."""
+    frozen; violations come in freezing order.  The values are the
+    verifier's own (_frozen_values), not the build's frozen_value."""
     violations: list[str] = []
-    s = report.final.s
-    earlier: list[Word] = []
-    for w, (stage, recorded) in sorted(report.frozen_fix.items(), key=lambda kv: kv[1][0]):
-        now = frozen_value(report.mode, s, w, earlier, fix)
-        earlier.append(w)
+    frozen = sorted(report.frozen_fix.items(), key=lambda kv: kv[1][0])
+    values = _frozen_values(report, [w for w, _ in frozen])
+    for w, (stage, recorded) in frozen:
+        now = values[w]
         if now != recorded:
             violations.append(
                 f"{format_word(w)}: frozen at stage {stage} with {sorted(recorded)}, "
                 f"final {sorted(now)}"
             )
     return violations
+
+
+def _frozen_values(report: BuildReport, order: Sequence[Word]) -> dict[Word, frozenset[int]]:
+    """The value of each frozen entry (in freezing order) under the final
+    s, from kernels the build does not use: a hat word's fixed points from
+    one evaluation.fix_sets walk of the entries' trie; a pair a b^-1's
+    agreement set from the (point, value) items its two maps share, one
+    set intersection; a letter's common 1-points with the letters frozen
+    before it from one pass over the 1-points, in freezing order."""
+    s = report.final.s
+    shape = DISCIPLINES[report.mode].shape
+    if shape == "hat":
+        fix = fix_sets([w.letters for w in order], s)
+        return {w: fix[w.letters] for w in order}
+    if shape == "pair":
+        values = {}
+        for w in order:
+            fa, fb = (s.get(x.gen).fwd for x in w.letters)
+            values[w] = frozenset(n for n, _ in fa.items() & fb.items())
+        return values
+    values, seen = {}, set()  # seen: the 1-points of the letters frozen so far
+    for w in order:
+        ones = {n for n, m in s.get(w.letters[0].gen).pairs if m == 1}
+        values[w] = frozenset(ones & seen)
+        seen |= ones
+    return values
 
 
 def verify_cofinitary(report: BuildReport) -> list[str]:
@@ -362,7 +392,8 @@ def verify_cofinitary(report: BuildReport) -> list[str]:
     whose findings lead the list.  The frozen law reads the recorded words'
     fix sets from one walk of their own trie (evaluation.fix_sets), a
     kernel the build does not use (it freezes through fix_points), so the
-    check stays independent of the fix sets the build recorded.
+    check stays independent of the fix sets the build recorded; the other
+    modes' values come from the verifier's own passes too (_frozen_values).
 
     On partial injections the conjugation law holds exactly when each
     reduced word w' of length at most L - 2 keeps its fix set inside the
@@ -376,9 +407,8 @@ def verify_cofinitary(report: BuildReport) -> list[str]:
         return _frozen_law(report)
     s = report.final.s
     gens = sorted(set(report.generators))
-    frozen = fix_sets([w.letters for w in report.frozen_fix], s)
     problems = poset.validate(report.final)
-    violations = problems + _frozen_law(report, lambda w: frozen[w.letters])
+    violations = problems + _frozen_law(report)
     if problems or not _conjugates_keep_fix(gens, report.word_budget, s):
         violations += _conjugation_law(gens, report.word_budget, s)
     return violations

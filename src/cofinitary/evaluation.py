@@ -228,20 +228,6 @@ def letter_step(letter: Letter, s: Assignment) -> Callable[[int], Optional[int]]
     return _lookup(letter, s).get
 
 
-def _lookups(w: Word, s: Assignment) -> list[Callable[[int], Optional[int]]]:
-    """One lookup per letter of w, in application order (rightmost first)."""
-    return [letter_step(letter, s) for letter in reversed(w.letters)]
-
-
-def _walk(steps: list[Callable[[int], Optional[int]]], n: int) -> Optional[int]:
-    """n after every step; None once a lookup fails."""
-    for step in steps:
-        n = step(n)
-        if n is None:
-            return None
-    return n
-
-
 @dataclass(frozen=True)
 class FixResult:
     """The fixed points of a word evaluation: always the whole fix set."""
@@ -259,15 +245,26 @@ EMPTY_GROUND = object()
 
 def fix_points(w: Word, s: Assignment, ground: object = EMPTY_GROUND) -> FixResult:
     """Fixed points of e_w: the start candidates are the keys of the
-    rightmost letter's lookup, and each is walked once.  `ground` is kept
-    for the build recheck's call shape only (EMPTY_GROUND); any other value
-    raises ValueError."""
+    rightmost letter's lookup, and each is walked once, from its value
+    under that letter through the other letters' lookups, each resolved
+    once per call.  `ground` is kept for the build recheck's call shape
+    only (EMPTY_GROUND); any other value raises ValueError."""
     if ground is not EMPTY_GROUND:
         raise ValueError("fix_points takes no ground: conditions are over finite maps only")
     if not w:
         raise ValueError("fix of the empty word is everything; not represented")
-    steps = _lookups(w, s)
-    return FixResult(frozenset(n for n in _lookup(w.letters[-1], s) if _walk(steps, n) == n))
+    *rest, last = w.letters
+    steps = [_lookup(letter, s).get for letter in reversed(rest)]
+    points = []
+    for n, value in _lookup(last, s).items():
+        for step in steps:
+            value = step(value)
+            if value is None:
+                break
+        else:
+            if value == n:
+                points.append(n)
+    return FixResult(frozenset(points))
 
 
 def fix_table(

@@ -269,16 +269,16 @@ def frozen_value(
     s: Assignment,
     w: Word,
     earlier: Iterable[Word],
-    fix: Optional[Callable[[Word], frozenset[int]]] = None,
 ) -> frozenset[int]:
-    """What freezing the entry w keeps under s: the fixed points of a hat
-    word (evaluation.fix_points, or `fix`, the verifier's reader of its fix
-    table under s, when given), the agreement set of a pair, or a letter's
-    common 1-points with the letters frozen before it (`earlier`; the other
-    shapes ignore it)."""
+    """What freezing the entry w keeps under s, as the build records it:
+    the fixed points of a hat word (evaluation.fix_points), the agreement
+    set of a pair, or a letter's common 1-points with the letters frozen
+    before it (`earlier`; the other shapes ignore it).  The verifier
+    computes its own values (builder._frozen_values), so a fault here is
+    not repeated there."""
     shape = DISCIPLINES[mode].shape
     if shape == "hat":
-        return fix(w) if fix is not None else evaluation.fix_points(w, s).points
+        return evaluation.fix_points(w, s).points
     if shape == "pair":
         return _agreement(s, w.letters[0].gen, w.letters[1].gen)
     ones = _ones(s.get(w.letters[0].gen).pairs)
@@ -374,9 +374,11 @@ class SideIndex:
         if kernel == "walk":
             for key in {w.class_key for w in words}:
                 applied = key[::-1]
+                size = len(applied)
+                doubled = applied * 2  # the rotation after i is one slice of it
                 for i, letter in enumerate(applied):
                     node = self.tries.setdefault(letter, {})
-                    for x in applied[i + 1 :] + applied[:i]:
+                    for x in doubled[i + 1 : i + size]:
                         node = node.setdefault(x, {})
                     node[END] = END
         elif kernel == "agreement":

@@ -127,13 +127,19 @@ def class_hat_count(w: Word) -> int:
     cuts 0 .. p-1 (one rotation when w is a power of one generator).  The
     rotations of w^-1 are the reverse cuts, and in a free group no
     nontrivial element is conjugate to its inverse, so they add as many
-    again: 2 * that count."""
+    again: 2 * that count.  A divisor p of the length is a period exactly
+    when the letters from p on repeat those before length - p."""
     letters = w.letters
     size = len(letters)
-    period = next(
-        p for p in range(1, size + 1) if size % p == 0 and letters[p:] + letters[:p] == letters
-    )
-    changes = sum(letters[i - 1].gen != letters[i].gen for i in range(period))
+    for period in range(1, size + 1):
+        if size % period == 0 and letters[period:] == letters[: size - period]:
+            break
+    changes = 0
+    prev = letters[period - 1].gen
+    for gen, _ in letters[:period]:
+        if gen != prev:
+            changes += 1
+        prev = gen
     return 2 * max(changes, 1)
 
 
@@ -414,18 +420,25 @@ def class_representatives(gens: Sequence[int], max_len: int) -> list[Word]:
         # The stack holds the branches still to take, least j on top, so
         # necklaces come out in lexicographic order.
         stack = [(1, 1, 0)]
+        push = stack.append
         while stack:
             t, p, j = stack.pop()
             a[t - 1] = j
             if t > n:
                 # a necklace whose ends do not cancel, and at most the
-                # least rotation of its inverse
+                # least rotation of its inverse: each rotation is a slice
+                # of the inverse doubled, and one that starts above the
+                # necklace's first letter is larger without its slice
                 if n % p or n > 1 and a[1] == inv[a[n]]:
                     continue
                 necklace = tuple(a[1:])
-                back = tuple(inv[j] for j in reversed(necklace))
-                if all(necklace <= back[i:] + back[:i] for i in range(n)):
-                    w = Word(tuple(alphabet[j] for j in necklace))
+                back = tuple(map(inv.__getitem__, reversed(necklace))) * 2
+                first = necklace[0]
+                for i in range(n):
+                    if back[i] <= first and back[i : i + n] < necklace:
+                        break
+                else:
+                    w = Word(tuple(map(alphabet.__getitem__, necklace)))
                     object.__setattr__(w, "_class_key", w.letters)
                     out.append(w)
                 continue
@@ -433,7 +446,9 @@ def class_representatives(gens: Sequence[int], max_len: int) -> list[Word]:
             # of length t
             banned = inv[a[t - 1]] if t > 1 else -1
             least = a[t - p]
-            stack.extend(
-                (t + 1, p if j == least else t, j) for j in reversed(range(least, k)) if j != banned
-            )
+            for j in range(k - 1, least, -1):
+                if j != banned:
+                    push((t + 1, t, j))
+            if least != banned:
+                push((t + 1, p, least))
     return out

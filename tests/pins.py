@@ -21,8 +21,10 @@ expands each class to all of its hat words and compares them with their
 fix sets, unless the row is marked "not expanded".
 
 Every pin runs, whatever fails before it.  One line is printed per run
-(argv, CPU set, exit code, digest), then each failure with the pinned
-digest and the run's stderr; the exit code is 1 when any run failed.
+(argv, CPU set, exit code, digest and the run's wall seconds, so a CI log
+shows what each build took next to its digest), then each failure with
+the pinned digest and the run's stderr; the exit code is 1 when any run
+failed.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from time import perf_counter
 from typing import Callable, Optional
 
 from class_expansion import check as expansion_problems
@@ -184,18 +187,21 @@ def run_cli(argv, out: Path, cpus: Optional[frozenset], timeout: int) -> tuple:
 
 
 def check(pin: Pin, run: Runner = run_cli) -> list[str]:
-    """Run the pin once per CPU set, printing one line per run; one text
-    per failed run, naming the pin, with the pinned digest and stderr."""
+    """Run the pin once per CPU set, printing one line per run with its
+    wall seconds; one text per failed run, naming the pin, with the pinned
+    digest and stderr."""
     failures = []
     for cpus in pin.cpu_sets:
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "report.json"
+            start = perf_counter()
             code, stderr = run(pin.argv, out, cpus, pin.timeout)
+            wall = perf_counter() - start
             report = out.read_bytes() if out.exists() else None
         digest = "no-report" if report is None else hashlib.sha256(report).hexdigest()
         where = "all" if cpus is None else ",".join(map(str, sorted(cpus)))
         name = f"{' '.join(pin.argv)} cpus={where}"
-        print(f"{name} exit={code} {digest}", flush=True)
+        print(f"{name} exit={code} {digest} wall={wall:.2f}s", flush=True)
         problems = [f"exit {code}"] if code != 0 else []
         if stderr:
             problems.append("stderr is not empty")

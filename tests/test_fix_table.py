@@ -29,12 +29,19 @@ from cofinitary.builder import (
     DenseGoal,
     _conjugates_keep_fix,
     _conjugation_law,
-    _frozen_law,
     build,
     verify_cofinitary,
 )
 from cofinitary.evaluation import Assignment, PartialMap, fix_points, fix_sets, fix_table
-from cofinitary.poset import DISCIPLINES, Condition, PosetMode, add_words, leq, validate
+from cofinitary.poset import (
+    DISCIPLINES,
+    Condition,
+    PosetMode,
+    add_words,
+    frozen_value,
+    leq,
+    validate,
+)
 from cofinitary.words import (
     INVERSE,
     Letter,
@@ -58,7 +65,8 @@ def reference_verify_cofinitary(report: BuildReport) -> list[str]:
     """The verifier before the fix table, verbatim but for the ambient
     ground it no longer has and the validate findings that now lead a
     cofinitary list: one fix_points call and one conjugate_decompose per
-    word."""
+    word, and the other modes' frozen values from the build's own
+    poset.frozen_value."""
     s = report.final.s
     memo: dict[Word, frozenset[int]] = {}
 
@@ -68,7 +76,19 @@ def reference_verify_cofinitary(report: BuildReport) -> list[str]:
             points = memo[w] = fix_points(w, s).points
         return points
 
-    violations = _frozen_law(report, fix)
+    violations = []
+    earlier: list[Word] = []
+    for w, (stage, recorded) in sorted(report.frozen_fix.items(), key=lambda kv: kv[1][0]):
+        if DISCIPLINES[report.mode].shape == "hat":
+            now = fix(w)
+        else:
+            now = frozen_value(report.mode, s, w, earlier)
+        earlier.append(w)
+        if now != recorded:
+            violations.append(
+                f"{format_word(w)}: frozen at stage {stage} with {sorted(recorded)}, "
+                f"final {sorted(now)}"
+            )
     if DISCIPLINES[report.mode].shape == "hat":
         violations = validate(report.final) + violations
         for w in reduced_words(sorted(set(report.generators)), report.word_budget, min_len=1):
@@ -325,6 +345,27 @@ def _with_final_s(report: BuildReport, s: Assignment) -> BuildReport:
         report.goal_log, report.frozen_fix,
         report.mode, report.generators, report.point_budget, report.word_budget, report.seed,
     )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("mode", [PosetMode.ADP, PosetMode.EDF, PosetMode.MAD])
+def test_corrupted_variant_builds_are_reported_alike(mode, seed):
+    # the verifier's own agreement sets and common 1-sets against the
+    # build's poset.frozen_value, on final maps with pairs dropped and
+    # added (some maps then take two values at a point): the same
+    # violations in the same order
+    report = build(
+        mode, [0, 1, 2, 3], point_budget=30, word_budget=DISCIPLINES[mode].word_budget, seed=seed
+    )
+    rng = random.Random(seed)
+    values = (0, 1) if mode is PosetMode.MAD else range(30)
+    table = {}
+    for g, pm in report.final.s.table.items():
+        pairs = sorted(pm.pairs)
+        rng.shuffle(pairs)
+        pairs = set(pairs[5:]) | {(rng.randrange(30), rng.choice(values)) for _ in range(8)}
+        table[g] = PartialMap(frozenset(pairs))
+    assert _both(_with_final_s(report, Assignment(table)))
 
 
 def test_a_moved_frozen_fix_set_is_reported_alike():

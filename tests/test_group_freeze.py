@@ -247,9 +247,9 @@ def test_non_hat_word_in_a_group_is_rejected(monkeypatch):
     frozen = []
     value = builder.frozen_value
 
-    def recording_value(mode, s, w, earlier, fix=None):
+    def recording_value(mode, s, w, earlier):
         frozen.append(w)
-        return value(mode, s, w, earlier, fix)
+        return value(mode, s, w, earlier)
 
     monkeypatch.setattr(builder, "class_representatives", with_bad_words)
     monkeypatch.setattr(builder, "frozen_value", recording_value)
@@ -300,9 +300,9 @@ def test_each_word_is_frozen_through_fix_points_at_its_group_s(
         groups.append(grow(p, words))
         return groups[-1]
 
-    def recording_value(mode, s, w, earlier, fix=None):
-        calls.append((w, s, fix))
-        return value(mode, s, w, earlier, fix)
+    def recording_value(mode, s, w, earlier):
+        calls.append((w, s))
+        return value(mode, s, w, earlier)
 
     monkeypatch.setattr(builder, "fix_sets", no_walk)
     monkeypatch.setattr(builder, "fix_table", no_walk)
@@ -314,9 +314,9 @@ def test_each_word_is_frozen_through_fix_points_at_its_group_s(
     assert len(hits) == len(goals) and None not in hits  # every hit goal was met
     assert report.final.s != groups[-1].s
     assert len(calls) == len(report.frozen_fix)
-    for w, s, fix in calls:
+    for w, s in calls:
         group = next(c for c in groups if w in c.words)
-        assert fix is None and s is group.s
+        assert s is group.s
         assert report.frozen_fix[w][1] == fix_points(w, group.s).points, format_word(w)
     monkeypatch.setattr(builder, "fix_sets", counted_walk)
     monkeypatch.setattr(builder, "fix_table", counted_table)

@@ -7,13 +7,15 @@ the 16 suslin and ffp-suite pins, a class expansion for the 14 cofinitary
 builds not marked "not expanded"; each of the 25 builds also carries the
 digest of its schema-1 readback (tests/goal_log.py).  The check passes on
 one cheap pin, run for real; a stub command runner shows it failing, and
-naming the pin, for each way a run can go wrong.
+naming the pin, for each way a run can go wrong, and on a stub clock each
+run's line showing the run's wall seconds.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -81,7 +83,9 @@ def test_the_derived_rules():
 def test_the_cheap_pin_passes(capsys):
     assert pins.check(_pin(CHEAP)) == []
     (line,) = capsys.readouterr().out.splitlines()
-    assert line == f"template --lambdas 2,3 --omega1 2 --seed 3 cpus=all exit=0 {CHEAP}"
+    head, wall = line.rsplit(" ", 1)
+    assert head == f"template --lambdas 2,3 --omega1 2 --seed 3 cpus=all exit=0 {CHEAP}"
+    assert re.fullmatch(r"wall=\d+\.\d\ds", wall) and 0 < float(wall[5:-1]) < 60
 
 
 # -- a stub command runner ------------------------------------------------------
@@ -90,14 +94,28 @@ GOOD = json.dumps({"a": [1, 2]}, sort_keys=True, indent=1).encode() + b"\n"
 NOT_DUMPS = b'{"a": [1, 2]}\n'
 
 
-def _stub(report: bytes, code=0, stderr="", calls=None):
+def _stub(report: bytes, code=0, stderr="", calls=None, clock=None, seconds=0.0):
+    """A runner that writes the report and returns (code, stderr); with a
+    clock (a one-item list that stands for pins.perf_counter) each run
+    takes `seconds` on it."""
+
     def run(argv, out, cpus, timeout):
         if calls is not None:
             calls.append((argv, cpus, timeout))
+        if clock is not None:
+            clock[0] += seconds
         out.write_bytes(report)
         return code, stderr
 
     return run
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    """pins.perf_counter, read from the list's one item."""
+    now = [1000.0]
+    monkeypatch.setattr(pins, "perf_counter", lambda: now[0])
+    return now
 
 
 @pytest.mark.parametrize("report, pinned, code, stderr, problem", [
@@ -108,13 +126,31 @@ def _stub(report: bytes, code=0, stderr="", calls=None):
     (NOT_DUMPS, NOT_DUMPS, 0, "", "the report is not json.dumps of its contents"),
     (b"{", b"{", 0, "", "the report is not JSON"),
 ], ids=["digest", "stderr", "exit", "timeout", "not json.dumps", "not json"])
-def test_a_failing_run_names_the_pin(report, pinned, code, stderr, problem, capsys):
+def test_a_failing_run_names_the_pin(report, pinned, code, stderr, problem, capsys, clock):
     pin = replace(_pin(CHEAP), digest=hashlib.sha256(pinned).hexdigest())
-    (failure,) = pins.check(pin, _stub(report, code, stderr))
+    (failure,) = pins.check(pin, _stub(report, code, stderr, clock=clock, seconds=61.5))
     head, digest, err = failure.splitlines()
     assert head == f"FAILED template --lambdas 2,3 --omega1 2 --seed 3 cpus=all: {problem}"
     assert digest == f"  pinned digest {pin.digest}"
     assert err == f"  stderr: {stderr!r}"
+    # the run's line still shows its exit code, digest and time
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line == (f"template --lambdas 2,3 --omega1 2 --seed 3 cpus=all exit={code} "
+                    f"{hashlib.sha256(report).hexdigest()} wall=61.50s")
+
+
+def test_each_run_line_shows_its_wall_seconds(capsys, clock):
+    pin = replace(_pin(CHEAP), digest=hashlib.sha256(GOOD).hexdigest())
+    assert pins.check(pin, _stub(GOOD, clock=clock, seconds=2.5)) == []
+    assert capsys.readouterr().out.splitlines() == [
+        f"template --lambdas 2,3 --omega1 2 --seed 3 cpus=all exit=0 {pin.digest} wall=2.50s"
+    ]
+    # a split command's two runs are timed one by one
+    suslin = replace(pins.PINS[0], digest=pin.digest)
+    assert pins.check(suslin, _stub(GOOD, clock=clock, seconds=0.25)) == []
+    assert [line.rpartition(" ")[2] for line in capsys.readouterr().out.splitlines()] == [
+        "wall=0.25s", "wall=0.25s"
+    ]
 
 
 def test_a_missing_report_fails():
